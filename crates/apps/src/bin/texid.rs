@@ -352,8 +352,10 @@ fn cmd_bench(target: Option<&str>, args: &Args) -> Result<(), String> {
 
     for e in &report.entries {
         println!(
-            "  {:<12} {:<4} {:<6} m={:<4} B={:<3} {:>10.1} us {:>8.3} GFLOP/s",
-            e.kernel, e.precision, e.backend, e.m, e.batch, e.wall_us, e.gflops
+            "  {:<12} {:<4} {:<6} m={:<4} B={:<3} {:>10.1} us (min {:>10.1}, MAD {:>7.1}) \
+             {:>8.3} GFLOP/s {:>5.1}% of peak",
+            e.kernel, e.precision, e.backend, e.m, e.batch, e.wall_us, e.min_us, e.mad_us,
+            e.gflops, e.pct_of_peak
         );
     }
     println!("wrote {} entries to {}", report.entries.len(), out.display());
@@ -361,9 +363,10 @@ fn cmd_bench(target: Option<&str>, args: &Args) -> Result<(), String> {
     if args.has("check") {
         texid_bench::kernels::check_guard(&report, 0.9)?;
         texid_bench::kernels::check_simd_guard(&report, 1.0)?;
+        texid_bench::kernels::check_epilogue_guard(&report, 0.85)?;
         println!(
-            "check passed: scalar packed >= 0.9x flat GFLOP/s at the largest shape, and every \
-             SIMD row >= 1.0x its scalar twin"
+            "check passed: scalar packed >= 0.9x flat GFLOP/s at the largest shape, every \
+             SIMD row >= 1.0x its scalar twin, and avx2 fused_top2 >= 0.85x packed at every cell"
         );
     }
     Ok(())
@@ -765,7 +768,9 @@ fn cmd_obs(action: Option<&str>, args: &Args) -> Result<(), String> {
     // that identify a comparable cell across the two runs.
     let (metric, keys): (&str, &[&str]) = match schema.as_str() {
         "texid-kernel-bench/v1" => ("gflops", &["kernel", "precision", "m", "batch"]),
-        "texid-kernel-bench/v2" => ("gflops", &["kernel", "precision", "backend", "m", "batch"]),
+        "texid-kernel-bench/v2" | "texid-kernel-bench/v3" => {
+            ("gflops", &["kernel", "precision", "backend", "m", "batch"])
+        }
         "texid-throughput-bench/v1" => ("imgs_per_sec", &["clients", "coalesce"]),
         "texid-ivf-bench/v1" => ("imgs_per_sec", &["nlist", "nprobe"]),
         other => return Err(format!("unknown bench schema {other:?}")),

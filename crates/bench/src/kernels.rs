@@ -7,10 +7,16 @@
 //!
 //! Unlike the Criterion benches this emits a machine-readable JSON file
 //! (`BENCH_kernels.json`) with a stable schema, so CI can smoke-test the
-//! kernels ([`check_guard`], [`check_simd_guard`]) and the repo can track
-//! GFLOP/s over time. Inputs are seeded and timings are median-of-N after a
-//! warmup run, so the report is as deterministic as wall-clock measurement
-//! allows.
+//! kernels ([`check_guard`], [`check_simd_guard`], [`check_epilogue_guard`])
+//! and the repo can track GFLOP/s over time. Inputs are seeded; every row
+//! is one warm-up run followed by N timed runs, reported as min / median /
+//! MAD, so the report is as deterministic as wall-clock measurement allows.
+//!
+//! **Roofline.** Each backend also gets a `peak` row: a register-only loop
+//! of separate multiplies and adds ([`texid_linalg::kernel::mul_add_probe`])
+//! — the most the summation-order contract (no FMA) lets one core retire.
+//! Every row carries `pct_of_peak`, its GFLOP/s over its backend's peak
+//! (the kernels run on one thread: the vendored rayon is sequential).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -19,14 +25,16 @@ use texid_linalg::dispatch::{available_backends, Backend};
 use texid_linalg::gemm::{gemm_at_b_f16_flat, gemm_at_b_flat, gemm_at_b_naive};
 use texid_linalg::kernel::{
     gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2_blocked_f16_on,
-    gemm_top2_blocked_on,
+    gemm_top2_blocked_on, mul_add_probe,
 };
 use texid_linalg::mat::Mat;
 use texid_linalg::top2::top2_min_per_column_blocked;
 
 /// Schema tag stamped into every report; bump on any layout change.
-/// v2 added the per-entry `backend` column (SIMD dispatch rows).
-pub const SCHEMA: &str = "texid-kernel-bench/v2";
+/// v2 added the per-entry `backend` column (SIMD dispatch rows); v3 the
+/// per-backend `peak` rows and the `min_us` / `mad_us` / `pct_of_peak`
+/// columns.
+pub const SCHEMA: &str = "texid-kernel-bench/v3";
 
 /// Seed for the generated feature matrices.
 pub const SEED: u64 = 0x5eed_7e71;
@@ -35,7 +43,8 @@ pub const SEED: u64 = 0x5eed_7e71;
 #[derive(Clone, Debug)]
 pub struct BenchEntry {
     /// Kernel identity: `packed`, `flat`, `naive`, `fused_top2`,
-    /// `unfused_top2`.
+    /// `unfused_top2`, or `peak` (the backend's register-only mul+add
+    /// roofline; its shape columns are 0).
     pub kernel: &'static str,
     /// `f32` or `f16`.
     pub precision: &'static str,
@@ -52,8 +61,15 @@ pub struct BenchEntry {
     pub batch: usize,
     /// Median wall time, microseconds.
     pub wall_us: f64,
-    /// `2·(B·m)·n·d` FLOPs over the median wall time.
+    /// Fastest timed run, microseconds.
+    pub min_us: f64,
+    /// Median absolute deviation of the timed runs, microseconds.
+    pub mad_us: f64,
+    /// `2·(B·m)·n·d` FLOPs over the median wall time (a `peak` row: the
+    /// probe's FLOPs over its *fastest* run — a roofline is an upper bound).
     pub gflops: f64,
+    /// `gflops` as a percentage of this backend's `peak` row.
+    pub pct_of_peak: f64,
 }
 
 /// A full benchmark run.
@@ -84,7 +100,8 @@ impl BenchReport {
             out.push_str(&format!(
                 "    {{\"kernel\": \"{}\", \"precision\": \"{}\", \"backend\": \"{}\", \
                  \"m\": {}, \"n\": {}, \"d\": {}, \"batch\": {}, \"wall_us\": {:.2}, \
-                 \"gflops\": {:.4}}}{}\n",
+                 \"min_us\": {:.2}, \"mad_us\": {:.2}, \"gflops\": {:.4}, \
+                 \"pct_of_peak\": {:.1}}}{}\n",
                 e.kernel,
                 e.precision,
                 e.backend,
@@ -93,7 +110,10 @@ impl BenchReport {
                 e.d,
                 e.batch,
                 e.wall_us,
+                e.min_us,
+                e.mad_us,
                 e.gflops,
+                e.pct_of_peak,
                 if i + 1 < self.entries.len() { "," } else { "" }
             ));
         }
@@ -173,7 +193,10 @@ pub fn validate_json(json: &str) -> Result<(), String> {
         "\"d\":",
         "\"batch\":",
         "\"wall_us\":",
+        "\"min_us\":",
+        "\"mad_us\":",
         "\"gflops\":",
+        "\"pct_of_peak\":",
     ] {
         if json.matches(key).count() != n_entries {
             return Err(format!("key {key} missing from some entry"));
@@ -244,6 +267,35 @@ pub fn check_simd_guard(report: &BenchReport, min_ratio: f64) -> Result<(), Stri
     Ok(())
 }
 
+/// Epilogue guard: on AVX2, at every measured cell, the fused top-2 kernel
+/// must reach at least `min_ratio ×` the plain packed GEMM's GFLOP/s (same
+/// precision and shape). With `min_ratio = 0.85` this bounds what the
+/// register-resident scan may cost at 15 % of the GEMM it rides on. A
+/// report without AVX2 rows passes vacuously.
+pub fn check_epilogue_guard(report: &BenchReport, min_ratio: f64) -> Result<(), String> {
+    let avx2 = |kernel: &'static str| {
+        report.entries.iter().filter(move |e| e.backend == "avx2" && e.kernel == kernel)
+    };
+    for fused in avx2("fused_top2") {
+        let packed = avx2("packed")
+            .find(|p| {
+                p.precision == fused.precision && (p.m, p.n, p.d, p.batch) == (fused.m, fused.n, fused.d, fused.batch)
+            })
+            .ok_or_else(|| {
+                format!("no avx2 packed twin for fused_top2 {} m={} B={}", fused.precision, fused.m, fused.batch)
+            })?;
+        let ratio = fused.gflops / packed.gflops;
+        if ratio < min_ratio {
+            return Err(format!(
+                "avx2 fused_top2 {} at m={} B={} reaches only {ratio:.2}x of packed \
+                 ({:.2} vs {:.2} GFLOP/s, floor {min_ratio}x)",
+                fused.precision, fused.m, fused.batch, fused.gflops, packed.gflops
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Seeded pseudo-random feature matrix (values in `[0, 0.1)`, the scale of
 /// unit-norm RootSIFT descriptors).
 fn feature_mat(d: usize, cols: usize, seed: u64) -> Mat {
@@ -254,19 +306,36 @@ fn feature_mat(d: usize, cols: usize, seed: u64) -> Mat {
     })
 }
 
-/// Median wall time of `median_of` timed runs after one warmup run, µs.
-fn time_median_us<R>(median_of: usize, mut f: impl FnMut() -> R) -> f64 {
+/// Wall-time statistics of one row, µs.
+struct Timing {
+    min: f64,
+    median: f64,
+    mad: f64,
+}
+
+fn median_of_sorted(sorted: &[f64]) -> f64 {
+    sorted[sorted.len() / 2]
+}
+
+/// `samples` timed runs after one warm-up run.
+fn time_us<R>(samples: usize, mut f: impl FnMut() -> R) -> Timing {
     black_box(f());
-    let mut samples: Vec<f64> = (0..median_of)
+    let mut runs: Vec<f64> = (0..samples)
         .map(|_| {
             let t = Instant::now();
             black_box(f());
             t.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+    runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let median = median_of_sorted(&runs);
+    let mut dev: Vec<f64> = runs.iter().map(|r| (r - median).abs()).collect();
+    dev.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    Timing { min: runs[0], median, mad: median_of_sorted(&dev) }
 }
+
+/// Rounds per roofline probe call (≈ 1 ms on a 3 GHz core).
+const PEAK_ROUNDS: u64 = 1 << 20;
 
 /// Run the kernel benchmarks at the paper's matching shapes, on every
 /// backend available on this host.
@@ -301,6 +370,41 @@ pub fn run_custom(
     backends: &[Backend],
 ) -> BenchReport {
     let mut entries = Vec::new();
+
+    // Roofline first: one `peak` row per requested backend, plus scalar's
+    // (the flat/naive baselines are scalar rows whatever was requested).
+    let mut peaks: Vec<(&'static str, f64)> = Vec::new();
+    for &be in backends.iter().chain(&[Backend::Scalar]) {
+        if peaks.iter().any(|(name, _)| *name == be.name()) {
+            continue;
+        }
+        let mut flops = 0;
+        let t = time_us(median_of, || {
+            let (done, checksum) = mul_add_probe(be, PEAK_ROUNDS);
+            flops = done;
+            checksum
+        });
+        let gflops = flops as f64 / t.min / 1e3;
+        peaks.push((be.name(), gflops));
+        entries.push(BenchEntry {
+            kernel: "peak",
+            precision: "f32",
+            backend: be.name(),
+            m: 0,
+            n: 0,
+            d: 0,
+            batch: 0,
+            wall_us: t.median,
+            min_us: t.min,
+            mad_us: t.mad,
+            gflops,
+            pct_of_peak: 100.0,
+        });
+    }
+    let peak_of = |be: &str| {
+        peaks.iter().find(|(name, _)| *name == be).expect("peak measured above").1
+    };
+
     let q = feature_mat(d, n, SEED ^ 0x9e37);
     let q16 = q.to_f16_scaled(0.0078125);
 
@@ -310,7 +414,8 @@ pub fn run_custom(
             let r16 = r.to_f16_scaled(0.0078125);
             let flops = 2.0 * (batch * m) as f64 * n as f64 * d as f64;
             let mut push =
-                |kernel: &'static str, precision: &'static str, be: &'static str, wall_us: f64| {
+                |kernel: &'static str, precision: &'static str, be: &'static str, t: Timing| {
+                    let gflops = flops / t.median / 1e3;
                     entries.push(BenchEntry {
                         kernel,
                         precision,
@@ -319,8 +424,11 @@ pub fn run_custom(
                         n,
                         d,
                         batch,
-                        wall_us,
-                        gflops: flops / wall_us / 1e3,
+                        wall_us: t.median,
+                        min_us: t.min,
+                        mad_us: t.mad,
+                        gflops,
+                        pct_of_peak: 100.0 * gflops / peak_of(be),
                     });
                 };
 
@@ -328,80 +436,41 @@ pub fn run_custom(
             // requested backend (all bit-identical; only speed differs).
             for &be in backends {
                 let name = be.name();
-                push(
-                    "packed",
-                    "f32",
-                    name,
-                    time_median_us(median_of, || gemm_at_b_blocked_on(be, -2.0, &r, &q)),
-                );
-                push(
-                    "packed",
-                    "f16",
-                    name,
-                    time_median_us(median_of, || gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16)),
-                );
-                push(
-                    "fused_top2",
-                    "f32",
-                    name,
-                    time_median_us(median_of, || gemm_top2_blocked_on(be, -2.0, &r, &q, batch, m)),
-                );
-                push(
-                    "fused_top2",
-                    "f16",
-                    name,
-                    time_median_us(median_of, || {
-                        gemm_top2_blocked_f16_on(be, -2.0, &r16, &q16, batch, m)
-                    }),
-                );
-                push(
-                    "unfused_top2",
-                    "f32",
-                    name,
-                    time_median_us(median_of, || {
-                        top2_min_per_column_blocked(
-                            &gemm_at_b_blocked_on(be, -2.0, &r, &q),
-                            batch,
-                            m,
-                        )
-                    }),
-                );
-                push(
-                    "unfused_top2",
-                    "f16",
-                    name,
-                    time_median_us(median_of, || {
-                        top2_min_per_column_blocked(
-                            &gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16),
-                            batch,
-                            m,
-                        )
-                    }),
-                );
+                push("packed", "f32", name, time_us(median_of, || {
+                    gemm_at_b_blocked_on(be, -2.0, &r, &q)
+                }));
+                push("packed", "f16", name, time_us(median_of, || {
+                    gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16)
+                }));
+                push("fused_top2", "f32", name, time_us(median_of, || {
+                    gemm_top2_blocked_on(be, -2.0, &r, &q, batch, m)
+                }));
+                push("fused_top2", "f16", name, time_us(median_of, || {
+                    gemm_top2_blocked_f16_on(be, -2.0, &r16, &q16, batch, m)
+                }));
+                push("unfused_top2", "f32", name, time_us(median_of, || {
+                    top2_min_per_column_blocked(&gemm_at_b_blocked_on(be, -2.0, &r, &q), batch, m)
+                }));
+                push("unfused_top2", "f16", name, time_us(median_of, || {
+                    top2_min_per_column_blocked(
+                        &gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16),
+                        batch,
+                        m,
+                    )
+                }));
             }
 
             // Baselines are slow (the f16 flat kernel re-widens per output
             // column) and have no SIMD path; only time them unbatched,
             // where one run is cheap.
             if batch == 1 {
-                push(
-                    "flat",
-                    "f32",
-                    "scalar",
-                    time_median_us(median_of, || gemm_at_b_flat(-2.0, &r, &q)),
-                );
-                push(
-                    "flat",
-                    "f16",
-                    "scalar",
-                    time_median_us(median_of, || gemm_at_b_f16_flat(-2.0, &r16, &q16)),
-                );
-                push(
-                    "naive",
-                    "f32",
-                    "scalar",
-                    time_median_us(median_of, || gemm_at_b_naive(-2.0, &r, &q)),
-                );
+                push("flat", "f32", "scalar", time_us(median_of, || gemm_at_b_flat(-2.0, &r, &q)));
+                push("flat", "f16", "scalar", time_us(median_of, || {
+                    gemm_at_b_f16_flat(-2.0, &r16, &q16)
+                }));
+                push("naive", "f32", "scalar", time_us(median_of, || {
+                    gemm_at_b_naive(-2.0, &r, &q)
+                }));
             }
         }
     }
@@ -420,7 +489,20 @@ mod tests {
         batch: usize,
         gflops: f64,
     ) -> BenchEntry {
-        BenchEntry { kernel, precision, backend, m: 8, n: 8, d: 4, batch, wall_us: 10.0, gflops }
+        BenchEntry {
+            kernel,
+            precision,
+            backend,
+            m: 8,
+            n: 8,
+            d: 4,
+            batch,
+            wall_us: 10.0,
+            min_us: 9.0,
+            mad_us: 0.5,
+            gflops,
+            pct_of_peak: 50.0,
+        }
     }
 
     fn tiny_report() -> BenchReport {
@@ -485,6 +567,18 @@ mod tests {
             check_simd_guard(&r, 1.0).is_err(),
             "batch-2 SIMD row has no scalar twin: must be an error, not skipped"
         );
+    }
+
+    #[test]
+    fn epilogue_guard_compares_avx2_fused_to_packed() {
+        let mut r = tiny_report();
+        assert!(check_epilogue_guard(&r, 0.85).is_ok(), "no AVX2 rows passes vacuously");
+        r.entries.push(entry("packed", "f16", "avx2", 1, 10.0));
+        r.entries.push(entry("fused_top2", "f16", "avx2", 1, 9.0));
+        assert!(check_epilogue_guard(&r, 0.85).is_ok());
+        assert!(check_epilogue_guard(&r, 0.95).is_err(), "ratio is 0.9, floor 0.95 must fail");
+        r.entries.push(entry("fused_top2", "f32", "avx2", 1, 9.0));
+        assert!(check_epilogue_guard(&r, 0.85).is_err(), "fused row without its packed twin");
     }
 
     #[test]

@@ -23,9 +23,12 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Kernel, Precision};
-use texid_knn::ivf::{pool_columns, IvfIndex};
+use texid_knn::ivf::{pool_column_slice, pool_columns, IvfIndex};
 use texid_knn::pair::D2H_BYTES_PER_QUERY_FEATURE;
-use texid_knn::{match_batch, Algorithm, ExecMode, FeatureBlock, MatchConfig};
+use texid_knn::{
+    match_batch, match_batch_packed, Algorithm, ExecMode, FeatureBlock, MatchConfig, PackedBlock,
+};
+use texid_linalg::kernel::{PackedA, PackedB};
 use texid_obs::{Counter, Gauge, Histogram, Span};
 use texid_sift::FeatureMatrix;
 
@@ -171,7 +174,16 @@ impl Default for EngineConfig {
 /// One cached reference batch: image ids plus the (possibly phantom) data.
 enum BatchData {
     /// Real concatenated feature block.
-    Real(FeatureBlock),
+    Real {
+        /// Storage-precision features — what the simulated device holds and
+        /// what export, heal and the unfused matcher read.
+        block: FeatureBlock,
+        /// `block` packed for the fused kernel, built once at seal on
+        /// configurations that run it (fused, `ExecMode::Full`) and dropped
+        /// with the batch. A host-side derivative: it is not part of the
+        /// simulated device footprint ([`RefBatch::size_bytes`]).
+        packed: Option<PackedBlock<PackedA>>,
+    },
     /// Shape-only stand-in for timing experiments.
     Phantom {
         /// Total feature columns (refs × m).
@@ -192,7 +204,7 @@ struct RefBatch {
 impl Payload for RefBatch {
     fn size_bytes(&self) -> u64 {
         match &self.data {
-            BatchData::Real(b) => b.size_bytes() as u64,
+            BatchData::Real { block, .. } => block.size_bytes() as u64,
             BatchData::Phantom { cols, rows, precision } => {
                 (cols * rows * precision.bytes()) as u64
             }
@@ -452,13 +464,22 @@ impl Engine {
         Ok(())
     }
 
+    /// True when searches run the fused kernel on real numerics — the
+    /// configurations that pack their operands (references at seal, the
+    /// query once per search).
+    fn runs_fused_kernel(&self) -> bool {
+        self.cfg.matching.fused && self.cfg.matching.exec == ExecMode::Full
+    }
+
     fn seal_real_batch(&mut self) -> Result<(), CacheError> {
         let ids: Vec<u64> = self.pending.iter().map(|(id, _)| *id).collect();
         let blocks: Vec<&FeatureBlock> = self.pending.iter().map(|(_, b)| b).collect();
         let cat = FeatureBlock::hconcat(&blocks);
         debug_assert_eq!(cat.cols(), ids.len() * self.cfg.m_ref, "non-uniform batch");
         let m_per_ref = self.cfg.m_ref;
-        let batch = RefBatch { ids, m_per_ref, data: BatchData::Real(cat) };
+        let packed =
+            self.runs_fused_kernel().then(|| cat.pack_refs(self.cfg.matching.kernel_backend()));
+        let batch = RefBatch { ids, m_per_ref, data: BatchData::Real { block: cat, packed } };
         let id = self.next_batch;
         self.next_batch += 1;
         self.cache.insert(id, batch, &mut self.sim)?;
@@ -573,7 +594,7 @@ impl Engine {
     pub fn export_references(&mut self) -> Vec<(u64, texid_linalg::Mat)> {
         let mut out = Vec::with_capacity(self.references);
         for (_, batch, _) in self.cache.search_iter() {
-            let BatchData::Real(block) = &batch.data else { continue };
+            let BatchData::Real { block, .. } = &batch.data else { continue };
             let d = block.rows();
             let full = match block {
                 FeatureBlock::F32(m) => m.clone(),
@@ -662,26 +683,28 @@ impl Engine {
         };
 
         // Encode every query block up front (asymmetric n truncation),
-        // pooling each query's descriptors first when a probe will run.
-        let qblocks: Vec<(usize, FeatureBlock, Option<Vec<f32>>)> = queries
+        // pooling each query's descriptors first when a probe will run. On
+        // the fused path the query's panels are packed here too — once per
+        // query, shared by every batch of the sweep.
+        struct EncodedQuery {
+            n: usize,
+            block: FeatureBlock,
+            packed: Option<PackedBlock<PackedB>>,
+            pooled: Option<Vec<f32>>,
+        }
+        let matching = &self.cfg.matching;
+        let fused = self.runs_fused_kernel();
+        let qblocks: Vec<EncodedQuery> = queries
             .iter()
             .map(|query| {
                 let n = self.cfg.n_query.min(query.len());
-                let qmat = texid_linalg::Mat::from_col_major(
-                    query.dim(),
-                    n,
-                    query.mat.as_slice()[..query.dim() * n].to_vec(),
-                );
-                let pooled = prober.is_some().then(|| pool_columns(&qmat));
-                let qblock = {
-                    let _span = Span::with(self.telemetry.encode.clone());
-                    FeatureBlock::from_mat(
-                        qmat,
-                        self.cfg.matching.precision,
-                        self.cfg.matching.scale,
-                    )
-                };
-                (n, qblock, pooled)
+                let data = &query.mat.as_slice()[..query.dim() * n];
+                let pooled = prober.is_some().then(|| pool_column_slice(query.dim(), data));
+                let _span = Span::with(self.telemetry.encode.clone());
+                let block =
+                    FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale);
+                let packed = fused.then(|| block.pack_query(matching.kernel_backend()));
+                EncodedQuery { n, block, packed, pooled }
             })
             .collect();
 
@@ -690,8 +713,8 @@ impl Engine {
         let candidates: Option<Vec<(BTreeSet<u64>, usize)>> = prober.map(|ivf| {
             qblocks
                 .iter()
-                .map(|(_, _, pooled)| {
-                    let pool = pooled.as_ref().expect("pooled alongside an active prober");
+                .map(|q| {
+                    let pool = q.pooled.as_ref().expect("pooled alongside an active prober");
                     let cells = ivf.probe(pool, self.cfg.matching.ivf.nprobe);
                     let batches = ivf.batches_in(&cells);
                     (batches, cells.len())
@@ -776,7 +799,7 @@ impl Engine {
                 let mut sort_us = Vec::with_capacity(nq);
                 let mut d2h_us = Vec::with_capacity(nq);
                 let mut post_us = Vec::with_capacity(nq);
-                for (qi, (n, _, _)) in qblocks.iter().enumerate() {
+                for (qi, EncodedQuery { n, .. }) in qblocks.iter().enumerate() {
                     if !w.selected[qi] {
                         gemm_us.push(0.0);
                         sort_us.push(0.0);
@@ -810,7 +833,7 @@ impl Engine {
                 // does not feed the cost accounting above).
                 let mut scores: Vec<Vec<(u64, usize)>> = vec![Vec::new(); nq];
                 if self.cfg.matching.exec == ExecMode::Full && nsel > 0 {
-                    if let BatchData::Real(block) = &w.batch.data {
+                    if let BatchData::Real { block, packed } = &w.batch.data {
                         let cfg = MatchConfig {
                             algorithm: Algorithm::RootSiftTop2,
                             exec: ExecMode::Full,
@@ -822,12 +845,18 @@ impl Engine {
                             .pop()
                             .unwrap_or_else(|| GpuSim::new(spec.clone()));
                         let st = scratch.default_stream();
-                        for (qi, (_, qblock, _)) in qblocks.iter().enumerate() {
+                        for (qi, q) in qblocks.iter().enumerate() {
                             if !w.selected[qi] {
                                 continue;
                             }
-                            let out =
-                                match_batch(&cfg, block, bsize, m_per, qblock, &mut scratch, st);
+                            let out = match (packed, &q.packed) {
+                                (Some(r), Some(qp)) => {
+                                    match_batch_packed(&cfg, r, bsize, m_per, qp, &mut scratch, st)
+                                }
+                                _ => match_batch(
+                                    &cfg, block, bsize, m_per, &q.block, &mut scratch, st,
+                                ),
+                            };
                             for (i, &id) in w.batch.ids.iter().enumerate() {
                                 scores[qi].push((id, out.scores[i]));
                             }

@@ -1009,8 +1009,11 @@ impl Cluster {
             exec: ExecMode::Full,
             ..self.cfg.engine.matching
         };
-        let rb = FeatureBlock::from_mat(reference.mat.clone(), matching.precision, matching.scale);
-        let qb = FeatureBlock::from_mat(query.mat.clone(), matching.precision, matching.scale);
+        let encode = |f: &FeatureMatrix| {
+            let m = &f.mat;
+            FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), matching.precision, matching.scale)
+        };
+        let (rb, qb) = (encode(&reference), encode(query));
         let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
         let st = sim.default_stream();
         let outcome = match_pair(&matching, &rb, &qb, &mut sim, st);

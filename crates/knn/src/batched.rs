@@ -7,12 +7,12 @@
 //! reference block** — texture identification matches each reference
 //! separately, so the scan must not mix rows across block boundaries.
 
-use crate::block::FeatureBlock;
+use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
 use crate::ratio::count_good_matches;
 use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::gemm::{gemm_at_b_f16, neg2_at_b};
-use texid_linalg::kernel::{gemm_top2_blocked_f16_on, gemm_top2_blocked_on};
+use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::MatF16;
 use texid_linalg::top2::{top2_min_per_column_blocked, Top2};
 
@@ -32,6 +32,16 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
+    /// Every reference scores zero against a query with no features.
+    fn degenerate(batch: usize) -> BatchOutcome {
+        BatchOutcome {
+            scores: vec![0; batch],
+            top2: Vec::new(),
+            steps: StepTimes::default(),
+            batch,
+        }
+    }
+
     /// Simulated per-image time, µs.
     pub fn per_image_us(&self) -> f64 {
         self.steps.total_us() / self.batch as f64
@@ -50,6 +60,10 @@ impl BatchOutcome {
 /// batches (Algorithm 2's fused sort+sqrt makes "the batching process more
 /// efficient", §5.1).
 ///
+/// On a fused `Full` configuration this packs both blocks and calls
+/// [`match_batch_packed`]; callers that match the same references or the
+/// same query more than once (the engine) pack once and call that directly.
+///
 /// # Panics
 /// Panics if the algorithm is not `RootSiftTop2`, precisions mismatch, or
 /// `r_cat` does not hold `batch × m_per_ref` columns.
@@ -62,32 +76,105 @@ pub fn match_batch(
     sim: &mut GpuSim,
     stream: StreamId,
 ) -> BatchOutcome {
+    assert_eq!(r_cat.cols(), batch * m_per_ref, "batched block column mismatch");
+    assert_eq!(r_cat.rows(), q.rows(), "descriptor dimension mismatch");
+    let n = q.cols();
+    if cfg.fused && cfg.exec == ExecMode::Full && n > 0 {
+        let be = cfg.kernel_backend();
+        return match_batch_packed(
+            cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be), sim, stream,
+        );
+    }
+    let Some(steps) = charge_steps(cfg, batch, m_per_ref, n, q.rows(), sim, stream) else {
+        return BatchOutcome::degenerate(batch);
+    };
+    if cfg.exec == ExecMode::TimingOnly {
+        return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
+    }
+
+    // Unfused: materialize the `(B·m) × n` similarity matrix, then scan.
+    let (a, s2) = match (r_cat, q) {
+        (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => (neg2_at_b(rm, qm), 1.0),
+        (FeatureBlock::F16 { mat: rm, scale: rs }, FeatureBlock::F16 { mat: qm, scale: qs }) => {
+            assert_eq!(rs, qs, "reference/query scale mismatch");
+            (gemm_at_b_f16(-2.0, rm, qm), rs * qs)
+        }
+        _ => panic!("reference and query blocks must share a precision"),
+    };
+    let raw = if cfg.precision == Precision::F16 {
+        // Narrow to the 16-bit HGEMM output before scanning, as on device.
+        blocked_top2_f16(&MatF16::narrowed(&a), batch, m_per_ref)
+    } else {
+        top2_min_per_column_blocked(&a, batch, m_per_ref)
+    };
+    finish(cfg, &raw, s2, batch, n, steps)
+}
+
+/// [`match_batch`] on operands already packed for the fused kernel
+/// ([`FeatureBlock::pack_refs`] / [`FeatureBlock::pack_query`]): the scan
+/// consumes GEMM tiles as they finish, the `(B·m) × n` similarity matrix is
+/// never materialized, and nothing proportional to the operands is
+/// allocated. Bit-identical to `match_batch` on the unpacked blocks, fused
+/// or not.
+///
+/// # Panics
+/// Panics if the algorithm is not `RootSiftTop2`, the operands disagree in
+/// precision, scale, depth or backend, or `r` does not hold
+/// `batch × m_per_ref` columns.
+pub fn match_batch_packed(
+    cfg: &MatchConfig,
+    r: &PackedBlock<PackedA>,
+    batch: usize,
+    m_per_ref: usize,
+    q: &PackedBlock<PackedB>,
+    sim: &mut GpuSim,
+    stream: StreamId,
+) -> BatchOutcome {
+    assert_eq!(r.panels.cols(), batch * m_per_ref, "batched block column mismatch");
+    assert_eq!(r.panels.depth(), q.panels.depth(), "descriptor dimension mismatch");
+    assert_eq!(r.precision, q.precision, "reference and query blocks must share a precision");
+    assert_eq!(r.scale, q.scale, "reference/query scale mismatch");
+    let n = q.panels.cols();
+    let Some(steps) = charge_steps(cfg, batch, m_per_ref, n, q.panels.depth(), sim, stream) else {
+        return BatchOutcome::degenerate(batch);
+    };
+    if cfg.exec == ExecMode::TimingOnly {
+        return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
+    }
+    // An F16 block's values are round-tripped through f16 before they are
+    // compared, exactly like scanning a 16-bit HGEMM output.
+    let epi = FusedEpilogue {
+        quantize_f16: r.precision == Precision::F16,
+        ..FusedEpilogue::default()
+    };
+    let raw = gemm_top2_ex(-2.0, &r.panels, &q.panels, &epi, batch, m_per_ref);
+    finish(cfg, &raw, r.scale * q.scale, batch, n, steps)
+}
+
+/// Charge the batch's simulated device time; `None` for a degenerate query
+/// (no features survived extraction), where no device work is worth
+/// charging.
+fn charge_steps(
+    cfg: &MatchConfig,
+    batch: usize,
+    m_per_ref: usize,
+    n: usize,
+    d: usize,
+    sim: &mut GpuSim,
+    stream: StreamId,
+) -> Option<StepTimes> {
     assert_eq!(
         cfg.algorithm,
         Algorithm::RootSiftTop2,
         "only the RootSIFT pipeline is batched (as in the paper)"
     );
-    assert_eq!(r_cat.cols(), batch * m_per_ref, "batched block column mismatch");
-    assert_eq!(r_cat.rows(), q.rows(), "descriptor dimension mismatch");
-    let n = q.cols();
     if n == 0 {
-        // Degenerate query (no features survived extraction): every
-        // reference scores zero; no device work is worth charging.
-        return BatchOutcome {
-            scores: vec![0; batch],
-            top2: Vec::new(),
-            steps: StepTimes::default(),
-            batch,
-        };
+        return None;
     }
-    let d = q.rows();
-    let m_rows = batch * m_per_ref;
-
-    // ---- timing ----
-    let steps = StepTimes {
+    Some(StepTimes {
         gemm_us: sim
             .launch(stream, Kernel::Gemm {
-                m_rows,
+                m_rows: batch * m_per_ref,
                 n_cols: n,
                 k_depth: d,
                 precision: cfg.precision,
@@ -110,45 +197,18 @@ pub fn match_batch(
             .host_work(stream, cost::cpu_post_us(sim.spec(), batch))
             .duration_us(),
         ..StepTimes::default()
-    };
+    })
+}
 
-    if cfg.exec == ExecMode::TimingOnly {
-        return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
-    }
-
-    // ---- numerics ----
-    let (raw, s2) = if cfg.fused {
-        // Fused: the per-block scan consumes GEMM tiles as they finish; the
-        // `(B·m) × n` similarity matrix is never materialized.
-        let be = cfg.kernel_backend();
-        match (r_cat, q) {
-            (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => {
-                (gemm_top2_blocked_on(be, -2.0, rm, qm, batch, m_per_ref), 1.0)
-            }
-            (FeatureBlock::F16 { mat: rm, scale: rs }, FeatureBlock::F16 { mat: qm, scale: qs }) => {
-                assert_eq!(rs, qs, "reference/query scale mismatch");
-                (gemm_top2_blocked_f16_on(be, -2.0, rm, qm, batch, m_per_ref), rs * qs)
-            }
-            _ => panic!("reference and query blocks must share a precision"),
-        }
-    } else {
-        let (a, s2) = match (r_cat, q) {
-            (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => (neg2_at_b(rm, qm), 1.0),
-            (FeatureBlock::F16 { mat: rm, scale: rs }, FeatureBlock::F16 { mat: qm, scale: qs }) => {
-                assert_eq!(rs, qs, "reference/query scale mismatch");
-                (gemm_at_b_f16(-2.0, rm, qm), rs * qs)
-            }
-            _ => panic!("reference and query blocks must share a precision"),
-        };
-        let raw = if cfg.precision == Precision::F16 {
-            // Narrow to the 16-bit HGEMM output before scanning, as on device.
-            blocked_top2_f16(&MatF16::narrowed(&a), batch, m_per_ref)
-        } else {
-            top2_min_per_column_blocked(&a, batch, m_per_ref)
-        };
-        (raw, s2)
-    };
-
+/// The √(2 + A/s²) epilogue of Algorithm 2 and the per-reference ratio test.
+fn finish(
+    cfg: &MatchConfig,
+    raw: &[Top2],
+    s2: f32,
+    batch: usize,
+    n: usize,
+    steps: StepTimes,
+) -> BatchOutcome {
     let inv = 1.0 / s2;
     let top2: Vec<Top2> = raw
         .iter()

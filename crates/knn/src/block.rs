@@ -5,7 +5,9 @@
 //! for. FP16 blocks remember the scale factor applied before narrowing
 //! (§4.2) so matching can undo `scale²` after the GEMM.
 
-use texid_linalg::{Mat, MatF16};
+use texid_gpu::Precision;
+use texid_linalg::kernel::{PackedA, PackedB};
+use texid_linalg::{Backend, Mat, MatF16};
 
 /// A feature matrix in storage precision.
 #[derive(Clone, Debug)]
@@ -21,13 +23,64 @@ pub enum FeatureBlock {
     },
 }
 
+/// A [`FeatureBlock`] packed into the fused kernel's k-major panels
+/// ([`PackedA`] for references, [`PackedB`] for a query), widened once and
+/// bound to a kernel backend. Remembers the block's precision and FP16
+/// scale — the two facts `match_batch_packed` cannot read back from the
+/// f32 panels — so mismatched operands are rejected exactly as unpacked
+/// ones are.
+pub struct PackedBlock<P> {
+    pub(crate) panels: P,
+    pub(crate) precision: Precision,
+    /// The FP16 pre-narrowing scale (`1.0` for F32 blocks).
+    pub(crate) scale: f32,
+}
+
 impl FeatureBlock {
     /// Narrow an f32 feature matrix into the requested precision.
-    pub fn from_mat(mat: Mat, precision: texid_gpu::Precision, scale: f32) -> FeatureBlock {
+    pub fn from_mat(mat: Mat, precision: Precision, scale: f32) -> FeatureBlock {
         match precision {
-            texid_gpu::Precision::F32 => FeatureBlock::F32(mat),
-            texid_gpu::Precision::F16 => {
-                FeatureBlock::F16 { mat: mat.to_f16_scaled(scale), scale }
+            Precision::F32 => FeatureBlock::F32(mat),
+            Precision::F16 => FeatureBlock::F16 { mat: mat.to_f16_scaled(scale), scale },
+        }
+    }
+
+    /// [`Self::from_mat`] from borrowed column-major data (`d × cols`): the
+    /// F16 encode narrows straight out of the slice, with no intermediate
+    /// f32 copy.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != d * cols`.
+    pub fn encode(d: usize, cols: usize, data: &[f32], precision: Precision, scale: f32) -> FeatureBlock {
+        match precision {
+            Precision::F32 => FeatureBlock::F32(Mat::from_col_major(d, cols, data.to_vec())),
+            Precision::F16 => {
+                FeatureBlock::F16 { mat: MatF16::narrowed_scaled(d, cols, data, scale), scale }
+            }
+        }
+    }
+
+    /// Pack as the reference (A) operand of the fused kernel on `be`.
+    pub fn pack_refs(&self, be: Backend) -> PackedBlock<PackedA> {
+        self.pack(|m| PackedA::from_f32_on(be, m), |m| PackedA::from_f16_on(be, m))
+    }
+
+    /// Pack as the query (B) operand of the fused kernel on `be`.
+    pub fn pack_query(&self, be: Backend) -> PackedBlock<PackedB> {
+        self.pack(|m| PackedB::from_f32_on(be, m), |m| PackedB::from_f16_on(be, m))
+    }
+
+    fn pack<P>(
+        &self,
+        f32_panels: impl FnOnce(&Mat) -> P,
+        f16_panels: impl FnOnce(&MatF16) -> P,
+    ) -> PackedBlock<P> {
+        match self {
+            FeatureBlock::F32(m) => {
+                PackedBlock { panels: f32_panels(m), precision: Precision::F32, scale: 1.0 }
+            }
+            FeatureBlock::F16 { mat, scale } => {
+                PackedBlock { panels: f16_panels(mat), precision: Precision::F16, scale: *scale }
             }
         }
     }
@@ -57,10 +110,10 @@ impl FeatureBlock {
     }
 
     /// Storage precision.
-    pub fn precision(&self) -> texid_gpu::Precision {
+    pub fn precision(&self) -> Precision {
         match self {
-            FeatureBlock::F32(_) => texid_gpu::Precision::F32,
-            FeatureBlock::F16 { .. } => texid_gpu::Precision::F16,
+            FeatureBlock::F32(_) => Precision::F32,
+            FeatureBlock::F16 { .. } => Precision::F16,
         }
     }
 
@@ -101,7 +154,6 @@ impl FeatureBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use texid_gpu::Precision;
 
     fn sample(cols: usize) -> Mat {
         Mat::from_fn(4, cols, |r, c| (r + c) as f32 * 0.1)

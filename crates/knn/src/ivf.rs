@@ -21,7 +21,7 @@
 
 use std::collections::BTreeSet;
 
-use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, Operand, PackedA};
+use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::Mat;
 use texid_linalg::norms::col_sq_norms;
 
@@ -69,7 +69,7 @@ fn assign(packed: &PackedA, norms: &[f32], points: &Mat) -> Vec<u32> {
         return vec![0; points.cols()];
     }
     let epi = FusedEpilogue { row_bias: Some(norms), ..FusedEpilogue::default() };
-    gemm_top2_ex(-2.0, packed, Operand::F32(points), &epi, 1, k)
+    gemm_top2_ex(-2.0, packed, &PackedB::from_f32_on(packed.backend(), points), &epi, 1, k)
         .iter()
         .map(|t| t.idx)
         .collect()
@@ -173,11 +173,15 @@ pub fn kmeans(points: &Mat, k: usize, seed: u64, max_iters: usize) -> Kmeans {
 /// clusters and probes. Zero-padding columns (the engine pads short
 /// references) are skipped; an empty or all-zero matrix pools to zeros.
 pub fn pool_columns(m: &Mat) -> Vec<f32> {
-    let d = m.rows();
+    pool_column_slice(m.rows(), m.as_slice())
+}
+
+/// [`pool_columns`] over borrowed column-major data (`d` rows per column),
+/// so a column prefix of a larger matrix pools without being copied out.
+pub fn pool_column_slice(d: usize, data: &[f32]) -> Vec<f32> {
     let mut sum = vec![0.0f32; d];
     let mut used = 0usize;
-    for j in 0..m.cols() {
-        let col = m.col(j);
+    for col in data.chunks_exact(d.max(1)) {
         if col.iter().all(|&v| v == 0.0) {
             continue;
         }
@@ -284,7 +288,8 @@ impl IvfIndex {
     pub fn probe(&self, query_pool: &[f32], nprobe: usize) -> Vec<u32> {
         assert_eq!(query_pool.len(), self.dim(), "pooled query dimension mismatch");
         let q = Mat::from_col_major(self.dim(), 1, query_pool.to_vec());
-        let scores = gemm_packed(-2.0, &self.packed, Operand::F32(&q));
+        let scores =
+            gemm_packed(-2.0, &self.packed, &PackedB::from_f32_on(self.packed.backend(), &q));
         let mut cells: Vec<u32> = (0..self.nlist() as u32).collect();
         cells.sort_by(|&a, &b| {
             let sa = self.norms[a as usize] + scores.get(a as usize, 0);

@@ -29,8 +29,8 @@ pub mod pair;
 pub mod pooled;
 pub mod ratio;
 
-pub use batched::{match_batch, BatchOutcome};
-pub use block::FeatureBlock;
+pub use batched::{match_batch, match_batch_packed, BatchOutcome};
+pub use block::{FeatureBlock, PackedBlock};
 pub use ivf::{kmeans, pool_columns, IvfIndex, Kmeans};
 pub use pair::{match_pair, Algorithm, ExecMode, IvfParams, MatchConfig, PairOutcome, StepTimes};
 pub use ratio::{count_good_matches, good_matches, FeatureMatch};

@@ -6,7 +6,9 @@ use crate::ratio::{good_matches, FeatureMatch};
 use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::dispatch::{active_backend, Backend};
 use texid_linalg::gemm::{gemm_at_b_f16, neg2_at_b};
-use texid_linalg::kernel::{gemm_top2_ex, gemm_top2_f16_on, gemm_top2_on, FusedEpilogue, Operand, PackedA};
+use texid_linalg::kernel::{
+    gemm_top2_ex, gemm_top2_f16_on, gemm_top2_on, FusedEpilogue, PackedA, PackedB,
+};
 use texid_linalg::mat::{Mat, MatF16};
 use texid_linalg::norms::col_sq_norms;
 use texid_linalg::top2::{sort_columns, top2_min_per_column, top2_min_per_column_f16, Top2};
@@ -340,7 +342,7 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
                     (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => gemm_top2_ex(
                         -2.0,
                         &PackedA::from_f32_on(be, rm),
-                        Operand::F32(qm),
+                        &PackedB::from_f32_on(be, qm),
                         &FusedEpilogue { row_bias: Some(&n_r), ..FusedEpilogue::default() },
                         1,
                         rm.cols(),
@@ -353,7 +355,7 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
                         gemm_top2_ex(
                             -2.0,
                             &PackedA::from_f16_on(be, rm),
-                            Operand::F16(qm),
+                            &PackedB::from_f16_on(be, qm),
                             &FusedEpilogue {
                                 scale: 1.0 / (rs * qs),
                                 row_bias: Some(&n_r),

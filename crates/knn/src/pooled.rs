@@ -12,7 +12,7 @@
 //! be measured (`benches/ablation_cbir_baseline.rs`) instead of assumed.
 
 use crate::ratio::good_matches;
-use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, Operand, PackedA};
+use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::Mat;
 
 /// A pooled (CBIR-style) feature database.
@@ -52,7 +52,7 @@ impl PooledIndex {
         gemm_top2_ex(
             -2.0,
             &self.packed,
-            Operand::F32(query),
+            &PackedB::from_f32_on(self.packed.backend(), query),
             &FusedEpilogue::default(),
             1,
             self.packed.cols(),

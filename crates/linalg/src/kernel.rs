@@ -14,16 +14,18 @@
 //! is `C = alpha · AᵀB` (`m × n`), i.e. a GEMM with `M = m`, `N = n`,
 //! `K = d`, where every descriptor is already K-contiguous.
 //!
-//! 1. **Packing.** A (the reference operand) is packed once per GEMM into
-//!    panels of [`MR`] columns, interleaved k-major: panel `p` stores
+//! 1. **Packing.** A (the reference operand) is packed into panels of
+//!    [`MR`] columns, interleaved k-major: panel `p` stores
 //!    `a[p][k·MR + r] = A[k, p·MR + r]`, zero-padded past `m`. FP16
 //!    operands are **widened during packing**, so each element is converted
 //!    exactly once — `O(m·d)` conversions instead of the `O(m·n·d)` a
-//!    per-output-column widening costs. B is packed the same way (panels of
-//!    [`NR`] columns, widened once) per N-chunk.
+//!    per-output-column widening costs. B is packed the same way
+//!    ([`PackedB`], panels of [`NR`] columns). Both packs are values the
+//!    caller owns: pack a reference block once for as long as it lives and
+//!    a query once per search, and no GEMM or scan packs anything again.
 //! 2. **Blocking.** Output columns are processed in chunks of `NC` (one
-//!    rayon task each — the packed B chunk, ≤ `NC·d` floats, stays
-//!    L2-resident). Within a chunk, A panels are walked in blocks of
+//!    rayon task each — the chunk's slice of the packed B, ≤ `NC·d` floats,
+//!    stays L2-resident). Within a chunk, A panels are walked in blocks of
 //!    `MC_PANELS` so the active `MC·d` slice of packed A stays cache-hot
 //!    while the chunk's B panels are swept.
 //! 3. **Register tile.** The microkernel computes an `MR × NR` output tile
@@ -32,12 +34,51 @@
 //!    accumulators never spill to a C buffer). Each packed A load is reused
 //!    `NR` times and each B load `MR` times.
 //! 4. **Epilogue.** Either the tile is written to C ([`gemm_packed`]), or —
-//!    the fused path ([`gemm_top2_ex`]) — the whole tile is transformed in
-//!    per-tile passes (`alpha`, optional scale, optional per-row bias,
-//!    optional f16 round-trip; each optional pass branches once per tile,
-//!    not per element) and then folded into per-column [`Top2`] running
-//!    minima. The fused path allocates only the packed operands
-//!    (`O((m + n)·d)`) and the `O(batch·n)` result; no `m × n` buffer.
+//!    the fused path ([`gemm_top2_ex`]) — every value goes through
+//!    `alpha → scale → per-row bias → f16 round-trip` (the last two
+//!    optional, one f32 operation each) and into per-column [`Top2`]
+//!    running minima. The fused path allocates only the `O(batch·n)`
+//!    selection state and result; no `m × n` buffer, and nothing
+//!    proportional to an operand.
+//!
+//! # The fused epilogue's two routes
+//!
+//! **Generic** (scalar, NEON, and every AVX2 tile the vector form cannot
+//! cover): the tile is spilled, transformed in place in per-tile passes
+//! (each optional pass branches once per tile, not per element) and
+//! [`Top2::observe`]d row by row; the reference block of the tile's first
+//! row is found with one division per tile and the rows below only step
+//! forward. This is the reference the bit-identity tests replay.
+//!
+//! **Register-resident** (AVX2; `crate::simd`): the 8×8 accumulators never
+//! leave `ymm`. The transform is applied in-register in the same
+//! per-element order, and each output column updates a *lane-wise partial
+//! top-2* — eight independent `(d1, d2)` pairs with their row indices, lane
+//! `r` scanning the rows `≡ r (mod 8)` — with two ordered `<` compares and
+//! blends, so NaN never enters, exactly as `v < d1` in `observe`. Because a
+//! fixed column group sees its rows in ascending order, the lanes are
+//! merged into the scalar [`Top2`] only when the reference block changes
+//! (once per `m_per_ref` rows, not per element). The merge takes the two
+//! smallest of the sixteen lane candidates under the order *(value, then
+//! row)* and observes them: an ascending scan keeps exactly those two,
+//! because `<` is strict and an equal value never displaces an earlier
+//! row. Which tiles fall back is read from the inputs alone: a panel that
+//! straddles a reference-block boundary (`m_per_ref` not a multiple of 8)
+//! or runs past `m` holds rows of two blocks (or padding), so one block's
+//! lanes cannot take it; it goes the generic route, after that column
+//! group's lanes were merged and before the next block's start, so
+//! `observe` still sees every block's rows in ascending order.
+//!
+//! **Ties, `±0.0`, NaN, `±∞`.** Both routes give the ascending scan's answer
+//! bit for bit: `idx` is the first row holding the minimum; of candidates
+//! that compare equal — duplicates, or `−0.0` and `+0.0`, whose bits differ
+//! — the earlier row's bits land in `d1`, the next one's in `d2` (the lanes
+//! carry the runner-up's row for this, so lane order never shows). NaN is
+//! never selected; `+∞` never displaces the `+∞` start state, so a column
+//! whose values are all NaN/`+∞` reports `(idx 0, ∞, ∞)`; `−∞` is an
+//! ordinary minimum. A zero-norm (all-zero) descriptor yields `alpha · 0`
+//! (`−0.0` for the `−2` the matchers pass) for every pairing — a tie, won
+//! by the first row.
 //!
 //! # Summation order (the backend contract)
 //!
@@ -65,9 +106,10 @@
 //! # Backend selection
 //!
 //! The microkernel (and the f16 widen/narrow used in packing and the
-//! quantize pass) is chosen per [`PackedA`] at *pack time* — panel width
-//! equals the backend's `MR`, so the kernel that consumes a pack is always
-//! the one it was laid out for. [`PackedA::from_f32`]/[`PackedA::from_f16`] bind the
+//! quantize pass) is chosen per [`PackedA`] / [`PackedB`] at *pack time* —
+//! panel width equals the backend's `MR` / `NR`, so the kernel that consumes
+//! a pack is always the one it was laid out for (the two operands of a call
+//! must be packed for the same backend). [`PackedA::from_f32`]/[`PackedA::from_f16`] bind the
 //! process-wide [`active_backend`] (probed once, overridable via
 //! `TEXID_KERNEL_BACKEND`); the `*_on` constructors and wrappers force an
 //! explicit backend for tests, benches and `MatchConfig` overrides. A
@@ -168,28 +210,7 @@ impl PackedA {
     fn pack<T: Widen>(cols: &[T], d: usize, m: usize, be: Backend) -> PackedA {
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let mr = backend.mr();
-        let panels = m.div_ceil(mr);
-        let mut data = vec![0.0f32; panels * d * mr];
-        let mut scratch = if T::DIRECT { Vec::new() } else { vec![0.0f32; d] };
-        for (p, panel) in data.chunks_exact_mut((d * mr).max(1)).enumerate() {
-            let width = mr.min(m - p * mr);
-            for r in 0..width {
-                let col = &cols[(p * mr + r) * d..(p * mr + r + 1) * d];
-                if T::DIRECT {
-                    for (k, &v) in col.iter().enumerate() {
-                        panel[k * mr + r] = v.widen();
-                    }
-                } else {
-                    // Widen the whole column contiguously (8-lane F16C /
-                    // NEON), then scatter into the k-major panel.
-                    T::widen_into(backend, col, &mut scratch);
-                    for (k, &v) in scratch.iter().enumerate() {
-                        panel[k * mr + r] = v;
-                    }
-                }
-            }
-        }
-        PackedA { m, d, backend, mr, data }
+        PackedA { m, d, backend, mr, data: pack_panels(cols, d, m, mr, backend) }
     }
 
     /// Number of reference columns (`m`, rows of the product).
@@ -218,60 +239,94 @@ impl PackedA {
     }
 }
 
-/// A borrowed query operand in either storage precision. FP16 queries are
-/// widened once while their N-chunk is packed.
-#[derive(Clone, Copy)]
-pub enum Operand<'a> {
-    /// Full-precision operand.
-    F32(&'a Mat),
-    /// Half-precision operand (widened during packing).
-    F16(&'a MatF16),
+/// A pre-packed, pre-widened query operand: the same k-major panel layout
+/// as [`PackedA`], [`Backend::nr`] columns per panel, bound to a backend at
+/// pack time.
+///
+/// Pack once per query, scan many reference batches: every N-chunk of every
+/// GEMM or fused scan reads its panels straight out of this buffer instead
+/// of widening and scattering the query again.
+pub struct PackedB {
+    n: usize,
+    d: usize,
+    backend: Backend,
+    /// Cached `backend.nr()` — the panel width.
+    nr: usize,
+    /// `ceil(n / nr)` panels of `d · nr` floats, k-major within a panel.
+    data: Vec<f32>,
 }
 
-impl Operand<'_> {
-    /// Descriptor dimensionality.
-    pub fn rows(&self) -> usize {
-        match self {
-            Operand::F32(m) => m.rows(),
-            Operand::F16(m) => m.rows(),
-        }
+impl PackedB {
+    /// Pack an f32 query matrix for the process-wide backend.
+    pub fn from_f32(b: &Mat) -> PackedB {
+        Self::from_f32_on(active_backend(), b)
     }
 
-    /// Number of query columns.
+    /// Pack a half-precision query matrix for the process-wide backend,
+    /// widening each element once.
+    pub fn from_f16(b: &MatF16) -> PackedB {
+        Self::from_f16_on(active_backend(), b)
+    }
+
+    /// [`Self::from_f32`] for an explicit backend (an unavailable backend
+    /// degrades to scalar, exactly like [`PackedA::from_f32_on`]).
+    pub fn from_f32_on(be: Backend, b: &Mat) -> PackedB {
+        Self::pack(b.as_slice(), b.rows(), b.cols(), be)
+    }
+
+    /// [`Self::from_f16`] for an explicit backend.
+    pub fn from_f16_on(be: Backend, b: &MatF16) -> PackedB {
+        Self::pack(b.as_slice(), b.rows(), b.cols(), be)
+    }
+
+    fn pack<T: Widen>(cols: &[T], d: usize, n: usize, be: Backend) -> PackedB {
+        let backend = if be.is_available() { be } else { Backend::Scalar };
+        let nr = backend.nr();
+        PackedB { n, d, backend, nr, data: pack_panels(cols, d, n, nr, backend) }
+    }
+
+    /// Number of query columns (`n`, columns of the product).
     pub fn cols(&self) -> usize {
-        match self {
-            Operand::F32(m) => m.cols(),
-            Operand::F16(m) => m.cols(),
-        }
+        self.n
     }
 
-    /// Pack columns `j0 .. j0 + w` into `nr`-wide, k-major panels for the
-    /// given backend.
-    fn pack_chunk(&self, be: Backend, j0: usize, w: usize) -> Vec<f32> {
-        match self {
-            Operand::F32(m) => pack_b(m.as_slice(), m.rows(), j0, w, be),
-            Operand::F16(m) => pack_b(m.as_slice(), m.rows(), j0, w, be),
-        }
+    /// Descriptor dimensionality (`d`, the contraction depth).
+    pub fn depth(&self) -> usize {
+        self.d
+    }
+
+    /// The backend this operand was packed for.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// The panels of the `w` columns starting at `j0` (`j0` a multiple of
+    /// [`NC`], which every backend's `nr` divides).
+    fn chunk(&self, j0: usize, w: usize) -> &[f32] {
+        debug_assert_eq!(j0 % self.nr, 0);
+        let stride = self.d * self.nr;
+        &self.data[j0 / self.nr * stride..(j0 + w).div_ceil(self.nr) * stride]
     }
 }
 
-fn pack_b<T: Widen>(cols: &[T], d: usize, j0: usize, w: usize, be: Backend) -> Vec<f32> {
-    let nr = be.nr();
-    let panels = w.div_ceil(nr);
-    let mut data = vec![0.0f32; panels * d * nr];
+/// Pack `count` K-contiguous columns into `width`-column panels, k-major
+/// within a panel (`panel[k · width + c]`), zero-padded past `count`;
+/// non-f32 sources are widened once on the way (a whole column at a time,
+/// 8-lane F16C / NEON on SIMD backends, then scattered).
+fn pack_panels<T: Widen>(cols: &[T], d: usize, count: usize, width: usize, be: Backend) -> Vec<f32> {
+    let mut data = vec![0.0f32; count.div_ceil(width) * d * width];
     let mut scratch = if T::DIRECT { Vec::new() } else { vec![0.0f32; d] };
-    for (p, panel) in data.chunks_exact_mut((d * nr).max(1)).enumerate() {
-        let width = nr.min(w - p * nr);
-        for c in 0..width {
-            let col = &cols[(j0 + p * nr + c) * d..(j0 + p * nr + c + 1) * d];
+    for (p, panel) in data.chunks_exact_mut((d * width).max(1)).enumerate() {
+        for c in 0..width.min(count - p * width) {
+            let col = &cols[(p * width + c) * d..(p * width + c + 1) * d];
             if T::DIRECT {
                 for (k, &v) in col.iter().enumerate() {
-                    panel[k * nr + c] = v.widen();
+                    panel[k * width + c] = v.widen();
                 }
             } else {
                 T::widen_into(be, col, &mut scratch);
                 for (k, &v) in scratch.iter().enumerate() {
-                    panel[k * nr + c] = v;
+                    panel[k * width + c] = v;
                 }
             }
         }
@@ -312,13 +367,15 @@ fn run_tile(be: Backend, d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_T
     }
 }
 
-/// `C = alpha · AᵀB` from a pre-packed A. Parallelized over `NC`-column
-/// chunks of the output.
+/// `C = alpha · AᵀB` from pre-packed operands. Parallelized over
+/// `NC`-column chunks of the output.
 ///
 /// # Panics
-/// Panics if the contraction depths differ.
-pub fn gemm_packed(alpha: f32, a: &PackedA, b: Operand<'_>) -> Mat {
-    assert_eq!(a.depth(), b.rows(), "AᵀB requires equal row counts (d)");
+/// Panics if the contraction depths differ or the operands were packed for
+/// different backends.
+pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
+    assert_eq!(a.depth(), b.depth(), "AᵀB requires equal row counts (d)");
+    assert_eq!(a.backend, b.backend, "operands packed for different backends");
     let m = a.cols();
     let n = b.cols();
     let d = a.depth();
@@ -327,15 +384,13 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: Operand<'_>) -> Mat {
         return c;
     }
     let mr = a.mr;
-    let nr = a.backend.nr();
+    let nr = b.nr;
     c.as_mut_slice()
         .par_chunks_mut(m * NC)
         .enumerate()
         .for_each(|(ci, chunk)| {
-            let j0 = ci * NC;
             let w = chunk.len() / m;
-            let bp = b.pack_chunk(a.backend, j0, w);
-            for_each_tile(a, &bp, w, d, |p, jr, acc| {
+            for_each_tile(a, b.chunk(ci * NC, w), w, d, |p, jr, acc| {
                 let rows = mr.min(m - p * mr);
                 let cols = nr.min(w - jr * nr);
                 for cc in 0..cols {
@@ -352,18 +407,20 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: Operand<'_>) -> Mat {
 /// Walk every (A-panel, B-panel) register tile of one N-chunk in the blocked
 /// order (`MC_ROWS / mr` A panels per block, B panels swept inside each
 /// block), handing each finished tile — the first `mr · nr` slots of the
-/// scratch, column-major — to `emit(panel, jr, acc)`.
+/// scratch, column-major, the callee's to overwrite — to
+/// `emit(panel, jr, acc)`.
 ///
 /// For any fixed output column, tiles arrive in ascending-row order — the
 /// property the fused top-2 epilogue relies on for first-index tie-breaking.
-/// This holds for every backend tile geometry.
+/// This holds for every backend tile geometry (the AVX2 fused walker in
+/// `crate::simd` visits tiles in this same order).
 #[inline]
 fn for_each_tile(
     a: &PackedA,
     bp: &[f32],
     w: usize,
     d: usize,
-    mut emit: impl FnMut(usize, usize, &[f32]),
+    mut emit: impl FnMut(usize, usize, &mut [f32]),
 ) {
     let be = a.backend;
     let (mr, nr) = (a.mr, be.nr());
@@ -377,7 +434,7 @@ fn for_each_tile(
             let bpanel = &bp[jr * d * nr..(jr + 1) * d * nr];
             for p in ic0..ic_end {
                 run_tile(be, d, a.panel(p), bpanel, &mut acc);
-                emit(p, jr, &acc[..mr * nr]);
+                emit(p, jr, &mut acc[..mr * nr]);
             }
         }
         ic0 = ic_end;
@@ -409,6 +466,87 @@ impl Default for FusedEpilogue<'_> {
     }
 }
 
+/// The shape the blocked scan attributes rows by: `batch` reference blocks
+/// of `m_per_ref` rows, per-column state laid out `state[local_j · batch +
+/// blk]`.
+#[derive(Clone, Copy)]
+struct Blocks {
+    batch: usize,
+    m_per_ref: usize,
+}
+
+/// The generic fused epilogue for one spilled tile: transform the
+/// `mr × nr` values in place (per element `alpha → scale → bias → f16
+/// round-trip`, the `row_bias`/`quantize_f16` branches resolved once per
+/// tile) and fold them into the per-column [`Top2`] states in ascending-row
+/// order.
+///
+/// This is the whole epilogue on the scalar and NEON backends, the route of
+/// every AVX2 tile the register-resident form cannot cover, and the
+/// reference the bit-identity tests replay.
+#[allow(clippy::too_many_arguments)]
+fn epilogue_tile(
+    a: &PackedA,
+    w: usize,
+    (p, jr): (usize, usize),
+    t: &mut [f32],
+    alpha: f32,
+    epi: &FusedEpilogue<'_>,
+    blocks: Blocks,
+    state: &mut [Top2],
+) {
+    let (mr, nr) = (a.mr, a.backend.nr());
+    let rows = mr.min(a.m - p * mr);
+    let cols = nr.min(w - jr * nr);
+    for v in t.iter_mut() {
+        *v = *v * alpha * epi.scale;
+    }
+    if let Some(bias) = epi.row_bias {
+        // Padding lanes past `rows`/`cols` would index `bias` out of
+        // range, so this pass alone respects the edges.
+        for cc in 0..cols {
+            for (r, v) in t[cc * mr..cc * mr + rows].iter_mut().enumerate() {
+                *v += bias[p * mr + r];
+            }
+        }
+    }
+    if epi.quantize_f16 {
+        quantize_tile(a.backend, t);
+    }
+    // One division per tile: the panel's first row fixes (block, offset)
+    // and the rows below it only ever step forward.
+    let blk0 = p * mr / blocks.m_per_ref;
+    let off0 = p * mr - blk0 * blocks.m_per_ref;
+    for cc in 0..cols {
+        let col_states = &mut state[(jr * nr + cc) * blocks.batch..][..blocks.batch];
+        let (mut blk, mut off) = (blk0, off0);
+        for &v in &t[cc * mr..cc * mr + rows] {
+            col_states[blk].observe(off as u32, v);
+            off += 1;
+            if off == blocks.m_per_ref {
+                (blk, off) = (blk + 1, 0);
+            }
+        }
+    }
+}
+
+/// In-place f16 round-trip of a spilled tile on the pack's backend.
+#[inline]
+fn quantize_tile(be: Backend, t: &mut [f32]) {
+    match be {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
+        // Avx2 pack only exists where AVX2 + F16C were detected — no
+        // per-tile re-probe.
+        Backend::Avx2 => unsafe { crate::simd::x86::quantize_in_place(t) },
+        _ => {
+            for v in t {
+                *v = F16::from_f32(*v).to_f32();
+            }
+        }
+    }
+}
+
 /// Fused GEMM + per-block top-2: `top2[blk · n + j]` holds the two smallest
 /// values of `alpha · AᵀB` (after the epilogue) within reference block
 /// `blk` of column `j` — without ever materializing the `m × n` product.
@@ -417,35 +555,35 @@ impl Default for FusedEpilogue<'_> {
 /// separately (the batched-reference layout of §5.2); pass `batch = 1`,
 /// `m_per_ref = a.cols()` for a plain per-column top-2.
 ///
-/// Only the packed operands (`O((m + n)·d)` floats) and the `O(batch · n)`
-/// output are allocated.
+/// Both operands arrive packed, so the call allocates only the
+/// `O(batch · n)` selection state and output — nothing proportional to
+/// `m · d` or `n · d`.
 ///
 /// # Panics
-/// Panics if depths differ, `a.cols() != batch · m_per_ref`,
-/// `m_per_ref < 2`, or a provided `row_bias` is not length `a.cols()`.
+/// Panics if depths differ, the operands were packed for different
+/// backends, `a.cols() != batch · m_per_ref`, `m_per_ref < 2`, or a
+/// provided `row_bias` is not length `a.cols()`.
 pub fn gemm_top2_ex(
     alpha: f32,
     a: &PackedA,
-    b: Operand<'_>,
+    b: &PackedB,
     epi: &FusedEpilogue<'_>,
     batch: usize,
     m_per_ref: usize,
 ) -> Vec<Top2> {
-    assert_eq!(a.depth(), b.rows(), "AᵀB requires equal row counts (d)");
+    assert_eq!(a.depth(), b.depth(), "AᵀB requires equal row counts (d)");
+    assert_eq!(a.backend, b.backend, "operands packed for different backends");
     assert!(m_per_ref >= 2, "top-2 needs at least two reference features");
     assert_eq!(a.cols(), batch * m_per_ref, "blocked top-2 shape mismatch");
     if let Some(bias) = epi.row_bias {
         assert_eq!(bias.len(), a.cols(), "row bias length must equal m");
     }
-    let m = a.cols();
     let n = b.cols();
-    let d = a.depth();
     if n == 0 {
         return Vec::new();
     }
+    let blocks = Blocks { batch, m_per_ref };
 
-    let be = a.backend;
-    let (mr, nr) = (a.mr, be.nr());
     // One task per N-chunk; each task owns the Top2 state of its own
     // columns only, so there is no cross-task write sharing.
     let per_chunk: Vec<Vec<Top2>> = (0..n.div_ceil(NC))
@@ -453,51 +591,10 @@ pub fn gemm_top2_ex(
         .map(|ci| {
             let j0 = ci * NC;
             let w = NC.min(n - j0);
-            let bp = b.pack_chunk(be, j0, w);
             // `state[local_j · batch + blk]`: the only per-column memory the
             // fused path keeps — the paper's two "registers" plus an index.
             let mut state = vec![Top2::EMPTY; w * batch];
-            let mut tile = [0.0f32; MAX_TILE];
-            for_each_tile(a, &bp, w, d, |p, jr, acc| {
-                let rows = mr.min(m - p * mr);
-                let cols = nr.min(w - jr * nr);
-                // Whole-tile epilogue: each transform runs as its own pass
-                // over the tile, so the `row_bias`/`quantize_f16` branches
-                // resolve once per tile (not once per element) and every
-                // pass is a tight, branch-free loop (the quantize pass runs
-                // the backend's 8-lane F16C round-trip on SIMD packs). Per
-                // element the op order is unchanged —
-                // alpha → scale → bias → f16 round-trip → observe — so the
-                // results stay bit-identical to the unfused pipeline.
-                let t = &mut tile[..mr * nr];
-                t.copy_from_slice(acc);
-                for v in t.iter_mut() {
-                    *v *= alpha;
-                }
-                for v in t.iter_mut() {
-                    *v *= epi.scale;
-                }
-                if let Some(bias) = epi.row_bias {
-                    // Padding lanes past `rows`/`cols` would index `bias`
-                    // out of range, so this pass alone respects the edges.
-                    for cc in 0..cols {
-                        for (r, v) in t[cc * mr..cc * mr + rows].iter_mut().enumerate() {
-                            *v += bias[p * mr + r];
-                        }
-                    }
-                }
-                if epi.quantize_f16 {
-                    crate::f16::quantize_in_place_on(be, t);
-                }
-                for cc in 0..cols {
-                    let col_states =
-                        &mut state[(jr * nr + cc) * batch..(jr * nr + cc + 1) * batch];
-                    for (r, &v) in t[cc * mr..cc * mr + rows].iter().enumerate() {
-                        let row = p * mr + r;
-                        col_states[row / m_per_ref].observe((row % m_per_ref) as u32, v);
-                    }
-                }
-            });
+            top2_chunk(a, b.chunk(j0, w), w, alpha, epi, blocks, &mut state);
             state
         })
         .collect();
@@ -516,6 +613,92 @@ pub fn gemm_top2_ex(
     out
 }
 
+/// Scan one N-chunk (`w ≤ NC` columns, panels `bp`) into `state`.
+fn top2_chunk(
+    a: &PackedA,
+    bp: &[f32],
+    w: usize,
+    alpha: f32,
+    epi: &FusedEpilogue<'_>,
+    blocks: Blocks,
+    state: &mut [Top2],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if a.backend == Backend::Avx2 {
+        let mut lanes = [crate::simd::x86::LaneTop2::EMPTY; NC];
+        let tile = crate::simd::x86::FusedTile {
+            alpha,
+            epi,
+            m_per_ref: blocks.m_per_ref,
+            batch: blocks.batch,
+            mc_panels: MC_ROWS / a.mr,
+        };
+        // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
+        // Avx2 pack only exists where AVX2 + F16C were detected; `a.data`
+        // holds `ceil(m / 8)` panels of `d · 8` floats and `bp`
+        // `ceil(w / 8)` (both zero-padded by `pack_panels`), `w ≤ NC`
+        // columns fit `lanes`, and `gemm_top2_ex` checked the bias length
+        // and sized `state` to `w · batch`.
+        unsafe {
+            crate::simd::x86::fused_top2_chunk(
+                &tile,
+                (&a.data, a.m, a.d),
+                (bp, w),
+                &mut lanes,
+                state,
+                |p, jr, t, state| epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state),
+            );
+        }
+        return;
+    }
+    for_each_tile(a, bp, w, a.d, |p, jr, t| {
+        epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state);
+    });
+}
+
+/// Register-only roofline probe for `be`: `rounds` rounds of independent
+/// multiply chains feeding independent add chains, all operands in
+/// registers — the separate-mul-then-add mix the summation-order contract
+/// allows, with nothing else in the way. Returns `(flops, checksum)`; time
+/// the call and divide to get the backend's practical peak, the
+/// denominator of `pct_of_peak` in `BENCH_kernels.json`.
+///
+/// The probe is as wide as the backend's microkernel runs: explicit 8-lane
+/// AVX2, and for the scalar backend the 4 lanes its tile is compiled to
+/// (explicit SSE2 on x86-64, where the autovectorizer mangles a portable
+/// loop; that portable loop elsewhere, NEON included, whose baseline ISA
+/// the compiler already targets). An unavailable backend is probed as
+/// scalar.
+pub fn mul_add_probe(be: Backend, rounds: u64) -> (u64, f32) {
+    // Opaque multiplier: `x · 1.0` must stay a real multiply.
+    let r = std::hint::black_box(1.0f32);
+    #[cfg(target_arch = "x86_64")]
+    {
+        use crate::simd::x86::{mul_add_probe_avx2, mul_add_probe_sse2};
+        if be == Backend::Avx2 && be.is_available() {
+            // SAFETY: availability checked on the line above.
+            return (rounds * 14 * 8, unsafe { mul_add_probe_avx2(rounds, r) });
+        }
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        (rounds * 14 * 4, unsafe { mul_add_probe_sse2(rounds, r) })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = be;
+        let mut x = [[1.0f32; 4]; 6];
+        let mut c = [[0.0f32; 4]; 6];
+        for _ in 0..rounds {
+            for (xj, cj) in x.iter_mut().zip(c.iter_mut()) {
+                for (xl, cl) in xj.iter_mut().zip(cj.iter_mut()) {
+                    *xl *= r;
+                    *cl += *xl;
+                }
+            }
+        }
+        (rounds * 12 * 4, c.iter().flatten().sum())
+    }
+}
+
 /// Blocked `C = alpha · AᵀB`, f32 operands (packs A internally for the
 /// process-wide backend).
 ///
@@ -531,7 +714,7 @@ pub fn gemm_at_b_blocked(alpha: f32, a: &Mat, b: &Mat) -> Mat {
 /// # Panics
 /// Panics if the contraction depths differ.
 pub fn gemm_at_b_blocked_on(be: Backend, alpha: f32, a: &Mat, b: &Mat) -> Mat {
-    gemm_packed(alpha, &PackedA::from_f32_on(be, a), Operand::F32(b))
+    gemm_packed(alpha, &PackedA::from_f32_on(be, a), &PackedB::from_f32_on(be, b))
 }
 
 /// Blocked `C = alpha · AᵀB`, f16 operands widened once during packing,
@@ -548,7 +731,7 @@ pub fn gemm_at_b_blocked_f16(alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
 /// # Panics
 /// Panics if the contraction depths differ.
 pub fn gemm_at_b_blocked_f16_on(be: Backend, alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
-    gemm_packed(alpha, &PackedA::from_f16_on(be, a), Operand::F16(b))
+    gemm_packed(alpha, &PackedA::from_f16_on(be, a), &PackedB::from_f16_on(be, b))
 }
 
 /// Fused `top2(alpha · AᵀB)` per output column, f32 operands.
@@ -567,7 +750,7 @@ pub fn gemm_top2_on(be: Backend, alpha: f32, a: &Mat, b: &Mat) -> Vec<Top2> {
     gemm_top2_ex(
         alpha,
         &PackedA::from_f32_on(be, a),
-        Operand::F32(b),
+        &PackedB::from_f32_on(be, b),
         &FusedEpilogue::default(),
         1,
         a.cols(),
@@ -592,7 +775,7 @@ pub fn gemm_top2_f16_on(be: Backend, alpha: f32, a: &MatF16, b: &MatF16) -> Vec<
     gemm_top2_ex(
         alpha,
         &PackedA::from_f16_on(be, a),
-        Operand::F16(b),
+        &PackedB::from_f16_on(be, b),
         &FusedEpilogue { quantize_f16: true, ..FusedEpilogue::default() },
         1,
         a.cols(),
@@ -630,7 +813,7 @@ pub fn gemm_top2_blocked_on(
     gemm_top2_ex(
         alpha,
         &PackedA::from_f32_on(be, a),
-        Operand::F32(b),
+        &PackedB::from_f32_on(be, b),
         &FusedEpilogue::default(),
         batch,
         m_per_ref,
@@ -667,7 +850,7 @@ pub fn gemm_top2_blocked_f16_on(
     gemm_top2_ex(
         alpha,
         &PackedA::from_f16_on(be, a),
-        Operand::F16(b),
+        &PackedB::from_f16_on(be, b),
         &FusedEpilogue { quantize_f16: true, ..FusedEpilogue::default() },
         batch,
         m_per_ref,
@@ -777,7 +960,7 @@ mod tests {
         let fused = gemm_top2_ex(
             -2.0,
             &PackedA::from_f32(&a),
-            Operand::F32(&b),
+            &PackedB::from_f32(&b),
             &FusedEpilogue { row_bias: Some(&bias), ..FusedEpilogue::default() },
             1,
             10,
@@ -829,7 +1012,7 @@ mod tests {
         let fused_ref = gemm_top2_ex(
             -2.0,
             &PackedA::from_f16_on(Backend::Scalar, &a16),
-            Operand::F16(&b16),
+            &PackedB::from_f16_on(Backend::Scalar, &b16),
             &epi,
             1,
             53,
@@ -844,7 +1027,7 @@ mod tests {
             let fused = gemm_top2_ex(
                 -2.0,
                 &PackedA::from_f16_on(be, &a16),
-                Operand::F16(&b16),
+                &PackedB::from_f16_on(be, &b16),
                 &epi,
                 1,
                 53,
@@ -875,7 +1058,7 @@ mod tests {
         let b1 = mat_rand(8, 3, 15);
         let b2 = mat_rand(8, 5, 16);
         let pa = PackedA::from_f32(&a);
-        assert_eq!(gemm_packed(1.0, &pa, Operand::F32(&b1)), gemm_at_b_blocked(1.0, &a, &b1));
-        assert_eq!(gemm_packed(1.0, &pa, Operand::F32(&b2)), gemm_at_b_blocked(1.0, &a, &b2));
+        assert_eq!(gemm_packed(1.0, &pa, &PackedB::from_f32(&b1)), gemm_at_b_blocked(1.0, &a, &b1));
+        assert_eq!(gemm_packed(1.0, &pa, &PackedB::from_f32(&b2)), gemm_at_b_blocked(1.0, &a, &b2));
     }
 }

@@ -135,9 +135,7 @@ impl Mat {
     /// (the paper's overflow-avoiding scale factor, §4.2). Vectorized on
     /// SIMD backends; bit-identical to the scalar `F16::from_f32(v * scale)`.
     pub fn to_f16_scaled(&self, scale: f32) -> MatF16 {
-        let mut data = vec![F16::ZERO; self.data.len()];
-        crate::f16::narrow_slice_scaled_on(crate::dispatch::active_backend(), &self.data, scale, &mut data);
-        MatF16 { rows: self.rows, cols: self.cols, data }
+        MatF16::narrowed_scaled(self.rows, self.cols, &self.data, scale)
     }
 
     /// Size in bytes of the f32 payload.
@@ -180,6 +178,18 @@ impl MatF16 {
     pub fn from_col_major(rows: usize, cols: usize, data: Vec<F16>) -> Self {
         assert_eq!(data.len(), rows * cols, "column-major data length mismatch");
         Self { rows, cols, data }
+    }
+
+    /// Narrow borrowed column-major f32 data after multiplying by `scale` —
+    /// [`Mat::to_f16_scaled`] without needing an owned `Mat` first.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn narrowed_scaled(rows: usize, cols: usize, data: &[f32], scale: f32) -> MatF16 {
+        assert_eq!(data.len(), rows * cols, "data length does not match dimensions");
+        let mut out = vec![F16::ZERO; data.len()];
+        crate::f16::narrow_slice_scaled_on(crate::dispatch::active_backend(), data, scale, &mut out);
+        MatF16 { rows, cols, data: out }
     }
 
     /// Narrow an f32 matrix element-wise (round-to-nearest-even, no scale)

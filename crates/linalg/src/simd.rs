@@ -9,6 +9,12 @@
 //!   summation-order contract documented in [`crate::kernel`]. SIMD lanes
 //!   map to *distinct output rows*, so widening the tile changes which
 //!   elements are computed together but not how any one element sums.
+//! - The AVX2 fused top-2 walker (`x86::fused_top2_chunk`) carries each
+//!   tile from its accumulators through the epilogue into a lane-wise
+//!   partial top-2 without leaving registers; the epilogue is one vector op
+//!   per scalar op in the same order, and the lane merge picks exactly what
+//!   an ascending-row scan keeps ("The fused epilogue's two routes" in
+//!   [`crate::kernel`]).
 //! - The AVX2 converters use F16C (`vcvtph2ps`/`vcvtps2ph` with explicit
 //!   round-to-nearest-even), whose rounding, gradual underflow and overflow
 //!   behaviour match [`crate::f16::F16`] exactly; the one divergence — the
@@ -54,26 +60,32 @@ pub(crate) fn widen_bits_portable(h: u16) -> f32 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::F16;
+    use crate::kernel::FusedEpilogue;
+    use crate::top2::Top2;
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
 
     /// AVX2 8×8 register tile: 8 `ymm` accumulators, one output row per
     /// lane, each summing its dot product in ascending-`k` order.
-    /// `acc[c · 8 + r] = Σ_k ap[k·8 + r] · bp[k·8 + c]` — the same
+    /// `c[j]` lane `r` `= Σ_k ap[k·8 + r] · bp[k·8 + j]` — the same
     /// per-element sum as the scalar microkernel, just eight rows at a
     /// time. Multiply and add stay separate instructions (`vmulps` +
     /// `vaddps`, never `vfmadd`), preserving bit-identity.
     ///
+    /// Returned by value so that a caller compiled with the same target
+    /// features (the fused walker below) inlines it and the accumulators
+    /// never leave registers.
+    ///
     /// # Safety
-    /// Requires AVX2 (caller dispatches via `Backend::is_available`);
-    /// `ap.len() >= d * 8`, `bp.len() >= d * 8`.
+    /// Requires AVX2; `a_ptr` and `b_ptr` must each be valid for reads of
+    /// `d · 8` floats.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn microkernel_8x8(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
-        debug_assert!(ap.len() >= d * 8 && bp.len() >= d * 8 && acc.len() >= 64);
+    unsafe fn tile_8x8(d: usize, a_ptr: *const f32, b_ptr: *const f32) -> [__m256; 8] {
         let mut c = [_mm256_setzero_ps(); 8];
-        let a_ptr = ap.as_ptr();
-        let b_ptr = bp.as_ptr();
         for k in 0..d {
+            // SAFETY: `k < d`, so both offsets stay inside the `d · 8`
+            // floats the caller vouched for.
             let a = _mm256_loadu_ps(a_ptr.add(k * 8));
             let bk = b_ptr.add(k * 8);
             // The compiler fully unrolls this and keeps `c` in registers.
@@ -82,10 +94,254 @@ pub(crate) mod x86 {
                 *cj = _mm256_add_ps(*cj, _mm256_mul_ps(a, b));
             }
         }
+        c
+    }
+
+    /// [`tile_8x8`] spilled column-major: `acc[c · 8 + r]`.
+    ///
+    /// # Safety
+    /// Requires AVX2 (caller dispatches via `Backend::is_available`);
+    /// `ap.len() >= d * 8`, `bp.len() >= d * 8`, `acc.len() >= 64`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn microkernel_8x8(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
+        debug_assert!(ap.len() >= d * 8 && bp.len() >= d * 8 && acc.len() >= 64);
+        // SAFETY: the slice lengths asserted above are the pointer ranges
+        // `tile_8x8` reads and the 64 floats stored below.
+        let c = tile_8x8(d, ap.as_ptr(), bp.as_ptr());
         for (j, cj) in c.iter().enumerate() {
             _mm256_storeu_ps(acc.as_mut_ptr().add(j * 8), *cj);
         }
     }
+
+    /// Lane-wise partial top-2 of one output column: lane `r` holds the two
+    /// smallest values (with their in-block row indices) among the rows
+    /// `≡ r (mod 8)` of the reference block currently being scanned. This is
+    /// the `(d1, d2, idx)` register state of Algorithm 2 kept eight lanes
+    /// wide; the runner-up's row rides along so the merge can order ties
+    /// exactly (see [`LaneTop2::flush_into`]).
+    #[derive(Clone, Copy)]
+    pub(crate) struct LaneTop2 {
+        d1: [f32; 8],
+        d2: [f32; 8],
+        i1: [u32; 8],
+        i2: [u32; 8],
+    }
+
+    impl LaneTop2 {
+        /// Every lane at the scan's start state ([`Top2::EMPTY`]).
+        pub(crate) const EMPTY: LaneTop2 =
+            LaneTop2 { d1: [f32::INFINITY; 8], d2: [f32::INFINITY; 8], i1: [0; 8], i2: [0; 8] };
+
+        /// Merge the sixteen lane candidates into the block's scalar state
+        /// and reset the lanes.
+        ///
+        /// An ascending-row scan ends holding the two smallest candidates
+        /// under the order *(value, then row)* — `v < d` is strict, so of
+        /// two equal values (`−0.0 == +0.0` included) the earlier row
+        /// stays. Each lane ran that same scan over its own rows, so the
+        /// block's two smallest are among the lanes' sixteen; pick them
+        /// under the same order and feed them to [`Top2::observe`], best
+        /// first. `s` only ever holds rows above this panel run (a
+        /// straddling panel's head), which `observe` already ranks before
+        /// any tie. `+∞` and NaN never enter a lane, so the `(∞, 0)`
+        /// sentinels fall through `observe` untouched.
+        fn flush_into(&mut self, s: &mut Top2) {
+            fn before((v, i): (f32, u32), (bv, bi): (f32, u32)) -> bool {
+                v < bv || (v == bv && i < bi)
+            }
+            let (mut best, mut second) = ((f32::INFINITY, 0u32), (f32::INFINITY, 0u32));
+            let firsts = self.d1.iter().zip(&self.i1);
+            for (&v, &i) in firsts.chain(self.d2.iter().zip(&self.i2)) {
+                if before((v, i), best) {
+                    second = best;
+                    best = (v, i);
+                } else if before((v, i), second) {
+                    second = (v, i);
+                }
+            }
+            s.observe(best.1, best.0);
+            s.observe(second.1, second.0);
+            *self = LaneTop2::EMPTY;
+        }
+    }
+
+    /// Everything the fused walker needs besides the operands.
+    pub(crate) struct FusedTile<'a> {
+        pub alpha: f32,
+        pub epi: &'a FusedEpilogue<'a>,
+        /// Rows per reference block (the top-2 never mixes blocks).
+        pub m_per_ref: usize,
+        /// Reference blocks; `state[local_j · batch + blk]`.
+        pub batch: usize,
+        /// A panels per cache block (the generic walker's `MC_ROWS / mr`).
+        pub mc_panels: usize,
+    }
+
+    /// Fused GEMM + top-2 over one N-chunk with a register-resident
+    /// epilogue: every 8×8 tile goes from its `ymm` accumulators through
+    /// `alpha → scale → bias → f16 round-trip` (one vector op each, the
+    /// per-element order of the generic epilogue) straight into the
+    /// per-column [`LaneTop2`] state — two `LT_OQ` compares and six blends
+    /// per column, so NaN never enters, exactly as `v < d1` in
+    /// [`Top2::observe`]. Tiles are visited in `for_each_tile`'s order
+    /// (rows ascend for a fixed column group), so lanes are merged into
+    /// `state` once per reference block — right after the block's last
+    /// whole panel — not once per element.
+    ///
+    /// A panel that straddles a reference-block boundary or runs past `m`
+    /// cannot use one block's lanes: it is spilled and handed to
+    /// `spill(p, jr, tile, state)`, the generic epilogue. The lanes of that
+    /// column group are empty at that point (the previous panel was its
+    /// block's last whole one), so `state` sees the block's head rows, then
+    /// the merged lanes, then its tail rows: ascending, as the tie-break
+    /// needs.
+    ///
+    /// # Safety
+    /// Requires AVX2 + F16C. `a` holds `ceil(m / 8)` panels of `d · 8`
+    /// floats, `bp` holds `ceil(w / 8)`; `lanes.len() >= ceil(w / 8) · 8`;
+    /// `state.len() == w · batch` with `m == batch · m_per_ref`; a bias
+    /// slice is `m` long.
+    #[target_feature(enable = "avx2,f16c")]
+    pub(crate) unsafe fn fused_top2_chunk(
+        t: &FusedTile<'_>,
+        (a, m, d): (&[f32], usize, usize),
+        (bp, w): (&[f32], usize),
+        lanes: &mut [LaneTop2],
+        state: &mut [Top2],
+        mut spill: impl FnMut(usize, usize, &mut [f32], &mut [Top2]),
+    ) {
+        let panels = m.div_ceil(8);
+        let b_panels = w.div_ceil(8);
+        debug_assert!(a.len() >= panels * d * 8 && bp.len() >= b_panels * d * 8);
+        debug_assert!(lanes.len() >= b_panels * 8 && state.len() == w * t.batch);
+        debug_assert!(m == t.batch * t.m_per_ref && t.mc_panels >= 1);
+        debug_assert!(t.epi.row_bias.is_none_or(|bias| bias.len() == m));
+        let alphav = _mm256_set1_ps(t.alpha);
+        let scalev = _mm256_set1_ps(t.epi.scale);
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut spilled = [0.0f32; 64];
+        let mut ic0 = 0;
+        while ic0 < panels {
+            let ic_end = (ic0 + t.mc_panels).min(panels);
+            for jr in 0..b_panels {
+                let bpanel = &bp[jr * d * 8..(jr + 1) * d * 8];
+                let group = &mut lanes[jr * 8..jr * 8 + 8];
+                let cols = 8.min(w - jr * 8);
+                for p in ic0..ic_end {
+                    let apanel = &a[p * d * 8..(p + 1) * d * 8];
+                    // SAFETY: both panels were just sliced to `d · 8` floats.
+                    let c = tile_8x8(d, apanel.as_ptr(), bpanel.as_ptr());
+                    let row0 = p * 8;
+                    let blk = row0 / t.m_per_ref;
+                    let off = row0 - blk * t.m_per_ref;
+                    if row0 + 8 > m || off + 8 > t.m_per_ref {
+                        for (j, cj) in c.iter().enumerate() {
+                            // SAFETY: `j < 8`, inside the 64-float scratch.
+                            _mm256_storeu_ps(spilled.as_mut_ptr().add(j * 8), *cj);
+                        }
+                        spill(p, jr, &mut spilled, state);
+                        continue;
+                    }
+                    let biasv = match t.epi.row_bias {
+                        // SAFETY: the slice is 8 floats long (`row0 + 8 <= m
+                        // == bias.len()` on this route, checked by the index).
+                        Some(bias) => _mm256_loadu_ps(bias[row0..row0 + 8].as_ptr()),
+                        None => _mm256_setzero_ps(),
+                    };
+                    let rowv = _mm256_castsi256_ps(_mm256_add_epi32(
+                        _mm256_set1_epi32(off as i32),
+                        iota,
+                    ));
+                    for (cj, lane) in c.iter().zip(group.iter_mut()) {
+                        let mut v = _mm256_mul_ps(_mm256_mul_ps(*cj, alphav), scalev);
+                        if t.epi.row_bias.is_some() {
+                            v = _mm256_add_ps(v, biasv);
+                        }
+                        if t.epi.quantize_f16 {
+                            v = _mm256_cvtph_ps(_mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT));
+                        }
+                        // SAFETY: each pointer is to an 8-element (32-byte)
+                        // array inside `lane`, loaded and stored whole.
+                        let d1 = _mm256_loadu_ps(lane.d1.as_ptr());
+                        let d2 = _mm256_loadu_ps(lane.d2.as_ptr());
+                        let i1 = _mm256_loadu_ps(lane.i1.as_ptr().cast());
+                        let i2 = _mm256_loadu_ps(lane.i2.as_ptr().cast());
+                        let lt1 = _mm256_cmp_ps(v, d1, _CMP_LT_OQ);
+                        let lt2 = _mm256_cmp_ps(v, d2, _CMP_LT_OQ);
+                        // observe(): `v < d1` demotes the old minimum, else
+                        // `v < d2` replaces the runner-up.
+                        let d2n = _mm256_blendv_ps(_mm256_blendv_ps(d2, v, lt2), d1, lt1);
+                        let i2n = _mm256_blendv_ps(_mm256_blendv_ps(i2, rowv, lt2), i1, lt1);
+                        _mm256_storeu_ps(lane.d1.as_mut_ptr(), _mm256_blendv_ps(d1, v, lt1));
+                        _mm256_storeu_ps(lane.d2.as_mut_ptr(), d2n);
+                        _mm256_storeu_ps(lane.i1.as_mut_ptr().cast(), _mm256_blendv_ps(i1, rowv, lt1));
+                        _mm256_storeu_ps(lane.i2.as_mut_ptr().cast(), i2n);
+                    }
+                    if off + 16 > t.m_per_ref {
+                        // The next panel is not wholly inside `blk`: merge.
+                        // (Lanes of zero-padded columns past `cols` are
+                        // never read.)
+                        for (cc, lane) in group[..cols].iter_mut().enumerate() {
+                            lane.flush_into(&mut state[(jr * 8 + cc) * t.batch + blk]);
+                        }
+                    }
+                }
+            }
+            ic0 = ic_end;
+        }
+    }
+
+    /// Register-only roofline probes: `rounds` rounds of seven independent
+    /// `x ← x · r` chains feeding seven independent `c ← c + x` chains —
+    /// fourteen vector multiplies/adds per round with no loads or stores,
+    /// the instruction mix of the microkernel at its port-bound best.
+    /// Each returns a lane sum so the work cannot be discarded.
+    macro_rules! mul_add_probe {
+        ($(#[$attr:meta])* $name:ident, $lanes:literal,
+         $set1:ident, $zero:ident, $mul:ident, $add:ident, $store:ident) => {
+            $(#[$attr])*
+            pub unsafe fn $name(rounds: u64, r: f32) -> f32 {
+                let rv = $set1(r);
+                let mut x = [$set1(1.0); 7];
+                let mut c = [$zero(); 7];
+                for _ in 0..rounds {
+                    for (xj, cj) in x.iter_mut().zip(c.iter_mut()) {
+                        *xj = $mul(*xj, rv);
+                        *cj = $add(*cj, *xj);
+                    }
+                }
+                let mut lanes = [0.0f32; $lanes];
+                let mut total = 0.0;
+                for cj in c {
+                    // SAFETY: `lanes` is exactly the vector's floats.
+                    $store(lanes.as_mut_ptr(), cj);
+                    total += lanes.iter().sum::<f32>();
+                }
+                total
+            }
+        };
+    }
+
+    mul_add_probe!(
+        /// 8-lane probe — the AVX2 backend's roofline.
+        ///
+        /// # Safety
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        mul_add_probe_avx2, 8,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_mul_ps, _mm256_add_ps, _mm256_storeu_ps
+    );
+
+    mul_add_probe!(
+        /// 4-lane probe — the roofline of the scalar backend, whose 4×4
+        /// tile the compiler vectorizes with the baseline SSE2 it targets.
+        ///
+        /// # Safety
+        /// None beyond x86-64 itself (SSE2 is baseline); `unsafe` only for
+        /// the shared macro body's store intrinsic.
+        mul_add_probe_sse2, 4,
+        _mm_set1_ps, _mm_setzero_ps, _mm_mul_ps, _mm_add_ps, _mm_storeu_ps
+    );
 
     /// 8-lane F16C widen; bit-identical to [`F16::to_f32`] (hardware
     /// quietization of signalling NaNs produces the same

@@ -7,46 +7,17 @@
 //! is process-wide; keeping it out of the main test binaries avoids
 //! perturbing their (parallel) allocation patterns.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{measure, CountingAlloc};
 use texid_linalg::gemm::gemm_at_b;
-use texid_linalg::kernel::gemm_top2;
+use texid_linalg::kernel::{gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::Mat;
 use texid_linalg::top2::top2_min_per_column;
 
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Peak heap growth (bytes above the starting live size) while running `f`.
-fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    let peak = PEAK.load(Ordering::Relaxed);
-    (out, peak.saturating_sub(base))
-}
 
 #[test]
 fn fused_top2_never_allocates_the_distance_matrix() {
@@ -57,19 +28,33 @@ fn fused_top2_never_allocates_the_distance_matrix() {
     let b = Mat::from_fn(d, n, |r, c| ((r * 17 + c * 3) % 127) as f32 * 1e-2);
     let matrix_bytes = m * n * 4;
 
-    let (unfused, peak_unfused) =
-        peak_during(|| top2_min_per_column(&gemm_at_b(-2.0, &a, &b)));
+    let (unfused, heap) = measure(|| top2_min_per_column(&gemm_at_b(-2.0, &a, &b)));
     assert!(
-        peak_unfused >= matrix_bytes,
-        "materialized pipeline must allocate the full matrix: peak {peak_unfused} < {matrix_bytes}"
+        heap.peak >= matrix_bytes,
+        "materialized pipeline must allocate the full matrix: peak {} < {matrix_bytes}",
+        heap.peak
     );
 
-    let (fused, peak_fused) = peak_during(|| gemm_top2(-2.0, &a, &b));
+    let (fused, heap) = measure(|| gemm_top2(-2.0, &a, &b));
     assert!(
-        peak_fused < matrix_bytes / 4,
-        "fused path must stay far below the m×n matrix: peak {peak_fused} vs {matrix_bytes}"
+        heap.peak < matrix_bytes / 4,
+        "fused path must stay far below the m×n matrix: peak {} vs {matrix_bytes}",
+        heap.peak
     );
 
     // And the cheapness must not cost correctness.
     assert_eq!(fused, unfused);
+
+    // With both operands packed ahead of time the scan allocates nothing
+    // proportional to an operand either: only selection state and output.
+    let (pa, pb) = (PackedA::from_f32(&a), PackedB::from_f32(&b));
+    let (packed, heap) =
+        measure(|| gemm_top2_ex(-2.0, &pa, &pb, &FusedEpilogue::default(), 1, m));
+    let operand_bytes = n * d * 4;
+    assert!(
+        heap.largest < operand_bytes / 2,
+        "pre-packed scan allocated {} B at once (query operand is {operand_bytes} B)",
+        heap.largest
+    );
+    assert_eq!(packed, unfused);
 }

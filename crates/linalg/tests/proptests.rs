@@ -3,14 +3,15 @@
 use proptest::prelude::*;
 use texid_linalg::f16::F16;
 use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_naive};
+use texid_linalg::dispatch::{available_backends, Backend};
 use texid_linalg::kernel::{
-    gemm_at_b_blocked, gemm_top2, gemm_top2_blocked, gemm_top2_ex, gemm_top2_f16, FusedEpilogue,
-    Operand, PackedA,
+    gemm_at_b_blocked, gemm_at_b_blocked_f16_on, gemm_top2, gemm_top2_blocked, gemm_top2_ex,
+    gemm_top2_f16, FusedEpilogue, PackedA, PackedB,
 };
 use texid_linalg::mat::{Mat, MatF16};
 use texid_linalg::norms::{add_row_norms, col_sq_norms};
 use texid_linalg::top2::{
-    sort_columns, top2_min_per_column, top2_min_per_column_blocked, top2_min_per_column_f16,
+    sort_columns, top2_min_per_column, top2_min_per_column_blocked, top2_min_per_column_f16, Top2,
 };
 
 fn mat_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Mat> {
@@ -234,7 +235,7 @@ proptest! {
         let fused = gemm_top2_ex(
             -2.0,
             &PackedA::from_f32(&a),
-            Operand::F32(&b),
+            &PackedB::from_f32(&b),
             &FusedEpilogue { row_bias: Some(&n_r), ..FusedEpilogue::default() },
             1,
             m,
@@ -242,6 +243,175 @@ proptest! {
         let mut c = gemm_at_b_blocked(-2.0, &a, &b);
         add_row_norms(&mut c, &n_r);
         prop_assert_eq!(fused, top2_min_per_column(&c));
+    }
+}
+
+// ---- register-resident epilogue vs an ascending-row `observe` replay ----
+
+/// What the fused kernel must equal bit for bit: materialize each value with
+/// the epilogue's per-element op order on the scalar backend, then replay
+/// `Top2::observe` over the rows of every reference block in ascending
+/// order.
+fn observe_replay(
+    alpha: f32,
+    a: &MatF16,
+    b: &MatF16,
+    epi: &FusedEpilogue<'_>,
+    batch: usize,
+    m_per_ref: usize,
+) -> Vec<Top2> {
+    let c = gemm_at_b_blocked_f16_on(Backend::Scalar, alpha, a, b);
+    let mut out = vec![Top2::EMPTY; batch * b.cols()];
+    for j in 0..b.cols() {
+        for row in 0..a.cols() {
+            let mut v = c.get(row, j) * epi.scale;
+            if let Some(bias) = epi.row_bias {
+                v += bias[row];
+            }
+            if epi.quantize_f16 {
+                v = F16::from_f32(v).to_f32();
+            }
+            out[row / m_per_ref * b.cols() + j].observe((row % m_per_ref) as u32, v);
+        }
+    }
+    out
+}
+
+fn assert_top2_bits_equal(got: &[Top2], want: &[Top2], what: &str) -> Result<(), String> {
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(g.idx, w.idx, "{}: idx at {}", what, i);
+        prop_assert_eq!(g.d1.to_bits(), w.d1.to_bits(), "{}: d1 at {}", what, i);
+        prop_assert_eq!(g.d2.to_bits(), w.d2.to_bits(), "{}: d2 at {}", what, i);
+    }
+    Ok(())
+}
+
+/// Seeded operands with the hostile columns the epilogue must define an
+/// outcome for: duplicated reference columns (first-index tie-break),
+/// all-zero (zero-norm) columns on both sides, and NaN / ±∞ / ±0 / tiny
+/// (f16-underflowing, so the round-trip yields signed zeros) entries.
+fn hostile_operands(d: usize, m: usize, n: usize, seed: u64, poison: bool) -> (MatF16, MatF16) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut val = |poison: bool| {
+        let r = next();
+        let v = (r & 0xffff) as f32 / 65535.0 - 0.5;
+        match (poison, r >> 16 & 0x3f) {
+            (true, 0) => f32::NAN,
+            (true, 1) => f32::INFINITY,
+            (true, 2) => f32::NEG_INFINITY,
+            (_, 3) => 0.0,
+            (_, 4) => -0.0,
+            (_, 5) => v * 1e-6,
+            _ => v,
+        }
+    };
+    let mut a = Mat::from_fn(d, m, |_, _| val(poison));
+    let b = Mat::from_fn(d, n, |_, _| val(poison));
+    // Every fifth reference column repeats its predecessor; every seventh is
+    // all zero.
+    for c in 1..m {
+        if c % 5 == 0 {
+            let prev = a.col(c - 1).to_vec();
+            a.col_mut(c).copy_from_slice(&prev);
+        } else if c % 7 == 0 {
+            a.col_mut(c).fill(0.0);
+        }
+    }
+    (a.to_f16_scaled(1.0), b.to_f16_scaled(1.0))
+}
+
+const M_PER_REF: [usize; 10] = [2, 3, 7, 8, 9, 13, 16, 24, 31, 40];
+const BATCH: [usize; 3] = [1, 3, 32];
+const N_COLS: [usize; 7] = [1, 5, 8, 63, 64, 65, 130];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every backend's fused kernel — the AVX2 register-resident route, its
+    /// spill fallback, and the generic epilogue — equals the replay on
+    /// shapes ragged against every geometry: `m_per_ref` not a multiple of
+    /// 8 (blocks straddle panels), `m` / `n` not multiples of 8 / 64.
+    #[test]
+    fn fused_epilogue_bit_identical_to_observe_replay(
+        d in 1usize..20,
+        m_per_ref in 0usize..M_PER_REF.len(),
+        batch in 0usize..BATCH.len(),
+        n in 0usize..N_COLS.len(),
+        with_bias in any::<bool>(),
+        quantize_f16 in any::<bool>(),
+        poison in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (m_per_ref, batch, n) = (M_PER_REF[m_per_ref], BATCH[batch], N_COLS[n]);
+        let m = batch * m_per_ref;
+        let (a, b) = hostile_operands(d, m, n, seed, poison);
+        // Bias entries include both zeros, so `−0.0 + bias` flips signs.
+        let bias: Vec<f32> = (0..m)
+            .map(|i| match i % 4 { 0 => 0.0, 1 => -0.0, _ => (i as f32 * 0.37).sin() })
+            .collect();
+        let epi = FusedEpilogue {
+            scale: if quantize_f16 { 4.0 } else { 1.0 },
+            row_bias: with_bias.then_some(&bias[..]),
+            quantize_f16,
+        };
+        let want = observe_replay(-2.0, &a, &b, &epi, batch, m_per_ref);
+        for be in available_backends() {
+            let got = gemm_top2_ex(
+                -2.0,
+                &PackedA::from_f16_on(be, &a),
+                &PackedB::from_f16_on(be, &b),
+                &epi,
+                batch,
+                m_per_ref,
+            );
+            assert_top2_bits_equal(&got, &want, be.name())?;
+        }
+    }
+}
+
+/// Signed-zero ties, the one place lane order could show: most candidates
+/// are `±0.0` (equal as values, different as bits), tying for first or —
+/// below a lone negative — for second place, so which zero's bits end up in
+/// `d1`/`d2` depends on the row order the scan saw. The kernel resolves
+/// ties by row, exactly as the ascending scan does.
+#[test]
+fn fused_epilogue_signed_zero_ties_resolve_by_row() {
+    // One-deep operands: value(row, col) = −2 · a[row] · b[col].
+    const PICKS: [f32; 8] = [0.0, -0.0, 0.0, -0.0, 1.0, 0.0, -0.0, 3.0];
+    for (m_per_ref, batch) in [(24usize, 2usize), (9, 3), (16, 1), (40, 2)] {
+        let m = m_per_ref * batch;
+        for pattern in 0..64u64 {
+            let a = Mat::from_fn(1, m, |_, c| {
+                let h = (pattern * 131 + c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                PICKS[(h >> 61) as usize]
+            })
+            .to_f16_scaled(1.0);
+            let b = Mat::from_fn(1, 2, |_, c| [1.0, -1.0][c]).to_f16_scaled(1.0);
+            let epi = FusedEpilogue { quantize_f16: true, ..FusedEpilogue::default() };
+            let want = observe_replay(-2.0, &a, &b, &epi, batch, m_per_ref);
+            for be in available_backends() {
+                let got = gemm_top2_ex(
+                    -2.0,
+                    &PackedA::from_f16_on(be, &a),
+                    &PackedB::from_f16_on(be, &b),
+                    &epi,
+                    batch,
+                    m_per_ref,
+                );
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (g.idx, g.d1.to_bits(), g.d2.to_bits()),
+                        (w.idx, w.d1.to_bits(), w.d2.to_bits()),
+                        "{be} m_per_ref={m_per_ref} batch={batch} pattern={pattern}"
+                    );
+                }
+            }
+        }
     }
 }
 

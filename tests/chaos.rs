@@ -130,6 +130,48 @@ fn heal_restores_prefault_results() {
     }
 }
 
+/// Pack-once across the cluster's write paths: shards pack their batches
+/// for the fused kernel at seal. Against a twin whose unfused configuration
+/// never packs, results and every shard report must agree bit for bit after
+/// `update_texture` (delete + re-add: the old entry stays masked in the
+/// sweep) and after `heal()` rebuilt a crashed shard — and its packs — from
+/// the store, leaving the other shards' masked entries in place.
+#[test]
+fn prepacked_shards_match_unfused_twin_through_update_and_heal() {
+    let unfused_config = || {
+        let mut cfg = chaos_config(3);
+        cfg.engine.matching.fused = false;
+        cfg
+    };
+    let plan = || Some(FaultPlan::new(11).crash_shard(1));
+    let twin = Cluster::with_faults(unfused_config(), plan());
+    let cluster = Cluster::with_faults(chaos_config(3), plan());
+    for c in [&twin, &cluster] {
+        populate(c, 6);
+        c.update_texture(2, &reference_features(7)).unwrap();
+        c.update_texture(4, &reference_features(4)).unwrap();
+        assert!(c.search(&query_features(1), 6).degraded, "shard 1 crashes on first search");
+        // Replay drops the masked entries, so both sides must heal to
+        // sweep the same set.
+        assert_eq!(c.heal().unwrap().healed, vec![1]);
+    }
+
+    for probe in [0u64, 4, 7] {
+        let expected = twin.search(&query_features(probe), 6);
+        let got = cluster.search(&query_features(probe), 6);
+        assert!(!got.degraded, "probe {probe}");
+        assert_eq!(got.results, expected.results, "probe {probe}");
+        assert_eq!(got.comparisons, expected.comparisons, "probe {probe}");
+        assert_eq!(got.wall_us.to_bits(), expected.wall_us.to_bits(), "probe {probe}");
+        // `{:?}` prints f64s round-trip exactly: equal strings, equal bits.
+        assert_eq!(
+            format!("{:?}", got.shard_reports),
+            format!("{:?}", expected.shard_reports),
+            "probe {probe}"
+        );
+    }
+}
+
 /// Property 3: a tripped breaker re-admits the shard after heal().
 #[test]
 fn breaker_readmits_healed_shard() {
