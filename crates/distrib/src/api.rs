@@ -57,6 +57,12 @@ fn err_json(status: u16, msg: &str) -> Response {
     Response::json(status, Json::obj([("error", Json::Str(msg.to_string()))]).to_string())
 }
 
+/// The request body as JSON (bytes that are not UTF-8 repaired lossily),
+/// or the 400 that answers it.
+fn json_body(req: &Request) -> Result<Json, Response> {
+    parse(&String::from_utf8_lossy(&req.body)).map_err(|e| err_json(400, &e.to_string()))
+}
+
 fn parse_features_field(v: &Json, field: &str) -> Result<FeatureMatrix, Response> {
     let b64_text = v
         .get(field)
@@ -168,7 +174,7 @@ pub fn handle(cluster: &Cluster, req: &Request) -> Response {
     );
     let start_us = texid_obs::wall_now_us();
     let started = std::time::Instant::now();
-    let resp = route(cluster, method, &segments, req, &ctx);
+    let resp = route(cluster, method, &segments, req, &ctx).unwrap_or_else(|early| early);
     if traced {
         global_ring().record(SpanRecord {
             trace_id: ctx.trace_id,
@@ -187,27 +193,20 @@ pub fn handle(cluster: &Cluster, req: &Request) -> Response {
     resp.with_header(TRACE_HEADER, &ctx.trace_id_hex())
 }
 
+/// `Err` is a request turned away before it reached the cluster (bad id,
+/// body, or payload): a response like any other, raised with `?`.
 fn route(
     cluster: &Cluster,
     method: &str,
     segments: &[&str],
     req: &Request,
     ctx: &TraceContext,
-) -> Response {
-    match (method, segments) {
+) -> Result<Response, Response> {
+    Ok(match (method, segments) {
         ("POST", ["textures"]) => {
-            let body = String::from_utf8_lossy(&req.body);
-            let v = match parse(&body) {
-                Ok(v) => v,
-                Err(e) => return err_json(400, &e.to_string()),
-            };
-            let Some(id) = v.get("id").and_then(Json::as_u64) else {
-                return err_json(400, "missing id");
-            };
-            let features = match parse_features_field(&v, "features") {
-                Ok(f) => f,
-                Err(resp) => return resp,
-            };
+            let v = json_body(req)?;
+            let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+            let features = parse_features_field(&v, "features")?;
             match cluster.add_texture(id, &features) {
                 Ok(()) => Response::json(
                     201,
@@ -218,9 +217,7 @@ fn route(
             }
         }
         ("GET", ["textures", id]) => {
-            let Ok(id) = id.parse::<u64>() else {
-                return err_json(400, "bad id");
-            };
+            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
             match cluster.get_texture(id) {
                 Ok(f) => Response::json(
                     200,
@@ -235,42 +232,24 @@ fn route(
             }
         }
         ("PUT", ["textures", id]) => {
-            let Ok(id) = id.parse::<u64>() else {
-                return err_json(400, "bad id");
-            };
-            let body = String::from_utf8_lossy(&req.body);
-            let v = match parse(&body) {
-                Ok(v) => v,
-                Err(e) => return err_json(400, &e.to_string()),
-            };
-            let features = match parse_features_field(&v, "features") {
-                Ok(f) => f,
-                Err(resp) => return resp,
-            };
+            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
+            let v = json_body(req)?;
+            let features = parse_features_field(&v, "features")?;
             match cluster.update_texture(id, &features) {
                 Ok(()) => Response::json(200, r#"{"ok":true}"#.to_string()),
                 Err(e) => cluster_err(e),
             }
         }
         ("DELETE", ["textures", id]) => {
-            let Ok(id) = id.parse::<u64>() else {
-                return err_json(400, "bad id");
-            };
+            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
             match cluster.delete_texture(id) {
                 Ok(()) => Response::json(200, r#"{"ok":true}"#.to_string()),
                 Err(e) => cluster_err(e),
             }
         }
         ("POST", ["search"]) => {
-            let body = String::from_utf8_lossy(&req.body);
-            let v = match parse(&body) {
-                Ok(v) => v,
-                Err(e) => return err_json(400, &e.to_string()),
-            };
-            let features = match parse_features_field(&v, "features") {
-                Ok(f) => f,
-                Err(resp) => return resp,
-            };
+            let v = json_body(req)?;
+            let features = parse_features_field(&v, "features")?;
             let top = v.get("top").and_then(Json::as_u64).unwrap_or(5) as usize;
             let out = cluster.search_traced(&features, top, Some(ctx));
             let results = Json::Arr(
@@ -301,18 +280,9 @@ fn route(
             )
         }
         ("POST", ["verify"]) => {
-            let body = String::from_utf8_lossy(&req.body);
-            let v = match parse(&body) {
-                Ok(v) => v,
-                Err(e) => return err_json(400, &e.to_string()),
-            };
-            let Some(id) = v.get("id").and_then(Json::as_u64) else {
-                return err_json(400, "missing id");
-            };
-            let features = match parse_features_field(&v, "features") {
-                Ok(f) => f,
-                Err(resp) => return resp,
-            };
+            let v = json_body(req)?;
+            let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+            let features = parse_features_field(&v, "features")?;
             let min_matches = v.get("min_matches").and_then(Json::as_u64).unwrap_or(10) as usize;
             let min_inliers = v.get("min_inliers").and_then(Json::as_u64).unwrap_or(8) as usize;
             match cluster.verify(id, &features, min_matches, min_inliers) {
@@ -537,12 +507,12 @@ fn route(
             Err(e) => cluster_err(e),
         },
         ("GET", ["trace", id]) => {
-            let Some(trace_id) = TraceContext::parse_trace_id(id) else {
-                return err_json(400, "bad trace id (expected up to 32 hex chars)");
-            };
+            let trace_id = TraceContext::parse_trace_id(id)
+                .ok_or_else(|| err_json(400, "bad trace id (expected up to 32 hex chars)"))?;
             let spans = global_ring().snapshot_trace(trace_id);
             if spans.is_empty() {
-                return err_json(404, "unknown trace id (never recorded, or evicted from the ring)");
+                let msg = "unknown trace id (never recorded, or evicted from the ring)";
+                return Err(err_json(404, msg));
             }
             let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
             let mut by_parent: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
@@ -597,7 +567,7 @@ fn route(
             }
             None => err_json(404, "no such route"),
         },
-    }
+    })
 }
 
 /// Spawn the REST service bound to `addr` (use `127.0.0.1:0` in tests).

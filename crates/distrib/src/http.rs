@@ -224,8 +224,11 @@ pub fn write_response_opts(
     resp: &Response,
     include_body: bool,
 ) -> std::io::Result<()> {
+    // The whole head goes out in one write, the body in another: one
+    // syscall each on a socket instead of one per formatted fragment.
+    let mut head = Vec::with_capacity(256);
     write!(
-        stream,
+        head,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         status_text(resp.status),
@@ -233,9 +236,10 @@ pub fn write_response_opts(
         resp.body.len()
     )?;
     for (k, v) in &resp.headers {
-        write!(stream, "{k}: {v}\r\n")?;
+        write!(head, "{k}: {v}\r\n")?;
     }
-    write!(stream, "Connection: close\r\n\r\n")?;
+    head.extend_from_slice(b"Connection: close\r\n\r\n");
+    stream.write_all(&head)?;
     if include_body {
         stream.write_all(&resp.body)?;
     }
@@ -402,6 +406,30 @@ impl Drop for HttpServer {
     }
 }
 
+/// Write a client request with `Connection: close`: the head in one write,
+/// the body in another (see [`write_response_opts`]).
+fn write_request(
+    stream: &mut impl Write,
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(256);
+    write!(
+        head,
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        body.len()
+    )?;
+    for (k, v) in extra_headers {
+        write!(head, "{k}: {v}\r\n")?;
+    }
+    head.extend_from_slice(b"Connection: close\r\n\r\n");
+    stream.write_all(&head)?;
+    stream.write_all(body)
+}
+
 /// Blocking HTTP client call (`Connection: close`).
 pub fn http_call(
     addr: SocketAddr,
@@ -424,16 +452,7 @@ pub fn http_call_with_headers(
     body: &[u8],
 ) -> std::io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        body.len()
-    )?;
-    for (k, v) in extra_headers {
-        write!(stream, "{k}: {v}\r\n")?;
-    }
-    write!(stream, "Connection: close\r\n\r\n")?;
-    stream.write_all(body)?;
+    write_request(&mut stream, addr, method, path, extra_headers, body)?;
     stream.flush()?;
 
     let mut reader = BufReader::new(stream);
@@ -733,6 +752,57 @@ mod tests {
         let resp = http_call(server.addr(), "PATCH", "/x", b"").unwrap();
         assert_eq!(resp.status, 405);
         assert_eq!(resp.header("allow"), Some("GET, HEAD"));
+    }
+
+    /// Records each `write` call, so a test sees both the bytes and how
+    /// many writes carried them.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_byte_for_byte_in_two_writes() {
+        let resp = Response::json(405, r#"{"error":"x"}"#.to_string())
+            .with_header("Allow", "GET, HEAD")
+            .with_header("X-Texid-Trace-Id", "abc");
+        let head = "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+                    Content-Length: 13\r\nAllow: GET, HEAD\r\nX-Texid-Trace-Id: abc\r\n\
+                    Connection: close\r\n\r\n";
+        let mut log = WriteLog::default();
+        write_response(&mut log, &resp).unwrap();
+        assert_eq!(log.0, [head.as_bytes(), br#"{"error":"x"}"#]);
+        // HEAD: the same head, real Content-Length included, and nothing else.
+        let mut log = WriteLog::default();
+        write_response_opts(&mut log, &resp, false).unwrap();
+        assert_eq!(log.0, [head.as_bytes()]);
+    }
+
+    #[test]
+    fn request_goes_out_byte_for_byte_in_two_writes() {
+        let addr: SocketAddr = "127.0.0.1:8099".parse().unwrap();
+        let mut log = WriteLog::default();
+        write_request(&mut log, addr, "POST", "/verify", &[("X-Texid-Trace-Id", "abc")], b"{}")
+            .unwrap();
+        let head = "POST /verify HTTP/1.1\r\nHost: 127.0.0.1:8099\r\n\
+                    Content-Type: application/json\r\nContent-Length: 2\r\n\
+                    X-Texid-Trace-Id: abc\r\nConnection: close\r\n\r\n";
+        assert_eq!(log.0, [head.as_bytes(), b"{}"]);
+        // What the server reads back is what was asked for.
+        let wire = log.0.concat();
+        let req = read_request(&mut &wire[..]).unwrap().unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/verify"));
+        assert_eq!(req.header("x-texid-trace-id"), Some("abc"));
+        assert_eq!(req.body, b"{}");
     }
 
     #[test]

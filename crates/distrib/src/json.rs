@@ -163,7 +163,7 @@ impl std::error::Error for JsonError {}
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(input, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError { at: pos, msg: "trailing characters" });
@@ -177,7 +177,8 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err(JsonError { at: *pos, msg: "unexpected end of input" });
@@ -186,7 +187,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         b'n' => expect_lit(b, pos, "null", Json::Null),
         b't' => expect_lit(b, pos, "true", Json::Bool(true)),
         b'f' => expect_lit(b, pos, "false", Json::Bool(false)),
-        b'"' => Ok(Json::Str(parse_string(b, pos)?)),
+        b'"' => Ok(Json::Str(parse_string(s, pos)?)),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -196,7 +197,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -218,13 +219,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(JsonError { at: *pos, msg: "expected ':'" });
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(s, pos)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -265,75 +266,240 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .map_err(|_| JsonError { at: start, msg: "invalid number" })
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Length of the prefix of `b` that holds neither `"` nor `\`: the bytes
+/// a string literal copies verbatim. Scans eight bytes per step with the
+/// zero-byte test `(v - 0x01…) & !v & 0x80…` on the word XORed with each
+/// needle; its only false positives sit above a true hit, so the lowest
+/// flagged byte is exact.
+fn plain_run(b: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const QUOTES: u64 = ONES * b'"' as u64;
+    const BACKSLASHES: u64 = ONES * b'\\' as u64;
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let mut words = b.chunks_exact(8);
+    let mut run = 0;
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+        let hits = zero_bytes(w ^ QUOTES) | zero_bytes(w ^ BACKSLASHES);
+        if hits != 0 {
+            return run + hits.trailing_zeros() as usize / 8;
+        }
+        run += 8;
+    }
+    let tail = words.remainder();
+    run + tail.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(tail.len())
+}
+
+/// The UTF-16 code unit of a `\uXXXX` escape whose digits start at `at`.
+fn hex4(s: &str, at: usize) -> Option<u32> {
+    u32::from_str_radix(s.get(at..at + 4)?, 16).ok()
+}
+
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(JsonError { at: *pos, msg: "expected string" });
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Everything up to the next quote or backslash is copied as one
+        // run. Both are ASCII, so a run never splits a multi-byte
+        // character of the (already valid UTF-8) input.
+        let run = plain_run(&b[*pos..]);
+        out.push_str(&s[*pos..*pos + run]);
+        *pos += run;
         let Some(&c) = b.get(*pos) else {
             return Err(JsonError { at: *pos, msg: "unterminated string" });
         };
         *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = b.get(*pos) else {
-                    return Err(JsonError { at: *pos, msg: "unterminated escape" });
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err(JsonError { at: *pos, msg: "bad \\u escape" });
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| JsonError { at: *pos, msg: "bad \\u escape" })?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError { at: *pos, msg: "bad \\u escape" })?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(JsonError { at: *pos, msg: "unknown escape" }),
-                }
-            }
-            c if c < 0x80 => out.push(c as char),
-            _ => {
-                // Multi-byte UTF-8: copy the full sequence.
-                let len = utf8_len(c);
-                let end = *pos - 1 + len;
-                if end > b.len() {
-                    return Err(JsonError { at: *pos, msg: "invalid utf-8" });
-                }
-                let s = std::str::from_utf8(&b[*pos - 1..end])
-                    .map_err(|_| JsonError { at: *pos, msg: "invalid utf-8" })?;
-                out.push_str(s);
-                *pos = end;
-            }
+        if c == b'"' {
+            return Ok(out);
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        let Some(&esc) = b.get(*pos) else {
+            return Err(JsonError { at: *pos, msg: "unterminated escape" });
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let mut code = hex4(s, *pos).ok_or(JsonError { at: *pos, msg: "bad \\u escape" })?;
+                *pos += 4;
+                // A high surrogate followed by an escaped low one is one
+                // character; either half alone maps to U+FFFD below.
+                if (0xd800..0xdc00).contains(&code) && b[*pos..].starts_with(b"\\u") {
+                    if let Some(low @ 0xdc00..=0xdfff) = hex4(s, *pos + 2) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        *pos += 6;
+                    }
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(JsonError { at: *pos, msg: "unknown escape" }),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time string parser this module shipped before the run
+    /// copy: the oracle `parse_string` must agree with (value, error and
+    /// end position) on everything but surrogate-pair escapes.
+    fn parse_string_reference(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        fn utf8_len(first: u8) -> usize {
+            match first {
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            }
+        }
+        if b.get(*pos) != Some(&b'"') {
+            return Err(JsonError { at: *pos, msg: "expected string" });
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            let Some(&c) = b.get(*pos) else {
+                return Err(JsonError { at: *pos, msg: "unterminated string" });
+            };
+            *pos += 1;
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(&esc) = b.get(*pos) else {
+                        return Err(JsonError { at: *pos, msg: "unterminated escape" });
+                    };
+                    *pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            if *pos + 4 > b.len() {
+                                return Err(JsonError { at: *pos, msg: "bad \\u escape" });
+                            }
+                            let hex = std::str::from_utf8(&b[*pos..*pos + 4])
+                                .map_err(|_| JsonError { at: *pos, msg: "bad \\u escape" })?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| JsonError { at: *pos, msg: "bad \\u escape" })?;
+                            *pos += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return Err(JsonError { at: *pos, msg: "unknown escape" }),
+                    }
+                }
+                c if c < 0x80 => out.push(c as char),
+                _ => {
+                    // Multi-byte UTF-8: copy the full sequence.
+                    let len = utf8_len(c);
+                    let end = *pos - 1 + len;
+                    if end > b.len() {
+                        return Err(JsonError { at: *pos, msg: "invalid utf-8" });
+                    }
+                    let s = std::str::from_utf8(&b[*pos - 1..end])
+                        .map_err(|_| JsonError { at: *pos, msg: "invalid utf-8" })?;
+                    out.push_str(s);
+                    *pos = end;
+                }
+            }
+        }
+    }
+
+    fn assert_matches_reference(text: &str) {
+        let (mut new_pos, mut old_pos) = (0, 0);
+        let new = parse_string(text, &mut new_pos);
+        let old = parse_string_reference(text.as_bytes(), &mut old_pos);
+        assert_eq!((new, new_pos), (old, old_pos), "{text:?}");
+    }
+
+    /// Plain runs of every length 0–64 (every tail of the 8-wide scan),
+    /// ended by each of: a quote, each kind of escape, a multi-byte
+    /// character, the end of input.
+    #[test]
+    fn string_matches_reference_at_every_run_length() {
+        let plain: String = ('a'..='z').chain('0'..='9').cycle().take(64).collect();
+        let enders = [
+            "\"", "\\n\"", "\\\"\"", "\\\\\"", "\\u0041\"", "\\u00e9x\"", "\\u+041\"",
+            "é\"", "語🦀\"", "\u{1}\"",
+            // lone surrogates (a pair is the one input the two disagree on)
+            "\\udc00\"", "\\ud83d\"", "\\ud83dx\\ude00\"",
+            // malformed: each error arm at its position
+            "", "\\", "\\u12", "\\u12\"", "\\x\"", "\\u00é\"",
+        ];
+        for len in 0..=plain.len() {
+            for ender in enders {
+                assert_matches_reference(&format!("\"{}{ender} tail", &plain[..len]));
+                assert_matches_reference(&format!("\"é{}{ender}", &plain[..len]));
+            }
+        }
+        assert_matches_reference("no quote");
+        assert_matches_reference("");
+    }
+
+    proptest! {
+        #[test]
+        fn string_matches_reference_on_escape_heavy_text(
+            body in "[a-c\"\\\\/nrtbfux0-9dé🦀 ]{0,64}",
+        ) {
+            // A surrogate pair is the one input the two disagree on.
+            prop_assume!(!["\\ud8", "\\ud9", "\\uda", "\\udb"].iter().any(|h| body.contains(h)));
+            assert_matches_reference(&format!("\"{body}\""));
+        }
+
+        #[test]
+        fn string_matches_reference_on_random_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            assert_matches_reference(&format!("\"{}", String::from_utf8_lossy(&bytes)));
+        }
+
+        #[test]
+        fn plain_run_finds_the_first_needle(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            needles in prop::collection::vec((0usize..64, any::<bool>()), 0..3),
+        ) {
+            let mut bytes = bytes;
+            for (at, quote) in needles {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = if quote { b'"' } else { b'\\' };
+                }
+            }
+            let expect = bytes.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(bytes.len());
+            prop_assert_eq!(plain_run(&bytes), expect);
+        }
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_combine() {
+        let s = |text: &str| parse(text).unwrap();
+        assert_eq!(s(r#""\ud83d\ude00""#), Json::Str("😀".to_string()));
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), Json::Str("a😀b".to_string()));
+        // Lone halves, and a pair split by a plain character, stay U+FFFD.
+        assert_eq!(s(r#""\ud83d""#), Json::Str("\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ude00""#), Json::Str("\u{fffd}".to_string()));
+        assert_eq!(s(r#""\ud83dx\ude00""#), Json::Str("\u{fffd}x\u{fffd}".to_string()));
+        // A high surrogate followed by a non-low escape keeps both.
+        assert_eq!(s(r#""\ud83d\u0041""#), Json::Str("\u{fffd}A".to_string()));
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), Json::Str("\u{fffd}😀".to_string()));
+        // ... and a malformed one still fails where it did.
+        assert_eq!(parse(r#""\ud83d\uZZZZ""#), Err(JsonError { at: 9, msg: "bad \\u escape" }));
+    }
 
     #[test]
     fn roundtrip_nested() {

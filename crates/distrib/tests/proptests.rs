@@ -113,4 +113,55 @@ proptest! {
     fn b64_decode_never_panics(text in "\\PC{0,64}") {
         let _ = b64::decode(&text);
     }
+
+    /// Whatever `decode` accepts is the encoding of what it returned, up to
+    /// the bits of the last character that no output byte holds.
+    #[test]
+    fn b64_accepted_text_reencodes(text in "[A-Za-z0-9+/=]{0,64}") {
+        if let Ok(bytes) = b64::decode(&text) {
+            let again = b64::encode(&bytes);
+            prop_assert_eq!(again.len(), text.len());
+            let pad = text.bytes().rev().take_while(|&c| c == b'=').count();
+            let exact = text.len().saturating_sub(pad + 1);
+            prop_assert_eq!(&again[..exact], &text[..exact]);
+            prop_assert_eq!(&again[text.len() - pad..], &text[text.len() - pad..]);
+        }
+    }
+
+    /// Strings long enough to cross the 8-byte scan of `parse_string`
+    /// several times, with quotes, backslashes, controls and multi-byte
+    /// characters at every offset.
+    #[test]
+    fn json_string_roundtrip(s in "[a-z\"\\\\\n\té🦀]{0,64}") {
+        let v = Json::Str(s);
+        prop_assert_eq!(parse(&v.to_string()).expect("parse own output"), v);
+    }
+
+    /// Every supplementary-plane character arrives intact as a `\u`
+    /// surrogate pair, in either hex case, wherever it sits in the string.
+    #[test]
+    fn json_surrogate_pair_escapes(
+        code in 0x1_0000u32..0x11_0000,
+        before in "[a-z]{0,9}",
+        upper in any::<bool>(),
+    ) {
+        let c = char::from_u32(code).expect("no surrogates above U+FFFF");
+        let (hi, lo) = (0xd800 + ((code - 0x1_0000) >> 10), 0xdc00 + (code & 0x3ff));
+        let escaped = if upper {
+            format!("\"{before}\\u{hi:04X}\\u{lo:04X}!\"")
+        } else {
+            format!("\"{before}\\u{hi:04x}\\u{lo:04x}!\"")
+        };
+        prop_assert_eq!(parse(&escaped).expect("valid"), Json::Str(format!("{before}{c}!")));
+    }
+}
+
+#[test]
+fn b64_pinned_accept_and_reject_set() {
+    for ok in ["", "Zg==", "Zm8=", "Zm9v", "Zm9vYg==", "Zh==", "Zm9="] {
+        assert!(b64::decode(ok).is_ok(), "{ok:?}");
+    }
+    for bad in ["Zg=", "Z!==", "====", "Zg==Zg==", "Zg=a", "Z===", "=Zg=", "Zm9=Zm9v", "Zg", "Zm9v\n"] {
+        assert_eq!(b64::decode(bad), Err(b64::B64Error), "{bad:?}");
+    }
 }

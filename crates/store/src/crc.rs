@@ -1,19 +1,22 @@
 //! CRC32C (Castagnoli), the checksum guarding every WAL record and
 //! snapshot blob.
 //!
-//! Software slice-by-one implementation over the iSCSI polynomial
-//! `0x1EDC6F41` (reflected `0x82F63B78`) — the same function hardware
-//! `crc32` instructions compute, so a future SIMD backend can swap in
-//! without changing any stored bytes. Throughput is irrelevant next to the
-//! serialized feature matrices it guards; correctness and stability of the
-//! on-media format are what matter.
+//! Software slice-by-8 over the iSCSI polynomial `0x1EDC6F41` (reflected
+//! `0x82F63B78`) — the same function hardware `crc32` instructions
+//! compute. Every stored value is summed on `set`, again when its WAL
+//! record is framed, and again on replay and on a healing read, so the
+//! pass over a ~200 KB feature matrix is on the request path: eight table
+//! lookups per 8-byte word instead of one dependent lookup per byte. The
+//! checksum itself is unchanged, and with it the on-media format.
 
 /// Reflected CRC32C polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
-/// The 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, which lets eight bytes be
+/// folded in at once. Built at compile time.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,10 +25,20 @@ const TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32C of `bytes` in one call.
@@ -56,8 +69,21 @@ impl Crc32c {
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][(lo >> 8 & 0xff) as usize]
+                ^ TABLES[5][(lo >> 16 & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xff) as usize]
+                ^ TABLES[2][(hi >> 8 & 0xff) as usize]
+                ^ TABLES[1][(hi >> 16 & 0xff) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
         }
         self.state = crc;
     }
@@ -72,6 +98,7 @@ impl Crc32c {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -82,6 +109,46 @@ mod tests {
         assert_eq!(crc32c(&[0xffu8; 32]), 0x62A8_AB43);
         let ascending: Vec<u8> = (0..32).collect();
         assert_eq!(crc32c(&ascending), 0x46DD_794E);
+    }
+
+    /// The slice-by-one loop this module shipped before: the oracle the
+    /// word-at-a-time `update` must match bit for bit.
+    fn crc32c_reference(bytes: &[u8]) -> u32 {
+        !bytes
+            .iter()
+            .fold(!0u32, |crc, &b| (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize])
+    }
+
+    /// Every length 0–40 (all eight tails of the word loop, several words
+    /// deep) and every two-way split of `update`, which starts the word
+    /// loop at every alignment.
+    #[test]
+    fn matches_reference_at_every_length_and_split() {
+        let data: Vec<u8> = (0..40u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..=data.len() {
+            let expect = crc32c_reference(&data[..len]);
+            assert_eq!(crc32c(&data[..len]), expect, "len {len}");
+            for split in 0..=len {
+                let mut h = Crc32c::new();
+                h.update(&data[..split]);
+                h.update(&data[split..len]);
+                assert_eq!(h.finish(), expect, "len {len} split {split}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matches_reference_on_random_bytes(
+            data in prop::collection::vec(any::<u8>(), 0..600),
+            split in 0usize..600,
+        ) {
+            let split = split.min(data.len());
+            let mut h = Crc32c::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            prop_assert_eq!(h.finish(), crc32c_reference(&data));
+        }
     }
 
     #[test]
