@@ -415,9 +415,56 @@ impl<T: Payload> HybridCache<T> {
         promoted
     }
 
-    /// Iterate every cached batch in search order (device-resident first —
-    /// they need no PCIe transfer — then host-resident, each FIFO).
-    /// Records hit statistics as it goes.
+    /// Drop a batch from whichever tier holds it, giving its device buffer
+    /// or host bytes back. The other entries keep their order.
+    pub fn remove(&mut self, id: u64, sim: &mut GpuSim) -> Option<T> {
+        if let Some(at) = self.device.iter().position(|e| e.id == id) {
+            let entry = self.device.remove(at)?;
+            sim.free(entry.buffer);
+            return Some(entry.payload);
+        }
+        let at = self.host.iter().position(|e| e.id == id)?;
+        let entry = self.host.remove(at)?;
+        self.host_used -= entry.payload.size_bytes();
+        Some(entry.payload)
+    }
+
+    /// Let `edit` shrink a cached payload in place, then account for its new
+    /// `size_bytes()` where it sits — same FIFO slot, same tier, same heat;
+    /// on the device tier the buffer is traded for one of the new size.
+    /// Returns `false` (and never calls `edit`) for an unknown id. A payload
+    /// that `edit` would leave empty is the caller's to [`Self::remove`].
+    pub fn shrink(&mut self, id: u64, sim: &mut GpuSim, edit: impl FnOnce(&mut T)) -> bool {
+        if let Some(entry) = self.device.iter_mut().find(|e| e.id == id) {
+            edit(&mut entry.payload);
+            debug_assert!(
+                entry.payload.size_bytes() > 0,
+                "an emptied batch is removed, not shrunk"
+            );
+            sim.free(entry.buffer);
+            entry.buffer = sim
+                .alloc(entry.payload.size_bytes())
+                .expect("a shrunken batch fits in the buffer it just gave back");
+            true
+        } else if let Some(entry) = self.host.iter_mut().find(|e| e.id == id) {
+            let before = entry.payload.size_bytes();
+            edit(&mut entry.payload);
+            self.host_used = self.host_used - before + entry.payload.size_bytes();
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Every cached batch in search order (device-resident first — they
+    /// need no PCIe transfer — then host-resident, each FIFO).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T, Tier)> {
+        let dev = self.device.iter().map(|e| (e.id, &e.payload, Tier::Device));
+        let host = self.host.iter().map(|e| (e.id, &e.payload, Tier::Host));
+        dev.chain(host)
+    }
+
+    /// [`Self::iter`] for a search: records the hit statistics as well.
     ///
     /// Takes `&self`: the hit counters are atomic cells, so any number of
     /// concurrent searches may traverse the cache behind a shared read
@@ -427,9 +474,7 @@ impl<T: Payload> HybridCache<T> {
         self.stats.host_hits.fetch_add(self.host.len() as u64, Ordering::Relaxed);
         self.telemetry.device_hits.add(self.device.len() as u64);
         self.telemetry.host_hits.add(self.host.len() as u64);
-        let dev = self.device.iter().map(|e| (e.id, &e.payload, Tier::Device));
-        let host = self.host.iter().map(|e| (e.id, &e.payload, Tier::Host));
-        dev.chain(host)
+        self.iter()
     }
 
     /// Locate a batch by id.
@@ -633,6 +678,46 @@ mod tests {
         assert_eq!(cache.stats().swaps, 3);
         assert_eq!(cache.host_len(), 3);
         assert_eq!(cache.tier_of(100), Some(Tier::Device));
+    }
+
+    #[test]
+    fn shrink_and_remove_account_in_place_on_both_tiers() {
+        let mut sim = small_device_sim();
+        let empty = sim.mem_used();
+        let mut cache = HybridCache::new(cfg(1, 0));
+        for id in 0..12u64 {
+            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+        }
+        cache.note_heat(1, 7);
+        cache.note_heat(5, 9);
+        let order = |c: &HybridCache<Blob>| c.iter().map(|(id, _, t)| (id, t)).collect::<Vec<_>>();
+        let before = order(&cache); // device 2..=11, then host 0, 1
+
+        // One on each tier shrinks where it sits: slot, tier and heat stay.
+        assert!(cache.shrink(5, &mut sim, |b| b.0 = 40 * MB));
+        assert!(cache.shrink(1, &mut sim, |b| b.0 = 30 * MB));
+        assert!(!cache.shrink(99, &mut sim, |_| panic!("unknown id must not be edited")));
+        assert_eq!(order(&cache), before);
+        assert_eq!((cache.heat_of(5), cache.heat_of(1)), (Some(9), Some(7)));
+        assert_eq!(sim.mem_used() - empty, 940 * MB);
+        assert_eq!(cache.host_used_bytes(), 130 * MB);
+        // The room is real: the next insert fits without a swap-out.
+        cache.insert(12, Blob(60 * MB), &mut sim).unwrap();
+        assert_eq!(cache.stats().swaps, 2);
+
+        assert_eq!(cache.remove(5, &mut sim).map(|b| b.0), Some(40 * MB));
+        assert_eq!(cache.remove(0, &mut sim).map(|b| b.0), Some(100 * MB));
+        assert!(cache.remove(5, &mut sim).is_none());
+        assert_eq!(cache.tier_of(5).or(cache.tier_of(0)), None);
+        assert_eq!(sim.mem_used() - empty, 960 * MB);
+        assert_eq!(cache.host_used_bytes(), 30 * MB);
+
+        // Removing everything returns both tiers to their empty values.
+        for id in 0..13u64 {
+            cache.remove(id, &mut sim);
+        }
+        assert!(cache.is_empty());
+        assert_eq!((sim.mem_used(), cache.host_used_bytes()), (empty, 0));
     }
 
     #[test]

@@ -97,4 +97,54 @@ proptest! {
         }
         prop_assert_eq!(cache.tier_of(u64::MAX), None);
     }
+
+    /// In-place deletes: after any interleaving of inserts, shrinks and
+    /// removals the two tiers account exactly for the payloads they hold, the
+    /// survivors keep their relative order and tier, and removing everything
+    /// returns the device and the host to their empty-cache values.
+    #[test]
+    fn shrink_and_remove_account_for_exactly_what_is_left(
+        ops in prop::collection::vec((0u8..3, 0u64..12, 1u64..(24 << 20)), 1..60),
+    ) {
+        let mut sim = small_sim(64);
+        let empty = sim.mem_used();
+        let mut cache: HybridCache<Blob> = HybridCache::new(CacheConfig {
+            host_capacity_bytes: 2 << 30,
+            device_reserve_bytes: 0,
+            pinned: true,
+        });
+        let mut next = 0u64;
+        for &(op, pick, bytes) in &ops {
+            let before: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
+            let target = before.get(pick as usize % before.len().max(1)).map(|(id, _)| *id);
+            match (op, target) {
+                (1, Some(id)) => {
+                    prop_assert!(cache.shrink(id, &mut sim, |b| b.0 = (b.0 / 2).max(1)));
+                    let after: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
+                    prop_assert_eq!(after, before);
+                }
+                (2, Some(id)) => {
+                    prop_assert!(cache.remove(id, &mut sim).is_some());
+                    let after: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
+                    let expect: Vec<(u64, Tier)> =
+                        before.into_iter().filter(|(b, _)| *b != id).collect();
+                    prop_assert_eq!(after, expect);
+                }
+                _ => {
+                    cache.insert(next, Blob(bytes), &mut sim).expect("host is large");
+                    next += 1;
+                }
+            }
+            let held = |tier| -> u64 {
+                cache.iter().filter(|(_, _, t)| *t == tier).map(|(_, b, _)| b.0).sum()
+            };
+            prop_assert_eq!(sim.mem_used() - empty, held(Tier::Device));
+            prop_assert_eq!(cache.host_used_bytes(), held(Tier::Host));
+        }
+        for id in 0..next {
+            cache.remove(id, &mut sim);
+        }
+        prop_assert!(cache.is_empty());
+        prop_assert_eq!((sim.mem_used(), cache.host_used_bytes()), (empty, 0));
+    }
 }

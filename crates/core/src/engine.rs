@@ -8,6 +8,10 @@
 //! scheduling (§6.2) is applied as the calibrated throughput model from
 //! `texid_gpu::streams`.
 //!
+//! The cache is not append-only: [`Engine::remove_reference`] deletes a
+//! reference where it lies, so the sweep, the report and the cache's byte
+//! accounting follow the live set however often an id was rewritten.
+//!
 //! Two ingestion modes:
 //! * [`Engine::add_reference`] — real features (accuracy experiments,
 //!   examples, the distributed system);
@@ -29,6 +33,7 @@ use texid_knn::{
     match_batch, match_batch_packed, Algorithm, ExecMode, FeatureBlock, MatchConfig, PackedBlock,
 };
 use texid_linalg::kernel::{PackedA, PackedB};
+use texid_linalg::Backend;
 use texid_obs::{Counter, Gauge, Histogram, Span};
 use texid_sift::FeatureMatrix;
 
@@ -199,6 +204,28 @@ struct RefBatch {
     ids: Vec<u64>,
     m_per_ref: usize,
     data: BatchData,
+}
+
+impl RefBatch {
+    /// Delete reference `i` where it lies: the last reference's id, feature
+    /// columns and packed panels move into its slot. Panels move only when
+    /// `m_per_ref` is a multiple of the backend's panel width (384 is, of
+    /// every backend's); any other batch re-packs from its block.
+    fn swap_remove(&mut self, i: usize, backend: Backend) {
+        let (start, m) = (i * self.m_per_ref, self.m_per_ref);
+        self.ids.swap_remove(i);
+        match &mut self.data {
+            BatchData::Real { block, packed } => {
+                block.swap_remove_cols(start, m);
+                if let Some(packed) = packed {
+                    if !packed.swap_remove_cols(start, m) {
+                        *packed = block.pack_refs(backend);
+                    }
+                }
+            }
+            BatchData::Phantom { cols, .. } => *cols -= m,
+        }
+    }
 }
 
 impl Payload for RefBatch {
@@ -429,6 +456,62 @@ impl Engine {
             self.seal_real_batch()?;
         }
         Ok(())
+    }
+
+    /// Delete a reference **in place**; returns whether `id` was indexed.
+    /// Where the same id was added more than once, one entry goes per call.
+    ///
+    /// A pending reference is dropped from the open batch. A sealed one is
+    /// swap-removed from its batch (one reference's worth of bytes moves;
+    /// nothing is allocated unless `m_ref` is off the kernel's panel grid and
+    /// the batch re-packs) and the batch's cache accounting shrinks where it
+    /// sits — same FIFO slot, tier and heat. A batch that empties leaves
+    /// the cache and the IVF postings; one that only shrinks keeps its
+    /// postings (see [`IvfIndex::remove_batch`]). Finding the id walks the
+    /// batches' id lists, 8 bytes per live reference.
+    ///
+    /// Removal cannot change a ranking among the survivors: a score is a
+    /// function of one reference's columns and the query, and ties break on
+    /// the id, not on the position.
+    pub fn remove_reference(&mut self, id: u64) -> bool {
+        if let Some(i) = self.pending.iter().position(|(p, _)| *p == id) {
+            self.pending.swap_remove(i);
+            if self.cfg.matching.ivf.enabled {
+                self.pending_pooled.swap_remove(i);
+            }
+        } else if let Some(i) = self.phantom_ids.iter().position(|&p| p == id) {
+            self.phantom_ids.swap_remove(i);
+            self.pending_phantom -= 1;
+        } else {
+            let found = self.cache.iter().find_map(|(batch_id, batch, _)| {
+                let i = batch.ids.iter().position(|&p| p == id)?;
+                Some((batch_id, i, batch.ids.len()))
+            });
+            let Some((batch_id, i, len)) = found else {
+                return false;
+            };
+            if len == 1 {
+                self.cache.remove(batch_id, &mut self.sim);
+                if let Some(ivf) = &mut self.ivf {
+                    ivf.remove_batch(batch_id);
+                }
+                self.unindexed_pools.retain(|(b, _)| *b != batch_id);
+            } else {
+                let backend = self.cfg.matching.kernel_backend();
+                self.cache
+                    .shrink(batch_id, &mut self.sim, |b| b.swap_remove(i, backend));
+                // Pools awaiting quantizer training stay aligned with `ids`.
+                if let Some((_, pools)) = self
+                    .unindexed_pools
+                    .iter_mut()
+                    .find(|(b, _)| *b == batch_id)
+                {
+                    pools.swap_remove(i);
+                }
+            }
+        }
+        self.references -= 1;
+        true
     }
 
     /// Index a phantom reference (shape only) for timing experiments.

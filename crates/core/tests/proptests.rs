@@ -1,6 +1,8 @@
 //! Property-based tests for the search engine, on synthetic unit-norm
 //! features (no extraction — these probe the indexing/search machinery).
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use texid_cache::CacheConfig;
 use texid_core::{Engine, EngineConfig, SearchResult};
@@ -35,8 +37,151 @@ fn engine(batch: usize, m_ref: usize, precision: Precision) -> Engine {
     })
 }
 
+/// One step of an add / remove / flush history over ids `0..6`.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Index new features under the id, deleting its live version first.
+    Put(u64),
+    Remove(u64),
+    Flush,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..5, 0u64..6).prop_map(|(kind, id)| match kind {
+        0 | 1 => Op::Put(id),
+        2 | 3 => Op::Remove(id),
+        _ => Op::Flush,
+    })
+}
+
+/// Play `ops` on `e`, checking every `remove_reference` verdict against the
+/// model; returns the survivors' features.
+fn play(e: &mut Engine, ops: &[Op], d: usize, m_ref: usize) -> BTreeMap<u64, FeatureMatrix> {
+    let mut live = BTreeMap::new();
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Put(id) => {
+                assert_eq!(
+                    e.remove_reference(id),
+                    live.contains_key(&id),
+                    "step {step}: {op:?}"
+                );
+                let f = unit_features(d, m_ref, id * 1000 + step as u64);
+                e.add_reference(id, &f).expect("capacity");
+                live.insert(id, f);
+            }
+            Op::Remove(id) => {
+                assert_eq!(
+                    e.remove_reference(id),
+                    live.remove(&id).is_some(),
+                    "step {step}: {op:?}"
+                );
+            }
+            Op::Flush => e.flush().expect("flush"),
+        }
+        assert_eq!(e.len(), live.len(), "step {step}: {op:?}");
+    }
+    e.flush().expect("flush");
+    live
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// In-place delete. After any interleaving of add / remove / flush —
+    /// pending and sealed entries, the last and the only reference of a
+    /// batch, re-added ids — every id's score and `report.images` equal
+    /// those of an engine built from the survivors alone, and
+    /// `export_references` returns exactly the survivors. Every history runs
+    /// in F16 and F32, fused and unfused, at `m_ref = 16` (whole panels move
+    /// on every backend) and `m_ref = 10` (on no backend's panel grid: the
+    /// batch re-packs).
+    #[test]
+    fn removal_leaves_exactly_the_survivors(
+        ops in proptest::collection::vec(op(), 1..40),
+        batch in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        for config in 0..8u8 {
+            let (f16, fused, m_ref) = (config & 1 != 0, config & 2 != 0, [16, 10][config as usize >> 2]);
+            let d = 24;
+            let build = || Engine::new(EngineConfig {
+                matching: MatchConfig {
+                    precision: if f16 { Precision::F16 } else { Precision::F32 },
+                    fused,
+                    ..MatchConfig::default()
+                },
+                m_ref,
+                n_query: 64,
+                batch_size: batch,
+                streams: 1,
+                ..EngineConfig::default()
+            });
+            let mut e = build();
+            let live = play(&mut e, &ops, d, m_ref);
+
+            let mut fresh = build();
+            for (id, f) in &live {
+                fresh.add_reference(*id, f).expect("capacity");
+            }
+            fresh.flush().expect("flush");
+
+            let probes = live.values().take(2).cloned().chain([unit_features(d, 40, seed)]);
+            for q in probes {
+                let (got, want) = (e.search(&q), fresh.search(&q));
+                // `ranked` orders by (score, id): equal vectors are equal
+                // scores for every id.
+                prop_assert_eq!(&got.ranked, &want.ranked, "f16 {} fused {} m {}", f16, fused, m_ref);
+                prop_assert_eq!(got.report.images, live.len());
+                prop_assert_eq!(want.report.images, live.len());
+            }
+            let sorted = |e: &mut Engine| {
+                let mut refs = e.export_references();
+                refs.sort_by_key(|(id, _)| *id);
+                refs
+            };
+            prop_assert_eq!(sorted(&mut e), sorted(&mut fresh));
+
+            // Removing everything gives the device back, byte for byte.
+            for id in live.keys() {
+                prop_assert!(e.remove_reference(*id));
+            }
+            prop_assert!(e.is_empty() && !e.remove_reference(0));
+            prop_assert_eq!(e.sim().mem_used(), build().sim().mem_used());
+            prop_assert_eq!(e.search(&unit_features(d, 40, seed)).report.images, 0);
+        }
+    }
+
+    /// Deletes under an active IVF probe (`nprobe = 1` of 4 cells), before
+    /// and after the quantizer trains: a batch that emptied is gone from
+    /// the index, and a batch that only shrank may stay posted under a
+    /// departed member's cell — a superset, so no survivor's own features
+    /// ever fail to find it.
+    #[test]
+    fn ivf_pruning_never_loses_a_survivor(
+        ops in proptest::collection::vec(op(), 1..40),
+        batch in 1usize..4,
+    ) {
+        let (d, m_ref) = (24, 16);
+        let mut e = Engine::new(EngineConfig {
+            matching: MatchConfig {
+                ivf: IvfParams { enabled: true, nlist: 4, nprobe: 1, ..IvfParams::default() },
+                ..MatchConfig::default()
+            },
+            m_ref,
+            n_query: 64,
+            batch_size: batch,
+            streams: 1,
+            ..EngineConfig::default()
+        });
+        let live = play(&mut e, &ops, d, m_ref);
+        for (id, f) in &live {
+            let r = e.search(f);
+            prop_assert_eq!(r.ranked.first().map(|(best, _)| *best), Some(*id));
+            let swept = r.report.device_batches + r.report.host_batches;
+            prop_assert!(r.report.images <= live.len() && swept >= 1);
+        }
+    }
 
     #[test]
     fn self_queries_always_win(
@@ -230,4 +375,45 @@ fn capacity_exhaustion_surfaces_as_error() {
     let q = FeatureMatrix::from_mat(Mat::zeros(128, 768), true);
     let r = e.search(&q);
     assert!(r.report.images > 0);
+}
+
+/// IVF on at `batch_size: 1`: every batch is one reference, so a delete
+/// empties its batch, which must leave `indexed` and every posting list.
+#[test]
+fn removed_single_reference_batch_leaves_the_ivf_index() {
+    let mut e = Engine::new(EngineConfig {
+        matching: MatchConfig {
+            ivf: IvfParams {
+                enabled: true,
+                nlist: 4,
+                nprobe: 1,
+                ..IvfParams::default()
+            },
+            ..MatchConfig::default()
+        },
+        m_ref: 16,
+        n_query: 64,
+        batch_size: 1,
+        streams: 1,
+        ..EngineConfig::default()
+    });
+    for id in 0..12u64 {
+        e.add_reference(id, &unit_features(24, 16, id))
+            .expect("capacity");
+    }
+    let every_cell = [0u32, 1, 2, 3];
+    let ivf = e.ivf_index().expect("12 pooled points train 4 cells");
+    // Batch ids count up from 0, one per reference here.
+    assert!(ivf.contains(5) && ivf.batches_in(&every_cell).contains(&5));
+
+    assert!(e.remove_reference(5));
+    let ivf = e.ivf_index().expect("still trained");
+    assert!(!ivf.contains(5) && !ivf.batches_in(&every_cell).contains(&5));
+    assert_eq!(ivf.batches_in(&every_cell).len(), 11);
+    let r = e.search(&unit_features(24, 16, 5));
+    assert!(r.ranked.iter().all(|(id, _)| *id != 5));
+    assert_eq!(
+        r.report.batches_pruned + r.report.device_batches + r.report.host_batches,
+        11
+    );
 }

@@ -4,6 +4,12 @@
 //! reference block (`O(m·d)` floats). Before pack-once, every search of
 //! every batch allocated exactly that.
 //!
+//! The same allocator guards the in-place delete: `remove_reference` on a
+//! batch whose references fall on whole panels moves bytes inside the
+//! batch's two buffers and allocates nothing of a reference's size (a
+//! prototype that rebuilt and re-packed the batch per delete cost a tenth of
+//! the process's peak RSS under steady rewrites).
+//!
 //! Its own integration-test binary because a `#[global_allocator]` is
 //! process-wide (the allocator is shared with `texid-linalg`'s
 //! `fused_alloc` test).
@@ -19,6 +25,10 @@ use texid_sift::FeatureMatrix;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The allocator's counters are process-wide and `measure` is not
+/// reentrant: the tests of this binary take turns.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn features(cols: usize, seed: u64) -> FeatureMatrix {
     let mut state = seed | 1;
     FeatureMatrix::from_mat(
@@ -32,6 +42,7 @@ fn features(cols: usize, seed: u64) -> FeatureMatrix {
 
 #[test]
 fn steady_state_search_allocates_no_reference_sized_buffer() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (m_ref, batch, n_query) = (128usize, 16usize, 64usize);
     let mut engine = Engine::new(EngineConfig {
         m_ref,
@@ -59,4 +70,46 @@ fn steady_state_search_allocates_no_reference_sized_buffer() {
         heap.largest
     );
     assert!(heap.peak < packed_refs_bytes / 4, "search peak heap {} B", heap.peak);
+}
+
+#[test]
+fn in_place_delete_allocates_no_reference_sized_buffer() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // m_ref = 128 is a whole number of panels on every backend.
+    let (m_ref, batch, n_query) = (128usize, 16usize, 64usize);
+    let mut engine = Engine::new(EngineConfig {
+        m_ref,
+        n_query,
+        batch_size: batch,
+        streams: 1,
+        ..EngineConfig::default()
+    });
+    for id in 0..2 * batch as u64 {
+        engine
+            .add_reference(id, &features(m_ref, id))
+            .expect("capacity");
+    }
+    engine.flush().expect("flush");
+    let q = features(n_query, 999);
+    let before = engine.search(&q).ranked;
+
+    // A middle reference, the last of its batch, then a whole batch: none
+    // may allocate even the smallest copy of one reference, its f16 block
+    // (m_ref · d · 2 B = 32 KiB; its panels are twice that).
+    let one_reference = m_ref * 128 * 2;
+    let doomed: Vec<u64> = [3, 15].into_iter().chain(16..32).collect();
+    for &id in &doomed {
+        let (removed, heap) = measure(|| engine.remove_reference(id));
+        assert!(removed, "id {id}");
+        assert!(
+            heap.largest < one_reference / 8,
+            "removing id {id} allocated {} B at once; one reference is {one_reference} B",
+            heap.largest
+        );
+    }
+    let expect: Vec<(u64, usize)> = before
+        .into_iter()
+        .filter(|(id, _)| !doomed.contains(id))
+        .collect();
+    assert_eq!(engine.search(&q).ranked, expect);
 }

@@ -8,10 +8,14 @@
 //! simulated wall time is the slowest shard, and the aggregate speed is the
 //! paper's headline metric (872,984 image comparisons/s on 14 cards).
 //!
-//! Delete/update are implemented with tombstones: the engines' batched FIFO
-//! caches are append-only (like the paper's), so a deleted id is masked out
-//! of search results and its KV entry removed; re-adding re-indexes fresh
-//! features.
+//! Delete and update are physical. The paper's batched FIFO cache (§6.1) is
+//! append-only; here a shard deletes a reference **in place**
+//! ([`Engine::remove_reference`]), so what a search sweeps, what it reports
+//! as `comparisons` and what the caches hold is the live set, however often
+//! an id was rewritten. An id lives on one shard for life: a rewrite swaps
+//! its versions under one hold of that shard's write lock, so every sweep
+//! sees exactly one of them, and the engines index the external ids
+//! directly — nothing is masked or translated on the read path.
 //!
 //! # Failure model & degraded mode
 //!
@@ -42,7 +46,7 @@
 use crate::faults::{Backoff, FaultKind, FaultOp, FaultPlan, Stage};
 use crate::kv::KvStore;
 use crate::wire;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -439,7 +443,7 @@ impl ShardState {
 /// One search's cluster-level outcome.
 #[derive(Clone, Debug)]
 pub struct ClusterSearchResult {
-    /// Top results across all shards, best first (tombstones filtered).
+    /// Top results across all shards, best first.
     pub results: Vec<(u64, usize)>,
     /// Per-shard performance reports (successful shards only).
     pub shard_reports: Vec<SearchReport>,
@@ -658,14 +662,10 @@ pub struct Cluster {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
     store: KvStore,
+    /// Live id -> the shard whose engine indexes it (under that same id).
+    /// Changed only under that shard's write lock ([`Cluster::lock_owner`]),
+    /// so the map and the engines cannot disagree about who owns an id.
     shard_of: Mutex<HashMap<u64, usize>>,
-    /// External id -> live internal key. Engines index by *internal* keys
-    /// (one per add), so updating/deleting an id simply retires its key —
-    /// stale engine entries can never resurface under a reused id.
-    live_key: Mutex<HashMap<u64, u64>>,
-    /// Internal key -> external id (for translating search results).
-    external_of: Mutex<HashMap<u64, u64>>,
-    next_key: AtomicU64,
     next_rr: AtomicUsize,
     shard_health: Mutex<Vec<ShardState>>,
     fault_plan: Option<FaultPlan>,
@@ -722,9 +722,6 @@ impl Cluster {
             shards,
             store,
             shard_of: Mutex::new(HashMap::new()),
-            live_key: Mutex::new(HashMap::new()),
-            external_of: Mutex::new(HashMap::new()),
-            next_key: AtomicU64::new(0),
             next_rr: AtomicUsize::new(0),
             shard_health: Mutex::new(shard_health),
             fault_plan,
@@ -907,6 +904,49 @@ impl Cluster {
         Ok(())
     }
 
+    /// The write-locked engine of the shard that owns `id`, with the
+    /// ownership confirmed under that lock, and whether the id was owned
+    /// before the call. `place` puts an id nobody owns on the next
+    /// round-robin shard (`false` comes back); without it such an id yields
+    /// `None`.
+    ///
+    /// Every mutation of an id's engine entry and of its `shard_of` entry
+    /// happens under this guard, so writers racing on one id serialize on
+    /// its shard and cannot leave the id indexed twice or indexed but
+    /// unowned. The guard is taken first and `shard_of` inside it, never the
+    /// other way round.
+    fn lock_owner(&self, id: u64, place: bool) -> Option<(RwLockWriteGuard<'_, Engine>, bool)> {
+        loop {
+            let known = self.shard_of.lock().get(&id).copied();
+            let shard = match known {
+                Some(shard) => shard,
+                None if place => self.next_rr.fetch_add(1, Ordering::Relaxed) % self.shards.len(),
+                None => return None,
+            };
+            let engine = self.shards[shard].engine.write();
+            let mut shard_of = self.shard_of.lock();
+            match shard_of.get(&id) {
+                Some(&owner) if owner == shard => return Some((engine, true)),
+                None if known.is_none() => {
+                    shard_of.insert(id, shard);
+                    return Some((engine, false));
+                }
+                // Deleted, or placed elsewhere, while this thread waited
+                // for the lock: look again.
+                _ => {}
+            }
+        }
+    }
+
+    /// Physically delete `id` from the shard that owns it and forget the
+    /// ownership: one short hold of that shard's write lock.
+    fn unindex(&self, id: u64) {
+        if let Some((mut engine, _)) = self.lock_owner(id, false) {
+            engine.remove_reference(id);
+            self.shard_of.lock().remove(&id);
+        }
+    }
+
     /// Retire an id whose stored bytes are lost or corrupt, preserving the
     /// remains under a `quarantine:` key for offline inspection.
     fn quarantine(&self, id: u64) {
@@ -915,11 +955,17 @@ impl Cluster {
             self.store.set(&format!("quarantine:{key}"), bytes);
         }
         self.store.del(&key);
-        self.live_key.lock().remove(&id);
-        self.shard_of.lock().remove(&id);
+        self.unindex(id);
     }
 
-    /// Add (or re-add) a texture's reference features.
+    /// Add a texture's reference features, or replace them: a new id goes to
+    /// the next shard round-robin, a live one is rewritten on the shard that
+    /// owns it. Old version out, new version in **and sealed**, under one
+    /// hold of that shard's write lock — a search sweeps the shard before or
+    /// after, and finds exactly one version either way. (A new id may wait
+    /// in the open batch for the next search to seal it; a rewrite may not,
+    /// or a sweep between this lock and that seal would find neither
+    /// version.)
     ///
     /// # Errors
     /// Propagates shard cache exhaustion; `Unavailable` if the feature
@@ -927,20 +973,19 @@ impl Cluster {
     pub fn add_texture(&self, id: u64, features: &FeatureMatrix) -> Result<(), ClusterError> {
         // Persist first (the paper's Redis holds the authoritative copy).
         self.store_set(&Self::key(id), wire::encode_features(features))?;
-        // Allocate round-robin and index under a fresh internal key. Both
-        // allocators are single atomic fetch-adds — the ingest path never
-        // serializes on a mutex just to draw a number.
-        let shard = self.next_rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        self.shards[shard].engine.write().add_reference(key, features)?;
-        self.shard_of.lock().insert(id, shard);
-        self.live_key.lock().insert(id, key);
-        self.external_of.lock().insert(key, id);
+        let (mut engine, live) = self.lock_owner(id, true).expect("an unowned id is placed");
+        // Only a live id has a version to delete: enrolling a new one must
+        // not pay `remove_reference`'s walk over the shard's ids.
+        let rewrite = live && engine.remove_reference(id);
+        engine.add_reference(id, features)?;
+        if rewrite {
+            engine.flush()?;
+        }
         Ok(())
     }
 
-    /// Delete a texture: removes the stored features and masks the id out
-    /// of future searches.
+    /// Delete a texture: its stored features and, in place, its reference
+    /// on the shard that owns it.
     ///
     /// # Errors
     /// `NotFound` if the id is unknown.
@@ -948,20 +993,18 @@ impl Cluster {
         if !self.store.del(&Self::key(id)) {
             return Err(ClusterError::NotFound(id));
         }
-        // Retiring the live key masks every engine entry made for this id.
-        self.live_key.lock().remove(&id);
+        self.unindex(id);
         Ok(())
     }
 
-    /// Update = delete + re-add with new features.
+    /// [`Cluster::add_texture`] for an id that must already exist.
     ///
     /// # Errors
-    /// `NotFound` if the id was never added; cache errors from re-adding.
+    /// `NotFound` if the id was never added; cache errors from re-indexing.
     pub fn update_texture(&self, id: u64, features: &FeatureMatrix) -> Result<(), ClusterError> {
         if !self.store.exists(&Self::key(id)) {
             return Err(ClusterError::NotFound(id));
         }
-        self.delete_texture(id)?;
         self.add_texture(id, features)
     }
 
@@ -980,7 +1023,7 @@ impl Cluster {
 
     /// Number of live textures.
     pub fn len(&self) -> usize {
-        self.live_key.lock().len()
+        self.shard_of.lock().len()
     }
 
     /// True when no textures are live.
@@ -1075,8 +1118,6 @@ impl Cluster {
                 .tag("track", "cluster")
                 .tag("top_k", &top_k.to_string())
         });
-        let live_key = self.live_key.lock().clone();
-        let external_of = self.external_of.lock().clone();
         let backoff: Backoff = self.cfg.resilience.backoff;
 
         // Phase 1 (sequential, deterministic): breaker gating and fault
@@ -1330,7 +1371,8 @@ impl Cluster {
             self.telemetry.degraded.inc();
         }
 
-        // Translate internal keys to external ids, dropping retired keys.
+        // Every shard answers in external ids, and an id has one version on
+        // one shard: the merge is a concatenation.
         let mut results: Vec<(u64, usize)> = gathered
             .iter()
             .filter_map(|g| match g {
@@ -1338,10 +1380,6 @@ impl Cluster {
                 _ => None,
             })
             .flat_map(|ranked| ranked.iter().copied())
-            .filter_map(|(key, score)| {
-                let id = *external_of.get(&key)?;
-                (live_key.get(&id) == Some(&key)).then_some((id, score))
-            })
             .collect();
         results.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         results.truncate(top_k);
@@ -1443,19 +1481,19 @@ impl Cluster {
         assert!(shard < self.shards.len(), "no such container");
         // Collect this shard's live textures from the metadata, in id order
         // so fault-plan consumption stays deterministic.
-        let mut members: Vec<(u64, u64)> = {
+        let mut members: Vec<u64> = {
             let shard_of = self.shard_of.lock();
-            let live = self.live_key.lock();
-            live.iter()
-                .filter(|(id, _)| shard_of.get(id) == Some(&shard))
-                .map(|(id, key)| (*id, *key))
+            shard_of
+                .iter()
+                .filter(|(_, owner)| **owner == shard)
+                .map(|(id, _)| *id)
                 .collect()
         };
         members.sort_unstable();
-        // Fresh engine; reload from the store under the same internal keys.
+        // Fresh engine; reload from the store.
         let mut engine = Engine::new(self.cfg.engine.clone());
         let mut report = RecoveryReport::default();
-        for (id, key) in &members {
+        for id in &members {
             // Three-way read: checksum-verified value, missing, or corrupt
             // (a decode failure on verified bytes is corruption too).
             let outcome = match self.store_get(&Self::key(*id))? {
@@ -1468,7 +1506,7 @@ impl Cluster {
             };
             match outcome {
                 Ok(features) => {
-                    engine.add_reference(*key, &features)?;
+                    engine.add_reference(*id, &features)?;
                     report.restored += 1;
                 }
                 Err(reason) => {
@@ -1671,6 +1709,11 @@ mod tests {
         extract(&im, &SiftConfig { max_features: n, ..SiftConfig::default() })
     }
 
+    /// References indexed across every shard's engine (pending included).
+    fn indexed(cluster: &Cluster) -> usize {
+        cluster.shards.iter().map(|s| s.engine.read().len()).sum()
+    }
+
     fn query_for(seed: u64) -> FeatureMatrix {
         let im = TextureGenerator::with_size(128).generate(seed);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xabc);
@@ -1852,7 +1895,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_masks_results() {
+    fn delete_removes_the_reference_physically() {
         let cluster = small_cluster(2);
         for id in 0..4u64 {
             cluster.add_texture(id, &features(id, 128)).unwrap();
@@ -1860,7 +1903,7 @@ mod tests {
         cluster.delete_texture(2).unwrap();
         let out = cluster.search(&query_for(2), 4);
         assert!(out.results.iter().all(|(id, _)| *id != 2), "{:?}", out.results);
-        assert_eq!(cluster.len(), 3);
+        assert_eq!((cluster.len(), out.comparisons), (3, 3), "the sweep is the live set");
         assert_eq!(cluster.delete_texture(2), Err(ClusterError::NotFound(2)));
     }
 
@@ -1874,6 +1917,139 @@ mod tests {
         let out = cluster.search(&query_for(1), 2);
         assert_eq!(out.results[0].0, 1);
         assert_eq!(cluster.update_texture(99, &features(0, 64)), Err(ClusterError::NotFound(99)));
+    }
+
+    #[test]
+    fn rewrites_leave_the_sweep_at_the_live_set() {
+        let cluster = small_cluster(2);
+        for id in 0..4u64 {
+            cluster.add_texture(id, &features(id, 128)).unwrap();
+        }
+        let owner = cluster.shard_of.lock()[&1];
+        let versions = [features(9, 128), features(1, 128)];
+        for round in 0..200 {
+            cluster.update_texture(1, &versions[round % 2]).unwrap();
+            if round % 50 == 0 {
+                // Seals the pending version: later rewrites delete it from
+                // (and so empty) a sealed batch, earlier ones from `pending`.
+                assert_eq!(cluster.search(&query_for(1), 1).comparisons, 4);
+            }
+        }
+        // POST /textures on a live id is the same rewrite.
+        cluster.add_texture(1, &versions[1]).unwrap();
+        let out = cluster.search(&query_for(1), 4);
+        assert_eq!(
+            (out.comparisons, cluster.len()),
+            (4, 4),
+            "201 rewrites, four references"
+        );
+        assert_eq!(out.results[0].0, 1);
+        assert_eq!(out.results.iter().filter(|(id, _)| *id == 1).count(), 1);
+        assert_eq!(
+            cluster.shard_of.lock()[&1],
+            owner,
+            "an id is rewritten where it lives"
+        );
+        assert_eq!(indexed(&cluster), 4);
+    }
+
+    /// The update gap: a search racing a rewrite must find the id exactly
+    /// once — never neither version (the old delete-then-add window), never
+    /// both. The searcher's 40 searches all run while the rewriter rewrites.
+    #[test]
+    fn every_search_sees_exactly_one_version_of_an_id_under_rewrite() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let cluster = small_cluster(2);
+        for id in 0..4u64 {
+            cluster.add_texture(id, &features(id, 128)).unwrap();
+        }
+        let versions = [features(9, 128), features(2, 128)];
+        let query = query_for(2);
+        let (start, searched) = (Barrier::new(2), AtomicBool::new(false));
+        let rewrites = std::thread::scope(|s| {
+            let rewriter = s.spawn(|| {
+                start.wait();
+                let mut rewrites = 0usize;
+                while !searched.load(Ordering::SeqCst) {
+                    cluster.update_texture(2, &versions[rewrites % 2]).unwrap();
+                    rewrites += 1;
+                }
+                rewrites
+            });
+            // Stops the rewriter when the searches are through — or when an
+            // assertion below unwinds, which would otherwise never be joined.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+            let stop = Stop(&searched);
+            start.wait();
+            for search in 0..40 {
+                let out = cluster.search(&query, 4);
+                let mut ids: Vec<u64> = out.results.iter().map(|(id, _)| *id).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, [0, 1, 2, 3], "search {search}: {:?}", out.results);
+                assert_eq!(out.comparisons, 4, "search {search}");
+            }
+            drop(stop);
+            rewriter.join().expect("rewriter")
+        });
+        assert!(rewrites > 0);
+        assert_eq!(cluster.search(&query, 4).comparisons, cluster.len());
+    }
+
+    /// Writers racing on one id serialize on its shard: whatever the
+    /// interleaving of adds and deletes, the id ends up indexed at most
+    /// once and owned exactly when it is indexed.
+    #[test]
+    fn racing_writers_of_one_id_leave_it_indexed_at_most_once() {
+        use std::sync::Barrier;
+
+        let cluster = small_cluster(3);
+        for id in 0..3u64 {
+            cluster.add_texture(id, &features(id, 128)).unwrap();
+        }
+        let f = features(7, 128);
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (cluster, f, start) = (&cluster, &f, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..25 {
+                        if (round + t) % 3 == 0 {
+                            let _ = cluster.delete_texture(7);
+                        } else {
+                            cluster.add_texture(7, f).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            indexed(&cluster),
+            cluster.len(),
+            "indexed but unowned, or owned twice"
+        );
+        cluster.add_texture(7, &f).unwrap();
+        let out = cluster.search(&query_for(7), 4);
+        assert_eq!(
+            (out.comparisons, cluster.len(), indexed(&cluster)),
+            (4, 4, 4)
+        );
+        assert_eq!(out.results.iter().filter(|(id, _)| *id == 7).count(), 1);
+        cluster.delete_texture(7).unwrap();
+        assert_eq!(
+            (
+                cluster.search(&query_for(7), 4).comparisons,
+                indexed(&cluster)
+            ),
+            (3, 3)
+        );
     }
 
     #[test]

@@ -36,6 +36,15 @@ pub struct PackedBlock<P> {
     pub(crate) scale: f32,
 }
 
+impl PackedBlock<PackedA> {
+    /// [`FeatureBlock::swap_remove_cols`] on the packed references; `false`
+    /// (pack untouched) when the columns do not fall on whole panels — see
+    /// [`PackedA::swap_remove_cols`].
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) -> bool {
+        self.panels.swap_remove_cols(start, count)
+    }
+}
+
 impl FeatureBlock {
     /// Narrow an f32 feature matrix into the requested precision.
     pub fn from_mat(mat: Mat, precision: Precision, scale: f32) -> FeatureBlock {
@@ -114,6 +123,20 @@ impl FeatureBlock {
         match self {
             FeatureBlock::F32(_) => Precision::F32,
             FeatureBlock::F16 { .. } => Precision::F16,
+        }
+    }
+
+    /// Delete the `count` columns starting at `start` in place — one
+    /// reference out of a batch — by moving the last `count` columns into
+    /// their slot ([`Mat::swap_remove_cols`]).
+    ///
+    /// # Panics
+    /// Panics unless the removed columns are the last `count` or end before
+    /// them.
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
+        match self {
+            FeatureBlock::F32(m) => m.swap_remove_cols(start, count),
+            FeatureBlock::F16 { mat, .. } => mat.swap_remove_cols(start, count),
         }
     }
 

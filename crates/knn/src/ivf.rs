@@ -276,6 +276,20 @@ impl IvfIndex {
         self.indexed.insert(batch_id);
     }
 
+    /// Take a batch that no longer exists out of `indexed` and of every
+    /// posting list. A batch that only *lost* members is left alone: it may
+    /// stay posted under the cell of a member that is gone, which makes some
+    /// probe sweep it needlessly and can never hide a live member.
+    pub fn remove_batch(&mut self, batch_id: u64) {
+        if self.indexed.remove(&batch_id) {
+            for list in &mut self.postings {
+                if let Ok(at) = list.binary_search(&batch_id) {
+                    list.remove(at);
+                }
+            }
+        }
+    }
+
     /// Whether a batch has been posted into the index.
     pub fn contains(&self, batch_id: u64) -> bool {
         self.indexed.contains(&batch_id)
@@ -380,6 +394,20 @@ mod tests {
         assert_eq!(all.len(), 3, "nprobe = nlist probes every cell");
         let every = ivf.batches_in(&all);
         assert_eq!(every.len(), 10, "probing all cells covers all batches");
+    }
+
+    #[test]
+    fn removed_batch_leaves_indexed_and_every_posting_list() {
+        let pts = clustered_points(6, 30, 3, 11);
+        let mut ivf = IvfIndex::train(&pts, 3, 0xabc, 15);
+        // Batch 7 spans all three cells; batch 8 shares one of them.
+        ivf.add_batch(7, &Mat::from_fn(6, 3, |r, c| pts.col(c)[r]));
+        ivf.add_batch(8, &Mat::from_col_major(6, 1, pts.col(0).to_vec()));
+        assert_eq!((0..3).map(|c| ivf.posting_len(c)).sum::<usize>(), 4);
+        ivf.remove_batch(7);
+        ivf.remove_batch(7); // gone already: nothing to do
+        assert!(!ivf.contains(7) && ivf.contains(8));
+        assert_eq!(ivf.batches_in(&[0, 1, 2]), BTreeSet::from([8]));
     }
 
     #[test]

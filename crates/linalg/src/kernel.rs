@@ -117,7 +117,7 @@
 
 use crate::dispatch::{active_backend, Backend, MAX_TILE};
 use crate::f16::F16;
-use crate::mat::{Mat, MatF16};
+use crate::mat::{swap_remove_block, Mat, MatF16};
 use crate::top2::Top2;
 use rayon::prelude::*;
 
@@ -227,6 +227,24 @@ impl PackedA {
     /// fused scan consuming it will run on.
     pub fn backend(&self) -> Backend {
         self.backend
+    }
+
+    /// [`Mat::swap_remove_cols`] on the packed form, where it moves whole
+    /// panels: it applies only when `start`, `count` and the column count
+    /// are all multiples of the panel width (no panel then mixes removed and
+    /// kept columns, and the last panel carries no zero padding). Otherwise
+    /// returns `false` and leaves the pack untouched — re-pack instead.
+    ///
+    /// # Panics
+    /// Panics unless the removed columns are the last `count` or end before
+    /// them.
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) -> bool {
+        if [start, count, self.m].iter().any(|v| v % self.mr != 0) {
+            return false;
+        }
+        swap_remove_block(&mut self.data, start * self.d, count * self.d);
+        self.m -= count;
+        true
     }
 
     fn panel_count(&self) -> usize {
@@ -1050,6 +1068,33 @@ mod tests {
     fn pack_records_active_backend() {
         let p = PackedA::from_f32(&mat_rand(8, 8, 2));
         assert_eq!(p.backend(), active_backend());
+    }
+
+    #[test]
+    fn swap_removed_pack_equals_a_pack_of_the_swap_removed_matrix() {
+        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+            let mr = PackedA::from_f32_on(be, &Mat::zeros(1, 1)).mr;
+            // Five blocks of two panels each; drop a middle one, then the last.
+            let (d, width) = (5, 2 * mr);
+            let mut a = mat_rand(d, 5 * width, 21);
+            let mut pa = PackedA::from_f32_on(be, &a);
+            for start in [width, 3 * width] {
+                assert!(pa.swap_remove_cols(start, width));
+                a.swap_remove_cols(start, width);
+                let fresh = PackedA::from_f32_on(be, &a);
+                assert_eq!((pa.cols(), &pa.data), (fresh.cols(), &fresh.data), "{be:?}");
+            }
+            // A hole, a width or a column count off the panel grid is refused
+            // and leaves the pack as it was.
+            let before = pa.data.clone();
+            assert!(!pa.swap_remove_cols(1, mr) && !pa.swap_remove_cols(0, mr + 1));
+            let mut ragged = PackedA::from_f32_on(be, &mat_rand(d, 2 * mr + 1, 22));
+            assert!(!ragged.swap_remove_cols(0, mr));
+            assert_eq!(
+                (pa.cols(), &pa.data, ragged.cols()),
+                (3 * width, &before, 2 * mr + 1)
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,25 @@
 
 use crate::f16::F16;
 
+/// `Vec::swap_remove` for a block: the last `len` elements move into the
+/// hole at `start..start + len` and the vector is truncated by `len`. No
+/// allocation, `len` elements copied, the allocation kept.
+///
+/// # Panics
+/// Panics unless the hole is the tail itself or ends before the tail begins.
+pub(crate) fn swap_remove_block<T: Copy>(data: &mut Vec<T>, start: usize, len: usize) {
+    let tail = data
+        .len()
+        .checked_sub(len)
+        .expect("block longer than the data");
+    assert!(
+        start == tail || start + len <= tail,
+        "hole overlaps the tail block"
+    );
+    data.copy_within(tail.., start);
+    data.truncate(tail);
+}
+
 /// A dense column-major `f32` matrix.
 ///
 /// Element `(r, c)` lives at `data[c * rows + r]`.
@@ -129,6 +148,19 @@ impl Mat {
             data.extend_from_slice(&m.data);
         }
         Mat { rows, cols, data }
+    }
+
+    /// Remove the `count` columns starting at `start` in place: the last
+    /// `count` columns move into their slot (column order is not kept), the
+    /// rest stay where they are — `Vec::swap_remove` for one block of an
+    /// [`Mat::hconcat`] of equal-width blocks.
+    ///
+    /// # Panics
+    /// Panics unless the removed columns are the last `count` or end before
+    /// them.
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
+        swap_remove_block(&mut self.data, start * self.rows, count * self.rows);
+        self.cols -= count;
     }
 
     /// Convert to half precision after multiplying by `scale`
@@ -260,6 +292,16 @@ impl MatF16 {
         MatF16 { rows, cols, data }
     }
 
+    /// [`Mat::swap_remove_cols`] on half-precision storage.
+    ///
+    /// # Panics
+    /// Panics unless the removed columns are the last `count` or end before
+    /// them.
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
+        swap_remove_block(&mut self.data, start * self.rows, count * self.rows);
+        self.cols -= count;
+    }
+
     /// Size in bytes of the f16 payload (half of the f32 equivalent).
     pub fn size_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<u16>()
@@ -347,6 +389,40 @@ mod tests {
         let h = m.to_f16_scaled(1.0);
         assert_eq!(m.size_bytes(), 128 * 768 * 4);
         assert_eq!(h.size_bytes(), 128 * 768 * 2);
+    }
+
+    #[test]
+    fn swap_remove_cols_moves_the_last_block_into_the_hole() {
+        let m = Mat::from_fn(2, 6, |r, c| (10 * c + r) as f32);
+        let col = |c: usize| [10.0 * c as f32, 10.0 * c as f32 + 1.0];
+
+        let mut mid = m.clone();
+        mid.swap_remove_cols(0, 2);
+        assert_eq!(mid.cols(), 4);
+        assert_eq!(
+            [mid.col(0), mid.col(1), mid.col(2), mid.col(3)],
+            [col(4), col(5), col(2), col(3)]
+        );
+
+        let mut last = m.clone();
+        last.swap_remove_cols(4, 2);
+        assert_eq!(last, Mat::from_fn(2, 4, |r, c| (10 * c + r) as f32));
+
+        let mut half = m.to_f16_scaled(1.0);
+        half.swap_remove_cols(2, 2);
+        let mut expect = m.clone();
+        expect.swap_remove_cols(2, 2);
+        assert_eq!(half, expect.to_f16_scaled(1.0));
+
+        let mut all = Mat::zeros(3, 2);
+        all.swap_remove_cols(0, 2);
+        assert_eq!((all.cols(), all.len()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps the tail")]
+    fn swap_remove_cols_rejects_a_hole_that_overlaps_the_tail() {
+        Mat::zeros(2, 5).swap_remove_cols(2, 2);
     }
 
     #[test]

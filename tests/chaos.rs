@@ -133,9 +133,10 @@ fn heal_restores_prefault_results() {
 /// Pack-once across the cluster's write paths: shards pack their batches
 /// for the fused kernel at seal. Against a twin whose unfused configuration
 /// never packs, results and every shard report must agree bit for bit after
-/// `update_texture` (delete + re-add: the old entry stays masked in the
-/// sweep) and after `heal()` rebuilt a crashed shard — and its packs — from
-/// the store, leaving the other shards' masked entries in place.
+/// `update_texture` (the old version's panels are swap-removed from its
+/// pack, the new version sealed beside it) and after `heal()` rebuilt a
+/// crashed shard — and its packs — from the store, while the other shards
+/// keep the batches their rewrites shrank in place.
 #[test]
 fn prepacked_shards_match_unfused_twin_through_update_and_heal() {
     let unfused_config = || {
@@ -151,8 +152,6 @@ fn prepacked_shards_match_unfused_twin_through_update_and_heal() {
         c.update_texture(2, &reference_features(7)).unwrap();
         c.update_texture(4, &reference_features(4)).unwrap();
         assert!(c.search(&query_features(1), 6).degraded, "shard 1 crashes on first search");
-        // Replay drops the masked entries, so both sides must heal to
-        // sweep the same set.
         assert_eq!(c.heal().unwrap().healed, vec![1]);
     }
 
@@ -161,6 +160,10 @@ fn prepacked_shards_match_unfused_twin_through_update_and_heal() {
         let got = cluster.search(&query_features(probe), 6);
         assert!(!got.degraded, "probe {probe}");
         assert_eq!(got.results, expected.results, "probe {probe}");
+        assert_eq!(
+            got.comparisons, 6,
+            "probe {probe}: the sweep is the live set"
+        );
         assert_eq!(got.comparisons, expected.comparisons, "probe {probe}");
         assert_eq!(got.wall_us.to_bits(), expected.wall_us.to_bits(), "probe {probe}");
         // `{:?}` prints f64s round-trip exactly: equal strings, equal bits.
@@ -246,17 +249,24 @@ fn acceptance_crash_heal_roundtrip() {
 /// counted in the per-shard replay stats.
 #[test]
 fn acceptance_torn_wal_tail_heals_to_control_cluster() {
-    // 6 ids round-robin over 3 shards; id 5 lands on shard 2. Tear the WAL
-    // append of the final ingest (append #5, zero-indexed) and crash the
-    // shard that owns it. Mid-stream tears cascade misalignment, so the
-    // torn-final-record shape is the one torn writes actually produce.
-    let plan = FaultPlan::new(2024).tear_wal_append_after(5).crash_shard(2);
+    // 5 ids round-robin over 3 shards, then rewrites of one id per shard
+    // (each deleted in place on its shard: id 3 out of a full batch, id 2
+    // emptying its own, id 4 back to its first features), then id 5, which
+    // lands on shard 2. Tear the WAL append of that final ingest (append #8,
+    // zero-indexed) and crash the shard that owns it. Mid-stream tears
+    // cascade misalignment, so the torn-final-record shape is the one torn
+    // writes actually produce.
+    let plan = FaultPlan::new(2024).tear_wal_append_after(8).crash_shard(2);
     let cluster = Cluster::with_faults(chaos_config(3), Some(plan));
-    populate(&cluster, 6);
-
     // Control: identical cluster, never faulted, never given the torn id.
     let control = Cluster::new(chaos_config(3));
-    populate(&control, 5);
+    for c in [&cluster, &control] {
+        populate(c, 5);
+        c.update_texture(3, &reference_features(30)).unwrap();
+        c.update_texture(2, &reference_features(20)).unwrap();
+        c.update_texture(4, &reference_features(4)).unwrap();
+    }
+    cluster.add_texture(5, &reference_features(5)).unwrap();
 
     // The crash fires on the next search leg against shard 2.
     let hurt = cluster.search(&query_features(2), 6);
@@ -273,7 +283,7 @@ fn acceptance_torn_wal_tail_heals_to_control_cluster() {
         vec![Quarantine { id: 5, reason: QuarantineReason::Missing }]
     );
     let replay = report.replay.as_ref().expect("durable store must replay");
-    assert_eq!(replay.wal_records_applied, 5, "{replay:?}");
+    assert_eq!(replay.wal_records_applied, 8, "{replay:?}");
     assert!(replay.wal_torn_tail_bytes > 0, "{replay:?}");
     assert_eq!(replay.wal_corrupt_skipped, 0, "{replay:?}");
     assert_eq!(report.shards.len(), 1);
@@ -282,12 +292,14 @@ fn acceptance_torn_wal_tail_heals_to_control_cluster() {
     assert!(sr.replay_wall_us >= 0.0);
 
     // The healed cluster now is the control cluster, bit for bit: same
-    // ranked (id, score) lists, same comparison counts, no degradation.
-    for probe in 0..5u64 {
+    // ranked (id, score) lists, same comparison counts — the five live
+    // textures, none of their three earlier versions — no degradation.
+    for probe in [0u64, 1, 20, 30, 4] {
         let healed = cluster.search(&query_features(probe), 6);
         let expected = control.search(&query_features(probe), 6);
         assert!(!healed.degraded, "probe {probe}");
         assert_eq!(healed.results, expected.results, "probe {probe}");
+        assert_eq!(healed.comparisons, 5, "probe {probe}");
         assert_eq!(healed.comparisons, expected.comparisons, "probe {probe}");
     }
     // The torn id is honestly gone, not silently half-present.

@@ -107,11 +107,12 @@ fn crud_lifecycle_consistency() {
     }
     assert_eq!(cluster.len(), 6);
 
-    // Delete 2: it disappears from results even though the engine still
-    // holds the batch (tombstone masking).
+    // Delete 2: it leaves the results and the sweep (deleted in place on
+    // its shard, not masked).
     cluster.delete_texture(2).unwrap();
     let out = cluster.search(&query_features(2, 5), 6);
     assert!(out.results.iter().all(|(id, _)| *id != 2));
+    assert_eq!(out.comparisons, 5);
 
     // Re-add it: searchable again.
     cluster.add_texture(2, &reference_features(2)).unwrap();
@@ -119,10 +120,11 @@ fn crud_lifecycle_consistency() {
     assert_eq!(out.results[0].0, 2);
 
     // Update 4 with the features of a *different* texture: a query for the
-    // old texture 4 must no longer match id 4 meaningfully (the stale
-    // engine entry is retired with its internal key).
+    // old texture 4 must no longer match id 4 meaningfully (the old
+    // version is gone from its shard).
     cluster.update_texture(4, &reference_features(40)).unwrap();
     let out = cluster.search(&query_features(4, 7), 6);
+    assert_eq!(out.comparisons, 6, "six live textures, however many were rewritten");
     let score4 = out.results.iter().find(|(id, _)| *id == 4).map_or(0, |(_, s)| *s);
     assert!(score4 < 10, "stale texture 4 still matches: {:?}", out.results);
     // ... but a query for texture 40's surface finds id 4 now.
