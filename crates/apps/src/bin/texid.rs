@@ -340,7 +340,7 @@ fn cmd_bench(target: Option<&str>, args: &Args) -> Result<(), String> {
     };
 
     println!(
-        "running kernel benchmarks ({} mode, backends: {}) — packed/flat/naive GEMM and \
+        "running kernel benchmarks ({} mode, backends: {}) — packed/naive GEMM and \
          fused/unfused top-2…",
         if quick { "quick" } else { "full" },
         backends.iter().map(|b| b.name()).collect::<Vec<_>>().join(",")
@@ -361,12 +361,11 @@ fn cmd_bench(target: Option<&str>, args: &Args) -> Result<(), String> {
     println!("wrote {} entries to {}", report.entries.len(), out.display());
 
     if args.has("check") {
-        texid_bench::kernels::check_guard(&report, 0.9)?;
         texid_bench::kernels::check_simd_guard(&report, 1.0)?;
         texid_bench::kernels::check_epilogue_guard(&report, 0.85)?;
         println!(
-            "check passed: scalar packed >= 0.9x flat GFLOP/s at the largest shape, every \
-             SIMD row >= 1.0x its scalar twin, and avx2 fused_top2 >= 0.85x packed at every cell"
+            "check passed: every SIMD row >= 1.0x its scalar twin, and avx2 fused_top2 >= \
+             0.85x packed at every cell"
         );
     }
     Ok(())
@@ -768,7 +767,7 @@ fn cmd_obs(action: Option<&str>, args: &Args) -> Result<(), String> {
     // that identify a comparable cell across the two runs.
     let (metric, keys): (&str, &[&str]) = match schema.as_str() {
         "texid-kernel-bench/v1" => ("gflops", &["kernel", "precision", "m", "batch"]),
-        "texid-kernel-bench/v2" | "texid-kernel-bench/v3" => {
+        "texid-kernel-bench/v2" | "texid-kernel-bench/v3" | "texid-kernel-bench/v4" => {
             ("gflops", &["kernel", "precision", "backend", "m", "batch"])
         }
         "texid-throughput-bench/v1" => ("imgs_per_sec", &["clients", "coalesce"]),

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use texid_distrib::wire;
 use texid_image::TextureGenerator;
-use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_f16_flat, gemm_at_b_flat, gemm_at_b_naive};
+use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_naive};
 use texid_linalg::kernel::{
     gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2_f16_on, gemm_top2_on,
 };
@@ -40,8 +40,8 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-/// Packed/blocked kernel (per SIMD backend) vs the flat loop it replaced
-/// vs the naive triple loop, at the paper's pair-matching shape
+/// Packed/blocked kernel (per SIMD backend) vs the naive triple loop, at
+/// the paper's pair-matching shape
 /// (m = 768, n = 768, d = 128).
 fn bench_gemm_packed(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_packed");
@@ -58,9 +58,7 @@ fn bench_gemm_packed(c: &mut Criterion) {
             bench.iter(|| gemm_at_b_blocked_f16_on(be, -2.0, &a16, &b16))
         });
     }
-    g.bench_function("flat_f32", |bench| bench.iter(|| gemm_at_b_flat(-2.0, &a, &b)));
     g.bench_function("naive_f32", |bench| bench.iter(|| gemm_at_b_naive(-2.0, &a, &b)));
-    g.bench_function("flat_f16", |bench| bench.iter(|| gemm_at_b_f16_flat(-2.0, &a16, &b16)));
     g.finish();
 }
 

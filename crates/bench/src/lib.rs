@@ -6,7 +6,7 @@
 //! section in one run. Results are summarized in `EXPERIMENTS.md`.
 //!
 //! The [`kernels`] module is different: it times the *real* CPU kernels
-//! (packed vs flat vs naive GEMM, fused vs unfused top-2) and emits a
+//! (packed vs naive GEMM, fused vs unfused top-2) and emits a
 //! machine-readable `BENCH_kernels.json`; see `texid bench kernels`.
 //! [`throughput`] measures concurrent serving (clients × coalescing) in
 //! the simulated-time domain and emits `BENCH_throughput.json`; see

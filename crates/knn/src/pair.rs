@@ -97,6 +97,13 @@ pub struct MatchConfig {
     /// `m × n` similarity matrix). Bit-identical results to the unfused
     /// pipeline; applies to the top-2 algorithms only — the full-sort
     /// baseline always materializes.
+    ///
+    /// `false` is a reference, not a mode to serve with: it is what the
+    /// fused-vs-unfused bit-identity tests compare against and what the
+    /// `packed` / `unfused_top2` rows of `texid bench kernels` time, and it
+    /// writes the whole `m × n` product (37 MB for a 32-reference batch of
+    /// 384 features against 768). No serving path (`texid serve`, the
+    /// cluster, the benchmark's workloads) turns it off.
     pub fused: bool,
     /// IVF coarse-index settings (candidate pruning before the exact sweep).
     pub ivf: IvfParams,

@@ -11,7 +11,7 @@
 //!    must degrade safely, never crash).
 //! 2. Otherwise (unset, `auto`, or an unrecognized value) the best
 //!    available backend is probed with [`Backend::detect`]:
-//!    [`Backend::Avx2`] on x86-64 CPUs with AVX2 **and** F16C
+//!    [`Backend::Avx2`] on x86-64 CPUs with AVX2, FMA **and** F16C
 //!    (`is_x86_feature_detected!`), [`Backend::Neon`] on aarch64 (NEON is
 //!    baseline there), [`Backend::Scalar`] everywhere else.
 //!
@@ -23,9 +23,9 @@
 //! entry points in [`crate::kernel`] and [`crate::f16`], which take a
 //! [`Backend`] explicitly.
 //!
-//! All backends are **bit-identical**: every SIMD microkernel keeps one
-//! accumulator per output element summed in ascending-`k` order with
-//! separate multiply and add (never FMA), and the SIMD f16 converters
+//! All backends are **bit-identical**: every microkernel keeps one
+//! accumulator per output element, fed one correctly-rounded fused
+//! multiply-add per `k` in ascending order, and the SIMD f16 converters
 //! reproduce the scalar reference's rounding and NaN canonicalization
 //! exactly (see the summation-order contract in [`crate::kernel`]).
 
@@ -36,11 +36,12 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable scalar 4×4 register tile; the always-on fallback.
     Scalar,
-    /// x86-64 AVX2 8×8 tile with F16C half conversions. Deliberately does
-    /// **not** use FMA instructions: separate `vmulps`/`vaddps` keep the
-    /// results bit-identical to the scalar kernel (see [`crate::kernel`]).
+    /// x86-64 AVX2 8×8 tile (`vfmadd231ps`) with F16C half conversions;
+    /// needs AVX2, FMA and F16C. Bit-identical to the scalar kernel, whose
+    /// `f32::mul_add` is the same fused step (see [`crate::kernel`]).
     Avx2,
-    /// aarch64 NEON 8×4 tile (`vmulq_f32`/`vaddq_f32`, same contract).
+    /// aarch64 NEON half conversions around the scalar 4×4 tile (whose
+    /// `mul_add` is `fmadd` there).
     Neon,
 }
 
@@ -68,13 +69,15 @@ impl Backend {
         }
     }
 
-    /// True when this backend can run on the current CPU.
+    /// True when this backend can run on the current CPU: every target
+    /// feature its code is compiled under is probed.
     pub fn is_available(self) -> bool {
         match self {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
                     && std::arch::is_x86_feature_detected!("f16c")
             }
             #[cfg(not(target_arch = "x86_64"))]
@@ -106,18 +109,16 @@ impl Backend {
     /// Reference (A) columns per register tile — rows of the output tile.
     pub fn mr(self) -> usize {
         match self {
-            Backend::Scalar => 4,
+            Backend::Scalar | Backend::Neon => 4,
             Backend::Avx2 => 8,
-            Backend::Neon => 8,
         }
     }
 
     /// Query (B) columns per register tile — columns of the output tile.
     pub fn nr(self) -> usize {
         match self {
-            Backend::Scalar => 4,
+            Backend::Scalar | Backend::Neon => 4,
             Backend::Avx2 => 8,
-            Backend::Neon => 4,
         }
     }
 }

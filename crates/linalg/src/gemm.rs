@@ -2,54 +2,30 @@
 //! cuBLAS reformulation of the similarity matrix (`A = −2·RᵀQ`, Eq. 1).
 //!
 //! Both operands are column-major `d × *` feature matrices, so `AᵀB` is a
-//! grid of dot products between contiguous columns. Since this PR the
-//! public entry points ([`gemm_at_b`], [`gemm_at_b_f16`]) are thin wrappers
-//! over the **packed, cache-blocked, register-tiled** kernel in
-//! [`crate::kernel`]: operands are packed (and, for FP16, widened exactly
-//! once) into `MR`/`NR`-wide k-major panels, output columns are processed
-//! in rayon-parallel `NC` chunks, and a 4×4 register tile with 16
-//! independent accumulators walks the full depth per tile. See the
-//! [`crate::kernel`] module docs for the layout details.
+//! grid of dot products between contiguous columns. The public entry points
+//! ([`gemm_at_b`], [`gemm_at_b_f16`]) are thin wrappers over the **packed,
+//! cache-blocked, register-tiled** kernel in [`crate::kernel`]: operands are
+//! packed (and, for FP16, widened exactly once) into `MR`/`NR`-wide k-major
+//! panels, output columns are processed in rayon-parallel `NC` chunks, and a
+//! register tile with one accumulator per output walks the full depth. See
+//! the [`crate::kernel`] module docs for the layout details.
 //!
-//! The pre-packing kernels are retained as [`gemm_at_b_flat`] and
-//! [`gemm_at_b_f16_flat`] so benchmarks (`texid bench kernels`,
-//! `BENCH_kernels.json`) can track the win; new code should not call them.
+//! ## Summation order
 //!
-//! ## Summation order and test tolerances
-//!
-//! The blocked kernel sums each dot product in ascending-`k` order with a
-//! single accumulator per output, matching [`gemm_at_b_naive`]
-//! bit-for-bit (Rust never contracts `a * b + c` into an FMA). The *flat*
-//! kernels instead split each dot four ways (`s0..s3` partial sums), so
-//! flat-vs-blocked and flat-vs-naive comparisons see genuine rounding
-//! differences of order `d · ulp` — tests comparing across kernels must
-//! budget an absolute tolerance (≈1e-4 for unit-norm descriptors at
-//! `d = 128`) rather than expect equality.
+//! Every output is one accumulator taking one **fused multiply-add** per
+//! `k`, in ascending `k` — [`gemm_at_b_naive`] spells that out with
+//! `f32::mul_add`, and the blocked kernel matches it bit for bit on every
+//! backend (the contract is stated in [`crate::kernel`]). A fused step is
+//! correctly rounded by definition, so hardware `vfmadd` / `fmla` and
+//! libm's `fmaf` agree. On x86-64 without `+fma` in the build the naive
+//! loop *is* libm calls (slow, and an independent check of the
+//! instruction); the scalar tile has a second instance compiled for the
+//! instruction and takes it when the CPU has it.
 
 use crate::f16::F16;
 use crate::kernel::{gemm_at_b_blocked, gemm_at_b_blocked_f16};
 use crate::mat::{Mat, MatF16};
 use rayon::prelude::*;
-
-/// Dot product of two equal-length slices with 4-way unrolling.
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
-    }
-    let mut tail = 0.0;
-    for j in chunks * 4..a.len() {
-        tail += a[j] * b[j];
-    }
-    (s0 + s1) + (s2 + s3) + tail
-}
 
 /// Compute `C = alpha · AᵀB`, where `A` is `d × m`, `B` is `d × n`, and the
 /// result is `m × n` (column-major). Routes through the packed blocked
@@ -59,38 +35,6 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if the inner dimensions (`rows`) differ.
 pub fn gemm_at_b(alpha: f32, a: &Mat, b: &Mat) -> Mat {
     gemm_at_b_blocked(alpha, a, b)
-}
-
-/// The pre-packing f32 kernel (one flat column-by-column dot loop,
-/// parallel over output columns), retained **only** as a benchmark
-/// baseline for `texid bench kernels`. New code should call
-/// [`gemm_at_b`].
-///
-/// # Panics
-/// Panics if the inner dimensions (`rows`) differ.
-pub fn gemm_at_b_flat(alpha: f32, a: &Mat, b: &Mat) -> Mat {
-    assert_eq!(a.rows(), b.rows(), "AᵀB requires equal row counts (d)");
-    let m = a.cols();
-    let n = b.cols();
-    let d = a.rows();
-    let mut c = Mat::zeros(m, n);
-    if m == 0 || n == 0 {
-        return c;
-    }
-
-    // One output column per parallel task: column j of C depends only on
-    // B.col(j) and the whole of A.
-    c.as_mut_slice()
-        .par_chunks_mut(m)
-        .enumerate()
-        .for_each(|(j, col)| {
-            let bj = &b.as_slice()[j * d..(j + 1) * d];
-            for (i, out) in col.iter_mut().enumerate() {
-                let ai = &a.as_slice()[i * d..(i + 1) * d];
-                *out = alpha * dot(ai, bj);
-            }
-        });
-    c
 }
 
 /// Convenience wrapper for the paper's `A = −2·RᵀQ` (Algorithm 1 step 3 /
@@ -105,50 +49,12 @@ pub fn neg2_at_b(r: &Mat, q: &Mat) -> Mat {
 ///
 /// Routes through the packed blocked kernel, which widens each operand
 /// element **once** during packing — `O((m + n)·d)` conversions, not the
-/// `O(m·n·d)` the flat kernel pays.
+/// `O(m·n·d)` of widening per output.
 ///
 /// # Panics
 /// Panics if the inner dimensions differ.
 pub fn gemm_at_b_f16(alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
     gemm_at_b_blocked_f16(alpha, a, b)
-}
-
-/// The pre-packing f16 kernel, retained **only** as a benchmark baseline:
-/// it re-widens every reference column once per *output* column —
-/// `O(m·n·d)` f16→f32 conversions, the single largest CPU cost of the old
-/// FP16 path. New code should call [`gemm_at_b_f16`].
-///
-/// # Panics
-/// Panics if the inner dimensions differ.
-pub fn gemm_at_b_f16_flat(alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
-    assert_eq!(a.rows(), b.rows(), "AᵀB requires equal row counts (d)");
-    let m = a.cols();
-    let n = b.cols();
-    let d = a.rows();
-    let mut c = Mat::zeros(m, n);
-    if m == 0 || n == 0 {
-        return c;
-    }
-
-    c.as_mut_slice()
-        .par_chunks_mut(m)
-        .enumerate()
-        .for_each(|(j, col)| {
-            // Widen the query column once per output column.
-            let bj: Vec<f32> = b.as_slice()[j * d..(j + 1) * d]
-                .iter()
-                .map(|v| v.to_f32())
-                .collect();
-            let mut ai_f32 = vec![0.0f32; d];
-            for (i, out) in col.iter_mut().enumerate() {
-                let ai: &[F16] = &a.as_slice()[i * d..(i + 1) * d];
-                for (dst, src) in ai_f32.iter_mut().zip(ai) {
-                    *dst = src.to_f32();
-                }
-                *out = alpha * dot(&ai_f32, &bj);
-            }
-        });
-    c
 }
 
 /// FP16 variant of [`neg2_at_b`]. The caller is responsible for having scaled
@@ -198,16 +104,23 @@ pub fn gemm_at_b_f16acc(alpha: f32, a: &MatF16, b: &MatF16) -> (Mat, bool) {
     (c, overflow.load(std::sync::atomic::Ordering::Relaxed))
 }
 
-/// Naive reference implementation used by tests.
+/// Naive reference implementation used by tests: per output, one
+/// accumulator and one `mul_add` per `k`, ascending. Deliberately a bare
+/// `mul_add` — libm's `fmaf` on baseline x86-64 — so that every comparison
+/// against it also checks the hardware instruction against libm.
 pub fn gemm_at_b_naive(alpha: f32, a: &Mat, b: &Mat) -> Mat {
     assert_eq!(a.rows(), b.rows());
-    Mat::from_fn(a.cols(), b.cols(), |i, j| {
-        let mut s = 0.0;
-        for k in 0..a.rows() {
-            s += a.get(k, i) * b.get(k, j);
+    let mut c = Mat::zeros(a.cols(), b.cols());
+    for j in 0..b.cols() {
+        for (i, out) in c.col_mut(j).iter_mut().enumerate() {
+            let mut s = 0.0f32;
+            for (x, y) in a.col(i).iter().zip(b.col(j)) {
+                s = x.mul_add(*y, s);
+            }
+            *out = alpha * s;
         }
-        alpha * s
-    })
+    }
+    c
 }
 
 #[cfg(test)]
@@ -309,20 +222,6 @@ mod tests {
         assert_eq!(
             gemm_at_b_f16(-2.0, &a16, &b16),
             crate::kernel::gemm_at_b_blocked_f16(-2.0, &a16, &b16)
-        );
-    }
-
-    #[test]
-    fn flat_baselines_agree_with_blocked_within_tolerance() {
-        // Different summation orders (four-way split vs ascending-k): equal
-        // only up to rounding — see the module docs.
-        let a = Mat::from_fn(128, 24, |r, c| ((r * 24 + c) % 251) as f32 * 1e-3);
-        let b = Mat::from_fn(128, 16, |r, c| ((r * 16 + c) % 199) as f32 * 1e-3);
-        assert!(gemm_at_b_flat(-2.0, &a, &b).max_abs_diff(&gemm_at_b(-2.0, &a, &b)) < 1e-3);
-        let (a16, b16) = (a.to_f16_scaled(0.0078125), b.to_f16_scaled(0.0078125));
-        assert!(
-            gemm_at_b_f16_flat(-2.0, &a16, &b16).max_abs_diff(&gemm_at_b_f16(-2.0, &a16, &b16))
-                < 1e-3
         );
     }
 

@@ -29,10 +29,10 @@
 //!    `MC_PANELS` so the active `MC·d` slice of packed A stays cache-hot
 //!    while the chunk's B panels are swept.
 //! 3. **Register tile.** The microkernel computes an `MR × NR` output tile
-//!    with `MR·NR = 16` independent accumulators, walking the full depth
-//!    `K` in one pass (`d ≤ 128` for every paper shape, so the tile's
-//!    accumulators never spill to a C buffer). Each packed A load is reused
-//!    `NR` times and each B load `MR` times.
+//!    with `MR·NR` independent accumulators (16 scalar, 64 AVX2), walking
+//!    the full depth `K` in one pass (`d ≤ 128` for every paper shape, so
+//!    the tile's accumulators never spill to a C buffer). Each packed A load
+//!    is reused `NR` times and each B load `MR` times.
 //! 4. **Epilogue.** Either the tile is written to C ([`gemm_packed`]), or —
 //!    the fused path ([`gemm_top2_ex`]) — every value goes through
 //!    `alpha → scale → per-row bias → f16 round-trip` (the last two
@@ -82,26 +82,39 @@
 //!
 //! # Summation order (the backend contract)
 //!
-//! Each accumulator sums its dot product in ascending-`k` order with no
-//! intra-dot splitting, which is the same order
-//! [`crate::gemm::gemm_at_b_naive`] uses — f32 results are bit-identical to
-//! the naive reference on targets without implicit FMA contraction (Rust
-//! never emits contraction for `a * b + c`). **Every runtime backend
-//! ([`Backend`]) honors this contract**: the AVX2 8×8 and NEON 8×4
-//! microkernels map SIMD lanes to *distinct output rows* (one accumulator
-//! per element, still ascending-`k`) and deliberately issue separate
-//! vector multiply and add instructions — never FMA, whose single rounding
-//! would diverge from the scalar kernel. Widening the register tile
-//! (`MR × NR` is 4×4 scalar, 8×8 AVX2, 8×4 NEON) changes only which
-//! elements are computed *together*; each element's sum, the epilogue's
-//! per-element op order, and the ascending-row tile emission that the
-//! top-2 first-index tie-break relies on are all unchanged. Consequently
-//! `gemm_packed` / `gemm_top2_ex` results are **bit-identical across
-//! scalar, AVX2 and NEON**, and the fused-vs-unfused / degenerate-IVF /
-//! coalescer bit-exactness suites pin the contract for whichever backend
-//! dispatch selects. The retained pre-packing kernels (`gemm_at_b_flat`)
-//! split each dot four ways and therefore round differently; tests
-//! comparing the two must use a tolerance (see `crate::gemm`).
+//! Every output element is **one accumulator taking one fused multiply-add
+//! per `k`, in ascending `k`**: `acc ← round(a·b + acc)`, the product exact,
+//! one rounding per step, no intra-dot splitting. That is the chain
+//! [`crate::gemm::gemm_at_b_naive`] spells out with `f32::mul_add`, so f32
+//! results are bit-identical to the naive reference — and it is what an
+//! HGEMM's f32 accumulate does on the device the paper ran on.
+//!
+//! Determinism is a property of this order of operations, not of which
+//! instruction carries it out: IEEE 754 defines `fusedMultiplyAdd` as
+//! correctly rounded, so `vfmadd231ps` (the AVX2 8×8 tile), the scalar
+//! tile's `f32::mul_add` (an `fmadd` on aarch64) and libm's `fmaf` all
+//! return the same bits. **Every runtime backend ([`Backend`]) honors the
+//! contract**: the AVX2 microkernel maps lanes to *distinct output rows*
+//! (one accumulator per element, still ascending-`k`), so widening the
+//! register tile (`MR × NR` is 4×4 scalar and NEON, 8×8 AVX2) changes only
+//! which elements are computed *together*; each element's chain, the epilogue's
+//! per-element op order (plain multiplies and adds, never contracted) and
+//! the ascending-row tile emission that the top-2 first-index tie-break
+//! relies on are the same everywhere. Consequently `gemm_packed` /
+//! `gemm_top2_ex` results are **bit-identical across scalar, AVX2 and
+//! NEON**; the fused-vs-unfused / degenerate-IVF / coalescer bit-exactness
+//! suites pin the contract for whichever backend dispatch selects, and a
+//! committed CRC of the result bits pins it as a value
+//! (`results_match_the_committed_golden_crc`).
+//!
+//! **The scalar tile on x86-64.** The crate is built for baseline x86-64,
+//! which has no FMA, so a bare `mul_add` there is a call to libm's `fmaf` —
+//! bit-identical, 17–25× slower. The one `#[inline(always)]` scalar tile
+//! body is therefore compiled a second time under
+//! `#[target_feature(enable = "fma")]`, and a scalar pack made on a CPU
+//! where `is_x86_feature_detected!("fma")` holds runs that instance; on a
+//! CPU without FMA it falls through to libm. Other targets need neither
+//! (aarch64's `mul_add` is `fmadd`).
 //!
 //! # Backend selection
 //!
@@ -118,6 +131,7 @@
 use crate::dispatch::{active_backend, Backend, MAX_TILE};
 use crate::f16::F16;
 use crate::mat::{swap_remove_block, Mat, MatF16};
+use crate::simd::PROBE_CHAINS;
 use crate::top2::Top2;
 use rayon::prelude::*;
 
@@ -179,6 +193,9 @@ pub struct PackedA {
     backend: Backend,
     /// Cached `backend.mr()` — the panel width.
     mr: usize,
+    /// A scalar pack on an x86-64 CPU with FMA: its tiles run
+    /// `microkernel_scalar_fma` rather than call libm (same bits either way).
+    fma_tile: bool,
     /// `ceil(m / mr)` panels of `d · mr` floats, k-major within a panel.
     data: Vec<f32>,
 }
@@ -210,7 +227,8 @@ impl PackedA {
     fn pack<T: Widen>(cols: &[T], d: usize, m: usize, be: Backend) -> PackedA {
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let mr = backend.mr();
-        PackedA { m, d, backend, mr, data: pack_panels(cols, d, m, mr, backend) }
+        let fma_tile = backend == Backend::Scalar && scalar_tile_has_fma();
+        PackedA { m, d, backend, mr, fma_tile, data: pack_panels(cols, d, m, mr, backend) }
     }
 
     /// Number of reference columns (`m`, rows of the product).
@@ -353,35 +371,62 @@ fn pack_panels<T: Widen>(cols: &[T], d: usize, count: usize, width: usize, be: B
 }
 
 /// The scalar `MR × NR` register tile: 16 independent accumulators over the
-/// full depth. `acc[c · MR + r]` is the (r, c) output (column-major tile).
+/// full depth, one `f32::mul_add` per step. `acc[c · MR + r]` is the (r, c)
+/// output (column-major tile). `#[inline(always)]` so that
+/// [`microkernel_scalar_fma`] is this body compiled again (module docs,
+/// "The scalar tile on x86-64").
 #[inline(always)]
 fn microkernel_scalar(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
     let mut t = [0.0f32; MR * NR];
     for (av, bv) in ap[..d * MR].chunks_exact(MR).zip(bp[..d * NR].chunks_exact(NR)) {
         for (&b, acc_col) in bv.iter().zip(t.chunks_exact_mut(MR)) {
             for (&a, slot) in av.iter().zip(acc_col.iter_mut()) {
-                *slot += a * b;
+                *slot = a.mul_add(b, *slot);
             }
         }
     }
     acc[..MR * NR].copy_from_slice(&t);
 }
 
-/// Run one register tile on the pack's backend, filling the first
-/// `mr · nr` slots of `acc` column-major (`acc[c · mr + r]`).
+/// [`microkernel_scalar`] with `mul_add` compiled to `vfmadd`.
+///
+/// # Safety
+/// Requires FMA (`PackedA::pack` probes it).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn microkernel_scalar_fma(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
+    microkernel_scalar(d, ap, bp, acc);
+}
+
+/// Whether a scalar pack runs [`microkernel_scalar_fma`].
+fn scalar_tile_has_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Run one register tile of `a`'s backend, filling the first `mr · nr`
+/// slots of `acc` column-major (`acc[c · mr + r]`).
 #[inline(always)]
-fn run_tile(be: Backend, d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
-    match be {
-        Backend::Scalar => microkernel_scalar(d, ap, bp, acc),
+fn run_tile(a: &PackedA, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
+    let d = a.d;
+    match a.backend {
+        Backend::Scalar if a.fma_tile => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fma_tile` is set only where the FMA probe succeeded.
+            unsafe {
+                microkernel_scalar_fma(d, ap, bp, acc)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("`fma_tile` is only ever set on x86-64")
+        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
         // Avx2 pack only exists on CPUs where the probe succeeded.
         Backend::Avx2 => unsafe { crate::simd::x86::microkernel_8x8(d, ap, bp, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon => unsafe { crate::simd::neon::microkernel_8x4(d, ap, bp, acc) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("pack bound to a backend unavailable on this arch"),
+        // Scalar, and NEON, which has converters but no tile of its own.
+        _ => microkernel_scalar(d, ap, bp, acc),
     }
 }
 
@@ -440,8 +485,7 @@ fn for_each_tile(
     d: usize,
     mut emit: impl FnMut(usize, usize, &mut [f32]),
 ) {
-    let be = a.backend;
-    let (mr, nr) = (a.mr, be.nr());
+    let (mr, nr) = (a.mr, a.backend.nr());
     let b_panels = w.div_ceil(nr);
     let mc_panels = (MC_ROWS / mr).max(1);
     let mut acc = [0.0f32; MAX_TILE];
@@ -451,7 +495,7 @@ fn for_each_tile(
         for jr in 0..b_panels {
             let bpanel = &bp[jr * d * nr..(jr + 1) * d * nr];
             for p in ic0..ic_end {
-                run_tile(be, d, a.panel(p), bpanel, &mut acc);
+                run_tile(a, a.panel(p), bpanel, &mut acc);
                 emit(p, jr, &mut acc[..mr * nr]);
             }
         }
@@ -652,7 +696,7 @@ fn top2_chunk(
             mc_panels: MC_ROWS / a.mr,
         };
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
-        // Avx2 pack only exists where AVX2 + F16C were detected; `a.data`
+        // Avx2 pack only exists where AVX2 + FMA + F16C were detected; `a.data`
         // holds `ceil(m / 8)` panels of `d · 8` floats and `bp`
         // `ceil(w / 8)` (both zero-padded by `pack_panels`), `w ≤ NC`
         // columns fit `lanes`, and `gemm_top2_ex` checked the bias length
@@ -674,47 +718,43 @@ fn top2_chunk(
     });
 }
 
-/// Register-only roofline probe for `be`: `rounds` rounds of independent
-/// multiply chains feeding independent add chains, all operands in
-/// registers — the separate-mul-then-add mix the summation-order contract
-/// allows, with nothing else in the way. Returns `(flops, checksum)`; time
-/// the call and divide to get the backend's practical peak, the
+/// Register-only roofline probe for `be`: `rounds` rounds of ten
+/// independent `c ← fma(x, r, c)` chains (enough to cover the FMA latency on
+/// two ports), all operands in registers — the microkernel's one
+/// instruction with nothing else in the way. Returns `(flops, checksum)`;
+/// time the call and divide to get the backend's practical peak, the
 /// denominator of `pct_of_peak` in `BENCH_kernels.json`.
 ///
-/// The probe is as wide as the backend's microkernel runs: explicit 8-lane
-/// AVX2, and for the scalar backend the 4 lanes its tile is compiled to
-/// (explicit SSE2 on x86-64, where the autovectorizer mangles a portable
-/// loop; that portable loop elsewhere, NEON included, whose baseline ISA
-/// the compiler already targets). An unavailable backend is probed as
-/// scalar.
+/// The probe is as wide as the backend's tile has rows per vector: explicit
+/// 8-lane AVX2, and for the scalar backend 4 lanes, one per row of its 4×4
+/// tile — explicit `vfmadd` on `xmm` where the scalar tile runs its
+/// `fma`-compiled twin, otherwise the portable `mul_add` loop, which is
+/// whatever the tile itself gets (an instruction on aarch64, libm on x86-64
+/// without FMA). An unavailable backend is probed as scalar.
 pub fn mul_add_probe(be: Backend, rounds: u64) -> (u64, f32) {
-    // Opaque multiplier: `x · 1.0` must stay a real multiply.
-    let r = std::hint::black_box(1.0f32);
+    // Opaque operands: the chains must stay real arithmetic.
+    let (x, r) = (std::hint::black_box(1.0f32), std::hint::black_box(0.5f32));
+    let flops = rounds * PROBE_CHAINS as u64 * 2;
     #[cfg(target_arch = "x86_64")]
     {
-        use crate::simd::x86::{mul_add_probe_avx2, mul_add_probe_sse2};
+        use crate::simd::x86::{fma_probe_avx2, fma_probe_xmm};
         if be == Backend::Avx2 && be.is_available() {
             // SAFETY: availability checked on the line above.
-            return (rounds * 14 * 8, unsafe { mul_add_probe_avx2(rounds, r) });
+            return (flops * 8, unsafe { fma_probe_avx2(rounds, x, r) });
         }
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        (rounds * 14 * 4, unsafe { mul_add_probe_sse2(rounds, r) })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = be;
-        let mut x = [[1.0f32; 4]; 6];
-        let mut c = [[0.0f32; 4]; 6];
-        for _ in 0..rounds {
-            for (xj, cj) in x.iter_mut().zip(c.iter_mut()) {
-                for (xl, cl) in xj.iter_mut().zip(cj.iter_mut()) {
-                    *xl *= r;
-                    *cl += *xl;
-                }
-            }
+        if scalar_tile_has_fma() {
+            // SAFETY: FMA probed on the line above.
+            return (flops * 4, unsafe { fma_probe_xmm(rounds, x, r) });
         }
-        (rounds * 12 * 4, c.iter().flatten().sum())
     }
+    let _ = be;
+    let mut c = [[0.0f32; 4]; PROBE_CHAINS];
+    for _ in 0..rounds {
+        for cl in c.iter_mut().flatten() {
+            *cl = x.mul_add(r, *cl);
+        }
+    }
+    (flops * 4, c.iter().flatten().sum())
 }
 
 /// Blocked `C = alpha · AᵀB`, f32 operands (packs A internally for the
@@ -1051,6 +1091,71 @@ mod tests {
                 53,
             );
             assert_eq!(fused, fused_ref, "{be}: fused epilogue");
+        }
+    }
+
+    /// CRC32C over a result's bit patterns, little-endian.
+    fn crc_of(words: impl Iterator<Item = u32>) -> u32 {
+        texid_store::crc32c(&words.flat_map(u32::to_le_bytes).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn results_match_the_committed_golden_crc() {
+        // The contract as a value: the cross-backend tests compare two
+        // routes on one host, so a drift common to all of them (a libm
+        // `fmaf` that is not correctly rounded, a mis-transcribed intrinsic,
+        // a compiler that starts contracting or splitting) would pass. These
+        // constants were computed once and are the same on x86-64 and
+        // aarch64: inputs are built from integer draws with exactly-rounded
+        // f32 operations only, and every route takes one fused step per `k`.
+        const GEMM_CRC: u32 = 0xc3ea_5d51;
+        const TOP2_CRC: u32 = 0x3618_cdb1;
+        // Ragged against every tile geometry; three blocks of 13 rows, so
+        // AVX2 panels straddle block boundaries.
+        let (mut a, mut b) = (mat_rand(37, 39, 31), mat_rand(37, 29, 32));
+        let (a16, b16) = (a.to_f16_scaled(0.0078125), b.to_f16_scaled(0.0078125));
+        // A sixth of the f32 outputs sum products near 2⁻¹³⁷: subnormal, so
+        // a separate multiply would have rounded each one before the add.
+        for (mat, log2) in [(&mut a, 75u32), (&mut b, 60)] {
+            for c in (1..mat.cols()).step_by(3) {
+                mat.col_mut(c).iter_mut().for_each(|v| *v *= f32::from_bits((127 - log2) << 23));
+            }
+        }
+        let bias: Vec<f32> = (0..39).map(|i| i as f32 * 0.17 - 3.0).collect();
+        let epi = FusedEpilogue { scale: 16384.0, row_bias: Some(&bias), quantize_f16: true };
+        let mut routes: Vec<_> =
+            crate::dispatch::available_backends().into_iter().map(|be| (be, false)).collect();
+        // The scalar tile through libm's `fmaf` (x86-64; elsewhere the
+        // scalar route again).
+        routes.push((Backend::Scalar, true));
+        for (be, libm) in routes {
+            let route = |mut pa: PackedA| {
+                pa.fma_tile &= !libm;
+                pa
+            };
+            let c = gemm_packed(
+                -2.0,
+                &route(PackedA::from_f32_on(be, &a)),
+                &PackedB::from_f32_on(be, &b),
+            );
+            assert_eq!(
+                crc_of(c.as_slice().iter().map(|v| v.to_bits())),
+                GEMM_CRC,
+                "{be} (libm: {libm}): ragged f32 gemm"
+            );
+            let top2 = gemm_top2_ex(
+                -2.0,
+                &route(PackedA::from_f16_on(be, &a16)),
+                &PackedB::from_f16_on(be, &b16),
+                &epi,
+                3,
+                13,
+            );
+            assert_eq!(
+                crc_of(top2.iter().flat_map(|t| [t.idx, t.d1.to_bits(), t.d2.to_bits()])),
+                TOP2_CRC,
+                "{be} (libm: {libm}): fused f16 top-2"
+            );
         }
     }
 

@@ -3,12 +3,13 @@
 //!
 //! Every function here is **bit-identical** to its scalar reference:
 //!
-//! - The microkernels keep one accumulator per output element, summed in
-//!   ascending-`k` order with a separate vector multiply and add — never an
-//!   FMA instruction, which would round once instead of twice and break the
+//! - The AVX2 microkernel keeps one accumulator per output element, taking
+//!   one fused multiply-add (`vfmadd231ps`) per `k` in ascending order — the
+//!   correctly-rounded step the scalar tile's `f32::mul_add` takes, per the
 //!   summation-order contract documented in [`crate::kernel`]. SIMD lanes
 //!   map to *distinct output rows*, so widening the tile changes which
-//!   elements are computed together but not how any one element sums.
+//!   elements are computed together but not how any one element sums. (NEON
+//!   has converters only; its GEMM runs the scalar tile.)
 //! - The AVX2 fused top-2 walker (`x86::fused_top2_chunk`) carries each
 //!   tile from its accumulators through the epilogue into a lane-wise
 //!   partial top-2 without leaving registers; the epilogue is one vector op
@@ -31,6 +32,11 @@
 #![allow(dead_code)] // each arch module is dead on the other arch
 
 use crate::f16::F16;
+
+/// Independent accumulator chains per round of a roofline probe
+/// ([`crate::kernel::mul_add_probe`]): ten cover a 4–5 cycle FMA latency on
+/// two ports.
+pub(crate) const PROBE_CHAINS: usize = 10;
 
 /// Portable mirror of the NEON widen lanes: reconstruct `to_f32` with an
 /// exact multiply by `2¹¹²` plus an integer fixup for inf/NaN.
@@ -59,7 +65,7 @@ pub(crate) fn widen_bits_portable(h: u16) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use super::F16;
+    use super::{F16, PROBE_CHAINS};
     use crate::kernel::FusedEpilogue;
     use crate::top2::Top2;
     #[allow(clippy::wildcard_imports)]
@@ -67,20 +73,19 @@ pub(crate) mod x86 {
 
     /// AVX2 8×8 register tile: 8 `ymm` accumulators, one output row per
     /// lane, each summing its dot product in ascending-`k` order.
-    /// `c[j]` lane `r` `= Σ_k ap[k·8 + r] · bp[k·8 + j]` — the same
-    /// per-element sum as the scalar microkernel, just eight rows at a
-    /// time. Multiply and add stay separate instructions (`vmulps` +
-    /// `vaddps`, never `vfmadd`), preserving bit-identity.
+    /// `c[j]` lane `r` `= Σ_k ap[k·8 + r] · bp[k·8 + j]`, one `vfmadd231ps`
+    /// per step — the same per-element chain of fused steps as the scalar
+    /// microkernel, just eight rows at a time.
     ///
     /// Returned by value so that a caller compiled with the same target
     /// features (the fused walker below) inlines it and the accumulators
     /// never leave registers.
     ///
     /// # Safety
-    /// Requires AVX2; `a_ptr` and `b_ptr` must each be valid for reads of
-    /// `d · 8` floats.
+    /// Requires AVX2 + FMA; `a_ptr` and `b_ptr` must each be valid for reads
+    /// of `d · 8` floats.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn tile_8x8(d: usize, a_ptr: *const f32, b_ptr: *const f32) -> [__m256; 8] {
         let mut c = [_mm256_setzero_ps(); 8];
         for k in 0..d {
@@ -91,7 +96,7 @@ pub(crate) mod x86 {
             // The compiler fully unrolls this and keeps `c` in registers.
             for (j, cj) in c.iter_mut().enumerate() {
                 let b = _mm256_broadcast_ss(&*bk.add(j));
-                *cj = _mm256_add_ps(*cj, _mm256_mul_ps(a, b));
+                *cj = _mm256_fmadd_ps(a, b, *cj);
             }
         }
         c
@@ -100,9 +105,10 @@ pub(crate) mod x86 {
     /// [`tile_8x8`] spilled column-major: `acc[c · 8 + r]`.
     ///
     /// # Safety
-    /// Requires AVX2 (caller dispatches via `Backend::is_available`);
-    /// `ap.len() >= d * 8`, `bp.len() >= d * 8`, `acc.len() >= 64`.
-    #[target_feature(enable = "avx2")]
+    /// Requires AVX2 + FMA + F16C (caller dispatches via
+    /// `Backend::is_available`); `ap.len() >= d * 8`, `bp.len() >= d * 8`,
+    /// `acc.len() >= 64`.
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn microkernel_8x8(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
         debug_assert!(ap.len() >= d * 8 && bp.len() >= d * 8 && acc.len() >= 64);
         // SAFETY: the slice lengths asserted above are the pointer ranges
@@ -197,11 +203,11 @@ pub(crate) mod x86 {
     /// needs.
     ///
     /// # Safety
-    /// Requires AVX2 + F16C. `a` holds `ceil(m / 8)` panels of `d · 8`
+    /// Requires AVX2 + FMA + F16C. `a` holds `ceil(m / 8)` panels of `d · 8`
     /// floats, `bp` holds `ceil(w / 8)`; `lanes.len() >= ceil(w / 8) · 8`;
     /// `state.len() == w · batch` with `m == batch · m_per_ref`; a bias
     /// slice is `m` long.
-    #[target_feature(enable = "avx2,f16c")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub(crate) unsafe fn fused_top2_chunk(
         t: &FusedTile<'_>,
         (a, m, d): (&[f32], usize, usize),
@@ -291,23 +297,20 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Register-only roofline probes: `rounds` rounds of seven independent
-    /// `x ← x · r` chains feeding seven independent `c ← c + x` chains —
-    /// fourteen vector multiplies/adds per round with no loads or stores,
-    /// the instruction mix of the microkernel at its port-bound best.
-    /// Each returns a lane sum so the work cannot be discarded.
-    macro_rules! mul_add_probe {
+    /// Register-only roofline probes: `rounds` rounds of [`PROBE_CHAINS`]
+    /// independent `c ← fma(x, r, c)` chains with no loads or stores — the
+    /// microkernel's one instruction at its port-bound best. Each returns a
+    /// lane sum so the work cannot be discarded.
+    macro_rules! fma_probe {
         ($(#[$attr:meta])* $name:ident, $lanes:literal,
-         $set1:ident, $zero:ident, $mul:ident, $add:ident, $store:ident) => {
+         $set1:ident, $zero:ident, $fmadd:ident, $store:ident) => {
             $(#[$attr])*
-            pub unsafe fn $name(rounds: u64, r: f32) -> f32 {
-                let rv = $set1(r);
-                let mut x = [$set1(1.0); 7];
-                let mut c = [$zero(); 7];
+            pub unsafe fn $name(rounds: u64, x: f32, r: f32) -> f32 {
+                let (xv, rv) = ($set1(x), $set1(r));
+                let mut c = [$zero(); PROBE_CHAINS];
                 for _ in 0..rounds {
-                    for (xj, cj) in x.iter_mut().zip(c.iter_mut()) {
-                        *xj = $mul(*xj, rv);
-                        *cj = $add(*cj, *xj);
+                    for cj in c.iter_mut() {
+                        *cj = $fmadd(xv, rv, *cj);
                     }
                 }
                 let mut lanes = [0.0f32; $lanes];
@@ -322,25 +325,25 @@ pub(crate) mod x86 {
         };
     }
 
-    mul_add_probe!(
+    fma_probe!(
         /// 8-lane probe — the AVX2 backend's roofline.
         ///
         /// # Safety
-        /// Requires AVX2.
-        #[target_feature(enable = "avx2")]
-        mul_add_probe_avx2, 8,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_mul_ps, _mm256_add_ps, _mm256_storeu_ps
+        /// Requires AVX2 + FMA.
+        #[target_feature(enable = "avx2,fma")]
+        fma_probe_avx2, 8,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_fmadd_ps, _mm256_storeu_ps
     );
 
-    mul_add_probe!(
-        /// 4-lane probe — the roofline of the scalar backend, whose 4×4
-        /// tile the compiler vectorizes with the baseline SSE2 it targets.
+    fma_probe!(
+        /// 4-lane probe — the roofline of the scalar backend's `fma`-compiled
+        /// 4×4 tile, which the compiler vectorizes four rows wide.
         ///
         /// # Safety
-        /// None beyond x86-64 itself (SSE2 is baseline); `unsafe` only for
-        /// the shared macro body's store intrinsic.
-        mul_add_probe_sse2, 4,
-        _mm_set1_ps, _mm_setzero_ps, _mm_mul_ps, _mm_add_ps, _mm_storeu_ps
+        /// Requires FMA.
+        #[target_feature(enable = "fma")]
+        fma_probe_xmm, 4,
+        _mm_set1_ps, _mm_setzero_ps, _mm_fmadd_ps, _mm_storeu_ps
     );
 
     /// 8-lane F16C widen; bit-identical to [`F16::to_f32`] (hardware
@@ -468,34 +471,6 @@ pub(crate) mod neon {
     use super::F16;
     #[allow(clippy::wildcard_imports)]
     use core::arch::aarch64::*;
-
-    /// NEON 8×4 register tile: two `float32x4` accumulators per output
-    /// column (rows 0–3 and 4–7), each element summing its dot product in
-    /// ascending-`k` order with separate `fmul`/`fadd` (never `fmla`) —
-    /// the same bit-identity contract as the AVX2 and scalar kernels.
-    ///
-    /// # Safety
-    /// `ap.len() >= d * 8`, `bp.len() >= d * 4`, `acc.len() >= 32`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn microkernel_8x4(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
-        debug_assert!(ap.len() >= d * 8 && bp.len() >= d * 4 && acc.len() >= 32);
-        let a_ptr = ap.as_ptr();
-        let b_ptr = bp.as_ptr();
-        let mut c = [vdupq_n_f32(0.0); 8];
-        for k in 0..d {
-            let a0 = vld1q_f32(a_ptr.add(k * 8));
-            let a1 = vld1q_f32(a_ptr.add(k * 8 + 4));
-            for j in 0..4 {
-                let b = vdupq_n_f32(*b_ptr.add(k * 4 + j));
-                c[j * 2] = vaddq_f32(c[j * 2], vmulq_f32(a0, b));
-                c[j * 2 + 1] = vaddq_f32(c[j * 2 + 1], vmulq_f32(a1, b));
-            }
-        }
-        for j in 0..4 {
-            vst1q_f32(acc.as_mut_ptr().add(j * 8), c[j * 2]);
-            vst1q_f32(acc.as_mut_ptr().add(j * 8 + 4), c[j * 2 + 1]);
-        }
-    }
 
     /// 4-lane widen: the exact `× 2¹¹²` bit trick of
     /// [`super::widen_bits_portable`], transcribed lane for lane (the

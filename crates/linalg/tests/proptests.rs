@@ -5,8 +5,8 @@ use texid_linalg::f16::F16;
 use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_naive};
 use texid_linalg::dispatch::{available_backends, Backend};
 use texid_linalg::kernel::{
-    gemm_at_b_blocked, gemm_at_b_blocked_f16_on, gemm_top2, gemm_top2_blocked, gemm_top2_ex,
-    gemm_top2_f16, FusedEpilogue, PackedA, PackedB,
+    gemm_at_b_blocked, gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2,
+    gemm_top2_blocked, gemm_top2_ex, gemm_top2_f16, FusedEpilogue, PackedA, PackedB,
 };
 use texid_linalg::mat::{Mat, MatF16};
 use texid_linalg::norms::{add_row_norms, col_sq_norms};
@@ -157,6 +157,47 @@ proptest! {
     }
 
     #[test]
+    fn blocked_equals_naive_bitwise_at_the_exponent_edges(
+        d in 1usize..48, m in 1usize..40, n in 1usize..20,
+        seed in any::<u64>(),
+    ) {
+        // Every column carries its own power of two, so whole outputs sum
+        // products that are subnormal (≈ 2⁻¹³⁷: a separate multiply would
+        // round each before the add, a fused step does not) or that overflow
+        // (≈ 2¹²⁴ each: `±∞`, then `∞ − ∞`). Hardware FMA, libm's `fmaf`
+        // and the naive loop's must agree there too.
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut edge_mat = |cols: usize| {
+            let mut mat = Mat::zeros(d, cols);
+            for c in 0..cols {
+                let log2 = [-75i32, -60, 0, 62][(next() & 3) as usize];
+                let scale = f32::from_bits(((127 + log2) as u32) << 23);
+                for v in mat.col_mut(c) {
+                    *v = (next() as f32 / (1u64 << 30) as f32 - 1.0) * scale;
+                }
+            }
+            mat
+        };
+        let (a, b) = (edge_mat(m), edge_mat(n));
+        let want = gemm_at_b_naive(-2.0, &a, &b);
+        for be in available_backends() {
+            let got = gemm_at_b_blocked_on(be, -2.0, &a, &b);
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                // A NaN's sign and payload are the one thing IEEE 754 leaves
+                // to the implementation.
+                prop_assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{}: {:e} vs naive {:e}", be, g, w
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fused_top2_equals_materialize_then_scan(
         d in 1usize..32, m in 2usize..40, n in 1usize..16,
         seed in any::<u64>(),
@@ -287,11 +328,43 @@ fn assert_top2_bits_equal(got: &[Top2], want: &[Top2], what: &str) -> Result<(),
     Ok(())
 }
 
+/// Every available backend's fused kernel against [`observe_replay`], bit for
+/// bit.
+fn every_backend_equals_replay(
+    a: &MatF16,
+    b: &MatF16,
+    epi: &FusedEpilogue<'_>,
+    batch: usize,
+    m_per_ref: usize,
+) -> Result<(), String> {
+    let want = observe_replay(-2.0, a, b, epi, batch, m_per_ref);
+    for be in available_backends() {
+        let got = gemm_top2_ex(
+            -2.0,
+            &PackedA::from_f16_on(be, a),
+            &PackedB::from_f16_on(be, b),
+            epi,
+            batch,
+            m_per_ref,
+        );
+        assert_top2_bits_equal(&got, &want, be.name())?;
+    }
+    Ok(())
+}
+
 /// Seeded operands with the hostile columns the epilogue must define an
 /// outcome for: duplicated reference columns (first-index tie-break),
 /// all-zero (zero-norm) columns on both sides, and NaN / ±∞ / ±0 / tiny
 /// (f16-underflowing, so the round-trip yields signed zeros) entries.
-fn hostile_operands(d: usize, m: usize, n: usize, seed: u64, poison: bool) -> (MatF16, MatF16) {
+/// Stored as f16 at `scale`.
+fn hostile_operands(
+    d: usize,
+    m: usize,
+    n: usize,
+    seed: u64,
+    poison: bool,
+    scale: f32,
+) -> (MatF16, MatF16) {
     let mut state = seed | 1;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -322,7 +395,7 @@ fn hostile_operands(d: usize, m: usize, n: usize, seed: u64, poison: bool) -> (M
             a.col_mut(c).fill(0.0);
         }
     }
-    (a.to_f16_scaled(1.0), b.to_f16_scaled(1.0))
+    (a.to_f16_scaled(scale), b.to_f16_scaled(scale))
 }
 
 const M_PER_REF: [usize; 10] = [2, 3, 7, 8, 9, 13, 16, 24, 31, 40];
@@ -349,7 +422,7 @@ proptest! {
     ) {
         let (m_per_ref, batch, n) = (M_PER_REF[m_per_ref], BATCH[batch], N_COLS[n]);
         let m = batch * m_per_ref;
-        let (a, b) = hostile_operands(d, m, n, seed, poison);
+        let (a, b) = hostile_operands(d, m, n, seed, poison, 1.0);
         // Bias entries include both zeros, so `−0.0 + bias` flips signs.
         let bias: Vec<f32> = (0..m)
             .map(|i| match i % 4 { 0 => 0.0, 1 => -0.0, _ => (i as f32 * 0.37).sin() })
@@ -359,18 +432,37 @@ proptest! {
             row_bias: with_bias.then_some(&bias[..]),
             quantize_f16,
         };
-        let want = observe_replay(-2.0, &a, &b, &epi, batch, m_per_ref);
-        for be in available_backends() {
-            let got = gemm_top2_ex(
-                -2.0,
-                &PackedA::from_f16_on(be, &a),
-                &PackedB::from_f16_on(be, &b),
-                &epi,
-                batch,
-                m_per_ref,
-            );
-            assert_top2_bits_equal(&got, &want, be.name())?;
-        }
+        every_backend_equals_replay(&a, &b, &epi, batch, m_per_ref)?;
+    }
+
+    /// Where one fused rounding per step could show in the answer: operands
+    /// stored at the serving scale 2⁻⁷, and a gain that lands the results
+    /// on both sides of the largest finite half (65504; from 65520 up the
+    /// round-trip gives `±∞`), so an accumulator differing in its last bit
+    /// would trade a finite minimum for `−∞`. With `poison`, all-zero
+    /// columns meet `±∞` entries: `0·∞`, NaN from that step on, never
+    /// selected.
+    #[test]
+    fn fused_epilogue_bit_identical_at_the_f16_overflow_edge(
+        d in 1usize..20,
+        m_per_ref in 0usize..M_PER_REF.len(),
+        batch in 0usize..BATCH.len(),
+        n in 0usize..N_COLS.len(),
+        log2_gain in 14u32..21,
+        poison in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (m_per_ref, batch, n) = (M_PER_REF[m_per_ref], BATCH[batch], N_COLS[n]);
+        let m = batch * m_per_ref;
+        let (a, b) = hostile_operands(d, m, n, seed, poison, 0.0078125);
+        let bias: Vec<f32> = (0..m).map(|i| (i % 7) as f32 * 16.0 - 48.0).collect();
+        let epi = FusedEpilogue {
+            // Undo the operand scale (2¹⁴), then the gain.
+            scale: f32::from_bits((127 + 14 + log2_gain) << 23),
+            row_bias: Some(&bias),
+            quantize_f16: true,
+        };
+        every_backend_equals_replay(&a, &b, &epi, batch, m_per_ref)?;
     }
 }
 
