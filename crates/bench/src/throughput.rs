@@ -268,8 +268,7 @@ fn run_cell(
     let registry = texid_obs::Registry::new();
     let coalescer = Coalescer::with_registry(
         CoalesceConfig {
-            enabled: coalesce,
-            max_batch: clients,
+            max_batch: if coalesce { clients } else { 1 },
             // Generous: the barrier releases all clients of a wave at once,
             // so the group fills to `clients` long before this expires; the
             // window is only a backstop against scheduler stalls.

@@ -51,12 +51,12 @@ impl Telemetry {
             ),
             device_hits: reg.counter(
                 "texid_cache_hits",
-                "Search-time batch residency by tier; host hits pay a PCIe transfer.",
+                "Batches a search pass swept, by the tier holding them; host hits pay a PCIe transfer.",
                 &[("tier", "device")],
             ),
             host_hits: reg.counter(
                 "texid_cache_hits",
-                "Search-time batch residency by tier; host hits pay a PCIe transfer.",
+                "Batches a search pass swept, by the tier holding them; host hits pay a PCIe transfer.",
                 &[("tier", "host")],
             ),
         }
@@ -141,9 +141,9 @@ pub struct CacheStats {
     pub inserted: u64,
     /// Device→host swap-outs performed.
     pub swaps: u64,
-    /// Search-time device hits (no transfer).
+    /// Device-resident batches search passes swept (no transfer).
     pub device_hits: u64,
-    /// Search-time host hits (PCIe transfer required).
+    /// Host-resident batches search passes swept (PCIe transfer required).
     pub host_hits: u64,
     /// Host→device promotions performed by [`HybridCache::rebalance`].
     pub promotions: u64,
@@ -457,24 +457,28 @@ impl<T: Payload> HybridCache<T> {
     }
 
     /// Every cached batch in search order (device-resident first — they
-    /// need no PCIe transfer — then host-resident, each FIFO).
+    /// need no PCIe transfer — then host-resident, each FIFO). A search
+    /// pairs it with [`Self::note_hit`].
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T, Tier)> {
         let dev = self.device.iter().map(|e| (e.id, &e.payload, Tier::Device));
         let host = self.host.iter().map(|e| (e.id, &e.payload, Tier::Host));
         dev.chain(host)
     }
 
-    /// [`Self::iter`] for a search: records the hit statistics as well.
+    /// Count one search-time hit on `tier`. A search pass calls this per
+    /// batch that at least one of its queries sweeps: a host hit is a batch
+    /// that crossed PCIe, which one the IVF probe pruned did not.
     ///
     /// Takes `&self`: the hit counters are atomic cells, so any number of
     /// concurrent searches may traverse the cache behind a shared read
     /// lock while inserts hold the write lock.
-    pub fn search_iter(&self) -> impl Iterator<Item = (u64, &T, Tier)> {
-        self.stats.device_hits.fetch_add(self.device.len() as u64, Ordering::Relaxed);
-        self.stats.host_hits.fetch_add(self.host.len() as u64, Ordering::Relaxed);
-        self.telemetry.device_hits.add(self.device.len() as u64);
-        self.telemetry.host_hits.add(self.host.len() as u64);
-        self.iter()
+    pub fn note_hit(&self, tier: Tier) {
+        let (cell, counter) = match tier {
+            Tier::Device => (&self.stats.device_hits, &self.telemetry.device_hits),
+            Tier::Host => (&self.stats.host_hits, &self.telemetry.host_hits),
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
     }
 
     /// Locate a batch by id.
@@ -640,12 +644,18 @@ mod tests {
             cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
         }
         // ids 0,1 swapped to host; device holds 2..=11.
-        let order: Vec<(u64, Tier)> = cache.search_iter().map(|(id, _, t)| (id, t)).collect();
+        let order: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
         let expect: Vec<(u64, Tier)> = (2..12)
             .map(|i| (i, Tier::Device))
             .chain([(0, Tier::Host), (1, Tier::Host)])
             .collect();
         assert_eq!(order, expect);
+        // Hits are counted by the sweeper, one per batch it sweeps; the
+        // traversal alone counts nothing.
+        assert_eq!((cache.stats().device_hits, cache.stats().host_hits), (0, 0));
+        for (_, tier) in &order {
+            cache.note_hit(*tier);
+        }
         let s = cache.stats();
         assert_eq!(s.device_hits, 10);
         assert_eq!(s.host_hits, 2);
@@ -659,7 +669,7 @@ mod tests {
             cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
         }
         let host_ids: Vec<u64> = cache
-            .search_iter()
+            .iter()
             .filter(|(_, _, t)| *t == Tier::Host)
             .map(|(id, _, _)| id)
             .collect();

@@ -66,7 +66,7 @@ proptest! {
         }
         // Search order: device entries (newest k) then host entries (oldest
         // first) — ids must be a rotation of insertion order.
-        let order: Vec<(u64, Tier)> = cache.search_iter().map(|(id, _, t)| (id, t)).collect();
+        let order: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
         let host_count = order.iter().filter(|(_, t)| *t == Tier::Host).count();
         let expect: Vec<u64> = (host_count as u64..n as u64).chain(0..host_count as u64).collect();
         let got: Vec<u64> = order.iter().map(|(id, _)| *id).collect();
@@ -91,7 +91,7 @@ proptest! {
         for (id, &b) in sizes.iter().enumerate() {
             let _ = cache.insert(id as u64, Blob(b), &mut sim);
         }
-        let from_iter: Vec<(u64, Tier)> = cache.search_iter().map(|(id, _, t)| (id, t)).collect();
+        let from_iter: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
         for (id, tier) in from_iter {
             prop_assert_eq!(cache.tier_of(id), Some(tier));
         }

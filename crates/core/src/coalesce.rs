@@ -35,9 +35,8 @@ use crate::engine::{Engine, SearchResult};
 /// Coalescing policy.
 #[derive(Clone, Copy, Debug)]
 pub struct CoalesceConfig {
-    /// Master switch; disabled means every search sweeps alone.
-    pub enabled: bool,
-    /// Queries per merged sweep, at most. `<= 1` degenerates to disabled.
+    /// Queries per merged sweep, at most. `<= 1` is the one way to say "no
+    /// coalescing": every search sweeps alone.
     pub max_batch: usize,
     /// How long a leader holds the group open for followers to join.
     pub window: Duration,
@@ -46,7 +45,6 @@ pub struct CoalesceConfig {
 impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
-            enabled: true,
             max_batch: 16,
             // Short enough to be invisible next to a multi-batch sweep
             // (hundreds of µs to ms), long enough for a burst of
@@ -115,7 +113,7 @@ impl Coalescer {
     /// collecting, otherwise lead a new one. Blocks until this query's
     /// result is available (bounded by the window plus one sweep).
     pub fn search(&self, engine: &RwLock<Engine>, query: &FeatureMatrix) -> SearchResult {
-        if !self.cfg.enabled || self.cfg.max_batch <= 1 {
+        if self.cfg.max_batch <= 1 {
             let r = engine.read().search(query);
             self.batch_size.observe(1.0);
             return r;
@@ -271,11 +269,7 @@ mod tests {
         let engine = RwLock::new(cramped_engine());
         let registry = texid_obs::Registry::new();
         let coalescer = Coalescer::with_registry(
-            CoalesceConfig {
-                enabled: true,
-                max_batch: 4,
-                window: Duration::from_millis(500),
-            },
+            CoalesceConfig { max_batch: 4, window: Duration::from_millis(500) },
             &registry,
         );
         let solo_h2d = engine.read().search(&query(1)).report.h2d_us;
@@ -312,7 +306,7 @@ mod tests {
         let engine = RwLock::new(cramped_engine());
         let registry = texid_obs::Registry::new();
         let coalescer = Coalescer::with_registry(
-            CoalesceConfig { enabled: false, ..CoalesceConfig::default() },
+            CoalesceConfig { max_batch: 1, ..CoalesceConfig::default() },
             &registry,
         );
         let direct = engine.read().search(&query(9));

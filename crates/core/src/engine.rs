@@ -12,6 +12,12 @@
 //! reference where it lies, so the sweep, the report and the cache's byte
 //! accounting follow the live set however often an id was rewritten.
 //!
+//! A search ([`Engine::search_many`]) is one pass over the cache in batch
+//! order, accumulating each query's [`SearchReport`] and ranking in place.
+//! Per batch it prices the device work ([`texid_knn::BatchWork`]) through
+//! the analytic cost model and, numerics on, scores the batch on the host:
+//! no simulated device is driven, so `&self` searches share only atomics.
+//!
 //! Two ingestion modes:
 //! * [`Engine::add_reference`] — real features (accuracy experiments,
 //!   examples, the distributed system);
@@ -23,18 +29,15 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
-use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Kernel, Precision};
+use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
 use texid_knn::ivf::{pool_column_slice, pool_columns, IvfIndex};
-use texid_knn::pair::D2H_BYTES_PER_QUERY_FEATURE;
 use texid_knn::{
-    match_batch, match_batch_packed, Algorithm, ExecMode, FeatureBlock, MatchConfig, PackedBlock,
+    score_batch, score_batch_packed, BatchWork, ExecMode, FeatureBlock, MatchConfig, PackedBlock,
 };
 use texid_linalg::kernel::{PackedA, PackedB};
 use texid_linalg::Backend;
-use texid_obs::{Counter, Gauge, Histogram, Span};
+use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
 use texid_sift::FeatureMatrix;
 
 /// Cached telemetry handles, registered once per engine against the global
@@ -44,12 +47,8 @@ use texid_sift::FeatureMatrix;
 struct Telemetry {
     encode: Histogram,
     probe: Histogram,
-    h2d: Histogram,
-    gemm: Histogram,
-    top2: Histogram,
-    d2h: Histogram,
-    post: Histogram,
-    total: Histogram,
+    /// Sim-clock series, in [`SearchReport::sim_series`] order.
+    sim: [Histogram; 6],
     searches: Counter,
     images: Counter,
     ivf_cells_probed: Counter,
@@ -73,12 +72,7 @@ impl Telemetry {
         Telemetry {
             encode: reg.stage_duration("encode", "wall"),
             probe: reg.stage_duration("probe", "sim"),
-            h2d: reg.stage_duration("h2d", "sim"),
-            gemm: reg.stage_duration("gemm", "sim"),
-            top2: reg.stage_duration("top2", "sim"),
-            d2h: reg.stage_duration("d2h", "sim"),
-            post: reg.stage_duration("post", "sim"),
-            total: reg.stage_duration("total", "sim"),
+            sim: DRIFT_STAGES.map(|stage| reg.stage_duration(stage, "sim")),
             searches: reg.counter(
                 "texid_engine_searches",
                 "Single-node search passes completed.",
@@ -116,12 +110,9 @@ impl Telemetry {
     /// Record one search's per-stage accounting.
     fn observe(&self, report: &SearchReport) {
         self.probe.observe(report.probe_us);
-        self.h2d.observe(report.h2d_us);
-        self.gemm.observe(report.gemm_us);
-        self.top2.observe(report.sort_us);
-        self.d2h.observe(report.d2h_us);
-        self.post.observe(report.post_us);
-        self.total.observe(report.total_us);
+        for (series, us) in self.sim.iter().zip(report.sim_series()) {
+            series.observe(us);
+        }
         self.searches.inc();
         self.images.add(report.images as u64);
         let swept = (report.device_batches + report.host_batches) as u64;
@@ -315,6 +306,67 @@ impl SearchReport {
         }
         self.total_us / self.images as f64
     }
+
+    /// The field holding `stage`'s simulated µs — the one [`Stage`] ↔ field
+    /// mapping of this record.
+    pub fn stage_us_mut(&mut self, stage: Stage) -> &mut f64 {
+        match stage {
+            Stage::H2d => &mut self.h2d_us,
+            Stage::Gemm => &mut self.gemm_us,
+            Stage::Top2 => &mut self.sort_us,
+            Stage::D2h => &mut self.d2h_us,
+            Stage::Post => &mut self.post_us,
+        }
+    }
+
+    /// `stage`'s simulated µs (read through a copy, so the mapping above
+    /// stays the only one).
+    pub fn stage_us(&self, stage: Stage) -> f64 {
+        *{ *self }.stage_us_mut(stage)
+    }
+
+    /// The sim-clock series every per-stage surface reports, in
+    /// [`DRIFT_STAGES`] order: each [`Stage`]'s µs, then `total_us`.
+    pub fn sim_series(&self) -> [f64; 6] {
+        let [h2d, gemm, top2, d2h, post] = Stage::ALL.map(|stage| self.stage_us(stage));
+        [h2d, gemm, top2, d2h, post, self.total_us]
+    }
+
+    /// What a shard *measures* when this report is the model's prediction
+    /// and the leg ran perturbed: one stage stalled by a factor (the extra
+    /// time lands in both totals), the whole leg straggling by a factor,
+    /// retry backoff added to the wall total.
+    pub fn perturbed(
+        mut self,
+        stage_stall: Option<(Stage, f64)>,
+        straggle: Option<f64>,
+        backoff_us: f64,
+    ) -> SearchReport {
+        if let Some((stage, factor)) = stage_stall {
+            let slot = self.stage_us_mut(stage);
+            let delta = *slot * (factor - 1.0);
+            *slot *= factor;
+            self.serial_total_us += delta;
+            self.total_us += delta;
+        }
+        if let Some(factor) = straggle {
+            self.total_us *= factor;
+            self.serial_total_us *= factor;
+        }
+        self.total_us += backoff_us;
+        self
+    }
+}
+
+/// One query of a search pass, encoded once and shared by every batch.
+struct EncodedQuery {
+    /// Storage-precision features, truncated to `n_query` columns.
+    block: FeatureBlock,
+    /// `block` packed for the fused kernel (configurations that run it).
+    packed: Option<PackedBlock<PackedB>>,
+    /// IVF probe outcome — the batches posted in the probed cells, and how
+    /// many cells that was. `None` on the exhaustive path.
+    probe: Option<(BTreeSet<u64>, usize)>,
 }
 
 /// The single-GPU search engine.
@@ -361,12 +413,6 @@ pub struct Engine {
     pending_pooled: Vec<Vec<f32>>,
     /// Pooled descriptors per sealed batch awaiting quantizer training.
     unindexed_pools: Vec<(u64, Vec<Vec<f32>>)>,
-    /// Reusable scratch devices for functional matching (timing comes from
-    /// the engine-level cost accounting, not these). A pool rather than a
-    /// single sim so concurrent `&self` searches never serialize on one
-    /// scratch device: each batch pops a sim (creating one only when the
-    /// pool is dry, i.e. at most once per concurrent worker) and returns it.
-    scratch: Mutex<Vec<GpuSim>>,
     telemetry: Telemetry,
     /// Sealed batches + search passes since the last cache rebalance.
     /// Atomic because the search path bumps it under `&self`.
@@ -392,7 +438,6 @@ impl Engine {
             ivf: None,
             pending_pooled: Vec::new(),
             unindexed_pools: Vec::new(),
-            scratch: Mutex::new(Vec::new()),
             telemetry: Telemetry::register(),
             since_rebalance: AtomicUsize::new(0),
         }
@@ -674,9 +719,9 @@ impl Engine {
     /// exported as-is (they are semantically inert).
     ///
     /// Phantom (timing-only) references are skipped.
-    pub fn export_references(&mut self) -> Vec<(u64, texid_linalg::Mat)> {
+    pub fn export_references(&self) -> Vec<(u64, texid_linalg::Mat)> {
         let mut out = Vec::with_capacity(self.references);
-        for (_, batch, _) in self.cache.search_iter() {
+        for (_, batch, _) in self.cache.iter() {
             let BatchData::Real { block, .. } = &batch.data else { continue };
             let d = block.rows();
             let full = match block {
@@ -725,10 +770,9 @@ impl Engine {
     /// matrix is truncated to `n_query` columns (asymmetric n).
     ///
     /// Takes `&self`: the search path only reads the cache layout and
-    /// config; hit statistics and telemetry are atomic cells, and the
-    /// functional-matching scratch devices live in an interior pool. Any
-    /// number of searches may therefore run concurrently behind a shared
-    /// read lock.
+    /// config, and hit statistics, probe heat and telemetry are atomic
+    /// cells. Any number of searches may therefore run concurrently behind
+    /// a shared read lock.
     ///
     /// A degenerate query (no features) returns every reference with a
     /// zero score rather than panicking — extraction can legitimately come
@@ -737,290 +781,155 @@ impl Engine {
         self.search_many(&[query]).pop().expect("one query in, one result out")
     }
 
+    /// Encode one query for a pass: asymmetric-n truncation, storage
+    /// precision, the fused kernel's panels (packed once for the whole
+    /// sweep) and — when a probe runs — the top-`nprobe` cells of its pooled
+    /// descriptor with the union of their posting lists: the batches this
+    /// query must still sweep exactly.
+    fn encode_query(&self, query: &FeatureMatrix, prober: Option<&IvfIndex>) -> EncodedQuery {
+        let matching = &self.cfg.matching;
+        let n = self.cfg.n_query.min(query.len());
+        let data = &query.mat.as_slice()[..query.dim() * n];
+        let (block, packed) = {
+            let _span = Span::with(self.telemetry.encode.clone());
+            let block =
+                FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale);
+            let packed =
+                self.runs_fused_kernel().then(|| block.pack_query(matching.kernel_backend()));
+            (block, packed)
+        };
+        let probe = prober.map(|ivf| {
+            // Pooled before quantization, like the references' pools.
+            let cells = ivf.probe(&pool_column_slice(query.dim(), data), matching.ivf.nprobe);
+            (ivf.batches_in(&cells), cells.len())
+        });
+        EncodedQuery { block, packed, probe }
+    }
+
+    /// One query against one batch it sweeps: add the batch to the query's
+    /// report — its H2D share if it streamed from the host, and the kernel
+    /// work, which is never amortized — and, numerics on, score the batch's
+    /// references into the query's ranking.
+    fn sweep_batch(
+        &self,
+        batch: &RefBatch,
+        tier: Tier,
+        h2d_share_us: f64,
+        q: &EncodedQuery,
+        out: &mut SearchResult,
+    ) {
+        let matching = &self.cfg.matching;
+        let (bsize, m_per) = (batch.ids.len(), batch.m_per_ref);
+        let report = &mut out.report;
+        report.images += bsize;
+        if tier == Tier::Host {
+            report.host_batches += 1;
+            report.h2d_us += h2d_share_us;
+        } else {
+            report.device_batches += 1;
+        }
+        let steps = BatchWork::new(matching, bsize, m_per, q.block.cols(), q.block.rows())
+            .price(self.sim.spec());
+        report.gemm_us += steps.gemm_us;
+        report.sort_us += steps.sort_us;
+        report.d2h_us += steps.d2h_us;
+        report.post_us += steps.post_us;
+
+        if let (ExecMode::Full, BatchData::Real { block, packed }) = (matching.exec, &batch.data) {
+            let scored = match (packed, &q.packed) {
+                (Some(r), Some(qp)) => score_batch_packed(matching, r, bsize, m_per, qp),
+                _ => score_batch(matching, block, bsize, m_per, &q.block),
+            };
+            out.ranked.extend(batch.ids.iter().copied().zip(scored.scores));
+        }
+    }
+
     /// Search `Q` coalesced queries in one pass over the cache: every
     /// reference batch is visited once, each *host*-resident batch is
     /// charged its H2D transfer **once** and the cost is split `1/Q` into
     /// each query's report ([`cost::h2d_amortized_us`]) — the continuous
     /// batching that makes concurrent serving cheaper than Q independent
-    /// sweeps. Per-query results are demuxed in input order.
+    /// sweeps. Per-query results come back in input order.
     ///
-    /// Determinism contract: for `Q = 1` the result is bit-identical to
-    /// the historical serial sweep (same batch visit order, same f64
-    /// accumulation order, same stable ranking sort), and the per-batch
-    /// sweep below parallelizes over *batches* while the merge folds
-    /// partial results back in batch index order — so concurrent and
-    /// serial execution cannot diverge.
+    /// Determinism contract: the order of operations. Batches are visited
+    /// in cache order (device tier, then host, each FIFO), each query's
+    /// report fields accumulate `+=` in that order, its ranking is sorted
+    /// `(score desc, id asc)`, and nothing a concurrent caller can touch
+    /// feeds a result — so serial, concurrent and coalesced execution
+    /// cannot diverge.
     pub fn search_many(&self, queries: &[&FeatureMatrix]) -> Vec<SearchResult> {
         let nq = queries.len();
         if nq == 0 {
             return Vec::new();
         }
         // An IVF probe only runs when the quantizer is trained AND the
-        // configuration actually prunes (`nprobe < nlist`). Otherwise —
-        // `ivf.enabled = false`, `nprobe >= nlist`, or an untrained index —
-        // this is None and the sweep below is the historical exhaustive
-        // path, bit-identical down to every report field.
-        let prober: Option<&IvfIndex> = match &self.ivf {
-            Some(ivf) if self.cfg.matching.ivf.prunes() => Some(ivf),
-            _ => None,
-        };
-
-        // Encode every query block up front (asymmetric n truncation),
-        // pooling each query's descriptors first when a probe will run. On
-        // the fused path the query's panels are packed here too — once per
-        // query, shared by every batch of the sweep.
-        struct EncodedQuery {
-            n: usize,
-            block: FeatureBlock,
-            packed: Option<PackedBlock<PackedB>>,
-            pooled: Option<Vec<f32>>,
-        }
-        let matching = &self.cfg.matching;
-        let fused = self.runs_fused_kernel();
-        let qblocks: Vec<EncodedQuery> = queries
+        // configuration prunes (`nprobe < nlist`). Otherwise this is None
+        // and the sweep is the exhaustive path, bit-identical down to every
+        // report field.
+        let prober = self.ivf.as_ref().filter(|_| self.cfg.matching.ivf.prunes());
+        let encoded: Vec<EncodedQuery> =
+            queries.iter().map(|q| self.encode_query(q, prober)).collect();
+        let mut results: Vec<SearchResult> = encoded
             .iter()
-            .map(|query| {
-                let n = self.cfg.n_query.min(query.len());
-                let data = &query.mat.as_slice()[..query.dim() * n];
-                let pooled = prober.is_some().then(|| pool_column_slice(query.dim(), data));
-                let _span = Span::with(self.telemetry.encode.clone());
-                let block =
-                    FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale);
-                let packed = fused.then(|| block.pack_query(matching.kernel_backend()));
-                EncodedQuery { n, block, packed, pooled }
+            .map(|q| {
+                let cells_probed = q.probe.as_ref().map_or(0, |(_, cells)| *cells);
+                let report =
+                    SearchReport { coalesced_queries: nq, cells_probed, ..SearchReport::default() };
+                SearchResult { ranked: Vec::new(), report }
             })
             .collect();
+        let spec = self.sim.spec();
 
-        // Probe: per query, the top-nprobe cells and the union of their
-        // posting lists — the batches this query must still sweep exactly.
-        let candidates: Option<Vec<(BTreeSet<u64>, usize)>> = prober.map(|ivf| {
-            qblocks
-                .iter()
-                .map(|q| {
-                    let pool = q.pooled.as_ref().expect("pooled alongside an active prober");
-                    let cells = ivf.probe(pool, self.cfg.matching.ivf.nprobe);
-                    let batches = ivf.batches_in(&cells);
-                    (batches, cells.len())
-                })
-                .collect()
-        });
+        for (id, batch, tier) in self.cache.iter() {
+            // A query sweeps this batch unless its probe pruned it: every
+            // query on the exhaustive path; on the probed path, the batches
+            // in the query's probed cells, plus any batch the index has
+            // never seen (phantom batches are not pooled).
+            let indexed = prober.is_some_and(|ivf| ivf.contains(id));
+            let sweeps = |q: &EncodedQuery| match &q.probe {
+                Some((batches, _)) if indexed => batches.contains(&id),
+                _ => true,
+            };
+            let nsel = encoded.iter().filter(|q| sweeps(q)).count();
+            if nsel > 0 {
+                self.cache.note_hit(tier);
+                // Probe-frequency feedback for the cache tier: heat grows by
+                // how many queries touched the batch, so `rebalance_cache`
+                // can pin hot cells' batches into device memory.
+                if prober.is_some() {
+                    self.cache.note_heat(id, nsel as u64);
+                }
+            }
+            // Host-resident batches stream over PCIe once for all queries
+            // that sweep them (§6.1 + coalescing); each gets a 1/nsel share.
+            let h2d_share_us = if tier == Tier::Host && nsel > 0 {
+                cost::h2d_amortized_us(spec, batch.size_bytes(), self.cfg.cache.pinned, nsel)
+            } else {
+                0.0
+            };
+            for (q, out) in encoded.iter().zip(&mut results) {
+                if sweeps(q) {
+                    self.sweep_batch(batch, tier, h2d_share_us, q, out);
+                } else {
+                    out.report.batches_pruned += 1;
+                }
+            }
+        }
+
+        // `probe_us` is 0.0 on the exhaustive path, and `0.0 + x` is bitwise
+        // `x` here (every cost sum is non-negative), so the degenerate-path
+        // totals stay bit-identical.
         let probe_us = prober.map_or(0.0, |ivf| {
-            cost::ivf_probe_us(
-                self.sim.spec(),
-                ivf.nlist(),
-                ivf.dim(),
-                self.cfg.matching.precision,
-            )
+            cost::ivf_probe_us(spec, ivf.nlist(), ivf.dim(), self.cfg.matching.precision)
         });
-
-        let pinned = self.cfg.cache.pinned;
-        let spec = self.sim.spec().clone();
-
-        // Collect batch descriptors first (borrow juggling with the cache).
-        // `selected[qi]` says whether query qi sweeps this batch: everything
-        // on the exhaustive path; on the probed path, the batches in the
-        // query's probed cells, plus any batch the index has never seen
-        // (phantom batches are not pooled, so they are always swept).
-        struct Work<'a> {
-            id: u64,
-            batch: &'a RefBatch,
-            tier: Tier,
-            selected: Vec<bool>,
-        }
-        let work: Vec<Work<'_>> = {
-            let iter = self.cache.search_iter();
-            iter.map(|(id, b, tier)| {
-                let selected = match (&candidates, prober) {
-                    (Some(cands), Some(ivf)) if ivf.contains(id) => {
-                        cands.iter().map(|(batches, _)| batches.contains(&id)).collect()
-                    }
-                    _ => vec![true; nq],
-                };
-                Work { id, batch: b, tier, selected }
-            })
-            .collect()
-        };
-
-        // Per-batch partial result: costs and score contributions for each
-        // of the Q queries. Computed independently per batch (rayon), then
-        // folded in batch index order so accumulation stays deterministic.
-        struct BatchPartial {
-            id: u64,
-            bsize: usize,
-            tier: Tier,
-            selected: Vec<bool>,
-            h2d_share_us: f64,
-            gemm_us: Vec<f64>,
-            sort_us: Vec<f64>,
-            d2h_us: Vec<f64>,
-            post_us: Vec<f64>,
-            scores: Vec<Vec<(u64, usize)>>,
-        }
-
-        let partials: Vec<BatchPartial> = work
-            .par_iter()
-            .map(|w| {
-                let bsize = w.batch.ids.len();
-                let m_per = w.batch.m_per_ref;
-                let cols = bsize * m_per;
-                let nsel = w.selected.iter().filter(|&&s| s).count();
-
-                // Host-resident batches stream over PCIe once for all
-                // queries that sweep them (§6.1 + coalescing); each
-                // surviving report gets a 1/nsel share. On the exhaustive
-                // path nsel == nq, so the share is unchanged.
-                let h2d_share_us = if w.tier == Tier::Host && nsel > 0 {
-                    cost::h2d_amortized_us(&spec, w.batch.size_bytes(), pinned, nsel)
-                } else {
-                    0.0
-                };
-
-                // Kernel + copy durations per query (engine-level
-                // accounting; the serial per-batch pipeline matches
-                // `texid_knn::match_batch`).
-                let mut gemm_us = Vec::with_capacity(nq);
-                let mut sort_us = Vec::with_capacity(nq);
-                let mut d2h_us = Vec::with_capacity(nq);
-                let mut post_us = Vec::with_capacity(nq);
-                for (qi, EncodedQuery { n, .. }) in qblocks.iter().enumerate() {
-                    if !w.selected[qi] {
-                        gemm_us.push(0.0);
-                        sort_us.push(0.0);
-                        d2h_us.push(0.0);
-                        post_us.push(0.0);
-                        continue;
-                    }
-                    gemm_us.push(cost::kernel_duration_us(&spec, &Kernel::Gemm {
-                        m_rows: cols,
-                        n_cols: *n,
-                        k_depth: 128,
-                        precision: self.cfg.matching.precision,
-                        tensor_core: self.cfg.matching.tensor_core,
-                    }));
-                    sort_us.push(cost::kernel_duration_us(&spec, &Kernel::Top2Scan {
-                        m_rows: m_per,
-                        n_cols: bsize * n,
-                        precision: self.cfg.matching.precision,
-                    }));
-                    d2h_us.push(cost::d2h_duration_us(
-                        &spec,
-                        (bsize * n) as u64 * D2H_BYTES_PER_QUERY_FEATURE,
-                    ));
-                    post_us.push(cost::cpu_post_us(&spec, bsize));
-                }
-
-                // Functional matching for real batches when numerics are
-                // on. The scratch device comes from the engine pool: at
-                // most one sim is ever created per concurrent worker, and
-                // it is reused across batches and searches (its clock state
-                // does not feed the cost accounting above).
-                let mut scores: Vec<Vec<(u64, usize)>> = vec![Vec::new(); nq];
-                if self.cfg.matching.exec == ExecMode::Full && nsel > 0 {
-                    if let BatchData::Real { block, packed } = &w.batch.data {
-                        let cfg = MatchConfig {
-                            algorithm: Algorithm::RootSiftTop2,
-                            exec: ExecMode::Full,
-                            ..self.cfg.matching
-                        };
-                        let mut scratch = self
-                            .scratch
-                            .lock()
-                            .pop()
-                            .unwrap_or_else(|| GpuSim::new(spec.clone()));
-                        let st = scratch.default_stream();
-                        for (qi, q) in qblocks.iter().enumerate() {
-                            if !w.selected[qi] {
-                                continue;
-                            }
-                            let out = match (packed, &q.packed) {
-                                (Some(r), Some(qp)) => {
-                                    match_batch_packed(&cfg, r, bsize, m_per, qp, &mut scratch, st)
-                                }
-                                _ => match_batch(
-                                    &cfg, block, bsize, m_per, &q.block, &mut scratch, st,
-                                ),
-                            };
-                            for (i, &id) in w.batch.ids.iter().enumerate() {
-                                scores[qi].push((id, out.scores[i]));
-                            }
-                        }
-                        self.scratch.lock().push(scratch);
-                    }
-                }
-
-                BatchPartial {
-                    id: w.id,
-                    bsize,
-                    tier: w.tier,
-                    selected: w.selected.clone(),
-                    h2d_share_us,
-                    gemm_us,
-                    sort_us,
-                    d2h_us,
-                    post_us,
-                    scores,
-                }
-            })
-            .collect();
-        drop(work);
-
-        // Probe-frequency feedback for the cache tier: each batch's heat
-        // grows by how many of this sweep's queries actually touched it, so
-        // `rebalance_cache` can pin hot cells' batches into device memory.
-        if prober.is_some() {
-            for p in &partials {
-                let nsel = p.selected.iter().filter(|&&s| s).count();
-                if nsel > 0 {
-                    self.cache.note_heat(p.id, nsel as u64);
-                }
-            }
-        }
-
-        // Deterministic merge: fold per-batch partials in batch index
-        // order, per query — field-by-field `+=` in exactly the order the
-        // old serial loop used. Batches the probe pruned for this query
-        // contribute nothing but a `batches_pruned` tick.
-        let mut results = Vec::with_capacity(nq);
-        for qi in 0..nq {
-            let mut report = SearchReport { coalesced_queries: nq, ..SearchReport::default() };
-            if let Some(cands) = &candidates {
-                report.cells_probed = cands[qi].1;
-            }
-            let mut ranked: Vec<(u64, usize)> = Vec::new();
-            for p in &partials {
-                if !p.selected[qi] {
-                    report.batches_pruned += 1;
-                    continue;
-                }
-                report.images += p.bsize;
-                if p.tier == Tier::Host {
-                    report.host_batches += 1;
-                    report.h2d_us += p.h2d_share_us;
-                } else {
-                    report.device_batches += 1;
-                }
-                report.gemm_us += p.gemm_us[qi];
-                report.sort_us += p.sort_us[qi];
-                report.d2h_us += p.d2h_us[qi];
-                report.post_us += p.post_us[qi];
-                ranked.extend_from_slice(&p.scores[qi]);
-            }
-            // `probe_us` is 0.0 on the exhaustive path, and `0.0 + x` is
-            // bitwise `x` here (every cost sum is non-negative), so the
-            // degenerate-path totals stay bit-identical.
+        for SearchResult { ranked, report } in &mut results {
             report.probe_us = probe_us;
-            report.serial_total_us = report.probe_us
-                + report.h2d_us
-                + report.gemm_us
-                + report.sort_us
-                + report.d2h_us
-                + report.post_us;
+            report.serial_total_us =
+                Stage::ALL.iter().fold(probe_us, |sum, &stage| sum + report.stage_us(stage));
             report.total_us =
-                report.serial_total_us * streams::stream_time_factor(&spec, self.cfg.streams);
-            self.telemetry.observe(&report);
-
+                report.serial_total_us * streams::stream_time_factor(spec, self.cfg.streams);
+            self.telemetry.observe(report);
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            results.push(SearchResult { ranked, report });
         }
         // One cadence tick per search pass (not per coalesced query): the
         // maintenance step that consumes these ticks needs a write lock, so
@@ -1394,6 +1303,56 @@ mod tests {
         // reports how many host batches it promoted into device memory.
         let promoted = engine.rebalance_cache();
         let _ = promoted;
+    }
+
+    /// A cache hit is a batch some query of the pass swept: with the probe
+    /// pruning, the batches it skips count on neither tier (nothing crossed
+    /// PCIe for them), and exporting the references is not a search.
+    #[test]
+    fn cache_hits_count_the_batches_a_pass_swept() {
+        // Device sized for ~6 of the 32 KiB (128×128 f16) batches: with 12
+        // single-reference batches the FIFO leaves ids 0–5 host-resident.
+        let mut spec = DeviceSpec::tesla_p100();
+        spec.mem_bytes = 7 * 32 * 1024;
+        spec.context_overhead_bytes = 0;
+        let mut engine = Engine::new(EngineConfig {
+            device: spec,
+            m_ref: 128,
+            n_query: 256,
+            batch_size: 1,
+            matching: MatchConfig {
+                ivf: texid_knn::IvfParams {
+                    enabled: true,
+                    nlist: 4,
+                    nprobe: 1,
+                    ..texid_knn::IvfParams::default()
+                },
+                ..MatchConfig::default()
+            },
+            cache: CacheConfig {
+                host_capacity_bytes: 64 << 30,
+                device_reserve_bytes: 0,
+                pinned: true,
+            },
+            rebalance_every: 0,
+            ..EngineConfig::default()
+        });
+        for id in 0..12u64 {
+            engine.add_reference(id, &features(id, 128)).unwrap();
+        }
+        engine.flush().unwrap();
+        assert!(engine.cache_stats().swaps > 0, "setup must leave some batches host-resident");
+
+        let before = engine.cache_stats();
+        // Reference 3 sits on the host tier; its own features probe its cell.
+        let r = engine.search(&features(3, 128)).report;
+        assert!(r.batches_pruned > 0 && r.host_batches > 0, "{r:?}");
+        let after = engine.cache_stats();
+        assert_eq!(after.device_hits - before.device_hits, r.device_batches as u64);
+        assert_eq!(after.host_hits - before.host_hits, r.host_batches as u64);
+
+        assert_eq!(engine.export_references().len(), 12);
+        assert_eq!(engine.cache_stats(), after, "an export is not a search");
     }
 
     /// The serving-path cadence: with `rebalance_every` small, probed

@@ -50,17 +50,22 @@ use crate::json::{parse, Json};
 use crate::wire;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use texid_obs::{global_events, global_ring, Clock, SpanRecord, TraceContext, WideEvent, TRACE_HEADER};
+use texid_obs::{
+    global_events, global_ring, Clock, SpanRecord, Stage, TraceContext, WideEvent, TRACE_HEADER,
+};
 use texid_sift::FeatureMatrix;
 
 fn err_json(status: u16, msg: &str) -> Response {
     Response::json(status, Json::obj([("error", Json::Str(msg.to_string()))]).to_string())
 }
 
-/// The request body as JSON (bytes that are not UTF-8 repaired lossily),
-/// or the 400 that answers it.
+/// The request body as JSON, or the 400 that answers it. The bytes are
+/// validated as UTF-8 once and parsed where they lie: a body that is not
+/// UTF-8 is refused, never repaired into something the client did not send.
 fn json_body(req: &Request) -> Result<Json, Response> {
-    parse(&String::from_utf8_lossy(&req.body)).map_err(|e| err_json(400, &e.to_string()))
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| err_json(400, "body is not valid UTF-8"))?;
+    parse(text).map_err(|e| err_json(400, &e.to_string()))
 }
 
 fn parse_features_field(v: &Json, field: &str) -> Result<FeatureMatrix, Response> {
@@ -95,7 +100,8 @@ fn allow_for(segments: &[&str]) -> Option<&'static str> {
 
 /// One wide event as a flat JSON object (one `GET /events` line).
 fn event_json(e: &WideEvent) -> Json {
-    Json::obj([
+    let stages = Stage::ALL.map(|stage| (stage.event_key(), Json::Num(e.stage_us(stage))));
+    let fields = [
         ("seq", Json::Num(e.seq as f64)),
         (
             "trace_id",
@@ -120,12 +126,8 @@ fn event_json(e: &WideEvent) -> Json {
         ("cells_probed", Json::Num(e.cells_probed as f64)),
         ("batches_pruned", Json::Num(e.batches_pruned as f64)),
         ("retries", Json::Num(e.retries as f64)),
-        ("h2d_us", Json::Num(e.h2d_us)),
-        ("gemm_us", Json::Num(e.gemm_us)),
-        ("top2_us", Json::Num(e.top2_us)),
-        ("d2h_us", Json::Num(e.d2h_us)),
-        ("post_us", Json::Num(e.post_us)),
-    ])
+    ];
+    Json::obj(fields.into_iter().chain(stages))
 }
 
 /// One span as a JSON tree node, children nested and sorted by start.
@@ -695,6 +697,31 @@ mod tests {
         assert_eq!(http_call(addr, "GET", "/textures/abc", b"").unwrap().status, 400);
         assert_eq!(http_call(addr, "POST", "/health", b"").unwrap().status, 405);
         assert_eq!(http_call(addr, "GET", "/heal", b"").unwrap().status, 405);
+    }
+
+    #[test]
+    fn a_body_that_is_not_utf8_is_refused_not_repaired() {
+        let cluster = test_cluster();
+        let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+
+        // Valid JSON but for one 0xFF inside a string field the route never
+        // reads: a lossy repair would enroll the texture.
+        let enroll = |note: &[u8]| {
+            let mut body = br#"{"id": 7, "note": ""#.to_vec();
+            body.extend_from_slice(note);
+            let rest = format!(r#"", "features": "{}"}}"#, features_b64(7, 128));
+            body.extend_from_slice(rest.as_bytes());
+            http_call(addr, "POST", "/textures", &body).unwrap()
+        };
+        let resp = enroll(b"caf\xff");
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert!(resp.text().contains("body is not valid UTF-8"), "{}", resp.text());
+        assert_eq!(cluster.len(), 0, "nothing was stored");
+
+        // The same body with the byte in UTF-8 is enrolled.
+        assert_eq!(enroll("caf\u{e9}".as_bytes()).status, 201);
+        assert_eq!(cluster.len(), 1);
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! sees exactly one of them, and the engines index the external ids
 //! directly — nothing is masked or translated on the read path.
 //!
+//! # The search path
+//!
+//! [`Cluster::search_traced`] is orchestration over one `Leg` per shard
+//! (plan, trace context, answer) handed through named phases: `plan_legs`
+//! (sequential: breaker gating and fault draws), `run_leg` (one thread per
+//! dispatched leg — the only parallelism of a search), `account_legs` (the
+//! single per-leg accounting point; every per-stage surface there is a loop
+//! over `Stage::ALL` projecting the leg's `SearchReport`) and
+//! `merge_and_publish`. A leg's *measured* report is its *predicted* one
+//! under the planned perturbation ([`SearchReport::perturbed`]).
+//!
 //! # Failure model & degraded mode
 //!
 //! A shard leg of a search can fail (crash, injected fault, cache error) —
@@ -51,13 +62,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use texid_cache::CacheError;
-use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport};
-use texid_gpu::{DeviceSpec, GpuSim};
+use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport, SearchResult};
 use texid_knn::geometry::{verify_matches, RansacParams};
-use texid_knn::{match_pair, ExecMode, FeatureBlock, MatchConfig};
+use texid_knn::{score_pair, FeatureBlock};
 use texid_obs::{
     global_events, global_ring, Counter, DriftSentry, DriftStatus, Gauge, Histogram, Registry,
-    SloEngine, SloSpec, SloStatus, TraceContext, TraceRing, WideEvent,
+    SloEngine, SloSpec, SloStatus, TraceContext, WideEvent, DRIFT_STAGES, STAGE_TOTAL,
 };
 use texid_sift::FeatureMatrix;
 use texid_store::{
@@ -98,9 +108,9 @@ struct Telemetry {
     wal_appends: Gauge,
     wal_bytes: Gauge,
     wal_snapshots: Gauge,
-    /// The process-wide sim-clock stage histograms (`h2d`, `gemm`,
-    /// `top2`, `d2h`, `post`, `total`) the engines observe into. The
-    /// cluster stamps OpenMetrics exemplars on them with *measured*
+    /// The process-wide sim-clock stage histograms the engines observe
+    /// into ([`DRIFT_STAGES`]: each stage, then the total). The cluster
+    /// stamps OpenMetrics exemplars on them with *measured*
     /// (perturbation-inclusive) per-stage values, so a `/metrics` bucket
     /// links to the trace of a query that actually landed there.
     stage_sim: [Histogram; 6],
@@ -236,17 +246,7 @@ impl Telemetry {
                 "Checksummed snapshots written by feature-store compaction since startup.",
                 &[],
             ),
-            stage_sim: {
-                let g = texid_obs::global();
-                [
-                    g.stage_duration("h2d", "sim"),
-                    g.stage_duration("gemm", "sim"),
-                    g.stage_duration("top2", "sim"),
-                    g.stage_duration("d2h", "sim"),
-                    g.stage_duration("post", "sim"),
-                    g.stage_duration("total", "sim"),
-                ]
-            },
+            stage_sim: DRIFT_STAGES.map(|stage| texid_obs::global().stage_duration(stage, "sim")),
         }
     }
 }
@@ -420,6 +420,20 @@ impl Default for ShardState {
 impl ShardState {
     fn health(&self) -> ShardHealth {
         self.health
+    }
+
+    /// Whether this search dispatches to the shard: always, unless its
+    /// breaker is open — a `Down` shard sits out `cooldown_searches`
+    /// searches and is then probed half-open.
+    fn admit(&mut self, cooldown_searches: u32) -> bool {
+        if self.health == ShardHealth::Down {
+            self.skips_while_down += 1;
+            if self.skips_while_down < cooldown_searches {
+                return false;
+            }
+            self.probes += 1; // half-open probe
+        }
+        true
     }
 
     fn record_success(&mut self) {
@@ -631,22 +645,28 @@ enum StoreRead {
     Corrupt,
 }
 
-/// What one dispatched search leg returns: ranked ids, the measured
-/// report, and the predicted (unperturbed) report.
-type LegResult = Result<(Vec<(u64, usize)>, SearchReport, SearchReport), ClusterError>;
+/// What an answering search leg returns.
+struct LegAnswer {
+    /// The shard's ranking, in external ids.
+    ranked: Vec<(u64, usize)>,
+    /// The report as the shard measured it: `predicted` with any injected
+    /// stall / straggle / backoff applied ([`SearchReport::perturbed`]).
+    measured: SearchReport,
+    /// The unperturbed report — the analytic model's output for the same
+    /// query shape. The drift sentry compares the pair.
+    predicted: SearchReport,
+}
 
-/// Per-shard gathered outcome of one search. `Answered` carries the
-/// *measured* report (with any injected straggle/stall/backoff applied)
-/// and the *predicted* one (the unperturbed analytic model output for
-/// the same query shape) — the pair the drift sentry compares.
-// Answered dwarfs the dataless variants, but one lives per shard leg for
-// the duration of a gather — boxing would buy nothing and cost a per-leg
-// allocation on the search path.
-#[allow(clippy::large_enum_variant)]
-enum Gathered {
-    Skipped,
-    Failed,
-    Answered(Vec<(u64, usize)>, SearchReport, SearchReport),
+/// One shard's leg of one search — the value the phases of
+/// [`Cluster::search_traced`] hand along: planned, run, accounted, merged.
+struct Leg {
+    shard: usize,
+    plan: LegPlan,
+    /// Trace context of the leg (`None` in an untraced search).
+    ctx: Option<TraceContext>,
+    /// `None` until the leg answers: a leg planned `Skip` never will, any
+    /// other leg left without an answer failed.
+    answer: Option<LegAnswer>,
 }
 
 /// One GPU container: its engine behind a read/write lock (searches share
@@ -738,45 +758,38 @@ impl Cluster {
     /// and the Prometheus counter move in lockstep, exactly once per
     /// attempt, no matter which code path (store read/write, search
     /// planning) performed the retry. When the retry happens inside a
-    /// traced search, `trace` carries the shard leg's context and the same
+    /// traced search, `leg` carries the shard leg's context and the same
     /// single point also records exactly one `retry` span — counter and
     /// span tree cannot drift.
-    fn note_retry(&self, trace: Option<(&TraceRing, TraceContext, usize)>) {
+    fn note_retry(&self, leg: Option<(TraceContext, usize)>) {
         self.retries.fetch_add(1, Ordering::Relaxed);
         self.telemetry.retries.inc();
-        if let Some((ring, leg, shard)) = trace {
-            ring.mark(&leg, "retry", vec![("shard".to_string(), shard.to_string())]);
+        if let Some((ctx, shard)) = leg {
+            global_ring().mark(&ctx, "retry", vec![("shard".to_string(), shard.to_string())]);
         }
     }
 
-    /// Phase-3 trace bookkeeping for one shard leg. Dispatched legs
-    /// already recorded their wall-clock `shard.leg` span in-thread; here
-    /// the answered ones additionally get **sim-clock** engine-stage child
-    /// spans (serial layout from sim time 0 on a per-shard `… (sim)`
-    /// track), while never-dispatched legs get a zero-length leg span
-    /// tagged with why they did not run.
-    fn trace_leg_outcome(
-        &self,
-        ring: &TraceRing,
-        leg: &TraceContext,
-        shard: usize,
-        plan: &LegPlan,
-        outcome: &Gathered,
-    ) {
-        match (plan, outcome) {
-            (LegPlan::Skip, _) => drop(
-                ring.span(leg, "shard.leg")
+    /// Trace bookkeeping for one accounted leg (nothing in an untraced search).
+    /// Dispatched legs already recorded their wall-clock `shard.leg` span
+    /// in-thread; here the answered ones additionally get **sim-clock**
+    /// engine-stage child spans (serial layout from sim time 0 on a
+    /// per-shard `… (sim)` track), while never-dispatched legs get a
+    /// zero-length leg span tagged with why they did not run.
+    fn trace_leg_outcome(&self, leg: &Leg) {
+        let Some(ctx) = &leg.ctx else { return };
+        let (ring, shard) = (global_ring(), leg.shard);
+        let not_run = |why: &str| {
+            drop(
+                ring.span(ctx, "shard.leg")
                     .tag("shard", &shard.to_string())
                     .tag("track", &format!("shard {shard}"))
-                    .tag("outcome", "skipped (breaker open)"),
-            ),
-            (LegPlan::FailFast, _) => drop(
-                ring.span(leg, "shard.leg")
-                    .tag("shard", &shard.to_string())
-                    .tag("track", &format!("shard {shard}"))
-                    .tag("outcome", "failed (retries exhausted)"),
-            ),
-            (LegPlan::Run { .. }, Gathered::Answered(_, report, _)) => {
+                    .tag("outcome", why),
+            )
+        };
+        match (&leg.plan, &leg.answer) {
+            (LegPlan::Skip, _) => not_run("skipped (breaker open)"),
+            (LegPlan::FailFast, _) => not_run("failed (retries exhausted)"),
+            (_, Some(LegAnswer { measured, .. })) => {
                 let track = format!("shard {shard} (sim)");
                 let tags = |stage: &str| {
                     vec![
@@ -785,23 +798,17 @@ impl Cluster {
                         ("track".to_string(), track.clone()),
                     ]
                 };
-                ring.record_sim(leg, "device total", 0.0, report.total_us, tags("total"));
-                let stages = [
-                    ("h2d", report.h2d_us),
-                    ("hgemm", report.gemm_us),
-                    ("top2", report.sort_us),
-                    ("d2h", report.d2h_us),
-                    ("post", report.post_us),
-                ];
+                ring.record_sim(ctx, "device total", 0.0, measured.total_us, tags(STAGE_TOTAL));
                 let mut t = 0.0;
-                for (name, dur) in stages {
-                    ring.record_sim(leg, name, t, dur, tags(name));
+                for stage in Stage::ALL {
+                    let (name, dur) = (stage.span_name(), measured.stage_us(stage));
+                    ring.record_sim(ctx, name, t, dur, tags(name));
                     t += dur;
                 }
             }
             // Dispatched-but-failed: the in-thread span guard already
             // recorded the leg (including panics); nothing to add.
-            (LegPlan::Run { .. }, _) => {}
+            _ => {}
         }
     }
 
@@ -1046,20 +1053,12 @@ impl Cluster {
         min_inliers: usize,
     ) -> Result<VerifyReport, ClusterError> {
         let reference = self.get_texture(claimed_id)?;
-        let matching = MatchConfig {
-            precision: self.cfg.engine.matching.precision,
-            scale: self.cfg.engine.matching.scale,
-            exec: ExecMode::Full,
-            ..self.cfg.engine.matching
-        };
+        let matching = &self.cfg.engine.matching;
         let encode = |f: &FeatureMatrix| {
             let m = &f.mat;
             FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), matching.precision, matching.scale)
         };
-        let (rb, qb) = (encode(&reference), encode(query));
-        let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-        let st = sim.default_stream();
-        let outcome = match_pair(&matching, &rb, &qb, &mut sim, st);
+        let outcome = score_pair(matching, &encode(&reference), &encode(query));
         let geo = verify_matches(
             &outcome.matches,
             &reference.keypoints,
@@ -1106,11 +1105,11 @@ impl Cluster {
     ) -> ClusterSearchResult {
         self.total_searches.fetch_add(1, Ordering::Relaxed);
         self.telemetry.searches.inc();
-        let search_started = Instant::now();
+        let started = Instant::now();
+        let trace_id = parent.map(|p| p.trace_id);
         // One wide event per search, traced or not; filled in as the
         // phases complete and recorded into the flight recorder at the end.
-        let mut event = WideEvent::begin(parent.map(|p| p.trace_id).unwrap_or(0));
-        let ring: Option<&'static TraceRing> = parent.map(|_| global_ring());
+        let mut event = WideEvent::begin(trace_id.unwrap_or(0));
         let cluster_ctx = parent.map(|p| p.child());
         let _cluster_span = cluster_ctx.as_ref().map(|c| {
             global_ring()
@@ -1118,251 +1117,205 @@ impl Cluster {
                 .tag("track", "cluster")
                 .tag("top_k", &top_k.to_string())
         });
-        let backoff: Backoff = self.cfg.resilience.backoff;
 
-        // Phase 1 (sequential, deterministic): breaker gating and fault
-        // decisions, fixed per shard before any thread is spawned. Leg
-        // contexts are minted here, before any fault decision, so retry
-        // marks drawn while planning already parent to the right leg.
-        let mut plans: Vec<LegPlan> = Vec::with_capacity(self.shards.len());
-        let mut leg_ctxs: Vec<Option<TraceContext>> = Vec::with_capacity(self.shards.len());
-        {
-            let mut states = self.shard_health.lock();
-            for (i, st) in states.iter_mut().enumerate() {
-                let leg_ctx = cluster_ctx.as_ref().map(|c| c.child());
-                leg_ctxs.push(leg_ctx);
-                if st.health() == ShardHealth::Down {
-                    st.skips_while_down += 1;
-                    if st.skips_while_down < self.cfg.resilience.cooldown_searches {
-                        plans.push(LegPlan::Skip);
-                        continue;
-                    }
-                    st.probes += 1; // half-open probe
-                }
-                let mut plan = LegPlan::Run {
-                    crash: false,
-                    straggle: None,
-                    stage_stall: None,
-                    backoff_us: 0.0,
-                };
-                if let Some(fp) = &self.fault_plan {
-                    let mut transient_fails = 0u32;
-                    loop {
-                        match fp.decide(FaultOp::search_shard(i)) {
-                            Some(FaultKind::Transient) => {
-                                transient_fails += 1;
-                                if transient_fails > backoff.max_retries {
-                                    plan = LegPlan::FailFast;
-                                    break;
-                                }
-                                self.note_retry(ring.zip(leg_ctx).map(|(r, c)| (r, c, i)));
-                            }
-                            Some(FaultKind::ShardCrash) => {
-                                plan = LegPlan::Run {
-                                    crash: true,
-                                    straggle: None,
-                                    stage_stall: None,
-                                    backoff_us: 0.0,
-                                };
-                                break;
-                            }
-                            Some(FaultKind::Straggler { factor }) => {
-                                plan = LegPlan::Run {
-                                    crash: false,
-                                    straggle: Some(factor),
-                                    stage_stall: None,
-                                    backoff_us: backoff.total_us(transient_fails),
-                                };
-                                break;
-                            }
-                            Some(FaultKind::StageStall { stage, factor }) => {
-                                plan = LegPlan::Run {
-                                    crash: false,
-                                    straggle: None,
-                                    stage_stall: Some((stage, factor)),
-                                    backoff_us: backoff.total_us(transient_fails),
-                                };
-                                break;
-                            }
-                            _ => {
-                                plan = LegPlan::Run {
-                                    crash: false,
-                                    straggle: None,
-                                    stage_stall: None,
-                                    backoff_us: backoff.total_us(transient_fails),
-                                };
-                                break;
-                            }
-                        }
-                    }
-                    event.retries += transient_fails.min(backoff.max_retries);
-                }
-                plans.push(plan);
-            }
-        }
-
-        // Phase 2: scatter to eligible shards, gather catching all failures.
-        let mut gathered: Vec<Gathered> = Vec::with_capacity(self.shards.len());
+        let mut legs = self.plan_legs(cluster_ctx.as_ref(), &mut event);
+        // Scatter to the dispatched legs, one thread each; gather catching
+        // all failures — an engine error and a panicked leg alike leave
+        // the leg without an answer.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
+            let handles: Vec<_> = legs
                 .iter()
-                .zip(&plans)
-                .enumerate()
-                .map(|(i, (shard, plan))| match *plan {
-                    LegPlan::Run { crash, straggle, stage_stall, backoff_us } => {
-                        let leg_ctx = leg_ctxs[i];
-                        Some(scope.spawn(
-                            move || -> LegResult {
-                                // The guard records on drop even if this
-                                // leg panics below, so crashed legs stay
-                                // visible in the span tree.
-                                let _leg_span = leg_ctx.as_ref().map(|c| {
-                                    global_ring()
-                                        .span(c, "shard.leg")
-                                        .tag("shard", &i.to_string())
-                                        .tag("track", &format!("shard {i}"))
-                                });
-                                if crash {
-                                    panic!("injected shard crash (fault plan)");
-                                }
-                                // Seal any pending partial batch so it is
-                                // searchable. The steady state takes only
-                                // the shared read lock; the write lock is
-                                // acquired just when references actually
-                                // arrived since the last flush.
-                                let wait = Instant::now();
-                                let needs_flush = shard.engine.read().has_pending();
-                                let mut wait_us = wait.elapsed().as_secs_f64() * 1e6;
-                                if needs_flush {
-                                    let wait = Instant::now();
-                                    let mut engine = shard.engine.write();
-                                    wait_us += wait.elapsed().as_secs_f64() * 1e6;
-                                    engine.flush()?;
-                                }
-                                self.telemetry.shard_lock_wait[i].observe(wait_us);
-                                // Concurrent searches coalesce into one
-                                // multi-query sweep under a shared read lock.
-                                let mut r = shard.coalescer.search(&shard.engine, query);
-                                // Cadenced cache maintenance: when enough
-                                // sealed batches + searches have accrued,
-                                // promote probe-hot host batches — but only
-                                // if the write lock is free; a search leg
-                                // must never stall behind promotions.
-                                if shard.engine.read().rebalance_due() {
-                                    if let Some(mut engine) = shard.engine.try_write() {
-                                        engine.maybe_rebalance();
-                                    }
-                                }
-                                // The unperturbed report *is* the analytic
-                                // Eq. 3/4 prediction for this exact query
-                                // shape; everything below perturbs only
-                                // the measured copy, and the drift sentry
-                                // compares the two.
-                                let predicted = r.report;
-                                if let Some((stage, factor)) = stage_stall {
-                                    let slot = match stage {
-                                        Stage::H2d => &mut r.report.h2d_us,
-                                        Stage::Gemm => &mut r.report.gemm_us,
-                                        Stage::Top2 => &mut r.report.sort_us,
-                                        Stage::D2h => &mut r.report.d2h_us,
-                                        Stage::Post => &mut r.report.post_us,
-                                    };
-                                    let delta = *slot * (factor - 1.0);
-                                    *slot *= factor;
-                                    r.report.serial_total_us += delta;
-                                    r.report.total_us += delta;
-                                }
-                                if let Some(factor) = straggle {
-                                    r.report.total_us *= factor;
-                                    r.report.serial_total_us *= factor;
-                                }
-                                r.report.total_us += backoff_us;
-                                Ok((r.ranked, r.report, predicted))
-                            },
-                        ))
-                    }
-                    LegPlan::Skip | LegPlan::FailFast => None,
+                .map(|leg| {
+                    let LegPlan::Run { crash, straggle, stage_stall, backoff_us } = leg.plan else {
+                        return None;
+                    };
+                    let (shard, ctx) = (leg.shard, leg.ctx);
+                    Some(scope.spawn(move || {
+                        // The unperturbed report *is* the analytic Eq. 3/4
+                        // prediction for this exact query shape; the drift
+                        // sentry compares it with the measured copy.
+                        self.run_leg(shard, ctx, crash, query).map(|r| LegAnswer {
+                            ranked: r.ranked,
+                            measured: r.report.perturbed(stage_stall, straggle, backoff_us),
+                            predicted: r.report,
+                        })
+                    }))
                 })
                 .collect();
-            for (plan, handle) in plans.iter().zip(handles) {
-                gathered.push(match (plan, handle) {
-                    (LegPlan::Skip, _) => Gathered::Skipped,
-                    (LegPlan::FailFast, _) => Gathered::Failed,
-                    (LegPlan::Run { .. }, Some(h)) => match h.join() {
-                        Ok(Ok((ranked, report, predicted))) => {
-                            Gathered::Answered(ranked, report, predicted)
-                        }
-                        // Ok(Err(_)): engine error; Err(_): the leg panicked.
-                        _ => Gathered::Failed,
-                    },
-                    (LegPlan::Run { .. }, None) => Gathered::Failed,
-                });
+            for (leg, handle) in legs.iter_mut().zip(handles) {
+                leg.answer = handle.and_then(|h| h.join().ok()?.ok());
             }
         });
+        self.account_legs(&legs, trace_id, &mut event);
+        self.merge_and_publish(legs, top_k, trace_id, event, started)
+    }
 
-        // Phase 3: drive the breakers from the outcomes. This is the
-        // *single* per-leg accounting point — breaker transitions, shard
-        // failure/skip counters, latency observations, and breaker gauges
-        // all update here, exactly once per leg per search, so the
-        // Prometheus counters cannot drift from the breaker bookkeeping.
-        {
-            let mut states = self.shard_health.lock();
-            for (i, (st, g)) in states.iter_mut().zip(&gathered).enumerate() {
-                match g {
-                    Gathered::Answered(_, report, predicted) => {
-                        st.record_success();
-                        self.telemetry.shard_latency[i].observe(report.total_us);
-                        // Feed the drift sentry the (measured, predicted)
-                        // pair per stage, and — for traced searches —
-                        // stamp exemplars with the measured values so
-                        // `/metrics` buckets link to `GET /trace/{id}`.
-                        self.drift.observe(&[
-                            (report.h2d_us, predicted.h2d_us),
-                            (report.gemm_us, predicted.gemm_us),
-                            (report.sort_us, predicted.sort_us),
-                            (report.d2h_us, predicted.d2h_us),
-                            (report.post_us, predicted.post_us),
-                            (report.total_us, predicted.total_us),
-                        ]);
-                        if let Some(p) = parent {
-                            let tid = p.trace_id;
-                            let stage_sim = &self.telemetry.stage_sim;
-                            stage_sim[0].record_exemplar(report.h2d_us, tid);
-                            stage_sim[1].record_exemplar(report.gemm_us, tid);
-                            stage_sim[2].record_exemplar(report.sort_us, tid);
-                            stage_sim[3].record_exemplar(report.d2h_us, tid);
-                            stage_sim[4].record_exemplar(report.post_us, tid);
-                            stage_sim[5].record_exemplar(report.total_us, tid);
-                            self.telemetry.shard_latency[i].record_exemplar(report.total_us, tid);
-                        }
-                        event.coalesced = event.coalesced.max(report.coalesced_queries as u32);
-                        event.device_batches += report.device_batches as u64;
-                        event.host_batches += report.host_batches as u64;
-                        event.cells_probed += report.cells_probed as u64;
-                        event.batches_pruned += report.batches_pruned as u64;
-                        event.h2d_us += report.h2d_us;
-                        event.gemm_us += report.gemm_us;
-                        event.top2_us += report.sort_us;
-                        event.d2h_us += report.d2h_us;
-                        event.post_us += report.post_us;
+    /// Phase 1 (sequential, deterministic): breaker gating and fault
+    /// decisions, fixed per shard before any thread is spawned. Leg
+    /// contexts are minted here, before any fault decision, so retry marks
+    /// drawn while planning already parent to the right leg.
+    fn plan_legs(&self, cluster_ctx: Option<&TraceContext>, event: &mut WideEvent) -> Vec<Leg> {
+        let backoff: Backoff = self.cfg.resilience.backoff;
+        let mut states = self.shard_health.lock();
+        let mut legs = Vec::with_capacity(states.len());
+        for (shard, st) in states.iter_mut().enumerate() {
+            let ctx = cluster_ctx.map(|c| c.child());
+            let mut plan = LegPlan::Skip;
+            if st.admit(self.cfg.resilience.cooldown_searches) {
+                // Draw until the plan yields something other than a
+                // transient fault still inside the retry budget.
+                let op = FaultOp::search_shard(shard);
+                let mut retries = 0u32;
+                let fault = loop {
+                    let fault = self.fault_plan.as_ref().and_then(|fp| fp.decide(op));
+                    if fault != Some(FaultKind::Transient) || retries == backoff.max_retries {
+                        break fault;
                     }
-                    Gathered::Failed => {
-                        st.record_failure(self.cfg.resilience.trip_threshold);
-                        self.telemetry.shard_failures[i].inc();
+                    retries += 1;
+                    self.note_retry(ctx.map(|c| (c, shard)));
+                };
+                event.retries += retries;
+                let (crash, straggle, stage_stall) = match fault {
+                    Some(FaultKind::ShardCrash) => (true, None, None),
+                    Some(FaultKind::Straggler { factor }) => (false, Some(factor), None),
+                    Some(FaultKind::StageStall { stage, factor }) => {
+                        (false, None, Some((stage, factor)))
                     }
-                    Gathered::Skipped => self.telemetry.shard_skips[i].inc(),
-                }
-                self.telemetry.breaker_state[i].set(breaker_gauge_value(st.health()));
-                if let (Some(ring), Some(leg)) = (ring, leg_ctxs[i]) {
-                    self.trace_leg_outcome(ring, &leg, i, &plans[i], g);
-                }
+                    _ => (false, None, None),
+                };
+                let backoff_us = backoff.total_us(retries);
+                plan = match fault {
+                    Some(FaultKind::Transient) => LegPlan::FailFast, // retry budget exhausted
+                    _ => LegPlan::Run { crash, straggle, stage_stall, backoff_us },
+                };
+            }
+            legs.push(Leg { shard, plan, ctx, answer: None });
+        }
+        legs
+    }
+
+    /// Phase 2, one dispatched leg on its own thread: seal what is pending,
+    /// search through the shard's coalescer, run cadenced cache
+    /// maintenance. `crash` is the injected panic.
+    fn run_leg(
+        &self,
+        shard: usize,
+        ctx: Option<TraceContext>,
+        crash: bool,
+        query: &FeatureMatrix,
+    ) -> Result<SearchResult, ClusterError> {
+        // The guard records on drop even if this leg panics below, so
+        // crashed legs stay visible in the span tree.
+        let _leg_span = ctx.as_ref().map(|c| {
+            global_ring()
+                .span(c, "shard.leg")
+                .tag("shard", &shard.to_string())
+                .tag("track", &format!("shard {shard}"))
+        });
+        if crash {
+            panic!("injected shard crash (fault plan)");
+        }
+        let Shard { engine, coalescer } = &self.shards[shard];
+        // Seal any pending partial batch so it is searchable. The steady
+        // state takes only the shared read lock; the write lock is acquired
+        // just when references actually arrived since the last flush.
+        let wait = Instant::now();
+        let needs_flush = engine.read().has_pending();
+        let mut wait_us = wait.elapsed().as_secs_f64() * 1e6;
+        if needs_flush {
+            let wait = Instant::now();
+            let mut engine = engine.write();
+            wait_us += wait.elapsed().as_secs_f64() * 1e6;
+            engine.flush()?;
+        }
+        self.telemetry.shard_lock_wait[shard].observe(wait_us);
+        // Concurrent searches coalesce into one multi-query sweep under a
+        // shared read lock.
+        let result = coalescer.search(engine, query);
+        // Cadenced cache maintenance: when enough sealed batches + searches
+        // have accrued, promote probe-hot host batches — but only if the
+        // write lock is free; a search leg must never stall behind
+        // promotions.
+        if engine.read().rebalance_due() {
+            if let Some(mut engine) = engine.try_write() {
+                engine.maybe_rebalance();
             }
         }
+        Ok(result)
+    }
 
-        let shards_ok = gathered.iter().filter(|g| matches!(g, Gathered::Answered(..))).count();
-        let shards_failed = gathered.iter().filter(|g| matches!(g, Gathered::Failed)).count();
-        let shards_skipped = gathered.iter().filter(|g| matches!(g, Gathered::Skipped)).count();
+    /// Phase 3: drive the breakers from the outcomes. This is the *single*
+    /// per-leg accounting point — breaker transitions, shard failure/skip
+    /// counters, latency observations, breaker gauges, and every projection
+    /// of an answered leg's report (drift pairs, exemplars, the wide event,
+    /// trace spans) update here, exactly once per leg per search, so the
+    /// Prometheus counters cannot drift from the breaker bookkeeping.
+    fn account_legs(&self, legs: &[Leg], trace_id: Option<u128>, event: &mut WideEvent) {
+        let mut states = self.shard_health.lock();
+        for (st, leg) in states.iter_mut().zip(legs) {
+            let shard = leg.shard;
+            match (&leg.answer, leg.plan) {
+                (Some(LegAnswer { measured, predicted, .. }), _) => {
+                    st.record_success();
+                    let latency = &self.telemetry.shard_latency[shard];
+                    latency.observe(measured.total_us);
+                    // Feed the drift sentry the (measured, predicted) pair
+                    // per series, and — for traced searches — stamp
+                    // exemplars with the measured values so `/metrics`
+                    // buckets link to `GET /trace/{id}`.
+                    let (m, p) = (measured.sim_series(), predicted.sim_series());
+                    self.drift.observe(&std::array::from_fn(|i| (m[i], p[i])));
+                    if let Some(tid) = trace_id {
+                        for (series, us) in self.telemetry.stage_sim.iter().zip(m) {
+                            series.record_exemplar(us, tid);
+                        }
+                        latency.record_exemplar(measured.total_us, tid);
+                    }
+                    event.coalesced = event.coalesced.max(measured.coalesced_queries as u32);
+                    event.device_batches += measured.device_batches as u64;
+                    event.host_batches += measured.host_batches as u64;
+                    event.cells_probed += measured.cells_probed as u64;
+                    event.batches_pruned += measured.batches_pruned as u64;
+                    for stage in Stage::ALL {
+                        *event.stage_us_mut(stage) += measured.stage_us(stage);
+                    }
+                }
+                (None, LegPlan::Skip) => self.telemetry.shard_skips[shard].inc(),
+                (None, _) => {
+                    st.record_failure(self.cfg.resilience.trip_threshold);
+                    self.telemetry.shard_failures[shard].inc();
+                }
+            }
+            self.telemetry.breaker_state[shard].set(breaker_gauge_value(st.health()));
+            self.trace_leg_outcome(leg);
+        }
+    }
+
+    /// Phase 4: merge the answers and publish the finished search — its
+    /// result, the degraded counter, the live paper gauges, the serving
+    /// objectives, and the wide event (one per search, always).
+    fn merge_and_publish(
+        &self,
+        legs: Vec<Leg>,
+        top_k: usize,
+        trace_id: Option<u128>,
+        mut event: WideEvent,
+        started: Instant,
+    ) -> ClusterSearchResult {
+        let shards_skipped = legs.iter().filter(|l| matches!(l.plan, LegPlan::Skip)).count();
+        // Every shard answers in external ids, and an id has one version on
+        // one shard: the merge is a concatenation.
+        let mut results = Vec::new();
+        let mut shard_reports = Vec::new();
+        let shards = legs.len();
+        for answer in legs.into_iter().filter_map(|l| l.answer) {
+            results.extend(answer.ranked);
+            shard_reports.push(answer.measured);
+        }
+        results.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        results.truncate(top_k);
+        let shards_ok = shard_reports.len();
+        let shards_failed = shards - shards_ok - shards_skipped;
         let degraded = shards_failed > 0 || shards_skipped > 0;
         if degraded {
             // Single accounting point: once per degraded search, never per
@@ -1370,27 +1323,6 @@ impl Cluster {
             self.degraded_searches.fetch_add(1, Ordering::Relaxed);
             self.telemetry.degraded.inc();
         }
-
-        // Every shard answers in external ids, and an id has one version on
-        // one shard: the merge is a concatenation.
-        let mut results: Vec<(u64, usize)> = gathered
-            .iter()
-            .filter_map(|g| match g {
-                Gathered::Answered(ranked, ..) => Some(ranked),
-                _ => None,
-            })
-            .flat_map(|ranked| ranked.iter().copied())
-            .collect();
-        results.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        results.truncate(top_k);
-
-        let shard_reports: Vec<SearchReport> = gathered
-            .iter()
-            .filter_map(|g| match g {
-                Gathered::Answered(_, report, _) => Some(*report),
-                _ => None,
-            })
-            .collect();
         let wall_us = shard_reports.iter().map(|r| r.total_us).fold(0.0f64, f64::max);
         let comparisons: usize = shard_reports.iter().map(|r| r.images).sum();
 
@@ -1432,7 +1364,7 @@ impl Cluster {
         self.slo.record(wall_us, shards_ok > 0);
 
         // Seal and file the wide event — one per search, always.
-        event.wall_elapsed_us = search_started.elapsed().as_secs_f64() * 1e6;
+        event.wall_elapsed_us = started.elapsed().as_secs_f64() * 1e6;
         event.sim_wall_us = wall_us;
         event.comparisons = comparisons as u64;
         event.shards_ok = shards_ok as u32;
@@ -1457,7 +1389,7 @@ impl Cluster {
             shards_failed,
             shards_skipped,
             degraded,
-            trace_id: parent.map(|p| p.trace_id),
+            trace_id,
         }
     }
 

@@ -32,24 +32,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One simulated pipeline stage, for stage-targeted faults. Used by
-/// [`FaultKind::StageStall`] to slow a single stage of a shard's search
-/// (e.g. only the GEMM), which is the knob the cost-model drift sentry's
-/// acceptance test turns: a one-stage slowdown must move exactly one
-/// `texid_model_drift_ratio{stage}` gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// Host-to-device descriptor transfer.
-    H2d,
-    /// The matching GEMM.
-    Gemm,
-    /// Top-2 neighbor selection.
-    Top2,
-    /// Device-to-host result transfer.
-    D2h,
-    /// Ratio-test vote postprocess.
-    Post,
-}
+/// The pipeline stage a stage-targeted fault slows down — the stage list
+/// itself lives in `texid-obs`. [`FaultKind::StageStall`] slows a single
+/// stage of a shard's search (e.g. only the GEMM), which is the knob the
+/// cost-model drift sentry's acceptance test turns: a one-stage slowdown
+/// must move exactly one `texid_model_drift_ratio{stage}` gauge.
+pub use texid_obs::Stage;
 
 /// What kind of fault fires at an operation point.
 #[derive(Clone, Copy, Debug, PartialEq)]

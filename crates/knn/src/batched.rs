@@ -6,11 +6,17 @@
 //! 67.9% of peak vs 32% unbatched). The top-2 scan then runs **per
 //! reference block** — texture identification matches each reference
 //! separately, so the scan must not mix rows across block boundaries.
+//!
+//! Two halves, each written once: [`BatchWork`] states what one query costs
+//! the device against one batch — launched on a [`GpuSim`] here (the Table
+//! 1/3 path), priced analytically by the engine — and [`score_batch`] /
+//! [`score_batch_packed`] are the numerics, which need no device.
+//! [`match_batch`] is "charge + score".
 
 use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
 use crate::ratio::count_good_matches;
-use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
+use texid_gpu::{cost, DeviceSpec, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::gemm::{gemm_at_b_f16, neg2_at_b};
 use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::MatF16;
@@ -25,7 +31,8 @@ pub struct BatchOutcome {
     /// Per-(reference, query-feature) top-2, `top2[b * n + j]`
     /// (empty in `TimingOnly` mode).
     pub top2: Vec<Top2>,
-    /// Per-step simulated durations for the whole batch.
+    /// Per-step simulated durations for the whole batch (zero from the
+    /// scoring half alone).
     pub steps: StepTimes,
     /// Batch size the timing covers.
     pub batch: usize,
@@ -53,16 +60,71 @@ impl BatchOutcome {
     }
 }
 
+/// The device work one query costs against one batch (Table 3's rows) — the
+/// one place these shapes are written down.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchWork {
+    gemm: Kernel,
+    scan: Kernel,
+    d2h_bytes: u64,
+    post_images: usize,
+}
+
+impl BatchWork {
+    /// `batch` references × `m_per_ref` features against `n` query features
+    /// of dimension `d`, in `cfg`'s precision.
+    pub fn new(cfg: &MatchConfig, batch: usize, m_per_ref: usize, n: usize, d: usize) -> BatchWork {
+        BatchWork {
+            gemm: Kernel::Gemm {
+                m_rows: batch * m_per_ref,
+                n_cols: n,
+                k_depth: d,
+                precision: cfg.precision,
+                tensor_core: cfg.tensor_core,
+            },
+            // One scan thread per (reference, query-feature) pair: batch × n
+            // columns of m_per_ref rows — the ~0.8 M sorting tasks of §5.3.
+            scan: Kernel::Top2Scan {
+                m_rows: m_per_ref,
+                n_cols: batch * n,
+                precision: cfg.precision,
+            },
+            d2h_bytes: (batch * n) as u64 * D2H_BYTES_PER_QUERY_FEATURE,
+            post_images: batch,
+        }
+    }
+
+    /// The analytic price of this work on `spec`, no device involved.
+    pub fn price(&self, spec: &DeviceSpec) -> StepTimes {
+        StepTimes {
+            gemm_us: cost::kernel_duration_us(spec, &self.gemm),
+            sort_us: cost::kernel_duration_us(spec, &self.scan),
+            d2h_us: cost::d2h_duration_us(spec, self.d2h_bytes),
+            post_us: cost::cpu_post_us(spec, self.post_images),
+            ..StepTimes::default()
+        }
+    }
+
+    /// Run this work on `sim`'s `stream`, advancing its clocks.
+    fn launch(&self, sim: &mut GpuSim, stream: StreamId) -> StepTimes {
+        let post_us = cost::cpu_post_us(sim.spec(), self.post_images);
+        StepTimes {
+            gemm_us: sim.launch(stream, self.gemm).duration_us(),
+            sort_us: sim.launch(stream, self.scan).duration_us(),
+            d2h_us: sim.d2h(stream, self.d2h_bytes).duration_us(),
+            post_us: sim.host_work(stream, post_us).duration_us(),
+            ..StepTimes::default()
+        }
+    }
+}
+
 /// Match a pre-concatenated reference block (`batch` references of
-/// `m_per_ref` features each) against a query block.
+/// `m_per_ref` features each) against a query block: charge the batch's
+/// [`BatchWork`] to `sim`, then (numerics on) [`score_batch`].
 ///
 /// Only [`Algorithm::RootSiftTop2`] batches — exactly the variant the paper
 /// batches (Algorithm 2's fused sort+sqrt makes "the batching process more
 /// efficient", §5.1).
-///
-/// On a fused `Full` configuration this packs both blocks and calls
-/// [`match_batch_packed`]; callers that match the same references or the
-/// same query more than once (the engine) pack once and call that directly.
 ///
 /// # Panics
 /// Panics if the algorithm is not `RootSiftTop2`, precisions mismatch, or
@@ -76,20 +138,53 @@ pub fn match_batch(
     sim: &mut GpuSim,
     stream: StreamId,
 ) -> BatchOutcome {
-    assert_eq!(r_cat.cols(), batch * m_per_ref, "batched block column mismatch");
-    assert_eq!(r_cat.rows(), q.rows(), "descriptor dimension mismatch");
+    check_blocks(r_cat, batch, m_per_ref, q);
+    assert_eq!(
+        cfg.algorithm,
+        Algorithm::RootSiftTop2,
+        "only the RootSIFT pipeline is batched (as in the paper)"
+    );
     let n = q.cols();
-    if cfg.fused && cfg.exec == ExecMode::Full && n > 0 {
-        let be = cfg.kernel_backend();
-        return match_batch_packed(
-            cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be), sim, stream,
-        );
-    }
-    let Some(steps) = charge_steps(cfg, batch, m_per_ref, n, q.rows(), sim, stream) else {
+    if n == 0 {
+        // No features survived extraction: no device work worth charging.
         return BatchOutcome::degenerate(batch);
-    };
+    }
+    let steps = BatchWork::new(cfg, batch, m_per_ref, n, q.rows()).launch(sim, stream);
     if cfg.exec == ExecMode::TimingOnly {
         return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
+    }
+    BatchOutcome { steps, ..score_batch(cfg, r_cat, batch, m_per_ref, q) }
+}
+
+fn check_blocks(r_cat: &FeatureBlock, batch: usize, m_per_ref: usize, q: &FeatureBlock) {
+    assert_eq!(r_cat.cols(), batch * m_per_ref, "batched block column mismatch");
+    assert_eq!(r_cat.rows(), q.rows(), "descriptor dimension mismatch");
+}
+
+/// The numerics of [`match_batch`] alone: Algorithm 2 over the batch and the
+/// per-reference ratio test, no device and no charge (`cfg.algorithm` and
+/// `cfg.exec` are not consulted).
+///
+/// With `cfg.fused` this packs both blocks and calls
+/// [`score_batch_packed`]; callers that match the same references or the
+/// same query more than once (the engine) pack once and call that directly.
+///
+/// # Panics
+/// As [`match_batch`], on mismatched operands.
+pub fn score_batch(
+    cfg: &MatchConfig,
+    r_cat: &FeatureBlock,
+    batch: usize,
+    m_per_ref: usize,
+    q: &FeatureBlock,
+) -> BatchOutcome {
+    check_blocks(r_cat, batch, m_per_ref, q);
+    if q.cols() == 0 {
+        return BatchOutcome::degenerate(batch);
+    }
+    if cfg.fused {
+        let be = cfg.kernel_backend();
+        return score_batch_packed(cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be));
     }
 
     // Unfused: materialize the `(B·m) × n` similarity matrix, then scan.
@@ -107,39 +202,31 @@ pub fn match_batch(
     } else {
         top2_min_per_column_blocked(&a, batch, m_per_ref)
     };
-    finish(cfg, &raw, s2, batch, n, steps)
+    finish(cfg, &raw, s2, batch, q.cols())
 }
 
-/// [`match_batch`] on operands already packed for the fused kernel
-/// ([`FeatureBlock::pack_refs`] / [`FeatureBlock::pack_query`]): the scan
-/// consumes GEMM tiles as they finish, the `(B·m) × n` similarity matrix is
-/// never materialized, and nothing proportional to the operands is
-/// allocated. Bit-identical to `match_batch` on the unpacked blocks, fused
-/// or not.
+/// [`score_batch`] on packed operands: the scan consumes GEMM tiles as they
+/// finish, the `(B·m) × n` similarity matrix is never materialized, and
+/// nothing proportional to the operands is allocated. Bit-identical to
+/// `score_batch` on the unpacked blocks, fused or not.
 ///
 /// # Panics
-/// Panics if the algorithm is not `RootSiftTop2`, the operands disagree in
-/// precision, scale, depth or backend, or `r` does not hold
-/// `batch × m_per_ref` columns.
-pub fn match_batch_packed(
+/// Panics if the operands disagree in precision, scale, depth or backend,
+/// or `r` does not hold `batch × m_per_ref` columns.
+pub fn score_batch_packed(
     cfg: &MatchConfig,
     r: &PackedBlock<PackedA>,
     batch: usize,
     m_per_ref: usize,
     q: &PackedBlock<PackedB>,
-    sim: &mut GpuSim,
-    stream: StreamId,
 ) -> BatchOutcome {
     assert_eq!(r.panels.cols(), batch * m_per_ref, "batched block column mismatch");
     assert_eq!(r.panels.depth(), q.panels.depth(), "descriptor dimension mismatch");
     assert_eq!(r.precision, q.precision, "reference and query blocks must share a precision");
     assert_eq!(r.scale, q.scale, "reference/query scale mismatch");
     let n = q.panels.cols();
-    let Some(steps) = charge_steps(cfg, batch, m_per_ref, n, q.panels.depth(), sim, stream) else {
+    if n == 0 {
         return BatchOutcome::degenerate(batch);
-    };
-    if cfg.exec == ExecMode::TimingOnly {
-        return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
     }
     // An F16 block's values are round-tripped through f16 before they are
     // compared, exactly like scanning a 16-bit HGEMM output.
@@ -148,67 +235,11 @@ pub fn match_batch_packed(
         ..FusedEpilogue::default()
     };
     let raw = gemm_top2_ex(-2.0, &r.panels, &q.panels, &epi, batch, m_per_ref);
-    finish(cfg, &raw, r.scale * q.scale, batch, n, steps)
-}
-
-/// Charge the batch's simulated device time; `None` for a degenerate query
-/// (no features survived extraction), where no device work is worth
-/// charging.
-fn charge_steps(
-    cfg: &MatchConfig,
-    batch: usize,
-    m_per_ref: usize,
-    n: usize,
-    d: usize,
-    sim: &mut GpuSim,
-    stream: StreamId,
-) -> Option<StepTimes> {
-    assert_eq!(
-        cfg.algorithm,
-        Algorithm::RootSiftTop2,
-        "only the RootSIFT pipeline is batched (as in the paper)"
-    );
-    if n == 0 {
-        return None;
-    }
-    Some(StepTimes {
-        gemm_us: sim
-            .launch(stream, Kernel::Gemm {
-                m_rows: batch * m_per_ref,
-                n_cols: n,
-                k_depth: d,
-                precision: cfg.precision,
-                tensor_core: cfg.tensor_core,
-            })
-            .duration_us(),
-        // One scan thread per (reference, query-feature) pair: batch × n
-        // columns of m_per_ref rows — the ~0.8 M sorting tasks of §5.3.
-        sort_us: sim
-            .launch(stream, Kernel::Top2Scan {
-                m_rows: m_per_ref,
-                n_cols: batch * n,
-                precision: cfg.precision,
-            })
-            .duration_us(),
-        d2h_us: sim
-            .d2h(stream, (batch * n) as u64 * D2H_BYTES_PER_QUERY_FEATURE)
-            .duration_us(),
-        post_us: sim
-            .host_work(stream, cost::cpu_post_us(sim.spec(), batch))
-            .duration_us(),
-        ..StepTimes::default()
-    })
+    finish(cfg, &raw, r.scale * q.scale, batch, n)
 }
 
 /// The √(2 + A/s²) epilogue of Algorithm 2 and the per-reference ratio test.
-fn finish(
-    cfg: &MatchConfig,
-    raw: &[Top2],
-    s2: f32,
-    batch: usize,
-    n: usize,
-    steps: StepTimes,
-) -> BatchOutcome {
+fn finish(cfg: &MatchConfig, raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
     let inv = 1.0 / s2;
     let top2: Vec<Top2> = raw
         .iter()
@@ -222,7 +253,7 @@ fn finish(
     let scores = (0..batch)
         .map(|b| count_good_matches(&top2[b * n..(b + 1) * n], cfg.ratio_threshold))
         .collect();
-    BatchOutcome { scores, top2, steps, batch }
+    BatchOutcome { scores, top2, steps: StepTimes::default(), batch }
 }
 
 /// FP16 blocked scan (mirrors `top2_min_per_column_blocked` with the

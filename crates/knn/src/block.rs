@@ -26,7 +26,7 @@ pub enum FeatureBlock {
 /// A [`FeatureBlock`] packed into the fused kernel's k-major panels
 /// ([`PackedA`] for references, [`PackedB`] for a query), widened once and
 /// bound to a kernel backend. Remembers the block's precision and FP16
-/// scale — the two facts `match_batch_packed` cannot read back from the
+/// scale — the two facts `score_batch_packed` cannot read back from the
 /// f32 panels — so mismatched operands are rejected exactly as unpacked
 /// ones are.
 pub struct PackedBlock<P> {

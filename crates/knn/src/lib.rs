@@ -29,8 +29,10 @@ pub mod pair;
 pub mod pooled;
 pub mod ratio;
 
-pub use batched::{match_batch, match_batch_packed, BatchOutcome};
+pub use batched::{match_batch, score_batch, score_batch_packed, BatchOutcome, BatchWork};
 pub use block::{FeatureBlock, PackedBlock};
 pub use ivf::{kmeans, pool_columns, IvfIndex, Kmeans};
-pub use pair::{match_pair, Algorithm, ExecMode, IvfParams, MatchConfig, PairOutcome, StepTimes};
+pub use pair::{
+    match_pair, score_pair, Algorithm, ExecMode, IvfParams, MatchConfig, PairOutcome, StepTimes,
+};
 pub use ratio::{count_good_matches, good_matches, FeatureMatch};

@@ -179,7 +179,7 @@ pub struct PairOutcome {
     pub top2: Vec<Top2>,
     /// Good matches surviving the ratio test. Empty in `TimingOnly` mode.
     pub matches: Vec<FeatureMatch>,
-    /// Per-step simulated durations.
+    /// Per-step simulated durations (zero when only the scoring half ran).
     pub steps: StepTimes,
 }
 
@@ -306,10 +306,20 @@ pub fn match_pair(
     if cfg.exec == ExecMode::TimingOnly {
         return PairOutcome { top2: Vec::new(), matches: Vec::new(), steps };
     }
+    PairOutcome { steps, ..score_pair(cfg, r, q) }
+}
 
+/// The numerics of [`match_pair`] alone — the configured algorithm's top-2
+/// and the ratio test, no device and no charge (`cfg.exec` is not
+/// consulted): what one-to-one verification runs.
+///
+/// # Panics
+/// Panics if the blocks disagree in precision or descriptor dimension.
+pub fn score_pair(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlock) -> PairOutcome {
+    assert_eq!(r.rows(), q.rows(), "descriptor dimension mismatch");
     let top2 = run_functional(cfg, r, q);
     let matches = good_matches(&top2, cfg.ratio_threshold);
-    PairOutcome { top2, matches, steps }
+    PairOutcome { top2, matches, steps: StepTimes::default() }
 }
 
 /// The functional matching paths (shared with the batched engine's tests).

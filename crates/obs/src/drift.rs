@@ -14,7 +14,7 @@
 use std::sync::Mutex;
 
 use crate::metrics::{Counter, Gauge};
-use crate::Registry;
+use crate::{Registry, Stage, STAGE_TOTAL};
 
 /// EWMA smoothing factor: each new ratio contributes 20%, so a sustained
 /// 2x slowdown crosses a 1.5x alert threshold within a handful of
@@ -45,8 +45,12 @@ pub struct DriftSentry {
     stages: Vec<StageDrift>,
 }
 
-/// The stages the sentry tracks, in pipeline order.
-pub const DRIFT_STAGES: [&str; 6] = ["h2d", "gemm", "top2", "d2h", "post", "total"];
+/// The series the sentry tracks — and every other per-stage surface
+/// reports: [`Stage::ALL`] in pipeline order, then [`STAGE_TOTAL`].
+pub const DRIFT_STAGES: [&str; 6] = {
+    let [h2d, gemm, top2, d2h, post] = Stage::ALL;
+    [h2d.name(), gemm.name(), top2.name(), d2h.name(), post.name(), STAGE_TOTAL]
+};
 
 impl DriftSentry {
     /// Build a sentry tracking [`DRIFT_STAGES`], registering

@@ -19,6 +19,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::Counter;
 use crate::trace::wall_now_us;
+use crate::Stage;
 
 /// Default capacity of the global flight-recorder ring.
 pub const DEFAULT_EVENT_RING_CAPACITY: usize = 1024;
@@ -26,7 +27,7 @@ pub const DEFAULT_EVENT_RING_CAPACITY: usize = 1024;
 /// One per-query wide event. All timings are microseconds; `sim_*` and
 /// per-stage fields tick on the simulated device clock, `wall_elapsed_us`
 /// on the host wall clock (see OBSERVABILITY.md on the two clocks).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WideEvent {
     /// Monotonic sequence number assigned by the ring at record time.
     /// Strictly increasing across the process; gaps indicate drops.
@@ -106,6 +107,24 @@ impl WideEvent {
             d2h_us: 0.0,
             post_us: 0.0,
         }
+    }
+
+    /// The field holding `stage`'s summed µs — the one `Stage` ↔ field
+    /// mapping of this record.
+    pub fn stage_us_mut(&mut self, stage: Stage) -> &mut f64 {
+        match stage {
+            Stage::H2d => &mut self.h2d_us,
+            Stage::Gemm => &mut self.gemm_us,
+            Stage::Top2 => &mut self.top2_us,
+            Stage::D2h => &mut self.d2h_us,
+            Stage::Post => &mut self.post_us,
+        }
+    }
+
+    /// `stage`'s summed µs (read through a copy, so the mapping above
+    /// stays the only one).
+    pub fn stage_us(&self, stage: Stage) -> f64 {
+        *{ *self }.stage_us_mut(stage)
     }
 }
 
@@ -196,7 +215,7 @@ impl EventRing {
         let mut out: Vec<WideEvent> = self
             .slots
             .iter()
-            .filter_map(|s| s.try_lock().ok().and_then(|g| g.clone()))
+            .filter_map(|s| s.try_lock().ok().and_then(|g| *g))
             .collect();
         out.sort_by_key(|e| e.seq);
         out

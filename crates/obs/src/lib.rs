@@ -83,6 +83,62 @@ use std::sync::OnceLock;
 /// simulated device time). Units: microseconds.
 pub const STAGE_DURATION: &str = "texid_stage_duration_us";
 
+/// One stage of the per-batch search sequence (Tables 1 and 3, §6.2). The
+/// only place the stages are listed and their names spelled: every surface
+/// that reports per-stage time — metric and drift labels, `/events` keys,
+/// sim-clock spans, stage-targeted faults — loops over [`Stage::ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Host-to-device reference streaming (host-resident batches only).
+    H2d,
+    /// The matching GEMM.
+    Gemm,
+    /// Top-2 neighbor selection (fused with the √ epilogue).
+    Top2,
+    /// Device-to-host result transfer.
+    D2h,
+    /// CPU post-processing (ratio test, marshalling).
+    Post,
+}
+
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 5] = [Stage::H2d, Stage::Gemm, Stage::Top2, Stage::D2h, Stage::Post];
+
+    /// The `stage` label value in metrics, drift status and trace tags.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Stage::H2d => "h2d",
+            Stage::Gemm => "gemm",
+            Stage::Top2 => "top2",
+            Stage::D2h => "d2h",
+            Stage::Post => "post",
+        }
+    }
+
+    /// Name of this stage's sim-clock span: the kernel the device runs.
+    pub const fn span_name(self) -> &'static str {
+        match self {
+            Stage::Gemm => "hgemm",
+            other => other.name(),
+        }
+    }
+
+    /// Key of this stage's summed µs in a `/events` line.
+    pub const fn event_key(self) -> &'static str {
+        match self {
+            Stage::H2d => "h2d_us",
+            Stage::Gemm => "gemm_us",
+            Stage::Top2 => "top2_us",
+            Stage::D2h => "d2h_us",
+            Stage::Post => "post_us",
+        }
+    }
+}
+
+/// The `stage` label of the whole-search series beside the per-stage ones.
+pub const STAGE_TOTAL: &str = "total";
+
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry every instrumented crate reports into and
