@@ -5,12 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use texid_distrib::wire;
 use texid_image::TextureGenerator;
-use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_naive};
-use texid_linalg::kernel::{
-    gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2_f16_on, gemm_top2_on,
-};
+use texid_linalg::gemm::gemm_at_b_naive;
+use texid_linalg::kernel::{gemm_at_b, gemm_top2};
 use texid_linalg::top2::{sort_columns, top2_min_per_column};
-use texid_linalg::{available_backends, F16, Mat};
+use texid_linalg::{active_backend, available_backends, F16, Mat};
 use texid_sift::{extract, SiftConfig};
 
 fn feature_mat(d: usize, cols: usize, seed: u64) -> Mat {
@@ -29,12 +27,12 @@ fn bench_gemm(c: &mut Criterion) {
         let flops = 2 * cols as u64 * 768 * 128;
         g.throughput(Throughput::Elements(flops));
         g.bench_with_input(BenchmarkId::new("f32", cols), &cols, |bench, _| {
-            bench.iter(|| gemm_at_b(-2.0, &a, &b))
+            bench.iter(|| gemm_at_b(active_backend(), -2.0, &a, &b))
         });
         let a16 = a.to_f16_scaled(0.0078125);
         let b16 = b.to_f16_scaled(0.0078125);
         g.bench_with_input(BenchmarkId::new("f16", cols), &cols, |bench, _| {
-            bench.iter(|| gemm_at_b_f16(-2.0, &a16, &b16))
+            bench.iter(|| gemm_at_b(active_backend(), -2.0, &a16, &b16))
         });
     }
     g.finish();
@@ -52,10 +50,10 @@ fn bench_gemm_packed(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * 768 * 768 * 128));
     for be in available_backends() {
         g.bench_with_input(BenchmarkId::new("packed_f32", be.name()), &be, |bench, &be| {
-            bench.iter(|| gemm_at_b_blocked_on(be, -2.0, &a, &b))
+            bench.iter(|| gemm_at_b(be, -2.0, &a, &b))
         });
         g.bench_with_input(BenchmarkId::new("packed_f16", be.name()), &be, |bench, &be| {
-            bench.iter(|| gemm_at_b_blocked_f16_on(be, -2.0, &a16, &b16))
+            bench.iter(|| gemm_at_b(be, -2.0, &a16, &b16))
         });
     }
     g.bench_function("naive_f32", |bench| bench.iter(|| gemm_at_b_naive(-2.0, &a, &b)));
@@ -73,16 +71,16 @@ fn bench_fused_top2(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * 768 * 768 * 128));
     for be in available_backends() {
         g.bench_with_input(BenchmarkId::new("fused_f32", be.name()), &be, |bench, &be| {
-            bench.iter(|| gemm_top2_on(be, -2.0, &a, &b))
+            bench.iter(|| gemm_top2(be, -2.0, &a, &b, 1, 768))
         });
         g.bench_with_input(BenchmarkId::new("unfused_f32", be.name()), &be, |bench, &be| {
-            bench.iter(|| top2_min_per_column(&gemm_at_b_blocked_on(be, -2.0, &a, &b)))
+            bench.iter(|| top2_min_per_column(&gemm_at_b(be, -2.0, &a, &b), 1, 768))
         });
         g.bench_with_input(BenchmarkId::new("fused_f16", be.name()), &be, |bench, &be| {
-            bench.iter(|| gemm_top2_f16_on(be, -2.0, &a16, &b16))
+            bench.iter(|| gemm_top2(be, -2.0, &a16, &b16, 1, 768))
         });
         g.bench_with_input(BenchmarkId::new("unfused_f16", be.name()), &be, |bench, &be| {
-            bench.iter(|| top2_min_per_column(&gemm_at_b_blocked_f16_on(be, -2.0, &a16, &b16)))
+            bench.iter(|| top2_min_per_column(&gemm_at_b(be, -2.0, &a16, &b16), 1, 768))
         });
     }
     g.finish();
@@ -92,7 +90,7 @@ fn bench_top2(c: &mut Criterion) {
     let mut g = c.benchmark_group("top2");
     let a = feature_mat(768, 768, 3);
     g.throughput(Throughput::Elements((768 * 768) as u64));
-    g.bench_function("scan_768x768", |bench| bench.iter(|| top2_min_per_column(&a)));
+    g.bench_function("scan_768x768", |bench| bench.iter(|| top2_min_per_column(&a, 1, 768)));
     g.bench_function("full_sort_768x768", |bench| bench.iter(|| sort_columns(&a)));
     g.finish();
 }

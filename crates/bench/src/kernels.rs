@@ -24,12 +24,9 @@ use std::time::Instant;
 
 use texid_linalg::dispatch::{available_backends, Backend};
 use texid_linalg::gemm::gemm_at_b_naive;
-use texid_linalg::kernel::{
-    gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2_blocked_f16_on,
-    gemm_top2_blocked_on, mul_add_probe,
-};
+use texid_linalg::kernel::{gemm_at_b, gemm_top2, mul_add_probe};
 use texid_linalg::mat::Mat;
-use texid_linalg::top2::top2_min_per_column_blocked;
+use texid_linalg::top2::top2_min_per_column;
 
 /// Schema tag stamped into every report; bump on any layout change.
 /// v2 added the per-entry `backend` column (SIMD dispatch rows); v3 the
@@ -133,64 +130,28 @@ impl BenchReport {
     }
 }
 
-/// Structural validation of an emitted report: balanced JSON nesting, the
-/// exact schema tag, and the full column set on every entry.
+/// Structural validation of an emitted report: well-formed JSON, the exact
+/// schema tag, and the full column set on every entry.
 pub fn validate_json(json: &str) -> Result<(), String> {
-    let mut depth_obj = 0i32;
-    let mut depth_arr = 0i32;
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in json.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match ch {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => depth_obj += 1,
-            '}' if !in_str => depth_obj -= 1,
-            '[' if !in_str => depth_arr += 1,
-            ']' if !in_str => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err("unbalanced JSON nesting".into());
-        }
-    }
-    if depth_obj != 0 || depth_arr != 0 || in_str {
-        return Err("unterminated JSON".into());
-    }
-    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing schema tag {SCHEMA:?}"));
-    }
-    for key in ["\"seed\":", "\"median_of\":", "\"quick\":", "\"entries\":"] {
-        if !json.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    let n_entries = json.matches("\"kernel\":").count();
-    if n_entries == 0 {
-        return Err("no entries".into());
-    }
-    for key in [
-        "\"precision\":",
-        "\"backend\":",
-        "\"m\":",
-        "\"n\":",
-        "\"d\":",
-        "\"batch\":",
-        "\"wall_us\":",
-        "\"min_us\":",
-        "\"mad_us\":",
-        "\"gflops\":",
-        "\"pct_of_peak\":",
-    ] {
-        if json.matches(key).count() != n_entries {
-            return Err(format!("key {key} missing from some entry"));
-        }
-    }
-    Ok(())
+    crate::validate_report(
+        json,
+        SCHEMA,
+        &["seed", "median_of", "quick"],
+        &[
+            "kernel",
+            "precision",
+            "backend",
+            "m",
+            "n",
+            "d",
+            "batch",
+            "wall_us",
+            "min_us",
+            "mad_us",
+            "gflops",
+            "pct_of_peak",
+        ],
+    )
 }
 
 /// SIMD dispatch guard: every non-scalar row must reach at least
@@ -401,26 +362,22 @@ pub fn run_custom(
             for &be in backends {
                 let name = be.name();
                 push("packed", "f32", name, time_us(median_of, || {
-                    gemm_at_b_blocked_on(be, -2.0, &r, &q)
+                    gemm_at_b(be, -2.0, &r, &q)
                 }));
                 push("packed", "f16", name, time_us(median_of, || {
-                    gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16)
+                    gemm_at_b(be, -2.0, &r16, &q16)
                 }));
                 push("fused_top2", "f32", name, time_us(median_of, || {
-                    gemm_top2_blocked_on(be, -2.0, &r, &q, batch, m)
+                    gemm_top2(be, -2.0, &r, &q, batch, m)
                 }));
                 push("fused_top2", "f16", name, time_us(median_of, || {
-                    gemm_top2_blocked_f16_on(be, -2.0, &r16, &q16, batch, m)
+                    gemm_top2(be, -2.0, &r16, &q16, batch, m)
                 }));
                 push("unfused_top2", "f32", name, time_us(median_of, || {
-                    top2_min_per_column_blocked(&gemm_at_b_blocked_on(be, -2.0, &r, &q), batch, m)
+                    top2_min_per_column(&gemm_at_b(be, -2.0, &r, &q), batch, m)
                 }));
                 push("unfused_top2", "f16", name, time_us(median_of, || {
-                    top2_min_per_column_blocked(
-                        &gemm_at_b_blocked_f16_on(be, -2.0, &r16, &q16),
-                        batch,
-                        m,
-                    )
+                    top2_min_per_column(&gemm_at_b(be, -2.0, &r16, &q16), batch, m)
                 }));
             }
 

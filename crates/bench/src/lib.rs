@@ -18,6 +18,33 @@ pub mod ivf;
 pub mod kernels;
 pub mod throughput;
 
+/// Structural validation of an emitted `BENCH_*.json` report, on the value
+/// `texid obs diff` reads the same files into: the text parses, carries
+/// exactly `schema`, every `top` key, and a non-empty `entries` array whose
+/// every element has every `per_entry` key.
+fn validate_report(
+    json: &str,
+    schema: &str,
+    top: &[&str],
+    per_entry: &[&str],
+) -> Result<(), String> {
+    let v = texid_distrib::json::parse(json).map_err(|e| format!("not JSON: {e}"))?;
+    if v.get("schema").and_then(|s| s.as_str()) != Some(schema) {
+        return Err(format!("missing schema tag {schema:?}"));
+    }
+    if let Some(key) = top.iter().find(|key| v.get(key).is_none()) {
+        return Err(format!("missing top-level key {key:?}"));
+    }
+    let entries = v.get("entries").and_then(|e| e.as_arr()).unwrap_or_default();
+    if entries.is_empty() {
+        return Err("no entries".into());
+    }
+    match per_entry.iter().find(|key| entries.iter().any(|e| e.get(key).is_none())) {
+        Some(key) => Err(format!("key {key:?} missing from some entry")),
+        None => Ok(()),
+    }
+}
+
 /// Print a table header box.
 pub fn heading(title: &str) {
     let bar = "=".repeat(title.len() + 4);

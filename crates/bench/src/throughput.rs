@@ -130,61 +130,25 @@ impl ThroughputReport {
     }
 }
 
-/// Structural validation of an emitted report: balanced JSON nesting, the
-/// exact schema tag, and the full column set on every entry.
+/// Structural validation of an emitted report: well-formed JSON, the exact
+/// schema tag, and the full column set on every entry.
 pub fn validate_json(json: &str) -> Result<(), String> {
-    let mut depth_obj = 0i32;
-    let mut depth_arr = 0i32;
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in json.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match ch {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => depth_obj += 1,
-            '}' if !in_str => depth_obj -= 1,
-            '[' if !in_str => depth_arr += 1,
-            ']' if !in_str => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err("unbalanced JSON nesting".into());
-        }
-    }
-    if depth_obj != 0 || depth_arr != 0 || in_str {
-        return Err("unterminated JSON".into());
-    }
-    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing schema tag {SCHEMA:?}"));
-    }
-    for key in ["\"seed\":", "\"median_of\":", "\"quick\":", "\"refs\":", "\"batch_size\":"] {
-        if !json.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    let n_entries = json.matches("\"clients\":").count();
-    if n_entries == 0 {
-        return Err("no entries".into());
-    }
-    for key in [
-        "\"coalesce\":",
-        "\"searches\":",
-        "\"images\":",
-        "\"sim_total_us\":",
-        "\"imgs_per_sec\":",
-        "\"h2d_us\":",
-        "\"mean_group\":",
-        "\"wall_us\":",
-    ] {
-        if json.matches(key).count() != n_entries {
-            return Err(format!("key {key} missing from some entry"));
-        }
-    }
-    Ok(())
+    crate::validate_report(
+        json,
+        SCHEMA,
+        &["seed", "median_of", "quick", "refs", "batch_size"],
+        &[
+            "clients",
+            "coalesce",
+            "searches",
+            "images",
+            "sim_total_us",
+            "imgs_per_sec",
+            "h2d_us",
+            "mean_group",
+            "wall_us",
+        ],
+    )
 }
 
 /// Regression guard: at the highest measured client count, coalescing must

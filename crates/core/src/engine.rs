@@ -38,6 +38,7 @@ use texid_knn::{
 use texid_linalg::kernel::{PackedA, PackedB};
 use texid_linalg::Backend;
 use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
+use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
 /// Cached telemetry handles, registered once per engine against the global
@@ -698,7 +699,7 @@ impl Engine {
             m_per_ref: self.cfg.m_ref,
             data: BatchData::Phantom {
                 cols: ids.len() * self.cfg.m_ref,
-                rows: 128,
+                rows: DESCRIPTOR_DIM,
                 precision: self.cfg.matching.precision,
             },
             ids,

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_knn::{match_pair, FeatureBlock, MatchConfig};
-use texid_linalg::gemm::neg2_at_b;
+use texid_linalg::kernel::gemm_at_b;
 use texid_linalg::norms::col_sq_norms;
 use texid_linalg::Mat;
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
@@ -175,7 +175,8 @@ pub fn compression_error_pair(r: &Mat, q: &Mat, scale: f32) -> f64 {
     // Full-precision distances.
     let n_r = col_sq_norms(r);
     let n_q = col_sq_norms(q);
-    let a = neg2_at_b(r, q);
+    let be = texid_linalg::active_backend();
+    let a = gemm_at_b(be, -2.0, r, q);
 
     // FP16 distances: operands quantized at `scale`, accumulation f32.
     let r16 = r.to_f16_scaled(scale);
@@ -187,7 +188,7 @@ pub fn compression_error_pair(r: &Mat, q: &Mat, scale: f32) -> f64 {
     let qq = q16.to_f32_unscaled(scale);
     let n_r16 = col_sq_norms(&rq);
     let n_q16 = col_sq_norms(&qq);
-    let a16 = neg2_at_b(&rq, &qq);
+    let a16 = gemm_at_b(be, -2.0, &rq, &qq);
 
     let m = r.cols();
     let n = q.cols();

@@ -19,7 +19,10 @@
 //! | `/slo` | GET | — | burn-rate status of every configured objective |
 //!
 //! Feature payloads travel as base64-encoded protobuf-style bytes
-//! ([`crate::wire`]), matching the paper's protobuf serialization.
+//! ([`crate::wire`]), matching the paper's protobuf serialization. Their
+//! descriptors must have the system's one dimension
+//! ([`DESCRIPTOR_DIM`]); any other is a 400 on every route that takes
+//! features.
 //!
 //! Search responses carry the degraded-mode quorum metadata
 //! (`degraded`, `shards_ok`, `shards_failed`, `shards_skipped`) so clients
@@ -53,6 +56,7 @@ use std::sync::Arc;
 use texid_obs::{
     global_events, global_ring, Clock, SpanRecord, Stage, TraceContext, WideEvent, TRACE_HEADER,
 };
+use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
 fn err_json(status: u16, msg: &str) -> Response {
@@ -68,17 +72,26 @@ fn json_body(req: &Request) -> Result<Json, Response> {
     parse(text).map_err(|e| err_json(400, &e.to_string()))
 }
 
+/// The one place a route decodes features. What comes out is what the
+/// engines can take: descriptors of any other dimension than the system's
+/// are a client error here, not a panic in a kernel later.
 fn parse_features_field(v: &Json, field: &str) -> Result<FeatureMatrix, Response> {
     let b64_text = v
         .get(field)
         .and_then(Json::as_str)
         .ok_or_else(|| err_json(400, "missing features field"))?;
     let bytes = b64::decode(b64_text).map_err(|_| err_json(400, "invalid base64"))?;
-    wire::decode_features(&bytes).map_err(|_| err_json(400, "invalid feature payload"))
+    let features =
+        wire::decode_features(&bytes).map_err(|_| err_json(400, "invalid feature payload"))?;
+    if features.dim() != DESCRIPTOR_DIM {
+        return Err(cluster_err(ClusterError::Dimension(features.dim())));
+    }
+    Ok(features)
 }
 
 fn cluster_err(e: ClusterError) -> Response {
     match e {
+        ClusterError::Dimension(_) => err_json(400, &e.to_string()),
         ClusterError::NotFound(_) => err_json(404, &e.to_string()),
         ClusterError::Unavailable(_) | ClusterError::Timeout(_) => err_json(503, &e.to_string()),
         _ => err_json(500, &e.to_string()),
@@ -353,7 +366,10 @@ fn route(
             )
         }
         ("GET", ["metrics"]) => {
+            // The gauges that mirror state kept elsewhere are brought up to
+            // date by the scrape that reads them.
             texid_obs::touch_process_metrics();
+            cluster.refresh_wal_gauges();
             Response::prometheus(200, texid_obs::global().render_prometheus())
         }
         ("GET", ["events"]) => {
@@ -697,6 +713,40 @@ mod tests {
         assert_eq!(http_call(addr, "GET", "/textures/abc", b"").unwrap().status, 400);
         assert_eq!(http_call(addr, "POST", "/health", b"").unwrap().status, 405);
         assert_eq!(http_call(addr, "GET", "/heal", b"").unwrap().status, 405);
+    }
+
+    #[test]
+    fn descriptors_of_the_wrong_dimension_are_refused_by_every_route() {
+        let cluster = test_cluster();
+        let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        for id in 0..4u64 {
+            let body = format!(r#"{{"id": {id}, "features": "{}"}}"#, features_b64(id, 128));
+            assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+        }
+
+        // A well-formed payload of 64-d descriptors: enrolled, it would take
+        // its shard out of every later search; as a query, it would take
+        // the worker that served it.
+        let narrow = texid_linalg::Mat::from_fn(64, 16, |r, c| ((r + 3 * c) % 7) as f32 * 0.1);
+        let narrow = b64::encode(&wire::encode_features(&FeatureMatrix::from_mat(narrow, true)));
+        for (method, path, body) in [
+            ("POST", "/textures", format!(r#"{{"id": 9, "features": "{narrow}"}}"#)),
+            ("PUT", "/textures/1", format!(r#"{{"features": "{narrow}"}}"#)),
+            ("POST", "/search", format!(r#"{{"features": "{narrow}"}}"#)),
+            ("POST", "/verify", format!(r#"{{"id": 1, "features": "{narrow}"}}"#)),
+        ] {
+            let resp = http_call(addr, method, path, body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 400, "{method} {path}: {}", resp.text());
+            assert!(resp.text().contains("64-dimensional"), "{}", resp.text());
+        }
+        assert_eq!(cluster.len(), 4);
+
+        let body = format!(r#"{{"features": "{}", "top": 2}}"#, features_b64(1, 256));
+        let resp = http_call(addr, "POST", "/search", body.as_bytes()).unwrap();
+        let v = parse(&resp.text()).unwrap();
+        assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(false), "{}", resp.text());
+        assert_eq!(v.get("comparisons").and_then(Json::as_u64), Some(4), "{}", resp.text());
     }
 
     #[test]

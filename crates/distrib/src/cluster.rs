@@ -69,6 +69,7 @@ use texid_obs::{
     global_events, global_ring, Counter, DriftSentry, DriftStatus, Gauge, Histogram, Registry,
     SloEngine, SloSpec, SloStatus, TraceContext, WideEvent, DRIFT_STAGES, STAGE_TOTAL,
 };
+use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 use texid_store::{
     crc32c, DurableLog, LogConfig, ReplayStats, SnapshotFault, Volume, WalStats, WriteFault,
@@ -331,6 +332,9 @@ pub enum ClusterError {
     NotFound(u64),
     /// Stored bytes failed to decode.
     Corrupt(u64),
+    /// The descriptors offered are not [`DESCRIPTOR_DIM`]-dimensional
+    /// (carries the dimension they have).
+    Dimension(usize),
     /// A required resource cannot be reached right now.
     Unavailable(String),
     /// Bounded retries were exhausted on transient failures.
@@ -349,6 +353,9 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Cache(e) => write!(f, "cache error: {e}"),
             ClusterError::NotFound(id) => write!(f, "texture {id} not found"),
             ClusterError::Corrupt(id) => write!(f, "stored features for {id} corrupt"),
+            ClusterError::Dimension(d) => {
+                write!(f, "descriptors are {d}-dimensional, expected {DESCRIPTOR_DIM}")
+            }
             ClusterError::Unavailable(what) => write!(f, "{what} unavailable"),
             ClusterError::Timeout(op) => write!(f, "retries exhausted: {op}"),
         }
@@ -975,9 +982,15 @@ impl Cluster {
     /// version.)
     ///
     /// # Errors
-    /// Propagates shard cache exhaustion; `Unavailable` if the feature
-    /// store rejects the write past the retry budget.
+    /// `Dimension` (nothing stored, nothing indexed) unless the descriptors
+    /// are [`DESCRIPTOR_DIM`]-dimensional: a shard cannot batch, and the
+    /// kernel cannot multiply, columns of two lengths. Propagates shard
+    /// cache exhaustion; `Unavailable` if the feature store rejects the
+    /// write past the retry budget.
     pub fn add_texture(&self, id: u64, features: &FeatureMatrix) -> Result<(), ClusterError> {
+        if features.dim() != DESCRIPTOR_DIM {
+            return Err(ClusterError::Dimension(features.dim()));
+        }
         // Persist first (the paper's Redis holds the authoritative copy).
         self.store_set(&Self::key(id), wire::encode_features(features))?;
         let (mut engine, live) = self.lock_owner(id, true).expect("an unowned id is placed");
@@ -1335,7 +1348,7 @@ impl Cluster {
             let e = &self.cfg.engine;
             let speed = comparisons as f64 / wall_us * 1e6;
             let per_gpu = speed / shards_ok as f64;
-            let (m, n, d) = (e.m_ref, e.n_query, 128);
+            let (m, n, d) = (e.m_ref, e.n_query, DESCRIPTOR_DIM);
             self.telemetry
                 .achieved_tflops
                 .set(texid_core::metrics::achieved_tflops(speed, m, n, d));
@@ -1427,11 +1440,12 @@ impl Cluster {
         let mut report = RecoveryReport::default();
         for id in &members {
             // Three-way read: checksum-verified value, missing, or corrupt
-            // (a decode failure on verified bytes is corruption too).
+            // (verified bytes that fail to decode, or decode to descriptors
+            // of the wrong dimension, are corruption too).
             let outcome = match self.store_get(&Self::key(*id))? {
                 StoreRead::Value(bytes) => match wire::decode_features(&bytes) {
-                    Ok(features) => Ok(features),
-                    Err(_) => Err(QuarantineReason::Corrupt),
+                    Ok(features) if features.dim() == DESCRIPTOR_DIM => Ok(features),
+                    _ => Err(QuarantineReason::Corrupt),
                 },
                 StoreRead::Missing => Err(QuarantineReason::Missing),
                 StoreRead::Corrupt => Err(QuarantineReason::Corrupt),
@@ -1555,11 +1569,24 @@ impl Cluster {
             .collect()
     }
 
+    /// The store's WAL counters (`None` for an ephemeral store), published
+    /// to the `texid_wal_*` gauges on the way. The `/metrics` scrape calls
+    /// this, as `/stats` does, so the gauges are current whoever reads them.
+    pub fn refresh_wal_gauges(&self) -> Option<WalStats> {
+        let wal = self.store.wal_stats();
+        if let Some(w) = &wal {
+            self.telemetry.wal_appends.set(w.appends as f64);
+            self.telemetry.wal_bytes.set(w.wal_bytes as f64);
+            self.telemetry.wal_snapshots.set(w.snapshots as f64);
+        }
+        wal
+    }
+
     /// Cluster statistics (the REST `/stats` payload).
     pub fn stats(&self) -> ClusterStats {
         let per_ref = texid_core::capacity::bytes_per_reference(
             self.cfg.engine.m_ref,
-            128,
+            DESCRIPTOR_DIM,
             self.cfg.engine.matching.precision,
             false,
         );
@@ -1577,12 +1604,7 @@ impl Cluster {
                 ShardHealth::Down => (h, s, d + 1),
             })
         };
-        let wal = self.store.wal_stats();
-        if let Some(w) = &wal {
-            self.telemetry.wal_appends.set(w.appends as f64);
-            self.telemetry.wal_bytes.set(w.wal_bytes as f64);
-            self.telemetry.wal_snapshots.set(w.snapshots as f64);
-        }
+        let wal = self.refresh_wal_gauges();
         ClusterStats {
             containers: self.shards.len(),
             textures: self.len(),
@@ -2258,6 +2280,33 @@ mod tests {
         // Quarantined ids vanish from results.
         let out = cluster.search(&query_for(0), 3);
         assert!(out.results.iter().all(|(id, _)| *id != 0));
+    }
+
+    #[test]
+    fn wrong_dimension_is_refused_on_write_and_quarantined_on_heal() {
+        let plan = FaultPlan::new(5).crash_shard(0);
+        let cluster = Cluster::with_faults(small_config(1), Some(plan));
+        for id in 0..3u64 {
+            cluster.add_texture(id, &features(id, 128)).unwrap();
+        }
+        let narrow = texid_linalg::Mat::from_fn(64, 16, |r, c| ((r + 3 * c) % 7) as f32 * 0.1);
+        let narrow = FeatureMatrix::from_mat(narrow, true);
+        // The write path refuses it: nothing stored, nothing indexed.
+        assert_eq!(cluster.add_texture(9, &narrow), Err(ClusterError::Dimension(64)));
+        assert_eq!(cluster.update_texture(1, &narrow), Err(ClusterError::Dimension(64)));
+        assert_eq!((cluster.len(), indexed(&cluster)), (3, 3));
+        assert!(!cluster.store().exists(&Cluster::key(9)));
+
+        // An entry written before that check existed: intact bytes, wrong
+        // shape. Recovery must retire it, not index it (or die trying).
+        cluster.store().set(&Cluster::key(1), wire::encode_features(&narrow));
+        assert!(cluster.search(&query_for(0), 3).degraded, "the scripted crash");
+        let heal = cluster.heal().unwrap();
+        assert_eq!(heal.healed, vec![0]);
+        assert_eq!(heal.quarantined, vec![Quarantine { id: 1, reason: QuarantineReason::Corrupt }]);
+        let after = cluster.search(&query_for(0), 3);
+        assert!(!after.degraded);
+        assert_eq!((after.comparisons, after.results[0].0), (2, 0));
     }
 
     #[test]

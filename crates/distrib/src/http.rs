@@ -272,7 +272,13 @@ fn serve_connection(mut stream: TcpStream, handler: &(dyn Fn(&Request) -> Respon
     let resp = match read_request(&mut stream) {
         Ok(Some(req)) => {
             is_head = req.method == "HEAD";
-            handler(&req)
+            // A handler that panics has a bug, and that bug costs its one
+            // request a 500 — not the pool a worker, which is never
+            // replaced.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&req)))
+                .unwrap_or_else(|_| {
+                    Response::json(500, r#"{"error":"internal error"}"#.to_string())
+                })
         }
         Ok(None) => return,
         Err(RequestError::TooLarge { .. }) => {
@@ -641,6 +647,25 @@ mod tests {
             admitted += 1;
         }
         assert!(admitted >= 1, "at least the worker-held connection succeeds");
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_a_500_not_a_worker() {
+        let server = HttpServer::spawn_pooled(
+            "127.0.0.1:0",
+            Arc::new(|req: &Request| {
+                assert_ne!(req.path, "/boom", "a handler bug");
+                Response::json(200, "{}".to_string())
+            }),
+            PoolConfig { workers: 2, queue_depth: 4 },
+        )
+        .unwrap();
+        // One more panic than there are workers, each answered; then an
+        // ordinary request still finds a worker to serve it.
+        for _ in 0..3 {
+            assert_eq!(http_call(server.addr(), "GET", "/boom", b"").unwrap().status, 500);
+        }
+        assert_eq!(http_call(server.addr(), "GET", "/fine", b"").unwrap().status, 200);
     }
 
     #[test]

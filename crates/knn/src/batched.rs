@@ -11,16 +11,17 @@
 //! the device against one batch — launched on a [`GpuSim`] here (the Table
 //! 1/3 path), priced analytically by the engine — and [`score_batch`] /
 //! [`score_batch_packed`] are the numerics, which need no device.
-//! [`match_batch`] is "charge + score".
+//! [`match_batch`] is "charge + score". A single pair is a batch of one:
+//! `score_pair` under `RootSiftTop2` is `score_batch(cfg, r, 1, r.cols(),
+//! q)`, so Algorithm 2 is written here and nowhere else.
 
 use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
 use crate::ratio::count_good_matches;
 use texid_gpu::{cost, DeviceSpec, GpuSim, Kernel, Precision, StreamId};
-use texid_linalg::gemm::{gemm_at_b_f16, neg2_at_b};
-use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
-use texid_linalg::mat::MatF16;
-use texid_linalg::top2::{top2_min_per_column_blocked, Top2};
+use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
+use texid_linalg::mat::{Mat, MatF16};
+use texid_linalg::top2::{top2_min_per_column, Top2};
 
 /// Result of matching a batched reference block against one query.
 #[derive(Clone, Debug)]
@@ -165,9 +166,11 @@ fn check_blocks(r_cat: &FeatureBlock, batch: usize, m_per_ref: usize, q: &Featur
 /// per-reference ratio test, no device and no charge (`cfg.algorithm` and
 /// `cfg.exec` are not consulted).
 ///
-/// With `cfg.fused` this packs both blocks and calls
-/// [`score_batch_packed`]; callers that match the same references or the
+/// Packs both blocks for `cfg`'s backend; with `cfg.fused` the rest is
+/// [`score_batch_packed`] — callers that match the same references or the
 /// same query more than once (the engine) pack once and call that directly.
+/// Unfused is the reference the bit-identity tests compare against: the
+/// `(B·m) × n` similarity matrix is materialized, then scanned.
 ///
 /// # Panics
 /// As [`match_batch`], on mismatched operands.
@@ -182,27 +185,14 @@ pub fn score_batch(
     if q.cols() == 0 {
         return BatchOutcome::degenerate(batch);
     }
+    let be = cfg.kernel_backend();
+    let (r, q) = (r_cat.pack_refs(be), q.pack_query(be));
     if cfg.fused {
-        let be = cfg.kernel_backend();
-        return score_batch_packed(cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be));
+        return score_batch_packed(cfg, &r, batch, m_per_ref, &q);
     }
-
-    // Unfused: materialize the `(B·m) × n` similarity matrix, then scan.
-    let (a, s2) = match (r_cat, q) {
-        (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => (neg2_at_b(rm, qm), 1.0),
-        (FeatureBlock::F16 { mat: rm, scale: rs }, FeatureBlock::F16 { mat: qm, scale: qs }) => {
-            assert_eq!(rs, qs, "reference/query scale mismatch");
-            (gemm_at_b_f16(-2.0, rm, qm), rs * qs)
-        }
-        _ => panic!("reference and query blocks must share a precision"),
-    };
-    let raw = if cfg.precision == Precision::F16 {
-        // Narrow to the 16-bit HGEMM output before scanning, as on device.
-        blocked_top2_f16(&MatF16::narrowed(&a), batch, m_per_ref)
-    } else {
-        top2_min_per_column_blocked(&a, batch, m_per_ref)
-    };
-    finish(cfg, &raw, s2, batch, q.cols())
+    let (a, s2) = similarity_gemm(&r, &q);
+    let raw = scan_product(&a, r.precision, batch, m_per_ref);
+    finish(cfg, &raw, s2, batch, q.panels.cols())
 }
 
 /// [`score_batch`] on packed operands: the scan consumes GEMM tiles as they
@@ -222,8 +212,7 @@ pub fn score_batch_packed(
 ) -> BatchOutcome {
     assert_eq!(r.panels.cols(), batch * m_per_ref, "batched block column mismatch");
     assert_eq!(r.panels.depth(), q.panels.depth(), "descriptor dimension mismatch");
-    assert_eq!(r.precision, q.precision, "reference and query blocks must share a precision");
-    assert_eq!(r.scale, q.scale, "reference/query scale mismatch");
+    let s2 = scale_sq(r, q);
     let n = q.panels.cols();
     if n == 0 {
         return BatchOutcome::degenerate(batch);
@@ -235,61 +224,64 @@ pub fn score_batch_packed(
         ..FusedEpilogue::default()
     };
     let raw = gemm_top2_ex(-2.0, &r.panels, &q.panels, &epi, batch, m_per_ref);
-    finish(cfg, &raw, r.scale * q.scale, batch, n)
+    finish(cfg, &raw, s2, batch, n)
 }
 
-/// The √(2 + A/s²) epilogue of Algorithm 2 and the per-reference ratio test.
-fn finish(cfg: &MatchConfig, raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
+/// The `scale²` a product of `r` and `q` carries (`1.0` for F32 blocks) —
+/// and the one place mismatched operands are refused.
+///
+/// # Panics
+/// Panics if the blocks disagree in precision or FP16 scale.
+pub(crate) fn scale_sq(r: &PackedBlock<PackedA>, q: &PackedBlock<PackedB>) -> f32 {
+    assert_eq!(r.precision, q.precision, "reference and query blocks must share a precision");
+    assert_eq!(r.scale, q.scale, "reference/query scale mismatch");
+    r.scale * q.scale
+}
+
+/// The unfused similarity GEMM `−2·RᵀQ`, materialized: the matrix in the
+/// *scale² domain* for FP16 (caller divides), plus `scale²`.
+pub(crate) fn similarity_gemm(r: &PackedBlock<PackedA>, q: &PackedBlock<PackedB>) -> (Mat, f32) {
+    let s2 = scale_sq(r, q);
+    (gemm_packed(-2.0, &r.panels, &q.panels), s2)
+}
+
+/// The unfused scan of a materialized product, per reference block. An F16
+/// pipeline narrows to the 16-bit HGEMM output first, as on device, and the
+/// scan pays the widening intrinsic — and its quantization.
+pub(crate) fn scan_product(a: &Mat, precision: Precision, batch: usize, m_per_ref: usize) -> Vec<Top2> {
+    if precision == Precision::F16 {
+        top2_min_per_column(&MatF16::narrowed(a), batch, m_per_ref)
+    } else {
+        top2_min_per_column(a, batch, m_per_ref)
+    }
+}
+
+/// The `ρ = √(2 + A/s²)` epilogue of Algorithm 2 (unit-norm RootSIFT
+/// columns), applied to the two survivors of each scan.
+pub(crate) fn rootsift_distances(raw: &[Top2], s2: f32) -> Vec<Top2> {
     let inv = 1.0 / s2;
-    let top2: Vec<Top2> = raw
-        .iter()
+    raw.iter()
         .map(|t| Top2 {
             idx: t.idx,
             d1: (2.0 + t.d1 * inv).max(0.0).sqrt(),
             d2: (2.0 + t.d2 * inv).max(0.0).sqrt(),
         })
-        .collect();
+        .collect()
+}
 
+/// Algorithm 2's epilogue and the per-reference ratio test.
+fn finish(cfg: &MatchConfig, raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
+    let top2 = rootsift_distances(raw, s2);
     let scores = (0..batch)
         .map(|b| count_good_matches(&top2[b * n..(b + 1) * n], cfg.ratio_threshold))
         .collect();
     BatchOutcome { scores, top2, steps: StepTimes::default(), batch }
 }
 
-/// FP16 blocked scan (mirrors `top2_min_per_column_blocked` with the
-/// per-element widening).
-fn blocked_top2_f16(a: &MatF16, batch: usize, m_per_ref: usize) -> Vec<Top2> {
-    use rayon::prelude::*;
-    let m = a.rows();
-    let n = a.cols();
-    assert_eq!(m, batch * m_per_ref);
-    let mut out = vec![Top2 { idx: 0, d1: 0.0, d2: 0.0 }; batch * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(b, block_out)| {
-        for (j, slot) in block_out.iter_mut().enumerate() {
-            let col = &a.as_slice()[j * m + b * m_per_ref..j * m + (b + 1) * m_per_ref];
-            let (mut d1, mut d2) = (f32::INFINITY, f32::INFINITY);
-            let mut idx = 0u32;
-            for (i, &v) in col.iter().enumerate() {
-                let v = v.to_f32();
-                if v < d1 {
-                    d2 = d1;
-                    d1 = v;
-                    idx = i as u32;
-                } else if v < d2 {
-                    d2 = v;
-                }
-            }
-            *slot = Top2 { idx, d1, d2 };
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pair::match_pair;
-    use texid_linalg::mat::Mat;
     use texid_gpu::DeviceSpec;
 
     fn unit_features(d: usize, cols: usize, seed: u64) -> Mat {

@@ -23,12 +23,12 @@ pub enum FeatureBlock {
     },
 }
 
-/// A [`FeatureBlock`] packed into the fused kernel's k-major panels
-/// ([`PackedA`] for references, [`PackedB`] for a query), widened once and
-/// bound to a kernel backend. Remembers the block's precision and FP16
-/// scale — the two facts `score_batch_packed` cannot read back from the
-/// f32 panels — so mismatched operands are rejected exactly as unpacked
-/// ones are.
+/// A [`FeatureBlock`] packed into the kernel's k-major panels ([`PackedA`]
+/// for references, [`PackedB`] for a query), widened once and bound to a
+/// kernel backend — the form every matcher's GEMM takes its operands in.
+/// Remembers the block's precision and FP16 scale, the two facts that
+/// cannot be read back from the f32 panels, so mismatched operands are
+/// rejected in one place (`batched::scale_sq`).
 pub struct PackedBlock<P> {
     pub(crate) panels: P,
     pub(crate) precision: Precision,
@@ -69,29 +69,28 @@ impl FeatureBlock {
         }
     }
 
-    /// Pack as the reference (A) operand of the fused kernel on `be`.
+    /// Pack as the reference (A) operand of the kernel on `be`.
     pub fn pack_refs(&self, be: Backend) -> PackedBlock<PackedA> {
-        self.pack(|m| PackedA::from_f32_on(be, m), |m| PackedA::from_f16_on(be, m))
+        self.packed(match self {
+            FeatureBlock::F32(m) => PackedA::pack(be, m),
+            FeatureBlock::F16 { mat, .. } => PackedA::pack(be, mat),
+        })
     }
 
-    /// Pack as the query (B) operand of the fused kernel on `be`.
+    /// Pack as the query (B) operand of the kernel on `be`.
     pub fn pack_query(&self, be: Backend) -> PackedBlock<PackedB> {
-        self.pack(|m| PackedB::from_f32_on(be, m), |m| PackedB::from_f16_on(be, m))
+        self.packed(match self {
+            FeatureBlock::F32(m) => PackedB::pack(be, m),
+            FeatureBlock::F16 { mat, .. } => PackedB::pack(be, mat),
+        })
     }
 
-    fn pack<P>(
-        &self,
-        f32_panels: impl FnOnce(&Mat) -> P,
-        f16_panels: impl FnOnce(&MatF16) -> P,
-    ) -> PackedBlock<P> {
-        match self {
-            FeatureBlock::F32(m) => {
-                PackedBlock { panels: f32_panels(m), precision: Precision::F32, scale: 1.0 }
-            }
-            FeatureBlock::F16 { mat, scale } => {
-                PackedBlock { panels: f16_panels(mat), precision: Precision::F16, scale: *scale }
-            }
-        }
+    fn packed<P>(&self, panels: P) -> PackedBlock<P> {
+        let scale = match self {
+            FeatureBlock::F32(_) => 1.0,
+            FeatureBlock::F16 { scale, .. } => *scale,
+        };
+        PackedBlock { panels, precision: self.precision(), scale }
     }
 
     /// Number of feature columns.

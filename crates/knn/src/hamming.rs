@@ -12,6 +12,7 @@
 //! co-optimizations of §4–§6.
 
 use rayon::prelude::*;
+use texid_linalg::Top2;
 use texid_sift::orb::{hamming, BinaryFeatures, ORB_WORDS};
 
 /// Hamming matching configuration.
@@ -58,18 +59,13 @@ pub fn match_binary(
         .par_iter()
         .enumerate()
         .filter_map(|(j, q)| {
-            let (mut d1, mut d2) = (u32::MAX, u32::MAX);
-            let mut idx = 0u32;
+            // Distances are integers ≤ 256, exact in f32, and there are at
+            // least two of them, so both registers end up finite.
+            let mut t = Top2::EMPTY;
             for (i, r) in reference.descriptors.iter().enumerate() {
-                let d = hamming(q, r);
-                if d < d1 {
-                    d2 = d1;
-                    d1 = d;
-                    idx = i as u32;
-                } else if d < d2 {
-                    d2 = d;
-                }
+                t.observe(i as u32, hamming(q, r) as f32);
             }
+            let (idx, d1, d2) = (t.idx, t.d1 as u32, t.d2 as u32);
             let good = d1 <= cfg.max_distance
                 && d2 > 0
                 && (d1 as f32) < cfg.ratio_threshold * d2 as f32;

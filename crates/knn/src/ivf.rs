@@ -21,6 +21,7 @@
 
 use std::collections::BTreeSet;
 
+use texid_linalg::dispatch::active_backend;
 use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::Mat;
 use texid_linalg::norms::col_sq_norms;
@@ -69,7 +70,7 @@ fn assign(packed: &PackedA, norms: &[f32], points: &Mat) -> Vec<u32> {
         return vec![0; points.cols()];
     }
     let epi = FusedEpilogue { row_bias: Some(norms), ..FusedEpilogue::default() };
-    gemm_top2_ex(-2.0, packed, &PackedB::from_f32_on(packed.backend(), points), &epi, 1, k)
+    gemm_top2_ex(-2.0, packed, &PackedB::pack(packed.backend(), points), &epi, 1, k)
         .iter()
         .map(|t| t.idx)
         .collect()
@@ -127,7 +128,7 @@ pub fn kmeans(points: &Mat, k: usize, seed: u64, max_iters: usize) -> Kmeans {
     let mut assignments: Vec<u32> = Vec::new();
     let mut iterations = 0;
     for _ in 0..max_iters {
-        let packed = PackedA::from_f32(&centroids);
+        let packed = PackedA::pack(active_backend(), &centroids);
         let norms = col_sq_norms(&centroids);
         let next = assign(&packed, &norms, points);
         let converged = next == assignments;
@@ -226,7 +227,7 @@ impl IvfIndex {
     pub fn train(points: &Mat, nlist: usize, seed: u64, max_iters: usize) -> IvfIndex {
         assert!(nlist >= 2, "an IVF index needs at least two cells");
         let km = kmeans(points, nlist, seed, max_iters);
-        let packed = PackedA::from_f32(&km.centroids);
+        let packed = PackedA::pack(active_backend(), &km.centroids);
         let norms = col_sq_norms(&km.centroids);
         IvfIndex {
             centroids: km.centroids,
@@ -303,7 +304,7 @@ impl IvfIndex {
         assert_eq!(query_pool.len(), self.dim(), "pooled query dimension mismatch");
         let q = Mat::from_col_major(self.dim(), 1, query_pool.to_vec());
         let scores =
-            gemm_packed(-2.0, &self.packed, &PackedB::from_f32_on(self.packed.backend(), &q));
+            gemm_packed(-2.0, &self.packed, &PackedB::pack(self.packed.backend(), &q));
         let mut cells: Vec<u32> = (0..self.nlist() as u32).collect();
         cells.sort_by(|&a, &b| {
             let sa = self.norms[a as usize] + scores.get(a as usize, 0);

@@ -1,17 +1,15 @@
 //! Single-pair 2-nearest-neighbors matching — Algorithms 1 and 2, plus the
 //! two baselines, with per-step simulated timing (the rows of Table 1).
 
+use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm};
 use crate::block::FeatureBlock;
 use crate::ratio::{good_matches, FeatureMatch};
 use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::dispatch::{active_backend, Backend};
-use texid_linalg::gemm::{gemm_at_b_f16, neg2_at_b};
-use texid_linalg::kernel::{
-    gemm_top2_ex, gemm_top2_f16_on, gemm_top2_on, FusedEpilogue, PackedA, PackedB,
-};
-use texid_linalg::mat::{Mat, MatF16};
-use texid_linalg::norms::col_sq_norms;
-use texid_linalg::top2::{sort_columns, top2_min_per_column, top2_min_per_column_f16, Top2};
+use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue};
+use texid_linalg::mat::Mat;
+use texid_linalg::norms::{add_row_norms, col_sq_norms};
+use texid_linalg::top2::{sort_columns, top2_min_per_column, Top2};
 
 /// Which matching implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,20 +200,6 @@ fn dequantized(block: &FeatureBlock) -> Mat {
     }
 }
 
-/// The similarity GEMM in the configured precision. Returns the matrix in
-/// the *scale² domain* for FP16 (caller divides), plus `scale²`.
-fn similarity_gemm(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlock) -> (Mat, f32) {
-    match (r, q) {
-        (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => (neg2_at_b(rm, qm), 1.0),
-        (FeatureBlock::F16 { mat: rm, scale: rs }, FeatureBlock::F16 { mat: qm, scale: qs }) => {
-            assert_eq!(rs, qs, "reference/query scale mismatch");
-            let _ = cfg;
-            (gemm_at_b_f16(-2.0, rm, qm), rs * qs)
-        }
-        _ => panic!("reference and query blocks must share a precision"),
-    }
-}
-
 /// Match one reference feature block against one query block, charging the
 /// simulated device `sim` on `stream`.
 ///
@@ -341,70 +325,42 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
                     dist.set(i, j, d2.sqrt());
                 }
             }
-            top2_min_per_column(&dist)
+            top2_min_per_column(&dist, 1, m)
         }
         Algorithm::CublasFullSort | Algorithm::CublasTop2 => {
             // Algorithm 1: ρ² = N_R + N_Q − 2·RᵀQ.
-            let rm = dequantized(r);
-            let qm = dequantized(q);
-            let n_r = col_sq_norms(&rm);
-            let n_q = col_sq_norms(&qm);
+            let n_r = col_sq_norms(&dequantized(r));
+            let n_q = col_sq_norms(&dequantized(q));
+            let be = cfg.kernel_backend();
+            let (rp, qp) = (r.pack_refs(be), q.pack_query(be));
 
             let raw = if cfg.fused && cfg.algorithm == Algorithm::CublasTop2 {
                 // Fused path: the unscale, N_R add, and (FP16) output
                 // quantization all run in the GEMM epilogue; the m × n
                 // similarity matrix never exists.
-                let be = cfg.kernel_backend();
-                match (r, q) {
-                    (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => gemm_top2_ex(
-                        -2.0,
-                        &PackedA::from_f32_on(be, rm),
-                        &PackedB::from_f32_on(be, qm),
-                        &FusedEpilogue { row_bias: Some(&n_r), ..FusedEpilogue::default() },
-                        1,
-                        rm.cols(),
-                    ),
-                    (
-                        FeatureBlock::F16 { mat: rm, scale: rs },
-                        FeatureBlock::F16 { mat: qm, scale: qs },
-                    ) => {
-                        assert_eq!(rs, qs, "reference/query scale mismatch");
-                        gemm_top2_ex(
-                            -2.0,
-                            &PackedA::from_f16_on(be, rm),
-                            &PackedB::from_f16_on(be, qm),
-                            &FusedEpilogue {
-                                scale: 1.0 / (rs * qs),
-                                row_bias: Some(&n_r),
-                                quantize_f16: true,
-                            },
-                            1,
-                            rm.cols(),
-                        )
-                    }
-                    _ => panic!("reference and query blocks must share a precision"),
-                }
+                let epi = FusedEpilogue {
+                    scale: 1.0 / scale_sq(&rp, &qp),
+                    row_bias: Some(&n_r),
+                    quantize_f16: rp.precision == Precision::F16,
+                };
+                gemm_top2_ex(-2.0, &rp.panels, &qp.panels, &epi, 1, r.cols())
             } else {
-                let (mut a, s2) = similarity_gemm(cfg, r, q);
+                let (mut a, s2) = similarity_gemm(&rp, &qp);
                 if s2 != 1.0 {
                     let inv = 1.0 / s2;
                     for v in a.as_mut_slice() {
                         *v *= inv;
                     }
                 }
-                texid_linalg::norms::add_row_norms(&mut a, &n_r);
+                add_row_norms(&mut a, &n_r);
 
                 if cfg.algorithm == Algorithm::CublasFullSort {
                     let (sorted, idx) = sort_columns(&a);
                     (0..a.cols())
                         .map(|j| Top2 { idx: idx[j], d1: sorted.get(0, j), d2: sorted.get(1, j) })
                         .collect::<Vec<_>>()
-                } else if cfg.precision == Precision::F16 {
-                    // The scan reads the 16-bit HGEMM output, paying the
-                    // widening intrinsic — and its quantization.
-                    top2_min_per_column_f16(&MatF16::narrowed(&a))
                 } else {
-                    top2_min_per_column(&a)
+                    scan_product(&a, rp.precision, 1, r.cols())
                 }
             };
             raw.iter()
@@ -416,41 +372,9 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
                 })
                 .collect()
         }
-        Algorithm::RootSiftTop2 => {
-            // Algorithm 2: ρ = √(2 − 2·rᵀq) for unit-norm RootSIFT columns.
-            let (raw, s2) = if cfg.fused {
-                let be = cfg.kernel_backend();
-                match (r, q) {
-                    (FeatureBlock::F32(rm), FeatureBlock::F32(qm)) => {
-                        (gemm_top2_on(be, -2.0, rm, qm), 1.0)
-                    }
-                    (
-                        FeatureBlock::F16 { mat: rm, scale: rs },
-                        FeatureBlock::F16 { mat: qm, scale: qs },
-                    ) => {
-                        assert_eq!(rs, qs, "reference/query scale mismatch");
-                        (gemm_top2_f16_on(be, -2.0, rm, qm), rs * qs)
-                    }
-                    _ => panic!("reference and query blocks must share a precision"),
-                }
-            } else {
-                let (a, s2) = similarity_gemm(cfg, r, q);
-                let raw = if cfg.precision == Precision::F16 {
-                    top2_min_per_column_f16(&MatF16::narrowed(&a))
-                } else {
-                    top2_min_per_column(&a)
-                };
-                (raw, s2)
-            };
-            let inv = 1.0 / s2;
-            raw.iter()
-                .map(|t| Top2 {
-                    idx: t.idx,
-                    d1: (2.0 + t.d1 * inv).max(0.0).sqrt(),
-                    d2: (2.0 + t.d2 * inv).max(0.0).sqrt(),
-                })
-                .collect()
-        }
+        // Algorithm 2, ρ = √(2 − 2·rᵀq) for unit-norm RootSIFT columns: a
+        // pair is a batch of one.
+        Algorithm::RootSiftTop2 => score_batch(cfg, r, 1, r.cols(), q).top2,
     }
 }
 

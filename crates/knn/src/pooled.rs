@@ -11,9 +11,10 @@
 //! This module implements that pooled baseline faithfully so the claim can
 //! be measured (`benches/ablation_cbir_baseline.rs`) instead of assumed.
 
+use crate::batched::rootsift_distances;
 use crate::ratio::good_matches;
 use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
-use texid_linalg::Mat;
+use texid_linalg::{active_backend, Mat};
 
 /// A pooled (CBIR-style) feature database.
 pub struct PooledIndex {
@@ -41,7 +42,7 @@ impl PooledIndex {
         for (id, m) in refs {
             owner.extend(std::iter::repeat_n(*id, m.cols()));
         }
-        let packed = PackedA::from_f32(&features);
+        let packed = PackedA::pack(active_backend(), &features);
         PooledIndex { features, packed, owner, images: refs.len() }
     }
 
@@ -52,7 +53,7 @@ impl PooledIndex {
         gemm_top2_ex(
             -2.0,
             &self.packed,
-            &PackedB::from_f32_on(self.packed.backend(), query),
+            &PackedB::pack(self.packed.backend(), query),
             &FusedEpilogue::default(),
             1,
             self.packed.cols(),
@@ -77,15 +78,7 @@ impl PooledIndex {
         assert_eq!(query.rows(), self.features.rows(), "descriptor dim mismatch");
         // Same algebra as Algorithm 2, but over the pooled matrix: a single
         // global 2-NN instead of M per-image ones.
-        let top2 = self.global_top2(query);
-        let scored: Vec<_> = top2
-            .iter()
-            .map(|t| texid_linalg::Top2 {
-                idx: t.idx,
-                d1: (2.0 + t.d1).max(0.0).sqrt(),
-                d2: (2.0 + t.d2).max(0.0).sqrt(),
-            })
-            .collect();
+        let scored = rootsift_distances(&self.global_top2(query), 1.0);
 
         let mut votes: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for m in good_matches(&scored, ratio_threshold) {
@@ -119,7 +112,7 @@ impl PooledIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use texid_linalg::gemm::neg2_at_b;
+    use texid_linalg::kernel::gemm_at_b;
     use texid_linalg::top2::top2_min_per_column;
 
     fn unit_features(d: usize, cols: usize, seed: u64) -> Mat {
@@ -197,16 +190,8 @@ mod tests {
         );
         // Per-image matching (the paper's way) has no such problem: the
         // second-nearest *within image 1* is far, so matches survive.
-        let a = neg2_at_b(&base, &query);
-        let top2 = top2_min_per_column(&a);
-        let scored: Vec<_> = top2
-            .iter()
-            .map(|t| texid_linalg::Top2 {
-                idx: t.idx,
-                d1: (2.0 + t.d1).max(0.0).sqrt(),
-                d2: (2.0 + t.d2).max(0.0).sqrt(),
-            })
-            .collect();
+        let a = gemm_at_b(active_backend(), -2.0, &base, &query);
+        let scored = rootsift_distances(&top2_min_per_column(&a, 1, a.rows()), 1.0);
         let per_image = good_matches(&scored, 0.75).len();
         assert!(per_image > 25, "per-image matching should survive: {per_image}");
     }

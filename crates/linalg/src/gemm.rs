@@ -1,14 +1,14 @@
-//! `AᵀB` general matrix multiplication — the functional core of the paper's
-//! cuBLAS reformulation of the similarity matrix (`A = −2·RᵀQ`, Eq. 1).
+//! The two `AᵀB` references the packed kernel is held against — the
+//! functional core of the paper's cuBLAS reformulation of the similarity
+//! matrix (`A = −2·RᵀQ`, Eq. 1) written the slow, obvious way.
 //!
 //! Both operands are column-major `d × *` feature matrices, so `AᵀB` is a
-//! grid of dot products between contiguous columns. The public entry points
-//! ([`gemm_at_b`], [`gemm_at_b_f16`]) are thin wrappers over the **packed,
-//! cache-blocked, register-tiled** kernel in [`crate::kernel`]: operands are
-//! packed (and, for FP16, widened exactly once) into `MR`/`NR`-wide k-major
-//! panels, output columns are processed in rayon-parallel `NC` chunks, and a
-//! register tile with one accumulator per output walks the full depth. See
-//! the [`crate::kernel`] module docs for the layout details.
+//! grid of dot products between contiguous columns. The product the system
+//! runs is [`crate::kernel::gemm_at_b`] — operands packed (and, for FP16,
+//! widened exactly once) into k-major panels, a register tile with one
+//! accumulator per output walking the full depth; see the [`crate::kernel`]
+//! module docs. This module keeps what tests and the Table 2 study compare
+//! it with: [`gemm_at_b_naive`] and [`gemm_at_b_f16acc`].
 //!
 //! ## Summation order
 //!
@@ -23,46 +23,8 @@
 //! instruction and takes it when the CPU has it.
 
 use crate::f16::F16;
-use crate::kernel::{gemm_at_b_blocked, gemm_at_b_blocked_f16};
 use crate::mat::{Mat, MatF16};
 use rayon::prelude::*;
-
-/// Compute `C = alpha · AᵀB`, where `A` is `d × m`, `B` is `d × n`, and the
-/// result is `m × n` (column-major). Routes through the packed blocked
-/// kernel ([`crate::kernel::gemm_at_b_blocked`]).
-///
-/// # Panics
-/// Panics if the inner dimensions (`rows`) differ.
-pub fn gemm_at_b(alpha: f32, a: &Mat, b: &Mat) -> Mat {
-    gemm_at_b_blocked(alpha, a, b)
-}
-
-/// Convenience wrapper for the paper's `A = −2·RᵀQ` (Algorithm 1 step 3 /
-/// Algorithm 2 step 1).
-pub fn neg2_at_b(r: &Mat, q: &Mat) -> Mat {
-    gemm_at_b(-2.0, r, q)
-}
-
-/// Half-precision `C = alpha · AᵀB` with f32 accumulation, mirroring HGEMM on
-/// tensor cores (f16 operands, f32 accumulate). Output stays in f32, matching
-/// the cuBLAS `CUBLAS_COMPUTE_32F` path the paper relies on for accuracy.
-///
-/// Routes through the packed blocked kernel, which widens each operand
-/// element **once** during packing — `O((m + n)·d)` conversions, not the
-/// `O(m·n·d)` of widening per output.
-///
-/// # Panics
-/// Panics if the inner dimensions differ.
-pub fn gemm_at_b_f16(alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
-    gemm_at_b_blocked_f16(alpha, a, b)
-}
-
-/// FP16 variant of [`neg2_at_b`]. The caller is responsible for having scaled
-/// the operands; the result of `−2·RᵀQ` then carries a `scale²` factor that
-/// downstream code must undo (see `texid-knn`).
-pub fn neg2_at_b_f16(r: &MatF16, q: &MatF16) -> Mat {
-    gemm_at_b_f16(-2.0, r, q)
-}
 
 /// Half-precision GEMM with **FP16 accumulation** (`CUBLAS_COMPUTE_16F`):
 /// every partial sum is narrowed back to f16, so large operand scales
@@ -126,6 +88,8 @@ pub fn gemm_at_b_naive(alpha: f32, a: &Mat, b: &Mat) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::active_backend;
+    use crate::kernel::{gemm_at_b, gemm_packed, PackedA, PackedB};
 
     fn mat_seq(rows: usize, cols: usize, start: f32) -> Mat {
         Mat::from_fn(rows, cols, |r, c| start + (r * cols + c) as f32 * 0.1)
@@ -135,7 +99,7 @@ mod tests {
     fn matches_naive_small() {
         let a = mat_seq(4, 3, 1.0);
         let b = mat_seq(4, 5, -2.0);
-        let fast = gemm_at_b(1.0, &a, &b);
+        let fast = gemm_at_b(active_backend(), 1.0, &a, &b);
         let slow = gemm_at_b_naive(1.0, &a, &b);
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -145,7 +109,7 @@ mod tests {
         // Exercises the non-multiple-of-4 dot-product tail.
         let a = mat_seq(7, 5, 0.3);
         let b = mat_seq(7, 2, 0.7);
-        let fast = gemm_at_b(-2.0, &a, &b);
+        let fast = gemm_at_b(active_backend(), -2.0, &a, &b);
         let slow = gemm_at_b_naive(-2.0, &a, &b);
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -155,16 +119,16 @@ mod tests {
         // A = [[1],[0]], B = [[3],[4]] (d=2, m=1, n=1): AᵀB = 3.
         let a = Mat::from_col_major(2, 1, vec![1.0, 0.0]);
         let b = Mat::from_col_major(2, 1, vec![3.0, 4.0]);
-        assert_eq!(gemm_at_b(1.0, &a, &b).get(0, 0), 3.0);
-        assert_eq!(neg2_at_b(&a, &b).get(0, 0), -6.0);
+        assert_eq!(gemm_at_b(active_backend(), 1.0, &a, &b).get(0, 0), 3.0);
+        assert_eq!(gemm_at_b(active_backend(), -2.0, &a, &b).get(0, 0), -6.0);
     }
 
     #[test]
     fn f16_close_to_f32_for_unit_scale_data() {
         let a = mat_seq(8, 6, 0.01);
         let b = mat_seq(8, 4, 0.02);
-        let f32_res = gemm_at_b(-2.0, &a, &b);
-        let f16_res = gemm_at_b_f16(-2.0, &a.to_f16_scaled(1.0), &b.to_f16_scaled(1.0));
+        let f32_res = gemm_at_b(active_backend(), -2.0, &a, &b);
+        let f16_res = gemm_at_b(active_backend(), -2.0, &a.to_f16_scaled(1.0), &b.to_f16_scaled(1.0));
         // f16 has ~3 decimal digits; these small values stay close.
         assert!(f32_res.max_abs_diff(&f16_res) < 0.05);
     }
@@ -175,8 +139,8 @@ mod tests {
         let a = Mat::from_col_major(2, 1, vec![1.0, 2.0]);
         let b = Mat::from_col_major(2, 1, vec![3.0, 4.0]);
         let s = 0.25f32;
-        let scaled = gemm_at_b_f16(1.0, &a.to_f16_scaled(s), &b.to_f16_scaled(s));
-        let unscaled = gemm_at_b(1.0, &a, &b);
+        let scaled = gemm_at_b(active_backend(), 1.0, &a.to_f16_scaled(s), &b.to_f16_scaled(s));
+        let unscaled = gemm_at_b(active_backend(), 1.0, &a, &b);
         assert!((scaled.get(0, 0) / (s * s) - unscaled.get(0, 0)).abs() < 1e-3);
     }
 
@@ -200,7 +164,7 @@ mod tests {
         let b = mat_seq(8, 2, 0.02);
         let (c16, ov) = gemm_at_b_f16acc(1.0, &a.to_f16_scaled(1.0), &b.to_f16_scaled(1.0));
         assert!(!ov);
-        let c32 = gemm_at_b(1.0, &a, &b);
+        let c32 = gemm_at_b(active_backend(), 1.0, &a, &b);
         assert!(c32.max_abs_diff(&c16) < 0.1);
     }
 
@@ -208,20 +172,24 @@ mod tests {
     fn empty_edge_cases() {
         let a = Mat::zeros(4, 0);
         let b = Mat::zeros(4, 3);
-        let c = gemm_at_b(1.0, &a, &b);
+        let c = gemm_at_b(active_backend(), 1.0, &a, &b);
         assert_eq!(c.rows(), 0);
         assert_eq!(c.cols(), 3);
     }
 
     #[test]
     fn wrappers_route_through_blocked_kernel() {
+        let be = active_backend();
         let a = mat_seq(7, 6, 0.2);
         let b = mat_seq(7, 5, -0.4);
-        assert_eq!(gemm_at_b(-2.0, &a, &b), crate::kernel::gemm_at_b_blocked(-2.0, &a, &b));
+        assert_eq!(
+            gemm_at_b(be, -2.0, &a, &b),
+            gemm_packed(-2.0, &PackedA::pack(be, &a), &PackedB::pack(be, &b))
+        );
         let (a16, b16) = (a.to_f16_scaled(0.5), b.to_f16_scaled(0.5));
         assert_eq!(
-            gemm_at_b_f16(-2.0, &a16, &b16),
-            crate::kernel::gemm_at_b_blocked_f16(-2.0, &a16, &b16)
+            gemm_at_b(be, -2.0, &a16, &b16),
+            gemm_packed(-2.0, &PackedA::pack(be, &a16), &PackedB::pack(be, &b16))
         );
     }
 
@@ -232,7 +200,7 @@ mod tests {
         // unrolled and naive kernels stays within a tight absolute bound.
         let a = Mat::from_fn(128, 96, |r, c| ((r * 96 + c) % 251) as f32 * 1e-3);
         let b = Mat::from_fn(128, 96, |r, c| ((r * 96 + c) % 199) as f32 * 1e-3);
-        let fast = gemm_at_b(-2.0, &a, &b);
+        let fast = gemm_at_b(active_backend(), -2.0, &a, &b);
         let slow = gemm_at_b_naive(-2.0, &a, &b);
         assert!(fast.max_abs_diff(&slow) < 1e-3);
     }

@@ -122,15 +122,18 @@
 //! quantize pass) is chosen per [`PackedA`] / [`PackedB`] at *pack time* —
 //! panel width equals the backend's `MR` / `NR`, so the kernel that consumes
 //! a pack is always the one it was laid out for (the two operands of a call
-//! must be packed for the same backend). [`PackedA::from_f32`]/[`PackedA::from_f16`] bind the
-//! process-wide [`active_backend`] (probed once, overridable via
-//! `TEXID_KERNEL_BACKEND`); the `*_on` constructors and wrappers force an
-//! explicit backend for tests, benches and `MatchConfig` overrides. A
-//! forced-but-unavailable backend silently degrades to scalar.
+//! must be packed for the same backend). The backend is an argument of
+//! [`PackedA::pack`] / [`PackedB::pack`] and of the two pack-and-run entry
+//! points ([`gemm_at_b`], [`gemm_top2`]): pass
+//! [`active_backend`](crate::dispatch::active_backend) (probed once,
+//! overridable via `TEXID_KERNEL_BACKEND`) or force one for a test, a bench
+//! or a `MatchConfig` override. Precision is the operand's type
+//! ([`Operand`]: `Mat` or `MatF16`). A forced-but-unavailable backend
+//! silently degrades to scalar.
 
-use crate::dispatch::{active_backend, Backend, MAX_TILE};
+use crate::dispatch::{Backend, MAX_TILE};
 use crate::f16::F16;
-use crate::mat::{swap_remove_block, Mat, MatF16};
+use crate::mat::{swap_remove_block, Mat, MatF16, Operand, Widen};
 use crate::simd::PROBE_CHAINS;
 use crate::top2::Top2;
 use rayon::prelude::*;
@@ -147,39 +150,6 @@ pub const NR: usize = 4;
 const MC_ROWS: usize = 128;
 /// Output columns per parallel task (packed B chunk ≤ `NC·d` floats).
 const NC: usize = 64;
-
-/// Elements the packer can widen to f32.
-trait Widen: Copy {
-    /// True when packing should read source elements directly (f32);
-    /// false routes each column through the backend's vectorized widen.
-    const DIRECT: bool;
-    fn widen(self) -> f32;
-    /// Widen a whole column, dispatched on the backend (unused when
-    /// [`Self::DIRECT`]).
-    fn widen_into(be: Backend, src: &[Self], dst: &mut [f32]);
-}
-
-impl Widen for f32 {
-    const DIRECT: bool = true;
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        self
-    }
-    fn widen_into(_be: Backend, src: &[f32], dst: &mut [f32]) {
-        dst.copy_from_slice(src);
-    }
-}
-
-impl Widen for F16 {
-    const DIRECT: bool = false;
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        self.to_f32()
-    }
-    fn widen_into(be: Backend, src: &[F16], dst: &mut [f32]) {
-        crate::f16::widen_slice_on(be, src, dst);
-    }
-}
 
 /// A pre-packed, pre-widened reference operand.
 ///
@@ -201,34 +171,21 @@ pub struct PackedA {
 }
 
 impl PackedA {
-    /// Pack an f32 reference matrix for the process-wide backend.
-    pub fn from_f32(a: &Mat) -> PackedA {
-        Self::from_f32_on(active_backend(), a)
-    }
-
-    /// Pack a half-precision reference matrix for the process-wide backend,
-    /// widening each element once (vectorized on SIMD backends).
-    pub fn from_f16(a: &MatF16) -> PackedA {
-        Self::from_f16_on(active_backend(), a)
-    }
-
-    /// [`Self::from_f32`] for an explicit backend (an unavailable backend
-    /// degrades to scalar).
-    pub fn from_f32_on(be: Backend, a: &Mat) -> PackedA {
-        Self::pack(a.as_slice(), a.rows(), a.cols(), be)
-    }
-
-    /// [`Self::from_f16`] for an explicit backend (an unavailable backend
-    /// degrades to scalar).
-    pub fn from_f16_on(be: Backend, a: &MatF16) -> PackedA {
-        Self::pack(a.as_slice(), a.rows(), a.cols(), be)
-    }
-
-    fn pack<T: Widen>(cols: &[T], d: usize, m: usize, be: Backend) -> PackedA {
+    /// Pack a reference matrix for `be` (an unavailable backend degrades to
+    /// scalar), widening half-precision elements once on the way
+    /// (vectorized on SIMD backends).
+    pub fn pack<T: Operand>(be: Backend, a: &T) -> PackedA {
+        let (cols, d, m) = a.parts();
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let mr = backend.mr();
         let fma_tile = backend == Backend::Scalar && scalar_tile_has_fma();
         PackedA { m, d, backend, mr, fma_tile, data: pack_panels(cols, d, m, mr, backend) }
+    }
+
+    /// [`Self::pack`] of a half-precision matrix (the name `benchmarks/`
+    /// times).
+    pub fn from_f16_on(be: Backend, a: &MatF16) -> PackedA {
+        Self::pack(be, a)
     }
 
     /// Number of reference columns (`m`, rows of the product).
@@ -293,29 +250,10 @@ pub struct PackedB {
 }
 
 impl PackedB {
-    /// Pack an f32 query matrix for the process-wide backend.
-    pub fn from_f32(b: &Mat) -> PackedB {
-        Self::from_f32_on(active_backend(), b)
-    }
-
-    /// Pack a half-precision query matrix for the process-wide backend,
-    /// widening each element once.
-    pub fn from_f16(b: &MatF16) -> PackedB {
-        Self::from_f16_on(active_backend(), b)
-    }
-
-    /// [`Self::from_f32`] for an explicit backend (an unavailable backend
-    /// degrades to scalar, exactly like [`PackedA::from_f32_on`]).
-    pub fn from_f32_on(be: Backend, b: &Mat) -> PackedB {
-        Self::pack(b.as_slice(), b.rows(), b.cols(), be)
-    }
-
-    /// [`Self::from_f16`] for an explicit backend.
-    pub fn from_f16_on(be: Backend, b: &MatF16) -> PackedB {
-        Self::pack(b.as_slice(), b.rows(), b.cols(), be)
-    }
-
-    fn pack<T: Widen>(cols: &[T], d: usize, n: usize, be: Backend) -> PackedB {
+    /// Pack a query matrix for `be`, exactly as [`PackedA::pack`] does a
+    /// reference matrix.
+    pub fn pack<T: Operand>(be: Backend, b: &T) -> PackedB {
+        let (cols, d, n) = b.parts();
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let nr = backend.nr();
         PackedB { n, d, backend, nr, data: pack_panels(cols, d, n, nr, backend) }
@@ -351,18 +289,18 @@ impl PackedB {
 /// 8-lane F16C / NEON on SIMD backends, then scattered).
 fn pack_panels<T: Widen>(cols: &[T], d: usize, count: usize, width: usize, be: Backend) -> Vec<f32> {
     let mut data = vec![0.0f32; count.div_ceil(width) * d * width];
-    let mut scratch = if T::DIRECT { Vec::new() } else { vec![0.0f32; d] };
+    let mut scratch = if T::HALF { vec![0.0f32; d] } else { Vec::new() };
     for (p, panel) in data.chunks_exact_mut((d * width).max(1)).enumerate() {
         for c in 0..width.min(count - p * width) {
             let col = &cols[(p * width + c) * d..(p * width + c + 1) * d];
-            if T::DIRECT {
-                for (k, &v) in col.iter().enumerate() {
-                    panel[k * width + c] = v.widen();
-                }
-            } else {
+            if T::HALF {
                 T::widen_into(be, col, &mut scratch);
                 for (k, &v) in scratch.iter().enumerate() {
                     panel[k * width + c] = v;
+                }
+            } else {
+                for (k, &v) in col.iter().enumerate() {
+                    panel[k * width + c] = v.widen();
                 }
             }
         }
@@ -662,7 +600,7 @@ pub fn gemm_top2_ex(
         .collect();
 
     // Re-shuffle the per-chunk `[local_j][blk]` states into the blocked
-    // output layout `out[blk · n + j]` (matching `top2_min_per_column_blocked`).
+    // output layout `out[blk · n + j]` (matching `top2_min_per_column`).
     let mut out = vec![Top2::EMPTY; batch * n];
     for (ci, state) in per_chunk.iter().enumerate() {
         let j0 = ci * NC;
@@ -757,143 +695,38 @@ pub fn mul_add_probe(be: Backend, rounds: u64) -> (u64, f32) {
     (flops * 4, c.iter().flatten().sum())
 }
 
-/// Blocked `C = alpha · AᵀB`, f32 operands (packs A internally for the
-/// process-wide backend).
+/// Pack both operands for `be` and run [`gemm_packed`]: `C = alpha · AᵀB`.
+/// Half-precision operands are widened once during packing and accumulated
+/// in f32 (the `CUBLAS_COMPUTE_32F` HGEMM analogue; the output stays f32).
 ///
 /// # Panics
 /// Panics if the contraction depths differ.
-pub fn gemm_at_b_blocked(alpha: f32, a: &Mat, b: &Mat) -> Mat {
-    gemm_at_b_blocked_on(active_backend(), alpha, a, b)
+pub fn gemm_at_b<T: Operand>(be: Backend, alpha: f32, a: &T, b: &T) -> Mat {
+    gemm_packed(alpha, &PackedA::pack(be, a), &PackedB::pack(be, b))
 }
 
-/// [`gemm_at_b_blocked`] forced onto an explicit backend (bit-identical to
-/// every other backend; used by benches and forced configs).
-///
-/// # Panics
-/// Panics if the contraction depths differ.
-pub fn gemm_at_b_blocked_on(be: Backend, alpha: f32, a: &Mat, b: &Mat) -> Mat {
-    gemm_packed(alpha, &PackedA::from_f32_on(be, a), &PackedB::from_f32_on(be, b))
-}
-
-/// Blocked `C = alpha · AᵀB`, f16 operands widened once during packing,
-/// f32 accumulation (the `CUBLAS_COMPUTE_32F` HGEMM analogue).
-///
-/// # Panics
-/// Panics if the contraction depths differ.
-pub fn gemm_at_b_blocked_f16(alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
-    gemm_at_b_blocked_f16_on(active_backend(), alpha, a, b)
-}
-
-/// [`gemm_at_b_blocked_f16`] forced onto an explicit backend.
-///
-/// # Panics
-/// Panics if the contraction depths differ.
-pub fn gemm_at_b_blocked_f16_on(be: Backend, alpha: f32, a: &MatF16, b: &MatF16) -> Mat {
-    gemm_packed(alpha, &PackedA::from_f16_on(be, a), &PackedB::from_f16_on(be, b))
-}
-
-/// Fused `top2(alpha · AᵀB)` per output column, f32 operands.
-///
-/// # Panics
-/// Panics if depths differ or `a` has fewer than two columns.
-pub fn gemm_top2(alpha: f32, a: &Mat, b: &Mat) -> Vec<Top2> {
-    gemm_top2_on(active_backend(), alpha, a, b)
-}
-
-/// [`gemm_top2`] forced onto an explicit backend.
-///
-/// # Panics
-/// Panics if depths differ or `a` has fewer than two columns.
-pub fn gemm_top2_on(be: Backend, alpha: f32, a: &Mat, b: &Mat) -> Vec<Top2> {
-    gemm_top2_ex(
-        alpha,
-        &PackedA::from_f32_on(be, a),
-        &PackedB::from_f32_on(be, b),
-        &FusedEpilogue::default(),
-        1,
-        a.cols(),
-    )
-}
-
-/// Fused `top2(alpha · AᵀB)` per output column, f16 operands; every value
-/// is round-tripped through f16 before comparison, exactly like scanning a
-/// 16-bit HGEMM output.
-///
-/// # Panics
-/// Panics if depths differ or `a` has fewer than two columns.
-pub fn gemm_top2_f16(alpha: f32, a: &MatF16, b: &MatF16) -> Vec<Top2> {
-    gemm_top2_f16_on(active_backend(), alpha, a, b)
-}
-
-/// [`gemm_top2_f16`] forced onto an explicit backend.
-///
-/// # Panics
-/// Panics if depths differ or `a` has fewer than two columns.
-pub fn gemm_top2_f16_on(be: Backend, alpha: f32, a: &MatF16, b: &MatF16) -> Vec<Top2> {
-    gemm_top2_ex(
-        alpha,
-        &PackedA::from_f16_on(be, a),
-        &PackedB::from_f16_on(be, b),
-        &FusedEpilogue { quantize_f16: true, ..FusedEpilogue::default() },
-        1,
-        a.cols(),
-    )
-}
-
-/// Fused batched-reference top-2, f32 operands: `batch` blocks of
-/// `m_per_ref` reference columns scanned separately
-/// (`out[blk · n + j]`, the layout of `top2_min_per_column_blocked`).
+/// Pack both operands for `be` and run [`gemm_top2_ex`] with no scale or
+/// bias: `top2(alpha · AᵀB)` per column within each of `batch` reference
+/// blocks of `m_per_ref` columns (`out[blk · n + j]`; `batch = 1`,
+/// `m_per_ref = a.cols()` is the plain per-column scan). Half-precision
+/// operands compare every value after an f16 round trip, exactly like
+/// scanning a 16-bit HGEMM output.
 ///
 /// # Panics
 /// Panics on shape mismatch or `m_per_ref < 2`.
-pub fn gemm_top2_blocked(
-    alpha: f32,
-    a: &Mat,
-    b: &Mat,
-    batch: usize,
-    m_per_ref: usize,
-) -> Vec<Top2> {
-    gemm_top2_blocked_on(active_backend(), alpha, a, b, batch, m_per_ref)
-}
-
-/// [`gemm_top2_blocked`] forced onto an explicit backend.
-///
-/// # Panics
-/// Panics on shape mismatch or `m_per_ref < 2`.
-pub fn gemm_top2_blocked_on(
+pub fn gemm_top2<T: Operand>(
     be: Backend,
     alpha: f32,
-    a: &Mat,
-    b: &Mat,
+    a: &T,
+    b: &T,
     batch: usize,
     m_per_ref: usize,
 ) -> Vec<Top2> {
-    gemm_top2_ex(
-        alpha,
-        &PackedA::from_f32_on(be, a),
-        &PackedB::from_f32_on(be, b),
-        &FusedEpilogue::default(),
-        batch,
-        m_per_ref,
-    )
+    let epi = FusedEpilogue { quantize_f16: T::Elem::HALF, ..FusedEpilogue::default() };
+    gemm_top2_ex(alpha, &PackedA::pack(be, a), &PackedB::pack(be, b), &epi, batch, m_per_ref)
 }
 
-/// Fused batched-reference top-2, f16 operands with f16-quantized
-/// comparisons (the batched HGEMM path).
-///
-/// # Panics
-/// Panics on shape mismatch or `m_per_ref < 2`.
-pub fn gemm_top2_blocked_f16(
-    alpha: f32,
-    a: &MatF16,
-    b: &MatF16,
-    batch: usize,
-    m_per_ref: usize,
-) -> Vec<Top2> {
-    gemm_top2_blocked_f16_on(active_backend(), alpha, a, b, batch, m_per_ref)
-}
-
-/// [`gemm_top2_blocked_f16`] forced onto an explicit backend.
+/// [`gemm_top2`] on half-precision operands (the name `benchmarks/` times).
 ///
 /// # Panics
 /// Panics on shape mismatch or `m_per_ref < 2`.
@@ -905,21 +738,15 @@ pub fn gemm_top2_blocked_f16_on(
     batch: usize,
     m_per_ref: usize,
 ) -> Vec<Top2> {
-    gemm_top2_ex(
-        alpha,
-        &PackedA::from_f16_on(be, a),
-        &PackedB::from_f16_on(be, b),
-        &FusedEpilogue { quantize_f16: true, ..FusedEpilogue::default() },
-        batch,
-        m_per_ref,
-    )
+    gemm_top2(be, alpha, a, b, batch, m_per_ref)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemm_at_b_naive;
-    use crate::top2::{top2_min_per_column, top2_min_per_column_blocked, top2_min_per_column_f16};
+    use crate::dispatch::active_backend;
+    use crate::top2::top2_min_per_column;
 
     fn mat_rand(rows: usize, cols: usize, seed: u64) -> Mat {
         let mut state = seed | 1;
@@ -934,7 +761,7 @@ mod tests {
         // MR/NR-aligned shape: same ascending-k summation order as naive.
         let a = mat_rand(16, 8, 1);
         let b = mat_rand(16, 12, 2);
-        let fast = gemm_at_b_blocked(-2.0, &a, &b);
+        let fast = gemm_at_b(active_backend(), -2.0, &a, &b);
         let slow = gemm_at_b_naive(-2.0, &a, &b);
         assert_eq!(fast, slow, "blocked kernel must match naive bit-for-bit");
     }
@@ -945,7 +772,7 @@ mod tests {
         for (d, m, n) in [(1, 1, 1), (5, 3, 7), (127, 9, 5), (3, 130, 66)] {
             let a = mat_rand(d, m, d as u64);
             let b = mat_rand(d, n, n as u64 + 7);
-            let fast = gemm_at_b_blocked(1.0, &a, &b);
+            let fast = gemm_at_b(active_backend(), 1.0, &a, &b);
             let slow = gemm_at_b_naive(1.0, &a, &b);
             assert!(fast.max_abs_diff(&slow) < 1e-5, "d={d} m={m} n={n}");
         }
@@ -953,11 +780,11 @@ mod tests {
 
     #[test]
     fn blocked_empty_operands() {
-        let c = gemm_at_b_blocked(1.0, &Mat::zeros(4, 0), &Mat::zeros(4, 3));
+        let c = gemm_at_b(active_backend(), 1.0, &Mat::zeros(4, 0), &Mat::zeros(4, 3));
         assert_eq!((c.rows(), c.cols()), (0, 3));
-        let c = gemm_at_b_blocked(1.0, &Mat::zeros(4, 3), &Mat::zeros(4, 0));
+        let c = gemm_at_b(active_backend(), 1.0, &Mat::zeros(4, 3), &Mat::zeros(4, 0));
         assert_eq!((c.rows(), c.cols()), (3, 0));
-        let c = gemm_at_b_blocked(1.0, &Mat::zeros(0, 2), &Mat::zeros(0, 2));
+        let c = gemm_at_b(active_backend(), 1.0, &Mat::zeros(0, 2), &Mat::zeros(0, 2));
         assert_eq!(c, Mat::zeros(2, 2));
     }
 
@@ -970,8 +797,8 @@ mod tests {
         // widened values.
         let widened_a = a16.to_f32_unscaled(1.0);
         let widened_b = b16.to_f32_unscaled(1.0);
-        let via_f16 = gemm_at_b_blocked_f16(-2.0, &a16, &b16);
-        let via_f32 = gemm_at_b_blocked(-2.0, &widened_a, &widened_b);
+        let via_f16 = gemm_at_b(active_backend(), -2.0, &a16, &b16);
+        let via_f32 = gemm_at_b(active_backend(), -2.0, &widened_a, &widened_b);
         assert_eq!(via_f16, via_f32);
     }
 
@@ -979,9 +806,9 @@ mod tests {
     fn fused_equals_materialize_then_scan() {
         let a = mat_rand(32, 37, 5);
         let b = mat_rand(32, 21, 6);
-        let fused = gemm_top2(-2.0, &a, &b);
-        let c = gemm_at_b_blocked(-2.0, &a, &b);
-        let unfused = top2_min_per_column(&c);
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, 1, a.cols());
+        let c = gemm_at_b(active_backend(), -2.0, &a, &b);
+        let unfused = top2_min_per_column(&c, 1, c.rows());
         assert_eq!(fused, unfused, "fused top-2 must be bit-identical");
     }
 
@@ -989,14 +816,14 @@ mod tests {
     fn fused_f16_equals_narrow_then_scan() {
         let a = mat_rand(16, 11, 7).to_f16_scaled(0.25);
         let b = mat_rand(16, 9, 8).to_f16_scaled(0.25);
-        let fused = gemm_top2_f16(-2.0, &a, &b);
-        let c = gemm_at_b_blocked_f16(-2.0, &a, &b);
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, 1, a.cols());
+        let c = gemm_at_b(active_backend(), -2.0, &a, &b);
         let narrowed = MatF16::from_col_major(
             c.rows(),
             c.cols(),
             c.as_slice().iter().map(|&v| F16::from_f32(v)).collect(),
         );
-        let unfused = top2_min_per_column_f16(&narrowed);
+        let unfused = top2_min_per_column(&narrowed, 1, narrowed.rows());
         assert_eq!(fused, unfused);
     }
 
@@ -1004,9 +831,9 @@ mod tests {
     fn fused_blocked_equals_blocked_scan() {
         let a = mat_rand(8, 15, 9); // 3 blocks of 5 — tiles straddle blocks
         let b = mat_rand(8, 6, 10);
-        let fused = gemm_top2_blocked(-2.0, &a, &b, 3, 5);
-        let c = gemm_at_b_blocked(-2.0, &a, &b);
-        let unfused = top2_min_per_column_blocked(&c, 3, 5);
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, 3, 5);
+        let c = gemm_at_b(active_backend(), -2.0, &a, &b);
+        let unfused = top2_min_per_column(&c, 3, 5);
         assert_eq!(fused, unfused);
     }
 
@@ -1017,15 +844,15 @@ mod tests {
         let bias: Vec<f32> = (0..10).map(|i| i as f32 * 0.3).collect();
         let fused = gemm_top2_ex(
             -2.0,
-            &PackedA::from_f32(&a),
-            &PackedB::from_f32(&b),
+            &PackedA::pack(active_backend(), &a),
+            &PackedB::pack(active_backend(), &b),
             &FusedEpilogue { row_bias: Some(&bias), ..FusedEpilogue::default() },
             1,
             10,
         );
-        let mut c = gemm_at_b_blocked(-2.0, &a, &b);
+        let mut c = gemm_at_b(active_backend(), -2.0, &a, &b);
         crate::norms::add_row_norms(&mut c, &bias);
-        assert_eq!(fused, top2_min_per_column(&c));
+        assert_eq!(fused, top2_min_per_column(&c, 1, c.rows()));
     }
 
     #[test]
@@ -1033,7 +860,7 @@ mod tests {
         // Identical reference columns: the scan must report the first.
         let a = Mat::from_col_major(2, 3, vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
         let b = Mat::from_col_major(2, 1, vec![0.5, 0.5]);
-        let t = gemm_top2(1.0, &a, &b);
+        let t = gemm_top2(active_backend(), 1.0, &a, &b, 1, a.cols());
         assert_eq!(t[0].idx, 0);
         assert_eq!(t[0].d1, t[0].d2);
     }
@@ -1042,7 +869,7 @@ mod tests {
     fn fused_empty_query() {
         let a = mat_rand(4, 6, 13);
         let b = Mat::zeros(4, 0);
-        assert!(gemm_top2(1.0, &a, &b).is_empty());
+        assert!(gemm_top2(active_backend(), 1.0, &a, &b, 1, a.cols()).is_empty());
     }
 
     #[test]
@@ -1050,7 +877,7 @@ mod tests {
     fn fused_rejects_single_reference() {
         let a = Mat::zeros(4, 1);
         let b = Mat::zeros(4, 2);
-        let _ = gemm_top2(1.0, &a, &b);
+        let _ = gemm_top2(active_backend(), 1.0, &a, &b, 1, a.cols());
     }
 
     #[test]
@@ -1065,27 +892,27 @@ mod tests {
         let b16 = b.to_f16_scaled(0.25);
         let bias: Vec<f32> = (0..53).map(|i| i as f32 * 0.17 - 3.0).collect();
         let epi = FusedEpilogue { scale: 16.0, row_bias: Some(&bias), quantize_f16: true };
-        let c_ref = gemm_at_b_blocked_on(Backend::Scalar, -2.0, &a, &b);
-        let c16_ref = gemm_at_b_blocked_f16_on(Backend::Scalar, -2.0, &a16, &b16);
+        let c_ref = gemm_at_b(Backend::Scalar, -2.0, &a, &b);
+        let c16_ref = gemm_at_b(Backend::Scalar, -2.0, &a16, &b16);
         let fused_ref = gemm_top2_ex(
             -2.0,
-            &PackedA::from_f16_on(Backend::Scalar, &a16),
-            &PackedB::from_f16_on(Backend::Scalar, &b16),
+            &PackedA::pack(Backend::Scalar, &a16),
+            &PackedB::pack(Backend::Scalar, &b16),
             &epi,
             1,
             53,
         );
         for be in crate::dispatch::available_backends() {
-            assert_eq!(gemm_at_b_blocked_on(be, -2.0, &a, &b), c_ref, "{be}: f32 gemm");
+            assert_eq!(gemm_at_b(be, -2.0, &a, &b), c_ref, "{be}: f32 gemm");
             assert_eq!(
-                gemm_at_b_blocked_f16_on(be, -2.0, &a16, &b16),
+                gemm_at_b(be, -2.0, &a16, &b16),
                 c16_ref,
                 "{be}: f16 gemm"
             );
             let fused = gemm_top2_ex(
                 -2.0,
-                &PackedA::from_f16_on(be, &a16),
-                &PackedB::from_f16_on(be, &b16),
+                &PackedA::pack(be, &a16),
+                &PackedB::pack(be, &b16),
                 &epi,
                 1,
                 53,
@@ -1135,8 +962,8 @@ mod tests {
             };
             let c = gemm_packed(
                 -2.0,
-                &route(PackedA::from_f32_on(be, &a)),
-                &PackedB::from_f32_on(be, &b),
+                &route(PackedA::pack(be, &a)),
+                &PackedB::pack(be, &b),
             );
             assert_eq!(
                 crc_of(c.as_slice().iter().map(|v| v.to_bits())),
@@ -1145,8 +972,8 @@ mod tests {
             );
             let top2 = gemm_top2_ex(
                 -2.0,
-                &route(PackedA::from_f16_on(be, &a16)),
-                &PackedB::from_f16_on(be, &b16),
+                &route(PackedA::pack(be, &a16)),
+                &PackedB::pack(be, &b16),
                 &epi,
                 3,
                 13,
@@ -1163,7 +990,7 @@ mod tests {
     fn unavailable_backend_degrades_to_scalar() {
         for be in Backend::ALL {
             if !be.is_available() {
-                let p = PackedA::from_f32_on(be, &mat_rand(4, 5, 1));
+                let p = PackedA::pack(be, &mat_rand(4, 5, 1));
                 assert_eq!(p.backend(), Backend::Scalar);
             }
         }
@@ -1171,29 +998,29 @@ mod tests {
 
     #[test]
     fn pack_records_active_backend() {
-        let p = PackedA::from_f32(&mat_rand(8, 8, 2));
+        let p = PackedA::pack(active_backend(), &mat_rand(8, 8, 2));
         assert_eq!(p.backend(), active_backend());
     }
 
     #[test]
     fn swap_removed_pack_equals_a_pack_of_the_swap_removed_matrix() {
         for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
-            let mr = PackedA::from_f32_on(be, &Mat::zeros(1, 1)).mr;
+            let mr = PackedA::pack(be, &Mat::zeros(1, 1)).mr;
             // Five blocks of two panels each; drop a middle one, then the last.
             let (d, width) = (5, 2 * mr);
             let mut a = mat_rand(d, 5 * width, 21);
-            let mut pa = PackedA::from_f32_on(be, &a);
+            let mut pa = PackedA::pack(be, &a);
             for start in [width, 3 * width] {
                 assert!(pa.swap_remove_cols(start, width));
                 a.swap_remove_cols(start, width);
-                let fresh = PackedA::from_f32_on(be, &a);
+                let fresh = PackedA::pack(be, &a);
                 assert_eq!((pa.cols(), &pa.data), (fresh.cols(), &fresh.data), "{be:?}");
             }
             // A hole, a width or a column count off the panel grid is refused
             // and leaves the pack as it was.
             let before = pa.data.clone();
             assert!(!pa.swap_remove_cols(1, mr) && !pa.swap_remove_cols(0, mr + 1));
-            let mut ragged = PackedA::from_f32_on(be, &mat_rand(d, 2 * mr + 1, 22));
+            let mut ragged = PackedA::pack(be, &mat_rand(d, 2 * mr + 1, 22));
             assert!(!ragged.swap_remove_cols(0, mr));
             assert_eq!(
                 (pa.cols(), &pa.data, ragged.cols()),
@@ -1207,8 +1034,9 @@ mod tests {
         let a = mat_rand(8, 7, 14);
         let b1 = mat_rand(8, 3, 15);
         let b2 = mat_rand(8, 5, 16);
-        let pa = PackedA::from_f32(&a);
-        assert_eq!(gemm_packed(1.0, &pa, &PackedB::from_f32(&b1)), gemm_at_b_blocked(1.0, &a, &b1));
-        assert_eq!(gemm_packed(1.0, &pa, &PackedB::from_f32(&b2)), gemm_at_b_blocked(1.0, &a, &b2));
+        let be = active_backend();
+        let pa = PackedA::pack(be, &a);
+        assert_eq!(gemm_packed(1.0, &pa, &PackedB::pack(be, &b1)), gemm_at_b(be, 1.0, &a, &b1));
+        assert_eq!(gemm_packed(1.0, &pa, &PackedB::pack(be, &b2)), gemm_at_b(be, 1.0, &a, &b2));
     }
 }

@@ -36,9 +36,10 @@ pub use top2::Top2;
 pub mod prelude {
     pub use crate::dispatch::{active_backend, available_backends, Backend};
     pub use crate::f16::F16;
-    pub use crate::gemm::{gemm_at_b, gemm_at_b_f16, neg2_at_b, neg2_at_b_f16};
-    pub use crate::kernel::{gemm_top2, gemm_top2_f16, FusedEpilogue, PackedA, PackedB};
-    pub use crate::mat::{Mat, MatF16};
+    pub use crate::kernel::{
+        gemm_at_b, gemm_packed, gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB,
+    };
+    pub use crate::mat::{Mat, MatF16, Operand};
     pub use crate::norms::col_sq_norms;
     pub use crate::top2::{top2_min_per_column, Top2};
 }

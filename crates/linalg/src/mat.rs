@@ -4,6 +4,7 @@
 //! column, so a column-major layout makes every descriptor a contiguous
 //! slice — the same layout cuBLAS consumes.
 
+use crate::dispatch::Backend;
 use crate::f16::F16;
 
 /// `Vec::swap_remove` for a block: the last `len` elements move into the
@@ -23,6 +24,66 @@ pub(crate) fn swap_remove_block<T: Copy>(data: &mut Vec<T>, start: usize, len: u
     );
     data.copy_within(tail.., start);
     data.truncate(tail);
+}
+
+/// A matrix element the kernels read as f32: `f32` itself, or [`F16`]
+/// widened on the way in.
+pub trait Widen: Copy + Send + Sync {
+    /// Half-precision storage. The packer routes such columns through the
+    /// backend's vectorized widen (f32 is read directly), and a scan of a
+    /// product of such operands compares values rounded to f16, as a scan
+    /// of a 16-bit HGEMM output does.
+    const HALF: bool;
+    /// This element as f32 (exact).
+    fn widen(self) -> f32;
+    /// Widen a whole column on `be`.
+    fn widen_into(be: Backend, src: &[Self], dst: &mut [f32]);
+}
+
+impl Widen for f32 {
+    const HALF: bool = false;
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+    fn widen_into(_be: Backend, src: &[f32], dst: &mut [f32]) {
+        dst.copy_from_slice(src);
+    }
+}
+
+impl Widen for F16 {
+    const HALF: bool = true;
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self.to_f32()
+    }
+    fn widen_into(be: Backend, src: &[F16], dst: &mut [f32]) {
+        crate::f16::widen_slice_on(be, src, dst);
+    }
+}
+
+/// A column-major `d × cols` matrix the kernels take as an operand:
+/// [`Mat`] or [`MatF16`]. Precision is this type parameter, so the two
+/// operands of a call share it by construction.
+pub trait Operand {
+    /// `f32` or [`F16`].
+    type Elem: Widen;
+    /// `(column-major data, rows, cols)`.
+    fn parts(&self) -> (&[Self::Elem], usize, usize);
+}
+
+impl Operand for Mat {
+    type Elem = f32;
+    fn parts(&self) -> (&[f32], usize, usize) {
+        (&self.data, self.rows, self.cols)
+    }
+}
+
+impl Operand for MatF16 {
+    type Elem = F16;
+    fn parts(&self) -> (&[F16], usize, usize) {
+        (&self.data, self.rows, self.cols)
+    }
 }
 
 /// A dense column-major `f32` matrix.

@@ -65,7 +65,8 @@ pub fn add2_and_sqrt_topk(a: &mut Mat, k: usize, scale_sq_inv: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::neg2_at_b;
+    use crate::dispatch::active_backend;
+    use crate::kernel::gemm_at_b;
 
     #[test]
     fn norms_basic() {
@@ -86,7 +87,7 @@ mod tests {
         let q = Mat::from_col_major(3, 2, vec![2.0, 2.0, 2.0, 1.0, 1.0, 1.0]);
         let n_r = col_sq_norms(&r);
         let n_q = col_sq_norms(&q);
-        let mut a = neg2_at_b(&r, &q);
+        let mut a = gemm_at_b(active_backend(), -2.0, &r, &q);
         let k = a.rows();
         add_row_norms(&mut a, &n_r);
         add_col_norm_and_sqrt_topk(&mut a, &n_q, k);
@@ -114,7 +115,7 @@ mod tests {
         let r = Mat::from_col_major(3, 1, rcol.clone());
         let q = Mat::from_col_major(3, 1, qcol.clone());
 
-        let mut a = neg2_at_b(&r, &q);
+        let mut a = gemm_at_b(active_backend(), -2.0, &r, &q);
         add2_and_sqrt_topk(&mut a, 1, 1.0);
 
         let expected: f32 = rcol

@@ -5,9 +5,9 @@
 //! ratio test only ever needs the two smallest distances, the paper replaces
 //! the sort with a single scan keeping two running minima in registers,
 //! cutting the sort time by 81.9%. This module provides that scan plus the
-//! full-sort reference it replaces, in f32 and f16 flavours.
+//! full-sort reference it replaces; the scan reads f32 or f16 elements.
 
-use crate::mat::{Mat, MatF16};
+use crate::mat::{Mat, Operand, Widen};
 use rayon::prelude::*;
 
 /// The two nearest neighbours of one query feature.
@@ -53,83 +53,42 @@ impl Top2 {
     }
 }
 
-/// Single-pass top-2 scan over one column.
+/// Single-pass top-2 scan over one column: two "registers", exactly as the
+/// single-thread-per-column CUDA kernel. Half-precision elements widen at
+/// every comparison — the `__half` intrinsic the paper identifies as the
+/// FP16 sort overhead.
 #[inline]
-fn scan_top2(col: &[f32]) -> Top2 {
+fn scan_top2<T: Widen>(col: &[T]) -> Top2 {
     debug_assert!(col.len() >= 2, "top-2 needs at least two candidates");
-    // Two "registers", exactly as the single-thread-per-column CUDA kernel.
     let mut t = Top2::EMPTY;
     for (i, &v) in col.iter().enumerate() {
-        t.observe(i as u32, v);
+        t.observe(i as u32, v.widen());
     }
     t
 }
 
-/// Find the two smallest entries of every column of `a` (one result per
-/// query feature). Columns are processed in parallel, mirroring the
-/// one-thread-per-column GPU kernel.
+/// The unfused reference scan. `a` stacks `batch` reference blocks of
+/// `m_per_ref` rows each (`(batch·m) × n`); returns, for every (block,
+/// column) pair, the two smallest entries within that block — per-reference
+/// results, which is what texture identification needs (each reference is
+/// matched *separately*). `batch = 1`, `m_per_ref = rows` is the plain
+/// per-column scan.
+///
+/// Output layout: `out[b * n + j]` is block `b`, query column `j`, one task
+/// per block, mirroring the one-thread-per-column GPU kernel.
 ///
 /// # Panics
-/// Panics if `a` has fewer than two rows.
-pub fn top2_min_per_column(a: &Mat) -> Vec<Top2> {
-    assert!(a.rows() >= 2, "top-2 needs at least two reference features");
-    let m = a.rows();
-    a.as_slice().par_chunks(m).map(scan_top2).collect()
-}
-
-/// FP16 variant: every comparison widens through `to_f32`, modelling the
-/// `__half` intrinsic the paper identifies as the FP16 sort overhead.
-///
-/// # Panics
-/// Panics if `a` has fewer than two rows.
-pub fn top2_min_per_column_f16(a: &MatF16) -> Vec<Top2> {
-    assert!(a.rows() >= 2, "top-2 needs at least two reference features");
-    let m = a.rows();
-    a.as_slice()
-        .par_chunks(m)
-        .map(|col| {
-            let (mut d1, mut d2) = (f32::INFINITY, f32::INFINITY);
-            let mut idx = 0u32;
-            for (i, &v) in col.iter().enumerate() {
-                let v = v.to_f32(); // per-element widening intrinsic
-                if v < d1 {
-                    d2 = d1;
-                    d1 = v;
-                    idx = i as u32;
-                } else if v < d2 {
-                    d2 = v;
-                }
-            }
-            Top2 { idx, d1, d2 }
-        })
-        .collect()
-}
-
-/// Batched variant: `a` stacks `batch` reference blocks of `m_per_ref` rows
-/// each ( `(batch·m) × n` ). Returns, for every (block, column) pair, the
-/// top-2 within that block — i.e. per-reference-image results, which is what
-/// texture identification needs (each reference is matched *separately*).
-///
-/// Output layout: `out[b * n + j]` is block `b`, query column `j`.
-///
-/// # Panics
-/// Panics if `a.rows() != batch * m_per_ref` or `m_per_ref < 2`.
-pub fn top2_min_per_column_blocked(a: &Mat, batch: usize, m_per_ref: usize) -> Vec<Top2> {
+/// Panics if `a`'s row count is not `batch * m_per_ref` or `m_per_ref < 2`.
+pub fn top2_min_per_column<M: Operand>(a: &M, batch: usize, m_per_ref: usize) -> Vec<Top2> {
+    let (data, m, n) = a.parts();
     assert!(m_per_ref >= 2, "top-2 needs at least two reference features");
-    assert_eq!(a.rows(), batch * m_per_ref, "blocked top-2 shape mismatch");
-    let m = a.rows();
-    let n = a.cols();
-    let mut out = vec![Top2 { idx: 0, d1: 0.0, d2: 0.0 }; batch * n];
-
-    // Parallelize over (block, column) tasks.
-    out.par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(b, block_out)| {
-            for (j, slot) in block_out.iter_mut().enumerate() {
-                let col = &a.as_slice()[j * m + b * m_per_ref..j * m + (b + 1) * m_per_ref];
-                *slot = scan_top2(col);
-            }
-        });
+    assert_eq!(m, batch * m_per_ref, "blocked top-2 shape mismatch");
+    let mut out = vec![Top2::EMPTY; batch * n];
+    out.par_chunks_mut(n.max(1)).enumerate().for_each(|(b, block_out)| {
+        for (j, slot) in block_out.iter_mut().enumerate() {
+            *slot = scan_top2(&data[j * m + b * m_per_ref..][..m_per_ref]);
+        }
+    });
     out
 }
 
@@ -163,18 +122,19 @@ pub fn sort_columns(a: &Mat) -> (Mat, Vec<u32>) {
 mod tests {
     use super::*;
     use crate::f16::F16;
+    use crate::mat::MatF16;
 
     #[test]
     fn basic_top2() {
         let a = Mat::from_col_major(4, 1, vec![5.0, 1.0, 3.0, 2.0]);
-        let t = top2_min_per_column(&a);
+        let t = top2_min_per_column(&a, 1, a.rows());
         assert_eq!(t[0], Top2 { idx: 1, d1: 1.0, d2: 2.0 });
     }
 
     #[test]
     fn duplicates_keep_first_index() {
         let a = Mat::from_col_major(3, 1, vec![2.0, 2.0, 2.0]);
-        let t = top2_min_per_column(&a);
+        let t = top2_min_per_column(&a, 1, a.rows());
         assert_eq!(t[0].idx, 0);
         assert_eq!(t[0].d1, 2.0);
         assert_eq!(t[0].d2, 2.0);
@@ -183,7 +143,7 @@ mod tests {
     #[test]
     fn multiple_columns_independent() {
         let a = Mat::from_col_major(2, 3, vec![1.0, 9.0, 9.0, 1.0, 4.0, 4.0]);
-        let t = top2_min_per_column(&a);
+        let t = top2_min_per_column(&a, 1, a.rows());
         assert_eq!(t[0], Top2 { idx: 0, d1: 1.0, d2: 9.0 });
         assert_eq!(t[1], Top2 { idx: 1, d1: 1.0, d2: 9.0 });
         assert_eq!(t[2].d1, 4.0);
@@ -192,7 +152,7 @@ mod tests {
     #[test]
     fn agrees_with_full_sort() {
         let a = Mat::from_fn(32, 16, |r, c| ((r * 31 + c * 17) % 97) as f32 * 0.5);
-        let top = top2_min_per_column(&a);
+        let top = top2_min_per_column(&a, 1, a.rows());
         let (sorted, idx) = sort_columns(&a);
         for j in 0..16 {
             assert_eq!(top[j].d1, sorted.get(0, j), "col {j}");
@@ -209,8 +169,8 @@ mod tests {
             4,
             a.as_slice().iter().map(|&v| F16::from_f32(v)).collect(),
         );
-        let t32 = top2_min_per_column(&a);
-        let t16 = top2_min_per_column_f16(&ah);
+        let t32 = top2_min_per_column(&a, 1, 8);
+        let t16 = top2_min_per_column(&ah, 1, 8);
         assert_eq!(t32, t16);
     }
 
@@ -218,7 +178,7 @@ mod tests {
     fn blocked_matches_per_block_scan() {
         // 3 blocks of 4 rows, 2 columns.
         let a = Mat::from_fn(12, 2, |r, c| ((r * 7 + c * 13) % 19) as f32);
-        let blocked = top2_min_per_column_blocked(&a, 3, 4);
+        let blocked = top2_min_per_column(&a, 3, 4);
         for b in 0..3 {
             for j in 0..2 {
                 let col: Vec<f32> = (0..4).map(|r| a.get(b * 4 + r, j)).collect();
@@ -231,7 +191,8 @@ mod tests {
     #[test]
     fn blocked_single_block_equals_plain() {
         let a = Mat::from_fn(6, 3, |r, c| ((r * 5 + c) % 11) as f32);
-        assert_eq!(top2_min_per_column_blocked(&a, 1, 6), top2_min_per_column(&a));
+        let plain: Vec<Top2> = (0..3).map(|j| scan_top2(a.col(j))).collect();
+        assert_eq!(top2_min_per_column(&a, 1, 6), plain);
     }
 
     #[test]
@@ -257,6 +218,6 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn rejects_single_row() {
         let a = Mat::zeros(1, 1);
-        let _ = top2_min_per_column(&a);
+        let _ = top2_min_per_column(&a, 1, 1);
     }
 }

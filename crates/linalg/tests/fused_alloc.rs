@@ -11,8 +11,8 @@
 mod counting_alloc;
 
 use counting_alloc::{measure, CountingAlloc};
-use texid_linalg::gemm::gemm_at_b;
-use texid_linalg::kernel::{gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
+use texid_linalg::active_backend;
+use texid_linalg::kernel::{gemm_at_b, gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::Mat;
 use texid_linalg::top2::top2_min_per_column;
 
@@ -27,15 +27,16 @@ fn fused_top2_never_allocates_the_distance_matrix() {
     let a = Mat::from_fn(d, m, |r, c| ((r * 31 + c * 7) % 113) as f32 * 1e-2);
     let b = Mat::from_fn(d, n, |r, c| ((r * 17 + c * 3) % 127) as f32 * 1e-2);
     let matrix_bytes = m * n * 4;
+    let be = active_backend();
 
-    let (unfused, heap) = measure(|| top2_min_per_column(&gemm_at_b(-2.0, &a, &b)));
+    let (unfused, heap) = measure(|| top2_min_per_column(&gemm_at_b(be, -2.0, &a, &b), 1, m));
     assert!(
         heap.peak >= matrix_bytes,
         "materialized pipeline must allocate the full matrix: peak {} < {matrix_bytes}",
         heap.peak
     );
 
-    let (fused, heap) = measure(|| gemm_top2(-2.0, &a, &b));
+    let (fused, heap) = measure(|| gemm_top2(be, -2.0, &a, &b, 1, m));
     assert!(
         heap.peak < matrix_bytes / 4,
         "fused path must stay far below the m×n matrix: peak {} vs {matrix_bytes}",
@@ -47,7 +48,7 @@ fn fused_top2_never_allocates_the_distance_matrix() {
 
     // With both operands packed ahead of time the scan allocates nothing
     // proportional to an operand either: only selection state and output.
-    let (pa, pb) = (PackedA::from_f32(&a), PackedB::from_f32(&b));
+    let (pa, pb) = (PackedA::pack(be, &a), PackedB::pack(be, &b));
     let (packed, heap) =
         measure(|| gemm_top2_ex(-2.0, &pa, &pb, &FusedEpilogue::default(), 1, m));
     let operand_bytes = n * d * 4;

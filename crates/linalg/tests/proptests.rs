@@ -2,17 +2,14 @@
 
 use proptest::prelude::*;
 use texid_linalg::f16::F16;
-use texid_linalg::gemm::{gemm_at_b, gemm_at_b_f16, gemm_at_b_naive};
-use texid_linalg::dispatch::{available_backends, Backend};
+use texid_linalg::gemm::gemm_at_b_naive;
+use texid_linalg::dispatch::{active_backend, available_backends, Backend};
 use texid_linalg::kernel::{
-    gemm_at_b_blocked, gemm_at_b_blocked_f16_on, gemm_at_b_blocked_on, gemm_top2,
-    gemm_top2_blocked, gemm_top2_ex, gemm_top2_f16, FusedEpilogue, PackedA, PackedB,
+    gemm_at_b, gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB,
 };
 use texid_linalg::mat::{Mat, MatF16};
 use texid_linalg::norms::{add_row_norms, col_sq_norms};
-use texid_linalg::top2::{
-    sort_columns, top2_min_per_column, top2_min_per_column_blocked, top2_min_per_column_f16, Top2,
-};
+use texid_linalg::top2::{sort_columns, top2_min_per_column, Top2};
 
 fn mat_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Mat> {
     (2..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
@@ -34,14 +31,14 @@ proptest! {
         };
         let a = Mat::from_fn(d, m, |_, _| next());
         let b = Mat::from_fn(d, n, |_, _| next());
-        let fast = gemm_at_b(-2.0, &a, &b);
+        let fast = gemm_at_b(active_backend(), -2.0, &a, &b);
         let slow = gemm_at_b_naive(-2.0, &a, &b);
         prop_assert!(fast.max_abs_diff(&slow) < 1e-3);
     }
 
     #[test]
     fn top2_equals_sorted_prefix(a in mat_strategy(24, 8)) {
-        let top = top2_min_per_column(&a);
+        let top = top2_min_per_column(&a, 1, a.rows());
         let (sorted, idx) = sort_columns(&a);
         for j in 0..a.cols() {
             prop_assert_eq!(top[j].d1, sorted.get(0, j));
@@ -62,11 +59,11 @@ proptest! {
             ((state >> 33) as f32) * 1e-6
         };
         let a = Mat::from_fn(batch * m_per, n, |_, _| next());
-        let blocked = top2_min_per_column_blocked(&a, batch, m_per);
+        let blocked = top2_min_per_column(&a, batch, m_per);
         for b in 0..batch {
             // Each block result must equal a plain top-2 on the extracted block.
             let sub = Mat::from_fn(m_per, n, |r, c| a.get(b * m_per + r, c));
-            let plain = top2_min_per_column(&sub);
+            let plain = top2_min_per_column(&sub, 1, m_per);
             for j in 0..n {
                 prop_assert_eq!(blocked[b * n + j], plain[j]);
             }
@@ -153,7 +150,7 @@ proptest! {
         let b = Mat::from_fn(d, n, |_, _| next());
         // Both kernels accumulate each output in one ascending-k f32
         // register, so they agree bit-for-bit (see gemm module docs).
-        prop_assert_eq!(gemm_at_b_blocked(-2.0, &a, &b), gemm_at_b_naive(-2.0, &a, &b));
+        prop_assert_eq!(gemm_at_b(active_backend(), -2.0, &a, &b), gemm_at_b_naive(-2.0, &a, &b));
     }
 
     #[test]
@@ -185,7 +182,7 @@ proptest! {
         let (a, b) = (edge_mat(m), edge_mat(n));
         let want = gemm_at_b_naive(-2.0, &a, &b);
         for be in available_backends() {
-            let got = gemm_at_b_blocked_on(be, -2.0, &a, &b);
+            let got = gemm_at_b(be, -2.0, &a, &b);
             for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                 // A NaN's sign and payload are the one thing IEEE 754 leaves
                 // to the implementation.
@@ -209,8 +206,8 @@ proptest! {
         };
         let a = Mat::from_fn(d, m, |_, _| next());
         let b = Mat::from_fn(d, n, |_, _| next());
-        let fused = gemm_top2(-2.0, &a, &b);
-        let scanned = top2_min_per_column(&gemm_at_b_blocked(-2.0, &a, &b));
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, 1, m);
+        let scanned = top2_min_per_column(&gemm_at_b(active_backend(), -2.0, &a, &b), 1, m);
         for (f, s) in fused.iter().zip(&scanned) {
             prop_assert_eq!(f.idx, s.idx);
             prop_assert_eq!(f.d1, s.d1, "d1 must be bit-identical");
@@ -232,9 +229,12 @@ proptest! {
         let bf = Mat::from_fn(d, n, |_, _| next());
         let a = af.to_f16_scaled(0.25);
         let b = bf.to_f16_scaled(0.25);
-        let fused = gemm_top2_f16(-2.0, &a, &b);
-        let scanned =
-            top2_min_per_column_f16(&MatF16::narrowed(&gemm_at_b_f16(-2.0, &a, &b)));
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, 1, m);
+        let scanned = top2_min_per_column(
+            &MatF16::narrowed(&gemm_at_b(active_backend(), -2.0, &a, &b)),
+            1,
+            m,
+        );
         for (f, s) in fused.iter().zip(&scanned) {
             prop_assert_eq!(f.idx, s.idx);
             prop_assert_eq!(f.d1, s.d1);
@@ -254,9 +254,9 @@ proptest! {
         };
         let a = Mat::from_fn(d, batch * m_per, |_, _| next());
         let b = Mat::from_fn(d, n, |_, _| next());
-        let fused = gemm_top2_blocked(-2.0, &a, &b, batch, m_per);
+        let fused = gemm_top2(active_backend(), -2.0, &a, &b, batch, m_per);
         let scanned =
-            top2_min_per_column_blocked(&gemm_at_b_blocked(-2.0, &a, &b), batch, m_per);
+            top2_min_per_column(&gemm_at_b(active_backend(), -2.0, &a, &b), batch, m_per);
         prop_assert_eq!(fused, scanned);
     }
 
@@ -275,15 +275,15 @@ proptest! {
         let n_r = col_sq_norms(&a);
         let fused = gemm_top2_ex(
             -2.0,
-            &PackedA::from_f32(&a),
-            &PackedB::from_f32(&b),
+            &PackedA::pack(active_backend(), &a),
+            &PackedB::pack(active_backend(), &b),
             &FusedEpilogue { row_bias: Some(&n_r), ..FusedEpilogue::default() },
             1,
             m,
         );
-        let mut c = gemm_at_b_blocked(-2.0, &a, &b);
+        let mut c = gemm_at_b(active_backend(), -2.0, &a, &b);
         add_row_norms(&mut c, &n_r);
-        prop_assert_eq!(fused, top2_min_per_column(&c));
+        prop_assert_eq!(fused, top2_min_per_column(&c, 1, m));
     }
 }
 
@@ -301,7 +301,7 @@ fn observe_replay(
     batch: usize,
     m_per_ref: usize,
 ) -> Vec<Top2> {
-    let c = gemm_at_b_blocked_f16_on(Backend::Scalar, alpha, a, b);
+    let c = gemm_at_b(Backend::Scalar, alpha, a, b);
     let mut out = vec![Top2::EMPTY; batch * b.cols()];
     for j in 0..b.cols() {
         for row in 0..a.cols() {
@@ -341,8 +341,8 @@ fn every_backend_equals_replay(
     for be in available_backends() {
         let got = gemm_top2_ex(
             -2.0,
-            &PackedA::from_f16_on(be, a),
-            &PackedB::from_f16_on(be, b),
+            &PackedA::pack(be, a),
+            &PackedB::pack(be, b),
             epi,
             batch,
             m_per_ref,
@@ -489,8 +489,8 @@ fn fused_epilogue_signed_zero_ties_resolve_by_row() {
             for be in available_backends() {
                 let got = gemm_top2_ex(
                     -2.0,
-                    &PackedA::from_f16_on(be, &a),
-                    &PackedB::from_f16_on(be, &b),
+                    &PackedA::pack(be, &a),
+                    &PackedB::pack(be, &b),
                     &epi,
                     batch,
                     m_per_ref,
@@ -511,15 +511,15 @@ fn fused_epilogue_signed_zero_ties_resolve_by_row() {
 fn blocked_gemm_empty_operands() {
     // Degenerate shapes must produce well-formed empty/zero results, not
     // panic: zero-depth (every dot is empty ⇒ 0), zero queries, and both.
-    let c = gemm_at_b_blocked(-2.0, &Mat::zeros(0, 3), &Mat::zeros(0, 2));
+    let c = gemm_at_b(active_backend(), -2.0, &Mat::zeros(0, 3), &Mat::zeros(0, 2));
     assert_eq!((c.rows(), c.cols()), (3, 2));
     assert!(c.as_slice().iter().all(|&v| v == 0.0));
 
-    let c = gemm_at_b_blocked(1.0, &Mat::zeros(4, 0), &Mat::zeros(4, 2));
+    let c = gemm_at_b(active_backend(), 1.0, &Mat::zeros(4, 0), &Mat::zeros(4, 2));
     assert_eq!((c.rows(), c.cols()), (0, 2));
 
-    let c = gemm_at_b_blocked(1.0, &Mat::zeros(4, 3), &Mat::zeros(4, 0));
+    let c = gemm_at_b(active_backend(), 1.0, &Mat::zeros(4, 3), &Mat::zeros(4, 0));
     assert_eq!((c.rows(), c.cols()), (3, 0));
 
-    assert!(gemm_top2(-2.0, &Mat::zeros(5, 2), &Mat::zeros(5, 0)).is_empty());
+    assert!(gemm_top2(active_backend(), -2.0, &Mat::zeros(5, 2), &Mat::zeros(5, 0), 1, 2).is_empty());
 }

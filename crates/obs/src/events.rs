@@ -15,9 +15,10 @@
 //! complement to metrics (aggregates, no context) and traces (context,
 //! but sampled by id).
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::metrics::Counter;
+use crate::ring::Ring;
 use crate::trace::wall_now_us;
 use crate::Stage;
 
@@ -128,16 +129,11 @@ impl WideEvent {
     }
 }
 
-/// Bounded MPMC ring of wide events. Writers claim a slot with a single
-/// atomic ticket increment and then `try_lock` the slot: a writer that
-/// loses the (rare) race for a slot drops its own record rather than
-/// blocking the search path, and overwriting a still-occupied slot
-/// counts the displaced record as dropped — oldest-first eviction.
+/// Bounded MPMC ring of wide events: never blocks a writer, evicts
+/// oldest-first, and counts every lost record exactly once (the shared
+/// `Ring` in `crate::ring`).
 pub struct EventRing {
-    slots: Vec<Mutex<Option<WideEvent>>>,
-    head: std::sync::atomic::AtomicU64,
-    /// Records lost to overwrite or slot contention.
-    dropped: Counter,
+    ring: Ring<WideEvent>,
     /// Records successfully written (dropped-on-overwrite still counted
     /// here first; `recorded - dropped` = live lower bound).
     recorded: Counter,
@@ -147,41 +143,34 @@ impl EventRing {
     /// A ring holding at most `capacity` events, with unregistered
     /// (free-standing) drop/record counters.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "event ring capacity must be positive");
-        EventRing {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: std::sync::atomic::AtomicU64::new(0),
-            dropped: Counter::default(),
-            recorded: Counter::default(),
-        }
+        EventRing { ring: Ring::new(capacity, Counter::default()), recorded: Counter::default() }
     }
 
     /// Same, but drop/record counters registered as
     /// `texid_events_dropped_total` / `texid_events_recorded_total` in
     /// `reg`.
     pub fn with_registry(capacity: usize, reg: &crate::Registry) -> Self {
-        let mut ring = EventRing::new(capacity);
-        ring.dropped = reg.counter(
+        let dropped = reg.counter(
             "texid_events_dropped",
             "Wide events lost to flight-recorder ring overwrite or slot contention.",
             &[],
         );
-        ring.recorded = reg.counter(
+        let recorded = reg.counter(
             "texid_events_recorded",
             "Wide events written to the flight recorder (including ones later dropped).",
             &[],
         );
-        ring
+        EventRing { ring: Ring::new(capacity, dropped), recorded }
     }
 
     /// Number of slots in the ring.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Total records lost so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.ring.dropped()
     }
 
     /// Total records written so far.
@@ -192,31 +181,15 @@ impl EventRing {
     /// Write one event. Assigns and returns its sequence number. Never
     /// blocks: slot contention with a concurrent writer drops one record
     /// and advances the dropped counter exactly once.
-    pub fn record(&self, mut ev: WideEvent) -> u64 {
-        use std::sync::atomic::Ordering;
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        ev.seq = ticket;
+    pub fn record(&self, ev: WideEvent) -> u64 {
         self.recorded.inc();
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        match slot.try_lock() {
-            Ok(mut g) => {
-                if g.replace(ev).is_some() {
-                    // Displaced the oldest resident record.
-                    self.dropped.inc();
-                }
-            }
-            Err(_) => self.dropped.inc(),
-        }
-        ticket
+        self.ring.push(|seq| WideEvent { seq, ..ev })
     }
 
     /// Snapshot of every resident event, oldest first (sorted by `seq`).
     pub fn snapshot(&self) -> Vec<WideEvent> {
-        let mut out: Vec<WideEvent> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.try_lock().ok().and_then(|g| *g))
-            .collect();
+        let mut out = Vec::new();
+        self.ring.for_each(|e| out.push(*e));
         out.sort_by_key(|e| e.seq);
         out
     }
@@ -234,59 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overflow_drops_oldest_first_and_counts_each_loss_once() {
-        let ring = EventRing::new(4);
-        for i in 0..10 {
-            let mut ev = WideEvent::begin(0);
-            ev.comparisons = i;
-            ring.record(ev);
-        }
-        let snap = ring.snapshot();
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "only the newest capacity records survive");
-        assert_eq!(ring.dropped(), 6, "one drop per displaced record, exactly");
-        assert_eq!(ring.recorded(), 10);
-    }
-
-    #[test]
-    fn concurrent_writers_never_tear_a_record() {
-        use std::sync::Arc;
-        const WRITERS: u64 = 8;
-        const PER: u64 = 200;
-        let ring = Arc::new(EventRing::new(64));
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let ring = Arc::clone(&ring);
-                s.spawn(move || {
-                    for i in 0..PER {
-                        // Derive every field from one value so a torn
-                        // (partially-overwritten) record is detectable.
-                        let v = w * PER + i;
-                        let mut ev = WideEvent::begin(v as u128 + 1);
-                        ev.comparisons = v;
-                        ev.sim_wall_us = v as f64;
-                        ev.h2d_us = v as f64 * 2.0;
-                        ring.record(ev);
-                    }
-                });
-            }
-        });
-        let snap = ring.snapshot();
-        for ev in &snap {
-            let v = ev.comparisons;
-            assert_eq!(ev.trace_id, v as u128 + 1, "trace_id consistent with comparisons");
-            assert_eq!(ev.sim_wall_us, v as f64, "sim_wall_us consistent");
-            assert_eq!(ev.h2d_us, v as f64 * 2.0, "h2d_us consistent");
-        }
-        assert_eq!(
-            snap.len() as u64 + ring.dropped(),
-            WRITERS * PER,
-            "held + dropped accounts for every write"
-        );
-        assert_eq!(ring.recorded(), WRITERS * PER);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_seq_gaps_reveal_drops() {
         let ring = EventRing::new(3);
         for _ in 0..5 {
@@ -294,5 +214,6 @@ mod tests {
         }
         let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
+        assert_eq!((ring.recorded(), ring.dropped()), (5, 2));
     }
 }

@@ -58,6 +58,7 @@ mod histogram;
 mod metrics;
 mod prometheus;
 mod registry;
+mod ring;
 mod slo;
 mod span;
 mod trace;

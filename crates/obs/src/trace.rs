@@ -18,10 +18,10 @@
 //! in [`crate::ChromeTrace`]) keep the two on separate tracks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::metrics::Counter;
+use crate::ring::Ring;
 use crate::Registry;
 
 /// HTTP header that carries the 128-bit trace id as 32 lowercase hex
@@ -185,10 +185,6 @@ pub struct TraceSummary {
     pub spans: usize,
 }
 
-struct Slot {
-    data: Mutex<Option<SpanRecord>>,
-}
-
 /// Bounded ring buffer of finished spans.
 ///
 /// Writers claim a slot with one relaxed `fetch_add` and publish under a
@@ -196,11 +192,10 @@ struct Slot {
 /// pressure the ring overwrites oldest-first, and every overwritten or
 /// contended-away record increments `texid_trace_events_dropped_total`,
 /// so a gappy timeline is always explained by a visible counter rather
-/// than silently missing data.
+/// than silently missing data. (The mechanism is the shared `Ring` in
+/// `crate::ring`.)
 pub struct TraceRing {
-    slots: Vec<Slot>,
-    head: AtomicU64,
-    dropped: Counter,
+    ring: Ring<SpanRecord>,
 }
 
 impl TraceRing {
@@ -210,42 +205,29 @@ impl TraceRing {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, registry: &Registry) -> TraceRing {
-        assert!(capacity > 0, "trace ring needs at least one slot");
-        TraceRing {
-            slots: (0..capacity).map(|_| Slot { data: Mutex::new(None) }).collect(),
-            head: AtomicU64::new(0),
-            dropped: registry.counter(
-                "texid_trace_events_dropped",
-                "Trace span records lost to ring-buffer overwrites or slot contention.",
-                &[],
-            ),
-        }
+        let dropped = registry.counter(
+            "texid_trace_events_dropped",
+            "Trace span records lost to ring-buffer overwrites or slot contention.",
+            &[],
+        );
+        TraceRing { ring: Ring::new(capacity, dropped) }
     }
 
     /// Slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Records dropped so far (overwrites + contended writes).
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.ring.dropped()
     }
 
     /// Store one finished span. Never blocks: a contended slot drops the
     /// *new* record, an occupied slot drops the *old* one; both increment
     /// the dropped counter.
     pub fn record(&self, rec: SpanRecord) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        match slot.data.try_lock() {
-            Ok(mut g) => {
-                if g.replace(rec).is_some() {
-                    self.dropped.inc();
-                }
-            }
-            Err(_) => self.dropped.inc(),
-        }
+        self.ring.push(|_| rec);
     }
 
     /// Record a sim-clock span as a fresh child of `parent`. Sim spans
@@ -303,15 +285,11 @@ impl TraceRing {
     /// All buffered spans of one trace, sorted by start time then id.
     pub fn snapshot_trace(&self, trace_id: u128) -> Vec<SpanRecord> {
         let mut out: Vec<SpanRecord> = Vec::new();
-        for slot in &self.slots {
-            if let Ok(g) = slot.data.lock() {
-                if let Some(rec) = g.as_ref() {
-                    if rec.trace_id == trace_id {
-                        out.push(rec.clone());
-                    }
-                }
+        self.ring.for_each(|rec| {
+            if rec.trace_id == trace_id {
+                out.push(rec.clone());
             }
-        }
+        });
         out.sort_by(|a, b| {
             a.start_us
                 .partial_cmp(&b.start_us)
@@ -326,9 +304,7 @@ impl TraceRing {
     pub fn recent_traces(&self, limit: usize) -> Vec<TraceSummary> {
         use std::collections::HashMap;
         let mut acc: HashMap<u128, TraceSummary> = HashMap::new();
-        for slot in &self.slots {
-            let Ok(g) = slot.data.lock() else { continue };
-            let Some(rec) = g.as_ref() else { continue };
+        self.ring.for_each(|rec| {
             let entry = acc.entry(rec.trace_id).or_insert_with(|| TraceSummary {
                 trace_id: rec.trace_id,
                 root: None,
@@ -344,7 +320,7 @@ impl TraceRing {
                 entry.root = Some(rec.name.clone());
                 entry.dur_us = rec.dur_us;
             }
-        }
+        });
         let mut out: Vec<TraceSummary> = acc
             .into_values()
             .map(|mut s| {
@@ -538,24 +514,5 @@ mod tests {
         assert_eq!(idx[0].root.as_deref(), Some("second"));
         assert_eq!(idx[1].spans, 2);
         assert_eq!(ring.recent_traces(1).len(), 1);
-    }
-
-    #[test]
-    fn concurrent_writers_never_lose_more_than_counted() {
-        let reg = Registry::new();
-        let ring = TraceRing::new(64, &reg);
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let ring = &ring;
-                s.spawn(move || {
-                    for i in 0..100u64 {
-                        ring.record(rec(9, t * 1000 + i + 1, 0, "w", i as f64));
-                    }
-                });
-            }
-        });
-        let held = ring.snapshot_trace(9).len() as u64;
-        assert_eq!(held + ring.dropped(), 800, "every record is held or counted dropped");
-        assert!(held <= 64);
     }
 }

@@ -397,7 +397,7 @@ mod tests {
         // End-to-end: a mild re-capture must match its own texture far more
         // strongly than an impostor, using the Algorithm 2 metric
         // (valid: SURF descriptors are unit vectors).
-        use texid_linalg::gemm::neg2_at_b;
+        use texid_linalg::kernel::gemm_at_b;
         use texid_linalg::top2::top2_min_per_column;
 
         let cfg = SurfConfig { max_features: 384, ..Default::default() };
@@ -409,8 +409,8 @@ mod tests {
         assert!(q.len() > 200);
 
         let score = |r: &crate::FeatureMatrix| {
-            let a = neg2_at_b(&r.mat, &q.mat);
-            top2_min_per_column(&a)
+            let a = gemm_at_b(texid_linalg::active_backend(), -2.0, &r.mat, &q.mat);
+            top2_min_per_column(&a, 1, a.rows())
                 .iter()
                 .filter(|t| {
                     let d1 = (2.0 + t.d1).max(0.0).sqrt();

@@ -97,6 +97,12 @@ fn rest_api_identifies_over_http() {
     let results = v.get("results").unwrap().as_arr().unwrap();
     assert_eq!(results[0].get("id").unwrap().as_u64(), Some(3), "{}", resp.text());
     assert_eq!(v.get("comparisons").unwrap().as_u64(), Some(5));
+
+    // A scraper that never polls `/stats` still sees the WAL move: the
+    // gauges are refreshed by the scrape itself. (Exact, because nothing
+    // else in this test binary reads `/stats` or `/metrics`.)
+    let scrape = http_call(addr, "GET", "/metrics", b"").unwrap().text();
+    assert!(scrape.lines().any(|l| l == "texid_wal_appends 5"), "no `texid_wal_appends 5` in scrape");
 }
 
 #[test]
