@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! texid gen      --count 12 --size 256 --out textures/     generate sample textures (PGM)
-//! texid extract  --image textures/tex_0007.pgm --out q.feat [--surf] [--max 768]
+//! texid extract  --image textures/tex_0007.pgm --out q.feat [--max 768]
 //! texid search   --refs textures/ --query q.pgm [--top 5]  offline search over a directory
 //! texid serve    --port 8080 [--containers 4]              run the REST API
 //! texid capacity                                           print the capacity planner table
@@ -33,7 +33,7 @@ use texid_distrib::json::{parse as json_parse, Json};
 use texid_distrib::{api, wire};
 use texid_image::io::{read_pgm, write_pgm};
 use texid_image::TextureGenerator;
-use texid_sift::{extract, extract_surf, FeatureMatrix, SiftConfig, SurfConfig};
+use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 /// Tiny flag parser: `--key value` pairs plus positional subcommand.
 struct Args {
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   texid gen      --count N [--size 256] [--seed S] --out DIR
-  texid extract  --image FILE.pgm --out FILE.feat [--surf] [--max 768]
+  texid extract  --image FILE.pgm --out FILE.feat [--max 768]
   texid search   --refs DIR --query FILE.pgm [--top 5] [--max-ref 384] [--max-query 768]
   texid serve    [--port 0] [--containers 4]
   texid capacity
@@ -146,20 +146,16 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_features(image_path: &Path, surf: bool, max_features: usize) -> Result<FeatureMatrix, String> {
+fn load_features(image_path: &Path, max_features: usize) -> Result<FeatureMatrix, String> {
     let im = read_pgm(image_path).map_err(|e| format!("{}: {e}", image_path.display()))?;
-    Ok(if surf {
-        extract_surf(&im, &SurfConfig { max_features, ..SurfConfig::default() })
-    } else {
-        extract(&im, &SiftConfig { max_features, ..SiftConfig::default() })
-    })
+    Ok(extract(&im, &SiftConfig { max_features, ..SiftConfig::default() }))
 }
 
 fn cmd_extract(args: &Args) -> Result<(), String> {
     let image = PathBuf::from(args.require("image")?);
     let out = PathBuf::from(args.require("out")?);
     let max = args.get_usize("max", 768);
-    let features = load_features(&image, args.has("surf"), max)?;
+    let features = load_features(&image, max)?;
     std::fs::write(&out, wire::encode_features(&features)).map_err(|e| e.to_string())?;
     println!(
         "{}: {} features (d={}), {} bytes -> {}",
@@ -198,13 +194,13 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     println!("indexing {} references from {} ...", entries.len(), refs_dir.display());
     let mut names: Vec<String> = Vec::new();
     for (id, path) in entries.iter().enumerate() {
-        let features = load_features(path, false, max_ref)?;
+        let features = load_features(path, max_ref)?;
         engine.add_reference(id as u64, &features).map_err(|e| e.to_string())?;
         names.push(path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default());
     }
     engine.flush().map_err(|e| e.to_string())?;
 
-    let query = load_features(&query_path, false, max_query)?;
+    let query = load_features(&query_path, max_query)?;
     let result = engine.search(&query);
     println!("\nresults for {} ({} features):", query_path.display(), query.len());
     for (id, score) in result.ranked.iter().take(top) {

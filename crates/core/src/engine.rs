@@ -8,6 +8,12 @@
 //! scheduling (§6.2) is applied as the calibrated throughput model from
 //! `texid_gpu::streams`.
 //!
+//! A sealed batch is resident once, as the kernel's panels: the
+//! storage-precision block they were packed from is dropped at seal, export
+//! reads columns back out of the panels, and `MatchConfig::fused` / `exec`
+//! decide how (and whether) a search scores them, never how they are laid
+//! out.
+//!
 //! The cache is not append-only: [`Engine::remove_reference`] deletes a
 //! reference where it lies, so the sweep, the report and the cache's byte
 //! accounting follow the live set however often an id was rewritten.
@@ -32,11 +38,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
 use texid_knn::ivf::{pool_column_slice, pool_columns, IvfIndex};
-use texid_knn::{
-    score_batch, score_batch_packed, BatchWork, ExecMode, FeatureBlock, MatchConfig, PackedBlock,
-};
+use texid_knn::{score_batch_packed, BatchWork, ExecMode, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::kernel::{PackedA, PackedB};
-use texid_linalg::Backend;
 use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
@@ -168,66 +171,36 @@ impl Default for EngineConfig {
     }
 }
 
-/// One cached reference batch: image ids plus the (possibly phantom) data.
-enum BatchData {
-    /// Real concatenated feature block.
-    Real {
-        /// Storage-precision features — what the simulated device holds and
-        /// what export, heal and the unfused matcher read.
-        block: FeatureBlock,
-        /// `block` packed for the fused kernel, built once at seal on
-        /// configurations that run it (fused, `ExecMode::Full`) and dropped
-        /// with the batch. A host-side derivative: it is not part of the
-        /// simulated device footprint ([`RefBatch::size_bytes`]).
-        packed: Option<PackedBlock<PackedA>>,
-    },
-    /// Shape-only stand-in for timing experiments.
-    Phantom {
-        /// Total feature columns (refs × m).
-        cols: usize,
-        /// Descriptor dimension.
-        rows: usize,
-        /// Storage precision.
-        precision: Precision,
-    },
-}
-
+/// One cached reference batch: its ids, its shape, and — for real
+/// references — the features as the kernel's panels, their only resident
+/// form. A phantom (timing-only) batch is the same entry without panels.
 struct RefBatch {
     ids: Vec<u64>,
     m_per_ref: usize,
-    data: BatchData,
+    /// Descriptor dimension.
+    rows: usize,
+    /// Storage precision: what the simulated device holds per element.
+    precision: Precision,
+    /// Packed once at seal, dropped with the batch. Host-side form only:
+    /// the f32 panels are not the simulated device footprint
+    /// ([`RefBatch::size_bytes`]).
+    panels: Option<PackedBlock<PackedA>>,
 }
 
 impl RefBatch {
-    /// Delete reference `i` where it lies: the last reference's id, feature
-    /// columns and packed panels move into its slot. Panels move only when
-    /// `m_per_ref` is a multiple of the backend's panel width (384 is, of
-    /// every backend's); any other batch re-packs from its block.
-    fn swap_remove(&mut self, i: usize, backend: Backend) {
-        let (start, m) = (i * self.m_per_ref, self.m_per_ref);
+    /// Delete reference `i` where it lies: the last reference's id and
+    /// panel columns move into its slot.
+    fn swap_remove(&mut self, i: usize) {
         self.ids.swap_remove(i);
-        match &mut self.data {
-            BatchData::Real { block, packed } => {
-                block.swap_remove_cols(start, m);
-                if let Some(packed) = packed {
-                    if !packed.swap_remove_cols(start, m) {
-                        *packed = block.pack_refs(backend);
-                    }
-                }
-            }
-            BatchData::Phantom { cols, .. } => *cols -= m,
+        if let Some(panels) = &mut self.panels {
+            panels.swap_remove_cols(i * self.m_per_ref, self.m_per_ref);
         }
     }
 }
 
 impl Payload for RefBatch {
     fn size_bytes(&self) -> u64 {
-        match &self.data {
-            BatchData::Real { block, .. } => block.size_bytes() as u64,
-            BatchData::Phantom { cols, rows, precision } => {
-                (cols * rows * precision.bytes()) as u64
-            }
-        }
+        (self.ids.len() * self.m_per_ref * self.rows * self.precision.bytes()) as u64
     }
 }
 
@@ -361,10 +334,9 @@ impl SearchReport {
 
 /// One query of a search pass, encoded once and shared by every batch.
 struct EncodedQuery {
-    /// Storage-precision features, truncated to `n_query` columns.
-    block: FeatureBlock,
-    /// `block` packed for the fused kernel (configurations that run it).
-    packed: Option<PackedBlock<PackedB>>,
+    /// Storage-precision features, truncated to `n_query` columns, as the
+    /// kernel's panels.
+    packed: PackedBlock<PackedB>,
     /// IVF probe outcome — the batches posted in the probed cells, and how
     /// many cells that was. `None` on the exhaustive path.
     probe: Option<(BTreeSet<u64>, usize)>,
@@ -508,13 +480,13 @@ impl Engine {
     /// Where the same id was added more than once, one entry goes per call.
     ///
     /// A pending reference is dropped from the open batch. A sealed one is
-    /// swap-removed from its batch (one reference's worth of bytes moves;
-    /// nothing is allocated unless `m_ref` is off the kernel's panel grid and
-    /// the batch re-packs) and the batch's cache accounting shrinks where it
-    /// sits — same FIFO slot, tier and heat. A batch that empties leaves
-    /// the cache and the IVF postings; one that only shrinks keeps its
-    /// postings (see [`IvfIndex::remove_batch`]). Finding the id walks the
-    /// batches' id lists, 8 bytes per live reference.
+    /// swap-removed from its batch (one reference's worth of bytes moves
+    /// inside the batch's panels; nothing is allocated) and the batch's cache
+    /// accounting shrinks where it sits — same FIFO slot, tier and heat. A
+    /// batch that empties leaves the cache and the IVF postings; one that
+    /// only shrinks keeps its postings (see [`IvfIndex::remove_batch`]).
+    /// Finding the id walks the batches' id lists, 8 bytes per live
+    /// reference.
     ///
     /// Removal cannot change a ranking among the survivors: a score is a
     /// function of one reference's columns and the query, and ties break on
@@ -543,9 +515,7 @@ impl Engine {
                 }
                 self.unindexed_pools.retain(|(b, _)| *b != batch_id);
             } else {
-                let backend = self.cfg.matching.kernel_backend();
-                self.cache
-                    .shrink(batch_id, &mut self.sim, |b| b.swap_remove(i, backend));
+                self.cache.shrink(batch_id, &mut self.sim, |b| b.swap_remove(i));
                 // Pools awaiting quantizer training stay aligned with `ids`.
                 if let Some((_, pools)) = self
                     .unindexed_pools
@@ -593,22 +563,18 @@ impl Engine {
         Ok(())
     }
 
-    /// True when searches run the fused kernel on real numerics — the
-    /// configurations that pack their operands (references at seal, the
-    /// query once per search).
-    fn runs_fused_kernel(&self) -> bool {
-        self.cfg.matching.fused && self.cfg.matching.exec == ExecMode::Full
-    }
-
     fn seal_real_batch(&mut self) -> Result<(), CacheError> {
         let ids: Vec<u64> = self.pending.iter().map(|(id, _)| *id).collect();
         let blocks: Vec<&FeatureBlock> = self.pending.iter().map(|(_, b)| b).collect();
         let cat = FeatureBlock::hconcat(&blocks);
         debug_assert_eq!(cat.cols(), ids.len() * self.cfg.m_ref, "non-uniform batch");
-        let m_per_ref = self.cfg.m_ref;
-        let packed =
-            self.runs_fused_kernel().then(|| cat.pack_refs(self.cfg.matching.kernel_backend()));
-        let batch = RefBatch { ids, m_per_ref, data: BatchData::Real { block: cat, packed } };
+        let batch = RefBatch {
+            ids,
+            m_per_ref: self.cfg.m_ref,
+            rows: cat.rows(),
+            precision: cat.precision(),
+            panels: Some(cat.pack_refs(self.cfg.matching.kernel_backend())),
+        };
         let id = self.next_batch;
         self.next_batch += 1;
         self.cache.insert(id, batch, &mut self.sim)?;
@@ -696,13 +662,11 @@ impl Engine {
     fn seal_phantom_batch(&mut self) -> Result<(), CacheError> {
         let ids = std::mem::take(&mut self.phantom_ids);
         let batch = RefBatch {
-            m_per_ref: self.cfg.m_ref,
-            data: BatchData::Phantom {
-                cols: ids.len() * self.cfg.m_ref,
-                rows: DESCRIPTOR_DIM,
-                precision: self.cfg.matching.precision,
-            },
             ids,
+            m_per_ref: self.cfg.m_ref,
+            rows: DESCRIPTOR_DIM,
+            precision: self.cfg.matching.precision,
+            panels: None,
         };
         let id = self.next_batch;
         self.next_batch += 1;
@@ -723,24 +687,10 @@ impl Engine {
     pub fn export_references(&self) -> Vec<(u64, texid_linalg::Mat)> {
         let mut out = Vec::with_capacity(self.references);
         for (_, batch, _) in self.cache.iter() {
-            let BatchData::Real { block, .. } = &batch.data else { continue };
-            let d = block.rows();
-            let full = match block {
-                FeatureBlock::F32(m) => m.clone(),
-                FeatureBlock::F16 { mat, scale } => mat.to_f32_unscaled(*scale),
-            };
-            for (i, &id) in batch.ids.iter().enumerate() {
-                let start = i * batch.m_per_ref * d;
-                let end = start + batch.m_per_ref * d;
-                out.push((
-                    id,
-                    texid_linalg::Mat::from_col_major(
-                        d,
-                        batch.m_per_ref,
-                        full.as_slice()[start..end].to_vec(),
-                    ),
-                ));
-            }
+            let Some(panels) = &batch.panels else { continue };
+            let m = batch.m_per_ref;
+            let refs = batch.ids.iter().enumerate();
+            out.extend(refs.map(|(i, &id)| (id, panels.read_cols(i * m, m))));
         }
         out
     }
@@ -783,28 +733,25 @@ impl Engine {
     }
 
     /// Encode one query for a pass: asymmetric-n truncation, storage
-    /// precision, the fused kernel's panels (packed once for the whole
-    /// sweep) and — when a probe runs — the top-`nprobe` cells of its pooled
+    /// precision, the kernel's panels (packed once for the whole sweep)
+    /// and — when a probe runs — the top-`nprobe` cells of its pooled
     /// descriptor with the union of their posting lists: the batches this
     /// query must still sweep exactly.
     fn encode_query(&self, query: &FeatureMatrix, prober: Option<&IvfIndex>) -> EncodedQuery {
         let matching = &self.cfg.matching;
         let n = self.cfg.n_query.min(query.len());
         let data = &query.mat.as_slice()[..query.dim() * n];
-        let (block, packed) = {
+        let packed = {
             let _span = Span::with(self.telemetry.encode.clone());
-            let block =
-                FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale);
-            let packed =
-                self.runs_fused_kernel().then(|| block.pack_query(matching.kernel_backend()));
-            (block, packed)
+            FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
+                .pack_query(matching.kernel_backend())
         };
         let probe = prober.map(|ivf| {
             // Pooled before quantization, like the references' pools.
             let cells = ivf.probe(&pool_column_slice(query.dim(), data), matching.ivf.nprobe);
             (ivf.batches_in(&cells), cells.len())
         });
-        EncodedQuery { block, packed, probe }
+        EncodedQuery { packed, probe }
     }
 
     /// One query against one batch it sweeps: add the batch to the query's
@@ -829,18 +776,15 @@ impl Engine {
         } else {
             report.device_batches += 1;
         }
-        let steps = BatchWork::new(matching, bsize, m_per, q.block.cols(), q.block.rows())
+        let steps = BatchWork::new(matching, bsize, m_per, q.packed.cols(), q.packed.rows())
             .price(self.sim.spec());
         report.gemm_us += steps.gemm_us;
         report.sort_us += steps.sort_us;
         report.d2h_us += steps.d2h_us;
         report.post_us += steps.post_us;
 
-        if let (ExecMode::Full, BatchData::Real { block, packed }) = (matching.exec, &batch.data) {
-            let scored = match (packed, &q.packed) {
-                (Some(r), Some(qp)) => score_batch_packed(matching, r, bsize, m_per, qp),
-                _ => score_batch(matching, block, bsize, m_per, &q.block),
-            };
+        if let (ExecMode::Full, Some(panels)) = (matching.exec, &batch.panels) {
+            let scored = score_batch_packed(matching, panels, bsize, m_per, &q.packed);
             out.ranked.extend(batch.ids.iter().copied().zip(scored.scores));
         }
     }

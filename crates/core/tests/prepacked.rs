@@ -1,9 +1,10 @@
-//! Pack-once equivalence. The engine packs each reference batch for the
-//! fused kernel when it seals it and each query once per search; this suite
-//! pins that a search over those pre-packed operands equals `match_batch`
-//! on the unpacked blocks — rankings against a `match_batch` replay of the
-//! engine's batching, every `SearchReport` f64 bit against an unfused
-//! engine (which never packs) — through partial-batch flushes, re-added
+//! Pack-once equivalence. The engine packs each reference batch into the
+//! kernel's panels when it seals it (and keeps nothing else of it) and each
+//! query once per search; this suite pins that a search over those
+//! pre-packed operands equals `match_batch` on the unpacked blocks —
+//! rankings against a `match_batch` replay of the engine's batching, every
+//! `SearchReport` f64 bit against an unfused engine (same panels,
+//! GEMM-then-scan) — through partial-batch flushes, re-added
 //! ids (the cluster's update = delete + re-add leaves the old entry in the
 //! sweep) and an export → import rebuild.
 
@@ -13,7 +14,7 @@ use texid_knn::{match_batch, FeatureBlock, MatchConfig};
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
-const M_REF: usize = 40; // not a multiple of 8: blocks straddle AVX2 panels
+const M_REF: usize = 40; // five AVX2 panels, ten scalar ones
 const DIM: usize = 32;
 
 fn unit_features(cols: usize, seed: u64) -> FeatureMatrix {
@@ -95,7 +96,7 @@ impl Mirror {
     }
 }
 
-/// A packing engine, its never-packing (unfused) twin, and the mirror.
+/// A fused engine, its unfused twin, and the mirror.
 struct Trio {
     packed: Engine,
     unfused: Engine,

@@ -94,8 +94,8 @@ proptest! {
     /// those of an engine built from the survivors alone, and
     /// `export_references` returns exactly the survivors. Every history runs
     /// in F16 and F32, fused and unfused, at `m_ref = 16` (whole panels move
-    /// on every backend) and `m_ref = 10` (on no backend's panel grid: the
-    /// batch re-packs).
+    /// on every backend) and `m_ref = 10` (on no backend's panel grid:
+    /// elements move inside the panels).
     #[test]
     fn removal_leaves_exactly_the_survivors(
         ops in proptest::collection::vec(op(), 1..40),

@@ -4,11 +4,13 @@
 //! reference block (`O(m·d)` floats). Before pack-once, every search of
 //! every batch allocated exactly that.
 //!
-//! The same allocator guards the in-place delete: `remove_reference` on a
-//! batch whose references fall on whole panels moves bytes inside the
-//! batch's two buffers and allocates nothing of a reference's size (a
-//! prototype that rebuilt and re-packed the batch per delete cost a tenth of
-//! the process's peak RSS under steady rewrites).
+//! The same allocator guards the in-place delete: `remove_reference` moves
+//! bytes inside the batch's panels — whole panels when its references fall
+//! on the panel grid, single elements when they do not — and allocates
+//! nothing of a reference's size (a prototype that rebuilt and re-packed the
+//! batch per delete cost a tenth of the process's peak RSS under steady
+//! rewrites). And it holds the engine to one resident copy of a sealed
+//! batch: those panels, whatever `MatchConfig::fused` says.
 //!
 //! Its own integration-test binary because a `#[global_allocator]` is
 //! process-wide (the allocator is shared with `texid-linalg`'s
@@ -19,6 +21,7 @@ mod counting_alloc;
 
 use counting_alloc::{measure, CountingAlloc};
 use texid_core::{Engine, EngineConfig};
+use texid_knn::MatchConfig;
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -75,41 +78,77 @@ fn steady_state_search_allocates_no_reference_sized_buffer() {
 #[test]
 fn in_place_delete_allocates_no_reference_sized_buffer() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    // m_ref = 128 is a whole number of panels on every backend.
-    let (m_ref, batch, n_query) = (128usize, 16usize, 64usize);
-    let mut engine = Engine::new(EngineConfig {
-        m_ref,
-        n_query,
-        batch_size: batch,
-        streams: 1,
-        ..EngineConfig::default()
-    });
-    for id in 0..2 * batch as u64 {
-        engine
-            .add_reference(id, &features(m_ref, id))
-            .expect("capacity");
-    }
-    engine.flush().expect("flush");
-    let q = features(n_query, 999);
-    let before = engine.search(&q).ranked;
+    // m_ref = 128 is a whole number of panels on every backend (whole panels
+    // move); 42 is a multiple of neither panel width, 4 or 8 (elements move).
+    for m_ref in [128usize, 42] {
+        let (batch, n_query) = (16usize, 64usize);
+        let mut engine = Engine::new(EngineConfig {
+            m_ref,
+            n_query,
+            batch_size: batch,
+            streams: 1,
+            ..EngineConfig::default()
+        });
+        for id in 0..2 * batch as u64 {
+            engine
+                .add_reference(id, &features(m_ref, id))
+                .expect("capacity");
+        }
+        engine.flush().expect("flush");
+        let q = features(n_query, 999);
+        let before = engine.search(&q).ranked;
 
-    // A middle reference, the last of its batch, then a whole batch: none
-    // may allocate even the smallest copy of one reference, its f16 block
-    // (m_ref · d · 2 B = 32 KiB; its panels are twice that).
-    let one_reference = m_ref * 128 * 2;
-    let doomed: Vec<u64> = [3, 15].into_iter().chain(16..32).collect();
-    for &id in &doomed {
-        let (removed, heap) = measure(|| engine.remove_reference(id));
-        assert!(removed, "id {id}");
+        // A middle reference, the last of its batch, then a whole batch: none
+        // may allocate even the smallest copy of one reference, its f16 block
+        // (m_ref · d · 2 B, 32 KiB at 128; its panels are twice that).
+        let one_reference = m_ref * 128 * 2;
+        let doomed: Vec<u64> = [3, 15].into_iter().chain(16..32).collect();
+        for &id in &doomed {
+            let (removed, heap) = measure(|| engine.remove_reference(id));
+            assert!(removed, "id {id}");
+            assert!(
+                heap.largest < one_reference / 8,
+                "removing id {id} allocated {} B at once; one reference is {one_reference} B",
+                heap.largest
+            );
+        }
+        let expect: Vec<(u64, usize)> = before
+            .into_iter()
+            .filter(|(id, _)| !doomed.contains(id))
+            .collect();
+        assert_eq!(engine.search(&q).ranked, expect);
+    }
+}
+
+#[test]
+fn a_sealed_batch_is_resident_once() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (m_ref, batch) = (128usize, 32usize);
+    let refs: Vec<FeatureMatrix> = (0..batch as u64).map(|id| features(m_ref, id)).collect();
+    // The default engine (F16, fused) and its unfused twin hold the same
+    // single buffer: the batch's f32 panels.
+    let panel_bytes = (batch * m_ref * 128 * 4) as f64;
+    for fused in [true, false] {
+        let (engine, heap) = measure(|| {
+            let mut engine = Engine::new(EngineConfig {
+                matching: MatchConfig { fused, ..MatchConfig::default() },
+                m_ref,
+                batch_size: batch,
+                streams: 1,
+                ..EngineConfig::default()
+            });
+            for (id, f) in refs.iter().enumerate() {
+                engine.add_reference(id as u64, f).expect("capacity");
+            }
+            engine.flush().expect("flush");
+            engine
+        });
+        assert_eq!(engine.len(), batch);
+        let ratio = heap.retained as f64 / panel_bytes;
         assert!(
-            heap.largest < one_reference / 8,
-            "removing id {id} allocated {} B at once; one reference is {one_reference} B",
-            heap.largest
+            (0.95..=1.05).contains(&ratio),
+            "fused {fused}: {} B retained per sealed batch, {ratio:.2}× its panels",
+            heap.retained
         );
     }
-    let expect: Vec<(u64, usize)> = before
-        .into_iter()
-        .filter(|(id, _)| !doomed.contains(id))
-        .collect();
-    assert_eq!(engine.search(&q).ranked, expect);
 }

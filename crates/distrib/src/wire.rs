@@ -223,7 +223,8 @@ pub fn decode_features(buf: &[u8]) -> Result<FeatureMatrix, WireError> {
     let dim = dim.ok_or(WireError::Malformed("missing dim"))?;
     let count = count.ok_or(WireError::Malformed("missing count"))?;
     let data = data.ok_or(WireError::Malformed("missing matrix"))?;
-    if data.len() != dim * count {
+    // Both factors are payload varints: their product may not fit.
+    if dim.checked_mul(count) != Some(data.len()) {
         return Err(WireError::Malformed("matrix size mismatch"));
     }
     if keypoints.len() != count {
@@ -360,18 +361,23 @@ mod tests {
 
     #[test]
     fn size_mismatch_rejected() {
-        // Hand-build a message claiming 2 features but carrying 1 column.
-        let mut buf = Vec::new();
-        put_key(&mut buf, 1, WT_VARINT);
-        put_varint(&mut buf, 4);
-        put_key(&mut buf, 2, WT_VARINT);
-        put_varint(&mut buf, 2);
-        let data: Vec<u8> = (0..4).flat_map(|_| 1.0f32.to_le_bytes()).collect();
-        put_len_delimited(&mut buf, 4, &data);
-        assert_eq!(
-            decode_features(&buf).unwrap_err(),
-            WireError::Malformed("matrix size mismatch")
-        );
+        // Hand-built messages whose `dim × count` is not the matrix they
+        // carry: 2 features claimed over 1 column; a product that overflows
+        // (and wraps to the empty matrix's 0); a zero factor over 1 column.
+        for (dim, count, floats) in [(4, 2, 4), (1 << 63, 2, 0), (0, 4, 4), (4, 0, 4)] {
+            let mut buf = Vec::new();
+            put_key(&mut buf, 1, WT_VARINT);
+            put_varint(&mut buf, dim);
+            put_key(&mut buf, 2, WT_VARINT);
+            put_varint(&mut buf, count);
+            let data: Vec<u8> = (0..floats).flat_map(|_| 1.0f32.to_le_bytes()).collect();
+            put_len_delimited(&mut buf, 4, &data);
+            assert_eq!(
+                decode_features(&buf).unwrap_err(),
+                WireError::Malformed("matrix size mismatch"),
+                "dim {dim} count {count}"
+            );
+        }
     }
 
     #[test]

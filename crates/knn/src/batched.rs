@@ -9,8 +9,10 @@
 //!
 //! Two halves, each written once: [`BatchWork`] states what one query costs
 //! the device against one batch — launched on a [`GpuSim`] here (the Table
-//! 1/3 path), priced analytically by the engine — and [`score_batch`] /
-//! [`score_batch_packed`] are the numerics, which need no device.
+//! 1/3 path), priced analytically by the engine — and [`score_batch_packed`]
+//! is the numerics, which need no device and take both operands as the
+//! kernel's panels; `cfg.fused` chooses, on those same panels, between the
+//! fused tile scan and GEMM-then-scan. [`score_batch`] is pack-then-call and
 //! [`match_batch`] is "charge + score". A single pair is a batch of one:
 //! `score_pair` under `RootSiftTop2` is `score_batch(cfg, r, 1, r.cols(),
 //! q)`, so Algorithm 2 is written here and nowhere else.
@@ -166,11 +168,9 @@ fn check_blocks(r_cat: &FeatureBlock, batch: usize, m_per_ref: usize, q: &Featur
 /// per-reference ratio test, no device and no charge (`cfg.algorithm` and
 /// `cfg.exec` are not consulted).
 ///
-/// Packs both blocks for `cfg`'s backend; with `cfg.fused` the rest is
-/// [`score_batch_packed`] — callers that match the same references or the
-/// same query more than once (the engine) pack once and call that directly.
-/// Unfused is the reference the bit-identity tests compare against: the
-/// `(B·m) × n` similarity matrix is materialized, then scanned.
+/// Packs both blocks for `cfg`'s backend and calls [`score_batch_packed`] —
+/// callers that match the same references or the same query more than once
+/// (the engine) pack once and call that directly.
 ///
 /// # Panics
 /// As [`match_batch`], on mismatched operands.
@@ -181,24 +181,16 @@ pub fn score_batch(
     m_per_ref: usize,
     q: &FeatureBlock,
 ) -> BatchOutcome {
-    check_blocks(r_cat, batch, m_per_ref, q);
-    if q.cols() == 0 {
-        return BatchOutcome::degenerate(batch);
-    }
     let be = cfg.kernel_backend();
-    let (r, q) = (r_cat.pack_refs(be), q.pack_query(be));
-    if cfg.fused {
-        return score_batch_packed(cfg, &r, batch, m_per_ref, &q);
-    }
-    let (a, s2) = similarity_gemm(&r, &q);
-    let raw = scan_product(&a, r.precision, batch, m_per_ref);
-    finish(cfg, &raw, s2, batch, q.panels.cols())
+    score_batch_packed(cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be))
 }
 
-/// [`score_batch`] on packed operands: the scan consumes GEMM tiles as they
-/// finish, the `(B·m) × n` similarity matrix is never materialized, and
-/// nothing proportional to the operands is allocated. Bit-identical to
-/// `score_batch` on the unpacked blocks, fused or not.
+/// [`score_batch`] on packed operands. With `cfg.fused` the scan consumes
+/// GEMM tiles as they finish: the `(B·m) × n` similarity matrix is never
+/// materialized and nothing proportional to the operands is allocated.
+/// Unfused — the reference the bit-identity tests compare against — the
+/// matrix is materialized from the same panels, then scanned; the results
+/// are bit-identical.
 ///
 /// # Panics
 /// Panics if the operands disagree in precision, scale, depth or backend,
@@ -217,13 +209,17 @@ pub fn score_batch_packed(
     if n == 0 {
         return BatchOutcome::degenerate(batch);
     }
-    // An F16 block's values are round-tripped through f16 before they are
-    // compared, exactly like scanning a 16-bit HGEMM output.
-    let epi = FusedEpilogue {
-        quantize_f16: r.precision == Precision::F16,
-        ..FusedEpilogue::default()
+    let raw = if cfg.fused {
+        // An F16 block's values are round-tripped through f16 before they
+        // are compared, exactly like scanning a 16-bit HGEMM output.
+        let epi = FusedEpilogue {
+            quantize_f16: r.precision == Precision::F16,
+            ..FusedEpilogue::default()
+        };
+        gemm_top2_ex(-2.0, &r.panels, &q.panels, &epi, batch, m_per_ref)
+    } else {
+        scan_product(&similarity_gemm(r, q).0, r.precision, batch, m_per_ref)
     };
-    let raw = gemm_top2_ex(-2.0, &r.panels, &q.panels, &epi, batch, m_per_ref);
     finish(cfg, &raw, s2, batch, n)
 }
 
@@ -424,6 +420,14 @@ mod tests {
             assert_eq!(fused.scores, unfused.scores, "{precision:?} scores");
             assert_eq!(fused.top2, unfused.top2, "{precision:?} top-2 must be bit-identical");
         }
+    }
+
+    #[test]
+    fn sqrt_clamps_negative_noise() {
+        // Rounding can leave `−2·rᵀq` of identical unit columns just below −2.
+        let raw = [Top2 { idx: 0, d1: -2.0000005, d2: -2.0 }];
+        let got = rootsift_distances(&raw, 1.0);
+        assert_eq!((got[0].d1, got[0].d2), (0.0, 0.0));
     }
 
     #[test]

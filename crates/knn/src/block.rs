@@ -3,7 +3,10 @@
 //! A [`FeatureBlock`] is one reference feature matrix (or a batched
 //! concatenation of several) in whatever precision the engine is configured
 //! for. FP16 blocks remember the scale factor applied before narrowing
-//! (§4.2) so matching can undo `scale²` after the GEMM.
+//! (§4.2) so matching can undo `scale²` after the GEMM. It is the form
+//! features travel in — an open batch, a pair to verify, an operand on its
+//! way to the packer. What a matcher multiplies, and what the engine keeps
+//! of a sealed batch, is the [`PackedBlock`] made from it.
 
 use texid_gpu::Precision;
 use texid_linalg::kernel::{PackedA, PackedB};
@@ -37,11 +40,41 @@ pub struct PackedBlock<P> {
 }
 
 impl PackedBlock<PackedA> {
-    /// [`FeatureBlock::swap_remove_cols`] on the packed references; `false`
-    /// (pack untouched) when the columns do not fall on whole panels — see
-    /// [`PackedA::swap_remove_cols`].
-    pub fn swap_remove_cols(&mut self, start: usize, count: usize) -> bool {
+    /// Delete the `count` reference columns starting at `start` — one
+    /// reference out of a batch — in the buffer the panels already have: the
+    /// last `count` columns move into their slot
+    /// ([`PackedA::swap_remove_cols`]).
+    ///
+    /// # Panics
+    /// Panics unless the removed columns are the last `count` or end before
+    /// them.
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
         self.panels.swap_remove_cols(start, count)
+    }
+
+    /// The `count` reference columns starting at `start`, dequantized: the
+    /// panel values for an F32 block, `panel value · (1 / scale)` for an F16
+    /// one — the bits [`MatF16::to_f32_unscaled`] gives the block the panels
+    /// were packed from.
+    pub fn read_cols(&self, start: usize, count: usize) -> Mat {
+        let mut cols = self.panels.read_cols(start, count);
+        if self.precision == Precision::F16 {
+            let inv = 1.0 / self.scale;
+            cols.as_mut_slice().iter_mut().for_each(|v| *v *= inv);
+        }
+        cols
+    }
+}
+
+impl PackedBlock<PackedB> {
+    /// Number of query feature columns.
+    pub fn cols(&self) -> usize {
+        self.panels.cols()
+    }
+
+    /// Descriptor dimensionality.
+    pub fn rows(&self) -> usize {
+        self.panels.depth()
     }
 }
 
@@ -122,20 +155,6 @@ impl FeatureBlock {
         match self {
             FeatureBlock::F32(_) => Precision::F32,
             FeatureBlock::F16 { .. } => Precision::F16,
-        }
-    }
-
-    /// Delete the `count` columns starting at `start` in place — one
-    /// reference out of a batch — by moving the last `count` columns into
-    /// their slot ([`Mat::swap_remove_cols`]).
-    ///
-    /// # Panics
-    /// Panics unless the removed columns are the last `count` or end before
-    /// them.
-    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
-        match self {
-            FeatureBlock::F32(m) => m.swap_remove_cols(start, count),
-            FeatureBlock::F16 { mat, .. } => mat.swap_remove_cols(start, count),
         }
     }
 

@@ -133,7 +133,7 @@
 
 use crate::dispatch::{Backend, MAX_TILE};
 use crate::f16::F16;
-use crate::mat::{swap_remove_block, Mat, MatF16, Operand, Widen};
+use crate::mat::{Mat, MatF16, Operand, Widen};
 use crate::simd::PROBE_CHAINS;
 use crate::top2::Top2;
 use rayon::prelude::*;
@@ -204,22 +204,62 @@ impl PackedA {
         self.backend
     }
 
-    /// [`Mat::swap_remove_cols`] on the packed form, where it moves whole
-    /// panels: it applies only when `start`, `count` and the column count
-    /// are all multiples of the panel width (no panel then mixes removed and
-    /// kept columns, and the last panel carries no zero padding). Otherwise
-    /// returns `false` and leaves the pack untouched — re-pack instead.
+    /// The `count` columns starting at `start`, read back out of the panels
+    /// as a column-major `d × count` matrix: the values the kernel
+    /// multiplies, a half-precision source's elements exactly widened.
+    ///
+    /// # Panics
+    /// Panics if the range runs past [`Self::cols`].
+    pub fn read_cols(&self, start: usize, count: usize) -> Mat {
+        assert!(start + count <= self.m, "columns past the end of the pack");
+        let mut out = Mat::zeros(self.d, count);
+        for j in 0..count {
+            let src = self.col_offset(start + j);
+            for (k, v) in out.col_mut(j).iter_mut().enumerate() {
+                *v = self.data[src + k * self.mr];
+            }
+        }
+        out
+    }
+
+    /// [`Mat::swap_remove_cols`] on the packed form, in place: the result is
+    /// the pack of the swap-removed matrix, in the buffer the pack already
+    /// had. When `start`, `count` and the column count are all multiples of
+    /// the panel width, the tail is whole unpadded panels and moves in one
+    /// `memmove`; otherwise its elements move one by one inside the k-major
+    /// panels and the padding of the new last panel is zeroed again.
     ///
     /// # Panics
     /// Panics unless the removed columns are the last `count` or end before
     /// them.
-    pub fn swap_remove_cols(&mut self, start: usize, count: usize) -> bool {
-        if [start, count, self.m].iter().any(|v| v % self.mr != 0) {
-            return false;
+    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
+        let (d, mr) = (self.d, self.mr);
+        let tail = self.m.checked_sub(count).expect("more columns than the pack holds");
+        assert!(start == tail || start + count <= tail, "hole overlaps the tail block");
+        if [start, count, tail].iter().all(|v| v % mr == 0) {
+            self.data.copy_within(tail * d.., start * d);
+        } else {
+            for j in 0..count {
+                let (src, dst) = (self.col_offset(tail + j), self.col_offset(start + j));
+                for k in 0..d {
+                    self.data[dst + k * mr] = self.data[src + k * mr];
+                }
+            }
         }
-        swap_remove_block(&mut self.data, start * self.d, count * self.d);
-        self.m -= count;
-        true
+        for c in tail..tail.next_multiple_of(mr) {
+            let pad = self.col_offset(c);
+            for k in 0..d {
+                self.data[pad + k * mr] = 0.0;
+            }
+        }
+        self.data.truncate(tail.div_ceil(mr) * d * mr);
+        self.m = tail;
+    }
+
+    /// Where column `c`'s first element lies in `data`; its `d` elements
+    /// follow at stride `mr`.
+    fn col_offset(&self, c: usize) -> usize {
+        c / self.mr * self.d * self.mr + c % self.mr
     }
 
     fn panel_count(&self) -> usize {
@@ -1006,26 +1046,45 @@ mod tests {
     fn swap_removed_pack_equals_a_pack_of_the_swap_removed_matrix() {
         for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
             let mr = PackedA::pack(be, &Mat::zeros(1, 1)).mr;
+            // `Mat::swap_remove_cols` is the oracle: the edited pack must be
+            // the pack of the edited matrix, padding included.
+            let check = |pa: &mut PackedA, a: &mut Mat, start: usize, count: usize| {
+                pa.swap_remove_cols(start, count);
+                a.swap_remove_cols(start, count);
+                let fresh = PackedA::pack(be, a);
+                assert_eq!(
+                    (pa.cols(), &pa.data),
+                    (fresh.cols(), &fresh.data),
+                    "{be:?}: {count} at {start}"
+                );
+            };
             // Five blocks of two panels each; drop a middle one, then the last.
             let (d, width) = (5, 2 * mr);
             let mut a = mat_rand(d, 5 * width, 21);
             let mut pa = PackedA::pack(be, &a);
             for start in [width, 3 * width] {
-                assert!(pa.swap_remove_cols(start, width));
-                a.swap_remove_cols(start, width);
-                let fresh = PackedA::pack(be, &a);
-                assert_eq!((pa.cols(), &pa.data), (fresh.cols(), &fresh.data), "{be:?}");
+                check(&mut pa, &mut a, start, width);
             }
-            // A hole, a width or a column count off the panel grid is refused
-            // and leaves the pack as it was.
-            let before = pa.data.clone();
-            assert!(!pa.swap_remove_cols(1, mr) && !pa.swap_remove_cols(0, mr + 1));
-            let mut ragged = PackedA::pack(be, &mat_rand(d, 2 * mr + 1, 22));
-            assert!(!ragged.swap_remove_cols(0, mr));
+            // A hole, then a width, off the panel grid; then the last three of
+            // the 4·mr − 1 columns left, which only truncates and re-zeroes.
+            for (start, count) in [(1, mr), (0, mr + 1), (4 * mr - 4, 3)] {
+                check(&mut pa, &mut a, start, count);
+            }
+            // A column count off the grid under an aligned hole.
+            let mut a = mat_rand(d, 2 * mr + 1, 22);
+            check(&mut PackedA::pack(be, &a), &mut a, 0, mr);
+
+            // Columns read back out of the panels are the source's, widened.
+            let src = mat_rand(d, 2 * mr + 3, 23);
+            let src16 = src.to_f16_scaled(0.25);
+            assert_eq!(PackedA::pack(be, &src).read_cols(0, src.cols()), src, "{be:?}");
             assert_eq!(
-                (pa.cols(), &pa.data, ragged.cols()),
-                (3 * width, &before, 2 * mr + 1)
+                PackedA::pack(be, &src16).read_cols(0, src.cols()),
+                src16.to_f32_unscaled(1.0),
+                "{be:?}"
             );
+            let mid = PackedA::pack(be, &src).read_cols(mr - 1, mr + 2);
+            assert_eq!(mid.as_slice(), &src.as_slice()[(mr - 1) * d..(2 * mr + 1) * d], "{be:?}");
         }
     }
 

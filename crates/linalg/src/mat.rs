@@ -7,25 +7,6 @@
 use crate::dispatch::Backend;
 use crate::f16::F16;
 
-/// `Vec::swap_remove` for a block: the last `len` elements move into the
-/// hole at `start..start + len` and the vector is truncated by `len`. No
-/// allocation, `len` elements copied, the allocation kept.
-///
-/// # Panics
-/// Panics unless the hole is the tail itself or ends before the tail begins.
-pub(crate) fn swap_remove_block<T: Copy>(data: &mut Vec<T>, start: usize, len: usize) {
-    let tail = data
-        .len()
-        .checked_sub(len)
-        .expect("block longer than the data");
-    assert!(
-        start == tail || start + len <= tail,
-        "hole overlaps the tail block"
-    );
-    data.copy_within(tail.., start);
-    data.truncate(tail);
-}
-
 /// A matrix element the kernels read as f32: `f32` itself, or [`F16`]
 /// widened on the way in.
 pub trait Widen: Copy + Send + Sync {
@@ -214,14 +195,18 @@ impl Mat {
     /// Remove the `count` columns starting at `start` in place: the last
     /// `count` columns move into their slot (column order is not kept), the
     /// rest stay where they are — `Vec::swap_remove` for one block of an
-    /// [`Mat::hconcat`] of equal-width blocks.
+    /// [`Mat::hconcat`] of equal-width blocks. The oracle
+    /// `PackedA::swap_remove_cols` is tested against.
     ///
     /// # Panics
     /// Panics unless the removed columns are the last `count` or end before
     /// them.
     pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
-        swap_remove_block(&mut self.data, start * self.rows, count * self.rows);
-        self.cols -= count;
+        let tail = self.cols.checked_sub(count).expect("more columns than the matrix holds");
+        assert!(start == tail || start + count <= tail, "hole overlaps the tail block");
+        self.data.copy_within(tail * self.rows.., start * self.rows);
+        self.data.truncate(tail * self.rows);
+        self.cols = tail;
     }
 
     /// Convert to half precision after multiplying by `scale`
@@ -353,16 +338,6 @@ impl MatF16 {
         MatF16 { rows, cols, data }
     }
 
-    /// [`Mat::swap_remove_cols`] on half-precision storage.
-    ///
-    /// # Panics
-    /// Panics unless the removed columns are the last `count` or end before
-    /// them.
-    pub fn swap_remove_cols(&mut self, start: usize, count: usize) {
-        swap_remove_block(&mut self.data, start * self.rows, count * self.rows);
-        self.cols -= count;
-    }
-
     /// Size in bytes of the f16 payload (half of the f32 equivalent).
     pub fn size_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<u16>()
@@ -468,12 +443,6 @@ mod tests {
         let mut last = m.clone();
         last.swap_remove_cols(4, 2);
         assert_eq!(last, Mat::from_fn(2, 4, |r, c| (10 * c + r) as f32));
-
-        let mut half = m.to_f16_scaled(1.0);
-        half.swap_remove_cols(2, 2);
-        let mut expect = m.clone();
-        expect.swap_remove_cols(2, 2);
-        assert_eq!(half, expect.to_f16_scaled(1.0));
 
         let mut all = Mat::zeros(3, 2);
         all.swap_remove_cols(0, 2);

@@ -37,6 +37,10 @@ pub struct HeapUse {
     pub peak: usize,
     /// The largest single allocation made during the call.
     pub largest: usize,
+    /// Live bytes after the call minus live bytes before it: what the call
+    /// left resident (negative if it freed more than it kept).
+    #[allow(dead_code)] // read by one of the binaries that include this file
+    pub retained: isize,
 }
 
 /// Run `f` and report its heap use. Not reentrant: one measurement at a
@@ -48,5 +52,6 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, HeapUse) {
     LARGEST.store(0, Ordering::Relaxed);
     let out = f();
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-    (out, HeapUse { peak, largest: LARGEST.load(Ordering::Relaxed) })
+    let retained = LIVE.load(Ordering::Relaxed) as isize - base as isize;
+    (out, HeapUse { peak, largest: LARGEST.load(Ordering::Relaxed), retained })
 }
