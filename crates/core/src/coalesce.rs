@@ -1,7 +1,7 @@
 //! Query coalescing: continuous batching for the serving path.
 //!
 //! Concurrent searches hitting the same engine within a bounded window are
-//! merged into one multi-query sweep ([`Engine::search_many`]): the cache
+//! merged into one multi-query sweep ([`Engine::search_encoded`]): the cache
 //! is traversed once and each host-resident reference batch crosses PCIe
 //! once for all Q in-flight queries, instead of once per query. This is
 //! the query-side symmetric of §5.2's reference batching — the paper
@@ -23,14 +23,14 @@
 //! cache snapshot and are identical to an uncoalesced search.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use texid_obs::Histogram;
 use texid_sift::FeatureMatrix;
 
-use crate::engine::{Engine, SearchResult};
+use crate::engine::{EncodedQuery, Engine, SearchResult};
 
 /// Coalescing policy.
 #[derive(Clone, Copy, Debug)]
@@ -58,8 +58,9 @@ impl Default for CoalesceConfig {
 struct Inner {
     /// Monotonic group id; each collecting group gets the next one.
     epoch: u64,
-    /// Queries collected for the currently-open group.
-    queries: Vec<FeatureMatrix>,
+    /// Queries collected for the currently-open group: shared handles, a
+    /// member costs the group one reference count.
+    queries: Vec<Arc<EncodedQuery>>,
     /// A leader currently holds a group open. Invariant: `collecting`
     /// false ⟺ `queries` empty.
     collecting: bool,
@@ -109,12 +110,23 @@ impl Coalescer {
         &self.cfg
     }
 
+    /// [`Coalescer::search_encoded`] of a query that still needs encoding
+    /// (for the engine's configuration).
+    pub fn search(&self, engine: &RwLock<Engine>, query: &FeatureMatrix) -> SearchResult {
+        let query = Arc::new(EncodedQuery::new(engine.read().config(), query));
+        self.search_encoded(engine, &query)
+    }
+
     /// Search through the coalescer: join an open group if one is
     /// collecting, otherwise lead a new one. Blocks until this query's
     /// result is available (bounded by the window plus one sweep).
-    pub fn search(&self, engine: &RwLock<Engine>, query: &FeatureMatrix) -> SearchResult {
+    pub fn search_encoded(
+        &self,
+        engine: &RwLock<Engine>,
+        query: &Arc<EncodedQuery>,
+    ) -> SearchResult {
         if self.cfg.max_batch <= 1 {
-            let r = engine.read().search(query);
+            let r = engine.read().search_encoded(&[query]).pop().expect("one query, one result");
             self.batch_size.observe(1.0);
             return r;
         }
@@ -170,8 +182,8 @@ impl Coalescer {
         drop(inner);
 
         self.batch_size.observe(queries.len() as f64);
-        let refs: Vec<&FeatureMatrix> = queries.iter().collect();
-        let results = engine.read().search_many(&refs);
+        let refs: Vec<&EncodedQuery> = queries.iter().map(Arc::as_ref).collect();
+        let results = engine.read().search_encoded(&refs);
         debug_assert_eq!(results.len(), refs.len());
 
         let mut inner = self.inner.lock().expect("coalescer lock");

@@ -1,43 +1,47 @@
 //! The single-node (one GPU) texture search engine.
 //!
 //! References are ingested as feature matrices, narrowed to the configured
-//! precision, concatenated into batches of `batch_size` (§5.2) and stored in
-//! the hybrid cache (§6.1). A search matches the query against **every**
-//! cached batch: device-resident batches go straight to the matcher;
-//! host-resident batches are charged an H2D transfer first. Multi-stream
-//! scheduling (§6.2) is applied as the calibrated throughput model from
-//! `texid_gpu::streams`.
+//! precision and packed, as they arrive, into the panels of the one **open
+//! batch**; at `batch_size` references (§5.2), or at [`Engine::flush`], that
+//! batch moves into the hybrid cache (§6.1). A search matches the query
+//! against **every** cached batch: device-resident batches go straight to
+//! the matcher; host-resident batches are charged an H2D transfer first.
+//! Multi-stream scheduling (§6.2) is applied as the calibrated throughput
+//! model from `texid_gpu::streams`.
 //!
-//! A sealed batch is resident once, as the kernel's panels: the
-//! storage-precision block they were packed from is dropped at seal, export
-//! reads columns back out of the panels, and `MatchConfig::fused` / `exec`
-//! decide how (and whether) a search scores them, never how they are laid
-//! out.
+//! A batch, open or sealed, is resident once, as the kernel's panels: a
+//! reference is scattered into them by [`Engine::add_reference`] and never
+//! copied again (a seal is a move), export reads columns back out of them,
+//! and `MatchConfig::fused` / `exec` decide how (and whether) a search
+//! scores them, never how they are laid out.
 //!
 //! The cache is not append-only: [`Engine::remove_reference`] deletes a
-//! reference where it lies, so the sweep, the report and the cache's byte
-//! accounting follow the live set however often an id was rewritten.
+//! reference where it lies and [`Engine::replace_reference`] overwrites one
+//! in its slot, so the sweep, the report and the cache's byte accounting
+//! follow the live set however often an id was rewritten.
 //!
-//! A search ([`Engine::search_many`]) is one pass over the cache in batch
-//! order, accumulating each query's [`SearchReport`] and ranking in place.
-//! Per batch it prices the device work ([`texid_knn::BatchWork`]) through
-//! the analytic cost model and, numerics on, scores the batch on the host:
-//! no simulated device is driven, so `&self` searches share only atomics.
+//! A search ([`Engine::search_encoded`]) is one pass over the cache in
+//! batch order, accumulating each query's [`SearchReport`] and ranking in
+//! place; the query arrives as an [`EncodedQuery`], narrowed and packed once
+//! by whoever starts the search. Per batch the pass prices the device work
+//! ([`texid_knn::BatchWork`]) through the analytic cost model and, numerics
+//! on, scores the batch on the host: no simulated device is driven, so
+//! `&self` searches share only atomics.
 //!
-//! Two ingestion modes:
+//! Two kinds of reference, one ingest path (a batch holds one kind):
 //! * [`Engine::add_reference`] — real features (accuracy experiments,
 //!   examples, the distributed system);
 //! * [`Engine::add_reference_shape`] — shape-only phantom entries for
 //!   paper-scale *timing* experiments (a million 384×128 FP16 matrices
 //!   would not fit in test-host RAM, and their values do not affect the
-//!   cost model).
+//!   cost model): the same batch without panels.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
-use texid_knn::ivf::{pool_column_slice, pool_columns, IvfIndex};
+use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, BatchWork, ExecMode, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::kernel::{PackedA, PackedB};
 use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
@@ -46,10 +50,8 @@ use texid_sift::FeatureMatrix;
 
 /// Cached telemetry handles, registered once per engine against the global
 /// registry (registration takes a mutex; the handles are lock-free).
-/// Simulated stage durations carry `clock="sim"`; the FP16 encode span is
-/// measured host time (`clock="wall"`).
+/// Simulated stage durations carry `clock="sim"`.
 struct Telemetry {
-    encode: Histogram,
     probe: Histogram,
     /// Sim-clock series, in [`SearchReport::sim_series`] order.
     sim: [Histogram; 6],
@@ -74,7 +76,6 @@ impl Telemetry {
         )
         .set(1.0);
         Telemetry {
-            encode: reg.stage_duration("encode", "wall"),
             probe: reg.stage_duration("probe", "sim"),
             sim: DRIFT_STAGES.map(|stage| reg.stage_duration(stage, "sim")),
             searches: reg.counter(
@@ -171,7 +172,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// One cached reference batch: its ids, its shape, and — for real
+/// One reference batch, open or cached: its ids, its shape, and — for real
 /// references — the features as the kernel's panels, their only resident
 /// form. A phantom (timing-only) batch is the same entry without panels.
 struct RefBatch {
@@ -181,20 +182,58 @@ struct RefBatch {
     rows: usize,
     /// Storage precision: what the simulated device holds per element.
     precision: Precision,
-    /// Packed once at seal, dropped with the batch. Host-side form only:
-    /// the f32 panels are not the simulated device footprint
-    /// ([`RefBatch::size_bytes`]).
+    /// Each reference packed as it arrived, dropped with the batch.
+    /// Host-side form only: the f32 panels are not the simulated device
+    /// footprint ([`RefBatch::size_bytes`]).
     panels: Option<PackedBlock<PackedA>>,
+    /// The references' pooled descriptors, `rows` floats each in `ids`
+    /// order (IVF on): what the quantizer trains on and posts the batch by.
+    pools: Vec<f32>,
 }
 
 impl RefBatch {
-    /// Delete reference `i` where it lies: the last reference's id and
-    /// panel columns move into its slot.
+    fn empty(cfg: &EngineConfig) -> RefBatch {
+        RefBatch {
+            ids: Vec::new(),
+            m_per_ref: cfg.m_ref,
+            rows: DESCRIPTOR_DIM,
+            precision: cfg.matching.precision,
+            panels: None,
+            pools: Vec::new(),
+        }
+    }
+
+    /// The pooled descriptors as the quantizer takes them, one column per
+    /// reference (no columns with the IVF off, or in a phantom batch).
+    fn pooled(&self) -> texid_linalg::Mat {
+        let cols = self.pools.len() / self.rows.max(1);
+        texid_linalg::Mat::from_col_major(self.rows, cols, self.pools.clone())
+    }
+
+    /// Delete reference `i` where it lies: the last reference's id, panel
+    /// columns and pool move into its slot.
     fn swap_remove(&mut self, i: usize) {
         self.ids.swap_remove(i);
         if let Some(panels) = &mut self.panels {
             panels.swap_remove_cols(i * self.m_per_ref, self.m_per_ref);
         }
+        if let Some(last) = self.pools.len().checked_sub(self.rows) {
+            self.pools.copy_within(last.., i * self.rows);
+            self.pools.truncate(last);
+        }
+    }
+
+    /// Overwrite reference `i`'s panel columns with `block`'s, and its pool;
+    /// `false`, and nothing done, in a phantom batch.
+    fn overwrite(&mut self, i: usize, block: &FeatureBlock, pool: Option<&[f32]>) -> bool {
+        let Some(panels) = &mut self.panels else {
+            return false;
+        };
+        panels.write_cols(i * self.m_per_ref, block);
+        if let Some(pool) = pool {
+            self.pools[i * self.rows..][..self.rows].copy_from_slice(pool);
+        }
+        true
     }
 }
 
@@ -202,13 +241,6 @@ impl Payload for RefBatch {
     fn size_bytes(&self) -> u64 {
         (self.ids.len() * self.m_per_ref * self.rows * self.precision.bytes()) as u64
     }
-}
-
-/// Column-major matrix from per-image pooled descriptors (one column each).
-fn pools_to_mat(pools: &[Vec<f32>]) -> texid_linalg::Mat {
-    let d = pools.first().map_or(0, Vec::len);
-    let data: Vec<f32> = pools.iter().flatten().copied().collect();
-    texid_linalg::Mat::from_col_major(d, pools.len(), data)
 }
 
 /// Ranked search output.
@@ -332,14 +364,33 @@ impl SearchReport {
     }
 }
 
-/// One query of a search pass, encoded once and shared by every batch.
-struct EncodedQuery {
-    /// Storage-precision features, truncated to `n_query` columns, as the
-    /// kernel's panels.
+/// One query, encoded once for a search: truncated to `n_query` columns
+/// (asymmetric n), narrowed to storage precision and packed into the
+/// kernel's panels. Every batch of a pass reads the same panels, and so can
+/// every engine of one configuration: a cluster hands each shard's leg a
+/// shared reference.
+pub struct EncodedQuery {
     packed: PackedBlock<PackedB>,
-    /// IVF probe outcome — the batches posted in the probed cells, and how
-    /// many cells that was. `None` on the exhaustive path.
-    probe: Option<(BTreeSet<u64>, usize)>,
+    /// The pooled descriptor an IVF probe routes on (pooled before
+    /// quantization, like the references'); `None` if `cfg` cannot prune.
+    pooled: Option<Vec<f32>>,
+}
+
+impl EncodedQuery {
+    /// Encode `query` for engines configured by `cfg`. The narrow + pack is
+    /// the `encode` wall-clock stage, observed once per call.
+    pub fn new(cfg: &EngineConfig, query: &FeatureMatrix) -> EncodedQuery {
+        let matching = &cfg.matching;
+        let n = cfg.n_query.min(query.len());
+        let data = &query.mat.as_slice()[..query.dim() * n];
+        let packed = {
+            let _span = Span::enter("encode");
+            FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
+                .pack_query(matching.kernel_backend())
+        };
+        let pooled = matching.ivf.prunes().then(|| pool_column_slice(query.dim(), data));
+        EncodedQuery { packed, pooled }
+    }
 }
 
 /// The single-GPU search engine.
@@ -374,18 +425,14 @@ pub struct Engine {
     cfg: EngineConfig,
     sim: GpuSim,
     cache: HybridCache<RefBatch>,
-    pending: Vec<(u64, FeatureBlock)>,
-    pending_phantom: usize,
-    phantom_ids: Vec<u64>,
+    /// The batch references are added to; sealed into `cache` when full or
+    /// flushed. No search sees it.
+    open: RefBatch,
     next_batch: u64,
     references: usize,
     /// Trained coarse quantizer (None until enough pooled descriptors have
     /// been ingested with `matching.ivf.enabled`).
     ivf: Option<IvfIndex>,
-    /// Pooled descriptors of the references in the still-open batch.
-    pending_pooled: Vec<Vec<f32>>,
-    /// Pooled descriptors per sealed batch awaiting quantizer training.
-    unindexed_pools: Vec<(u64, Vec<Vec<f32>>)>,
     telemetry: Telemetry,
     /// Sealed batches + search passes since the last cache rebalance.
     /// Atomic because the search path bumps it under `&self`.
@@ -400,17 +447,13 @@ impl Engine {
         let sim = GpuSim::new(cfg.device.clone());
         let cache = HybridCache::new(cfg.cache);
         Engine {
+            open: RefBatch::empty(&cfg),
             cfg,
             sim,
             cache,
-            pending: Vec::new(),
-            pending_phantom: 0,
-            phantom_ids: Vec::new(),
             next_batch: 0,
             references: 0,
             ivf: None,
-            pending_pooled: Vec::new(),
-            unindexed_pools: Vec::new(),
             telemetry: Telemetry::register(),
             since_rebalance: AtomicUsize::new(0),
         }
@@ -441,93 +484,79 @@ impl Engine {
         &self.sim
     }
 
-    /// Index a reference image's features. Features beyond `m_ref` columns
-    /// are truncated (they arrive sorted by detection response, so this is
-    /// exactly the paper's asymmetric top-m selection).
-    ///
-    /// # Errors
-    /// Propagates cache exhaustion.
-    pub fn add_reference(&mut self, id: u64, features: &FeatureMatrix) -> Result<(), CacheError> {
-        let d = features.dim();
-        let m = self.cfg.m_ref.min(features.len());
-        let mut data = features.mat.as_slice()[..d * m].to_vec();
+    /// One reference in storage precision — `m_ref` columns, ready for the
+    /// open batch's panels — and, IVF on, its pooled descriptor. Features
+    /// beyond `m_ref` columns are truncated (they arrive sorted by detection
+    /// response, so this is exactly the paper's asymmetric top-m selection).
+    fn encode_reference(&self, features: &FeatureMatrix) -> (FeatureBlock, Option<Vec<f32>>) {
+        let matching = &self.cfg.matching;
+        let (d, m_ref) = (features.dim(), self.cfg.m_ref);
+        let m = m_ref.min(features.len());
+        let data = &features.mat.as_slice()[..d * m];
+        // Pool before quantization: the coarse quantizer routes on full-
+        // precision pooled descriptors regardless of storage precision.
+        let pool = matching.ivf.enabled.then(|| pool_column_slice(d, data));
         // Batching requires uniform per-reference column counts (the
         // blocked top-2 scan attributes rows by fixed stride). A reference
         // that yielded fewer than m_ref features is padded with zero
         // columns: a zero column is at squared distance 2 from every
         // unit-norm query feature — never nearer than a genuine match — so
-        // padding is invisible to the ratio test.
-        if m < self.cfg.m_ref {
-            data.resize(d * self.cfg.m_ref, 0.0);
+        // padding is invisible to the ratio test (and to the pool).
+        let padded;
+        let data = if m < m_ref {
+            padded = [data, &vec![0.0; d * (m_ref - m)]].concat();
+            &padded
+        } else {
+            data
+        };
+        (FeatureBlock::encode(d, m_ref, data, matching.precision, matching.scale), pool)
+    }
+
+    /// The one ingest path: add a reference — real (its block, and its pool
+    /// with the IVF on) or phantom (`None`) — to the open batch, and seal the
+    /// batch if that filled it. A batch has panels for all of its references
+    /// or for none.
+    fn push(
+        &mut self,
+        id: u64,
+        real: Option<(FeatureBlock, Option<Vec<f32>>)>,
+    ) -> Result<(), CacheError> {
+        let open = &mut self.open;
+        assert!(
+            open.ids.is_empty() || open.panels.is_some() == real.is_some(),
+            "cannot mix real and phantom references"
+        );
+        match real {
+            None => (open.rows, open.panels) = (DESCRIPTOR_DIM, None),
+            Some((block, pool)) => {
+                open.rows = block.rows();
+                match &mut open.panels {
+                    Some(panels) => panels.append_cols(&block),
+                    None => open.panels = Some(block.pack_refs(self.cfg.matching.kernel_backend())),
+                }
+                open.pools.extend(pool.into_iter().flatten());
+            }
         }
-        let mat = texid_linalg::Mat::from_col_major(d, self.cfg.m_ref, data);
-        if self.cfg.matching.ivf.enabled {
-            // Pool before quantization: the coarse quantizer routes on full-
-            // precision pooled descriptors regardless of storage precision.
-            self.pending_pooled.push(pool_columns(&mat));
-        }
-        let block =
-            FeatureBlock::from_mat(mat, self.cfg.matching.precision, self.cfg.matching.scale);
-        self.pending.push((id, block));
+        open.ids.push(id);
         self.references += 1;
-        if self.pending.len() >= self.cfg.batch_size {
-            self.seal_real_batch()?;
+        if self.open.ids.len() >= self.cfg.batch_size {
+            self.seal()?;
         }
         Ok(())
     }
 
-    /// Delete a reference **in place**; returns whether `id` was indexed.
-    /// Where the same id was added more than once, one entry goes per call.
+    /// Index a reference image's features: truncated or zero-padded to
+    /// `m_ref` columns, narrowed to storage precision and scattered straight
+    /// into the open batch's panels, where they stay.
     ///
-    /// A pending reference is dropped from the open batch. A sealed one is
-    /// swap-removed from its batch (one reference's worth of bytes moves
-    /// inside the batch's panels; nothing is allocated) and the batch's cache
-    /// accounting shrinks where it sits — same FIFO slot, tier and heat. A
-    /// batch that empties leaves the cache and the IVF postings; one that
-    /// only shrinks keeps its postings (see [`IvfIndex::remove_batch`]).
-    /// Finding the id walks the batches' id lists, 8 bytes per live
-    /// reference.
+    /// # Errors
+    /// Propagates cache exhaustion.
     ///
-    /// Removal cannot change a ranking among the survivors: a score is a
-    /// function of one reference's columns and the query, and ties break on
-    /// the id, not on the position.
-    pub fn remove_reference(&mut self, id: u64) -> bool {
-        if let Some(i) = self.pending.iter().position(|(p, _)| *p == id) {
-            self.pending.swap_remove(i);
-            if self.cfg.matching.ivf.enabled {
-                self.pending_pooled.swap_remove(i);
-            }
-        } else if let Some(i) = self.phantom_ids.iter().position(|&p| p == id) {
-            self.phantom_ids.swap_remove(i);
-            self.pending_phantom -= 1;
-        } else {
-            let found = self.cache.iter().find_map(|(batch_id, batch, _)| {
-                let i = batch.ids.iter().position(|&p| p == id)?;
-                Some((batch_id, i, batch.ids.len()))
-            });
-            let Some((batch_id, i, len)) = found else {
-                return false;
-            };
-            if len == 1 {
-                self.cache.remove(batch_id, &mut self.sim);
-                if let Some(ivf) = &mut self.ivf {
-                    ivf.remove_batch(batch_id);
-                }
-                self.unindexed_pools.retain(|(b, _)| *b != batch_id);
-            } else {
-                self.cache.shrink(batch_id, &mut self.sim, |b| b.swap_remove(i));
-                // Pools awaiting quantizer training stay aligned with `ids`.
-                if let Some((_, pools)) = self
-                    .unindexed_pools
-                    .iter_mut()
-                    .find(|(b, _)| *b == batch_id)
-                {
-                    pools.swap_remove(i);
-                }
-            }
-        }
-        self.references -= 1;
-        true
+    /// # Panics
+    /// Panics if phantom references are pending (a batch holds one kind).
+    pub fn add_reference(&mut self, id: u64, features: &FeatureMatrix) -> Result<(), CacheError> {
+        let real = self.encode_reference(features);
+        self.push(id, Some(real))
     }
 
     /// Index a phantom reference (shape only) for timing experiments.
@@ -536,17 +565,78 @@ impl Engine {
     /// Propagates cache exhaustion.
     ///
     /// # Panics
-    /// Panics if real references are already pending (modes cannot mix
-    /// within a batch).
+    /// Panics if real references are pending (a batch holds one kind).
     pub fn add_reference_shape(&mut self, id: u64) -> Result<(), CacheError> {
-        assert!(self.pending.is_empty(), "cannot mix real and phantom references");
-        self.phantom_ids.push(id);
-        self.pending_phantom += 1;
-        self.references += 1;
-        if self.pending_phantom >= self.cfg.batch_size {
-            self.seal_phantom_batch()?;
+        self.push(id, None)
+    }
+
+    /// Where `id` lies — the batch (`None`: the open one), the position in
+    /// it, and how many it holds: the open batch first, then a walk over the
+    /// cached batches' id lists, 8 bytes per live reference.
+    fn locate(&self, id: u64) -> Option<(Option<u64>, usize, usize)> {
+        let of = |b: &RefBatch| Some((b.ids.iter().position(|&p| p == id)?, b.ids.len()));
+        of(&self.open).map(|(i, len)| (None, i, len)).or_else(|| {
+            let mut cached = self.cache.iter();
+            cached.find_map(|(id, batch, _)| of(batch).map(|(i, len)| (Some(id), i, len)))
+        })
+    }
+
+    /// Edit a batch where it lies; a cached one is re-accounted where it
+    /// sits — same FIFO slot, tier and heat — for whatever size the edit
+    /// leaves it.
+    fn edit(&mut self, batch: Option<u64>, edit: impl FnOnce(&mut RefBatch)) {
+        match batch {
+            None => edit(&mut self.open),
+            Some(id) => assert!(self.cache.shrink(id, &mut self.sim, edit), "batch {id} is cached"),
         }
-        Ok(())
+    }
+
+    /// Delete a reference **in place**; returns whether `id` was indexed.
+    /// Where the same id was added more than once, one entry goes per call.
+    ///
+    /// The reference is swap-removed from its batch: one reference's worth
+    /// of bytes moves inside the batch's panels, nothing is allocated. A
+    /// sealed batch that empties leaves the cache and the IVF postings; one
+    /// that only shrinks keeps its postings (see [`IvfIndex::remove_batch`]).
+    ///
+    /// Removal cannot change a ranking among the survivors: a score is a
+    /// function of one reference's columns and the query, and ties break on
+    /// the id, not on the position.
+    pub fn remove_reference(&mut self, id: u64) -> bool {
+        let Some((batch, i, len)) = self.locate(id) else {
+            return false;
+        };
+        match batch {
+            Some(emptied) if len == 1 => {
+                self.cache.remove(emptied, &mut self.sim);
+                if let Some(ivf) = &mut self.ivf {
+                    ivf.remove_batch(emptied);
+                }
+            }
+            _ => self.edit(batch, |b| b.swap_remove(i)),
+        }
+        self.references -= 1;
+        true
+    }
+
+    /// Replace reference `id`'s features **in the slot it occupies**, open
+    /// or sealed; returns whether `id` was indexed (nothing happens
+    /// otherwise). Every reference has one shape, so the new version's
+    /// columns overwrite the old one's: same batch, same position, same
+    /// bytes, same cache accounting. With the IVF trained, a sealed batch is
+    /// also posted under the new version's cell (the old posting stays: a
+    /// superset, as after a delete).
+    pub fn replace_reference(&mut self, id: u64, features: &FeatureMatrix) -> bool {
+        let Some((batch, i, _)) = self.locate(id) else {
+            return false;
+        };
+        let (block, pool) = self.encode_reference(features);
+        let mut real = false;
+        self.edit(batch, |b| real = b.overwrite(i, &block, pool.as_deref()));
+        if let (true, Some(batch), Some(pool), Some(ivf)) = (real, batch, pool, &mut self.ivf) {
+            ivf.add_batch(batch, &texid_linalg::Mat::from_col_major(pool.len(), 1, pool));
+        }
+        true
     }
 
     /// Seal any partial batch (call after the last `add_reference`).
@@ -554,39 +644,29 @@ impl Engine {
     /// # Errors
     /// Propagates cache exhaustion.
     pub fn flush(&mut self) -> Result<(), CacheError> {
-        if !self.pending.is_empty() {
-            self.seal_real_batch()?;
-        }
-        if self.pending_phantom > 0 {
-            self.seal_phantom_batch()?;
+        if self.has_pending() {
+            self.seal()?;
         }
         Ok(())
     }
 
-    fn seal_real_batch(&mut self) -> Result<(), CacheError> {
-        let ids: Vec<u64> = self.pending.iter().map(|(id, _)| *id).collect();
-        let blocks: Vec<&FeatureBlock> = self.pending.iter().map(|(_, b)| b).collect();
-        let cat = FeatureBlock::hconcat(&blocks);
-        debug_assert_eq!(cat.cols(), ids.len() * self.cfg.m_ref, "non-uniform batch");
-        let batch = RefBatch {
-            ids,
-            m_per_ref: self.cfg.m_ref,
-            rows: cat.rows(),
-            precision: cat.precision(),
-            panels: Some(cat.pack_refs(self.cfg.matching.kernel_backend())),
-        };
+    /// Move the open batch into the cache as it stands — its panels were
+    /// built as its references arrived — and hand its pools to the
+    /// quantizer. A batch the cache refuses is dropped, its references with
+    /// it; the engine keeps serving what fit.
+    fn seal(&mut self) -> Result<(), CacheError> {
+        let batch = std::mem::replace(&mut self.open, RefBatch::empty(&self.cfg));
+        let (pooled, count) = (batch.pooled(), batch.ids.len());
         let id = self.next_batch;
         self.next_batch += 1;
-        self.cache.insert(id, batch, &mut self.sim)?;
-        self.pending.clear();
-        let pools = std::mem::take(&mut self.pending_pooled);
-        if self.cfg.matching.ivf.enabled {
+        if let Err(refused) = self.cache.insert(id, batch, &mut self.sim) {
+            self.references -= count;
+            return Err(refused);
+        }
+        if pooled.cols() > 0 {
             match &mut self.ivf {
-                Some(ivf) => ivf.add_batch(id, &pools_to_mat(&pools)),
-                None => {
-                    self.unindexed_pools.push((id, pools));
-                    self.maybe_train_ivf();
-                }
+                Some(ivf) => ivf.add_batch(id, &pooled),
+                None => self.maybe_train_ivf(),
             }
         }
         self.since_rebalance.fetch_add(1, Ordering::Relaxed);
@@ -605,20 +685,19 @@ impl Engine {
         if self.ivf.is_some() || !ivf_cfg.enabled || ivf_cfg.nlist < 2 {
             return;
         }
-        let points: usize = self.unindexed_pools.iter().map(|(_, p)| p.len()).sum();
+        // Seal order, whichever tier each batch has moved to since.
+        let mut pooled: Vec<_> =
+            self.cache.iter().map(|(id, batch, _)| (id, batch.pooled())).collect();
+        pooled.sort_by_key(|(id, _)| *id);
+        let points: usize = pooled.iter().map(|(_, p)| p.cols()).sum();
         if points < ivf_cfg.nlist {
             return;
         }
-        let all: Vec<f32> = self
-            .unindexed_pools
-            .iter()
-            .flat_map(|(_, pools)| pools.iter().flatten().copied())
-            .collect();
-        let d = all.len() / points;
-        let train = texid_linalg::Mat::from_col_major(d, points, all);
+        let all: Vec<f32> = pooled.iter().flat_map(|(_, p)| p.as_slice()).copied().collect();
+        let train = texid_linalg::Mat::from_col_major(all.len() / points, points, all);
         let mut ivf = IvfIndex::train(&train, ivf_cfg.nlist, ivf_cfg.seed, ivf_cfg.train_iters);
-        for (batch_id, pools) in std::mem::take(&mut self.unindexed_pools) {
-            ivf.add_batch(batch_id, &pools_to_mat(&pools));
+        for (batch_id, pooled) in pooled.iter().filter(|(_, p)| p.cols() > 0) {
+            ivf.add_batch(*batch_id, pooled);
         }
         self.ivf = Some(ivf);
     }
@@ -659,24 +738,6 @@ impl Engine {
         }
     }
 
-    fn seal_phantom_batch(&mut self) -> Result<(), CacheError> {
-        let ids = std::mem::take(&mut self.phantom_ids);
-        let batch = RefBatch {
-            ids,
-            m_per_ref: self.cfg.m_ref,
-            rows: DESCRIPTOR_DIM,
-            precision: self.cfg.matching.precision,
-            panels: None,
-        };
-        let id = self.next_batch;
-        self.next_batch += 1;
-        self.cache.insert(id, batch, &mut self.sim)?;
-        self.pending_phantom = 0;
-        self.since_rebalance.fetch_add(1, Ordering::Relaxed);
-        self.maybe_rebalance();
-        Ok(())
-    }
-
     /// Export every *real* indexed reference as `(id, dequantized d×m
     /// feature matrix)` pairs — a device-independent snapshot that
     /// [`Engine::import_references`] (on any engine configuration) can
@@ -714,7 +775,7 @@ impl Engine {
     /// everything). Lets the serving path skip the write lock entirely in
     /// the steady state.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty() || self.pending_phantom > 0
+        !self.open.ids.is_empty()
     }
 
     /// Search the query against every indexed reference. The query feature
@@ -732,26 +793,11 @@ impl Engine {
         self.search_many(&[query]).pop().expect("one query in, one result out")
     }
 
-    /// Encode one query for a pass: asymmetric-n truncation, storage
-    /// precision, the kernel's panels (packed once for the whole sweep)
-    /// and — when a probe runs — the top-`nprobe` cells of its pooled
-    /// descriptor with the union of their posting lists: the batches this
-    /// query must still sweep exactly.
-    fn encode_query(&self, query: &FeatureMatrix, prober: Option<&IvfIndex>) -> EncodedQuery {
-        let matching = &self.cfg.matching;
-        let n = self.cfg.n_query.min(query.len());
-        let data = &query.mat.as_slice()[..query.dim() * n];
-        let packed = {
-            let _span = Span::with(self.telemetry.encode.clone());
-            FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
-                .pack_query(matching.kernel_backend())
-        };
-        let probe = prober.map(|ivf| {
-            // Pooled before quantization, like the references' pools.
-            let cells = ivf.probe(&pool_column_slice(query.dim(), data), matching.ivf.nprobe);
-            (ivf.batches_in(&cells), cells.len())
-        });
-        EncodedQuery { packed, probe }
+    /// [`Engine::search_encoded`] of queries that still need encoding.
+    pub fn search_many(&self, queries: &[&FeatureMatrix]) -> Vec<SearchResult> {
+        let encoded: Vec<EncodedQuery> =
+            queries.iter().map(|q| EncodedQuery::new(&self.cfg, q)).collect();
+        self.search_encoded(&encoded.iter().collect::<Vec<_>>())
     }
 
     /// One query against one batch it sweeps: add the batch to the query's
@@ -802,7 +848,11 @@ impl Engine {
     /// `(score desc, id asc)`, and nothing a concurrent caller can touch
     /// feeds a result — so serial, concurrent and coalesced execution
     /// cannot diverge.
-    pub fn search_many(&self, queries: &[&FeatureMatrix]) -> Vec<SearchResult> {
+    ///
+    /// # Panics
+    /// Panics if a query was encoded under a configuration that cannot
+    /// prune while this engine's can, or for another kernel backend.
+    pub fn search_encoded(&self, queries: &[&EncodedQuery]) -> Vec<SearchResult> {
         let nq = queries.len();
         if nq == 0 {
             return Vec::new();
@@ -810,14 +860,23 @@ impl Engine {
         // An IVF probe only runs when the quantizer is trained AND the
         // configuration prunes (`nprobe < nlist`). Otherwise this is None
         // and the sweep is the exhaustive path, bit-identical down to every
-        // report field.
+        // report field. The probe is this engine's own: the top-`nprobe`
+        // cells of the query's pooled descriptor and the union of their
+        // posting lists — the batches the query must still sweep exactly.
         let prober = self.ivf.as_ref().filter(|_| self.cfg.matching.ivf.prunes());
-        let encoded: Vec<EncodedQuery> =
-            queries.iter().map(|q| self.encode_query(q, prober)).collect();
-        let mut results: Vec<SearchResult> = encoded
+        let probes: Vec<Option<(BTreeSet<u64>, usize)>> = queries
             .iter()
             .map(|q| {
-                let cells_probed = q.probe.as_ref().map_or(0, |(_, cells)| *cells);
+                let ivf = prober?;
+                let pooled = q.pooled.as_ref().expect("query encoded for a non-pruning config");
+                let cells = ivf.probe(pooled, self.cfg.matching.ivf.nprobe);
+                Some((ivf.batches_in(&cells), cells.len()))
+            })
+            .collect();
+        let mut results: Vec<SearchResult> = probes
+            .iter()
+            .map(|probe| {
+                let cells_probed = probe.as_ref().map_or(0, |(_, cells)| *cells);
                 let report =
                     SearchReport { coalesced_queries: nq, cells_probed, ..SearchReport::default() };
                 SearchResult { ranked: Vec::new(), report }
@@ -831,11 +890,11 @@ impl Engine {
             // in the query's probed cells, plus any batch the index has
             // never seen (phantom batches are not pooled).
             let indexed = prober.is_some_and(|ivf| ivf.contains(id));
-            let sweeps = |q: &EncodedQuery| match &q.probe {
+            let sweeps = |probe: &Option<(BTreeSet<u64>, usize)>| match probe {
                 Some((batches, _)) if indexed => batches.contains(&id),
                 _ => true,
             };
-            let nsel = encoded.iter().filter(|q| sweeps(q)).count();
+            let nsel = probes.iter().filter(|probe| sweeps(probe)).count();
             if nsel > 0 {
                 self.cache.note_hit(tier);
                 // Probe-frequency feedback for the cache tier: heat grows by
@@ -852,8 +911,8 @@ impl Engine {
             } else {
                 0.0
             };
-            for (q, out) in encoded.iter().zip(&mut results) {
-                if sweeps(q) {
+            for ((q, probe), out) in queries.iter().zip(&probes).zip(&mut results) {
+                if sweeps(probe) {
                     self.sweep_batch(batch, tier, h2d_share_us, q, out);
                 } else {
                     out.report.batches_pruned += 1;
@@ -1168,6 +1227,50 @@ mod tests {
         }
     }
 
+    /// An id rewritten where it lies — in the open batch, then in a sealed
+    /// one — leaves an engine indistinguishable from one that was only ever
+    /// given the final contents: same batches, same rankings and scores,
+    /// same report down to every f64 bit.
+    #[test]
+    fn replaced_references_equal_a_fresh_engine_with_the_final_contents() {
+        let mut rewritten = tiny_engine(4, 2);
+        let mut fresh = tiny_engine(4, 2);
+        for id in 0..10u64 {
+            rewritten.add_reference(id, &features(id, 128)).unwrap();
+        }
+        // Ids 8 and 9 are still in the open batch; 1 and 6 are sealed. The
+        // short version of 6 must zero the columns it no longer fills.
+        let finals = [
+            (9u64, features(19, 128)),
+            (1, features(11, 128)),
+            (6, features(16, 128).truncated(40)),
+        ];
+        for (id, f) in &finals {
+            assert!(rewritten.replace_reference(*id, &features(id + 50, 128)));
+            assert!(rewritten.replace_reference(*id, f));
+        }
+        assert!(!rewritten.replace_reference(99, &features(0, 128)), "99 was never added");
+        let ivf_on = texid_knn::IvfParams { enabled: true, ..Default::default() };
+        let mut phantom = ivf_engine(2, ivf_on);
+        phantom.add_reference_shape(0).unwrap();
+        assert!(phantom.replace_reference(0, &features(0, 128)), "nothing to overwrite, no panic");
+        rewritten.flush().unwrap();
+        assert_eq!(rewritten.len(), 10);
+        for id in 0..10u64 {
+            let version = finals.iter().find(|(f, _)| *f == id);
+            let version = version.map_or(features(id, 128), |(_, f)| f.clone());
+            fresh.add_reference(id, &version).unwrap();
+        }
+        fresh.flush().unwrap();
+        for seed in [1u64, 6, 9, 16, 56] {
+            let q = features(seed, 256);
+            let (a, b) = (rewritten.search(&q), fresh.search(&q));
+            assert_eq!(a.ranked, b.ranked, "query {seed}");
+            assert_reports_identical(&a.report, &b.report);
+        }
+        assert_eq!(rewritten.cache_stats().inserted, 3, "rewrites seal nothing");
+    }
+
     fn ivf_engine(batch: usize, ivf: texid_knn::IvfParams) -> Engine {
         Engine::new(EngineConfig {
             m_ref: 128,
@@ -1248,6 +1351,38 @@ mod tests {
         // reports how many host batches it promoted into device memory.
         let promoted = engine.rebalance_cache();
         let _ = promoted;
+    }
+
+    /// An IVF-on rewrite is posted under its new version's cell, before the
+    /// quantizer trains and after: a probe of that cell alone still finds it.
+    #[test]
+    fn replaced_reference_is_found_by_a_probe_of_its_new_cell() {
+        let ivf = texid_knn::IvfParams {
+            enabled: true,
+            nlist: 4,
+            nprobe: 1,
+            ..texid_knn::IvfParams::default()
+        };
+        let mut engine = ivf_engine(1, ivf);
+        // Two sealed single-reference batches, quantizer still untrained:
+        // the rewrite replaces the pool the training will see.
+        engine.add_reference(0, &features(0, 128)).unwrap();
+        engine.add_reference(1, &features(1, 128)).unwrap();
+        assert!(engine.ivf_index().is_none());
+        assert!(engine.replace_reference(1, &features(41, 128)));
+        for id in 2..12u64 {
+            engine.add_reference(id, &features(id, 128)).unwrap();
+        }
+        assert!(engine.ivf_index().is_some(), "12 pooled points >= nlist=4 must train");
+        // Trained: the rewrite posts the batch under the new cell.
+        assert!(engine.replace_reference(7, &features(47, 128)));
+        for (id, seed) in [(1u64, 41u64), (7, 47)] {
+            let r = engine.search(&features(seed, 128));
+            assert_eq!(r.report.cells_probed, 1);
+            assert!(r.report.batches_pruned > 0, "id {id}: {:?}", r.report);
+            assert_eq!(r.best(10).map(|(id, _)| id), Some(id), "the new cell's probe lost id {id}");
+        }
+        assert_eq!(engine.len(), 12);
     }
 
     /// A cache hit is a batch some query of the pass swept: with the probe

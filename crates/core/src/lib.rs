@@ -27,5 +27,5 @@ pub mod eval;
 pub mod metrics;
 
 pub use coalesce::{CoalesceConfig, Coalescer};
-pub use engine::{Engine, EngineConfig, SearchReport, SearchResult};
+pub use engine::{EncodedQuery, Engine, EngineConfig, SearchReport, SearchResult};
 pub use eval::{build_dataset, compression_error, top1_accuracy, Dataset, EvalConfig};

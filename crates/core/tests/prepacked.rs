@@ -1,6 +1,6 @@
-//! Pack-once equivalence. The engine packs each reference batch into the
-//! kernel's panels when it seals it (and keeps nothing else of it) and each
-//! query once per search; this suite pins that a search over those
+//! Pack-once equivalence. The engine packs each reference into its batch's
+//! panels as it arrives (and keeps nothing else of it) and each query once
+//! per search; this suite pins that a search over those
 //! pre-packed operands equals `match_batch` on the unpacked blocks —
 //! rankings against a `match_batch` replay of the engine's batching, every
 //! `SearchReport` f64 bit against an unfused engine (same panels,

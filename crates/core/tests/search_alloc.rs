@@ -1,5 +1,5 @@
 //! Proof that a steady-state `Engine::search` re-packs nothing: with the
-//! reference batches packed at seal and the query packed once per search,
+//! reference batches packed as they fill and the query packed once per search,
 //! no single allocation during a search approaches the size of a packed
 //! reference block (`O(m·d)` floats). Before pack-once, every search of
 //! every batch allocated exactly that.
@@ -11,6 +11,12 @@
 //! batch per delete cost a tenth of the process's peak RSS under steady
 //! rewrites). And it holds the engine to one resident copy of a sealed
 //! batch: those panels, whatever `MatchConfig::fused` says.
+//!
+//! And it guards the way in: a reference is packed into the open batch's
+//! panels as it arrives and nowhere else, so `add_reference` leaves nothing
+//! behind but those panels' growth, a rewrite in slot leaves nothing at all,
+//! and `flush` — a move into the cache — allocates nothing of even one
+//! reference's size.
 //!
 //! Its own integration-test binary because a `#[global_allocator]` is
 //! process-wide (the allocator is shared with `texid-linalg`'s
@@ -151,4 +157,47 @@ fn a_sealed_batch_is_resident_once() {
             heap.retained
         );
     }
+}
+
+#[test]
+fn ingest_packs_in_place_and_a_seal_is_a_move() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (m_ref, batch) = (128usize, 32usize);
+    let refs: Vec<FeatureMatrix> = (0..batch as u64).map(|id| features(m_ref, id)).collect();
+    let one_reference_panels = m_ref * 128 * 4;
+    let mut engine = Engine::new(EngineConfig {
+        m_ref,
+        batch_size: batch + 1, // the 32 stay open until `flush`
+        streams: 1,
+        ..EngineConfig::default()
+    });
+    let mut retained = 0isize;
+    for (id, f) in refs.iter().enumerate() {
+        let ((), heap) = measure(|| engine.add_reference(id as u64, f).expect("capacity"));
+        retained += heap.retained;
+    }
+    // What 32 adds left behind is the panels (a `Vec` that doubled its way
+    // to exactly 32 references) and 32 ids: no per-reference f32 copy, f16
+    // block or pooled descriptor stayed.
+    let panels = (batch * one_reference_panels) as isize;
+    assert!(
+        (panels..panels + 4096).contains(&retained),
+        "32 adds retained {retained} B; their panels are {panels} B"
+    );
+
+    // A rewrite in slot narrows into a scratch block and leaves nothing.
+    let (replaced, heap) = measure(|| engine.replace_reference(7, &refs[8]));
+    assert!(replaced);
+    assert_eq!(heap.retained, 0, "a rewrite in the open batch retained {} B", heap.retained);
+
+    let ((), heap) = measure(|| engine.flush().expect("flush"));
+    assert!(
+        heap.largest < one_reference_panels / 8,
+        "sealing allocated {} B at once; one reference's panels are {one_reference_panels} B",
+        heap.largest
+    );
+    let (replaced, heap) = measure(|| engine.replace_reference(7, &refs[7]));
+    assert!(replaced);
+    assert_eq!(heap.retained, 0, "a rewrite in a sealed batch retained {} B", heap.retained);
+    assert_eq!(engine.search(&features(64, 7)).ranked.len(), batch);
 }

@@ -428,15 +428,13 @@ fn route(
             );
             // Durability posture rides along so "shard won't heal" triage
             // starts from one endpoint (OBSERVABILITY.md runbook).
-            let store = match cluster.store().wal_stats() {
-                Some(w) => Json::obj([
-                    ("durable", Json::Bool(true)),
-                    ("wal_appends", Json::Num(w.appends as f64)),
-                    ("wal_bytes", Json::Num(w.wal_bytes as f64)),
-                    ("snapshots", Json::Num(w.snapshots as f64)),
-                ]),
-                None => Json::obj([("durable", Json::Bool(false))]),
-            };
+            let w = cluster.refresh_wal_gauges();
+            let store = Json::obj([
+                ("durable", Json::Bool(true)),
+                ("wal_appends", Json::Num(w.appends as f64)),
+                ("wal_bytes", Json::Num(w.wal_bytes as f64)),
+                ("snapshots", Json::Num(w.snapshots as f64)),
+            ]);
             // SLO burn status rides along too: "are we paging" and "is a
             // shard down" are the same triage conversation.
             let slos = Json::Arr(

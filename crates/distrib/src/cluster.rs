@@ -12,10 +12,12 @@
 //! append-only; here a shard deletes a reference **in place**
 //! ([`Engine::remove_reference`]), so what a search sweeps, what it reports
 //! as `comparisons` and what the caches hold is the live set, however often
-//! an id was rewritten. An id lives on one shard for life: a rewrite swaps
-//! its versions under one hold of that shard's write lock, so every sweep
-//! sees exactly one of them, and the engines index the external ids
-//! directly — nothing is masked or translated on the read path.
+//! an id was rewritten. An id lives on one shard for life: a rewrite
+//! overwrites it in the slot it occupies ([`Engine::replace_reference`])
+//! under one hold of that shard's write lock, so every sweep sees exactly
+//! one version, a shard sweeps ⌈live / batch_size⌉ batches however often
+//! its ids are rewritten, and the engines index the external ids directly —
+//! nothing is masked or translated on the read path.
 //!
 //! # The search path
 //!
@@ -44,7 +46,7 @@
 //!
 //! # Durability & replay-based heal (DESIGN.md §12)
 //!
-//! The feature store is durable by default ([`StoreConfig`]): every write
+//! The feature store is durable ([`StoreConfig`]): every write
 //! is journaled to a CRC32C-checksummed write-ahead log and periodically
 //! compacted into a checksummed snapshot (`texid-store`). When `heal()`
 //! finds unhealthy shards it first **replays** the store strictly from
@@ -60,9 +62,12 @@ use crate::wire;
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use texid_cache::CacheError;
-use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport, SearchResult};
+use texid_core::{
+    CoalesceConfig, Coalescer, EncodedQuery, Engine, EngineConfig, SearchReport, SearchResult,
+};
 use texid_knn::geometry::{verify_matches, RansacParams};
 use texid_knn::{score_pair, FeatureBlock};
 use texid_obs::{
@@ -269,20 +274,18 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Feature-store durability tuning (DESIGN.md §12).
+/// Feature-store durability tuning (DESIGN.md §12). Every write is
+/// journaled to an in-memory WAL + snapshot pair, so `heal()` replays the
+/// media instead of trusting whatever survived in the map.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Journal every write to an in-memory WAL + snapshot pair so
-    /// `heal()` can replay instead of trusting whatever survived. `false`
-    /// reverts to the purely ephemeral pre-durability store.
-    pub durable: bool,
     /// Writes between snapshot compactions (0 = never compact).
     pub snapshot_every: usize,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { durable: true, snapshot_every: 256 }
+        StoreConfig { snapshot_every: 256 }
     }
 }
 
@@ -579,8 +582,8 @@ pub struct HealReport {
     pub quarantined: Vec<Quarantine>,
     /// Per-shard replay stats, in heal order.
     pub shards: Vec<ShardReplay>,
-    /// What the durable-media replay found (None when the store is
-    /// ephemeral or no shard needed healing).
+    /// What the durable-media replay found (None when no shard needed
+    /// healing or the media could not be read).
     pub replay: Option<ReplayStats>,
 }
 
@@ -616,7 +619,8 @@ pub struct ClusterStats {
     pub achieved_tflops: f64,
     /// Eq. 3 per-GPU efficiency, last search.
     pub gpu_efficiency: f64,
-    /// Feature-store WAL counters (None when the store is ephemeral).
+    /// Feature-store WAL counters. Always `Some` since the store is always
+    /// journaled; an `Option` because `benchmarks/` reads it as one.
     pub wal: Option<WalStats>,
     /// Per-stage cost-model drift (EWMA of measured/predicted duration;
     /// 1.0 = the Eq. 3/4 model is honest).
@@ -736,14 +740,10 @@ impl Cluster {
         let telemetry = Telemetry::register(registry, cfg.containers);
         let drift = DriftSentry::register(registry);
         let slo = SloEngine::register(cfg.slos.clone(), registry);
-        let store = if cfg.store.durable {
-            KvStore::durable(DurableLog::new(
-                Volume::in_memory(),
-                LogConfig { snapshot_every: cfg.store.snapshot_every },
-            ))
-        } else {
-            KvStore::new()
-        };
+        let store = KvStore::durable(DurableLog::new(
+            Volume::in_memory(),
+            LogConfig { snapshot_every: cfg.store.snapshot_every },
+        ));
         Cluster {
             cfg,
             shards,
@@ -882,10 +882,10 @@ impl Cluster {
     }
 
     /// Store write through the fault plan: bounded deterministic retries
-    /// on transient faults, then (for durable stores) one durability draw
-    /// for the WAL append and, when compaction comes due, one for the
-    /// snapshot write. All draws happen sequentially on the caller's
-    /// thread — the determinism contract of [`crate::faults`].
+    /// on transient faults, then one durability draw for the WAL append
+    /// and, when compaction comes due, one for the snapshot write. All
+    /// draws happen sequentially on the caller's thread — the determinism
+    /// contract of [`crate::faults`].
     fn store_set(&self, key: &str, value: Vec<u8>) -> Result<(), ClusterError> {
         let mut wal_fault = WriteFault::Clean;
         if let Some(plan) = &self.fault_plan {
@@ -897,13 +897,11 @@ impl Cluster {
                 attempt += 1;
                 self.note_retry(None);
             }
-            if self.store.is_durable() {
-                wal_fault = match plan.decide(FaultOp::wal_append(key)) {
-                    Some(FaultKind::CrashBeforeFsync) => WriteFault::Lose,
-                    Some(FaultKind::TornWrite) => WriteFault::Tear,
-                    _ => WriteFault::Clean,
-                };
-            }
+            wal_fault = match plan.decide(FaultOp::wal_append(key)) {
+                Some(FaultKind::CrashBeforeFsync) => WriteFault::Lose,
+                Some(FaultKind::TornWrite) => WriteFault::Tear,
+                _ => WriteFault::Clean,
+            };
         }
         self.store.set_faulted(key, value, wal_fault);
         if self.store.snapshot_due() {
@@ -974,12 +972,10 @@ impl Cluster {
 
     /// Add a texture's reference features, or replace them: a new id goes to
     /// the next shard round-robin, a live one is rewritten on the shard that
-    /// owns it. Old version out, new version in **and sealed**, under one
-    /// hold of that shard's write lock — a search sweeps the shard before or
-    /// after, and finds exactly one version either way. (A new id may wait
-    /// in the open batch for the next search to seal it; a rewrite may not,
-    /// or a sweep between this lock and that seal would find neither
-    /// version.)
+    /// owns it, in the slot it occupies ([`Engine::replace_reference`]). The
+    /// overwrite happens under one hold of that shard's write lock — a
+    /// search sweeps the shard before or after, and finds exactly one
+    /// version either way — and leaves the shard's batches as they were.
     ///
     /// # Errors
     /// `Dimension` (nothing stored, nothing indexed) unless the descriptors
@@ -994,12 +990,10 @@ impl Cluster {
         // Persist first (the paper's Redis holds the authoritative copy).
         self.store_set(&Self::key(id), wire::encode_features(features))?;
         let (mut engine, live) = self.lock_owner(id, true).expect("an unowned id is placed");
-        // Only a live id has a version to delete: enrolling a new one must
-        // not pay `remove_reference`'s walk over the shard's ids.
-        let rewrite = live && engine.remove_reference(id);
-        engine.add_reference(id, features)?;
-        if rewrite {
-            engine.flush()?;
+        // Only a live id has a version to overwrite: enrolling a new one
+        // must not pay `replace_reference`'s walk over the shard's ids.
+        if !(live && engine.replace_reference(id, features)) {
+            engine.add_reference(id, features)?;
         }
         Ok(())
     }
@@ -1132,6 +1126,8 @@ impl Cluster {
         });
 
         let mut legs = self.plan_legs(cluster_ctx.as_ref(), &mut event);
+        // Narrowed and packed once; every leg's sweep reads the same panels.
+        let query = &Arc::new(EncodedQuery::new(&self.cfg.engine, query));
         // Scatter to the dispatched legs, one thread each; gather catching
         // all failures — an engine error and a panicked leg alike leave
         // the leg without an answer.
@@ -1215,7 +1211,7 @@ impl Cluster {
         shard: usize,
         ctx: Option<TraceContext>,
         crash: bool,
-        query: &FeatureMatrix,
+        query: &Arc<EncodedQuery>,
     ) -> Result<SearchResult, ClusterError> {
         // The guard records on drop even if this leg panics below, so
         // crashed legs stay visible in the span tree.
@@ -1244,7 +1240,7 @@ impl Cluster {
         self.telemetry.shard_lock_wait[shard].observe(wait_us);
         // Concurrent searches coalesce into one multi-query sweep under a
         // shared read lock.
-        let result = coalescer.search(engine, query);
+        let result = coalescer.search_encoded(engine, query);
         // Cadenced cache maintenance: when enough sealed batches + searches
         // have accrued, promote probe-hot host batches — but only if the
         // write lock is free; a search leg must never stall behind
@@ -1471,7 +1467,7 @@ impl Cluster {
     /// Supervisor pass: rebuild every non-`Healthy` shard and re-admit it,
     /// quarantining unrecoverable entries.
     ///
-    /// When the store is durable, the pass first **replays** it strictly
+    /// The pass first **replays** the store strictly
     /// from the WAL + snapshot media, so entries whose writes were torn or
     /// lost before fsync vanish and are quarantined as missing — recovery
     /// trusts the media, not the possibly-wrong in-memory map. Per-shard
@@ -1504,21 +1500,19 @@ impl Cluster {
         let ring = global_ring();
         // Replay the shared durable store once, before any shard rebuild:
         // from here on, reads see only what the media actually kept.
-        if self.store.is_durable() {
-            let mut span = ctx.map(|c| ring.span(c, "store.replay"));
-            let replay = self.store.replay();
-            if let Some(stats) = &replay {
-                span = span.map(|s| {
-                    s.tag("records", &stats.wal_records_applied.to_string())
-                        .tag("corrupt_skipped", &stats.wal_corrupt_skipped.to_string())
-                        .tag("torn_tail_bytes", &stats.wal_torn_tail_bytes.to_string())
-                });
-                self.telemetry.replay_corrupt_records.add(stats.wal_corrupt_skipped as u64);
-                self.telemetry.replay_torn_bytes.add(stats.wal_torn_tail_bytes as u64);
-            }
-            drop(span);
-            report.replay = replay;
+        let mut span = ctx.map(|c| ring.span(c, "store.replay"));
+        let replay = self.store.replay();
+        if let Some(stats) = &replay {
+            span = span.map(|s| {
+                s.tag("records", &stats.wal_records_applied.to_string())
+                    .tag("corrupt_skipped", &stats.wal_corrupt_skipped.to_string())
+                    .tag("torn_tail_bytes", &stats.wal_torn_tail_bytes.to_string())
+            });
+            self.telemetry.replay_corrupt_records.add(stats.wal_corrupt_skipped as u64);
+            self.telemetry.replay_torn_bytes.add(stats.wal_torn_tail_bytes as u64);
         }
+        drop(span);
+        report.replay = replay;
         for shard in unhealthy {
             // Sequential fault draw: an injected replay stall is accounted
             // into this shard's wall time (simulated, not slept).
@@ -1569,16 +1563,14 @@ impl Cluster {
             .collect()
     }
 
-    /// The store's WAL counters (`None` for an ephemeral store), published
-    /// to the `texid_wal_*` gauges on the way. The `/metrics` scrape calls
-    /// this, as `/stats` does, so the gauges are current whoever reads them.
-    pub fn refresh_wal_gauges(&self) -> Option<WalStats> {
-        let wal = self.store.wal_stats();
-        if let Some(w) = &wal {
-            self.telemetry.wal_appends.set(w.appends as f64);
-            self.telemetry.wal_bytes.set(w.wal_bytes as f64);
-            self.telemetry.wal_snapshots.set(w.snapshots as f64);
-        }
+    /// The store's WAL counters, published to the `texid_wal_*` gauges on
+    /// the way. The `/metrics` scrape calls this, as `/stats` and `/health`
+    /// do, so the gauges are current whoever reads them.
+    pub fn refresh_wal_gauges(&self) -> WalStats {
+        let wal = self.store.wal_stats().expect("the cluster's store is journaled");
+        self.telemetry.wal_appends.set(wal.appends as f64);
+        self.telemetry.wal_bytes.set(wal.wal_bytes as f64);
+        self.telemetry.wal_snapshots.set(wal.snapshots as f64);
         wal
     }
 
@@ -1604,7 +1596,7 @@ impl Cluster {
                 ShardHealth::Down => (h, s, d + 1),
             })
         };
-        let wal = self.refresh_wal_gauges();
+        let wal = Some(self.refresh_wal_gauges());
         ClusterStats {
             containers: self.shards.len(),
             textures: self.len(),
@@ -1905,6 +1897,39 @@ mod tests {
             "an id is rewritten where it lives"
         );
         assert_eq!(indexed(&cluster), 4);
+    }
+
+    /// A rewrite overwrites the id in the slot it occupies, so a gallery
+    /// rewritten 70 times is the gallery enrolled fresh with the final
+    /// versions: every shard sweeps the same batches for the same simulated
+    /// time, and every ranking and score agrees.
+    #[test]
+    fn rewrites_in_slot_leave_each_shards_batches_and_report_as_fresh() {
+        let versions: Vec<FeatureMatrix> = (0..16u64).map(|seed| features(seed, 128)).collect();
+        let (fresh, rewritten) = (small_cluster(2), small_cluster(2));
+        for id in 0..6u64 {
+            fresh.add_texture(id, &versions[id as usize + 10]).unwrap();
+            rewritten.add_texture(id, &versions[id as usize]).unwrap();
+        }
+        let sealed = rewritten.search(&query_for(3), 6);
+        assert_eq!(sealed.comparisons, 6);
+        for round in 0..64u64 {
+            rewritten.update_texture(round % 6, &versions[(round % 10) as usize]).unwrap();
+        }
+        for id in 0..6u64 {
+            rewritten.add_texture(id, &versions[id as usize + 10]).unwrap();
+        }
+        for seed in [10u64, 12, 15] {
+            let (a, b) = (fresh.search(&query_for(seed), 6), rewritten.search(&query_for(seed), 6));
+            assert_eq!(a.results, b.results, "query {seed}");
+            assert_eq!(b.results[0].0, seed - 10, "query {seed}: {:?}", b.results);
+            for (x, y) in a.shard_reports.iter().zip(&b.shard_reports) {
+                let batches = |r: &SearchReport| r.device_batches + r.host_batches;
+                assert_eq!((batches(x), x.images), (batches(y), y.images), "query {seed}");
+                assert_eq!(x.total_us.to_bits(), y.total_us.to_bits(), "query {seed}");
+            }
+        }
+        assert_eq!(indexed(&rewritten), 6);
     }
 
     /// The update gap: a search racing a rewrite must find the id exactly
@@ -2396,23 +2421,6 @@ mod tests {
         assert_eq!(heal.healed, vec![0]);
         // 250ms simulated stall dominates the real rebuild time.
         assert!(heal.shards[0].replay_wall_us >= 250_000.0, "{:?}", heal.shards[0]);
-    }
-
-    #[test]
-    fn ephemeral_store_config_heals_without_replay() {
-        let plan = FaultPlan::new(41).crash_shard(0);
-        let cfg = ClusterConfig {
-            store: StoreConfig { durable: false, snapshot_every: 0 },
-            ..small_config(1)
-        };
-        let cluster = Cluster::with_faults(cfg, Some(plan));
-        cluster.add_texture(0, &features(0, 128)).unwrap();
-        assert!(cluster.stats().wal.is_none());
-        let _ = cluster.search(&query_for(0), 1);
-        let heal = cluster.heal().unwrap();
-        assert_eq!(heal.healed, vec![0]);
-        assert!(heal.replay.is_none());
-        assert_eq!(heal.restored, 1);
     }
 
     #[test]

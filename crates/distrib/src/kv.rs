@@ -62,11 +62,6 @@ impl KvStore {
         KvStore { log: Some(log), ..KvStore::default() }
     }
 
-    /// True when writes are journaled to a durable log.
-    pub fn is_durable(&self) -> bool {
-        self.log.is_some()
-    }
-
     /// Set `key` to `value`, returning the previous value if any.
     pub fn set(&self, key: &str, value: Vec<u8>) -> Option<Vec<u8>> {
         self.set_faulted(key, value, WriteFault::Clean)
@@ -267,7 +262,6 @@ mod tests {
     fn ephemeral_store_has_no_durability() {
         let kv = KvStore::new();
         kv.set("k", vec![1]);
-        assert!(!kv.is_durable());
         assert!(!kv.snapshot_due());
         assert!(!kv.compact(SnapshotFault::Clean));
         assert!(kv.replay().is_none());

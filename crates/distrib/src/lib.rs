@@ -7,7 +7,7 @@
 //!   round-robin, queries scatter-gathered across all shards in parallel.
 //! * **Feature store** ([`kv`]): the Redis stand-in — a thread-safe KV
 //!   service holding serialized reference feature matrices, with per-value
-//!   CRC32C checksums and (by default) a durable write-ahead log +
+//!   CRC32C checksums and, in a cluster, a durable write-ahead log +
 //!   checksummed snapshots from `texid-store`, so
 //!   [`cluster::Cluster::heal`] *replays* crashed shards from media
 //!   instead of trusting whatever survived (DESIGN.md §12).

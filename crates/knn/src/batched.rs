@@ -422,6 +422,74 @@ mod tests {
         }
     }
 
+    /// `MatchConfig::backend` reaches the unfused route too: `score_batch`
+    /// packs both operands for it and the materialized GEMM runs on the
+    /// packs' backend — a query packed for another one is refused, never
+    /// silently repacked for whatever the process dispatches to.
+    #[test]
+    fn unfused_gemm_runs_on_the_configured_backend() {
+        use texid_linalg::Backend;
+        let r = FeatureBlock::F32(unit_features(32, 24, 1));
+        let q = FeatureBlock::F32(unit_features(32, 10, 2));
+        let f32_cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
+        let reference = score_batch(&f32_cfg, &r, 2, 12, &q);
+        for be in Backend::ALL {
+            let cfg = MatchConfig {
+                precision: Precision::F32,
+                fused: false,
+                backend: Some(be),
+                ..MatchConfig::default()
+            };
+            let packed = r.pack_refs(cfg.kernel_backend());
+            let effective = if be.is_available() { be } else { Backend::Scalar };
+            assert_eq!(packed.panels.backend(), effective, "{be}: references");
+            let unfused = score_batch(&cfg, &r, 2, 12, &q);
+            assert_eq!(unfused.top2, reference.top2, "{be}: every backend gives the same bits");
+
+            for other in Backend::ALL {
+                let foreign = q.pack_query(other);
+                if foreign.panels.backend() == effective {
+                    continue;
+                }
+                let mixed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    score_batch_packed(&cfg, &packed, 2, 12, &foreign)
+                }));
+                assert!(mixed.is_err(), "{be} references accepted a {other} query");
+            }
+        }
+    }
+
+    /// Whether the unfused route narrows the product to f16 before the scan
+    /// is a fact about the blocks — as the fused epilogue's quantize is — not
+    /// about `cfg.precision`, which only prices the work.
+    #[test]
+    fn unfused_narrow_follows_the_blocks_precision_not_the_configs() {
+        let scale = 2.0_f32.powi(-7);
+        let (r, q) = (unit_features(64, 22, 7), unit_features(64, 9, 8));
+        let (f16, f32) = (Precision::F16, Precision::F32);
+        for (blocks, other) in [(f16, f32), (f32, f16)] {
+            let rb = FeatureBlock::from_mat(r.clone(), blocks, scale);
+            let qb = FeatureBlock::from_mat(q.clone(), blocks, scale);
+            let run = |precision, fused| {
+                let cfg = MatchConfig { precision, scale, fused, ..MatchConfig::default() };
+                score_batch(&cfg, &rb, 2, 11, &qb).top2
+            };
+            let agreed = run(blocks, true);
+            assert_eq!(run(blocks, false), agreed, "{blocks:?} blocks, matching config");
+            assert_eq!(run(other, false), agreed, "{blocks:?} blocks under a {other:?} config");
+            assert_eq!(run(other, true), agreed, "{blocks:?} blocks, fused, {other:?} config");
+        }
+        // And the narrow is not a no-op: F16 blocks scan f16-rounded values.
+        let be = texid_linalg::active_backend();
+        let r16 = FeatureBlock::from_mat(r, Precision::F16, scale).pack_refs(be);
+        let q16 = FeatureBlock::from_mat(q, Precision::F16, scale).pack_query(be);
+        let product = similarity_gemm(&r16, &q16).0;
+        assert_ne!(
+            scan_product(&product, Precision::F16, 2, 11),
+            scan_product(&product, Precision::F32, 2, 11)
+        );
+    }
+
     #[test]
     fn sqrt_clamps_negative_noise() {
         // Rounding can leave `−2·rᵀq` of identical unit columns just below −2.

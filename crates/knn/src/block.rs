@@ -4,9 +4,11 @@
 //! concatenation of several) in whatever precision the engine is configured
 //! for. FP16 blocks remember the scale factor applied before narrowing
 //! (§4.2) so matching can undo `scale²` after the GEMM. It is the form
-//! features travel in — an open batch, a pair to verify, an operand on its
-//! way to the packer. What a matcher multiplies, and what the engine keeps
-//! of a sealed batch, is the [`PackedBlock`] made from it.
+//! features travel in — a pair to verify, one reference or one query on its
+//! way to the packer. What a matcher multiplies, and all the engine keeps of
+//! a batch, is the [`PackedBlock`] made from it: a reference is scattered
+//! into its batch's panels as it arrives ([`PackedBlock::append_cols`]) and
+//! overwritten there when its id is rewritten ([`PackedBlock::write_cols`]).
 
 use texid_gpu::Precision;
 use texid_linalg::kernel::{PackedA, PackedB};
@@ -40,6 +42,38 @@ pub struct PackedBlock<P> {
 }
 
 impl PackedBlock<PackedA> {
+    /// Append `block`'s columns — one more reference of an open batch — in
+    /// place ([`PackedA::append_cols`]): the pack of the
+    /// [`FeatureBlock::hconcat`], without the concatenation.
+    ///
+    /// # Panics
+    /// Panics on a block of another precision, scale or depth.
+    pub fn append_cols(&mut self, block: &FeatureBlock) {
+        match self.same_storage(block) {
+            FeatureBlock::F32(m) => self.panels.append_cols(m),
+            FeatureBlock::F16 { mat, .. } => self.panels.append_cols(mat),
+        }
+    }
+
+    /// Overwrite the columns from `start` on with `block`'s — one reference
+    /// rewritten in its slot ([`PackedA::write_cols`]).
+    ///
+    /// # Panics
+    /// As [`Self::append_cols`], or on columns past the last.
+    pub fn write_cols(&mut self, start: usize, block: &FeatureBlock) {
+        match self.same_storage(block) {
+            FeatureBlock::F32(m) => self.panels.write_cols(start, m),
+            FeatureBlock::F16 { mat, .. } => self.panels.write_cols(start, mat),
+        }
+    }
+
+    /// [`FeatureBlock::hconcat`]'s refusals, for a batch never concatenated.
+    fn same_storage<'a>(&self, block: &'a FeatureBlock) -> &'a FeatureBlock {
+        assert_eq!(block.precision(), self.precision, "mixed precisions in a batch");
+        assert_eq!(block.scale(), self.scale, "mixed scales in a batch");
+        block
+    }
+
     /// Delete the `count` reference columns starting at `start` — one
     /// reference out of a batch — in the buffer the panels already have: the
     /// last `count` columns move into their slot
@@ -119,11 +153,15 @@ impl FeatureBlock {
     }
 
     fn packed<P>(&self, panels: P) -> PackedBlock<P> {
-        let scale = match self {
+        PackedBlock { panels, precision: self.precision(), scale: self.scale() }
+    }
+
+    /// The FP16 pre-narrowing scale (`1.0` for F32 blocks).
+    fn scale(&self) -> f32 {
+        match self {
             FeatureBlock::F32(_) => 1.0,
             FeatureBlock::F16 { scale, .. } => *scale,
-        };
-        PackedBlock { panels, precision: self.precision(), scale }
+        }
     }
 
     /// Number of feature columns.
@@ -232,6 +270,33 @@ mod tests {
         let cat = FeatureBlock::hconcat(&[&a, &b]);
         assert_eq!(cat.cols(), 3);
         assert_eq!(cat.precision(), Precision::F16);
+    }
+
+    #[test]
+    fn appended_and_overwritten_panels_read_back_as_the_hconcat() {
+        let be = texid_linalg::active_backend();
+        for (precision, scale) in [(Precision::F32, 1.0), (Precision::F16, 0.25)] {
+            let block = |cols, shift: usize| {
+                let m = Mat::from_fn(4, cols, |r, c| (r + c + shift) as f32 * 0.125);
+                FeatureBlock::from_mat(m, precision, scale)
+            };
+            let (a, b, c) = (block(3, 0), block(3, 5), block(3, 9));
+            let mut grown = a.pack_refs(be);
+            grown.append_cols(&b);
+            let cat = FeatureBlock::hconcat(&[&a, &b]).pack_refs(be);
+            assert_eq!(grown.read_cols(0, 6), cat.read_cols(0, 6), "{precision:?}");
+            grown.write_cols(0, &c);
+            let cat = FeatureBlock::hconcat(&[&c, &b]).pack_refs(be);
+            assert_eq!(grown.read_cols(0, 6), cat.read_cols(0, 6), "{precision:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed scales")]
+    fn append_rejects_another_scale() {
+        let a = FeatureBlock::from_mat(sample(2), Precision::F16, 0.25);
+        let b = FeatureBlock::from_mat(sample(2), Precision::F16, 0.5);
+        a.pack_refs(texid_linalg::active_backend()).append_cols(&b);
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!    ([`PackedB`], panels of [`NR`] columns). Both packs are values the
 //!    caller owns: pack a reference block once for as long as it lives and
 //!    a query once per search, and no GEMM or scan packs anything again.
+//!    A [`PackedA`] is also edited where it lies, whole columns at a time,
+//!    and stays the pack of the edited matrix: [`PackedA::append_cols`],
+//!    [`PackedA::write_cols`], [`PackedA::swap_remove_cols`]; one scatter,
+//!    `pack_panels`, is behind the first two and both `pack`s.
 //! 2. **Blocking.** Output columns are processed in chunks of `NC` (one
 //!    rayon task each — the chunk's slice of the packed B, ≤ `NC·d` floats,
 //!    stays L2-resident). Within a chunk, A panels are walked in blocks of
@@ -179,7 +183,36 @@ impl PackedA {
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let mr = backend.mr();
         let fma_tile = backend == Backend::Scalar && scalar_tile_has_fma();
-        PackedA { m, d, backend, mr, fma_tile, data: pack_panels(cols, d, m, mr, backend) }
+        let mut data = vec![0.0f32; m.div_ceil(mr) * d * mr];
+        pack_panels(&mut data, cols, d, 0, mr, backend);
+        PackedA { m, d, backend, mr, fma_tile, data }
+    }
+
+    /// Append `a`'s columns in place: the result is the pack of the two
+    /// matrices side by side. The buffer grows as a `Vec` does, so a pack
+    /// built one block at a time copies each element amortized O(1) times.
+    ///
+    /// # Panics
+    /// Panics if `a`'s depth is not the pack's.
+    pub fn append_cols<T: Operand>(&mut self, a: &T) {
+        let (_, _, count) = a.parts();
+        let start = self.m;
+        self.m += count;
+        self.data.resize(self.m.div_ceil(self.mr) * self.d * self.mr, 0.0);
+        self.write_cols(start, a);
+    }
+
+    /// Overwrite the columns from `start` on with `a`'s — the dual of
+    /// [`Self::read_cols`]: the pack of the matrix with them replaced.
+    ///
+    /// # Panics
+    /// Panics if `a`'s depth is not the pack's or the columns run past
+    /// [`Self::cols`].
+    pub fn write_cols<T: Operand>(&mut self, start: usize, a: &T) {
+        let (cols, d, count) = a.parts();
+        assert_eq!(d, self.d, "columns of another depth than the pack's");
+        assert!(start + count <= self.m, "columns past the end of the pack");
+        pack_panels(&mut self.data, cols, d, start, self.mr, self.backend);
     }
 
     /// [`Self::pack`] of a half-precision matrix (the name `benchmarks/`
@@ -296,7 +329,9 @@ impl PackedB {
         let (cols, d, n) = b.parts();
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let nr = backend.nr();
-        PackedB { n, d, backend, nr, data: pack_panels(cols, d, n, nr, backend) }
+        let mut data = vec![0.0f32; n.div_ceil(nr) * d * nr];
+        pack_panels(&mut data, cols, d, 0, nr, backend);
+        PackedB { n, d, backend, nr, data }
     }
 
     /// Number of query columns (`n`, columns of the product).
@@ -323,29 +358,36 @@ impl PackedB {
     }
 }
 
-/// Pack `count` K-contiguous columns into `width`-column panels, k-major
-/// within a panel (`panel[k · width + c]`), zero-padded past `count`;
-/// non-f32 sources are widened once on the way (a whole column at a time,
-/// 8-lane F16C / NEON on SIMD backends, then scattered).
-fn pack_panels<T: Widen>(cols: &[T], d: usize, count: usize, width: usize, be: Backend) -> Vec<f32> {
-    let mut data = vec![0.0f32; count.div_ceil(width) * d * width];
-    let mut scratch = if T::HALF { vec![0.0f32; d] } else { Vec::new() };
-    for (p, panel) in data.chunks_exact_mut((d * width).max(1)).enumerate() {
-        for c in 0..width.min(count - p * width) {
-            let col = &cols[(p * width + c) * d..(p * width + c + 1) * d];
-            if T::HALF {
-                T::widen_into(be, col, &mut scratch);
-                for (k, &v) in scratch.iter().enumerate() {
-                    panel[k * width + c] = v;
-                }
-            } else {
-                for (k, &v) in col.iter().enumerate() {
-                    panel[k * width + c] = v.widen();
-                }
-            }
+/// The one column-scatter behind every pack, append and overwrite: write
+/// the K-contiguous columns `cols` (`d` elements each) into `data`'s
+/// `width`-column panels, k-major within a panel (`panel[k · width + c]`),
+/// the first of them at column `start`. What it does not touch — the zero
+/// padding past the last column of a fresh or grown buffer — stays.
+/// Sources are widened once on the way (a whole column at a time, 8-lane
+/// F16C / NEON on SIMD backends; f32 is copied), then scattered.
+fn pack_panels<T: Widen>(
+    data: &mut [f32],
+    cols: &[T],
+    d: usize,
+    start: usize,
+    width: usize,
+    be: Backend,
+) {
+    let mut wide = vec![0.0f32; d];
+    // Where the next column goes: its panel's offset, its lane in the panel
+    // (stepped, not divided out per column: `width` is a runtime value).
+    let (mut panel, mut lane) = (start / width * d * width, start % width);
+    for col in cols.chunks_exact(d.max(1)) {
+        T::widen_into(be, col, &mut wide);
+        let slots = &mut data[panel + lane..panel + d * width];
+        for (k, &v) in wide.iter().enumerate() {
+            slots[k * width] = v;
+        }
+        lane += 1;
+        if lane == width {
+            (panel, lane) = (panel + d * width, 0);
         }
     }
-    data
 }
 
 /// The scalar `MR × NR` register tile: 16 independent accumulators over the
@@ -676,7 +718,7 @@ fn top2_chunk(
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
         // Avx2 pack only exists where AVX2 + FMA + F16C were detected; `a.data`
         // holds `ceil(m / 8)` panels of `d · 8` floats and `bp`
-        // `ceil(w / 8)` (both zero-padded by `pack_panels`), `w ≤ NC`
+        // `ceil(w / 8)` (both zero past their last column), `w ≤ NC`
         // columns fit `lanes`, and `gemm_top2_ex` checked the bias length
         // and sized `state` to `w · batch`.
         unsafe {
@@ -1085,6 +1127,55 @@ mod tests {
             );
             let mid = PackedA::pack(be, &src).read_cols(mr - 1, mr + 2);
             assert_eq!(mid.as_slice(), &src.as_slice()[(mr - 1) * d..(2 * mr + 1) * d], "{be:?}");
+        }
+    }
+
+    /// A pack built by `append_cols` one block at a time, and a pack with one
+    /// block overwritten by `write_cols`, against `PackedA::pack` of the
+    /// matrix they stand for: by bytes, padding included, then `read_cols`
+    /// back out.
+    fn check_append_and_overwrite<T: Operand>(
+        be: Backend,
+        blocks: &[Mat],
+        replacement: (usize, &Mat),
+        narrow: impl Fn(&Mat) -> T,
+    ) {
+        let cat = |blocks: &[Mat]| narrow(&Mat::hconcat(&blocks.iter().collect::<Vec<_>>()));
+        let (d, m) = (blocks[0].rows(), blocks[0].cols());
+        let mut grown = PackedA::pack(be, &narrow(&Mat::zeros(d, 0)));
+        for block in blocks {
+            grown.append_cols(&narrow(block));
+        }
+        let fresh = PackedA::pack(be, &cat(blocks));
+        assert_eq!((grown.cols(), &grown.data), (fresh.cols(), &fresh.data), "{be:?}: append");
+
+        let (i, new) = replacement;
+        grown.write_cols(i * m, &narrow(new));
+        let mut replaced = blocks.to_vec();
+        replaced[i] = new.clone();
+        let fresh = PackedA::pack(be, &cat(&replaced));
+        assert_eq!((grown.cols(), &grown.data), (fresh.cols(), &fresh.data), "{be:?}: overwrite");
+        assert_eq!(grown.read_cols(i * m, m), fresh.read_cols(i * m, m), "{be:?}: read back");
+    }
+
+    proptest::proptest! {
+        /// `m_per_ref` from 1 to 19 is on and off both panel grids (4 and
+        /// 8); up to five blocks leave the last panel ragged or full.
+        #[test]
+        fn appended_and_overwritten_packs_equal_a_pack_of_the_matrix(
+            d in 1usize..9,
+            m_per_ref in 1usize..20,
+            nblocks in 1usize..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let blocks: Vec<Mat> =
+                (0..nblocks as u64).map(|i| mat_rand(d, m_per_ref, seed ^ i)).collect();
+            let new = mat_rand(d, m_per_ref, !seed);
+            let replacement = (seed as usize % nblocks, &new);
+            for be in Backend::ALL {
+                check_append_and_overwrite(be, &blocks, replacement, Mat::clone);
+                check_append_and_overwrite(be, &blocks, replacement, |a| a.to_f16_scaled(0.25));
+            }
         }
     }
 

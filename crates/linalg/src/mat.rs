@@ -10,10 +10,9 @@ use crate::f16::F16;
 /// A matrix element the kernels read as f32: `f32` itself, or [`F16`]
 /// widened on the way in.
 pub trait Widen: Copy + Send + Sync {
-    /// Half-precision storage. The packer routes such columns through the
-    /// backend's vectorized widen (f32 is read directly), and a scan of a
-    /// product of such operands compares values rounded to f16, as a scan
-    /// of a 16-bit HGEMM output does.
+    /// Half-precision storage: a scan of a product of such operands
+    /// compares values rounded to f16, as a scan of a 16-bit HGEMM output
+    /// does.
     const HALF: bool;
     /// This element as f32 (exact).
     fn widen(self) -> f32;

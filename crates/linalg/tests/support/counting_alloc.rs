@@ -1,32 +1,66 @@
 //! A counting global allocator for allocation-bound tests: live and peak
-//! heap bytes, plus the largest single allocation since the last reset.
+//! heap bytes, plus the largest single allocation, of **the measuring
+//! thread** between the start and the end of one [`measure`] call.
+//!
+//! The counters are thread-local: what the test harness allocates on its
+//! own threads while a measurement runs (spawning the next test, printing a
+//! result) is not the measured code's, and used to land in the window about
+//! once in 40 runs. Tests of one binary can measure side by side.
 //!
 //! Included with `#[path]` by the test binaries that install it (a
 //! `#[global_allocator]` is process-wide, so each such test is its own
 //! integration-test binary).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 pub struct CountingAlloc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// One thread's window: whether it is measuring, live bytes since the
+/// window opened (negative once it frees what it held before), their peak,
+/// and the largest single allocation.
+#[derive(Clone, Copy)]
+struct Window {
+    open: bool,
+    live: isize,
+    peak: isize,
+    largest: usize,
+}
+
+thread_local! {
+    // `const` and without a destructor: reading it never allocates, so the
+    // allocator may.
+    static WINDOW: Cell<Window> =
+        const { Cell::new(Window { open: false, live: 0, peak: 0, largest: 0 }) };
+}
+
+/// Apply `update` to this thread's window if it is measuring (and still has
+/// thread-locals: a thread being torn down measures nothing).
+fn record(update: impl FnOnce(&mut Window)) {
+    let _ = WINDOW.try_with(|cell| {
+        let mut w = cell.get();
+        if w.open {
+            update(&mut w);
+            cell.set(w);
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+            record(|w| {
+                w.live += layout.size() as isize;
+                w.peak = w.peak.max(w.live);
+                w.largest = w.largest.max(layout.size());
+            });
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        record(|w| w.live -= layout.size() as isize);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -43,15 +77,12 @@ pub struct HeapUse {
     pub retained: isize,
 }
 
-/// Run `f` and report its heap use. Not reentrant: one measurement at a
-/// time per process (`realloc` goes through `alloc` + `dealloc`, the
-/// `GlobalAlloc` default, so growth is counted too).
+/// Run `f` and report what it did to the heap on this thread. Not
+/// reentrant (`realloc` goes through `alloc` + `dealloc`, the `GlobalAlloc`
+/// default, so growth is counted too).
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, HeapUse) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    LARGEST.store(0, Ordering::Relaxed);
+    WINDOW.set(Window { open: true, live: 0, peak: 0, largest: 0 });
     let out = f();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-    let retained = LIVE.load(Ordering::Relaxed) as isize - base as isize;
-    (out, HeapUse { peak, largest: LARGEST.load(Ordering::Relaxed), retained })
+    let w = WINDOW.replace(Window { open: false, live: 0, peak: 0, largest: 0 });
+    (out, HeapUse { peak: w.peak as usize, largest: w.largest, retained: w.live })
 }

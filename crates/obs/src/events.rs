@@ -186,7 +186,10 @@ impl EventRing {
         self.ring.push(|seq| WideEvent { seq, ..ev })
     }
 
-    /// Snapshot of every resident event, oldest first (sorted by `seq`).
+    /// Snapshot of every resident event, oldest first (sorted by `seq`). A
+    /// slot being written is waited for, not skipped; a `WideEvent` is `Copy`,
+    /// so that wait is one record's `memcpy` per slot (`Ring::for_each`) and a
+    /// stalled writer cannot hang a `/events` reader.
     pub fn snapshot(&self) -> Vec<WideEvent> {
         let mut out = Vec::new();
         self.ring.for_each(|e| out.push(*e));

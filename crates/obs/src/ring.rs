@@ -62,7 +62,12 @@ impl<T> Ring<T> {
     }
 
     /// Visit every resident record, in slot order. A reader waits for a
-    /// slot's writer (a `replace`, nanoseconds) rather than miss its record.
+    /// slot's writer rather than miss its record, and the wait is bounded:
+    /// a writer holds a slot for one `Option::replace` and the drop of the
+    /// record it displaced — no allocation, no I/O, no caller code (`make`
+    /// has returned before the lock is tried, so a writer stalled in it
+    /// holds no slot), and writers only `try_lock`, so nothing queues behind
+    /// a reader either.
     pub(crate) fn for_each(&self, mut visit: impl FnMut(&T)) {
         for slot in &self.slots {
             if let Ok(g) = slot.lock() {
@@ -98,6 +103,36 @@ mod tests {
             "only the newest capacity records survive"
         );
         assert_eq!(ring.dropped(), 6, "one drop per displaced record, exactly");
+    }
+
+    /// The bound on a reader's wait: a writer stalled while building its
+    /// record (the only caller code in `push`) has claimed a ticket but holds
+    /// no slot, so a full read of the ring completes while it is stalled.
+    #[test]
+    fn a_writer_stalled_building_its_record_does_not_block_a_reader() {
+        use std::sync::mpsc::channel;
+        let ring: Ring<u64> = Ring::new(2, Counter::default());
+        ring.push(|ticket| ticket);
+        let (stalled_tx, stalled_rx) = channel();
+        let (resume_tx, resume_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            let (writer_ring, reader_ring) = (&ring, &ring);
+            let writer = s.spawn(move || {
+                writer_ring.push(|ticket| {
+                    stalled_tx.send(ticket).expect("reader is waiting");
+                    resume_rx.recv().expect("reader resumes the writer");
+                    ticket
+                })
+            });
+            let ticket = stalled_rx.recv().expect("writer reached `make`");
+            // The writer is inside `make` and stays there until resumed:
+            // this read returns with everything published so far.
+            assert_eq!(resident(reader_ring, |t| *t), vec![0]);
+            resume_tx.send(()).expect("writer is stalled, not gone");
+            assert_eq!(writer.join().expect("writer"), ticket);
+        });
+        assert_eq!(resident(&ring, |t| *t), vec![0, 1]);
+        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

@@ -312,7 +312,7 @@ fn acceptance_torn_wal_tail_heals_to_control_cluster() {
 #[test]
 fn corrupt_snapshot_is_reported_and_wal_tail_survives() {
     let config = ClusterConfig {
-        store: StoreConfig { durable: true, snapshot_every: 4 },
+        store: StoreConfig { snapshot_every: 4 },
         ..chaos_config(3)
     };
     // The 4th append triggers compaction; the snapshot write is bit-flipped
