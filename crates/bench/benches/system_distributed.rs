@@ -33,7 +33,6 @@ fn container_engine() -> Engine {
             device_reserve_bytes: 4 << 30,
             pinned: true,
         },
-        rebalance_every: 0,
     })
 }
 

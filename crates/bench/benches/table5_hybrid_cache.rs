@@ -33,7 +33,6 @@ fn engine(device_resident: bool, pinned: bool) -> Engine {
             device_reserve_bytes: if device_resident { 2 << 30 } else { 15 << 30 },
             pinned,
         },
-        rebalance_every: 0,
     })
 }
 

@@ -27,7 +27,6 @@ fn speed(batch: usize, n_streams: usize) -> f64 {
             device_reserve_bytes: 15 << 30, // force all batches host-side
             pinned: true,
         },
-        rebalance_every: 0,
     });
     for id in 0..(64 * batch) as u64 {
         e.add_reference_shape(id).expect("capacity");

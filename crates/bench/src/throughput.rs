@@ -210,7 +210,6 @@ fn build_shard(refs: usize, batch_size: usize, m_ref: usize, n_query: usize) -> 
         batch_size,
         streams: 1,
         cache,
-        rebalance_every: 0,
     });
     for id in 0..refs as u64 {
         engine.add_reference_shape(id).expect("bench shard fits in host cache");

@@ -24,7 +24,6 @@ use texid_obs::Counter;
 struct Telemetry {
     inserts: Counter,
     evictions: Counter,
-    promotions: Counter,
     device_hits: Counter,
     host_hits: Counter,
 }
@@ -41,12 +40,6 @@ impl Telemetry {
             evictions: reg.counter(
                 "texid_cache_evictions",
                 "Device-to-host FIFO swap-outs (L1 evictions).",
-                &[],
-            ),
-            promotions: reg.counter(
-                "texid_cache_promotions",
-                "Probe-frequency-driven host-to-device promotions (IVF-aware \
-                 rebalancing of the L1 tier).",
                 &[],
             ),
             device_hits: reg.counter(
@@ -145,8 +138,6 @@ pub struct CacheStats {
     pub device_hits: u64,
     /// Host-resident batches search passes swept (PCIe transfer required).
     pub host_hits: u64,
-    /// Host→device promotions performed by [`HybridCache::rebalance`].
-    pub promotions: u64,
     /// Simulated µs spent on swap-out D2H copies.
     pub swap_copy_us: f64,
 }
@@ -162,7 +153,6 @@ struct StatCells {
     swaps: AtomicU64,
     device_hits: AtomicU64,
     host_hits: AtomicU64,
-    promotions: AtomicU64,
     swap_copy_us_bits: AtomicU64,
 }
 
@@ -173,7 +163,6 @@ impl StatCells {
             swaps: self.swaps.load(Ordering::Relaxed),
             device_hits: self.device_hits.load(Ordering::Relaxed),
             host_hits: self.host_hits.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
             swap_copy_us: f64::from_bits(self.swap_copy_us_bits.load(Ordering::Relaxed)),
         }
     }
@@ -183,15 +172,11 @@ struct DeviceEntry<T> {
     id: u64,
     payload: T,
     buffer: BufferId,
-    /// Probe-frequency heat: bumped from `&self` search paths (IVF sweeps
-    /// note every batch they actually visit), consumed by `rebalance`.
-    heat: AtomicU64,
 }
 
 struct HostEntry<T> {
     id: u64,
     payload: T,
-    heat: AtomicU64,
 }
 
 /// The two-level FIFO cache.
@@ -268,12 +253,7 @@ impl<T: Payload> HybridCache<T> {
             if sim.mem_free() >= bytes + self.cfg.device_reserve_bytes {
                 match sim.alloc(bytes) {
                     Ok(buffer) => {
-                        self.device.push_back(DeviceEntry {
-                            id,
-                            payload,
-                            buffer,
-                            heat: AtomicU64::new(0),
-                        });
+                        self.device.push_back(DeviceEntry { id, payload, buffer });
                         self.stats.inserted.fetch_add(1, Ordering::Relaxed);
                         self.telemetry.inserts.inc();
                         return Ok(());
@@ -300,119 +280,8 @@ impl<T: Payload> HybridCache<T> {
             self.stats.swaps.fetch_add(1, Ordering::Relaxed);
             self.telemetry.evictions.inc();
             self.host_used += ob;
-            self.host.push_back(HostEntry {
-                id: oldest.id,
-                payload: oldest.payload,
-                heat: oldest.heat,
-            });
+            self.host.push_back(HostEntry { id: oldest.id, payload: oldest.payload });
         }
-    }
-
-    /// Record `amount` units of probe heat against a batch (no-op for an
-    /// unknown id). Takes `&self`: the IVF sweep calls this for every batch
-    /// it actually visits, from concurrent searches behind a read lock.
-    pub fn note_heat(&self, id: u64, amount: u64) {
-        if let Some(e) = self.device.iter().find(|e| e.id == id) {
-            e.heat.fetch_add(amount, Ordering::Relaxed);
-        } else if let Some(e) = self.host.iter().find(|e| e.id == id) {
-            e.heat.fetch_add(amount, Ordering::Relaxed);
-        }
-    }
-
-    /// Accumulated probe heat of a batch.
-    pub fn heat_of(&self, id: u64) -> Option<u64> {
-        let dev = self.device.iter().find(|e| e.id == id).map(|e| &e.heat);
-        let host = || self.host.iter().find(|e| e.id == id).map(|e| &e.heat);
-        dev.or_else(host).map(|h| h.load(Ordering::Relaxed))
-    }
-
-    /// IVF-aware tier rebalancing: promote the probe-hottest host batches
-    /// into GPU memory, demoting strictly colder device batches to make
-    /// room. Promotions charge an H2D copy and demotions a D2H copy (the
-    /// same accounting as insert-time swap-outs), so hot-cell pinning is
-    /// paid for in simulated time, not assumed free.
-    ///
-    /// Heat halves after a pass so stale popularity decays. Returns the
-    /// number of promotions performed. Deterministic: ties break toward
-    /// the oldest (FIFO-front) entry in either tier.
-    pub fn rebalance(&mut self, sim: &mut GpuSim) -> usize {
-        let mut promoted = 0;
-        'outer: loop {
-            // Hottest host entry (earliest index on ties).
-            let mut best: Option<(usize, u64)> = None;
-            for (i, e) in self.host.iter().enumerate() {
-                let h = e.heat.load(Ordering::Relaxed);
-                if best.is_none_or(|(_, bh)| h > bh) {
-                    best = Some((i, h));
-                }
-            }
-            let Some((h_idx, h_heat)) = best else { break };
-            if h_heat == 0 {
-                break; // never-probed batches don't displace anything
-            }
-            let bytes = self.host[h_idx].payload.size_bytes();
-
-            // Make room by demoting the coldest device entries — but only
-            // ones strictly colder than the promotee.
-            while sim.mem_free() < bytes + self.cfg.device_reserve_bytes {
-                let mut cold: Option<(usize, u64)> = None;
-                for (i, e) in self.device.iter().enumerate() {
-                    let h = e.heat.load(Ordering::Relaxed);
-                    if cold.is_none_or(|(_, ch)| h < ch) {
-                        cold = Some((i, h));
-                    }
-                }
-                let Some((d_idx, d_heat)) = cold else { break 'outer };
-                if d_heat >= h_heat {
-                    break 'outer; // everything on device is at least as hot
-                }
-                let victim = self.device.remove(d_idx).expect("index in range");
-                let vb = victim.payload.size_bytes();
-                if self.host_used + vb > self.cfg.host_capacity_bytes {
-                    self.device.insert(d_idx, victim);
-                    break 'outer;
-                }
-                sim.free(victim.buffer);
-                let stream = sim.default_stream();
-                let rec = sim.d2h(stream, vb);
-                let us = f64::from_bits(self.stats.swap_copy_us_bits.load(Ordering::Relaxed))
-                    + rec.duration_us();
-                self.stats.swap_copy_us_bits.store(us.to_bits(), Ordering::Relaxed);
-                self.stats.swaps.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.evictions.inc();
-                self.host_used += vb;
-                self.host.push_back(HostEntry {
-                    id: victim.id,
-                    payload: victim.payload,
-                    heat: victim.heat,
-                });
-            }
-
-            let Ok(buffer) = sim.alloc(bytes) else { break };
-            // `h_idx` indexed the host queue before any demotions were
-            // pushed to its back, so it is still valid.
-            let entry = self.host.remove(h_idx).expect("index in range");
-            self.host_used -= bytes;
-            let stream = sim.default_stream();
-            sim.h2d(stream, bytes, self.cfg.pinned);
-            self.device.push_back(DeviceEntry {
-                id: entry.id,
-                payload: entry.payload,
-                buffer,
-                heat: entry.heat,
-            });
-            self.stats.promotions.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.promotions.inc();
-            promoted += 1;
-        }
-        // Decay so one hot burst doesn't pin a batch forever.
-        for e in &self.device {
-            e.heat.store(e.heat.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-        }
-        for e in &self.host {
-            e.heat.store(e.heat.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-        }
-        promoted
     }
 
     /// Drop a batch from whichever tier holds it, giving its device buffer
@@ -430,8 +299,8 @@ impl<T: Payload> HybridCache<T> {
     }
 
     /// Let `edit` shrink a cached payload in place, then account for its new
-    /// `size_bytes()` where it sits — same FIFO slot, same tier, same heat;
-    /// on the device tier the buffer is traded for one of the new size.
+    /// `size_bytes()` where it sits — same FIFO slot, same tier; on the
+    /// device tier the buffer is traded for one of the new size.
     /// Returns `false` (and never calls `edit`) for an unknown id. A payload
     /// that `edit` would leave empty is the caller's to [`Self::remove`].
     pub fn shrink(&mut self, id: u64, sim: &mut GpuSim, edit: impl FnOnce(&mut T)) -> bool {
@@ -698,17 +567,14 @@ mod tests {
         for id in 0..12u64 {
             cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
         }
-        cache.note_heat(1, 7);
-        cache.note_heat(5, 9);
         let order = |c: &HybridCache<Blob>| c.iter().map(|(id, _, t)| (id, t)).collect::<Vec<_>>();
         let before = order(&cache); // device 2..=11, then host 0, 1
 
-        // One on each tier shrinks where it sits: slot, tier and heat stay.
+        // One on each tier shrinks where it sits: slot and tier stay.
         assert!(cache.shrink(5, &mut sim, |b| b.0 = 40 * MB));
         assert!(cache.shrink(1, &mut sim, |b| b.0 = 30 * MB));
         assert!(!cache.shrink(99, &mut sim, |_| panic!("unknown id must not be edited")));
         assert_eq!(order(&cache), before);
-        assert_eq!((cache.heat_of(5), cache.heat_of(1)), (Some(9), Some(7)));
         assert_eq!(sim.mem_used() - empty, 940 * MB);
         assert_eq!(cache.host_used_bytes(), 130 * MB);
         // The room is real: the next insert fits without a swap-out.
@@ -728,39 +594,6 @@ mod tests {
         }
         assert!(cache.is_empty());
         assert_eq!((sim.mem_used(), cache.host_used_bytes()), (empty, 0));
-    }
-
-    #[test]
-    fn hot_host_batch_promoted_over_cold_device_batch() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
-        for id in 0..11u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
-        }
-        assert_eq!(cache.tier_of(0), Some(Tier::Host));
-        cache.note_heat(0, 10);
-        let promoted = cache.rebalance(&mut sim);
-        assert_eq!(promoted, 1);
-        assert_eq!(cache.tier_of(0), Some(Tier::Device), "hot batch pinned in L1");
-        assert_eq!(cache.tier_of(1), Some(Tier::Host), "coldest batch demoted for it");
-        assert_eq!(cache.stats().promotions, 1);
-        assert_eq!(cache.heat_of(0), Some(5), "heat decays after a pass");
-    }
-
-    #[test]
-    fn rebalance_never_displaces_hotter_device_batches() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
-        for id in 0..11u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
-        }
-        for id in 1..11u64 {
-            cache.note_heat(id, 5);
-        }
-        cache.note_heat(0, 3); // host batch, warm but colder than everything
-        assert_eq!(cache.rebalance(&mut sim), 0);
-        assert_eq!(cache.tier_of(0), Some(Tier::Host));
-        assert_eq!(cache.stats().promotions, 0);
     }
 
     #[test]

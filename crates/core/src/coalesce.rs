@@ -227,7 +227,6 @@ mod tests {
                 device_reserve_bytes: budget.saturating_sub(batch_bytes + batch_bytes / 2),
                 ..CacheConfig::default()
             },
-            rebalance_every: 0,
         });
         for id in 0..256u64 {
             engine.add_reference_shape(id).unwrap();

@@ -37,7 +37,6 @@
 //!   cost model): the same batch without panels.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
@@ -148,13 +147,6 @@ pub struct EngineConfig {
     pub streams: usize,
     /// Hybrid cache sizing.
     pub cache: CacheConfig,
-    /// Serving-path cache-rebalance cadence: run
-    /// [`Engine::rebalance_cache`] after every `rebalance_every` sealed
-    /// batches *or* search passes (whichever accumulates first). `0`
-    /// disables the cadence — rebalancing then only happens when called
-    /// explicitly. Promotions need probe heat, which accrues only with the
-    /// IVF probe on, so the default cadence is free on non-IVF setups.
-    pub rebalance_every: usize,
 }
 
 impl Default for EngineConfig {
@@ -167,7 +159,6 @@ impl Default for EngineConfig {
             batch_size: 256,
             streams: 8,
             cache: CacheConfig::default(),
-            rebalance_every: 64,
         }
     }
 }
@@ -434,9 +425,6 @@ pub struct Engine {
     /// been ingested with `matching.ivf.enabled`).
     ivf: Option<IvfIndex>,
     telemetry: Telemetry,
-    /// Sealed batches + search passes since the last cache rebalance.
-    /// Atomic because the search path bumps it under `&self`.
-    since_rebalance: AtomicUsize,
 }
 
 impl Engine {
@@ -455,7 +443,6 @@ impl Engine {
             references: 0,
             ivf: None,
             telemetry: Telemetry::register(),
-            since_rebalance: AtomicUsize::new(0),
         }
     }
 
@@ -582,8 +569,7 @@ impl Engine {
     }
 
     /// Edit a batch where it lies; a cached one is re-accounted where it
-    /// sits — same FIFO slot, tier and heat — for whatever size the edit
-    /// leaves it.
+    /// sits — same FIFO slot and tier — for whatever size the edit leaves it.
     fn edit(&mut self, batch: Option<u64>, edit: impl FnOnce(&mut RefBatch)) {
         match batch {
             None => edit(&mut self.open),
@@ -669,8 +655,6 @@ impl Engine {
                 None => self.maybe_train_ivf(),
             }
         }
-        self.since_rebalance.fetch_add(1, Ordering::Relaxed);
-        self.maybe_rebalance();
         Ok(())
     }
 
@@ -705,37 +689,6 @@ impl Engine {
     /// The trained coarse quantizer, if any.
     pub fn ivf_index(&self) -> Option<&IvfIndex> {
         self.ivf.as_ref()
-    }
-
-    /// Run one IVF-aware cache rebalance: promote the probe-hottest host
-    /// batches into GPU memory (see [`HybridCache::rebalance`]). Returns
-    /// the number of promotions. Heat accrues on the `&self` search path;
-    /// this is the write-locked maintenance step that acts on it.
-    pub fn rebalance_cache(&mut self) -> usize {
-        self.since_rebalance.store(0, Ordering::Relaxed);
-        self.cache.rebalance(&mut self.sim)
-    }
-
-    /// True when the serving-path cadence says a rebalance should run:
-    /// `rebalance_every > 0` and at least that many sealed batches + search
-    /// passes have accumulated since the last rebalance. Read-only — lets a
-    /// reader (e.g. a shard holding a read lock) decide whether upgrading
-    /// to a write lock is worth it before taking one.
-    pub fn rebalance_due(&self) -> bool {
-        let every = self.cfg.rebalance_every;
-        every > 0 && self.since_rebalance.load(Ordering::Relaxed) >= every
-    }
-
-    /// Run the cadenced rebalance if [`Engine::rebalance_due`]; returns the
-    /// number of promotions (0 when not due). Seal paths call this
-    /// directly; serving paths check `rebalance_due` first to avoid the
-    /// write lock.
-    pub fn maybe_rebalance(&mut self) -> usize {
-        if self.rebalance_due() {
-            self.rebalance_cache()
-        } else {
-            0
-        }
     }
 
     /// Export every *real* indexed reference as `(id, dequantized d×m
@@ -782,7 +735,7 @@ impl Engine {
     /// matrix is truncated to `n_query` columns (asymmetric n).
     ///
     /// Takes `&self`: the search path only reads the cache layout and
-    /// config, and hit statistics, probe heat and telemetry are atomic
+    /// config, and hit statistics and telemetry are atomic
     /// cells. Any number of searches may therefore run concurrently behind
     /// a shared read lock.
     ///
@@ -897,12 +850,6 @@ impl Engine {
             let nsel = probes.iter().filter(|probe| sweeps(probe)).count();
             if nsel > 0 {
                 self.cache.note_hit(tier);
-                // Probe-frequency feedback for the cache tier: heat grows by
-                // how many queries touched the batch, so `rebalance_cache`
-                // can pin hot cells' batches into device memory.
-                if prober.is_some() {
-                    self.cache.note_heat(id, nsel as u64);
-                }
             }
             // Host-resident batches stream over PCIe once for all queries
             // that sweep them (§6.1 + coalescing); each gets a 1/nsel share.
@@ -935,10 +882,6 @@ impl Engine {
             self.telemetry.observe(report);
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         }
-        // One cadence tick per search pass (not per coalesced query): the
-        // maintenance step that consumes these ticks needs a write lock, so
-        // the serving path only counts here and checks `rebalance_due`.
-        self.since_rebalance.fetch_add(1, Ordering::Relaxed);
         results
     }
 }
@@ -1041,7 +984,6 @@ mod tests {
                     device_reserve_bytes: 256 << 20,
                     pinned: true,
                 },
-                rebalance_every: 0,
             })
         };
         let mut cramped = mk(small_dev);
@@ -1346,11 +1288,6 @@ mod tests {
         );
         assert!(r.report.probe_us > 0.0);
         assert_eq!(r.best(10).map(|(id, _)| id), Some(3), "pruned sweep lost the true match");
-
-        // Probe feedback accumulated heat; rebalancing must not panic and
-        // reports how many host batches it promoted into device memory.
-        let promoted = engine.rebalance_cache();
-        let _ = promoted;
     }
 
     /// An IVF-on rewrite is posted under its new version's cell, before the
@@ -1414,7 +1351,6 @@ mod tests {
                 device_reserve_bytes: 0,
                 pinned: true,
             },
-            rebalance_every: 0,
             ..EngineConfig::default()
         });
         for id in 0..12u64 {
@@ -1433,94 +1369,5 @@ mod tests {
 
         assert_eq!(engine.export_references().len(), 12);
         assert_eq!(engine.cache_stats(), after, "an export is not a search");
-    }
-
-    /// The serving-path cadence: with `rebalance_every` small, probed
-    /// searches running concurrently behind a read lock accrue both heat
-    /// and cadence ticks, and the shard-style maintenance leg
-    /// (`try_write` then `maybe_rebalance`) promotes probe-hot host
-    /// batches to the device tier while searchers keep running.
-    #[test]
-    fn cadenced_rebalance_promotes_under_concurrent_search() {
-        use std::sync::atomic::AtomicBool;
-
-        // Device sized for ~6 of the 32 KiB (128×128 f16) batches: with 12
-        // single-reference batches the FIFO leaves ids 0–5 host-resident.
-        let mut spec = DeviceSpec::tesla_p100();
-        spec.mem_bytes = 7 * 32 * 1024;
-        spec.context_overhead_bytes = 0;
-        let mut engine = Engine::new(EngineConfig {
-            device: spec,
-            m_ref: 128,
-            n_query: 256,
-            batch_size: 1,
-            matching: MatchConfig {
-                ivf: texid_knn::IvfParams {
-                    enabled: true,
-                    nlist: 4,
-                    nprobe: 1,
-                    ..texid_knn::IvfParams::default()
-                },
-                ..MatchConfig::default()
-            },
-            cache: CacheConfig {
-                host_capacity_bytes: 64 << 30,
-                device_reserve_bytes: 0,
-                pinned: true,
-            },
-            rebalance_every: 3,
-            ..EngineConfig::default()
-        });
-        for id in 0..12u64 {
-            engine.add_reference(id, &features(id, 128)).unwrap();
-        }
-        engine.flush().unwrap();
-        assert!(engine.ivf_index().is_some());
-        assert!(
-            engine.cache_stats().swaps > 0,
-            "setup must leave some batches host-resident"
-        );
-
-        let engine = parking_lot::RwLock::new(engine);
-        let stop = AtomicBool::new(false);
-        let promoted = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            // Searcher threads: probed queries for host-resident references
-            // (ids 0–2), heating their batches and ticking the cadence.
-            for t in 0..2u64 {
-                let (engine, stop) = (&engine, &stop);
-                s.spawn(move || {
-                    let q = features(t, 128);
-                    while !stop.load(Ordering::Relaxed) {
-                        let r = engine.read().search(&q);
-                        assert!(!r.ranked.is_empty());
-                    }
-                });
-            }
-            // Maintenance loop: check the cadence under the read lock,
-            // then take the write lock to act on it (the cluster leg uses
-            // `try_write` to never stall a search; here the blocking write
-            // guarantees the maintenance step actually wins the lock on a
-            // single-core host where searchers re-acquire back-to-back).
-            for _ in 0..5000 {
-                if engine.read().rebalance_due() {
-                    promoted.fetch_add(engine.write().maybe_rebalance(), Ordering::Relaxed);
-                }
-                if promoted.load(Ordering::Relaxed) > 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        assert!(
-            promoted.load(Ordering::Relaxed) > 0,
-            "cadenced maintenance never promoted a probe-hot host batch"
-        );
-        assert_eq!(
-            promoted.load(Ordering::Relaxed) as u64,
-            engine.read().cache_stats().promotions,
-        );
     }
 }

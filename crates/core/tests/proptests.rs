@@ -361,7 +361,6 @@ fn capacity_exhaustion_surfaces_as_error() {
             device_reserve_bytes: 0,
             pinned: true,
         },
-        rebalance_every: 0,
     });
     let mut failed = false;
     for id in 0..200u64 {

@@ -47,7 +47,7 @@
 //! `405` with an `Allow` header.
 
 use crate::b64;
-use crate::cluster::{Cluster, ClusterError, ShardHealth};
+use crate::cluster::{Cluster, ClusterError, ShardHealth, ShardStatus};
 use crate::http::{HttpServer, Request, Response};
 use crate::json::{parse, Json};
 use crate::wire;
@@ -95,19 +95,6 @@ fn cluster_err(e: ClusterError) -> Response {
         ClusterError::NotFound(_) => err_json(404, &e.to_string()),
         ClusterError::Unavailable(_) | ClusterError::Timeout(_) => err_json(503, &e.to_string()),
         _ => err_json(500, &e.to_string()),
-    }
-}
-
-/// Methods a known route supports, for the `Allow` header of a 405.
-/// `None` means the path matches no route at all (404).
-fn allow_for(segments: &[&str]) -> Option<&'static str> {
-    match segments {
-        ["textures"] => Some("POST"),
-        ["textures", _] => Some("DELETE, GET, HEAD, PUT"),
-        ["search"] | ["verify"] | ["heal"] => Some("POST"),
-        ["stats"] | ["health"] | ["metrics"] | ["traces"] | ["trace", _] | ["events"]
-        | ["slo"] => Some("GET, HEAD"),
-        _ => None,
     }
 }
 
@@ -166,13 +153,75 @@ fn span_node(span: &SpanRecord, by_parent: &HashMap<u64, Vec<&SpanRecord>>) -> J
     ])
 }
 
+/// What a handler is given besides the cluster.
+struct Call<'a> {
+    req: &'a Request,
+    ctx: &'a TraceContext,
+    /// The segment the route's `{id}` matched (`""` on a route without one).
+    id: &'a str,
+}
+
+/// `Err` is a request turned away before it reached the cluster (bad id,
+/// body, or payload): a response like any other, raised with `?`.
+type Handler = fn(&Cluster, &Call<'_>) -> Result<Response, Response>;
+
+/// One row of the route table.
+struct Route {
+    method: &'static str,
+    /// `/`-separated; `{id}` matches any one segment.
+    path: &'static str,
+    /// Observability reads are not themselves traced: a dashboard polling
+    /// `/metrics` or `/traces` must not wash real requests out of the ring.
+    traced: bool,
+    handler: Handler,
+}
+
+const fn route(method: &'static str, path: &'static str, traced: bool, handler: Handler) -> Route {
+    Route { method, path, traced, handler }
+}
+
+/// The route table. Dispatch, the `Allow` header of a 405 and the
+/// untraced-observability rule are all read off these rows.
+const ROUTES: [Route; 14] = [
+    route("POST", "/textures", true, add_texture),
+    route("GET", "/textures/{id}", true, get_texture),
+    route("PUT", "/textures/{id}", true, update_texture),
+    route("DELETE", "/textures/{id}", true, delete_texture),
+    route("POST", "/search", true, search),
+    route("POST", "/verify", true, verify),
+    route("GET", "/stats", true, stats),
+    route("GET", "/health", true, health),
+    route("POST", "/heal", true, heal),
+    route("GET", "/metrics", false, metrics),
+    route("GET", "/trace/{id}", false, trace),
+    route("GET", "/traces", false, traces),
+    route("GET", "/events", false, events),
+    route("GET", "/slo", false, slo),
+];
+
+/// Match `path` against a route's pattern: `Some` of the segment `{id}`
+/// matched (`""` without one), `None` when they differ. Leading and
+/// trailing slashes do not count.
+fn capture<'a>(pattern: &str, path: &'a str) -> Option<&'a str> {
+    let mut want = pattern.trim_matches('/').split('/');
+    let mut got = path.trim_matches('/').split('/');
+    let mut id = "";
+    loop {
+        match (want.next(), got.next()) {
+            (None, None) => return Some(id),
+            (Some("{id}"), Some(segment)) => id = segment,
+            (Some(w), Some(g)) if w == g => {}
+            _ => return None,
+        }
+    }
+}
+
 /// Route one request against the cluster.
 ///
 /// Minting the trace context, recording the request's root span, and
 /// echoing `X-Texid-Trace-Id` all happen here, so in-process callers
 /// (tests, embedding) get identical tracing behavior to the HTTP path.
 pub fn handle(cluster: &Cluster, req: &Request) -> Response {
-    let segments: Vec<&str> = req.path.trim_matches('/').split('/').collect();
     // HEAD is routed exactly like GET; the transport withholds the body
     // while keeping the headers and Content-Length (RFC 9110 §9.3.2).
     let method = if req.method == "HEAD" { "GET" } else { req.method.as_str() };
@@ -181,15 +230,29 @@ pub fn handle(cluster: &Cluster, req: &Request) -> Response {
         .and_then(TraceContext::parse_trace_id)
         .map(TraceContext::with_trace_id)
         .unwrap_or_else(TraceContext::root);
-    // Observability reads are not themselves traced: a dashboard polling
-    // /metrics or /traces must not wash real requests out of the ring.
-    let traced = !matches!(
-        segments.as_slice(),
-        ["metrics"] | ["trace", ..] | ["traces"] | ["events"] | ["slo"]
-    );
+    // The rows this path matches, whatever the method, with their `{id}`.
+    let on_path: Vec<_> = ROUTES
+        .iter()
+        .filter_map(|route| Some((route, capture(route.path, &req.path)?)))
+        .collect();
+    let traced = on_path.iter().all(|(route, _)| route.traced);
     let start_us = texid_obs::wall_now_us();
     let started = std::time::Instant::now();
-    let resp = route(cluster, method, &segments, req, &ctx).unwrap_or_else(|early| early);
+    let resp = match on_path.iter().find(|(route, _)| route.method == method) {
+        Some((route, id)) => {
+            (route.handler)(cluster, &Call { req, ctx: &ctx, id }).unwrap_or_else(|early| early)
+        }
+        None if on_path.is_empty() => err_json(404, "no such route"),
+        None => {
+            // Methods sorted, `HEAD` beside the `GET` it is routed as.
+            let mut allow: Vec<&str> = on_path.iter().map(|(route, _)| route.method).collect();
+            if allow.contains(&"GET") {
+                allow.push("HEAD");
+            }
+            allow.sort_unstable();
+            err_json(405, "method not allowed").with_header("Allow", &allow.join(", "))
+        }
+    };
     if traced {
         global_ring().record(SpanRecord {
             trace_id: ctx.trace_id,
@@ -208,382 +271,369 @@ pub fn handle(cluster: &Cluster, req: &Request) -> Response {
     resp.with_header(TRACE_HEADER, &ctx.trace_id_hex())
 }
 
-/// `Err` is a request turned away before it reached the cluster (bad id,
-/// body, or payload): a response like any other, raised with `?`.
-fn route(
-    cluster: &Cluster,
-    method: &str,
-    segments: &[&str],
-    req: &Request,
-    ctx: &TraceContext,
-) -> Result<Response, Response> {
-    Ok(match (method, segments) {
-        ("POST", ["textures"]) => {
-            let v = json_body(req)?;
-            let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
-            let features = parse_features_field(&v, "features")?;
-            match cluster.add_texture(id, &features) {
-                Ok(()) => Response::json(
-                    201,
-                    Json::obj([("id", Json::Num(id as f64)), ("ok", Json::Bool(true))])
-                        .to_string(),
-                ),
-                Err(e) => cluster_err(e),
-            }
-        }
-        ("GET", ["textures", id]) => {
-            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
-            match cluster.get_texture(id) {
-                Ok(f) => Response::json(
-                    200,
-                    Json::obj([
-                        ("id", Json::Num(id as f64)),
-                        ("count", Json::Num(f.len() as f64)),
-                        ("features", Json::Str(b64::encode(&wire::encode_features(&f)))),
-                    ])
-                    .to_string(),
-                ),
-                Err(e) => cluster_err(e),
-            }
-        }
-        ("PUT", ["textures", id]) => {
-            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
-            let v = json_body(req)?;
-            let features = parse_features_field(&v, "features")?;
-            match cluster.update_texture(id, &features) {
-                Ok(()) => Response::json(200, r#"{"ok":true}"#.to_string()),
-                Err(e) => cluster_err(e),
-            }
-        }
-        ("DELETE", ["textures", id]) => {
-            let id = id.parse::<u64>().map_err(|_| err_json(400, "bad id"))?;
-            match cluster.delete_texture(id) {
-                Ok(()) => Response::json(200, r#"{"ok":true}"#.to_string()),
-                Err(e) => cluster_err(e),
-            }
-        }
-        ("POST", ["search"]) => {
-            let v = json_body(req)?;
-            let features = parse_features_field(&v, "features")?;
-            let top = v.get("top").and_then(Json::as_u64).unwrap_or(5) as usize;
-            let out = cluster.search_traced(&features, top, Some(ctx));
-            let results = Json::Arr(
-                out.results
-                    .iter()
-                    .map(|(id, score)| {
-                        Json::obj([
-                            ("id", Json::Num(*id as f64)),
-                            ("score", Json::Num(*score as f64)),
-                        ])
-                    })
-                    .collect(),
-            );
-            Response::json(
-                200,
-                Json::obj([
-                    ("results", results),
-                    ("comparisons", Json::Num(out.comparisons as f64)),
-                    ("wall_us", Json::Num(out.wall_us)),
-                    ("images_per_second", Json::Num(out.images_per_second())),
-                    ("degraded", Json::Bool(out.degraded)),
-                    ("shards_ok", Json::Num(out.shards_ok as f64)),
-                    ("shards_failed", Json::Num(out.shards_failed as f64)),
-                    ("shards_skipped", Json::Num(out.shards_skipped as f64)),
-                    ("trace_id", Json::Str(ctx.trace_id_hex())),
-                ])
-                .to_string(),
-            )
-        }
-        ("POST", ["verify"]) => {
-            let v = json_body(req)?;
-            let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
-            let features = parse_features_field(&v, "features")?;
-            let min_matches = v.get("min_matches").and_then(Json::as_u64).unwrap_or(10) as usize;
-            let min_inliers = v.get("min_inliers").and_then(Json::as_u64).unwrap_or(8) as usize;
-            match cluster.verify(id, &features, min_matches, min_inliers) {
-                Ok(r) => Response::json(
-                    200,
-                    Json::obj([
-                        ("id", Json::Num(id as f64)),
-                        ("accepted", Json::Bool(r.accepted)),
-                        ("good_matches", Json::Num(r.good_matches as f64)),
-                        ("geometric_inliers", Json::Num(r.geometric_inliers as f64)),
-                        ("scale", Json::Num(r.transform_scale as f64)),
-                        ("rotation_deg", Json::Num(r.transform_rotation.to_degrees() as f64)),
-                    ])
-                    .to_string(),
-                ),
-                Err(e) => cluster_err(e),
-            }
-        }
-        ("GET", ["stats"]) => {
-            let s = cluster.stats();
-            let wal = match &s.wal {
-                Some(w) => Json::obj([
-                    ("appends", Json::Num(w.appends as f64)),
-                    ("lost_appends", Json::Num(w.lost_appends as f64)),
-                    ("torn_appends", Json::Num(w.torn_appends as f64)),
-                    ("snapshots", Json::Num(w.snapshots as f64)),
-                    ("since_snapshot", Json::Num(w.since_snapshot as f64)),
-                    ("wal_bytes", Json::Num(w.wal_bytes as f64)),
-                    ("snapshot_bytes", Json::Num(w.snapshot_bytes as f64)),
-                ]),
-                None => Json::Null,
-            };
-            let drift = Json::Arr(
-                s.drift
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("stage", Json::Str(d.stage.clone())),
-                            ("ratio", Json::Num(d.ratio)),
-                            ("samples", Json::Num(d.samples as f64)),
-                        ])
-                    })
-                    .collect(),
-            );
-            Response::json(
-                200,
-                Json::obj([
-                    ("wal", wal),
-                    ("drift", drift),
-                    ("containers", Json::Num(s.containers as f64)),
-                    ("textures", Json::Num(s.textures as f64)),
-                    ("store_bytes", Json::Num(s.store_bytes as f64)),
-                    ("capacity_images", Json::Num(s.capacity_images as f64)),
-                    ("shards_healthy", Json::Num(s.shards_healthy as f64)),
-                    ("shards_suspect", Json::Num(s.shards_suspect as f64)),
-                    ("shards_down", Json::Num(s.shards_down as f64)),
-                    ("total_searches", Json::Num(s.total_searches as f64)),
-                    ("degraded_searches", Json::Num(s.degraded_searches as f64)),
-                    ("retries", Json::Num(s.retries as f64)),
-                    ("faults_injected", Json::Num(s.faults_injected as f64)),
-                    ("schedule_efficiency", Json::Num(s.schedule_efficiency)),
-                    ("achieved_tflops", Json::Num(s.achieved_tflops)),
-                    ("gpu_efficiency", Json::Num(s.gpu_efficiency)),
-                ])
-                .to_string(),
-            )
-        }
-        ("GET", ["metrics"]) => {
-            // The gauges that mirror state kept elsewhere are brought up to
-            // date by the scrape that reads them.
-            texid_obs::touch_process_metrics();
-            cluster.refresh_wal_gauges();
-            Response::prometheus(200, texid_obs::global().render_prometheus())
-        }
-        ("GET", ["events"]) => {
-            // JSON Lines, oldest first: tail-friendly, grep-friendly.
-            let mut body = String::new();
-            for e in global_events().snapshot() {
-                body.push_str(&event_json(&e).to_string());
-                body.push('\n');
-            }
-            Response::ndjson(200, body)
-        }
-        ("GET", ["slo"]) => {
-            let slos: Vec<Json> = cluster
-                .slo_status()
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("name", Json::Str(s.name.clone())),
-                        ("target", Json::Num(s.target)),
-                        ("good", Json::Num(s.good as f64)),
-                        ("bad", Json::Num(s.bad as f64)),
-                        ("short_burn", Json::Num(s.short_burn)),
-                        ("long_burn", Json::Num(s.long_burn)),
-                        ("budget_remaining", Json::Num(s.budget_remaining)),
-                        ("fast_burn", Json::Bool(s.fast_burn)),
-                    ])
-                })
-                .collect();
-            Response::json(200, Json::obj([("slos", Json::Arr(slos))]).to_string())
-        }
-        ("GET", ["health"]) => {
-            let shards = cluster.health();
-            let healthy = shards.iter().filter(|s| s.health == ShardHealth::Healthy).count();
-            let serving = shards.iter().filter(|s| s.health != ShardHealth::Down).count();
-            // 503 only when no shard can serve a search at all.
-            let (status, verdict) = if serving == 0 {
-                (503, "unavailable")
-            } else if healthy == shards.len() {
-                (200, "ok")
-            } else {
-                (200, "degraded")
-            };
-            let shard_list = Json::Arr(
-                shards
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("shard", Json::Num(s.shard as f64)),
-                            ("health", Json::Str(s.health.as_str().to_string())),
-                            ("consecutive_failures", Json::Num(s.consecutive_failures as f64)),
-                            ("total_failures", Json::Num(s.total_failures as f64)),
-                            ("probes", Json::Num(s.probes as f64)),
-                        ])
-                    })
-                    .collect(),
-            );
-            // Durability posture rides along so "shard won't heal" triage
-            // starts from one endpoint (OBSERVABILITY.md runbook).
-            let w = cluster.refresh_wal_gauges();
-            let store = Json::obj([
-                ("durable", Json::Bool(true)),
-                ("wal_appends", Json::Num(w.appends as f64)),
-                ("wal_bytes", Json::Num(w.wal_bytes as f64)),
-                ("snapshots", Json::Num(w.snapshots as f64)),
-            ]);
-            // SLO burn status rides along too: "are we paging" and "is a
-            // shard down" are the same triage conversation.
-            let slos = Json::Arr(
-                cluster
-                    .slo_status()
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("name", Json::Str(s.name.clone())),
-                            ("short_burn", Json::Num(s.short_burn)),
-                            ("long_burn", Json::Num(s.long_burn)),
-                            ("budget_remaining", Json::Num(s.budget_remaining)),
-                            ("fast_burn", Json::Bool(s.fast_burn)),
-                        ])
-                    })
-                    .collect(),
-            );
-            Response::json(
-                status,
-                Json::obj([
-                    ("status", Json::Str(verdict.to_string())),
-                    ("store", store),
-                    ("slos", slos),
-                    ("shards", shard_list),
-                ])
-                .to_string(),
-            )
-        }
-        ("POST", ["heal"]) => match cluster.heal_traced(Some(ctx)) {
-            Ok(r) => {
-                let shards = Json::Arr(
-                    r.shards
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("shard", Json::Num(s.shard as f64)),
-                                ("records_replayed", Json::Num(s.records_replayed as f64)),
-                                ("records_quarantined", Json::Num(s.records_quarantined as f64)),
-                                ("replay_wall_us", Json::Num(s.replay_wall_us)),
-                            ])
-                        })
-                        .collect(),
-                );
-                let quarantined = Json::Arr(
-                    r.quarantined
-                        .iter()
-                        .map(|q| {
-                            Json::obj([
-                                ("id", Json::Num(q.id as f64)),
-                                ("reason", Json::Str(q.reason.as_str().to_string())),
-                            ])
-                        })
-                        .collect(),
-                );
-                let replay = match &r.replay {
-                    Some(s) => Json::obj([
-                        ("snapshot_entries", Json::Num(s.snapshot_entries as f64)),
-                        (
-                            "snapshot_error",
-                            s.snapshot_error
-                                .as_ref()
-                                .map_or(Json::Null, |e| Json::Str(e.clone())),
-                        ),
-                        ("wal_records_applied", Json::Num(s.wal_records_applied as f64)),
-                        ("wal_corrupt_skipped", Json::Num(s.wal_corrupt_skipped as f64)),
-                        ("wal_torn_tail_bytes", Json::Num(s.wal_torn_tail_bytes as f64)),
-                        ("wal_bytes_scanned", Json::Num(s.wal_bytes_scanned as f64)),
-                    ]),
-                    None => Json::Null,
-                };
-                Response::json(
-                    200,
-                    Json::obj([
-                        (
-                            "healed",
-                            Json::Arr(r.healed.iter().map(|s| Json::Num(*s as f64)).collect()),
-                        ),
-                        ("restored", Json::Num(r.restored as f64)),
-                        ("quarantined", quarantined),
-                        ("shards", shards),
-                        ("replay", replay),
-                    ])
-                    .to_string(),
-                )
-            }
-            Err(e) => cluster_err(e),
-        },
-        ("GET", ["trace", id]) => {
-            let trace_id = TraceContext::parse_trace_id(id)
-                .ok_or_else(|| err_json(400, "bad trace id (expected up to 32 hex chars)"))?;
-            let spans = global_ring().snapshot_trace(trace_id);
-            if spans.is_empty() {
-                let msg = "unknown trace id (never recorded, or evicted from the ring)";
-                return Err(err_json(404, msg));
-            }
-            let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
-            let mut by_parent: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
-            for s in &spans {
-                by_parent.entry(s.parent_id).or_default().push(s);
-            }
-            // Roots: true roots plus orphans whose parent was evicted —
-            // a pressured ring still yields a renderable forest.
-            let roots: Vec<Json> = spans
-                .iter()
-                .filter(|s| s.parent_id == 0 || !ids.contains(&s.parent_id))
-                .map(|s| span_node(s, &by_parent))
-                .collect();
-            Response::json(
-                200,
-                Json::obj([
-                    ("trace_id", Json::Str(format!("{trace_id:032x}"))),
-                    ("span_count", Json::Num(spans.len() as f64)),
-                    ("spans", Json::Arr(roots)),
-                ])
-                .to_string(),
-            )
-        }
-        ("GET", ["traces"]) => {
-            let ring = global_ring();
-            let traces: Vec<Json> = ring
-                .recent_traces(50)
-                .iter()
-                .map(|t| {
-                    Json::obj([
-                        ("trace_id", Json::Str(format!("{:032x}", t.trace_id))),
-                        ("root", t.root.clone().map(Json::Str).unwrap_or(Json::Null)),
-                        ("start_us", Json::Num(t.start_us)),
-                        ("dur_us", Json::Num(t.dur_us)),
-                        ("spans", Json::Num(t.spans as f64)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                Json::obj([
-                    ("traces", Json::Arr(traces)),
-                    ("ring_capacity", Json::Num(ring.capacity() as f64)),
-                    ("dropped_events", Json::Num(ring.dropped() as f64)),
-                ])
-                .to_string(),
-            )
-        }
-        _ => match allow_for(segments) {
-            Some(allow) => {
-                err_json(405, "method not allowed").with_header("Allow", allow)
-            }
-            None => err_json(404, "no such route"),
-        },
+/// The `{id}` of a `/textures/{id}` route.
+fn texture_id(call: &Call<'_>) -> Result<u64, Response> {
+    call.id.parse().map_err(|_| err_json(400, "bad id"))
+}
+
+/// `Ok(())` from the cluster as `{"ok":true}`, an error as its status.
+fn ok_or_cluster_err(outcome: Result<(), ClusterError>) -> Response {
+    match outcome {
+        Ok(()) => Response::json(200, r#"{"ok":true}"#.to_string()),
+        Err(e) => cluster_err(e),
+    }
+}
+
+fn add_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let v = json_body(call.req)?;
+    let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+    let features = parse_features_field(&v, "features")?;
+    Ok(match cluster.add_texture(id, &features) {
+        Ok(()) => Response::json(
+            201,
+            Json::obj([("id", Json::Num(id as f64)), ("ok", Json::Bool(true))]).to_string(),
+        ),
+        Err(e) => cluster_err(e),
     })
+}
+
+fn get_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let id = texture_id(call)?;
+    Ok(match cluster.get_texture(id) {
+        Ok(f) => Response::json(
+            200,
+            Json::obj([
+                ("id", Json::Num(id as f64)),
+                ("count", Json::Num(f.len() as f64)),
+                ("features", Json::Str(b64::encode(&wire::encode_features(&f)))),
+            ])
+            .to_string(),
+        ),
+        Err(e) => cluster_err(e),
+    })
+}
+
+fn update_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let id = texture_id(call)?;
+    let v = json_body(call.req)?;
+    let features = parse_features_field(&v, "features")?;
+    Ok(ok_or_cluster_err(cluster.update_texture(id, &features)))
+}
+
+fn delete_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    Ok(ok_or_cluster_err(cluster.delete_texture(texture_id(call)?)))
+}
+
+fn search(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let v = json_body(call.req)?;
+    let features = parse_features_field(&v, "features")?;
+    let top = v.get("top").and_then(Json::as_u64).unwrap_or(5) as usize;
+    let out = cluster.search_traced(&features, top, Some(call.ctx));
+    let results = Json::Arr(
+        out.results
+            .iter()
+            .map(|(id, score)| {
+                Json::obj([("id", Json::Num(*id as f64)), ("score", Json::Num(*score as f64))])
+            })
+            .collect(),
+    );
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("results", results),
+            ("comparisons", Json::Num(out.comparisons as f64)),
+            ("wall_us", Json::Num(out.wall_us)),
+            ("images_per_second", Json::Num(out.images_per_second())),
+            ("degraded", Json::Bool(out.degraded)),
+            ("shards_ok", Json::Num(out.shards_ok as f64)),
+            ("shards_failed", Json::Num(out.shards_failed as f64)),
+            ("shards_skipped", Json::Num(out.shards_skipped as f64)),
+            ("trace_id", Json::Str(call.ctx.trace_id_hex())),
+        ])
+        .to_string(),
+    ))
+}
+
+fn verify(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let v = json_body(call.req)?;
+    let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+    let features = parse_features_field(&v, "features")?;
+    let min_matches = v.get("min_matches").and_then(Json::as_u64).unwrap_or(10) as usize;
+    let min_inliers = v.get("min_inliers").and_then(Json::as_u64).unwrap_or(8) as usize;
+    Ok(match cluster.verify(id, &features, min_matches, min_inliers) {
+        Ok(r) => Response::json(
+            200,
+            Json::obj([
+                ("id", Json::Num(id as f64)),
+                ("accepted", Json::Bool(r.accepted)),
+                ("good_matches", Json::Num(r.good_matches as f64)),
+                ("geometric_inliers", Json::Num(r.geometric_inliers as f64)),
+                ("scale", Json::Num(r.transform_scale as f64)),
+                ("rotation_deg", Json::Num(r.transform_rotation.to_degrees() as f64)),
+            ])
+            .to_string(),
+        ),
+        Err(e) => cluster_err(e),
+    })
+}
+
+fn stats(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    let s = cluster.stats();
+    let wal = match &s.wal {
+        Some(w) => Json::obj([
+            ("appends", Json::Num(w.appends as f64)),
+            ("lost_appends", Json::Num(w.lost_appends as f64)),
+            ("torn_appends", Json::Num(w.torn_appends as f64)),
+            ("snapshots", Json::Num(w.snapshots as f64)),
+            ("since_snapshot", Json::Num(w.since_snapshot as f64)),
+            ("wal_bytes", Json::Num(w.wal_bytes as f64)),
+            ("snapshot_bytes", Json::Num(w.snapshot_bytes as f64)),
+        ]),
+        None => Json::Null,
+    };
+    let drift = Json::Arr(
+        s.drift
+            .iter()
+            .map(|d| {
+                Json::obj([
+                    ("stage", Json::Str(d.stage.clone())),
+                    ("ratio", Json::Num(d.ratio)),
+                    ("samples", Json::Num(d.samples as f64)),
+                ])
+            })
+            .collect(),
+    );
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("wal", wal),
+            ("drift", drift),
+            ("containers", Json::Num(s.containers as f64)),
+            ("textures", Json::Num(s.textures as f64)),
+            ("store_bytes", Json::Num(s.store_bytes as f64)),
+            ("capacity_images", Json::Num(s.capacity_images as f64)),
+            ("shards_healthy", Json::Num(s.shards_healthy as f64)),
+            ("shards_suspect", Json::Num(s.shards_suspect as f64)),
+            ("shards_down", Json::Num(s.shards_down as f64)),
+            ("total_searches", Json::Num(s.total_searches as f64)),
+            ("degraded_searches", Json::Num(s.degraded_searches as f64)),
+            ("retries", Json::Num(s.retries as f64)),
+            ("faults_injected", Json::Num(s.faults_injected as f64)),
+            ("schedule_efficiency", Json::Num(s.schedule_efficiency)),
+            ("achieved_tflops", Json::Num(s.achieved_tflops)),
+            ("gpu_efficiency", Json::Num(s.gpu_efficiency)),
+        ])
+        .to_string(),
+    ))
+}
+
+fn metrics(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    // The gauges that mirror state kept elsewhere are brought up to
+    // date by the scrape that reads them.
+    texid_obs::touch_process_metrics();
+    cluster.refresh_wal_gauges();
+    Ok(Response::prometheus(200, texid_obs::global().render_prometheus()))
+}
+
+fn events(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    // JSON Lines, oldest first: tail-friendly, grep-friendly.
+    let mut body = String::new();
+    for e in global_events().snapshot() {
+        body.push_str(&event_json(&e).to_string());
+        body.push('\n');
+    }
+    Ok(Response::ndjson(200, body))
+}
+
+fn slo(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    let slos: Vec<Json> = cluster
+        .slo_status()
+        .iter()
+        .map(|s| {
+            Json::obj([
+                ("name", Json::Str(s.name.clone())),
+                ("target", Json::Num(s.target)),
+                ("good", Json::Num(s.good as f64)),
+                ("bad", Json::Num(s.bad as f64)),
+                ("short_burn", Json::Num(s.short_burn)),
+                ("long_burn", Json::Num(s.long_burn)),
+                ("budget_remaining", Json::Num(s.budget_remaining)),
+                ("fast_burn", Json::Bool(s.fast_burn)),
+            ])
+        })
+        .collect();
+    Ok(Response::json(200, Json::obj([("slos", Json::Arr(slos))]).to_string()))
+}
+
+/// One shard's breaker state (one entry of `/health`'s `shards`).
+fn shard_status_json(s: &ShardStatus) -> Json {
+    Json::obj([
+        ("shard", Json::Num(s.shard as f64)),
+        ("health", Json::Str(s.health.as_str().to_string())),
+        ("consecutive_failures", Json::Num(s.consecutive_failures as f64)),
+        ("total_failures", Json::Num(s.total_failures as f64)),
+        ("probes", Json::Num(s.probes as f64)),
+    ])
+}
+
+fn health(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    let shards = cluster.health();
+    let healthy = shards.iter().filter(|s| s.health == ShardHealth::Healthy).count();
+    let serving = shards.iter().filter(|s| s.health != ShardHealth::Down).count();
+    // 503 only when no shard can serve a search at all.
+    let (status, verdict) = if serving == 0 {
+        (503, "unavailable")
+    } else if healthy == shards.len() {
+        (200, "ok")
+    } else {
+        (200, "degraded")
+    };
+    // Durability posture rides along so "shard won't heal" triage
+    // starts from one endpoint (OBSERVABILITY.md runbook).
+    let w = cluster.refresh_wal_gauges();
+    let store = Json::obj([
+        ("durable", Json::Bool(true)),
+        ("wal_appends", Json::Num(w.appends as f64)),
+        ("wal_bytes", Json::Num(w.wal_bytes as f64)),
+        ("snapshots", Json::Num(w.snapshots as f64)),
+    ]);
+    // SLO burn status rides along too: "are we paging" and "is a
+    // shard down" are the same triage conversation.
+    let slos = Json::Arr(
+        cluster
+            .slo_status()
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("name", Json::Str(s.name.clone())),
+                    ("short_burn", Json::Num(s.short_burn)),
+                    ("long_burn", Json::Num(s.long_burn)),
+                    ("budget_remaining", Json::Num(s.budget_remaining)),
+                    ("fast_burn", Json::Bool(s.fast_burn)),
+                ])
+            })
+            .collect(),
+    );
+    Ok(Response::json(
+        status,
+        Json::obj([
+            ("status", Json::Str(verdict.to_string())),
+            ("store", store),
+            ("slos", slos),
+            ("shards", Json::Arr(shards.iter().map(shard_status_json).collect())),
+        ])
+        .to_string(),
+    ))
+}
+
+fn heal(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let r = cluster.heal_traced(Some(call.ctx)).map_err(cluster_err)?;
+    let shards = Json::Arr(
+        r.shards
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("shard", Json::Num(s.shard as f64)),
+                    ("records_replayed", Json::Num(s.records_replayed as f64)),
+                    ("records_quarantined", Json::Num(s.records_quarantined as f64)),
+                    ("replay_wall_us", Json::Num(s.replay_wall_us)),
+                ])
+            })
+            .collect(),
+    );
+    let quarantined = Json::Arr(
+        r.quarantined
+            .iter()
+            .map(|q| {
+                Json::obj([
+                    ("id", Json::Num(q.id as f64)),
+                    ("reason", Json::Str(q.reason.as_str().to_string())),
+                ])
+            })
+            .collect(),
+    );
+    let replay = match &r.replay {
+        Some(s) => Json::obj([
+            ("snapshot_entries", Json::Num(s.snapshot_entries as f64)),
+            (
+                "snapshot_error",
+                s.snapshot_error.as_ref().map_or(Json::Null, |e| Json::Str(e.clone())),
+            ),
+            ("wal_records_applied", Json::Num(s.wal_records_applied as f64)),
+            ("wal_corrupt_skipped", Json::Num(s.wal_corrupt_skipped as f64)),
+            ("wal_torn_tail_bytes", Json::Num(s.wal_torn_tail_bytes as f64)),
+            ("wal_bytes_scanned", Json::Num(s.wal_bytes_scanned as f64)),
+        ]),
+        None => Json::Null,
+    };
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("healed", Json::Arr(r.healed.iter().map(|s| Json::Num(*s as f64)).collect())),
+            ("restored", Json::Num(r.restored as f64)),
+            ("quarantined", quarantined),
+            ("shards", shards),
+            ("replay", replay),
+        ])
+        .to_string(),
+    ))
+}
+
+fn trace(_: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+    let trace_id = TraceContext::parse_trace_id(call.id)
+        .ok_or_else(|| err_json(400, "bad trace id (expected up to 32 hex chars)"))?;
+    let spans = global_ring().snapshot_trace(trace_id);
+    if spans.is_empty() {
+        let msg = "unknown trace id (never recorded, or evicted from the ring)";
+        return Err(err_json(404, msg));
+    }
+    let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    let mut by_parent: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+    for s in &spans {
+        by_parent.entry(s.parent_id).or_default().push(s);
+    }
+    // Roots: true roots plus orphans whose parent was evicted —
+    // a pressured ring still yields a renderable forest.
+    let roots: Vec<Json> = spans
+        .iter()
+        .filter(|s| s.parent_id == 0 || !ids.contains(&s.parent_id))
+        .map(|s| span_node(s, &by_parent))
+        .collect();
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("trace_id", Json::Str(format!("{trace_id:032x}"))),
+            ("span_count", Json::Num(spans.len() as f64)),
+            ("spans", Json::Arr(roots)),
+        ])
+        .to_string(),
+    ))
+}
+
+fn traces(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    let ring = global_ring();
+    let traces: Vec<Json> = ring
+        .recent_traces(50)
+        .iter()
+        .map(|t| {
+            Json::obj([
+                ("trace_id", Json::Str(format!("{:032x}", t.trace_id))),
+                ("root", t.root.clone().map(Json::Str).unwrap_or(Json::Null)),
+                ("start_us", Json::Num(t.start_us)),
+                ("dur_us", Json::Num(t.dur_us)),
+                ("spans", Json::Num(t.spans as f64)),
+            ])
+        })
+        .collect();
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("traces", Json::Arr(traces)),
+            ("ring_capacity", Json::Num(ring.capacity() as f64)),
+            ("dropped_events", Json::Num(ring.dropped() as f64)),
+        ])
+        .to_string(),
+    ))
 }
 
 /// Spawn the REST service bound to `addr` (use `127.0.0.1:0` in tests).
@@ -793,23 +843,40 @@ mod tests {
         assert_eq!(http_call(addr, "HEAD", "/metrics", b"").unwrap().status, 200);
         assert_eq!(http_call(addr, "HEAD", "/health", b"").unwrap().status, 200);
 
-        // 405s on known routes carry Allow.
-        let resp = http_call(addr, "PATCH", "/stats", b"").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("GET, HEAD"));
-        let resp = http_call(addr, "GET", "/search", b"").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("POST"));
-        let resp = http_call(addr, "HEAD", "/heal", b"").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("POST"));
-        let resp = http_call(addr, "PUT", "/textures", b"{}").unwrap();
-        assert_eq!(resp.status, 405);
-        assert_eq!(resp.header("allow"), Some("POST"));
+        // Every row of the table: each method the table does not list for
+        // the row's path is a 405 whose `Allow` is exactly the methods it
+        // does list — sorted, `HEAD` beside `GET`.
+        let mut allows = std::collections::BTreeSet::new();
+        for row in &ROUTES {
+            let mut listed: Vec<&str> =
+                ROUTES.iter().filter(|r| r.path == row.path).map(|r| r.method).collect();
+            if listed.contains(&"GET") {
+                listed.push("HEAD");
+            }
+            listed.sort_unstable();
+            let allow = listed.join(", ");
+            let path = row.path.replace("{id}", "1");
+            for method in ["GET", "HEAD", "POST", "PUT", "DELETE", "PATCH"] {
+                if listed.contains(&method) {
+                    continue;
+                }
+                let resp = http_call(addr, method, &path, b"{}").unwrap();
+                assert_eq!(resp.status, 405, "{method} {path}");
+                assert_eq!(resp.header("allow"), Some(allow.as_str()), "{method} {path}");
+            }
+            allows.insert(allow);
+        }
+        // The strings themselves, so the derivation cannot drift with the test.
+        assert_eq!(
+            allows.into_iter().collect::<Vec<_>>(),
+            ["DELETE, GET, HEAD, PUT", "GET, HEAD", "POST"]
+        );
         // Unknown paths stay 404 with no Allow.
-        let resp = http_call(addr, "PATCH", "/nope", b"").unwrap();
-        assert_eq!(resp.status, 404);
-        assert_eq!(resp.header("allow"), None);
+        for path in ["/nope", "/textures/1/extra", "/trace"] {
+            let resp = http_call(addr, "PATCH", path, b"").unwrap();
+            assert_eq!(resp.status, 404, "{path}");
+            assert_eq!(resp.header("allow"), None, "{path}");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! chunking, or keep-alive — deliberately small, fully tested.
 //!
 //! Hardening: request bodies are capped at [`MAX_BODY_BYTES`] (the server
-//! answers 413 instead of allocating attacker-controlled sizes), every
+//! answers 413 instead of allocating attacker-controlled sizes), the request
+//! line plus headers at 64 KiB (431 — a peer that never sends a newline
+//! cannot grow a line for `IO_TIMEOUT`), a `Content-Length` that is not a
+//! number is a 400 rather than a body left in the socket, every
 //! accepted connection gets read/write timeouts so a stalled peer cannot
 //! pin a handler thread forever, and concurrency is bounded — a burst of
 //! clients beyond [`PoolConfig::workers`] waits in a queue of at most
@@ -25,6 +28,10 @@ use std::time::Duration;
 /// the wire (~270 KiB base64 inside JSON), so 64 MiB leaves two orders of
 /// magnitude of headroom while bounding per-connection allocations.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+
+/// Largest accepted head — request (or status) line plus headers — on
+/// either side of a connection. Real heads here are a few hundred bytes.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Per-connection socket read/write timeout.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -129,6 +136,7 @@ fn status_text(code: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -143,7 +151,11 @@ pub enum RequestError {
         /// The declared length.
         declared: u64,
     },
-    /// Transport-level failure (including timeouts).
+    /// The request line and headers did not end within 64 KiB.
+    HeadTooLarge,
+    /// Transport-level failure (including timeouts), or — as
+    /// [`std::io::ErrorKind::InvalidData`] — bytes that are not an HTTP
+    /// request: a bad request line, a `Content-Length` that is no number.
     Io(std::io::Error),
 }
 
@@ -152,6 +164,9 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::TooLarge { declared } => {
                 write!(f, "declared body of {declared} bytes exceeds {MAX_BODY_BYTES}")
+            }
+            RequestError::HeadTooLarge => {
+                write!(f, "request line and headers exceed {MAX_HEAD_BYTES} bytes")
             }
             RequestError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -166,49 +181,69 @@ impl From<std::io::Error> for RequestError {
     }
 }
 
+fn invalid(what: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what)
+}
+
+/// A message head: its first line, and its headers with lower-cased names.
+type Head = (String, Vec<(String, String)>);
+
+/// Read a message head — the first line, then `name: value` lines up to
+/// the blank one (or EOF) — as the first line and the headers, names
+/// lower-cased. `None` on immediate EOF. The head is gathered into one
+/// buffer of at most [`MAX_HEAD_BYTES`] and only split once it is whole, so
+/// neither one endless line nor ten thousand short ones allocate beyond it.
+fn read_head(reader: &mut impl BufRead) -> Result<Option<Head>, RequestError> {
+    let mut bounded = reader.take(MAX_HEAD_BYTES as u64);
+    let mut head = String::new();
+    loop {
+        let line_at = head.len();
+        let n = bounded.read_line(&mut head)?;
+        let line = &head[line_at..];
+        if line.ends_with('\n') && line.trim_end().is_empty() {
+            break;
+        }
+        if bounded.limit() == 0 {
+            return Err(RequestError::HeadTooLarge);
+        }
+        if n == 0 {
+            break;
+        }
+    }
+    let mut lines = head.lines();
+    let Some(first) = lines.next() else { return Ok(None) };
+    let headers = lines
+        .filter_map(|h| h.split_once(':'))
+        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    Ok(Some((first.to_string(), headers)))
+}
+
 /// Read one request from a stream. Returns `None` on immediate EOF.
 ///
 /// # Errors
 /// [`RequestError::TooLarge`] when the declared `Content-Length` exceeds
 /// [`MAX_BODY_BYTES`] — the body is *not* read, let alone allocated;
-/// [`RequestError::Io`] on transport failures.
+/// [`RequestError::HeadTooLarge`] when the head does not end within 64 KiB;
+/// [`RequestError::Io`] on transport failures, and with kind `InvalidData`
+/// on a request line or `Content-Length` that cannot be parsed.
 pub fn read_request(stream: &mut impl Read) -> Result<Option<Request>, RequestError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
+    let Some((line, headers)) = read_head(&mut reader)? else { return Ok(None) };
     let mut parts = line.split_whitespace();
-    let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad request line");
-    let method = parts.next().ok_or_else(bad)?.to_uppercase();
-    let path = parts.next().ok_or_else(bad)?.to_string();
-
-    let mut headers = Vec::new();
-    let mut content_length = 0u64;
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            break;
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            let k = k.trim().to_ascii_lowercase();
-            let v = v.trim().to_string();
-            if k == "content-length" {
-                content_length = v.parse().unwrap_or(0);
-            }
-            headers.push((k, v));
-        }
-    }
+    let method = parts.next().ok_or_else(|| invalid("bad request line"))?.to_uppercase();
+    let path = parts.next().ok_or_else(|| invalid("bad request line"))?.to_string();
+    let mut req = Request { method, path, headers, body: Vec::new() };
+    let content_length: u64 = match req.header("content-length") {
+        Some(v) => v.parse().map_err(|_| invalid("bad content-length"))?,
+        None => 0,
+    };
     if content_length > MAX_BODY_BYTES as u64 {
         return Err(RequestError::TooLarge { declared: content_length });
     }
-    let mut body = vec![0u8; content_length as usize];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request { method, path, headers, body }))
+    req.body = vec![0u8; content_length as usize];
+    reader.read_exact(&mut req.body)?;
+    Ok(Some(req))
 }
 
 /// Write a response with `Connection: close`.
@@ -283,6 +318,12 @@ fn serve_connection(mut stream: TcpStream, handler: &(dyn Fn(&Request) -> Respon
         Ok(None) => return,
         Err(RequestError::TooLarge { .. }) => {
             Response::json(413, r#"{"error":"request body too large"}"#.to_string())
+        }
+        Err(RequestError::HeadTooLarge) => {
+            Response::json(431, r#"{"error":"request head too large"}"#.to_string())
+        }
+        Err(RequestError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Response::json(400, format!(r#"{{"error":"malformed request: {e}"}}"#))
         }
         Err(RequestError::Io(_)) => return,
     };
@@ -462,54 +503,30 @@ pub fn http_call_with_headers(
     stream.flush()?;
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, headers) = match read_head(&mut reader) {
+        Ok(head) => head.unwrap_or_default(),
+        Err(RequestError::Io(e)) => return Err(e),
+        Err(_) => return Err(invalid("response head too large")),
+    };
     let status: u16 = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-
-    let mut content_type = String::new();
-    let mut content_length = None;
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            break;
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            let k = k.trim().to_ascii_lowercase();
-            let v = v.trim().to_string();
-            if k == "content-type" {
-                content_type = v.clone();
-            } else if k == "content-length" {
-                content_length = v.parse::<usize>().ok();
-            }
-            headers.push((k, v));
-        }
-    }
-    let body = if method.eq_ignore_ascii_case("HEAD") {
-        Vec::new()
-    } else {
-        match content_length {
+        .ok_or_else(|| invalid("bad status line"))?;
+    let mut resp = Response { status, content_type: String::new(), headers, body: Vec::new() };
+    resp.content_type = resp.header("content-type").unwrap_or_default().to_string();
+    if !method.eq_ignore_ascii_case("HEAD") {
+        match resp.header("content-length").and_then(|v| v.parse::<usize>().ok()) {
             Some(len) => {
-                let mut b = vec![0u8; len];
-                reader.read_exact(&mut b)?;
-                b
+                resp.body = vec![0u8; len];
+                reader.read_exact(&mut resp.body)?;
             }
             None => {
-                let mut b = Vec::new();
-                reader.read_to_end(&mut b)?;
-                b
+                reader.read_to_end(&mut resp.body)?;
             }
         }
-    };
-    Ok(Response { status, content_type, headers, body })
+    }
+    Ok(resp)
 }
 
 #[cfg(test)]
@@ -716,15 +733,28 @@ mod tests {
     #[test]
     fn server_answers_413_for_huge_declared_body() {
         let server = echo_server();
-        // Hand-rolled request: huge Content-Length, no actual body sent.
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write!(stream, "POST /big HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n").unwrap();
-        stream.flush().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).unwrap();
-        assert!(status_line.contains("413"), "{status_line}");
-        assert!(status_line.contains("Payload Too Large"), "{status_line}");
+        // Hand-rolled requests, none with a body behind it: a huge
+        // Content-Length; a head that fills its 64 KiB without ever ending a
+        // line; a Content-Length that is no number.
+        let endless = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES - 5));
+        for (raw, status, text) in [
+            (
+                "POST /big HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n",
+                "413",
+                "Payload Too Large",
+            ),
+            (endless.as_str(), "431", "Request Header Fields Too Large"),
+            ("POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n", "400", "Bad Request"),
+        ] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            stream.flush().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut status_line = String::new();
+            reader.read_line(&mut status_line).unwrap();
+            assert!(status_line.contains(status), "{status_line}");
+            assert!(status_line.contains(text), "{status_line}");
+        }
     }
 
     #[test]

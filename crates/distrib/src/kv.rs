@@ -114,16 +114,6 @@ impl KvStore {
         self.map.read().contains_key(key)
     }
 
-    /// All keys starting with `prefix`, in lexicographic order.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.map
-            .read()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.map.read().len()
@@ -206,16 +196,6 @@ mod tests {
         assert!(kv.del("a"));
         assert!(!kv.del("a"));
         assert_eq!(kv.get("a"), None);
-    }
-
-    #[test]
-    fn prefix_scan_is_ordered_and_bounded() {
-        let kv = KvStore::new();
-        for k in ["tex:1", "tex:2", "tex:10", "meta:x", "texture"] {
-            kv.set(k, vec![]);
-        }
-        assert_eq!(kv.keys_with_prefix("tex:"), vec!["tex:1", "tex:10", "tex:2"]);
-        assert_eq!(kv.keys_with_prefix("zzz"), Vec::<String>::new());
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   that [`cluster::Cluster::search_traced`] propagates into each shard
 //!   leg; the resulting span tree — request → cluster → legs → retries →
 //!   sim-clock engine stages — is served at `GET /trace/{id}` and indexed
-//!   at `GET /traces`. [`wire::encode_trace`] / [`wire::decode_trace`] are
-//!   the binary propagation twin of the header. See OBSERVABILITY.md,
-//!   "Tracing".
+//!   at `GET /traces`. See OBSERVABILITY.md, "Tracing".
+
+#![warn(clippy::too_many_lines)]
 
 pub mod api;
 pub mod b64;

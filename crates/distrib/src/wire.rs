@@ -15,20 +15,8 @@
 //! | rootsift flag | 3 | varint (0/1) |
 //! | matrix data | 4 | length-delimited packed f32 LE (column-major) |
 //! | keypoints | 5 | length-delimited, 8 × f32 LE + 1 varint each |
-//!
-//! Message `TraceContext` ([`encode_trace`] / [`decode_trace`]) is the
-//! binary propagation format for distributed tracing — the wire twin of
-//! the `X-Texid-Trace-Id` HTTP header, for when shard legs travel over a
-//! binary transport instead of REST:
-//!
-//! | field | tag | type |
-//! |---|---|---|
-//! | trace id | 1 | length-delimited, 16 bytes big-endian u128 |
-//! | span id | 2 | varint |
-//! | parent span id | 3 | varint |
 
 use texid_linalg::Mat;
-use texid_obs::TraceContext;
 use texid_sift::{FeatureMatrix, Keypoint};
 
 /// Decoding failure.
@@ -237,48 +225,6 @@ pub fn decode_features(buf: &[u8]) -> Result<FeatureMatrix, WireError> {
     })
 }
 
-// ---- TraceContext message ----
-
-/// Serialize a trace context for binary (non-HTTP) propagation.
-pub fn encode_trace(ctx: &TraceContext) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24);
-    put_len_delimited(&mut buf, 1, &ctx.trace_id.to_be_bytes());
-    put_key(&mut buf, 2, WT_VARINT);
-    put_varint(&mut buf, ctx.span_id);
-    put_key(&mut buf, 3, WT_VARINT);
-    put_varint(&mut buf, ctx.parent_id);
-    buf
-}
-
-/// Deserialize a trace context. Unknown fields are skipped so the message
-/// can grow (e.g. sampling flags) without breaking old decoders.
-pub fn decode_trace(buf: &[u8]) -> Result<TraceContext, WireError> {
-    let mut pos = 0usize;
-    let mut trace_id = None;
-    let mut span_id = 0u64;
-    let mut parent_id = 0u64;
-    while pos < buf.len() {
-        let (tag, wt) = get_key(buf, &mut pos)?;
-        match (tag, wt) {
-            (1, WT_LEN) => {
-                let raw = get_slice(buf, &mut pos)?;
-                let bytes: [u8; 16] = raw
-                    .try_into()
-                    .map_err(|_| WireError::Malformed("trace id must be 16 bytes"))?;
-                trace_id = Some(u128::from_be_bytes(bytes));
-            }
-            (2, WT_VARINT) => span_id = get_varint(buf, &mut pos)?,
-            (3, WT_VARINT) => parent_id = get_varint(buf, &mut pos)?,
-            (_, wt) => skip_field(buf, &mut pos, wt)?, // forward compatibility
-        }
-    }
-    let trace_id = trace_id.ok_or(WireError::Malformed("missing trace id"))?;
-    if trace_id == 0 {
-        return Err(WireError::Malformed("zero trace id"));
-    }
-    Ok(TraceContext { trace_id, span_id, parent_id })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,50 +324,6 @@ mod tests {
                 "dim {dim} count {count}"
             );
         }
-    }
-
-    #[test]
-    fn trace_context_roundtrip() {
-        let root = TraceContext::root();
-        let child = root.child();
-        for ctx in [root, child] {
-            let back = decode_trace(&encode_trace(&ctx)).unwrap();
-            assert_eq!(back.trace_id, ctx.trace_id);
-            assert_eq!(back.span_id, ctx.span_id);
-            assert_eq!(back.parent_id, ctx.parent_id);
-        }
-    }
-
-    #[test]
-    fn trace_context_skips_unknown_fields() {
-        let ctx = TraceContext::root();
-        let mut bytes = encode_trace(&ctx);
-        put_key(&mut bytes, 9, WT_VARINT);
-        put_varint(&mut bytes, 1); // hypothetical future sampling flag
-        let back = decode_trace(&bytes).unwrap();
-        assert_eq!(back.trace_id, ctx.trace_id);
-    }
-
-    #[test]
-    fn trace_context_rejects_bad_input() {
-        let ctx = TraceContext::root();
-        let bytes = encode_trace(&ctx);
-        assert_eq!(decode_trace(&bytes[..bytes.len() - 1]), Err(WireError::Truncated));
-        assert_eq!(
-            decode_trace(&[]).unwrap_err(),
-            WireError::Malformed("missing trace id")
-        );
-        // Wrong-length trace id payload.
-        let mut buf = Vec::new();
-        put_len_delimited(&mut buf, 1, &[0u8; 8]);
-        assert_eq!(
-            decode_trace(&buf).unwrap_err(),
-            WireError::Malformed("trace id must be 16 bytes")
-        );
-        // All-zero trace id is reserved as "absent".
-        let mut buf = Vec::new();
-        put_len_delimited(&mut buf, 1, &[0u8; 16]);
-        assert_eq!(decode_trace(&buf).unwrap_err(), WireError::Malformed("zero trace id"));
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! allocates by what a prefix *claims*: peak heap is bounded by a multiple
 //! of the input's real length.
 //!
+//! The HTTP head is hostile bytes too: `http::read_request` gathers the
+//! request line and headers into one buffer of at most 64 KiB, so neither
+//! a line that never ends nor ten thousand short ones allocate beyond it.
+//!
 //! Its own integration-test binary because a `#[global_allocator]` is
 //! process-wide (the allocator is shared with `texid-linalg`'s
 //! `fused_alloc` test).
@@ -21,6 +25,7 @@ mod counting_alloc;
 use counting_alloc::{measure, CountingAlloc};
 use proptest::prelude::*;
 use texid_distrib::b64;
+use texid_distrib::http::{read_request, RequestError};
 use texid_distrib::json::{parse, Json};
 use texid_distrib::wire::{decode_features, encode_features, get_varint, put_varint};
 use texid_linalg::Mat;
@@ -67,6 +72,29 @@ fn codecs_allocate_one_exactly_sized_buffer() {
     assert_eq!(v.expect("parses").get("features").and_then(Json::as_str), Some(&payload[..]));
     assert_eq!(heap.largest, payload.len());
     assert!(heap.peak <= payload.len() + 1024, "parse: peak {}", heap.peak);
+}
+
+#[test]
+fn a_hostile_head_is_refused_within_its_bound() {
+    // One line that never ends; ten thousand that do (≈ 120 KB of them).
+    let endless = vec![b'a'; 1 << 20];
+    let mut many = b"GET / HTTP/1.1\r\n".to_vec();
+    for i in 0..10_000 {
+        many.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+    }
+    for raw in [&endless, &many] {
+        let (out, heap) = measure(|| read_request(&mut &raw[..]));
+        assert!(matches!(out, Err(RequestError::HeadTooLarge)), "{out:?}");
+        assert!(heap.peak <= 128 * 1024, "{} head bytes: peak {}", raw.len(), heap.peak);
+    }
+
+    // A Content-Length that is no number is refused, not read as 0 with
+    // the body left behind in the socket.
+    let raw = b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\nabc";
+    match read_request(&mut &raw[..]) {
+        Err(RequestError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        other => panic!("expected an InvalidData error, got {other:?}"),
+    }
 }
 
 /// The lies a length prefix can tell: one off the truth either way, nothing,

@@ -97,7 +97,6 @@ fn hybrid_engine(pinned: bool, streams_n: usize, batch: usize) -> Engine {
             device_reserve_bytes: 15 << 30, // force host residency
             pinned,
         },
-        rebalance_every: 0,
     })
 }
 
