@@ -3,7 +3,7 @@
 //! matching shapes (m ∈ {384, 768} reference features, n = 768 query
 //! features, d = 128 descriptors, reference batches B ∈ {1, 8, 32}) — each
 //! timed kernel measured once per available SIMD backend (scalar always,
-//! plus avx2/neon where the host supports them).
+//! plus avx2/avx512 where the host supports them).
 //!
 //! Unlike the Criterion benches this emits a machine-readable JSON file
 //! (`BENCH_kernels.json`) with a stable schema, so CI can smoke-test the
@@ -46,7 +46,7 @@ pub struct BenchEntry {
     pub kernel: &'static str,
     /// `f32` or `f16`.
     pub precision: &'static str,
-    /// Kernel backend the row was measured on (`scalar`, `avx2`, `neon`).
+    /// Kernel backend the row was measured on (`scalar`, `avx2`, `avx512`).
     /// The naive baseline has no SIMD path and always says `scalar`.
     pub backend: &'static str,
     /// Reference features per batch block.
@@ -156,65 +156,78 @@ pub fn validate_json(json: &str) -> Result<(), String> {
 
 /// SIMD dispatch guard: every non-scalar row must reach at least
 /// `min_ratio ×` the matching scalar row's GFLOP/s (same kernel, precision,
-/// and shape). With `min_ratio = 1.0` this asserts SIMD dispatch never
+/// and shape), and every non-scalar `fused_top2` row — the kernel a search
+/// runs — `min_ratio ×` the same cell on the next measured backend of
+/// [`Backend::ALL`]. With `min_ratio = 1.0` this asserts SIMD dispatch never
 /// *loses* to scalar anywhere it was measured — the cheapest possible
-/// "the intrinsics are actually wired up" smoke check. A report with no
-/// SIMD rows (scalar-only host, or a forced-backend run) passes vacuously;
-/// a SIMD row without its scalar twin is an error. `neon` rows are exempt:
-/// that backend runs the scalar tile (only its f16 widen is vector code), so
-/// its f32 rows *are* the scalar rows, up to timing noise.
+/// "the intrinsics are actually wired up" smoke check — and that the
+/// preference order dispatch follows is the measured order on this host: a
+/// CPU where the wider tile loses fails the check instead of silently
+/// serving slower. A report with no SIMD rows (scalar-only host, or a
+/// forced-backend run) passes vacuously; a SIMD row without its scalar twin
+/// is an error.
 pub fn check_simd_guard(report: &BenchReport, min_ratio: f64) -> Result<(), String> {
-    for e in report.entries.iter().filter(|e| e.backend != "scalar" && e.backend != "neon") {
-        let scalar = report
-            .entries
-            .iter()
-            .find(|s| {
-                s.backend == "scalar"
-                    && s.kernel == e.kernel
-                    && s.precision == e.precision
-                    && (s.m, s.n, s.d, s.batch) == (e.m, e.n, e.d, e.batch)
-            })
-            .ok_or_else(|| {
-                format!(
-                    "no scalar twin for {} {} m={} B={} ({})",
-                    e.kernel, e.precision, e.m, e.batch, e.backend
-                )
-            })?;
-        let ratio = e.gflops / scalar.gflops;
-        if ratio < min_ratio {
-            return Err(format!(
-                "{} {} {} at m={} B={} reaches only {ratio:.2}x of scalar \
-                 ({:.2} vs {:.2} GFLOP/s, floor {min_ratio}x)",
-                e.backend, e.kernel, e.precision, e.m, e.batch, e.gflops, scalar.gflops
-            ));
+    let twin = |e: &BenchEntry, backend: &str| {
+        report.entries.iter().find(|s| {
+            s.backend == backend
+                && (s.kernel, s.precision) == (e.kernel, e.precision)
+                && (s.m, s.n, s.d, s.batch) == (e.m, e.n, e.d, e.batch)
+        })
+    };
+    for e in report.entries.iter().filter(|e| e.backend != "scalar") {
+        let scalar = twin(e, "scalar").ok_or_else(|| {
+            format!(
+                "no scalar twin for {} {} m={} B={} ({})",
+                e.kernel, e.precision, e.m, e.batch, e.backend
+            )
+        })?;
+        let less_preferred = Backend::ALL.iter().skip_while(|b| b.name() != e.backend).skip(1);
+        let next = less_preferred
+            .filter(|_| e.kernel == "fused_top2")
+            .find_map(|b| twin(e, b.name()));
+        for floor in [Some(scalar), next].into_iter().flatten() {
+            let ratio = e.gflops / floor.gflops;
+            if ratio < min_ratio {
+                return Err(format!(
+                    "{} {} {} at m={} B={} reaches only {ratio:.2}x of {} \
+                     ({:.2} vs {:.2} GFLOP/s, floor {min_ratio}x)",
+                    e.backend, e.kernel, e.precision, e.m, e.batch, floor.backend, e.gflops,
+                    floor.gflops
+                ));
+            }
         }
     }
     Ok(())
 }
 
-/// Epilogue guard: on AVX2, at every measured cell, the fused top-2 kernel
-/// must reach at least `min_ratio ×` the plain packed GEMM's GFLOP/s (same
-/// precision and shape). With `min_ratio = 0.85` this bounds what the
-/// register-resident scan may cost at 15 % of the GEMM it rides on. A
-/// report without AVX2 rows passes vacuously.
+/// Epilogue guard: on every SIMD backend, at every measured cell, the fused
+/// top-2 kernel must reach at least `min_ratio ×` the plain packed GEMM's
+/// GFLOP/s (same backend, precision and shape). With `min_ratio = 0.85`
+/// this bounds what the register-resident scan may cost at 15 % of the GEMM
+/// it rides on. A report without SIMD rows passes vacuously.
 pub fn check_epilogue_guard(report: &BenchReport, min_ratio: f64) -> Result<(), String> {
-    let avx2 = |kernel: &'static str| {
-        report.entries.iter().filter(move |e| e.backend == "avx2" && e.kernel == kernel)
+    let simd = |kernel: &'static str| {
+        report.entries.iter().filter(move |e| e.backend != "scalar" && e.kernel == kernel)
     };
-    for fused in avx2("fused_top2") {
-        let packed = avx2("packed")
+    for fused in simd("fused_top2") {
+        let packed = simd("packed")
             .find(|p| {
-                p.precision == fused.precision && (p.m, p.n, p.d, p.batch) == (fused.m, fused.n, fused.d, fused.batch)
+                p.backend == fused.backend
+                    && p.precision == fused.precision
+                    && (p.m, p.n, p.d, p.batch) == (fused.m, fused.n, fused.d, fused.batch)
             })
             .ok_or_else(|| {
-                format!("no avx2 packed twin for fused_top2 {} m={} B={}", fused.precision, fused.m, fused.batch)
+                format!(
+                    "no {} packed twin for fused_top2 {} m={} B={}",
+                    fused.backend, fused.precision, fused.m, fused.batch
+                )
             })?;
         let ratio = fused.gflops / packed.gflops;
         if ratio < min_ratio {
             return Err(format!(
-                "avx2 fused_top2 {} at m={} B={} reaches only {ratio:.2}x of packed \
+                "{} fused_top2 {} at m={} B={} reaches only {ratio:.2}x of packed \
                  ({:.2} vs {:.2} GFLOP/s, floor {min_ratio}x)",
-                fused.precision, fused.m, fused.batch, fused.gflops, packed.gflops
+                fused.backend, fused.precision, fused.m, fused.batch, fused.gflops, packed.gflops
             ));
         }
     }
@@ -464,13 +477,33 @@ mod tests {
     }
 
     #[test]
+    fn simd_guard_holds_fused_top2_to_the_preference_order() {
+        let mut r = tiny_report();
+        r.entries.push(entry("fused_top2", "f32", "scalar", 1, 1.0));
+        r.entries.push(entry("fused_top2", "f32", "avx2", 1, 4.0));
+        r.entries.push(entry("fused_top2", "f32", "avx512", 1, 6.0));
+        assert!(check_simd_guard(&r, 1.0).is_ok());
+        assert!(check_simd_guard(&r, 2.0).is_err(), "avx512 is 1.5x avx2, floor 2.0 must fail");
+        r.entries.retain(|e| e.backend != "avx2");
+        assert!(check_simd_guard(&r, 2.0).is_ok(), "the next *measured* backend is scalar: 6.0x");
+        // Only the kernel a search runs is held to the order.
+        r.entries.push(entry("packed", "f32", "avx2", 1, 4.0));
+        r.entries.push(entry("packed", "f32", "avx512", 1, 3.0));
+        assert!(check_simd_guard(&r, 1.0).is_ok());
+    }
+
+    #[test]
     fn epilogue_guard_compares_avx2_fused_to_packed() {
         let mut r = tiny_report();
-        assert!(check_epilogue_guard(&r, 0.85).is_ok(), "no AVX2 rows passes vacuously");
+        assert!(check_epilogue_guard(&r, 0.85).is_ok(), "no SIMD rows passes vacuously");
         r.entries.push(entry("packed", "f16", "avx2", 1, 10.0));
         r.entries.push(entry("fused_top2", "f16", "avx2", 1, 9.0));
         assert!(check_epilogue_guard(&r, 0.85).is_ok());
         assert!(check_epilogue_guard(&r, 0.95).is_err(), "ratio is 0.9, floor 0.95 must fail");
+        r.entries.push(entry("packed", "f16", "avx512", 1, 20.0));
+        r.entries.push(entry("fused_top2", "f16", "avx512", 1, 10.0));
+        assert!(check_epilogue_guard(&r, 0.85).is_err(), "every SIMD backend: avx512 is 0.5x");
+        r.entries.truncate(r.entries.len() - 2);
         r.entries.push(entry("fused_top2", "f32", "avx2", 1, 9.0));
         assert!(check_epilogue_guard(&r, 0.85).is_err(), "fused row without its packed twin");
     }

@@ -66,7 +66,7 @@ impl Telemetry {
     fn register() -> Telemetry {
         let reg = texid_obs::global();
         // Constant info gauge: which SIMD kernel backend this process
-        // dispatched to (scalar / avx2 / neon). Registered from the engine
+        // dispatched to (scalar / avx2 / avx512). Registered from the engine
         // because `texid-obs` deliberately has no linalg dependency.
         reg.gauge(
             "texid_kernel_backend_info",

@@ -70,11 +70,13 @@ fn steady_state_search_allocates_no_reference_sized_buffer() {
     let (result, heap) = measure(|| engine.search(&q));
     assert_eq!(result.ranked, warm.ranked);
     // One batch's packed references: batch · m_ref · d f32s = 1 MiB. The
-    // query's own pack (n · d f32s = 32 KiB) is the largest thing a search
-    // may allocate.
+    // query's own pack — whole panels of the backend's `nr` columns,
+    // ⌈n / nr⌉ · nr · d f32s (n = 64 pads to 72 on the 24-column AVX-512
+    // tile: 36 KiB) — is the largest thing a search may allocate.
     let packed_refs_bytes = batch * m_ref * 128 * 4;
+    let nr = texid_linalg::active_backend().nr();
     assert!(
-        heap.largest <= n_query * 128 * 4,
+        heap.largest <= n_query.div_ceil(nr) * nr * 128 * 4,
         "a search allocated {} B at once; a re-packed reference batch is {packed_refs_bytes} B",
         heap.largest
     );
@@ -85,7 +87,7 @@ fn steady_state_search_allocates_no_reference_sized_buffer() {
 fn in_place_delete_allocates_no_reference_sized_buffer() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // m_ref = 128 is a whole number of panels on every backend (whole panels
-    // move); 42 is a multiple of neither panel width, 4 or 8 (elements move).
+    // move); 42 is a multiple of no panel width, 4, 8 or 16 (elements move).
     for m_ref in [128usize, 42] {
         let (batch, n_query) = (16usize, 64usize);
         let mut engine = Engine::new(EngineConfig {

@@ -5,23 +5,24 @@
 //! to the portable scalar ones. Which implementation runs is decided **once
 //! per process** by [`active_backend`]:
 //!
-//! 1. If `TEXID_KERNEL_BACKEND` is set to `scalar`, `avx2` or `neon`, that
+//! 1. If `TEXID_KERNEL_BACKEND` is set to `scalar`, `avx2` or `avx512`, that
 //!    backend is forced — falling back to [`Backend::Scalar`] if the forced
 //!    backend is not available on this CPU (a forced-but-missing SIMD path
 //!    must degrade safely, never crash).
 //! 2. Otherwise (unset, `auto`, or an unrecognized value) the best
 //!    available backend is probed with [`Backend::detect`]:
-//!    [`Backend::Avx2`] on x86-64 CPUs with AVX2, FMA **and** F16C
-//!    (`is_x86_feature_detected!`), [`Backend::Neon`] on aarch64 (NEON is
-//!    baseline there), [`Backend::Scalar`] everywhere else.
+//!    [`Backend::Avx512`] on x86-64 CPUs with AVX-512F on top of AVX2, FMA
+//!    **and** F16C (`is_x86_feature_detected!`), [`Backend::Avx2`] on those
+//!    with the three alone, [`Backend::Scalar`] everywhere else (aarch64
+//!    included: its `mul_add` is already `fmadd`).
 //!
 //! The probe result is cached in a [`OnceLock`], so the hot paths pay one
 //! relaxed atomic load, not a `cpuid` or an env lookup, per dispatch.
 //!
 //! Callers that need a *specific* backend regardless of the process default
-//! (benchmarks, per-backend tests, `MatchConfig` overrides) use the `*_on`
-//! entry points in [`crate::kernel`] and [`crate::f16`], which take a
-//! [`Backend`] explicitly.
+//! (benchmarks, per-backend tests, `MatchConfig` overrides) pass it: the
+//! backend is an argument of [`crate::kernel`]'s packs and pack-and-run
+//! entry points and of [`crate::f16`]'s slice converters.
 //!
 //! All backends are **bit-identical**: every microkernel keeps one
 //! accumulator per output element, fed one correctly-rounded fused
@@ -34,20 +35,24 @@ use std::sync::OnceLock;
 /// A microkernel / conversion implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Portable scalar 4×4 register tile; the always-on fallback.
+    /// Portable scalar 4×4 register tile; the always-on fallback (and the
+    /// only backend off x86-64: its `mul_add` is `fmadd` on aarch64).
     Scalar,
     /// x86-64 AVX2 8×8 tile (`vfmadd231ps`) with F16C half conversions;
     /// needs AVX2, FMA and F16C. Bit-identical to the scalar kernel, whose
     /// `f32::mul_add` is the same fused step (see [`crate::kernel`]).
     Avx2,
-    /// aarch64 NEON half conversions around the scalar 4×4 tile (whose
-    /// `mul_add` is `fmadd` there).
-    Neon,
+    /// x86-64 AVX-512 16×24 tile (`vfmadd231ps zmm`, 24 accumulators of 16
+    /// rows), the F16C half conversions around it; needs AVX-512F on top
+    /// of what [`Backend::Avx2`] needs. The same fused step again.
+    Avx512,
 }
 
 impl Backend {
-    /// All backends, in preference order (best first).
-    pub const ALL: [Backend; 3] = [Backend::Avx2, Backend::Neon, Backend::Scalar];
+    /// All backends, in preference order (best first). The order is a
+    /// measured statement: `texid bench kernels --check` fails on a host
+    /// where a backend loses to the next one it lists.
+    pub const ALL: [Backend; 3] = [Backend::Avx512, Backend::Avx2, Backend::Scalar];
 
     /// Stable lowercase name, as used by `TEXID_KERNEL_BACKEND`, the
     /// `--backend` CLI knob and the bench report's `backend` column.
@@ -55,16 +60,17 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
+            Backend::Avx512 => "avx512",
         }
     }
 
-    /// Parse a backend name (`scalar` / `avx2` / `neon`, case-insensitive).
+    /// Parse a backend name (`scalar` / `avx2` / `avx512`,
+    /// case-insensitive).
     pub fn parse(s: &str) -> Option<Backend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
-            "neon" => Some(Backend::Neon),
+            "avx512" => Some(Backend::Avx512),
             _ => None,
         }
     }
@@ -80,10 +86,20 @@ impl Backend {
                     && std::arch::is_x86_feature_detected!("fma")
                     && std::arch::is_x86_feature_detected!("f16c")
             }
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                Backend::Avx2.is_available() && std::arch::is_x86_feature_detected!("avx512f")
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => false,
-            Backend::Neon => cfg!(target_arch = "aarch64"),
+            Backend::Avx2 | Backend::Avx512 => false,
         }
+    }
+
+    /// True when this backend's f16 conversions run the F16C vector
+    /// converters on this CPU — both SIMD backends where available.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn has_f16c(self) -> bool {
+        self != Backend::Scalar && self.is_available()
     }
 
     /// The best available backend on this CPU.
@@ -109,16 +125,18 @@ impl Backend {
     /// Reference (A) columns per register tile — rows of the output tile.
     pub fn mr(self) -> usize {
         match self {
-            Backend::Scalar | Backend::Neon => 4,
+            Backend::Scalar => 4,
             Backend::Avx2 => 8,
+            Backend::Avx512 => 16,
         }
     }
 
     /// Query (B) columns per register tile — columns of the output tile.
     pub fn nr(self) -> usize {
         match self {
-            Backend::Scalar | Backend::Neon => 4,
+            Backend::Scalar => 4,
             Backend::Avx2 => 8,
+            Backend::Avx512 => 24,
         }
     }
 }
@@ -131,7 +149,7 @@ impl core::fmt::Display for Backend {
 
 /// Largest `mr() · nr()` over all backends — the size of the stack scratch
 /// tile the drivers allocate.
-pub(crate) const MAX_TILE: usize = 64;
+pub(crate) const MAX_TILE: usize = 384;
 
 /// The process-wide backend: `TEXID_KERNEL_BACKEND` if set (see
 /// [`Backend::from_env_value`]), otherwise the best available. Cached after

@@ -197,15 +197,9 @@ pub fn widen_slice(src: &[F16], dst: &mut [f32]) {
 pub fn widen_slice_on(be: Backend, src: &[F16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "widen_slice length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if be == Backend::Avx2 && be.is_available() {
+    if be.has_f16c() {
         // SAFETY: availability re-checked; the cpuid probe is cached by std.
         unsafe { crate::simd::x86::widen_slice(src, dst) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if be == Backend::Neon && be.is_available() {
-        // SAFETY: NEON is baseline on aarch64.
-        unsafe { crate::simd::neon::widen_slice(src, dst) };
         return;
     }
     let _ = be;
@@ -222,15 +216,9 @@ pub fn widen_slice_on(be: Backend, src: &[F16], dst: &mut [f32]) {
 pub fn widen_slice_scaled_on(be: Backend, src: &[F16], scale: f32, dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "widen_slice_scaled length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if be == Backend::Avx2 && be.is_available() {
+    if be.has_f16c() {
         // SAFETY: availability re-checked; the cpuid probe is cached by std.
         unsafe { crate::simd::x86::widen_slice_scaled(src, scale, dst) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if be == Backend::Neon && be.is_available() {
-        // SAFETY: NEON is baseline on aarch64.
-        unsafe { crate::simd::neon::widen_slice_scaled(src, scale, dst) };
         return;
     }
     let _ = be;
@@ -258,14 +246,12 @@ pub fn narrow_slice(src: &[f32], dst: &mut [F16]) {
 pub fn narrow_slice_scaled_on(be: Backend, src: &[f32], scale: f32, dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "narrow_slice length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if be == Backend::Avx2 && be.is_available() {
+    if be.has_f16c() {
         // SAFETY: availability re-checked; the cpuid probe is cached by std.
         unsafe { crate::simd::x86::narrow_slice_scaled(src, scale, dst) };
         return;
     }
     let _ = be;
-    // NEON has no stable f16 vector conversion; aarch64 narrows through
-    // the scalar reference (see `crate::simd`).
     for (d, s) in dst.iter_mut().zip(src) {
         *d = F16::from_f32(s * scale);
     }
@@ -276,7 +262,7 @@ pub fn narrow_slice_scaled_on(be: Backend, src: &[f32], scale: f32, dst: &mut [F
 /// on every backend (NaNs canonicalize to `sign | 0x7fc0_0000`).
 pub fn quantize_in_place_on(be: Backend, vals: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if be == Backend::Avx2 && be.is_available() {
+    if be.has_f16c() {
         // SAFETY: availability re-checked; the cpuid probe is cached by std.
         unsafe { crate::simd::x86::quantize_in_place(vals) };
         return;

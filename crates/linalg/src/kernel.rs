@@ -27,16 +27,17 @@
 //!    and stays the pack of the edited matrix: [`PackedA::append_cols`],
 //!    [`PackedA::write_cols`], [`PackedA::swap_remove_cols`]; one scatter,
 //!    `pack_panels`, is behind the first two and both `pack`s.
-//! 2. **Blocking.** Output columns are processed in chunks of `NC` (one
-//!    rayon task each — the chunk's slice of the packed B, ≤ `NC·d` floats,
-//!    stays L2-resident). Within a chunk, A panels are walked in blocks of
-//!    `MC_PANELS` so the active `MC·d` slice of packed A stays cache-hot
-//!    while the chunk's B panels are swept.
+//! 2. **Blocking.** Output columns are processed in chunks of `NC`, one
+//!    after another on the calling thread (the vendored rayon is
+//!    sequential) — the chunk's slice of the packed B, ≤ `NC·d` floats,
+//!    stays L2-resident. Within a chunk, A panels are walked in blocks of
+//!    `MC_ROWS / mr` so the active `MC_ROWS·d` slice of packed A stays
+//!    cache-hot while the chunk's B panels are swept.
 //! 3. **Register tile.** The microkernel computes an `MR × NR` output tile
-//!    with `MR·NR` independent accumulators (16 scalar, 64 AVX2), walking
-//!    the full depth `K` in one pass (`d ≤ 128` for every paper shape, so
-//!    the tile's accumulators never spill to a C buffer). Each packed A load
-//!    is reused `NR` times and each B load `MR` times.
+//!    with `MR·NR` independent accumulators (16 scalar, 64 AVX2, 384
+//!    AVX-512), walking the full depth `K` in one pass (`d ≤ 128` for every
+//!    paper shape, so the tile's accumulators never spill to a C buffer).
+//!    Each packed A load is reused `NR` times and each B load `MR` times.
 //! 4. **Epilogue.** Either the tile is written to C ([`gemm_packed`]), or —
 //!    the fused path ([`gemm_top2_ex`]) — every value goes through
 //!    `alpha → scale → per-row bias → f16 round-trip` (the last two
@@ -47,31 +48,33 @@
 //!
 //! # The fused epilogue's two routes
 //!
-//! **Generic** (scalar, NEON, and every AVX2 tile the vector form cannot
+//! **Generic** (scalar, and every SIMD tile the vector form cannot
 //! cover): the tile is spilled, transformed in place in per-tile passes
 //! (each optional pass branches once per tile, not per element) and
 //! [`Top2::observe`]d row by row; the reference block of the tile's first
 //! row is found with one division per tile and the rows below only step
 //! forward. This is the reference the bit-identity tests replay.
 //!
-//! **Register-resident** (AVX2; `crate::simd`): the 8×8 accumulators never
-//! leave `ymm`. The transform is applied in-register in the same
-//! per-element order, and each output column updates a *lane-wise partial
-//! top-2* — eight independent `(d1, d2)` pairs with their row indices, lane
-//! `r` scanning the rows `≡ r (mod 8)` — with two ordered `<` compares and
-//! blends, so NaN never enters, exactly as `v < d1` in `observe`. Because a
-//! fixed column group sees its rows in ascending order, the lanes are
-//! merged into the scalar [`Top2`] only when the reference block changes
-//! (once per `m_per_ref` rows, not per element). The merge takes the two
-//! smallest of the sixteen lane candidates under the order *(value, then
-//! row)* and observes them: an ascending scan keeps exactly those two,
-//! because `<` is strict and an equal value never displaces an earlier
-//! row. Which tiles fall back is read from the inputs alone: a panel that
-//! straddles a reference-block boundary (`m_per_ref` not a multiple of 8)
-//! or runs past `m` holds rows of two blocks (or padding), so one block's
-//! lanes cannot take it; it goes the generic route, after that column
-//! group's lanes were merged and before the next block's start, so
-//! `observe` still sees every block's rows in ascending order.
+//! **Register-resident** (AVX2 and AVX-512; `crate::simd`, one walker body
+//! instantiated per vector width `W` = 8 or 16 rows): the accumulators
+//! never leave `ymm` / `zmm`. The transform is applied in-register in the
+//! same per-element order, and each output column updates a *lane-wise
+//! partial top-2* — `W` independent `(d1, d2)` pairs with their row
+//! indices, lane `r` scanning the rows `≡ r (mod W)` — with two ordered `<`
+//! compares and blends, so NaN never enters, exactly as `v < d1` in
+//! `observe`. Because a fixed column group sees its rows in ascending
+//! order, the lanes are merged into the scalar [`Top2`] only when the
+//! reference block changes (once per `m_per_ref` rows, not per element).
+//! The merge takes the two smallest of the `2·W` lane candidates under the
+//! order *(value, then row)* and observes them: an ascending scan keeps
+//! exactly those two, because `<` is strict and an equal value never
+//! displaces an earlier row. Which tiles fall back is read from the inputs
+//! alone: a panel that straddles a reference-block boundary (`m_per_ref`
+//! not a multiple of `W`) or runs past `m` holds rows of two blocks (or
+//! padding), so one block's lanes cannot take it; it goes the generic
+//! route, after that column group's lanes were merged and before the next
+//! block's start, so `observe` still sees every block's rows in ascending
+//! order.
 //!
 //! **Ties, `±0.0`, NaN, `±∞`.** Both routes give the ascending scan's answer
 //! bit for bit: `idx` is the first row holding the minimum; of candidates
@@ -95,18 +98,19 @@
 //!
 //! Determinism is a property of this order of operations, not of which
 //! instruction carries it out: IEEE 754 defines `fusedMultiplyAdd` as
-//! correctly rounded, so `vfmadd231ps` (the AVX2 8×8 tile), the scalar
-//! tile's `f32::mul_add` (an `fmadd` on aarch64) and libm's `fmaf` all
-//! return the same bits. **Every runtime backend ([`Backend`]) honors the
-//! contract**: the AVX2 microkernel maps lanes to *distinct output rows*
-//! (one accumulator per element, still ascending-`k`), so widening the
-//! register tile (`MR × NR` is 4×4 scalar and NEON, 8×8 AVX2) changes only
-//! which elements are computed *together*; each element's chain, the epilogue's
-//! per-element op order (plain multiplies and adds, never contracted) and
-//! the ascending-row tile emission that the top-2 first-index tie-break
-//! relies on are the same everywhere. Consequently `gemm_packed` /
-//! `gemm_top2_ex` results are **bit-identical across scalar, AVX2 and
-//! NEON**; the fused-vs-unfused / degenerate-IVF / coalescer bit-exactness
+//! correctly rounded, so `vfmadd231ps` (the AVX2 8×8 and AVX-512 16×24
+//! tiles), the scalar tile's `f32::mul_add` (an `fmadd` on aarch64) and
+//! libm's `fmaf` all return the same bits. **Every runtime backend
+//! ([`Backend`]) honors the contract**: the SIMD microkernels map lanes to
+//! *distinct output rows* (one accumulator per element, still
+//! ascending-`k`), so widening the register tile (`MR × NR` is 4×4 scalar,
+//! 8×8 AVX2, 16×24 AVX-512) changes only which elements are computed
+//! *together*; each element's chain, the epilogue's per-element op order
+//! (plain multiplies and adds, never contracted) and the ascending-row
+//! tile emission that the top-2 first-index tie-break relies on are the
+//! same everywhere. Consequently `gemm_packed` / `gemm_top2_ex` results
+//! are **bit-identical across scalar, AVX2 and AVX-512**; the
+//! fused-vs-unfused / degenerate-IVF / coalescer bit-exactness
 //! suites pin the contract for whichever backend dispatch selects, and a
 //! committed CRC of the result bits pins it as a value
 //! (`results_match_the_committed_golden_crc`).
@@ -152,8 +156,9 @@ pub const NR: usize = 4;
 /// `128 × 128` f32 slice ≈ 64 KiB of packed A kept hot per block,
 /// independent of the backend's panel width).
 const MC_ROWS: usize = 128;
-/// Output columns per parallel task (packed B chunk ≤ `NC·d` floats).
-const NC: usize = 64;
+/// Output columns per N-chunk (packed B chunk ≤ `NC·d` floats): a whole
+/// number of B panels on every backend (`nr` is 4, 8 or 24).
+pub(crate) const NC: usize = 96;
 
 /// A pre-packed, pre-widened reference operand.
 ///
@@ -364,7 +369,7 @@ impl PackedB {
 /// the first of them at column `start`. What it does not touch — the zero
 /// padding past the last column of a fresh or grown buffer — stays.
 /// Sources are widened once on the way (a whole column at a time, 8-lane
-/// F16C / NEON on SIMD backends; f32 is copied), then scattered.
+/// F16C on SIMD backends; f32 is copied), then scattered.
 fn pack_panels<T: Widen>(
     data: &mut [f32],
     cols: &[T],
@@ -445,7 +450,10 @@ fn run_tile(a: &PackedA, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
         // Avx2 pack only exists on CPUs where the probe succeeded.
         Backend::Avx2 => unsafe { crate::simd::x86::microkernel_8x8(d, ap, bp, acc) },
-        // Scalar, and NEON, which has converters but no tile of its own.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above — an Avx512 pack only exists where AVX-512F was
+        // detected.
+        Backend::Avx512 => unsafe { crate::simd::x86::microkernel_16x24(d, ap, bp, acc) },
         _ => microkernel_scalar(d, ap, bp, acc),
     }
 }
@@ -495,8 +503,8 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
 ///
 /// For any fixed output column, tiles arrive in ascending-row order — the
 /// property the fused top-2 epilogue relies on for first-index tie-breaking.
-/// This holds for every backend tile geometry (the AVX2 fused walker in
-/// `crate::simd` visits tiles in this same order).
+/// This holds for every backend tile geometry (the fused walkers in
+/// `crate::simd` visit tiles in this same order).
 #[inline]
 fn for_each_tile(
     a: &PackedA,
@@ -563,9 +571,9 @@ struct Blocks {
 /// tile) and fold them into the per-column [`Top2`] states in ascending-row
 /// order.
 ///
-/// This is the whole epilogue on the scalar and NEON backends, the route of
-/// every AVX2 tile the register-resident form cannot cover, and the
-/// reference the bit-identity tests replay.
+/// This is the whole epilogue on the scalar backend, the route of every
+/// SIMD tile the register-resident form cannot cover, and the reference the
+/// bit-identity tests replay.
 #[allow(clippy::too_many_arguments)]
 fn epilogue_tile(
     a: &PackedA,
@@ -617,10 +625,10 @@ fn epilogue_tile(
 fn quantize_tile(be: Backend, t: &mut [f32]) {
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
-        // Avx2 pack only exists where AVX2 + F16C were detected — no
+        // SAFETY: `PackedA::pack` downgrades unavailable backends, so a
+        // SIMD pack only exists where AVX2 + F16C were detected — no
         // per-tile re-probe.
-        Backend::Avx2 => unsafe { crate::simd::x86::quantize_in_place(t) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { crate::simd::x86::quantize_in_place(t) },
         _ => {
             for v in t {
                 *v = F16::from_f32(*v).to_f32();
@@ -706,30 +714,31 @@ fn top2_chunk(
     state: &mut [Top2],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if a.backend == Backend::Avx2 {
-        let mut lanes = [crate::simd::x86::LaneTop2::EMPTY; NC];
-        let tile = crate::simd::x86::FusedTile {
+    if a.backend != Backend::Scalar {
+        use crate::simd::x86::{fused_top2_chunk_16x24, fused_top2_chunk_8x8, FusedTile};
+        let tile = FusedTile {
             alpha,
             epi,
             m_per_ref: blocks.m_per_ref,
             batch: blocks.batch,
             mc_panels: MC_ROWS / a.mr,
         };
-        // SAFETY: `PackedA::pack` downgrades unavailable backends, so an
-        // Avx2 pack only exists where AVX2 + FMA + F16C were detected; `a.data`
-        // holds `ceil(m / 8)` panels of `d · 8` floats and `bp`
-        // `ceil(w / 8)` (both zero past their last column), `w ≤ NC`
-        // columns fit `lanes`, and `gemm_top2_ex` checked the bias length
-        // and sized `state` to `w · batch`.
+        let a_panels = (&a.data[..], a.m, a.d);
+        let spill = |p, jr, t: &mut [f32], state: &mut [Top2]| {
+            epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state)
+        };
+        // SAFETY: `PackedA::pack` downgrades unavailable backends, so a SIMD
+        // pack only exists where its target features were detected; `a.data`
+        // holds `ceil(m / mr)` panels of `d · mr` floats and `bp`
+        // `ceil(w / nr)` of `d · nr` (both zero past their last column),
+        // `w ≤ NC`, and `gemm_top2_ex` checked the bias length and sized
+        // `state` to `w · batch`.
         unsafe {
-            crate::simd::x86::fused_top2_chunk(
-                &tile,
-                (&a.data, a.m, a.d),
-                (bp, w),
-                &mut lanes,
-                state,
-                |p, jr, t, state| epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state),
-            );
+            match a.backend {
+                Backend::Avx512 => fused_top2_chunk_16x24(&tile, a_panels, (bp, w), state, spill),
+                Backend::Avx2 => fused_top2_chunk_8x8(&tile, a_panels, (bp, w), state, spill),
+                Backend::Scalar => unreachable!("the scalar backend has no walker"),
+            }
         }
         return;
     }
@@ -746,9 +755,9 @@ fn top2_chunk(
 /// denominator of `pct_of_peak` in `BENCH_kernels.json`.
 ///
 /// The probe is as wide as the backend's tile has rows per vector: explicit
-/// 8-lane AVX2, and for the scalar backend 4 lanes, one per row of its 4×4
-/// tile — explicit `vfmadd` on `xmm` where the scalar tile runs its
-/// `fma`-compiled twin, otherwise the portable `mul_add` loop, which is
+/// 16-lane AVX-512, 8-lane AVX2, and for the scalar backend 4 lanes, one
+/// per row of its 4×4 tile — explicit `vfmadd` on `xmm` where the scalar
+/// tile runs its `fma`-compiled twin, otherwise the portable `mul_add` loop, which is
 /// whatever the tile itself gets (an instruction on aarch64, libm on x86-64
 /// without FMA). An unavailable backend is probed as scalar.
 pub fn mul_add_probe(be: Backend, rounds: u64) -> (u64, f32) {
@@ -757,7 +766,11 @@ pub fn mul_add_probe(be: Backend, rounds: u64) -> (u64, f32) {
     let flops = rounds * PROBE_CHAINS as u64 * 2;
     #[cfg(target_arch = "x86_64")]
     {
-        use crate::simd::x86::{fma_probe_avx2, fma_probe_xmm};
+        use crate::simd::x86::{fma_probe_avx2, fma_probe_avx512, fma_probe_xmm};
+        if be == Backend::Avx512 && be.is_available() {
+            // SAFETY: availability checked on the line above.
+            return (flops * 16, unsafe { fma_probe_avx512(rounds, x, r) });
+        }
         if be == Backend::Avx2 && be.is_available() {
             // SAFETY: availability checked on the line above.
             return (flops * 8, unsafe { fma_probe_avx2(rounds, x, r) });
@@ -1020,7 +1033,7 @@ mod tests {
         const GEMM_CRC: u32 = 0xc3ea_5d51;
         const TOP2_CRC: u32 = 0x3618_cdb1;
         // Ragged against every tile geometry; three blocks of 13 rows, so
-        // AVX2 panels straddle block boundaries.
+        // SIMD panels straddle block boundaries.
         let (mut a, mut b) = (mat_rand(37, 39, 31), mat_rand(37, 29, 32));
         let (a16, b16) = (a.to_f16_scaled(0.0078125), b.to_f16_scaled(0.0078125));
         // A sixth of the f32 outputs sum products near 2⁻¹³⁷: subnormal, so
@@ -1086,7 +1099,7 @@ mod tests {
 
     #[test]
     fn swap_removed_pack_equals_a_pack_of_the_swap_removed_matrix() {
-        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        for be in Backend::ALL {
             let mr = PackedA::pack(be, &Mat::zeros(1, 1)).mr;
             // `Mat::swap_remove_cols` is the oracle: the edited pack must be
             // the pack of the edited matrix, padding included.
@@ -1159,8 +1172,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `m_per_ref` from 1 to 19 is on and off both panel grids (4 and
-        /// 8); up to five blocks leave the last panel ragged or full.
+        /// `m_per_ref` from 1 to 19 is on and off every panel grid (4, 8
+        /// and 16); up to five blocks leave the last panel ragged or full.
         #[test]
         fn appended_and_overwritten_packs_equal_a_pack_of_the_matrix(
             d in 1usize..9,

@@ -398,17 +398,21 @@ fn hostile_operands(
     (a.to_f16_scaled(scale), b.to_f16_scaled(scale))
 }
 
-const M_PER_REF: [usize; 10] = [2, 3, 7, 8, 9, 13, 16, 24, 31, 40];
+// 16, 32 and 48 are whole 16-row panels (the AVX-512 register route: lanes
+// survive from panel to panel, flushed after a block's last whole one);
+// 23..25 and 95..97 are ragged against `nr = 24` and `NC = 96`.
+const M_PER_REF: [usize; 12] = [2, 3, 7, 8, 9, 13, 16, 24, 31, 32, 40, 48];
 const BATCH: [usize; 3] = [1, 3, 32];
-const N_COLS: [usize; 7] = [1, 5, 8, 63, 64, 65, 130];
+const N_COLS: [usize; 13] = [1, 5, 8, 23, 24, 25, 63, 64, 65, 95, 96, 97, 130];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every backend's fused kernel — the AVX2 register-resident route, its
-    /// spill fallback, and the generic epilogue — equals the replay on
+    /// Every backend's fused kernel — the SIMD register-resident routes,
+    /// their spill fallback, and the generic epilogue — equals the replay on
     /// shapes ragged against every geometry: `m_per_ref` not a multiple of
-    /// 8 (blocks straddle panels), `m` / `n` not multiples of 8 / 64.
+    /// 8 or 16 (blocks straddle panels), `m` / `n` not multiples of the
+    /// panel widths / `NC`.
     #[test]
     fn fused_epilogue_bit_identical_to_observe_replay(
         d in 1usize..20,
@@ -475,7 +479,7 @@ proptest! {
 fn fused_epilogue_signed_zero_ties_resolve_by_row() {
     // One-deep operands: value(row, col) = −2 · a[row] · b[col].
     const PICKS: [f32; 8] = [0.0, -0.0, 0.0, -0.0, 1.0, 0.0, -0.0, 3.0];
-    for (m_per_ref, batch) in [(24usize, 2usize), (9, 3), (16, 1), (40, 2)] {
+    for (m_per_ref, batch) in [(24usize, 2usize), (9, 3), (16, 1), (40, 2), (48, 2)] {
         let m = m_per_ref * batch;
         for pattern in 0..64u64 {
             let a = Mat::from_fn(1, m, |_, c| {
