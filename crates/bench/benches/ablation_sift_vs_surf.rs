@@ -8,7 +8,6 @@
 //! and per-reference memory.
 
 use rand::SeedableRng;
-use rayon::prelude::*;
 use texid_bench::{heading, row, thousands};
 use texid_core::capacity::{bytes_per_reference, hybrid_capacity};
 use texid_gpu::{DeviceSpec, GpuSim, Precision};
@@ -34,12 +33,12 @@ fn model_speed(d: usize) -> f64 {
 
 fn accuracy(refs: &[FeatureMatrix], queries: &[(FeatureMatrix, u64)]) -> f64 {
     let matching = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
+    let st = sim.default_stream();
     let correct: usize = queries
-        .par_iter()
+        .iter()
         .map(|(q, true_id)| {
             let qb = FeatureBlock::F32(q.mat.clone());
-            let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-            let st = sim.default_stream();
             let mut best = (0u64, 0usize);
             for (id, r) in refs.iter().enumerate() {
                 let score =
@@ -58,7 +57,7 @@ fn accuracy(refs: &[FeatureMatrix], queries: &[(FeatureMatrix, u64)]) -> f64 {
 fn orb_accuracy(refs: &[BinaryFeatures], queries: &[(BinaryFeatures, u64)]) -> f64 {
     let h = HammingConfig::default();
     let correct: usize = queries
-        .par_iter()
+        .iter()
         .map(|(q, true_id)| {
             let mut best = (0u64, 0usize);
             for (id, r) in refs.iter().enumerate() {
@@ -88,27 +87,27 @@ fn main() {
 
     let sift_ref = SiftConfig::reference(384);
     let sift_query = SiftConfig::query(768);
-    let sift_refs: Vec<FeatureMatrix> = images.par_iter().map(|im| extract(im, &sift_ref)).collect();
+    let sift_refs: Vec<FeatureMatrix> = images.iter().map(|im| extract(im, &sift_ref)).collect();
     let sift_queries: Vec<(FeatureMatrix, u64)> = query_images
-        .par_iter()
+        .iter()
         .map(|(im, id)| (extract(im, &sift_query), *id))
         .collect();
 
     let orb_ref = OrbConfig { max_features: 384, ..OrbConfig::default() };
     let orb_query = OrbConfig { max_features: 768, ..OrbConfig::default() };
     let orb_refs: Vec<BinaryFeatures> =
-        images.par_iter().map(|im| extract_orb(im, &orb_ref)).collect();
+        images.iter().map(|im| extract_orb(im, &orb_ref)).collect();
     let orb_queries: Vec<(BinaryFeatures, u64)> = query_images
-        .par_iter()
+        .iter()
         .map(|(im, id)| (extract_orb(im, &orb_query), *id))
         .collect();
 
     let surf_ref = SurfConfig { max_features: 384, ..SurfConfig::default() };
     let surf_query = SurfConfig { max_features: 768, ..SurfConfig::default() };
     let surf_refs: Vec<FeatureMatrix> =
-        images.par_iter().map(|im| extract_surf(im, &surf_ref)).collect();
+        images.iter().map(|im| extract_surf(im, &surf_ref)).collect();
     let surf_queries: Vec<(FeatureMatrix, u64)> = query_images
-        .par_iter()
+        .iter()
         .map(|(im, id)| (extract_surf(im, &surf_query), *id))
         .collect();
 

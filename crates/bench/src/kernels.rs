@@ -17,7 +17,7 @@
 //! ([`texid_linalg::kernel::mul_add_probe`]) — the microkernel's one
 //! instruction at the rate one core can retire it. Every row carries
 //! `pct_of_peak`, its GFLOP/s over its backend's peak (the kernels run on
-//! one thread: the vendored rayon is sequential).
+//! one thread: nothing is parallel inside a kernel call).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -120,8 +120,9 @@ impl BenchReport {
     }
 
     /// The entry for `(kernel, precision)` at the largest `(batch·m)` shape
-    /// it was measured at, over any backend (ties prefer later entries,
-    /// i.e. SIMD rows, which are pushed after scalar).
+    /// it was measured at, over any backend (ties go to the last entry
+    /// pushed: backends are measured in the order given, best first for
+    /// [`available_backends`], so that is the least preferred one).
     pub fn largest(&self, kernel: &str, precision: &str) -> Option<&BenchEntry> {
         self.entries
             .iter()

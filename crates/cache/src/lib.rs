@@ -298,26 +298,27 @@ impl<T: Payload> HybridCache<T> {
         Some(entry.payload)
     }
 
-    /// Let `edit` shrink a cached payload in place, then account for its new
-    /// `size_bytes()` where it sits — same FIFO slot, same tier; on the
-    /// device tier the buffer is traded for one of the new size.
-    /// Returns `false` (and never calls `edit`) for an unknown id. A payload
-    /// that `edit` would leave empty is the caller's to [`Self::remove`].
-    pub fn shrink(&mut self, id: u64, sim: &mut GpuSim, edit: impl FnOnce(&mut T)) -> bool {
+    /// Let `change` edit a cached payload in place (shrink it, or overwrite
+    /// it at the same size), then account for its new `size_bytes()` where
+    /// it sits — same FIFO slot, same tier; on the device tier the buffer
+    /// is traded for one of the new size. Returns `false` (and never calls
+    /// `change`) for an unknown id. A payload that `change` would leave
+    /// empty is the caller's to [`Self::remove`].
+    pub fn edit(&mut self, id: u64, sim: &mut GpuSim, change: impl FnOnce(&mut T)) -> bool {
         if let Some(entry) = self.device.iter_mut().find(|e| e.id == id) {
-            edit(&mut entry.payload);
+            change(&mut entry.payload);
             debug_assert!(
                 entry.payload.size_bytes() > 0,
-                "an emptied batch is removed, not shrunk"
+                "an emptied batch is removed, not edited"
             );
             sim.free(entry.buffer);
             entry.buffer = sim
                 .alloc(entry.payload.size_bytes())
-                .expect("a shrunken batch fits in the buffer it just gave back");
+                .expect("an edited batch fits in the buffer it just gave back");
             true
         } else if let Some(entry) = self.host.iter_mut().find(|e| e.id == id) {
             let before = entry.payload.size_bytes();
-            edit(&mut entry.payload);
+            change(&mut entry.payload);
             self.host_used = self.host_used - before + entry.payload.size_bytes();
             true
         } else {
@@ -571,9 +572,9 @@ mod tests {
         let before = order(&cache); // device 2..=11, then host 0, 1
 
         // One on each tier shrinks where it sits: slot and tier stay.
-        assert!(cache.shrink(5, &mut sim, |b| b.0 = 40 * MB));
-        assert!(cache.shrink(1, &mut sim, |b| b.0 = 30 * MB));
-        assert!(!cache.shrink(99, &mut sim, |_| panic!("unknown id must not be edited")));
+        assert!(cache.edit(5, &mut sim, |b| b.0 = 40 * MB));
+        assert!(cache.edit(1, &mut sim, |b| b.0 = 30 * MB));
+        assert!(!cache.edit(99, &mut sim, |_| panic!("unknown id must not be edited")));
         assert_eq!(order(&cache), before);
         assert_eq!(sim.mem_used() - empty, 940 * MB);
         assert_eq!(cache.host_used_bytes(), 130 * MB);

@@ -119,7 +119,7 @@ proptest! {
             let target = before.get(pick as usize % before.len().max(1)).map(|(id, _)| *id);
             match (op, target) {
                 (1, Some(id)) => {
-                    prop_assert!(cache.shrink(id, &mut sim, |b| b.0 = (b.0 / 2).max(1)));
+                    prop_assert!(cache.edit(id, &mut sim, |b| b.0 = (b.0 / 2).max(1)));
                     let after: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
                     prop_assert_eq!(after, before);
                 }

@@ -135,7 +135,7 @@ impl Telemetry {
 pub struct EngineConfig {
     /// Simulated device.
     pub device: DeviceSpec,
-    /// Matching algorithm / precision / ratio threshold.
+    /// Matching algorithm / precision.
     pub matching: MatchConfig,
     /// Features kept per reference image (the paper's `m`, 384 optimal).
     pub m_ref: usize,
@@ -143,7 +143,9 @@ pub struct EngineConfig {
     pub n_query: usize,
     /// References per batch (§5.2; 256 in the paper's optimal setup).
     pub batch_size: usize,
-    /// CUDA streams = CPU worker threads (§6.2).
+    /// Simulated CUDA streams (§6.2): the modeled overlap factor
+    /// `streams::stream_time_factor` applies to a search's serial time. No
+    /// thread is started per stream; the engine runs on its caller's.
     pub streams: usize,
     /// Hybrid cache sizing.
     pub cache: CacheConfig,
@@ -573,7 +575,7 @@ impl Engine {
     fn edit(&mut self, batch: Option<u64>, edit: impl FnOnce(&mut RefBatch)) {
         match batch {
             None => edit(&mut self.open),
-            Some(id) => assert!(self.cache.shrink(id, &mut self.sim, edit), "batch {id} is cached"),
+            Some(id) => assert!(self.cache.edit(id, &mut self.sim, edit), "batch {id} is cached"),
         }
     }
 

@@ -8,7 +8,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_knn::{match_pair, FeatureBlock, MatchConfig};
 use texid_linalg::kernel::gemm_at_b;
@@ -102,12 +101,10 @@ pub fn build_dataset(cfg: &EvalConfig) -> Dataset {
     };
 
     let refs: Vec<FeatureMatrix> = (0..cfg.n_refs as u64)
-        .into_par_iter()
         .map(|id| extract(&gen.generate(id), &ref_sift))
         .collect();
 
     let queries: Vec<(FeatureMatrix, u64)> = (0..cfg.n_queries as u64)
-        .into_par_iter()
         .map(|qi| {
             let true_id = qi % cfg.n_refs as u64;
             let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (qi.wrapping_mul(0x9e37_79b9)));
@@ -148,14 +145,14 @@ pub fn top1_accuracy(dataset: &Dataset, matching: &MatchConfig) -> f64 {
         .map(|f| FeatureBlock::from_mat(f.mat.clone(), matching.precision, matching.scale))
         .collect();
 
+    // One scratch sim for every pair: only the functional path matters here.
+    let mut sim = texid_gpu::GpuSim::new(texid_gpu::DeviceSpec::tesla_p100());
+    let st = sim.default_stream();
     let correct: usize = dataset
         .queries
-        .par_iter()
+        .iter()
         .map(|(qf, true_id)| {
             let qb = FeatureBlock::from_mat(qf.mat.clone(), matching.precision, matching.scale);
-            // Scratch sim per query: only the functional path matters here.
-            let mut sim = texid_gpu::GpuSim::new(texid_gpu::DeviceSpec::tesla_p100());
-            let st = sim.default_stream();
             let mut best = (0u64, 0usize);
             for (id, rb) in blocks.iter().enumerate() {
                 let score = match_pair(matching, rb, &qb, &mut sim, st).score();
@@ -234,7 +231,7 @@ pub fn compression_error(dataset: &Dataset, scale: f32, max_pairs: usize) -> f64
         return 0.0;
     }
     let total: f64 = pairs
-        .par_iter()
+        .iter()
         .map(|(r, q)| compression_error_pair(&r.mat, &q.mat, scale))
         .sum();
     total / pairs.len() as f64

@@ -798,6 +798,18 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+        let server = serve(test_cluster(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        // Unbounded, the parser's recursion overflowed the worker's stack
+        // here, and a stack overflow aborts the whole process.
+        let resp = http_call(addr, "POST", "/search", "[".repeat(10_000).as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert!(resp.text().contains("nested too deep"), "{}", resp.text());
+        assert_eq!(http_call(addr, "GET", "/health", b"").unwrap().status, 200);
+    }
+
+    #[test]
     fn a_body_that_is_not_utf8_is_refused_not_repaired() {
         let cluster = test_cluster();
         let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();

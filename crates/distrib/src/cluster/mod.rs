@@ -36,9 +36,9 @@
 //! failures never escape [`Cluster::search`] as panics. Each shard carries
 //! a health state machine (`Healthy → Suspect → Down`) with a circuit
 //! breaker: after [`ResilienceConfig::trip_threshold`] consecutive failures
-//! the shard is `Down` and skipped, then probed half-open after
-//! [`ResilienceConfig::cooldown_searches`] searches and re-admitted on the
-//! first success. Results from a partial scatter are flagged `degraded`
+//! the shard is `Down` and skipped, then probed half-open after two
+//! searches (`shard::COOLDOWN_SEARCHES`) and re-admitted on the first
+//! success. Results from a partial scatter are flagged `degraded`
 //! with `shards_ok`/`shards_failed`/`shards_skipped` quorum metadata.
 //! [`Cluster::heal`] rebuilds every unhealthy shard from the feature store,
 //! quarantining entries whose stored bytes are lost or corrupt. Fault
@@ -209,15 +209,13 @@ impl Telemetry {
 pub struct ResilienceConfig {
     /// Consecutive failures before a shard's breaker trips to `Down`.
     pub trip_threshold: u32,
-    /// Searches a `Down` shard sits out before a half-open probe.
-    pub cooldown_searches: u32,
     /// Bounded deterministic exponential backoff for transient faults.
     pub backoff: Backoff,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig { trip_threshold: 3, cooldown_searches: 2, backoff: Backoff::default() }
+        ResilienceConfig { trip_threshold: 3, backoff: Backoff::default() }
     }
 }
 

@@ -54,63 +54,64 @@ pub struct ShardStatus {
     pub probes: u64,
 }
 
-/// Breaker bookkeeping for one shard. Both transitions publish
+/// Searches a `Down` shard sits out before a half-open probe.
+const COOLDOWN_SEARCHES: u32 = 2;
+
+/// Breaker bookkeeping for one shard: the [`ShardStatus`] it reports, plus
+/// what only the breaker reads. Both transitions publish
 /// `texid_shard_breaker_state` themselves, so the gauge cannot lag the
 /// state it mirrors.
 struct ShardState {
-    health: ShardHealth,
-    consecutive_failures: u32,
-    total_failures: u64,
+    status: ShardStatus,
     /// Searches sat out since the breaker opened.
     skips_while_down: u32,
-    probes: u64,
     gauge: Gauge,
 }
 
 impl ShardState {
-    fn new(gauge: Gauge) -> ShardState {
-        let mut state = ShardState {
+    fn new(shard: usize, gauge: Gauge) -> ShardState {
+        let status = ShardStatus {
+            shard,
             health: ShardHealth::Healthy,
             consecutive_failures: 0,
             total_failures: 0,
-            skips_while_down: 0,
             probes: 0,
-            gauge,
         };
+        let mut state = ShardState { status, skips_while_down: 0, gauge };
         state.enter(ShardHealth::Healthy);
         state
     }
 
     fn enter(&mut self, health: ShardHealth) {
-        self.health = health;
+        self.status.health = health;
         self.gauge.set(breaker_gauge_value(health));
     }
 
     /// Whether this search dispatches to the shard: always, unless its
-    /// breaker is open — a `Down` shard sits out `cooldown_searches`
+    /// breaker is open — a `Down` shard sits out [`COOLDOWN_SEARCHES`]
     /// searches and is then probed half-open.
-    fn admit(&mut self, cooldown_searches: u32) -> bool {
-        if self.health == ShardHealth::Down {
+    fn admit(&mut self) -> bool {
+        if self.status.health == ShardHealth::Down {
             self.skips_while_down += 1;
-            if self.skips_while_down < cooldown_searches {
+            if self.skips_while_down < COOLDOWN_SEARCHES {
                 return false;
             }
-            self.probes += 1; // half-open probe
+            self.status.probes += 1; // half-open probe
         }
         true
     }
 
     fn record_success(&mut self) {
-        self.consecutive_failures = 0;
+        self.status.consecutive_failures = 0;
         self.skips_while_down = 0;
         self.enter(ShardHealth::Healthy);
     }
 
     fn record_failure(&mut self, trip_threshold: u32) {
-        self.consecutive_failures += 1;
-        self.total_failures += 1;
+        self.status.consecutive_failures += 1;
+        self.status.total_failures += 1;
         self.skips_while_down = 0;
-        self.enter(if self.consecutive_failures >= trip_threshold {
+        self.enter(if self.status.consecutive_failures >= trip_threshold {
             ShardHealth::Down
         } else {
             ShardHealth::Suspect
@@ -148,11 +149,14 @@ impl Shard {
             resilience: cfg.resilience,
             engine: RwLock::new(Engine::new(cfg.engine.clone())),
             coalescer: Coalescer::with_registry(cfg.coalesce, reg),
-            breaker: Mutex::new(ShardState::new(reg.gauge(
-                "texid_shard_breaker_state",
-                "Circuit-breaker state: 0 = healthy, 1 = suspect, 2 = down.",
-                &labels,
-            ))),
+            breaker: Mutex::new(ShardState::new(
+                index,
+                reg.gauge(
+                    "texid_shard_breaker_state",
+                    "Circuit-breaker state: 0 = healthy, 1 = suspect, 2 = down.",
+                    &labels,
+                ),
+            )),
             failures: reg.counter(
                 "texid_shard_failures",
                 "Search legs that failed on this shard (crash, error, retries exhausted).",
@@ -193,7 +197,7 @@ impl Shard {
 
     /// Breaker gate for one search (see [`ShardState::admit`]).
     pub(super) fn admit(&self) -> bool {
-        self.breaker.lock().admit(self.resilience.cooldown_searches)
+        self.breaker.lock().admit()
     }
 
     /// One dispatched search leg, on its own thread: seal what is pending,
@@ -280,13 +284,6 @@ impl Shard {
 
     /// Point-in-time breaker snapshot.
     pub(super) fn status(&self) -> ShardStatus {
-        let state = self.breaker.lock();
-        ShardStatus {
-            shard: self.index,
-            health: state.health,
-            consecutive_failures: state.consecutive_failures,
-            total_failures: state.total_failures,
-            probes: state.probes,
-        }
+        self.breaker.lock().status.clone()
     }
 }

@@ -159,11 +159,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse a JSON document (must consume all non-whitespace input).
+/// The deepest nesting of arrays and objects [`parse`] accepts. The API's
+/// bodies nest at most three deep. The parser recurses once per level, so
+/// without a bound a body of ten thousand `[` overflows an HTTP worker's
+/// 2 MiB stack, which aborts the process.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse a JSON document (must consume all non-whitespace input). Nesting
+/// deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(input, &mut pos)?;
+    let v = parse_value(input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError { at: pos, msg: "trailing characters" });
@@ -177,13 +184,15 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(s: &str, pos: &mut usize) -> Result<Json, JsonError> {
+/// One value, `depth` arrays and objects deep.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err(JsonError { at: *pos, msg: "unexpected end of input" });
     };
     match c {
+        b'[' | b'{' if depth == MAX_DEPTH => Err(JsonError { at: *pos, msg: "nested too deep" }),
         b'n' => expect_lit(b, pos, "null", Json::Null),
         b't' => expect_lit(b, pos, "true", Json::Bool(true)),
         b'f' => expect_lit(b, pos, "false", Json::Bool(false)),
@@ -197,7 +206,7 @@ fn parse_value(s: &str, pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(s, pos)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -225,7 +234,7 @@ fn parse_value(s: &str, pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(JsonError { at: *pos, msg: "expected ':'" });
                 }
                 *pos += 1;
-                let val = parse_value(s, pos)?;
+                let val = parse_value(s, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -261,9 +270,11 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| JsonError { at: start, msg: "invalid number" })
+    // `1e999` parses to infinity, which JSON cannot write back.
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        _ => Err(JsonError { at: start, msg: "invalid number" }),
+    }
 }
 
 /// Length of the prefix of `b` that holds neither `"` nor `\`: the bytes
@@ -535,6 +546,7 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("42.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("[-1e999]"), Err(JsonError { at: 1, msg: "invalid number" }));
     }
 
     #[test]
@@ -545,6 +557,20 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = parse(&nested(MAX_DEPTH)).expect("the bound itself parses");
+        assert_eq!(parse(&deepest.to_string()), Ok(deepest));
+        let too_deep = Err(JsonError { at: MAX_DEPTH, msg: "nested too deep" });
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)), too_deep);
+        assert_eq!(parse(&nested(1_000_000)), too_deep);
+        // Objects count the same, and an unclosed body fails at the bound.
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&objects).map_err(|e| e.msg), Err("nested too deep"));
+        assert_eq!(parse(&"[".repeat(1_000_000)), too_deep);
     }
 
     #[test]

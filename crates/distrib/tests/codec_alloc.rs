@@ -11,6 +11,12 @@
 //! allocates by what a prefix *claims*: peak heap is bounded by a multiple
 //! of the input's real length.
 //!
+//! A request body is hostile text: a valid JSON document or base64
+//! payload with one structural lie — cut short, a bracket, quote or
+//! separator dropped, doubled or displaced, or nested past
+//! `json::MAX_DEPTH` — is refused or parses to something well-formed,
+//! never panics, and allocates within a multiple of its length.
+//!
 //! The HTTP head is hostile bytes too: `http::read_request` gathers the
 //! request line and headers into one buffer of at most 64 KiB, so neither
 //! a line that never ends nor ten thousand short ones allocate beyond it.
@@ -26,7 +32,7 @@ use counting_alloc::{measure, CountingAlloc};
 use proptest::prelude::*;
 use texid_distrib::b64;
 use texid_distrib::http::{read_request, RequestError};
-use texid_distrib::json::{parse, Json};
+use texid_distrib::json::{parse, Json, MAX_DEPTH};
 use texid_distrib::wire::{decode_features, encode_features, get_varint, put_varint};
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
@@ -239,5 +245,129 @@ proptest! {
             heap.peak <= 16 * hostile.len() + 1024,
             "{} hostile bytes ({lie:?}), peak {}", hostile.len(), heap.peak
         );
+    }
+
+    #[test]
+    fn mutated_json_bodies_are_refused_or_well_formed(
+        doc in json_doc(),
+        lie in (0usize..6, any::<usize>(), 0usize..2 * MAX_DEPTH),
+        junk in "[\\[\\]{},:\"\\\\0-9eE.+-]{1,6}",
+    ) {
+        let text = doc.to_string();
+        let (parsed, heap) = measure(|| parse(&text));
+        prop_assert_eq!(parsed, Ok(doc.clone()));
+        prop_assert!(heap.peak <= json_heap_bound(&text), "valid {text:?}: peak {}", heap.peak);
+
+        let hostile = mutate_json(&text, lie, &junk);
+        let (parsed, heap) = measure(|| parse(&hostile));
+        prop_assert!(
+            heap.peak <= json_heap_bound(&hostile),
+            "{} hostile bytes ({lie:?}), peak {}", hostile.len(), heap.peak
+        );
+        let (kind, _, levels) = lie;
+        if kind == 5 {
+            // Closed nesting parses exactly up to the bound.
+            let fits = levels + depth(&doc) <= MAX_DEPTH;
+            prop_assert_eq!(parsed.is_ok(), fits, "{} levels around depth {}", levels, depth(&doc));
+        } else if let Ok(v) = parsed {
+            // Whatever parses serializes and parses back to itself.
+            prop_assert_eq!(parse(&v.to_string()), Ok(v));
+        }
+    }
+
+    #[test]
+    fn mutated_base64_is_refused_or_decodes_to_its_length(
+        data in prop::collection::vec(any::<u8>(), 0..48),
+        lie in (0usize..5, any::<usize>()),
+        junk in "[=A-Za-z0-9+/! \n\té]{1,3}",
+    ) {
+        let valid = b64::encode(&data);
+        let (back, heap) = measure(|| b64::decode(&valid));
+        prop_assert_eq!(back, Ok(data));
+        prop_assert!(heap.peak <= 3 * valid.len() / 4, "valid: peak {}", heap.peak);
+
+        let hostile = mutate_b64(&valid, lie, &junk);
+        let (decoded, heap) = measure(|| b64::decode(&hostile));
+        // One output buffer sized from the text, whatever the text holds.
+        prop_assert!(
+            heap.peak <= 3 * hostile.len() / 4,
+            "{} hostile bytes ({lie:?}), peak {}", hostile.len(), heap.peak
+        );
+        if let Ok(bytes) = decoded {
+            prop_assert_eq!(b64::encode(&bytes).len(), hostile.len());
+        }
+    }
+}
+
+/// A JSON document: scalars, then arrays and objects of them up to four
+/// deep. Numbers are the two kinds `Json::to_string` prints (integers and
+/// finite fractions); strings mix escapes and multi-byte characters.
+fn json_doc() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        (-1_000_000i64..1_000_000).prop_map(|v| Json::Num(v as f64)),
+        (-1e9f64..1e9).prop_map(Json::Num),
+        "[a-z\"\\\\/\n\té🦀 ]{0,12}".prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+            prop::collection::btree_map("[a-z\"é]{0,4}", inner, 0..4).prop_map(Json::Obj),
+        ]
+    })
+}
+
+/// Arrays and objects nested in `v`, itself included.
+fn depth(v: &Json) -> usize {
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Obj(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// What `parse` may allocate for `text`: the largest cost per input byte
+/// is a one-entry object, `{"":v}`, whose five bytes of framing buy one
+/// B-tree leaf (632 B for `String` keys and `Json` values on a 64-bit
+/// target); an array's `Vec` is 64 B per byte of `[v]` at worst.
+fn json_heap_bound(text: &str) -> usize {
+    128 * text.len() + 1024
+}
+
+/// One structural lie told to a valid JSON text: `kind` 0 cuts it at its
+/// `pick`-th structural byte (one of `[]{},:"`), 1 drops that byte, 2
+/// doubles it, 3 puts `junk` before it, 4 opens `levels` arrays before the
+/// text and closes none, 5 wraps the text in `levels` arrays.
+fn mutate_json(text: &str, (kind, pick, levels): (usize, usize, usize), junk: &str) -> String {
+    let structural: Vec<usize> =
+        text.bytes().enumerate().filter(|(_, c)| b"[]{},:\"".contains(c)).map(|(i, _)| i).collect();
+    // Scalars have none; the end of the text is a boundary either way.
+    let at = structural.get(pick % structural.len().max(1)).copied().unwrap_or(text.len());
+    let (head, tail) = text.split_at(at);
+    match kind {
+        0 => head.to_string(),
+        1 => format!("{head}{}", tail.get(1..).unwrap_or("")),
+        2 => format!("{head}{}{tail}", tail.get(..1).unwrap_or("")),
+        3 => format!("{head}{junk}{tail}"),
+        4 => format!("{}{text}", "[".repeat(levels)),
+        _ => format!("{}{text}{}", "[".repeat(levels), "]".repeat(levels)),
+    }
+}
+
+/// One structural lie told to a valid base64 text: `kind` 0 cuts it at
+/// `pick`, 1 drops the character there, 2 puts `junk` there, 3 overwrites
+/// the character there with `junk`, 4 appends a second encoding (padding
+/// mid-stream if the first had any).
+fn mutate_b64(valid: &str, (kind, pick): (usize, usize), junk: &str) -> String {
+    // Base64 is ASCII: every offset is a character boundary.
+    let at = pick % (valid.len() + 1);
+    let (head, tail) = valid.split_at(at);
+    match kind {
+        0 => head.to_string(),
+        1 => format!("{head}{}", tail.get(1..).unwrap_or("")),
+        2 => format!("{head}{junk}{tail}"),
+        3 => format!("{head}{junk}{}", tail.get(1..).unwrap_or("")),
+        _ => format!("{valid}{}", b64::encode(junk.as_bytes())),
     }
 }

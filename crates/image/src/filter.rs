@@ -2,7 +2,6 @@
 //! scale space.
 
 use crate::gray::GrayImage;
-use rayon::prelude::*;
 
 /// Build a normalized 1-D Gaussian kernel with radius `⌈3σ⌉`.
 ///
@@ -38,19 +37,16 @@ pub fn convolve_rows(im: &GrayImage, kernel: &[f32]) -> GrayImage {
     let h = im.height();
     let radius = (kernel.len() / 2) as isize;
     let mut out = GrayImage::new(w, h);
-    out.as_mut_slice()
-        .par_chunks_mut(w)
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, slot) in row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (ki, &kv) in kernel.iter().enumerate() {
-                    let sx = x as isize + ki as isize - radius;
-                    acc += kv * im.get_clamped(sx, y as isize);
-                }
-                *slot = acc;
+    for (y, row) in out.as_mut_slice().chunks_mut(w).enumerate() {
+        for (x, slot) in row.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (ki, &kv) in kernel.iter().enumerate() {
+                let sx = x as isize + ki as isize - radius;
+                acc += kv * im.get_clamped(sx, y as isize);
             }
-        });
+            *slot = acc;
+        }
+    }
     out
 }
 
@@ -61,19 +57,16 @@ pub fn convolve_cols(im: &GrayImage, kernel: &[f32]) -> GrayImage {
     let h = im.height();
     let radius = (kernel.len() / 2) as isize;
     let mut out = GrayImage::new(w, h);
-    out.as_mut_slice()
-        .par_chunks_mut(w)
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, slot) in row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (ki, &kv) in kernel.iter().enumerate() {
-                    let sy = y as isize + ki as isize - radius;
-                    acc += kv * im.get_clamped(x as isize, sy);
-                }
-                *slot = acc;
+    for (y, row) in out.as_mut_slice().chunks_mut(w).enumerate() {
+        for (x, slot) in row.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (ki, &kv) in kernel.iter().enumerate() {
+                let sy = y as isize + ki as isize - radius;
+                acc += kv * im.get_clamped(x as isize, sy);
             }
-        });
+            *slot = acc;
+        }
+    }
     out
 }
 
@@ -93,16 +86,13 @@ pub fn resize_bilinear(im: &GrayImage, new_w: usize, new_h: usize) -> GrayImage 
     let sx = im.width() as f32 / new_w as f32;
     let sy = im.height() as f32 / new_h as f32;
     let mut out = GrayImage::new(new_w, new_h);
-    out.as_mut_slice()
-        .par_chunks_mut(new_w)
-        .enumerate()
-        .for_each(|(y, row)| {
-            let src_y = (y as f32 + 0.5) * sy - 0.5;
-            for (x, slot) in row.iter_mut().enumerate() {
-                let src_x = (x as f32 + 0.5) * sx - 0.5;
-                *slot = im.sample_bilinear(src_x, src_y);
-            }
-        });
+    for (y, row) in out.as_mut_slice().chunks_mut(new_w).enumerate() {
+        let src_y = (y as f32 + 0.5) * sy - 0.5;
+        for (x, slot) in row.iter_mut().enumerate() {
+            let src_x = (x as f32 + 0.5) * sx - 0.5;
+            *slot = im.sample_bilinear(src_x, src_y);
+        }
+    }
     out
 }
 

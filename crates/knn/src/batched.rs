@@ -19,7 +19,7 @@
 
 use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
-use crate::ratio::count_good_matches;
+use crate::ratio::{count_good_matches, RATIO_THRESHOLD};
 use texid_gpu::{cost, DeviceSpec, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::{Mat, MatF16};
@@ -220,7 +220,7 @@ pub fn score_batch_packed(
     } else {
         scan_product(&similarity_gemm(r, q).0, r.precision, batch, m_per_ref)
     };
-    finish(cfg, &raw, s2, batch, n)
+    finish(&raw, s2, batch, n)
 }
 
 /// The `scale²` a product of `r` and `q` carries (`1.0` for F32 blocks) —
@@ -266,10 +266,10 @@ pub(crate) fn rootsift_distances(raw: &[Top2], s2: f32) -> Vec<Top2> {
 }
 
 /// Algorithm 2's epilogue and the per-reference ratio test.
-fn finish(cfg: &MatchConfig, raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
+fn finish(raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
     let top2 = rootsift_distances(raw, s2);
     let scores = (0..batch)
-        .map(|b| count_good_matches(&top2[b * n..(b + 1) * n], cfg.ratio_threshold))
+        .map(|b| count_good_matches(&top2[b * n..(b + 1) * n], RATIO_THRESHOLD))
         .collect();
     BatchOutcome { scores, top2, steps: StepTimes::default(), batch }
 }

@@ -11,7 +11,6 @@
 //! paper's system uses SIFT: only float descriptors benefit from the
 //! co-optimizations of §4–§6.
 
-use rayon::prelude::*;
 use texid_linalg::Top2;
 use texid_sift::orb::{hamming, BinaryFeatures, ORB_WORDS};
 
@@ -56,7 +55,7 @@ pub fn match_binary(
     }
     query
         .descriptors
-        .par_iter()
+        .iter()
         .enumerate()
         .filter_map(|(j, q)| {
             // Distances are integers ≤ 256, exact in f32, and there are at

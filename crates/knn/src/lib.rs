@@ -35,4 +35,4 @@ pub use ivf::{kmeans, pool_columns, IvfIndex, Kmeans};
 pub use pair::{
     match_pair, score_pair, Algorithm, ExecMode, IvfParams, MatchConfig, PairOutcome, StepTimes,
 };
-pub use ratio::{count_good_matches, good_matches, FeatureMatch};
+pub use ratio::{count_good_matches, good_matches, FeatureMatch, RATIO_THRESHOLD};

@@ -3,7 +3,7 @@
 
 use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm};
 use crate::block::FeatureBlock;
-use crate::ratio::{good_matches, FeatureMatch};
+use crate::ratio::{good_matches, FeatureMatch, RATIO_THRESHOLD};
 use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::dispatch::{active_backend, Backend};
 use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue};
@@ -87,8 +87,6 @@ pub struct MatchConfig {
     pub scale: f32,
     /// Use tensor cores where available.
     pub tensor_core: bool,
-    /// Lowe ratio-test threshold (`d1/d2 <` this is a good match).
-    pub ratio_threshold: f32,
     /// Numerics on or off.
     pub exec: ExecMode,
     /// Run the top-2 scan inside the GEMM epilogue (never materializing the
@@ -129,7 +127,6 @@ impl Default for MatchConfig {
             precision: Precision::F16,
             scale: 2.0_f32.powi(-7),
             tensor_core: false,
-            ratio_threshold: 0.75,
             exec: ExecMode::Full,
             fused: true,
             ivf: IvfParams::default(),
@@ -302,7 +299,7 @@ pub fn match_pair(
 pub fn score_pair(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlock) -> PairOutcome {
     assert_eq!(r.rows(), q.rows(), "descriptor dimension mismatch");
     let top2 = run_functional(cfg, r, q);
-    let matches = good_matches(&top2, cfg.ratio_threshold);
+    let matches = good_matches(&top2, RATIO_THRESHOLD);
     PairOutcome { top2, matches, steps: StepTimes::default() }
 }
 

@@ -8,6 +8,10 @@
 
 use texid_linalg::Top2;
 
+/// Lowe's ratio-test threshold every matcher applies: `d1/d2 <` this is a
+/// good match (the classic 0.75 the paper uses).
+pub const RATIO_THRESHOLD: f32 = 0.75;
+
 /// One ratio-test-surviving correspondence.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FeatureMatch {

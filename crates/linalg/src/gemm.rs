@@ -24,7 +24,6 @@
 
 use crate::f16::F16;
 use crate::mat::{Mat, MatF16};
-use rayon::prelude::*;
 
 /// Half-precision GEMM with **FP16 accumulation** (`CUBLAS_COMPUTE_16F`):
 /// every partial sum is narrowed back to f16, so large operand scales
@@ -43,27 +42,22 @@ pub fn gemm_at_b_f16acc(alpha: f32, a: &MatF16, b: &MatF16) -> (Mat, bool) {
     if m == 0 || n == 0 {
         return (c, false);
     }
-    let overflow = std::sync::atomic::AtomicBool::new(false);
-    c.as_mut_slice()
-        .par_chunks_mut(m)
-        .enumerate()
-        .for_each(|(j, col)| {
-            let bj: &[F16] = &b.as_slice()[j * d..(j + 1) * d];
-            for (i, out) in col.iter_mut().enumerate() {
-                let ai: &[F16] = &a.as_slice()[i * d..(i + 1) * d];
-                let mut acc = F16::ZERO;
-                for (x, y) in ai.iter().zip(bj) {
-                    let prod = F16::from_f32(x.to_f32() * y.to_f32());
-                    acc = F16::from_f32(acc.to_f32() + prod.to_f32());
-                }
-                let scaled = F16::from_f32(alpha * acc.to_f32());
-                if scaled.is_infinite() || acc.is_infinite() {
-                    overflow.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                *out = scaled.to_f32();
+    let mut overflow = false;
+    for (j, col) in c.as_mut_slice().chunks_mut(m).enumerate() {
+        let bj: &[F16] = &b.as_slice()[j * d..(j + 1) * d];
+        for (i, out) in col.iter_mut().enumerate() {
+            let ai: &[F16] = &a.as_slice()[i * d..(i + 1) * d];
+            let mut acc = F16::ZERO;
+            for (x, y) in ai.iter().zip(bj) {
+                let prod = F16::from_f32(x.to_f32() * y.to_f32());
+                acc = F16::from_f32(acc.to_f32() + prod.to_f32());
             }
-        });
-    (c, overflow.load(std::sync::atomic::Ordering::Relaxed))
+            let scaled = F16::from_f32(alpha * acc.to_f32());
+            overflow |= scaled.is_infinite() || acc.is_infinite();
+            *out = scaled.to_f32();
+        }
+    }
+    (c, overflow)
 }
 
 /// Naive reference implementation used by tests: per output, one

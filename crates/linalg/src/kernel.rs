@@ -28,8 +28,8 @@
 //!    [`PackedA::write_cols`], [`PackedA::swap_remove_cols`]; one scatter,
 //!    `pack_panels`, is behind the first two and both `pack`s.
 //! 2. **Blocking.** Output columns are processed in chunks of `NC`, one
-//!    after another on the calling thread (the vendored rayon is
-//!    sequential) — the chunk's slice of the packed B, ≤ `NC·d` floats,
+//!    after another on the calling thread (nothing is parallel inside a
+//!    shard leg) — the chunk's slice of the packed B, ≤ `NC·d` floats,
 //!    stays L2-resident. Within a chunk, A panels are walked in blocks of
 //!    `MC_ROWS / mr` so the active `MC_ROWS·d` slice of packed A stays
 //!    cache-hot while the chunk's B panels are swept.
@@ -42,8 +42,8 @@
 //!    the fused path ([`gemm_top2_ex`]) — every value goes through
 //!    `alpha → scale → per-row bias → f16 round-trip` (the last two
 //!    optional, one f32 operation each) and into per-column [`Top2`]
-//!    running minima. The fused path allocates only the `O(batch·n)`
-//!    selection state and result; no `m × n` buffer, and nothing
+//!    running minima. The fused path allocates only the result and one
+//!    chunk's `NC·batch` selection state; no `m × n` buffer, and nothing
 //!    proportional to an operand.
 //!
 //! # The fused epilogue's two routes
@@ -144,7 +144,6 @@ use crate::f16::F16;
 use crate::mat::{Mat, MatF16, Operand, Widen};
 use crate::simd::PROBE_CHAINS;
 use crate::top2::Top2;
-use rayon::prelude::*;
 
 /// Reference (A) columns per **scalar** register tile — rows of the output
 /// tile. SIMD backends use wider tiles: see [`Backend::mr`].
@@ -157,8 +156,9 @@ pub const NR: usize = 4;
 /// independent of the backend's panel width).
 const MC_ROWS: usize = 128;
 /// Output columns per N-chunk (packed B chunk ≤ `NC·d` floats): a whole
-/// number of B panels on every backend (`nr` is 4, 8 or 24).
-pub(crate) const NC: usize = 96;
+/// number of B panels on every backend (`nr` is 4, 8 or 24). The fused
+/// scan keeps selection state for one chunk at a time.
+pub const NC: usize = 96;
 
 /// A pre-packed, pre-widened reference operand.
 ///
@@ -458,8 +458,8 @@ fn run_tile(a: &PackedA, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
     }
 }
 
-/// `C = alpha · AᵀB` from pre-packed operands. Parallelized over
-/// `NC`-column chunks of the output.
+/// `C = alpha · AᵀB` from pre-packed operands, one `NC`-column chunk of
+/// the output after another.
 ///
 /// # Panics
 /// Panics if the contraction depths differ or the operands were packed for
@@ -476,22 +476,19 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
     }
     let mr = a.mr;
     let nr = b.nr;
-    c.as_mut_slice()
-        .par_chunks_mut(m * NC)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let w = chunk.len() / m;
-            for_each_tile(a, b.chunk(ci * NC, w), w, d, |p, jr, acc| {
-                let rows = mr.min(m - p * mr);
-                let cols = nr.min(w - jr * nr);
-                for cc in 0..cols {
-                    let dst = &mut chunk[(jr * nr + cc) * m + p * mr..][..rows];
-                    for (r, slot) in dst.iter_mut().enumerate() {
-                        *slot = alpha * acc[cc * mr + r];
-                    }
+    for (ci, chunk) in c.as_mut_slice().chunks_mut(m * NC).enumerate() {
+        let w = chunk.len() / m;
+        for_each_tile(a, b.chunk(ci * NC, w), w, d, |p, jr, acc| {
+            let rows = mr.min(m - p * mr);
+            let cols = nr.min(w - jr * nr);
+            for cc in 0..cols {
+                let dst = &mut chunk[(jr * nr + cc) * m + p * mr..][..rows];
+                for (r, slot) in dst.iter_mut().enumerate() {
+                    *slot = alpha * acc[cc * mr + r];
                 }
-            });
+            }
         });
+    }
     c
 }
 
@@ -645,9 +642,9 @@ fn quantize_tile(be: Backend, t: &mut [f32]) {
 /// separately (the batched-reference layout of §5.2); pass `batch = 1`,
 /// `m_per_ref = a.cols()` for a plain per-column top-2.
 ///
-/// Both operands arrive packed, so the call allocates only the
-/// `O(batch · n)` selection state and output — nothing proportional to
-/// `m · d` or `n · d`.
+/// Both operands arrive packed, so the call allocates only the output and
+/// one N-chunk's selection state (`min(n, NC) · batch` entries, reset for
+/// every chunk) — nothing proportional to `m · d` or `n · d`.
 ///
 /// # Panics
 /// Panics if depths differ, the operands were packed for different
@@ -674,26 +671,16 @@ pub fn gemm_top2_ex(
     }
     let blocks = Blocks { batch, m_per_ref };
 
-    // One task per N-chunk; each task owns the Top2 state of its own
-    // columns only, so there is no cross-task write sharing.
-    let per_chunk: Vec<Vec<Top2>> = (0..n.div_ceil(NC))
-        .into_par_iter()
-        .map(|ci| {
-            let j0 = ci * NC;
-            let w = NC.min(n - j0);
-            // `state[local_j · batch + blk]`: the only per-column memory the
-            // fused path keeps — the paper's two "registers" plus an index.
-            let mut state = vec![Top2::EMPTY; w * batch];
-            top2_chunk(a, b.chunk(j0, w), w, alpha, epi, blocks, &mut state);
-            state
-        })
-        .collect();
-
-    // Re-shuffle the per-chunk `[local_j][blk]` states into the blocked
-    // output layout `out[blk · n + j]` (matching `top2_min_per_column`).
     let mut out = vec![Top2::EMPTY; batch * n];
-    for (ci, state) in per_chunk.iter().enumerate() {
-        let j0 = ci * NC;
+    // `state[local_j · batch + blk]`: the only per-column memory the fused
+    // path keeps — the paper's two "registers" plus an index — for the one
+    // chunk being scanned, then scattered into `out[blk · n + j]`.
+    let mut state = vec![Top2::EMPTY; NC.min(n) * batch];
+    for j0 in (0..n).step_by(NC) {
+        let w = NC.min(n - j0);
+        let state = &mut state[..w * batch];
+        state.fill(Top2::EMPTY);
+        top2_chunk(a, b.chunk(j0, w), w, alpha, epi, blocks, state);
         for (lj, col_states) in state.chunks_exact(batch).enumerate() {
             for (blk, &t) in col_states.iter().enumerate() {
                 out[blk * n + j0 + lj] = t;

@@ -4,13 +4,12 @@
 //! materializing full rank-1 matrices, to save GPU memory; we do the same.
 
 use crate::mat::Mat;
-use rayon::prelude::*;
 
 /// Squared L2 norm of every column: `out[i] = ‖A.col(i)‖²`.
 pub fn col_sq_norms(a: &Mat) -> Vec<f32> {
     let d = a.rows();
     a.as_slice()
-        .par_chunks(d.max(1))
+        .chunks(d.max(1))
         .map(|col| col.iter().map(|v| v * v).sum())
         .collect()
 }
@@ -20,13 +19,11 @@ pub fn col_sq_norms(a: &Mat) -> Vec<f32> {
 pub fn add_row_norms(a: &mut Mat, n_r: &[f32]) {
     assert_eq!(a.rows(), n_r.len(), "N_R length must equal row count (m)");
     let m = a.rows();
-    a.as_mut_slice()
-        .par_chunks_mut(m)
-        .for_each(|col| {
-            for (v, nr) in col.iter_mut().zip(n_r) {
-                *v += nr;
-            }
-        });
+    for col in a.as_mut_slice().chunks_mut(m) {
+        for (v, nr) in col.iter_mut().zip(n_r) {
+            *v += nr;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! full-sort reference it replaces; the scan reads f32 or f16 elements.
 
 use crate::mat::{Mat, Operand, Widen};
-use rayon::prelude::*;
 
 /// The two nearest neighbours of one query feature.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,8 +73,9 @@ fn scan_top2<T: Widen>(col: &[T]) -> Top2 {
 /// matched *separately*). `batch = 1`, `m_per_ref = rows` is the plain
 /// per-column scan.
 ///
-/// Output layout: `out[b * n + j]` is block `b`, query column `j`, one task
-/// per block, mirroring the one-thread-per-column GPU kernel.
+/// Output layout: `out[b * n + j]` is block `b`, query column `j`; each
+/// column is one independent scan, as in the one-thread-per-column GPU
+/// kernel.
 ///
 /// # Panics
 /// Panics if `a`'s row count is not `batch * m_per_ref` or `m_per_ref < 2`.
@@ -84,11 +84,11 @@ pub fn top2_min_per_column<M: Operand>(a: &M, batch: usize, m_per_ref: usize) ->
     assert!(m_per_ref >= 2, "top-2 needs at least two reference features");
     assert_eq!(m, batch * m_per_ref, "blocked top-2 shape mismatch");
     let mut out = vec![Top2::EMPTY; batch * n];
-    out.par_chunks_mut(n.max(1)).enumerate().for_each(|(b, block_out)| {
+    for (b, block_out) in out.chunks_mut(n.max(1)).enumerate() {
         for (j, slot) in block_out.iter_mut().enumerate() {
             *slot = scan_top2(&data[j * m + b * m_per_ref..][..m_per_ref]);
         }
-    });
+    }
     out
 }
 
@@ -100,21 +100,17 @@ pub fn sort_columns(a: &Mat) -> (Mat, Vec<u32>) {
     let n = a.cols();
     let mut sorted = a.clone();
     let mut idx = vec![0u32; n];
-    sorted
-        .as_mut_slice()
-        .par_chunks_mut(m)
-        .zip(idx.par_iter_mut())
-        .for_each(|(col, first_idx)| {
-            // Track the argmin before sorting destroys positions.
-            let mut best = 0usize;
-            for i in 1..m {
-                if col[i] < col[best] {
-                    best = i;
-                }
+    for (col, first_idx) in sorted.as_mut_slice().chunks_mut(m).zip(&mut idx) {
+        // Track the argmin before sorting destroys positions.
+        let mut best = 0usize;
+        for i in 1..m {
+            if col[i] < col[best] {
+                best = i;
             }
-            *first_idx = best as u32;
-            col.sort_by(|x, y| x.partial_cmp(y).expect("NaN in distance matrix"));
-        });
+        }
+        *first_idx = best as u32;
+        col.sort_by(|x, y| x.partial_cmp(y).expect("NaN in distance matrix"));
+    }
     (sorted, idx)
 }
 

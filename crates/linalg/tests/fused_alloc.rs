@@ -12,9 +12,11 @@ mod counting_alloc;
 
 use counting_alloc::{measure, CountingAlloc};
 use texid_linalg::active_backend;
-use texid_linalg::kernel::{gemm_at_b, gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
+use texid_linalg::kernel::{
+    gemm_at_b, gemm_top2, gemm_top2_ex, FusedEpilogue, PackedA, PackedB, NC,
+};
 use texid_linalg::mat::Mat;
-use texid_linalg::top2::top2_min_per_column;
+use texid_linalg::top2::{top2_min_per_column, Top2};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -58,4 +60,24 @@ fn fused_top2_never_allocates_the_distance_matrix() {
         heap.largest
     );
     assert_eq!(packed, unfused);
+}
+
+#[test]
+fn fused_scan_keeps_one_chunk_of_selection_state() {
+    // Eleven N-chunks of four reference blocks: the output is the only
+    // thing that grows with n; the per-column state is one chunk's worth,
+    // reused for every chunk.
+    let (batch, m_per_ref, n, d) = (4usize, 16usize, 1056usize, 16usize);
+    assert!(n >= 10 * NC);
+    let a = Mat::from_fn(d, batch * m_per_ref, |r, c| ((r * 29 + c * 5) % 101) as f32 * 1e-2);
+    let b = Mat::from_fn(d, n, |r, c| ((r * 13 + c * 7) % 103) as f32 * 1e-2);
+    let be = active_backend();
+    let (pa, pb) = (PackedA::pack(be, &a), PackedB::pack(be, &b));
+    let epi = FusedEpilogue::default();
+    let (top2, heap) = measure(|| gemm_top2_ex(-2.0, &pa, &pb, &epi, batch, m_per_ref));
+    let entry = std::mem::size_of::<Top2>();
+    let out_bytes = batch * n * entry;
+    let bound = out_bytes + NC * batch * entry + 1024;
+    assert!(heap.peak <= bound, "peak {} > {bound} (output {out_bytes} B)", heap.peak);
+    assert_eq!(top2, top2_min_per_column(&gemm_at_b(be, -2.0, &a, &b), batch, m_per_ref));
 }

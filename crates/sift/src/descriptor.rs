@@ -7,7 +7,6 @@
 
 use crate::keypoint::Keypoint;
 use crate::pyramid::Pyramid;
-use rayon::prelude::*;
 use texid_image::filter::gradient_at;
 use texid_image::GrayImage;
 
@@ -140,15 +139,15 @@ fn normalize_l2(v: &mut [f32; DESCRIPTOR_DIM]) {
     }
 }
 
-/// Compute descriptors for many keypoints in parallel, dropping keypoints
-/// whose windows leave the image. Returns surviving `(keypoint, descriptor)`
+/// Compute descriptors for many keypoints, dropping keypoints whose
+/// windows leave the image. Returns surviving `(keypoint, descriptor)`
 /// pairs in input order.
 pub fn compute_descriptors(
     pyr: &Pyramid,
     keypoints: &[Keypoint],
 ) -> Vec<(Keypoint, [f32; DESCRIPTOR_DIM])> {
     keypoints
-        .par_iter()
+        .iter()
         .filter_map(|kp| {
             let level = (kp.interval.round() as usize).clamp(0, pyr.intervals + 2);
             let img = &pyr.octaves[kp.octave].gaussians[level];

@@ -2,7 +2,6 @@
 
 use crate::keypoint::Keypoint;
 use crate::pyramid::Pyramid;
-use rayon::prelude::*;
 use texid_image::GrayImage;
 
 /// Detection thresholds.
@@ -127,57 +126,53 @@ fn passes_edge_test(dog: &GrayImage, x: usize, y: usize, edge_threshold: f32) ->
 /// `orientation::assign_orientations` fills it in.
 pub fn detect_keypoints(pyr: &Pyramid, params: &DetectParams) -> Vec<Keypoint> {
     let intervals = pyr.intervals;
-    pyr.octaves
-        .par_iter()
-        .enumerate()
-        .flat_map(|(o, oct)| {
-            let mut found = Vec::new();
-            let w = oct.dogs[0].width();
-            let h = oct.dogs[0].height();
-            let b = params.border.max(1);
-            if w <= 2 * b || h <= 2 * b {
-                return found;
-            }
-            for level in 1..=intervals {
-                for y in b..h - b {
-                    for x in b..w - b {
-                        if !is_extremum(&oct.dogs, level, x, y) {
-                            continue;
-                        }
-                        let Some(r) = refine(&oct.dogs, level, x, y) else {
-                            continue;
-                        };
-                        // Reject unstable fits that want to move far away.
-                        if r.dx.abs() > 0.6 || r.dy.abs() > 0.6 || r.ds.abs() > 0.6 {
-                            continue;
-                        }
-                        if r.contrast < params.contrast_threshold {
-                            continue;
-                        }
-                        if !passes_edge_test(&oct.dogs[level], x, y, params.edge_threshold) {
-                            continue;
-                        }
-                        let oct_x = x as f32 + r.dx;
-                        let oct_y = y as f32 + r.dy;
-                        let interval = level as f32 + r.ds;
-                        let scale_factor = pyr.octave_to_image_scale(o);
-                        found.push(Keypoint {
-                            x: oct_x * scale_factor,
-                            y: oct_y * scale_factor,
-                            sigma: pyr.abs_sigma(o, interval),
-                            orientation: 0.0,
-                            response: r.contrast,
-                            octave: o,
-                            interval,
-                            oct_x,
-                            oct_y,
-                        });
+    let mut found = Vec::new();
+    for (o, oct) in pyr.octaves.iter().enumerate() {
+        let w = oct.dogs[0].width();
+        let h = oct.dogs[0].height();
+        let b = params.border.max(1);
+        if w <= 2 * b || h <= 2 * b {
+            continue;
+        }
+        for level in 1..=intervals {
+            for y in b..h - b {
+                for x in b..w - b {
+                    if !is_extremum(&oct.dogs, level, x, y) {
+                        continue;
                     }
+                    let Some(r) = refine(&oct.dogs, level, x, y) else {
+                        continue;
+                    };
+                    // Reject unstable fits that want to move far away.
+                    if r.dx.abs() > 0.6 || r.dy.abs() > 0.6 || r.ds.abs() > 0.6 {
+                        continue;
+                    }
+                    if r.contrast < params.contrast_threshold {
+                        continue;
+                    }
+                    if !passes_edge_test(&oct.dogs[level], x, y, params.edge_threshold) {
+                        continue;
+                    }
+                    let oct_x = x as f32 + r.dx;
+                    let oct_y = y as f32 + r.dy;
+                    let interval = level as f32 + r.ds;
+                    let scale_factor = pyr.octave_to_image_scale(o);
+                    found.push(Keypoint {
+                        x: oct_x * scale_factor,
+                        y: oct_y * scale_factor,
+                        sigma: pyr.abs_sigma(o, interval),
+                        orientation: 0.0,
+                        response: r.contrast,
+                        octave: o,
+                        interval,
+                        oct_x,
+                        oct_y,
+                    });
                 }
             }
-            found
-        })
-        .collect()
+        }
+    }
+    found
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 //! accuracy side of that trade.
 
 use crate::keypoint::Keypoint;
-use rayon::prelude::*;
 use texid_image::filter::resize_bilinear;
 use texid_image::GrayImage;
 
@@ -218,70 +217,65 @@ pub fn extract_orb(image: &GrayImage, cfg: &OrbConfig) -> BinaryFeatures {
         levels.push(resize_bilinear(image, w, h));
     }
 
-    // Detect + describe per level, in parallel.
-    let mut feats: Vec<(Keypoint, [u32; ORB_WORDS])> = levels
-        .par_iter()
-        .enumerate()
-        .flat_map(|(l, im)| {
-            let scale = 1.2f32.powi(l as i32);
-            let mut out = Vec::new();
-            let w = im.width();
-            let h = im.height();
-            if w < 64 || h < 64 {
-                return out;
-            }
-            for y in 24..h - 24 {
-                for x in 24..w - 24 {
-                    let Some(score) = fast9_score(im, x, y, cfg.fast_threshold) else {
-                        continue;
-                    };
-                    // Cheap 3×3 non-max on the FAST score.
-                    let mut is_max = true;
-                    'nms: for dy in -1isize..=1 {
-                        for dx in -1isize..=1 {
-                            if dx == 0 && dy == 0 {
-                                continue;
-                            }
-                            if let Some(n) = fast9_score(
-                                im,
-                                (x as isize + dx) as usize,
-                                (y as isize + dy) as usize,
-                                cfg.fast_threshold,
-                            ) {
-                                if n > score {
-                                    is_max = false;
-                                    break 'nms;
-                                }
+    // Detect + describe per level.
+    let mut feats: Vec<(Keypoint, [u32; ORB_WORDS])> = Vec::new();
+    for (l, im) in levels.iter().enumerate() {
+        let scale = 1.2f32.powi(l as i32);
+        let w = im.width();
+        let h = im.height();
+        if w < 64 || h < 64 {
+            continue;
+        }
+        for y in 24..h - 24 {
+            for x in 24..w - 24 {
+                let Some(score) = fast9_score(im, x, y, cfg.fast_threshold) else {
+                    continue;
+                };
+                // Cheap 3×3 non-max on the FAST score.
+                let mut is_max = true;
+                'nms: for dy in -1isize..=1 {
+                    for dx in -1isize..=1 {
+                        if dx == 0 && dy == 0 {
+                            continue;
+                        }
+                        if let Some(n) = fast9_score(
+                            im,
+                            (x as isize + dx) as usize,
+                            (y as isize + dy) as usize,
+                            cfg.fast_threshold,
+                        ) {
+                            if n > score {
+                                is_max = false;
+                                break 'nms;
                             }
                         }
                     }
-                    if !is_max {
-                        continue;
-                    }
-                    let angle = centroid_orientation(im, x, y, 15);
-                    let Some(desc) = brief_descriptor(im, x as f32, y as f32, angle, &pattern)
-                    else {
-                        continue;
-                    };
-                    out.push((
-                        Keypoint {
-                            x: x as f32 * scale,
-                            y: y as f32 * scale,
-                            sigma: scale,
-                            orientation: angle,
-                            response: score,
-                            octave: l,
-                            interval: 0.0,
-                            oct_x: x as f32,
-                            oct_y: y as f32,
-                        },
-                        desc,
-                    ));
                 }
+                if !is_max {
+                    continue;
+                }
+                let angle = centroid_orientation(im, x, y, 15);
+                let Some(desc) = brief_descriptor(im, x as f32, y as f32, angle, &pattern)
+                else {
+                    continue;
+                };
+                feats.push((
+                    Keypoint {
+                        x: x as f32 * scale,
+                        y: y as f32 * scale,
+                        sigma: scale,
+                        orientation: angle,
+                        response: score,
+                        octave: l,
+                        interval: 0.0,
+                        oct_x: x as f32,
+                        oct_y: y as f32,
+                    },
+                    desc,
+                ));
             }
-            out
-        })
-        .collect();
+        }
+    }
 
     feats.sort_by(|a, b| b.0.response.partial_cmp(&a.0.response).expect("finite scores"));
     feats.truncate(cfg.max_features);

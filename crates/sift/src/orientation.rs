@@ -8,7 +8,6 @@
 
 use crate::keypoint::Keypoint;
 use crate::pyramid::Pyramid;
-use rayon::prelude::*;
 use texid_image::filter::gradient_at;
 use texid_image::GrayImage;
 
@@ -81,20 +80,16 @@ fn bin_to_angle(bin: f32) -> f32 {
 /// Assign orientations; keypoints with secondary peaks ≥ `0.8·max` are
 /// duplicated (one per orientation). Returns the expanded keypoint list.
 pub fn assign_orientations(pyr: &Pyramid, keypoints: Vec<Keypoint>) -> Vec<Keypoint> {
-    keypoints
-        .into_par_iter()
-        .flat_map(|kp| {
-            let level = (kp.interval.round() as usize).clamp(0, pyr.intervals + 2);
-            let img = &pyr.octaves[kp.octave].gaussians[level];
-            let oct_sigma = kp.octave_sigma(pyr.sigma0, pyr.intervals);
-            let hist = orientation_histogram(img, &kp, oct_sigma);
-            let max = hist.iter().cloned().fold(0.0f32, f32::max);
-            let mut out = Vec::with_capacity(1);
-            if max <= 0.0 {
-                // Degenerate (flat window): keep with zero orientation.
-                out.push(kp);
-                return out;
-            }
+    let mut out = Vec::with_capacity(keypoints.len());
+    for kp in keypoints {
+        let level = (kp.interval.round() as usize).clamp(0, pyr.intervals + 2);
+        let img = &pyr.octaves[kp.octave].gaussians[level];
+        let oct_sigma = kp.octave_sigma(pyr.sigma0, pyr.intervals);
+        let hist = orientation_histogram(img, &kp, oct_sigma);
+        let max = hist.iter().cloned().fold(0.0f32, f32::max);
+        let first = out.len();
+        // A flat window (`max` 0) has no peak.
+        if max > 0.0 {
             for i in 0..BINS {
                 let prev = hist[(i + BINS - 1) % BINS];
                 let next = hist[(i + 1) % BINS];
@@ -110,12 +105,13 @@ pub fn assign_orientations(pyr: &Pyramid, keypoints: Vec<Keypoint>) -> Vec<Keypo
                     out.push(Keypoint { orientation: angle, ..kp });
                 }
             }
-            if out.is_empty() {
-                out.push(kp);
-            }
-            out
-        })
-        .collect()
+        }
+        // No peak: keep the keypoint with zero orientation.
+        if out.len() == first {
+            out.push(kp);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 
 use crate::integral::IntegralImage;
 use crate::keypoint::Keypoint;
-use rayon::prelude::*;
 use texid_image::GrayImage;
 use texid_linalg::Mat;
 
@@ -80,75 +79,72 @@ fn detect(ii: &IntegralImage, cfg: &SurfConfig) -> Vec<Candidate> {
     let w = ii.width() as isize;
     let h = ii.height() as isize;
 
-    (0..cfg.n_octaves)
-        .into_par_iter()
-        .flat_map(|octave| {
-            let sizes = octave_sizes(octave);
-            let step = 1isize << octave;
-            let border = sizes[3] / 2 + 1;
-            let mut found = Vec::new();
-            if w <= 2 * border || h <= 2 * border {
-                return found;
-            }
+    let mut found = Vec::new();
+    for octave in 0..cfg.n_octaves {
+        let sizes = octave_sizes(octave);
+        let step = 1isize << octave;
+        let border = sizes[3] / 2 + 1;
+        if w <= 2 * border || h <= 2 * border {
+            continue;
+        }
 
-            // Response maps for the four filter sizes on this octave's grid.
-            let gx = ((w - 2 * border) / step) as usize;
-            let gy = ((h - 2 * border) / step) as usize;
-            if gx < 3 || gy < 3 {
-                return found;
-            }
-            let mut maps = Vec::with_capacity(4);
-            for &size in &sizes {
-                let mut map = vec![0.0f64; gx * gy];
-                for iy in 0..gy {
-                    for ix in 0..gx {
-                        let x = border + ix as isize * step;
-                        let y = border + iy as isize * step;
-                        let (det, _) = hessian_response(ii, x, y, size);
-                        map[iy * gx + ix] = det;
-                    }
+        // Response maps for the four filter sizes on this octave's grid.
+        let gx = ((w - 2 * border) / step) as usize;
+        let gy = ((h - 2 * border) / step) as usize;
+        if gx < 3 || gy < 3 {
+            continue;
+        }
+        let mut maps = Vec::with_capacity(4);
+        for &size in &sizes {
+            let mut map = vec![0.0f64; gx * gy];
+            for iy in 0..gy {
+                for ix in 0..gx {
+                    let x = border + ix as isize * step;
+                    let y = border + iy as isize * step;
+                    let (det, _) = hessian_response(ii, x, y, size);
+                    map[iy * gx + ix] = det;
                 }
-                maps.push(map);
             }
+            maps.push(map);
+        }
 
-            // 3×3×3 non-maximum suppression over the middle two levels.
-            for level in 1..3usize {
-                for iy in 1..gy - 1 {
-                    for ix in 1..gx - 1 {
-                        let v = maps[level][iy * gx + ix];
-                        if v < cfg.hessian_threshold {
-                            continue;
-                        }
-                        let mut is_max = true;
-                        'nms: for (dl, lvl_map) in maps[level - 1..=level + 1].iter().enumerate() {
-                            for dy in -1isize..=1 {
-                                for dx in -1isize..=1 {
-                                    if dl == 1 && dx == 0 && dy == 0 {
-                                        continue;
-                                    }
-                                    let n = lvl_map
-                                        [(iy as isize + dy) as usize * gx + (ix as isize + dx) as usize];
-                                    if n >= v {
-                                        is_max = false;
-                                        break 'nms;
-                                    }
+        // 3×3×3 non-maximum suppression over the middle two levels.
+        for level in 1..3usize {
+            for iy in 1..gy - 1 {
+                for ix in 1..gx - 1 {
+                    let v = maps[level][iy * gx + ix];
+                    if v < cfg.hessian_threshold {
+                        continue;
+                    }
+                    let mut is_max = true;
+                    'nms: for (dl, lvl_map) in maps[level - 1..=level + 1].iter().enumerate() {
+                        for dy in -1isize..=1 {
+                            for dx in -1isize..=1 {
+                                if dl == 1 && dx == 0 && dy == 0 {
+                                    continue;
+                                }
+                                let n = lvl_map
+                                    [(iy as isize + dy) as usize * gx + (ix as isize + dx) as usize];
+                                if n >= v {
+                                    is_max = false;
+                                    break 'nms;
                                 }
                             }
                         }
-                        if is_max {
-                            found.push(Candidate {
-                                x: (border + ix as isize * step) as usize,
-                                y: (border + iy as isize * step) as usize,
-                                size: sizes[level],
-                                response: v,
-                            });
-                        }
+                    }
+                    if is_max {
+                        found.push(Candidate {
+                            x: (border + ix as isize * step) as usize,
+                            y: (border + iy as isize * step) as usize,
+                            size: sizes[level],
+                            response: v,
+                        });
                     }
                 }
             }
-            found
-        })
-        .collect()
+        }
+    }
+    found
 }
 
 /// Dominant orientation via the sliding-sector maximum of Haar responses.
@@ -279,7 +275,7 @@ pub fn extract_surf(image: &GrayImage, cfg: &SurfConfig) -> crate::FeatureMatrix
     candidates.truncate(cfg.max_features * 2);
 
     let described: Vec<(Keypoint, [f32; SURF_DIM])> = candidates
-        .par_iter()
+        .iter()
         .filter_map(|c| {
             let scale = 1.2 * c.size as f64 / 9.0;
             let angle = orientation(&ii, c.x as isize, c.y as isize, scale);
