@@ -431,7 +431,7 @@ fn metrics(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     // The gauges that mirror state kept elsewhere are brought up to
     // date by the scrape that reads them.
     texid_obs::touch_process_metrics();
-    cluster.refresh_wal_gauges();
+    cluster.refresh_gauges();
     Ok(Response::prometheus(200, texid_obs::global().render_prometheus()))
 }
 
@@ -490,7 +490,7 @@ fn health(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     };
     // Durability posture rides along so "shard won't heal" triage
     // starts from one endpoint (OBSERVABILITY.md runbook).
-    let w = cluster.refresh_wal_gauges();
+    let w = cluster.refresh_gauges();
     let store = Json::obj([
         ("durable", Json::Bool(true)),
         ("wal_appends", Json::Num(w.appends as f64)),

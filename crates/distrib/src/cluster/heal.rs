@@ -113,8 +113,8 @@ impl Cluster {
         assert!(shard < self.shards.len(), "no such container");
         let mut report = RecoveryReport::default();
         self.shards[shard].rebuild(|engine| {
-            // This shard's live textures, in id order so fault-plan
-            // consumption stays deterministic.
+            // This shard's live textures, in id order, so a scripted read
+            // rule ("corrupt the next read") lands on the same id every run.
             for id in self.members_of(shard) {
                 // Three-way read: checksum-verified value, missing, or corrupt
                 // (verified bytes that fail to decode, or decode to descriptors
@@ -190,11 +190,9 @@ impl Cluster {
         drop(span);
         report.replay = replay;
         for shard in unhealthy {
-            // Sequential fault draw: an injected replay stall is accounted
-            // into this shard's wall time (simulated, not slept).
-            let stall_us = match
-                self.fault_plan.as_ref().and_then(|p| p.decide(FaultOp::replay(shard)))
-            {
+            // An injected replay stall is accounted into this shard's wall
+            // time (simulated, not slept).
+            let stall_us = match self.decide(FaultOp::replay(shard), None).0 {
                 Some(FaultKind::ReplayStall { us }) => us,
                 _ => 0.0,
             };

@@ -21,14 +21,15 @@
 //!
 //! # The search path
 //!
-//! [`Cluster::search_traced`] is orchestration over one `Leg` per shard
-//! (plan, trace context, answer) handed through named phases: `plan_legs`
-//! (sequential: breaker gating and fault draws), `run_leg` (one thread per
-//! dispatched leg — the only parallelism of a search), `account_legs` (the
-//! single per-leg accounting point; every per-stage surface there is a loop
-//! over `Stage::ALL` projecting the leg's `SearchReport`) and
-//! `merge_and_publish`. A leg's *measured* report is its *predicted* one
-//! under the planned perturbation ([`SearchReport::perturbed`]).
+//! [`Cluster::search_traced`] is orchestration over one `Leg` per shard,
+//! through three phases: `leg` (one thread per shard — the only parallelism
+//! of a search — on which the leg plans itself: breaker admission, the
+//! fault decision, the perturbation and the run, ending in one
+//! `LegOutcome`), `account_legs` (the single per-leg accounting point;
+//! every per-stage surface there is a loop over `Stage::ALL` projecting the
+//! leg's `SearchReport`) and `merge_and_publish`. A leg's *measured* report
+//! is its *predicted* one under its fault's perturbation
+//! ([`SearchReport::perturbed`]).
 //!
 //! # Failure model & degraded mode
 //!
@@ -61,7 +62,7 @@
 //! * this file — configuration, errors, [`Cluster`] itself and its `/stats`;
 //! * `shard` — one container: engine, coalescer, breaker, per-shard series;
 //! * `placement` — id → shard ownership, the fault-wrapped store, CRUD, verify;
-//! * `search` — the four phases of [`Cluster::search_traced`];
+//! * `search` — the three phases of [`Cluster::search_traced`];
 //! * `heal` — `recover_container`, `heal` and their reports.
 //!
 //! [`Engine::remove_reference`]: texid_core::Engine::remove_reference
@@ -80,7 +81,7 @@ pub use placement::VerifyReport;
 pub use search::ClusterSearchResult;
 pub use shard::{ShardHealth, ShardStatus};
 
-use crate::faults::{Backoff, FaultPlan};
+use crate::faults::{Backoff, FaultKind, FaultOp, FaultPlan};
 use crate::kv::KvStore;
 use parking_lot::Mutex;
 use shard::Shard;
@@ -362,13 +363,6 @@ pub struct Cluster {
     /// so the map and the engines cannot disagree about who owns an id.
     shard_of: Mutex<HashMap<u64, usize>>,
     next_rr: AtomicUsize,
-    /// Held across a search's plan phase. Each breaker has its own lock;
-    /// this one keeps one search's fault draws — shard 0 to n, retries
-    /// included — from interleaving with another's, which is what makes a
-    /// seeded [`FaultPlan`] hand shard `s` the same decisions on every run
-    /// (the "never concurrently" of [`crate::faults`]' determinism
-    /// contract) however many HTTP workers search at once.
-    planning: Mutex<()>,
     fault_plan: Option<FaultPlan>,
     total_searches: AtomicU64,
     degraded_searches: AtomicU64,
@@ -414,7 +408,6 @@ impl Cluster {
             store,
             shard_of: Mutex::new(HashMap::new()),
             next_rr: AtomicUsize::new(0),
-            planning: Mutex::new(()),
             fault_plan,
             total_searches: AtomicU64::new(0),
             degraded_searches: AtomicU64::new(0),
@@ -427,17 +420,47 @@ impl Cluster {
 
     /// The single accounting point for a transient-fault retry: `/stats`
     /// and the Prometheus counter move in lockstep, exactly once per
-    /// attempt, no matter which code path (store read/write, search
-    /// planning) performed the retry. When the retry happens inside a
-    /// traced search, `leg` carries the shard leg's context and the same
-    /// single point also records exactly one `retry` span — counter and
-    /// span tree cannot drift.
+    /// attempt, no matter which operation (store read/write, search leg)
+    /// was retried. When the retry happens inside a traced search, `leg`
+    /// carries the shard leg's context and the same single point also
+    /// records exactly one `retry` span — counter and span tree cannot
+    /// drift.
     fn note_retry(&self, leg: Option<(TraceContext, usize)>) {
         self.retries.fetch_add(1, Ordering::Relaxed);
         self.telemetry.retries.inc();
         if let Some((ctx, shard)) = leg {
             global_ring().mark(&ctx, "retry", vec![("shard".to_string(), shard.to_string())]);
         }
+    }
+
+    /// The fault plan's decision for `op` — the one place the cluster takes
+    /// one, and the one loop over transient faults. A transient is retried
+    /// up to the backoff budget, each retry counted once by
+    /// [`Cluster::note_retry`] (under `leg`'s trace context, if any); the
+    /// decision that ends the loop comes back with the retries it took, and
+    /// is still `Transient` when the budget ran out. Without a plan,
+    /// nothing is injected.
+    fn decide(
+        &self,
+        op: FaultOp<'_>,
+        leg: Option<(TraceContext, usize)>,
+    ) -> (Option<FaultKind>, u32) {
+        let Some(plan) = &self.fault_plan else { return (None, 0) };
+        let budget = self.cfg.resilience.backoff.max_retries;
+        let mut retries = 0;
+        loop {
+            let fault = plan.decide(FaultOp { attempt: retries, ..op });
+            if fault != Some(FaultKind::Transient) || retries == budget {
+                return (fault, retries);
+            }
+            retries += 1;
+            self.note_retry(leg);
+        }
+    }
+
+    /// Faults the active plan has injected (0 without one).
+    fn faults_injected(&self) -> u64 {
+        self.fault_plan.as_ref().map_or(0, FaultPlan::injected)
     }
 
     /// Configuration in force.
@@ -461,9 +484,12 @@ impl Cluster {
     }
 
     /// The store's WAL counters, published to the `texid_wal_*` gauges on
-    /// the way. The `/metrics` scrape calls this, as `/stats` and `/health`
-    /// do, so the gauges are current whoever reads them.
-    pub fn refresh_wal_gauges(&self) -> WalStats {
+    /// the way, together with `texid_faults_injected` — the gauges whose
+    /// state lives elsewhere, each with this one writer. The `/metrics`
+    /// scrape calls this, as `/stats` and `/health` do, so the gauges are
+    /// current whoever reads them, whichever operation injected a fault.
+    pub fn refresh_gauges(&self) -> WalStats {
+        self.telemetry.faults_injected.set(self.faults_injected() as f64);
         let wal = self.store.wal_stats().expect("the cluster's store is journaled");
         self.telemetry.wal_appends.set(wal.appends as f64);
         self.telemetry.wal_bytes.set(wal.wal_bytes as f64);
@@ -491,7 +517,7 @@ impl Cluster {
                 ShardHealth::Suspect => (h, s + 1, d),
                 ShardHealth::Down => (h, s, d + 1),
             });
-        let wal = Some(self.refresh_wal_gauges());
+        let wal = Some(self.refresh_gauges());
         ClusterStats {
             containers: self.shards.len(),
             textures: self.len(),
@@ -503,7 +529,7 @@ impl Cluster {
             total_searches: self.total_searches.load(Ordering::Relaxed),
             degraded_searches: self.degraded_searches.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            faults_injected: self.fault_plan.as_ref().map_or(0, |p| p.injected()),
+            faults_injected: self.faults_injected(),
             schedule_efficiency: self.telemetry.schedule_efficiency.get(),
             achieved_tflops: self.telemetry.achieved_tflops.get(),
             gpu_efficiency: self.telemetry.gpu_efficiency.get(),

@@ -2,7 +2,7 @@
 //! and one-to-one verification built on the two.
 
 use super::{Cluster, ClusterError};
-use crate::faults::{FaultKind, FaultOp};
+use crate::faults::{FaultKind, FaultOp, FaultPlan};
 use crate::wire;
 use parking_lot::RwLockWriteGuard;
 use std::sync::atomic::Ordering;
@@ -61,61 +61,35 @@ impl Cluster {
     /// [`StoreRead`] outcomes (corruption is *detected*, never returned —
     /// mangled bytes fail their per-value checksum).
     pub(super) fn store_get(&self, key: &str) -> Result<StoreRead, ClusterError> {
-        let Some(plan) = &self.fault_plan else {
-            return Ok(Self::verified(self.store.get_with_crc(key)));
-        };
-        let mut attempt = 0u32;
-        loop {
-            match plan.decide(FaultOp::kv_read(key)) {
-                Some(FaultKind::Transient) => {
-                    if attempt >= self.cfg.resilience.backoff.max_retries {
-                        return Err(ClusterError::Timeout(format!("kv read {key}")));
-                    }
-                    attempt += 1;
-                    self.note_retry(None);
-                }
-                Some(FaultKind::KvLoss) => return Ok(StoreRead::Missing),
-                Some(FaultKind::KvCorrupt) => {
-                    return Ok(Self::verified(self.store.get_with_crc(key).map(
-                        |(mut bytes, crc)| {
-                            plan.corrupt_bytes(&mut bytes);
-                            bytes = if bytes.is_empty() { vec![0] } else { bytes };
-                            (bytes, crc)
-                        },
-                    )))
-                }
-                _ => return Ok(Self::verified(self.store.get_with_crc(key))),
+        match self.decide(FaultOp::kv_read(key), None).0 {
+            Some(FaultKind::Transient) => Err(ClusterError::Timeout(format!("kv read {key}"))),
+            Some(FaultKind::KvLoss) => Ok(StoreRead::Missing),
+            Some(FaultKind::KvCorrupt) => {
+                Ok(Self::verified(self.store.get_with_crc(key).map(|(mut bytes, crc)| {
+                    FaultPlan::corrupt_bytes(&mut bytes);
+                    bytes = if bytes.is_empty() { vec![0] } else { bytes };
+                    (bytes, crc)
+                })))
             }
+            _ => Ok(Self::verified(self.store.get_with_crc(key))),
         }
     }
 
     /// Store write through the fault plan: bounded deterministic retries
-    /// on transient faults, then one durability draw for the WAL append
-    /// and, when compaction comes due, one for the snapshot write. All
-    /// draws happen sequentially on the caller's thread — the determinism
-    /// contract of [`crate::faults`].
+    /// on transient faults, then one durability decision for the WAL
+    /// append and, when compaction comes due, one for the snapshot write.
     fn store_set(&self, key: &str, value: Vec<u8>) -> Result<(), ClusterError> {
-        let mut wal_fault = WriteFault::Clean;
-        if let Some(plan) = &self.fault_plan {
-            let mut attempt = 0u32;
-            while let Some(FaultKind::Transient) = plan.decide(FaultOp::kv_write(key)) {
-                if attempt >= self.cfg.resilience.backoff.max_retries {
-                    return Err(ClusterError::Unavailable(format!("feature store ({key})")));
-                }
-                attempt += 1;
-                self.note_retry(None);
-            }
-            wal_fault = match plan.decide(FaultOp::wal_append(key)) {
-                Some(FaultKind::CrashBeforeFsync) => WriteFault::Lose,
-                Some(FaultKind::TornWrite) => WriteFault::Tear,
-                _ => WriteFault::Clean,
-            };
+        if self.decide(FaultOp::kv_write(key), None).0 == Some(FaultKind::Transient) {
+            return Err(ClusterError::Unavailable(format!("feature store ({key})")));
         }
+        let wal_fault = match self.decide(FaultOp::wal_append(key), None).0 {
+            Some(FaultKind::CrashBeforeFsync) => WriteFault::Lose,
+            Some(FaultKind::TornWrite) => WriteFault::Tear,
+            _ => WriteFault::Clean,
+        };
         self.store.set_faulted(key, value, wal_fault);
         if self.store.snapshot_due() {
-            let snap_fault = match
-                self.fault_plan.as_ref().and_then(|p| p.decide(FaultOp::snapshot_write()))
-            {
+            let snap_fault = match self.decide(FaultOp::snapshot_write(), None).0 {
                 Some(FaultKind::SnapshotCorrupt) => SnapshotFault::Corrupt,
                 _ => SnapshotFault::Clean,
             };

@@ -1,8 +1,9 @@
-//! Scatter-gather search: one [`Leg`] per shard handed through the four
-//! phases of [`Cluster::search_traced`] — planned, run, accounted, merged.
+//! Scatter-gather search: one [`Leg`] per shard, each planned and run on its
+//! own thread, then accounted and merged by [`Cluster::search_traced`].
 
 use super::Cluster;
-use crate::faults::{Backoff, FaultKind, FaultOp, Stage};
+use crate::faults::{FaultKind, FaultOp, Stage};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,23 +49,6 @@ impl ClusterSearchResult {
     }
 }
 
-/// Per-shard dispatch decision for one search, fixed *before* the scatter
-/// so fault decisions are drawn sequentially (determinism contract).
-#[derive(Clone, Copy)]
-enum LegPlan {
-    /// Breaker open: shard sits this search out.
-    Skip,
-    /// Dispatch, with any pre-drawn injected behavior.
-    Run {
-        crash: bool,
-        straggle: Option<f64>,
-        stage_stall: Option<(Stage, f64)>,
-        backoff_us: f64,
-    },
-    /// Transient-fault retries already exhausted: fail without dispatching.
-    FailFast,
-}
-
 /// What an answering search leg returns.
 struct LegAnswer {
     /// The shard's ranking, in external ids.
@@ -77,16 +61,30 @@ struct LegAnswer {
     predicted: SearchReport,
 }
 
-/// One shard's leg of one search — the value the phases of
-/// [`Cluster::search_traced`] hand along: planned, run, accounted, merged.
+/// How one shard's leg of one search ended.
+// One per shard per search, moved once into its `Leg`: the answer stays
+// inline rather than costing every leg an allocation.
+#[allow(clippy::large_enum_variant)]
+enum LegOutcome {
+    /// The breaker was open: the shard sat this search out.
+    Skipped,
+    /// Transient faults outlasted the retry budget: the leg never ran.
+    FailedFast,
+    /// The leg ran and did not answer (injected crash, engine error).
+    Failed,
+    /// The leg answered.
+    Answered(LegAnswer),
+}
+
+/// One shard's leg of one search — the value [`Cluster::search_traced`]'s
+/// phases hand along: run, accounted, merged.
 struct Leg {
     shard: usize,
-    plan: LegPlan,
     /// Trace context of the leg (`None` in an untraced search).
     ctx: Option<TraceContext>,
-    /// `None` until the leg answers: a leg planned `Skip` never will, any
-    /// other leg left without an answer failed.
-    answer: Option<LegAnswer>,
+    /// Transient-fault retries taken before the leg ran or failed fast.
+    retries: u32,
+    outcome: LegOutcome,
 }
 
 impl Cluster {
@@ -134,85 +132,79 @@ impl Cluster {
                 .tag("top_k", &top_k.to_string())
         });
 
-        let mut legs = self.plan_legs(cluster_ctx.as_ref(), &mut event);
         // Narrowed and packed once; every leg's sweep reads the same panels.
         let query = &Arc::new(EncodedQuery::new(&self.cfg.engine, query));
-        // Scatter to the dispatched legs, one thread each; gather catching
-        // all failures — an engine error and a panicked leg alike leave
-        // the leg without an answer.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = legs
-                .iter()
-                .map(|leg| {
-                    let LegPlan::Run { crash, straggle, stage_stall, backoff_us } = leg.plan else {
-                        return None;
-                    };
-                    let (shard, ctx) = (&self.shards[leg.shard], leg.ctx);
-                    Some(scope.spawn(move || {
-                        // The unperturbed report *is* the analytic Eq. 3/4
-                        // prediction for this exact query shape; the drift
-                        // sentry compares it with the measured copy.
-                        shard.run_leg(ctx, crash, query).map(|r| LegAnswer {
-                            ranked: r.ranked,
-                            measured: r.report.perturbed(stage_stall, straggle, backoff_us),
-                            predicted: r.report,
-                        })
-                    }))
+        // Scatter: one thread per shard, each leg planning and running
+        // itself; gather every outcome.
+        let legs: Vec<Leg> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.shards.len())
+                .map(|shard| {
+                    let ctx = cluster_ctx.map(|c| c.child());
+                    (shard, ctx, scope.spawn(move || self.leg(shard, ctx, query)))
                 })
                 .collect();
-            for (leg, handle) in legs.iter_mut().zip(handles) {
-                leg.answer = handle.and_then(|h| h.join().ok()?.ok());
-            }
+            handles
+                .into_iter()
+                .map(|(shard, ctx, handle)| {
+                    // The run's panics are caught inside the leg; one
+                    // anywhere else in it still fails only this leg.
+                    let (retries, outcome) = handle.join().unwrap_or((0, LegOutcome::Failed));
+                    Leg { shard, ctx, retries, outcome }
+                })
+                .collect()
         });
         self.account_legs(&legs, trace_id, &mut event);
         self.merge_and_publish(legs, top_k, trace_id, event, started)
     }
 
-    /// Phase 1 (sequential, deterministic): breaker gating and fault
-    /// decisions, fixed per shard before any thread is spawned. Leg
-    /// contexts are minted here, before any fault decision, so retry marks
-    /// drawn while planning already parent to the right leg.
-    fn plan_legs(&self, cluster_ctx: Option<&TraceContext>, event: &mut WideEvent) -> Vec<Leg> {
-        let backoff: Backoff = self.cfg.resilience.backoff;
-        let _one_planner = self.planning.lock();
-        let mut legs = Vec::with_capacity(self.shards.len());
-        for (shard, owner) in self.shards.iter().enumerate() {
-            let ctx = cluster_ctx.map(|c| c.child());
-            let mut plan = LegPlan::Skip;
-            if owner.admit() {
-                // Draw until the plan yields something other than a
-                // transient fault still inside the retry budget.
-                let op = FaultOp::search_shard(shard);
-                let mut retries = 0u32;
-                let fault = loop {
-                    let fault = self.fault_plan.as_ref().and_then(|fp| fp.decide(op));
-                    if fault != Some(FaultKind::Transient) || retries == backoff.max_retries {
-                        break fault;
-                    }
-                    retries += 1;
-                    self.note_retry(ctx.map(|c| (c, shard)));
-                };
-                event.retries += retries;
-                let (crash, straggle, stage_stall) = match fault {
-                    Some(FaultKind::ShardCrash) => (true, None, None),
-                    Some(FaultKind::Straggler { factor }) => (false, Some(factor), None),
-                    Some(FaultKind::StageStall { stage, factor }) => {
-                        (false, None, Some((stage, factor)))
-                    }
-                    _ => (false, None, None),
-                };
-                let backoff_us = backoff.total_us(retries);
-                plan = match fault {
-                    Some(FaultKind::Transient) => LegPlan::FailFast, // retry budget exhausted
-                    _ => LegPlan::Run { crash, straggle, stage_stall, backoff_us },
-                };
+    /// Phase 1, on the leg's own thread: breaker admission, the fault
+    /// decision (transient retries included), the perturbation and the run.
+    /// Returns the retries taken and the outcome. A leg that never runs
+    /// records its own zero-length `shard.leg` span, tagged with why; a run
+    /// that panics (an injected crash) fails the leg and keeps its retries.
+    fn leg(
+        &self,
+        shard: usize,
+        ctx: Option<TraceContext>,
+        query: &Arc<EncodedQuery>,
+    ) -> (u32, LegOutcome) {
+        let owner = &self.shards[shard];
+        let not_run = |why: &str| {
+            if let Some(c) = &ctx {
+                drop(owner.leg_span(c).tag("outcome", why));
             }
-            legs.push(Leg { shard, plan, ctx, answer: None });
+        };
+        if !owner.admit() {
+            not_run("skipped (breaker open)");
+            return (0, LegOutcome::Skipped);
         }
-        legs
+        let (fault, retries) = self.decide(FaultOp::search_shard(shard), ctx.map(|c| (c, shard)));
+        let (crash, straggle, stage_stall) = match fault {
+            Some(FaultKind::Transient) => {
+                not_run("failed (retries exhausted)");
+                return (retries, LegOutcome::FailedFast);
+            }
+            Some(FaultKind::ShardCrash) => (true, None, None),
+            Some(FaultKind::Straggler { factor }) => (false, Some(factor), None),
+            Some(FaultKind::StageStall { stage, factor }) => (false, None, Some((stage, factor))),
+            _ => (false, None, None),
+        };
+        let backoff_us = self.cfg.resilience.backoff.total_us(retries);
+        let outcome = match catch_unwind(AssertUnwindSafe(|| owner.run_leg(ctx, crash, query))) {
+            // The unperturbed report *is* the analytic Eq. 3/4 prediction
+            // for this exact query shape; the drift sentry compares it with
+            // the measured copy.
+            Ok(Ok(r)) => LegOutcome::Answered(LegAnswer {
+                ranked: r.ranked,
+                measured: r.report.perturbed(stage_stall, straggle, backoff_us),
+                predicted: r.report,
+            }),
+            _ => LegOutcome::Failed,
+        };
+        (retries, outcome)
     }
 
-    /// Phase 3: drive the breakers from the outcomes. This is the *single*
+    /// Phase 2: drive the breakers from the outcomes. This is the *single*
     /// per-leg accounting point — breaker transitions (which publish their
     /// gauge), shard failure/skip counters, latency observations, and every
     /// projection of an answered leg's report (drift pairs, exemplars, the
@@ -222,8 +214,9 @@ impl Cluster {
     fn account_legs(&self, legs: &[Leg], trace_id: Option<u128>, event: &mut WideEvent) {
         for leg in legs {
             let shard = &self.shards[leg.shard];
-            match (&leg.answer, leg.plan) {
-                (Some(LegAnswer { measured, predicted, .. }), _) => {
+            event.retries += leg.retries;
+            match &leg.outcome {
+                LegOutcome::Answered(LegAnswer { measured, predicted, .. }) => {
                     shard.record_answer(measured.total_us, trace_id);
                     // Feed the drift sentry the (measured, predicted) pair
                     // per series, and — for traced searches — stamp
@@ -244,58 +237,17 @@ impl Cluster {
                     for stage in Stage::ALL {
                         *event.stage_us_mut(stage) += measured.stage_us(stage);
                     }
+                    if let Some(ctx) = &leg.ctx {
+                        trace_sim_stages(ctx, leg.shard, measured);
+                    }
                 }
-                (None, LegPlan::Skip) => shard.record_skip(),
-                (None, _) => shard.record_failure(),
+                LegOutcome::Skipped => shard.record_skip(),
+                LegOutcome::FailedFast | LegOutcome::Failed => shard.record_failure(),
             }
-            self.trace_leg_outcome(leg);
         }
     }
 
-    /// Trace bookkeeping for one accounted leg (nothing in an untraced search).
-    /// Dispatched legs already recorded their wall-clock `shard.leg` span
-    /// in-thread; here the answered ones additionally get **sim-clock**
-    /// engine-stage child spans (serial layout from sim time 0 on a
-    /// per-shard `… (sim)` track), while never-dispatched legs get a
-    /// zero-length leg span tagged with why they did not run.
-    fn trace_leg_outcome(&self, leg: &Leg) {
-        let Some(ctx) = &leg.ctx else { return };
-        let (ring, shard) = (global_ring(), leg.shard);
-        let not_run = |why: &str| {
-            drop(
-                ring.span(ctx, "shard.leg")
-                    .tag("shard", &shard.to_string())
-                    .tag("track", &format!("shard {shard}"))
-                    .tag("outcome", why),
-            )
-        };
-        match (&leg.plan, &leg.answer) {
-            (LegPlan::Skip, _) => not_run("skipped (breaker open)"),
-            (LegPlan::FailFast, _) => not_run("failed (retries exhausted)"),
-            (_, Some(LegAnswer { measured, .. })) => {
-                let track = format!("shard {shard} (sim)");
-                let tags = |stage: &str| {
-                    vec![
-                        ("shard".to_string(), shard.to_string()),
-                        ("stage".to_string(), stage.to_string()),
-                        ("track".to_string(), track.clone()),
-                    ]
-                };
-                ring.record_sim(ctx, "device total", 0.0, measured.total_us, tags(STAGE_TOTAL));
-                let mut t = 0.0;
-                for stage in Stage::ALL {
-                    let (name, dur) = (stage.span_name(), measured.stage_us(stage));
-                    ring.record_sim(ctx, name, t, dur, tags(name));
-                    t += dur;
-                }
-            }
-            // Dispatched-but-failed: the in-thread span guard already
-            // recorded the leg (including panics); nothing to add.
-            _ => {}
-        }
-    }
-
-    /// Phase 4: merge the answers and publish the finished search — its
+    /// Phase 3: merge the answers and publish the finished search — its
     /// result, the degraded counter, the live paper gauges, the serving
     /// objectives, and the wide event (one per search, always).
     fn merge_and_publish(
@@ -306,13 +258,14 @@ impl Cluster {
         mut event: WideEvent,
         started: Instant,
     ) -> ClusterSearchResult {
-        let shards_skipped = legs.iter().filter(|l| matches!(l.plan, LegPlan::Skip)).count();
+        let shards_skipped = legs.iter().filter(|l| matches!(l.outcome, LegOutcome::Skipped)).count();
         // Every shard answers in external ids, and an id has one version on
         // one shard: the merge is a concatenation.
         let mut results = Vec::new();
         let mut shard_reports = Vec::new();
         let shards = legs.len();
-        for answer in legs.into_iter().filter_map(|l| l.answer) {
+        for leg in legs {
+            let LegOutcome::Answered(answer) = leg.outcome else { continue };
             results.extend(answer.ranked);
             shard_reports.push(answer.measured);
         }
@@ -359,10 +312,6 @@ impl Cluster {
                 .schedule_efficiency
                 .set(texid_gpu::streams::schedule_efficiency(per_gpu, pcie));
         }
-        if let Some(plan) = &self.fault_plan {
-            self.telemetry.faults_injected.set(plan.injected() as f64);
-        }
-
         // Serving objectives: a search is available if any shard answered,
         // and its latency is the simulated makespan.
         self.slo.record(wall_us, shards_ok > 0);
@@ -395,5 +344,27 @@ impl Cluster {
             degraded,
             trace_id,
         }
+    }
+}
+
+/// An answered leg's **sim-clock** engine-stage spans, children of its
+/// wall-clock `shard.leg` span, laid out serially from sim time 0 on a
+/// per-shard `… (sim)` track so the two clocks never share a timeline.
+fn trace_sim_stages(ctx: &TraceContext, shard: usize, measured: &SearchReport) {
+    let ring = global_ring();
+    let track = format!("shard {shard} (sim)");
+    let tags = |stage: &str| {
+        vec![
+            ("shard".to_string(), shard.to_string()),
+            ("stage".to_string(), stage.to_string()),
+            ("track".to_string(), track.clone()),
+        ]
+    };
+    ring.record_sim(ctx, "device total", 0.0, measured.total_us, tags(STAGE_TOTAL));
+    let mut t = 0.0;
+    for stage in Stage::ALL {
+        let (name, dur) = (stage.span_name(), measured.stage_us(stage));
+        ring.record_sim(ctx, name, t, dur, tags(name));
+        t += dur;
     }
 }

@@ -6,7 +6,7 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
 use texid_core::{Coalescer, EncodedQuery, Engine, SearchResult};
-use texid_obs::{global_ring, Counter, Gauge, Histogram, Registry, TraceContext};
+use texid_obs::{global_ring, Counter, Gauge, Histogram, Registry, TraceContext, TraceSpan};
 
 /// Shard health, as driven by the per-shard circuit breaker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,6 +200,15 @@ impl Shard {
         self.breaker.lock().admit()
     }
 
+    /// The wall-clock `shard.leg` span of a leg of this shard traced as
+    /// `ctx`; it records when dropped.
+    pub(super) fn leg_span(&self, ctx: &TraceContext) -> TraceSpan<'static> {
+        global_ring()
+            .span(ctx, "shard.leg")
+            .tag("shard", &self.index.to_string())
+            .tag("track", &format!("shard {}", self.index))
+    }
+
     /// One dispatched search leg, on its own thread: seal what is pending,
     /// then search through the shard's coalescer. `crash` is the injected
     /// panic.
@@ -211,12 +220,7 @@ impl Shard {
     ) -> Result<SearchResult, ClusterError> {
         // The guard records on drop even if this leg panics below, so
         // crashed legs stay visible in the span tree.
-        let _leg_span = ctx.as_ref().map(|c| {
-            global_ring()
-                .span(c, "shard.leg")
-                .tag("shard", &self.index.to_string())
-                .tag("track", &format!("shard {}", self.index))
-        });
+        let _leg_span = ctx.as_ref().map(|c| self.leg_span(c));
         if crash {
             panic!("injected shard crash (fault plan)");
         }

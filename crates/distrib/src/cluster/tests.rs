@@ -184,6 +184,29 @@ fn traced_search_marks_retries_and_failed_legs() {
     assert!(retries.iter().all(|s| s.parent_id == leg0.span_id));
 }
 
+/// A leg that retries and then crashes fails, and its retries still reach
+/// the counters and the search's wide event: the run's panic is caught on
+/// the leg's thread, after the fault decision counted them.
+#[test]
+fn a_crashed_leg_still_reports_its_retries() {
+    let reg = Registry::new();
+    let plan = FaultPlan::new(5).transient_search(0, 2).crash_shard(0);
+    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
+    for id in 0..4u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let root = TraceContext::root();
+    let out = cluster.search_traced(&query_for(1), 2, Some(&root));
+    assert_eq!((out.shards_failed, out.shards_ok), (1, 1));
+    assert_eq!(cluster.stats().retries, 2);
+    let event = global_events()
+        .snapshot()
+        .into_iter()
+        .find(|e| e.trace_id == root.trace_id)
+        .expect("the search filed its wide event");
+    assert_eq!(event.retries, 2);
+}
+
 #[test]
 fn traced_search_keeps_crashed_legs_visible() {
     let plan = FaultPlan::new(7).crash_shard(1);
@@ -793,6 +816,22 @@ fn replay_stall_is_accounted_into_shard_wall_time() {
     assert_eq!(heal.healed, vec![0]);
     // 250ms simulated stall dominates the real rebuild time.
     assert!(heal.shards[0].replay_wall_us >= 250_000.0, "{:?}", heal.shards[0]);
+}
+
+/// `texid_faults_injected` has one writer, the refresh every scrape runs:
+/// a fault injected outside any search (here a lost read) reads the same on
+/// `/metrics` as on `/stats`.
+#[test]
+fn faults_injected_gauge_counts_faults_outside_searches() {
+    let reg = Registry::new();
+    let plan = FaultPlan::new(23).lose_kv_reads(1);
+    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    cluster.add_texture(0, &features(0, 64)).unwrap();
+    assert_eq!(cluster.get_texture(0).unwrap_err(), ClusterError::NotFound(0));
+    cluster.refresh_gauges(); // what the `/metrics` scrape runs
+    let text = reg.render_prometheus();
+    assert!(text.contains("\ntexid_faults_injected 1\n"), "{text}");
+    assert_eq!(cluster.stats().faults_injected, 1);
 }
 
 #[test]

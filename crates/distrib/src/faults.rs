@@ -20,16 +20,22 @@
 //!
 //! # Determinism contract
 //!
-//! There is **no wall-clock entropy anywhere**: every decision is a pure
-//! function of `(seed, decision index)` plus the scripted rule set, and the
-//! cluster calls [`FaultPlan::decide`] only from sequential, deterministic
-//! code paths (never concurrently). Re-running the same workload against
-//! the same plan therefore reproduces the exact failure sequence — the
-//! property the chaos suite (`tests/chaos.rs`) is built on.
+//! There is **no wall-clock entropy anywhere**, and no dependence on the
+//! order in which threads ask: a chaos decision is a pure function of the
+//! seed, the op's *site* (class, shard, key, retry attempt) and that
+//! site's ordinal — how many decisions the site has taken before. Two
+//! shards' legs, or two keys' reads, may ask in any interleaving and each
+//! site still sees its own fixed sequence, so re-running a workload against
+//! the same plan reproduces every site's failures, serial or concurrent —
+//! the property the chaos suite (`tests/chaos.rs`) is built on. Scripted
+//! rules count the ops that match them, across sites, in the order they
+//! arrive.
 //!
 //! The default is no plan at all (`Option<FaultPlan> = None` inside the
 //! cluster), so production paths pay a single branch.
 
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The pipeline stage a stage-targeted fault slows down — the stage list
@@ -107,37 +113,42 @@ pub struct FaultOp<'a> {
     pub shard: Option<usize>,
     /// Store key for KV operations.
     pub key: Option<&'a str>,
+    /// Retry attempt within the operation (0 = the first try). Part of the
+    /// site: the legs of a shard that reach their k-th retry share the
+    /// attempt-k stream, so how many of them run out of retries does not
+    /// depend on how their retries interleave.
+    pub attempt: u32,
 }
 
 impl<'a> FaultOp<'a> {
     /// A shard's search leg.
     pub fn search_shard(shard: usize) -> FaultOp<'a> {
-        FaultOp { class: OpClass::SearchShard, shard: Some(shard), key: None }
+        FaultOp { class: OpClass::SearchShard, shard: Some(shard), key: None, attempt: 0 }
     }
 
     /// A store read of `key`.
     pub fn kv_read(key: &'a str) -> FaultOp<'a> {
-        FaultOp { class: OpClass::KvRead, shard: None, key: Some(key) }
+        FaultOp { class: OpClass::KvRead, shard: None, key: Some(key), attempt: 0 }
     }
 
     /// A store write of `key`.
     pub fn kv_write(key: &'a str) -> FaultOp<'a> {
-        FaultOp { class: OpClass::KvWrite, shard: None, key: Some(key) }
+        FaultOp { class: OpClass::KvWrite, shard: None, key: Some(key), attempt: 0 }
     }
 
     /// The durable WAL append carrying a write of `key`.
     pub fn wal_append(key: &'a str) -> FaultOp<'a> {
-        FaultOp { class: OpClass::WalAppend, shard: None, key: Some(key) }
+        FaultOp { class: OpClass::WalAppend, shard: None, key: Some(key), attempt: 0 }
     }
 
     /// A snapshot/compaction write.
     pub fn snapshot_write() -> FaultOp<'a> {
-        FaultOp { class: OpClass::SnapshotWrite, shard: None, key: None }
+        FaultOp { class: OpClass::SnapshotWrite, shard: None, key: None, attempt: 0 }
     }
 
     /// Shard `shard`'s replay leg inside `heal()`.
     pub fn replay(shard: usize) -> FaultOp<'a> {
-        FaultOp { class: OpClass::Replay, shard: Some(shard), key: None }
+        FaultOp { class: OpClass::Replay, shard: Some(shard), key: None, attempt: 0 }
     }
 }
 
@@ -182,13 +193,14 @@ struct Rule {
 ///
 /// Scripted rules (exact "crash shard 2 on its first search leg" style) are
 /// checked first; if none fires, the seeded probabilistic chaos mode draws
-/// from a counter-indexed SplitMix64 stream.
+/// from the op's site's own SplitMix64 stream.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     probs: FaultProbs,
     rules: Vec<Rule>,
-    draws: AtomicU64,
+    /// Decisions taken so far, per site hash ([`site_hash`]).
+    ordinals: Mutex<HashMap<u64, u64>>,
     injected: AtomicU64,
 }
 
@@ -197,6 +209,20 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The op's site — class, shard, key, attempt — as 64 bits. Two sites
+/// colliding would only share one ordinal counter.
+fn site_hash(op: FaultOp<'_>) -> u64 {
+    // FNV-1a over the key's bytes, then one SplitMix64 round per part.
+    let key = op.key.map_or(0, |k| {
+        let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        k.bytes().fold(0xcbf2_9ce4_8422_2325, fnv)
+    });
+    let shard = op.shard.map_or(u64::MAX, |s| s as u64);
+    [op.class as u64, shard, u64::from(op.attempt), key]
+        .into_iter()
+        .fold(0, |h, part| splitmix(h ^ part))
 }
 
 fn unit(bits: u64) -> f64 {
@@ -210,7 +236,7 @@ impl FaultPlan {
             seed,
             probs: FaultProbs::default(),
             rules: Vec::new(),
-            draws: AtomicU64::new(0),
+            ordinals: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
         }
     }
@@ -302,11 +328,18 @@ impl FaultPlan {
         self.rule(OpClass::Replay, Some(shard), FaultKind::ReplayStall { us }, 0, 1)
     }
 
-    /// Decide what (if anything) to inject at `op`.
-    ///
-    /// Called by the cluster from sequential code only — see the module
-    /// docs' determinism contract.
+    /// Decide what (if anything) to inject at `op`: the first scripted rule
+    /// that fires, else a chaos draw that is a pure function of the seed,
+    /// `op`'s site and that site's ordinal (the module docs' determinism
+    /// contract). Safe to call from any number of threads at once.
     pub fn decide(&self, op: FaultOp<'_>) -> Option<FaultKind> {
+        let site = site_hash(op);
+        let ordinal = {
+            let mut ordinals = self.ordinals.lock();
+            let taken = ordinals.entry(site).or_insert(0);
+            *taken += 1;
+            *taken - 1
+        };
         // Scripted rules first, in declaration order. Every matching rule's
         // `seen` counter advances on every op — `skip` indexes ops, not
         // ops-left-over-after-earlier-rules — so two rules on the same class
@@ -364,8 +397,8 @@ impl FaultPlan {
         if candidates.iter().all(|(p, _)| *p <= 0.0) {
             return None;
         }
-        let draw = self.draws.fetch_add(1, Ordering::Relaxed);
-        let bits = splitmix(self.seed ^ draw.wrapping_mul(0xd6e8_feb8_6659_fd93));
+        let stream = splitmix(self.seed ^ site);
+        let bits = splitmix(stream ^ ordinal.wrapping_mul(0xd6e8_feb8_6659_fd93));
         let mut u = unit(bits);
         for (p, kind) in candidates {
             if u < *p {
@@ -389,7 +422,7 @@ impl FaultPlan {
 
     /// Deterministically mangle stored bytes (truncate + flip the header)
     /// so the wire decoder reliably reports corruption.
-    pub fn corrupt_bytes(&self, bytes: &mut Vec<u8>) {
+    pub fn corrupt_bytes(bytes: &mut Vec<u8>) {
         bytes.truncate(bytes.len() / 2);
         if let Some(b) = bytes.first_mut() {
             *b ^= 0xa5;
@@ -471,6 +504,53 @@ mod tests {
     }
 
     #[test]
+    fn per_site_sequences_do_not_depend_on_interleaving() {
+        let probs = FaultProbs {
+            shard_crash: 0.2,
+            straggler: 0.2,
+            transient: 0.3,
+            kv_loss: 0.1,
+            ..Default::default()
+        };
+        let sites = [
+            FaultOp::search_shard(0),
+            FaultOp::search_shard(1),
+            FaultOp { attempt: 1, ..FaultOp::search_shard(0) },
+            FaultOp::kv_read("tex:1"),
+            FaultOp::kv_read("tex:2"),
+        ];
+        const DRAWS: usize = 16;
+        // Each site's decisions, asked for in `order`.
+        let per_site = |order: &[usize]| {
+            let plan = FaultPlan::chaos(5, probs);
+            let mut seqs = vec![Vec::new(); sites.len()];
+            for &s in order {
+                seqs[s].push(plan.decide(sites[s]));
+            }
+            seqs
+        };
+        let blocked: Vec<usize> = (0..sites.len()).flat_map(|s| [s; DRAWS]).collect();
+        let round_robin: Vec<usize> = (0..DRAWS).flat_map(|_| 0..sites.len()).collect();
+        let reversed: Vec<usize> = blocked.iter().rev().copied().collect();
+        let expected = per_site(&blocked);
+        assert_eq!(per_site(&round_robin), expected);
+        assert_eq!(per_site(&reversed), expected);
+        // And with one thread per site, in whatever order they run.
+        let plan = &FaultPlan::chaos(5, probs);
+        let threaded: Vec<Vec<_>> = std::thread::scope(|s| {
+            let handles: Vec<_> = sites
+                .iter()
+                .map(|&op| s.spawn(move || (0..DRAWS).map(|_| plan.decide(op)).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("site thread")).collect()
+        });
+        assert_eq!(threaded, expected);
+        assert!(expected[0].iter().any(Option::is_some), "probabilities too low: {expected:?}");
+        assert_ne!(expected[0], expected[1], "two sites, two streams");
+        assert_ne!(expected[0], expected[2], "a retry draws from its own stream");
+    }
+
+    #[test]
     fn chaos_respects_zero_probabilities() {
         let plan = FaultPlan::chaos(7, FaultProbs::default());
         for i in 0..128 {
@@ -510,12 +590,11 @@ mod tests {
 
     #[test]
     fn corruption_is_detectable_and_deterministic() {
-        let plan = FaultPlan::new(5);
         let original = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
         let mut a = original.clone();
         let mut b = original.clone();
-        plan.corrupt_bytes(&mut a);
-        plan.corrupt_bytes(&mut b);
+        FaultPlan::corrupt_bytes(&mut a);
+        FaultPlan::corrupt_bytes(&mut b);
         assert_eq!(a, b);
         assert_ne!(a, original);
         assert!(a.len() < original.len());

@@ -29,6 +29,11 @@ use std::time::Duration;
 /// magnitude of headroom while bounding per-connection allocations.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
+/// What a declared `Content-Length` reserves before any body byte arrives:
+/// a `/verify` body (≈ 560 KB) fits, so a real request is still one
+/// exactly-sized allocation, while a lie costs at most this much.
+const BODY_RESERVE: u64 = 1 << 20;
+
 /// Largest accepted head — request (or status) line plus headers — on
 /// either side of a connection. Real heads here are a few hundred bytes.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -223,7 +228,9 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<Head>, RequestError> {
 ///
 /// # Errors
 /// [`RequestError::TooLarge`] when the declared `Content-Length` exceeds
-/// [`MAX_BODY_BYTES`] — the body is *not* read, let alone allocated;
+/// [`MAX_BODY_BYTES`] — the body is *not* read, let alone allocated (a
+/// body that is read grows with the bytes that arrive, past at most 1 MiB
+/// reserved up front);
 /// [`RequestError::HeadTooLarge`] when the head does not end within 64 KiB;
 /// [`RequestError::Io`] on transport failures, and with kind `InvalidData`
 /// on a request line or `Content-Length` that cannot be parsed.
@@ -241,8 +248,12 @@ pub fn read_request(stream: &mut impl Read) -> Result<Option<Request>, RequestEr
     if content_length > MAX_BODY_BYTES as u64 {
         return Err(RequestError::TooLarge { declared: content_length });
     }
-    req.body = vec![0u8; content_length as usize];
-    reader.read_exact(&mut req.body)?;
+    req.body = Vec::with_capacity(content_length.min(BODY_RESERVE) as usize);
+    reader.take(content_length).read_to_end(&mut req.body)?;
+    if req.body.len() as u64 != content_length {
+        let short = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "body cut short");
+        return Err(short.into());
+    }
     Ok(Some(req))
 }
 

@@ -20,6 +20,11 @@
 //! The HTTP head is hostile bytes too: `http::read_request` gathers the
 //! request line and headers into one buffer of at most 64 KiB, so neither
 //! a line that never ends nor ten thousand short ones allocate beyond it.
+//! And so is the rest of a request: one with a structural lie — a
+//! `Content-Length` that claims up to 64 MiB, a cut, a lost or doubled
+//! line, junk in the head or after the body — is refused or reads as a
+//! well-formed request, and its body grows with the bytes that arrive, not
+//! with what the header claims.
 //!
 //! Its own integration-test binary because a `#[global_allocator]` is
 //! process-wide (the allocator is shared with `texid-linalg`'s
@@ -31,7 +36,7 @@ mod counting_alloc;
 use counting_alloc::{measure, CountingAlloc};
 use proptest::prelude::*;
 use texid_distrib::b64;
-use texid_distrib::http::{read_request, RequestError};
+use texid_distrib::http::{read_request, RequestError, MAX_BODY_BYTES};
 use texid_distrib::json::{parse, Json, MAX_DEPTH};
 use texid_distrib::wire::{decode_features, encode_features, get_varint, put_varint};
 use texid_linalg::Mat;
@@ -101,6 +106,28 @@ fn a_hostile_head_is_refused_within_its_bound() {
         Err(RequestError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
         other => panic!("expected an InvalidData error, got {other:?}"),
     }
+}
+
+/// A `/verify` body (≈ 560 KB of base64 features inside JSON) is read into
+/// one allocation of exactly its size: reading as it arrives reserves what
+/// a real request declares.
+#[test]
+fn a_verify_sized_body_is_one_allocation_of_its_size() {
+    let body: Vec<u8> = (0..560_000u32).map(|i| b'A' + (i % 26) as u8).collect();
+    let head = format!("POST /verify HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+    let raw = [head.as_bytes(), &body].concat();
+    let (req, heap) = measure(|| read_request(&mut &raw[..]));
+    assert_eq!(req.expect("reads").expect("a request").body, body);
+    assert_eq!(heap.largest, body.len());
+    assert!(heap.peak <= body.len() + 64 * 1024, "peak {}", heap.peak);
+
+    // Cut short, it is still the error `read_exact` gave.
+    let (out, heap) = measure(|| read_request(&mut &raw[..raw.len() - 1]));
+    match out {
+        Err(RequestError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected UnexpectedEof, got {other:?}"),
+    }
+    assert_eq!(heap.largest, body.len());
 }
 
 /// The lies a length prefix can tell: one off the truth either way, nothing,
@@ -174,6 +201,51 @@ fn mutate(
 }
 
 proptest! {
+    #[test]
+    fn mutated_requests_are_refused_or_well_formed(
+        method in "GET|HEAD|POST|PUT|DELETE",
+        path in "/[a-z0-9/._-]{0,24}",
+        headers in prop::collection::vec(("x-[a-z0-9-]{1,8}", "[!-~]([ -~]{0,12}[!-~])?"), 0..4),
+        body in prop::collection::vec(any::<u8>(), 0..512),
+        lie in (0usize..6, any::<usize>(), prop_oneof![
+            Just(Claim::Off(-1)),
+            Just(Claim::Off(1)),
+            Just(Claim::Abs(0)),
+            Just(Claim::Abs(MAX_BODY_BYTES as u64)),
+            Just(Claim::Abs(MAX_BODY_BYTES as u64 + 1)),
+            Just(Claim::Abs(u64::MAX)),
+            (1u64 << 20..=MAX_BODY_BYTES as u64).prop_map(Claim::Abs),
+        ]),
+        junk in prop::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let valid = request_bytes(&method, &path, &headers, &body);
+        let (req, heap) = measure(|| read_request(&mut &valid[..]));
+        let req = req.map_err(|e| e.to_string())?.ok_or("no request")?;
+        prop_assert_eq!((&req.method, &req.path, &req.body), (&method, &path, &body));
+        let mut sent = headers.clone();
+        sent.push(("content-length".to_string(), body.len().to_string()));
+        prop_assert_eq!(&req.headers, &sent);
+        prop_assert!(heap.peak <= request_heap_bound(valid.len()), "valid: peak {}", heap.peak);
+
+        let hostile = mutate_request(&valid, valid.len() - body.len(), body.len(), lie, &junk);
+        let (out, heap) = measure(|| read_request(&mut &hostile[..]));
+        prop_assert!(
+            heap.peak <= request_heap_bound(hostile.len()),
+            "{} hostile bytes ({lie:?}), peak {}", hostile.len(), heap.peak
+        );
+        match out {
+            // What reads is well-formed: a body of exactly the declared length.
+            Ok(Some(req)) => {
+                let declared = req.header("content-length").map_or(Ok(0), str::parse::<usize>);
+                prop_assert_eq!(declared, Ok(req.body.len()));
+            }
+            Err(RequestError::TooLarge { declared }) => {
+                prop_assert!(declared > MAX_BODY_BYTES as u64);
+            }
+            Ok(None) | Err(_) => {}
+        }
+    }
+
     #[test]
     fn mutated_feature_encodings_are_refused_or_well_formed(
         dim in 1usize..10,
@@ -297,6 +369,61 @@ proptest! {
             prop_assert_eq!(b64::encode(&bytes).len(), hostile.len());
         }
     }
+}
+
+/// A valid request: the request line, `headers`, a `Content-Length` that
+/// tells the truth about `body`, the blank line, `body`.
+fn request_bytes(method: &str, path: &str, headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    [head.as_bytes(), body].concat()
+}
+
+/// One structural lie told to a valid request whose head is `head_len`
+/// bytes and whose body is `body_len`: `kind` 0 makes `Content-Length`
+/// claim `claim` instead, 1 cuts the request at `pick`, 2 drops the
+/// `pick`-th line break of the head, 3 doubles the `pick`-th head line, 4
+/// puts `junk` into the head at `pick`, 5 appends `junk` after the body.
+fn mutate_request(
+    valid: &[u8],
+    head_len: usize,
+    body_len: usize,
+    (kind, pick, claim): (usize, usize, Claim),
+    junk: &[u8],
+) -> Vec<u8> {
+    let head = &valid[..head_len];
+    // Where each head line starts; the last entry is the end of the head.
+    let mut starts = vec![0];
+    starts.extend(head.windows(2).enumerate().filter(|(_, w)| w == b"\r\n").map(|(i, _)| i + 2));
+    let line = pick % (starts.len() - 1);
+    let (from, to) = (starts[line], starts[line + 1]);
+    match kind {
+        0 => {
+            let truth = format!("Content-Length: {body_len}\r\n");
+            let lie = format!("Content-Length: {}\r\n", claim.instead_of(body_len as u64));
+            let at = head.windows(truth.len()).position(|w| w == truth.as_bytes()).expect("header");
+            [&valid[..at], lie.as_bytes(), &valid[at + truth.len()..]].concat()
+        }
+        1 => valid[..pick % (valid.len() + 1)].to_vec(),
+        2 => [&valid[..to - 2], &valid[to..]].concat(),
+        3 => [&valid[..to], &valid[from..]].concat(),
+        4 => {
+            let at = pick % (head_len + 1);
+            [&valid[..at], junk, &valid[at..]].concat()
+        }
+        _ => [valid, junk].concat(),
+    }
+}
+
+/// What `read_request` may allocate for `len` bytes, whatever they claim:
+/// the 8 KiB read buffer; a head of `a:` lines costs a 48-byte header pair
+/// (twice over in a doubling `Vec`) per 4 bytes; a body is what arrived,
+/// past at most 1 MiB reserved for a declared length.
+fn request_heap_bound(len: usize) -> usize {
+    32 * len + (1 << 20) + 16 * 1024
 }
 
 /// A JSON document: scalars, then arrays and objects of them up to four

@@ -15,7 +15,8 @@
 //! fused tile scan and GEMM-then-scan. [`score_batch`] is pack-then-call and
 //! [`match_batch`] is "charge + score". A single pair is a batch of one:
 //! `score_pair` under `RootSiftTop2` is `score_batch(cfg, r, 1, r.cols(),
-//! q)`, so Algorithm 2 is written here and nowhere else.
+//! q)` and `match_pair` charges `BatchWork::new(cfg, 1, m, n, d)`, so
+//! Algorithm 2 is written here and nowhere else.
 
 use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
@@ -109,7 +110,7 @@ impl BatchWork {
     }
 
     /// Run this work on `sim`'s `stream`, advancing its clocks.
-    fn launch(&self, sim: &mut GpuSim, stream: StreamId) -> StepTimes {
+    pub(crate) fn launch(&self, sim: &mut GpuSim, stream: StreamId) -> StepTimes {
         let post_us = cost::cpu_post_us(sim.spec(), self.post_images);
         StepTimes {
             gemm_us: sim.launch(stream, self.gemm).duration_us(),

@@ -72,77 +72,6 @@ impl Similarity {
     }
 }
 
-/// A full 2-D affine transform `p' = A·p + t` (six degrees of freedom:
-/// rotation, anisotropic scale, shear, translation). Strictly more
-/// expressive than [`Similarity`]; useful when the capture includes
-/// out-of-plane tilt that a similarity cannot absorb.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Affine {
-    /// Matrix entry (0,0).
-    pub a: f32,
-    /// Matrix entry (0,1).
-    pub b: f32,
-    /// Matrix entry (1,0).
-    pub c: f32,
-    /// Matrix entry (1,1).
-    pub d: f32,
-    /// Translation x.
-    pub tx: f32,
-    /// Translation y.
-    pub ty: f32,
-}
-
-impl Affine {
-    /// Identity transform.
-    pub fn identity() -> Affine {
-        Affine { a: 1.0, b: 0.0, c: 0.0, d: 1.0, tx: 0.0, ty: 0.0 }
-    }
-
-    /// Apply to a point.
-    pub fn apply(&self, x: f32, y: f32) -> (f32, f32) {
-        (self.a * x + self.b * y + self.tx, self.c * x + self.d * y + self.ty)
-    }
-
-    /// Determinant of the linear part (area scaling; ≤0 ⇒ reflection or
-    /// degenerate).
-    pub fn det(&self) -> f32 {
-        self.a * self.d - self.b * self.c
-    }
-
-    /// Exact fit from three point correspondences. Returns `None` when the
-    /// source points are (nearly) collinear.
-    pub fn from_three_points(
-        src: [(f32, f32); 3],
-        dst: [(f32, f32); 3],
-    ) -> Option<Affine> {
-        // Solve [x y 1]·[a b tx]ᵀ = x' and [x y 1]·[c d ty]ᵀ = y' by
-        // Cramer's rule on the 3×3 source matrix.
-        let det = src[0].0 * (src[1].1 - src[2].1) - src[0].1 * (src[1].0 - src[2].0)
-            + (src[1].0 * src[2].1 - src[2].0 * src[1].1);
-        // Degeneracy scale: compare against the triangle's extent.
-        let extent = (src[1].0 - src[0].0).hypot(src[1].1 - src[0].1)
-            * (src[2].0 - src[0].0).hypot(src[2].1 - src[0].1);
-        if det.abs() < 1e-6 * extent.max(1.0) {
-            return None;
-        }
-        let solve = |r: [f32; 3]| -> (f32, f32, f32) {
-            // Coefficients for row-vector unknowns (u, v, w) with
-            // u·x + v·y + w = r per correspondence.
-            let d0 = r[0] * (src[1].1 - src[2].1) - src[0].1 * (r[1] - r[2])
-                + (r[1] * src[2].1 - r[2] * src[1].1);
-            let d1 = src[0].0 * (r[1] - r[2]) - r[0] * (src[1].0 - src[2].0)
-                + (src[1].0 * r[2] - src[2].0 * r[1]);
-            let d2 = src[0].0 * (src[1].1 * r[2] - src[2].1 * r[1])
-                - src[0].1 * (src[1].0 * r[2] - src[2].0 * r[1])
-                + r[0] * (src[1].0 * src[2].1 - src[2].0 * src[1].1);
-            (d0 / det, d1 / det, d2 / det)
-        };
-        let (a, b, tx) = solve([dst[0].0, dst[1].0, dst[2].0]);
-        let (c, d, ty) = solve([dst[0].1, dst[1].1, dst[2].1]);
-        Some(Affine { a, b, c, d, tx, ty })
-    }
-}
-
 /// A planar homography `p' ~ H·p` (eight degrees of freedom) — the model
 /// for full out-of-plane viewpoint change of a planar texture patch, which
 /// the tea-brick surfaces are.
@@ -335,71 +264,6 @@ pub fn verify_matches(
     }
 }
 
-/// RANSAC over ratio-test matches with the **affine** model (3-point
-/// minimal samples). Interface mirrors [`verify_matches`]; returns the
-/// best transform and its inlier indices.
-pub fn verify_matches_affine(
-    matches: &[FeatureMatch],
-    ref_kps: &[Keypoint],
-    query_kps: &[Keypoint],
-    params: &RansacParams,
-) -> (Affine, Vec<usize>) {
-    if matches.len() < 3 {
-        return (Affine::identity(), Vec::new());
-    }
-    let pts: Vec<((f32, f32), (f32, f32))> = matches
-        .iter()
-        .map(|m| {
-            let r = &ref_kps[m.ref_idx as usize];
-            let q = &query_kps[m.query_idx as usize];
-            ((r.x, r.y), (q.x, q.y))
-        })
-        .collect();
-
-    let mut rng = SmallRng::seed_from_u64(params.seed ^ 0xaff1);
-    let mut best: Option<(Affine, Vec<usize>)> = None;
-    let tol2 = params.inlier_tolerance * params.inlier_tolerance;
-
-    for _ in 0..params.iterations {
-        let i = rng.gen_range(0..pts.len());
-        let mut j = rng.gen_range(0..pts.len());
-        let mut k = rng.gen_range(0..pts.len());
-        if j == i {
-            j = (j + 1) % pts.len();
-        }
-        while k == i || k == j {
-            k = (k + 1) % pts.len();
-        }
-        let Some(model) = Affine::from_three_points(
-            [pts[i].0, pts[j].0, pts[k].0],
-            [pts[i].1, pts[j].1, pts[k].1],
-        ) else {
-            continue;
-        };
-        // Physically plausible captures only: area scaling near 1, no
-        // reflections.
-        let det = model.det();
-        if !(0.1..10.0).contains(&det) {
-            continue;
-        }
-        let inliers: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, pp))| {
-                let (x, y) = model.apply(p.0, p.1);
-                let dx = x - pp.0;
-                let dy = y - pp.1;
-                dx * dx + dy * dy <= tol2
-            })
-            .map(|(idx, _)| idx)
-            .collect();
-        if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
-            best = Some((model, inliers));
-        }
-    }
-    best.unwrap_or((Affine::identity(), Vec::new()))
-}
-
 /// RANSAC with the **homography** model (4-point minimal samples). Returns
 /// the best model and its inlier indices. Needs ≥ 4 matches.
 pub fn verify_matches_homography(
@@ -529,8 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn homography_ransac_beats_affine_on_perspective_data() {
-        // Plant a genuinely projective transform: affine cannot fit it.
+    fn homography_ransac_beats_similarity_on_perspective_data() {
+        // Plant a genuinely projective transform: a similarity cannot fit it.
         let truth = Homography { h: [0.95, 0.05, 10.0, -0.03, 1.02, 4.0, 8e-4, -5e-4, 1.0] };
         let mut ref_kps = Vec::new();
         let mut query_kps = Vec::new();
@@ -556,12 +420,11 @@ mod tests {
         let (fit, h_inliers) = verify_matches_homography(&matches, &ref_kps, &query_kps, &tight);
         assert!(h_inliers.len() >= 50, "homography found {} inliers", h_inliers.len());
         assert!((fit.h[6] - truth.h[6]).abs() < 3e-4, "perspective term {}", fit.h[6]);
-        let (_, a_inliers) = verify_matches_affine(&matches, &ref_kps, &query_kps, &tight);
+        let s_inliers = verify_matches(&matches, &ref_kps, &query_kps, &tight).inlier_count();
         assert!(
-            h_inliers.len() > a_inliers.len(),
-            "homography {} vs affine {}",
-            h_inliers.len(),
-            a_inliers.len()
+            h_inliers.len() > s_inliers,
+            "homography {} vs similarity {s_inliers}",
+            h_inliers.len()
         );
     }
 
@@ -570,78 +433,6 @@ mod tests {
         let (matches, rk, qk) = planted(Similarity::identity(), 3, 0);
         let (fit, inliers) = verify_matches_homography(&matches, &rk, &qk, &RansacParams::default());
         assert_eq!(fit, Homography::identity());
-        assert!(inliers.is_empty());
-    }
-
-    #[test]
-    fn affine_three_point_fit_exact() {
-        let truth = Affine { a: 1.1, b: 0.2, c: -0.1, d: 0.9, tx: 5.0, ty: -3.0 };
-        let src = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)];
-        let dst = [truth.apply(0.0, 0.0), truth.apply(10.0, 0.0), truth.apply(0.0, 10.0)];
-        let fit = Affine::from_three_points(src, dst).unwrap();
-        for (a, b) in [
-            (fit.a, truth.a),
-            (fit.b, truth.b),
-            (fit.c, truth.c),
-            (fit.d, truth.d),
-            (fit.tx, truth.tx),
-            (fit.ty, truth.ty),
-        ] {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn affine_rejects_collinear_sources() {
-        let src = [(0.0, 0.0), (5.0, 5.0), (10.0, 10.0)];
-        let dst = [(0.0, 0.0), (1.0, 2.0), (3.0, 4.0)];
-        assert!(Affine::from_three_points(src, dst).is_none());
-    }
-
-    #[test]
-    fn affine_ransac_recovers_anisotropic_transform() {
-        // A transform with shear that the similarity model cannot express.
-        let truth = Affine { a: 1.05, b: 0.15, c: 0.02, d: 0.92, tx: 8.0, ty: -4.0 };
-        let mut ref_kps = Vec::new();
-        let mut query_kps = Vec::new();
-        let mut matches = Vec::new();
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 40) & 0xffff) as f32 / 65535.0 * 200.0
-        };
-        for i in 0..80 {
-            let x = next();
-            let y = next();
-            ref_kps.push(kp(x, y));
-            let (qx, qy) = if i < 60 { truth.apply(x, y) } else { (next(), next()) };
-            query_kps.push(kp(qx, qy));
-            matches.push(FeatureMatch { query_idx: i as u32, ref_idx: i as u32, d1: 0.1, d2: 1.0 });
-        }
-        let (fit, inliers) =
-            verify_matches_affine(&matches, &ref_kps, &query_kps, &RansacParams::default());
-        assert!(inliers.len() >= 55, "found {} inliers", inliers.len());
-        assert!((fit.a - truth.a).abs() < 0.02);
-        assert!((fit.b - truth.b).abs() < 0.02);
-        assert!((fit.det() - truth.det()).abs() < 0.04);
-        // The similarity model fits fewer inliers on sheared data at a
-        // tight tolerance.
-        let tight = RansacParams { inlier_tolerance: 1.5, ..RansacParams::default() };
-        let sim_v = verify_matches(&matches, &ref_kps, &query_kps, &tight);
-        let (_, aff_inliers) = verify_matches_affine(&matches, &ref_kps, &query_kps, &tight);
-        assert!(
-            aff_inliers.len() > sim_v.inlier_count(),
-            "affine {} vs similarity {}",
-            aff_inliers.len(),
-            sim_v.inlier_count()
-        );
-    }
-
-    #[test]
-    fn affine_needs_three_matches() {
-        let (matches, rk, qk) = planted(Similarity::identity(), 2, 0);
-        let (fit, inliers) = verify_matches_affine(&matches, &rk, &qk, &RansacParams::default());
-        assert_eq!(fit, Affine::identity());
         assert!(inliers.is_empty());
     }
 

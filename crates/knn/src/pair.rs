@@ -1,7 +1,7 @@
 //! Single-pair 2-nearest-neighbors matching — Algorithms 1 and 2, plus the
 //! two baselines, with per-step simulated timing (the rows of Table 1).
 
-use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm};
+use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm, BatchWork};
 use crate::block::FeatureBlock;
 use crate::ratio::{good_matches, FeatureMatch, RATIO_THRESHOLD};
 use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
@@ -230,10 +230,13 @@ pub fn match_pair(
     let m = r.cols();
     let n = q.cols();
     let d = r.rows();
-    let mut steps = StepTimes::default();
 
     // ---- timing (always charged) ----
+    let mut steps = StepTimes::default();
     match cfg.algorithm {
+        // Sort and the √(2+A) epilogue are fused (Algorithm 2, §5.1), and a
+        // pair is charged as what it is: a batch of one.
+        Algorithm::RootSiftTop2 => steps = BatchWork::new(cfg, 1, m, n, d).launch(sim, stream),
         Algorithm::OpenCvCuda => {
             steps.gemm_us = sim.launch(stream, Kernel::OpenCvBruteKnn { m, n, d }).duration_us();
         }
@@ -260,28 +263,15 @@ pub fn match_pair(
                 .launch(stream, Kernel::EpilogueSqrt { elems: 2 * n })
                 .duration_us();
         }
-        Algorithm::RootSiftTop2 => {
-            steps.gemm_us = sim
-                .launch(stream, Kernel::Gemm {
-                    m_rows: m,
-                    n_cols: n,
-                    k_depth: d,
-                    precision: cfg.precision,
-                    tensor_core: cfg.tensor_core,
-                })
-                .duration_us();
-            // Sort and the √(2+A) epilogue are fused (Algorithm 2, §5.1).
-            steps.sort_us = sim
-                .launch(stream, Kernel::Top2Scan { m_rows: m, n_cols: n, precision: cfg.precision })
-                .duration_us();
-        }
     }
-    steps.d2h_us = sim
-        .d2h(stream, n as u64 * D2H_BYTES_PER_QUERY_FEATURE)
-        .duration_us();
-    steps.post_us = sim
-        .host_work(stream, cost::cpu_post_us(sim.spec(), 1))
-        .duration_us();
+    if cfg.algorithm != Algorithm::RootSiftTop2 {
+        steps.d2h_us = sim
+            .d2h(stream, n as u64 * D2H_BYTES_PER_QUERY_FEATURE)
+            .duration_us();
+        steps.post_us = sim
+            .host_work(stream, cost::cpu_post_us(sim.spec(), 1))
+            .duration_us();
+    }
 
     // ---- numerics ----
     if cfg.exec == ExecMode::TimingOnly {

@@ -269,7 +269,7 @@ impl TraceRing {
 
     /// Start a wall-clock span *as* `ctx` (the caller already derived the
     /// child context, so ids can be handed out before work begins — e.g.
-    /// to parent retry marks drawn while planning a shard leg). Records on
+    /// to parent the retry marks a shard leg takes before it runs). Records on
     /// drop, including on panic, so crashed legs stay visible.
     pub fn span(&self, ctx: &TraceContext, name: &str) -> TraceSpan<'_> {
         TraceSpan {

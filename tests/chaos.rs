@@ -17,7 +17,8 @@ use std::sync::Arc;
 use texid_core::EngineConfig;
 use texid_distrib::api;
 use texid_distrib::cluster::{
-    Cluster, ClusterConfig, Quarantine, QuarantineReason, ShardHealth, StoreConfig,
+    Cluster, ClusterConfig, Quarantine, QuarantineReason, ResilienceConfig, ShardHealth,
+    StoreConfig,
 };
 use texid_distrib::faults::{FaultPlan, FaultProbs};
 use texid_distrib::http::http_call;
@@ -470,4 +471,74 @@ fn fault_injection_is_deterministic() {
     );
     let c = run(4321);
     assert_ne!(a, c, "different seeds should explore different schedules");
+}
+
+/// A seed reproduces each shard's faults under concurrent load: a chaos plan
+/// (crashes, stragglers, transients) searched from four client threads
+/// leaves every shard's `texid_shard_failures` and the cluster's
+/// `texid_cluster_retries` where a serial run with the same seed leaves
+/// them, on every one of twenty repeats. The breaker is kept out of play
+/// (`trip_threshold` = the number of searches), so every search dispatches
+/// every shard's leg and the only thing left to interleave is the legs'
+/// fault decisions.
+#[test]
+fn concurrent_chaos_reproduces_the_serial_run() {
+    use std::sync::Barrier;
+    use texid_obs::Registry;
+    const SHARDS: usize = 4;
+    const CLIENTS: usize = 4;
+    const SEARCHES: usize = 12;
+    const REPEATS: usize = 20;
+    let probs = FaultProbs {
+        shard_crash: 0.2,
+        straggler: 0.2,
+        transient: 0.35,
+        ..FaultProbs::default()
+    };
+    let refs: Vec<FeatureMatrix> = (0..8).map(reference_features).collect();
+    let queries: Vec<FeatureMatrix> = (0..CLIENTS as u64).map(query_features).collect();
+    // Per-shard failures and cluster retries after SEARCHES searches, the
+    // i-th by client i % clients.
+    let run = |clients: usize| -> (Vec<u64>, u64) {
+        let config = ClusterConfig {
+            resilience: ResilienceConfig {
+                trip_threshold: SEARCHES as u32,
+                ..ResilienceConfig::default()
+            },
+            ..chaos_config(SHARDS)
+        };
+        let reg = Registry::new();
+        let plan = FaultPlan::chaos(0xc0c0, probs);
+        let cluster = Cluster::with_faults_in_registry(config, Some(plan), &reg);
+        for (id, features) in refs.iter().enumerate() {
+            // Enrolment is serial in every run, so a write the plan refuses
+            // (transients past the retry budget) is refused in all of them.
+            let _ = cluster.add_texture(id as u64, features);
+        }
+        // Each round starts on a barrier, so the clients' searches overlap.
+        let round = Barrier::new(clients);
+        std::thread::scope(|s| {
+            for client in 0..clients {
+                let (cluster, queries, round) = (&cluster, &queries, &round);
+                s.spawn(move || {
+                    for i in (client..SEARCHES).step_by(clients) {
+                        round.wait();
+                        cluster.search(&queries[i % queries.len()], 4);
+                    }
+                });
+            }
+        });
+        let failures = (0..SHARDS)
+            .map(|s| reg.counter("texid_shard_failures", "", &[("shard", &s.to_string())]).get())
+            .collect();
+        (failures, reg.counter("texid_cluster_retries", "", &[]).get())
+    };
+    let serial = run(1);
+    assert!(
+        serial.0.iter().filter(|&&f| f > 0).count() > 1 && serial.1 > 0,
+        "chaos probabilities too low to exercise anything: {serial:?}"
+    );
+    for repeat in 0..REPEATS {
+        assert_eq!(run(CLIENTS), serial, "repeat {repeat}: (failures per shard, retries)");
+    }
 }
