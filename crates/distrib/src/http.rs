@@ -9,7 +9,10 @@
 //! answers 413 instead of allocating attacker-controlled sizes), the request
 //! line plus headers at 64 KiB (431 — a peer that never sends a newline
 //! cannot grow a line for `IO_TIMEOUT`), a `Content-Length` that is not a
-//! number is a 400 rather than a body left in the socket, every
+//! number is a 400 rather than a body left in the socket; after each of
+//! those three refusals the worker discards what the peer still sends, up
+//! to 16 MiB or one second, so the kernel's RST cannot overtake the
+//! reply; every
 //! accepted connection gets read/write timeouts so a stalled peer cannot
 //! pin a handler thread forever, and concurrency is bounded — a burst of
 //! clients beyond [`PoolConfig::workers`] waits in a queue of at most
@@ -40,6 +43,12 @@ const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Per-connection socket read/write timeout.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// What a worker reads and discards after an error reply, at most: the
+/// bytes, and the time. A peer that keeps sending past either gets the
+/// kernel's RST, but costs the worker no more.
+const DRAIN_BYTES: u64 = 16 << 20;
+const DRAIN_TIME: Duration = Duration::from_secs(1);
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug)]
@@ -315,26 +324,27 @@ fn serve_connection(mut stream: TcpStream, handler: &(dyn Fn(&Request) -> Respon
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut is_head = false;
-    let resp = match read_request(&mut stream) {
+    let (resp, unread) = match read_request(&mut stream) {
         Ok(Some(req)) => {
             is_head = req.method == "HEAD";
             // A handler that panics has a bug, and that bug costs its one
             // request a 500 — not the pool a worker, which is never
             // replaced.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&req)))
+            let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&req)))
                 .unwrap_or_else(|_| {
                     Response::json(500, r#"{"error":"internal error"}"#.to_string())
-                })
+                });
+            (resp, false)
         }
         Ok(None) => return,
         Err(RequestError::TooLarge { .. }) => {
-            Response::json(413, r#"{"error":"request body too large"}"#.to_string())
+            (Response::json(413, r#"{"error":"request body too large"}"#.to_string()), true)
         }
         Err(RequestError::HeadTooLarge) => {
-            Response::json(431, r#"{"error":"request head too large"}"#.to_string())
+            (Response::json(431, r#"{"error":"request head too large"}"#.to_string()), true)
         }
         Err(RequestError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {
-            Response::json(400, format!(r#"{{"error":"malformed request: {e}"}}"#))
+            (Response::json(400, format!(r#"{{"error":"malformed request: {e}"}}"#)), true)
         }
         Err(RequestError::Io(_)) => return,
     };
@@ -342,6 +352,31 @@ fn serve_connection(mut stream: TcpStream, handler: &(dyn Fn(&Request) -> Respon
     // GET would — minus the body.
     let _ = write_response_opts(&mut stream, &resp, !is_head);
     let _ = stream.flush();
+    if unread {
+        // Closing a socket over unread bytes makes the kernel send RST,
+        // which can destroy the reply before the client reads it.
+        drain(&mut stream);
+    }
+}
+
+/// Half-close `stream` — the reply is all the peer gets — then read and
+/// discard until EOF, [`DRAIN_BYTES`] or [`DRAIN_TIME`], whichever comes
+/// first.
+fn drain(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = std::time::Instant::now() + DRAIN_TIME;
+    let mut left = DRAIN_BYTES;
+    let mut buf = [0u8; 16 * 1024];
+    while left > 0 {
+        let now = std::time::Instant::now();
+        if now >= deadline || stream.set_read_timeout(Some(deadline - now)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
 }
 
 /// A running HTTP server; dropped or `stop()`ed, it shuts down.
@@ -765,6 +800,35 @@ mod tests {
             reader.read_line(&mut status_line).unwrap();
             assert!(status_line.contains(status), "{status_line}");
             assert!(status_line.contains(text), "{status_line}");
+        }
+    }
+
+    #[test]
+    fn a_refusal_reaches_a_peer_that_keeps_sending() {
+        // The server refuses after reading the head, with megabytes of the
+        // request still on their way. A client that sends its whole request
+        // before it reads the reply (as `http_call` does) must get to read
+        // it: its upload is not reset halfway, and the reply is there.
+        let server = echo_server();
+        let big_body = "POST /big HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n".to_string();
+        let long_head = format!("GET / HTTP/1.1\r\nX-Pad: {}", "a".repeat(MAX_HEAD_BYTES));
+        for (head, status) in [(big_body, "413"), (long_head, "431")] {
+            for rep in 0..50 {
+                let mut stream = TcpStream::connect(server.addr()).unwrap();
+                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+                let chunk = [b'a'; 64 * 1024];
+                let pushed = stream
+                    .write_all(head.as_bytes())
+                    .and_then(|()| (0..64).try_for_each(|_| stream.write_all(&chunk))) // 4 MiB
+                    .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
+                let mut status_line = String::new();
+                let read = BufReader::new(&stream).read_line(&mut status_line);
+                assert!(
+                    pushed.is_ok() && read.is_ok() && status_line.contains(status),
+                    "{status}, repetition {rep}: push {pushed:?}, read {read:?} {status_line:?}"
+                );
+            }
         }
     }
 

@@ -66,9 +66,14 @@
 //! order, the lanes are merged into the scalar [`Top2`] only when the
 //! reference block changes (once per `m_per_ref` rows, not per element).
 //! The merge takes the two smallest of the `2·W` lane candidates under the
-//! order *(value, then row)* and observes them: an ascending scan keeps
-//! exactly those two, because `<` is strict and an equal value never
-//! displaces an earlier row. Which tiles fall back is read from the inputs
+//! order *(value, then row)* and observes them, best first: an ascending
+//! scan keeps exactly those two, because `<` is strict and an equal value
+//! never displaces an earlier row. It is a vector reduction with no branch
+//! on the data, one per width: min-reduce the lanes' `d1`, min-reduce the
+//! rows of the lanes equal to that minimum, and read the winning lane's own
+//! `d1` bits (so a `−0.0`/`+0.0` tie reports the earlier row's); then a
+//! masked move puts that lane's runner-up in its place and the same
+//! reduction picks the second. Which tiles fall back is read from the inputs
 //! alone: a panel that straddles a reference-block boundary (`m_per_ref`
 //! not a multiple of `W`) or runs past `m` holds rows of two blocks (or
 //! padding), so one block's lanes cannot take it; it goes the generic

@@ -14,8 +14,9 @@
 //!   vector width) carries each tile from its accumulators through the
 //!   epilogue into a lane-wise partial top-2 without leaving registers; the
 //!   epilogue is one vector op per scalar op in the same order, and the lane
-//!   merge picks exactly what an ascending-row scan keeps ("The fused
-//!   epilogue's two routes" in [`crate::kernel`]).
+//!   merge — a branch-free vector reduction per width — picks exactly what
+//!   an ascending-row scan keeps ("The fused epilogue's two routes" in
+//!   [`crate::kernel`]).
 //! - The converters use F16C (`vcvtph2ps`/`vcvtps2ph` with explicit
 //!   round-to-nearest-even) on both SIMD backends; its rounding, gradual
 //!   underflow and overflow behaviour match [`crate::f16::F16`] exactly; the
@@ -98,7 +99,7 @@ pub(crate) mod x86 {
     /// indices) among the rows `≡ r (mod W)` of the reference block currently
     /// being scanned. This is the `(d1, d2, idx)` register state of
     /// Algorithm 2 kept `W` lanes wide; the runner-up's row rides along so
-    /// the merge can order ties exactly (see [`LaneTop2::flush_into`]).
+    /// the merge can order ties exactly ([`merge_8`], [`merge_16`]).
     #[derive(Clone, Copy)]
     struct LaneTop2<const W: usize> {
         d1: [f32; W],
@@ -112,19 +113,9 @@ pub(crate) mod x86 {
         const EMPTY: Self =
             LaneTop2 { d1: [f32::INFINITY; W], d2: [f32::INFINITY; W], i1: [0; W], i2: [0; W] };
 
-        /// Merge the `2·W` lane candidates into the block's scalar state
-        /// and reset the lanes.
-        ///
-        /// An ascending-row scan ends holding the two smallest candidates
-        /// under the order *(value, then row)* — `v < d` is strict, so of
-        /// two equal values (`−0.0 == +0.0` included) the earlier row
-        /// stays. Each lane ran that same scan over its own rows, so the
-        /// block's two smallest are among the lanes' candidates; pick them
-        /// under the same order and feed them to [`Top2::observe`], best
-        /// first. `s` only ever holds rows above this panel run (a
-        /// straddling panel's head), which `observe` already ranks before
-        /// any tie. `+∞` and NaN never enter a lane, so the `(∞, 0)`
-        /// sentinels fall through `observe` untouched.
+        /// The merge written as the scan it replaces, one candidate and two
+        /// branches at a time: the oracle the vector merges are held to.
+        #[cfg(test)]
         fn flush_into(&mut self, s: &mut Top2) {
             fn before((v, i): (f32, u32), (bv, bi): (f32, u32)) -> bool {
                 v < bv || (v == bv && i < bi)
@@ -143,6 +134,100 @@ pub(crate) mod x86 {
             s.observe(second.1, second.0);
             *self = LaneTop2::EMPTY;
         }
+    }
+
+    // The lane merge: fold a column's `2·W` lane candidates into the block's
+    // scalar state and reset the lanes, once per (reference block, column).
+    //
+    // An ascending-row scan ends holding the two smallest candidates under
+    // the order *(value, then row)*: `v < d` is strict, so of two equal
+    // values (`−0.0 == +0.0` included) the earlier row stays. Each lane ran
+    // that scan over its own rows, so within a lane `(d1, i1)` comes before
+    // `(d2, i2)`, and the block's two smallest are among the candidates.
+    // Rows differ across lanes, so the order is total except between lanes
+    // still at the `(+∞, 0)` sentinel (`+∞` and NaN never enter a lane).
+    //
+    // Both merges pick the best twice without a branch on the data:
+    // min-reduce `d1`, mask the lanes equal to it, min-reduce `i1` under the
+    // mask; the lane holding that row wins, and its own `d1` bits are read
+    // (not the reduction's, which may carry the other zero). The winner's
+    // `(d2, i2)` then takes its place and the reduction runs again for the
+    // runner-up. Several lanes win only when all are sentinels, whose
+    // runner-up is the sentinel again. Both go to [`Top2::observe`], best
+    // first: `s` only ever holds rows above this panel run (a straddling
+    // panel's head), which `observe` already ranks before any tie, and the
+    // sentinels fall through it untouched.
+
+    /// `v`'s minimum in every lane (`−0.0` or `+0.0` for a zero tie).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn min_ps_8(v: __m256) -> __m256 {
+        let v = _mm256_min_ps(v, _mm256_permute2f128_ps(v, v, 1));
+        let v = _mm256_min_ps(v, _mm256_permute_ps(v, 0b01_00_11_10));
+        _mm256_min_ps(v, _mm256_permute_ps(v, 0b10_11_00_01))
+    }
+
+    /// `v`'s unsigned minimum in every lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn min_epu32_8(v: __m256i) -> __m256i {
+        let v = _mm256_min_epu32(v, _mm256_permute2x128_si256(v, v, 1));
+        let v = _mm256_min_epu32(v, _mm256_shuffle_epi32(v, 0b01_00_11_10));
+        _mm256_min_epu32(v, _mm256_shuffle_epi32(v, 0b10_11_00_01))
+    }
+
+    /// The lane merge on `ymm`.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn merge_8(lane: &mut LaneTop2<8>, s: &mut Top2) {
+        // SAFETY: each pointer is to an 8-element (32-byte) array inside
+        // `lane`, loaded whole.
+        let (mut d, d2) = (_mm256_loadu_ps(lane.d1.as_ptr()), _mm256_loadu_ps(lane.d2.as_ptr()));
+        let mut i = _mm256_loadu_si256(lane.i1.as_ptr().cast());
+        let i2 = _mm256_loadu_si256(lane.i2.as_ptr().cast());
+        for _ in 0..2 {
+            let tied = _mm256_castps_si256(_mm256_cmp_ps(d, min_ps_8(d), _CMP_EQ_OQ));
+            let rows = _mm256_blendv_epi8(_mm256_set1_epi32(-1), i, tied);
+            let least = min_epu32_8(rows);
+            let win = _mm256_cmpeq_epi32(rows, least);
+            let first = _mm256_movemask_ps(_mm256_castsi256_ps(win)).trailing_zeros();
+            let at = _mm256_set1_epi32(first as i32);
+            let row = _mm256_cvtsi256_si32(least) as u32;
+            s.observe(row, _mm256_cvtss_f32(_mm256_permutevar8x32_ps(d, at)));
+            d = _mm256_blendv_ps(d, d2, _mm256_castsi256_ps(win));
+            i = _mm256_blendv_epi8(i, i2, win);
+        }
+        *lane = LaneTop2::EMPTY;
+    }
+
+    /// The lane merge on `zmm`: the reductions are `vminps` / `vpminud`
+    /// trees, the tie a mask register, the masked moves `vmovaps` /
+    /// `vmovdqa32` under it.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn merge_16(lane: &mut LaneTop2<16>, s: &mut Top2) {
+        // SAFETY: each pointer is to a 16-element (64-byte) array inside
+        // `lane`, loaded whole.
+        let (mut d, d2) = (_mm512_loadu_ps(lane.d1.as_ptr()), _mm512_loadu_ps(lane.d2.as_ptr()));
+        let mut i = _mm512_loadu_si512(lane.i1.as_ptr().cast());
+        let i2 = _mm512_loadu_si512(lane.i2.as_ptr().cast());
+        for _ in 0..2 {
+            let min = _mm512_set1_ps(_mm512_reduce_min_ps(d));
+            let tied = _mm512_cmp_ps_mask(d, min, _CMP_EQ_OQ);
+            let row = _mm512_mask_reduce_min_epu32(tied, i);
+            let win = _mm512_mask_cmpeq_epi32_mask(tied, i, _mm512_set1_epi32(row as i32));
+            let at = _mm512_set1_epi32(win.trailing_zeros() as i32);
+            s.observe(row, _mm512_cvtss_f32(_mm512_permutexvar_ps(at, d)));
+            d = _mm512_mask_mov_ps(d, win, d2);
+            i = _mm512_mask_mov_epi32(i, win, i2);
+        }
+        *lane = LaneTop2::EMPTY;
     }
 
     /// Everything the fused walker needs besides the operands.
@@ -272,9 +357,9 @@ pub(crate) mod x86 {
     /// The walker visits tiles in `for_each_tile`'s order (rows ascend for a
     /// fixed column group) and hands every `W × NR` tile that lies whole
     /// inside one reference block from its accumulators straight to
-    /// `$observe`, so lanes are merged into `state` once per reference
-    /// block — right after the block's last whole panel — not once per
-    /// element.
+    /// `$observe`. Each column's lanes are folded into `state` by `$merge`,
+    /// the width's branch-free lane merge, once per reference block — right
+    /// after the block's last whole panel — not once per element.
     ///
     /// A panel that straddles a reference-block boundary or runs past `m`
     /// cannot use one block's lanes: it is spilled and handed to
@@ -285,7 +370,7 @@ pub(crate) mod x86 {
     /// needs.
     macro_rules! register_tile {
         ($features:literal, $w:literal x $nr:literal, $tile:ident, $storeu:ident,
-         $observe:ident, $microkernel:ident, $walker:ident) => {
+         $observe:ident, $merge:ident, $microkernel:ident, $walker:ident) => {
             /// The tile spilled column-major: `acc[c · W + r]`.
             ///
             /// # Safety
@@ -360,7 +445,7 @@ pub(crate) mod x86 {
                                 // merge. (Lanes of zero-padded columns past
                                 // `cols` are never read.)
                                 for (cc, lane) in group[..cols].iter_mut().enumerate() {
-                                    lane.flush_into(&mut state[(jr * NR + cc) * t.batch + blk]);
+                                    $merge(lane, &mut state[(jr * NR + cc) * t.batch + blk]);
                                 }
                             }
                         }
@@ -373,11 +458,11 @@ pub(crate) mod x86 {
 
     register_tile!(
         "avx2,fma,f16c", 8 x 8, tile_8x8, _mm256_storeu_ps,
-        observe_8x8, microkernel_8x8, fused_top2_chunk_8x8
+        observe_8x8, merge_8, microkernel_8x8, fused_top2_chunk_8x8
     );
     register_tile!(
         "avx512f", 16 x 24, tile_16x24, _mm512_storeu_ps,
-        observe_16x24, microkernel_16x24, fused_top2_chunk_16x24
+        observe_16x24, merge_16, microkernel_16x24, fused_top2_chunk_16x24
     );
 
     /// Register-only roofline probes: `rounds` rounds of [`PROBE_CHAINS`]
@@ -555,6 +640,109 @@ pub(crate) mod x86 {
             let v = p.add(i);
             *v = F16::from_f32(*v).to_f32();
             i += 1;
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::dispatch::Backend;
+
+        /// Adversarial columns for a `W`-lane group of `nr` columns: each
+        /// case is a straddling head (rows `0..head`, already in the block
+        /// state before the lanes merge) and `nr` columns of
+        /// `head + panels · W` values drawn from a small palette, so that
+        /// ties across lanes, signed zeros, `±∞` and NaN all occur.
+        fn cases(w: usize, nr: usize) -> Vec<(usize, Vec<Vec<f32>>)> {
+            let (inf, nan) = (f32::INFINITY, f32::NAN);
+            let palettes: [&[f32]; 8] = [
+                &[1.0, 2.0],                         // equal values in different lanes
+                &[-0.0, 0.0],                        // signed-zero ties for first
+                &[-1.0, -0.0, 0.0, 0.0, 0.0, -0.0], // ... and for second
+                &[-0.0, 0.0, 3.0, 3.0, 3.0, 3.0],
+                &[f32::NEG_INFINITY, -0.0, 0.0, 5.0],
+                &[inf, nan],                         // every lane at the sentinel
+                &[inf, inf, inf, nan, 1.0, -0.0, 0.0], // some lanes at the sentinel
+                &[7.0, -2.5, 0.25, -0.0, 0.0, inf, f32::NEG_INFINITY, nan],
+            ];
+            let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+            let mut draw = |n: usize| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (seed >> 33) as usize % n
+            };
+            let mut out = Vec::new();
+            for palette in palettes {
+                for head in [0, 1, w / 2 + 1, w - 1] {
+                    for panels in [1, 2, 5] {
+                        let mut column = || -> Vec<f32> {
+                            (0..head + panels * w).map(|_| palette[draw(palette.len())]).collect()
+                        };
+                        let cols = (0..nr).map(|_| column()).collect();
+                        out.push((head, cols));
+                    }
+                }
+            }
+            out
+        }
+
+        fn bits(t: Top2) -> (u32, u32, u32) {
+            (t.idx, t.d1.to_bits(), t.d2.to_bits())
+        }
+
+        /// A width's observe step: one tile through the epilogue into its
+        /// lane group.
+        type Observe<V, const W: usize, const NR: usize> =
+            unsafe fn(&[V; NR], &FusedTile<'_>, (usize, usize), &mut [LaneTop2<W>]);
+
+        /// Scan each case's panels through the width's real `observe`, then
+        /// merge every column both ways from the same block state.
+        fn check<const W: usize, const NR: usize, V>(
+            load: unsafe fn(*const f32) -> V,
+            observe: Observe<V, W, NR>,
+            merge: unsafe fn(&mut LaneTop2<W>, &mut Top2),
+        ) {
+            let epi = FusedEpilogue::default();
+            for (case, (head, cols)) in cases(W, NR).into_iter().enumerate() {
+                let m_per_ref = cols[0].len();
+                let t = FusedTile { alpha: 1.0, epi: &epi, m_per_ref, batch: 1, mc_panels: 1 };
+                let mut group = [LaneTop2::<W>::EMPTY; NR];
+                for off in (head..m_per_ref).step_by(W) {
+                    // SAFETY: the caller checked the width's features; each
+                    // load reads `W` of a column's `off + W <= m_per_ref`.
+                    let c = std::array::from_fn(|j| unsafe { load(cols[j][off..].as_ptr()) });
+                    unsafe { observe(&c, &t, (off, off), &mut group) };
+                }
+                for (j, (col, lanes)) in cols.iter().zip(&group).enumerate() {
+                    let mut head_state = Top2::EMPTY;
+                    for (x, &v) in col[..head].iter().enumerate() {
+                        head_state.observe(x as u32, v);
+                    }
+                    let (mut oracle, mut vector) = (*lanes, *lanes);
+                    let (mut want, mut got) = (head_state, head_state);
+                    oracle.flush_into(&mut want);
+                    // SAFETY: as above.
+                    unsafe { merge(&mut vector, &mut got) };
+                    assert_eq!(bits(got), bits(want), "W {W}, case {case}, column {j}: {col:?}");
+                    let scan = col.iter().enumerate().fold(Top2::EMPTY, |mut s, (x, &v)| {
+                        s.observe(x as u32, v);
+                        s
+                    });
+                    assert_eq!(bits(want), bits(scan), "oracle vs scan, case {case}");
+                    let reset = vector.d1.iter().chain(&vector.d2).all(|v| *v == f32::INFINITY)
+                        && vector.i1.iter().chain(&vector.i2).all(|&i| i == 0);
+                    assert!(reset, "W {W}: lanes not reset");
+                }
+            }
+        }
+
+        #[test]
+        fn vector_merge_equals_the_scalar_oracle_bit_for_bit() {
+            if Backend::Avx2.is_available() {
+                check::<8, 8, __m256>(|p| unsafe { _mm256_loadu_ps(p) }, observe_8x8, merge_8);
+            }
+            if Backend::Avx512.is_available() {
+                check::<16, 24, __m512>(|p| unsafe { _mm512_loadu_ps(p) }, observe_16x24, merge_16);
+            }
         }
     }
 }
