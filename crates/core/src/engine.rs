@@ -36,6 +36,7 @@
 //!   would not fit in test-host RAM, and their values do not affect the
 //!   cost model): the same batch without panels.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
@@ -176,7 +177,8 @@ struct RefBatch {
     /// Storage precision: what the simulated device holds per element.
     precision: Precision,
     /// Each reference packed as it arrived, dropped with the batch.
-    /// Host-side form only: the f32 panels are not the simulated device
+    /// Host-side form only: the panels (f16 where the kernel widens in
+    /// register, f32 on the scalar backend) are not the simulated device
     /// footprint ([`RefBatch::size_bytes`]).
     panels: Option<PackedBlock<PackedA>>,
     /// The references' pooled descriptors, `rows` floats each in `ids`
@@ -386,6 +388,63 @@ impl EncodedQuery {
     }
 }
 
+/// One reference, encoded once for ingest: its descriptors in storage
+/// precision — every column, as the feature store keeps them; the engine
+/// truncates or zero-pads to `m_ref` as it packs — and, IVF on, the pooled
+/// descriptor the quantizer routes it by.
+pub struct EncodedReference {
+    block: FeatureBlock,
+    pool: Option<Vec<f32>>,
+}
+
+impl EncodedReference {
+    /// Narrow `features` to `cfg`'s storage precision, pooling (IVF on) the
+    /// full-precision descriptors first.
+    pub fn new(cfg: &EngineConfig, features: &FeatureMatrix) -> EncodedReference {
+        let (matching, mat) = (&cfg.matching, &features.mat);
+        let (d, cols) = (mat.rows(), mat.cols());
+        let block = FeatureBlock::encode(d, cols, mat.as_slice(), matching.precision, matching.scale);
+        let pool = matching.ivf.enabled.then(|| Self::pool(cfg, mat));
+        EncodedReference { block, pool }
+    }
+
+    /// A block already narrowed (a stored reference), in `cfg`'s storage
+    /// precision ([`FeatureBlock::into_precision`]: an f32 block written by
+    /// an older build is narrowed once). The pool, IVF on, is taken from
+    /// the dequantized block: the full-precision descriptors are gone.
+    pub fn from_block(cfg: &EngineConfig, block: FeatureBlock) -> EncodedReference {
+        let matching = &cfg.matching;
+        let block = block.into_precision(matching.precision, matching.scale);
+        let pool = matching.ivf.enabled.then(|| Self::pool(cfg, &block.to_f32()));
+        EncodedReference { block, pool }
+    }
+
+    /// The pooled descriptor of the columns the engine keeps (`m_ref` at
+    /// most; padding would be skipped anyway).
+    fn pool(cfg: &EngineConfig, mat: &texid_linalg::Mat) -> Vec<f32> {
+        let d = mat.rows();
+        pool_column_slice(d, &mat.as_slice()[..d * cfg.m_ref.min(mat.cols())])
+    }
+
+    /// The descriptors in storage precision.
+    pub fn block(&self) -> &FeatureBlock {
+        &self.block
+    }
+
+    /// The block as a batch's panels take it: exactly `m_ref` columns.
+    /// Features beyond `m_ref` are truncated (they arrive sorted by
+    /// detection response, so this is exactly the paper's asymmetric top-m
+    /// selection). Batching requires uniform per-reference column counts
+    /// (the blocked top-2 scan attributes rows by fixed stride), so a
+    /// reference that yielded fewer is padded with zero columns: a zero
+    /// column is at squared distance 2 from every unit-norm query feature —
+    /// never nearer than a genuine match — so padding is invisible to the
+    /// ratio test (and to the pool).
+    fn fitted(&self, m_ref: usize) -> Cow<'_, FeatureBlock> {
+        self.block.fit_cols(m_ref)
+    }
+}
+
 /// The single-GPU search engine.
 ///
 /// ```
@@ -468,48 +527,23 @@ impl Engine {
         self.cache.stats()
     }
 
+    /// Host bytes of every reference panel the engine holds, open batch
+    /// included: the resident form of its real references (2 bytes per
+    /// element for F16 on a SIMD backend, 4 otherwise).
+    pub fn panel_bytes(&self) -> usize {
+        let cached = self.cache.iter().filter_map(|(_, batch, _)| batch.panels.as_ref());
+        self.open.panels.iter().chain(cached).map(PackedBlock::panel_bytes).sum()
+    }
+
     /// The simulated device (for memory inspection).
     pub fn sim(&self) -> &GpuSim {
         &self.sim
     }
 
-    /// One reference in storage precision — `m_ref` columns, ready for the
-    /// open batch's panels — and, IVF on, its pooled descriptor. Features
-    /// beyond `m_ref` columns are truncated (they arrive sorted by detection
-    /// response, so this is exactly the paper's asymmetric top-m selection).
-    fn encode_reference(&self, features: &FeatureMatrix) -> (FeatureBlock, Option<Vec<f32>>) {
-        let matching = &self.cfg.matching;
-        let (d, m_ref) = (features.dim(), self.cfg.m_ref);
-        let m = m_ref.min(features.len());
-        let data = &features.mat.as_slice()[..d * m];
-        // Pool before quantization: the coarse quantizer routes on full-
-        // precision pooled descriptors regardless of storage precision.
-        let pool = matching.ivf.enabled.then(|| pool_column_slice(d, data));
-        // Batching requires uniform per-reference column counts (the
-        // blocked top-2 scan attributes rows by fixed stride). A reference
-        // that yielded fewer than m_ref features is padded with zero
-        // columns: a zero column is at squared distance 2 from every
-        // unit-norm query feature — never nearer than a genuine match — so
-        // padding is invisible to the ratio test (and to the pool).
-        let padded;
-        let data = if m < m_ref {
-            padded = [data, &vec![0.0; d * (m_ref - m)]].concat();
-            &padded
-        } else {
-            data
-        };
-        (FeatureBlock::encode(d, m_ref, data, matching.precision, matching.scale), pool)
-    }
-
-    /// The one ingest path: add a reference — real (its block, and its pool
-    /// with the IVF on) or phantom (`None`) — to the open batch, and seal the
-    /// batch if that filled it. A batch has panels for all of its references
-    /// or for none.
-    fn push(
-        &mut self,
-        id: u64,
-        real: Option<(FeatureBlock, Option<Vec<f32>>)>,
-    ) -> Result<(), CacheError> {
+    /// The one ingest path: add a reference — real or phantom (`None`) — to
+    /// the open batch, and seal the batch if that filled it. A batch has
+    /// panels for all of its references or for none.
+    fn push(&mut self, id: u64, real: Option<&EncodedReference>) -> Result<(), CacheError> {
         let open = &mut self.open;
         assert!(
             open.ids.is_empty() || open.panels.is_some() == real.is_some(),
@@ -517,13 +551,14 @@ impl Engine {
         );
         match real {
             None => (open.rows, open.panels) = (DESCRIPTOR_DIM, None),
-            Some((block, pool)) => {
+            Some(reference) => {
+                let block = reference.fitted(self.cfg.m_ref);
                 open.rows = block.rows();
                 match &mut open.panels {
                     Some(panels) => panels.append_cols(&block),
                     None => open.panels = Some(block.pack_refs(self.cfg.matching.kernel_backend())),
                 }
-                open.pools.extend(pool.into_iter().flatten());
+                open.pools.extend(reference.pool.iter().flatten());
             }
         }
         open.ids.push(id);
@@ -534,9 +569,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Index a reference image's features: truncated or zero-padded to
-    /// `m_ref` columns, narrowed to storage precision and scattered straight
-    /// into the open batch's panels, where they stay.
+    /// Index a reference image's features: [`EncodedReference::new`], then
+    /// [`Engine::add_encoded`].
     ///
     /// # Errors
     /// Propagates cache exhaustion.
@@ -544,8 +578,21 @@ impl Engine {
     /// # Panics
     /// Panics if phantom references are pending (a batch holds one kind).
     pub fn add_reference(&mut self, id: u64, features: &FeatureMatrix) -> Result<(), CacheError> {
-        let real = self.encode_reference(features);
-        self.push(id, Some(real))
+        self.add_encoded(id, &EncodedReference::new(&self.cfg, features))
+    }
+
+    /// Index an encoded reference: truncated or zero-padded to `m_ref`
+    /// columns and scattered straight into the open batch's panels, where
+    /// it stays.
+    ///
+    /// # Errors
+    /// Propagates cache exhaustion.
+    ///
+    /// # Panics
+    /// Panics if phantom references are pending (a batch holds one kind),
+    /// or if `reference` was encoded for another precision or scale.
+    pub fn add_encoded(&mut self, id: u64, reference: &EncodedReference) -> Result<(), CacheError> {
+        self.push(id, Some(reference))
     }
 
     /// Index a phantom reference (shape only) for timing experiments.
@@ -615,14 +662,23 @@ impl Engine {
     /// also posted under the new version's cell (the old posting stays: a
     /// superset, as after a delete).
     pub fn replace_reference(&mut self, id: u64, features: &FeatureMatrix) -> bool {
+        self.replace_encoded(id, &EncodedReference::new(&self.cfg, features))
+    }
+
+    /// [`Engine::replace_reference`] with an encoded reference.
+    ///
+    /// # Panics
+    /// Panics if `reference` was encoded for another precision or scale.
+    pub fn replace_encoded(&mut self, id: u64, reference: &EncodedReference) -> bool {
         let Some((batch, i, _)) = self.locate(id) else {
             return false;
         };
-        let (block, pool) = self.encode_reference(features);
+        let block = reference.fitted(self.cfg.m_ref);
+        let pool = reference.pool.as_deref();
         let mut real = false;
-        self.edit(batch, |b| real = b.overwrite(i, &block, pool.as_deref()));
+        self.edit(batch, |b| real = b.overwrite(i, &block, pool));
         if let (true, Some(batch), Some(pool), Some(ivf)) = (real, batch, pool, &mut self.ivf) {
-            ivf.add_batch(batch, &texid_linalg::Mat::from_col_major(pool.len(), 1, pool));
+            ivf.add_batch(batch, &texid_linalg::Mat::from_col_major(pool.len(), 1, pool.to_vec()));
         }
         true
     }
@@ -930,6 +986,54 @@ mod tests {
         // Decisive margin.
         assert!(result.ranked[0].1 >= 3 * result.ranked[1].1.max(1));
         assert!(result.best(10).is_some());
+    }
+
+    #[test]
+    fn an_f16_reference_rests_in_two_byte_panels_where_the_tile_widens() {
+        // What the forced-backend test runs pin: f16 panels under `avx2` (the
+        // `ymm` walker's) and `avx512`, f32 panels under `scalar`.
+        let f16_elem = if MatchConfig::default().kernel_backend().f16_panels() { 2 } else { 4 };
+        for (precision, elem) in [(Precision::F16, f16_elem), (Precision::F32, 4)] {
+            let mut engine = Engine::new(EngineConfig {
+                matching: MatchConfig { precision, ..MatchConfig::default() },
+                ..tiny_engine(2, 1).cfg
+            });
+            for id in 0..3u64 {
+                engine.add_reference(id, &features(id, 100)).unwrap();
+            }
+            engine.flush().unwrap();
+            assert_eq!(engine.panel_bytes(), 3 * 128 * 128 * elem, "{precision:?}");
+        }
+    }
+
+    #[test]
+    fn a_stored_block_indexes_as_its_features_did() {
+        // Heal's path: the block the store keeps (every column, narrowed
+        // once), or an f32 one an older build wrote, indexes to the panels
+        // of the features it came from, and ranks as they do.
+        let ivf = texid_knn::IvfParams { enabled: true, nlist: 2, nprobe: 2, ..Default::default() };
+        let mut direct = ivf_engine(2, ivf);
+        let (mut from_f16, mut from_f32) = (ivf_engine(2, ivf), ivf_engine(2, ivf));
+        for id in 0..5u64 {
+            // 90 and 200 columns: padded and truncated to m_ref = 128.
+            let f = features(id, if id % 2 == 0 { 90 } else { 200 });
+            direct.add_reference(id, &f).unwrap();
+            let cfg = &direct.cfg;
+            let block = EncodedReference::new(cfg, &f).block().clone();
+            assert_eq!(block.cols(), f.len(), "the store keeps every column");
+            from_f16.add_encoded(id, &EncodedReference::from_block(cfg, block)).unwrap();
+            let old = FeatureBlock::F32(f.mat.clone());
+            from_f32.add_encoded(id, &EncodedReference::from_block(cfg, old)).unwrap();
+        }
+        direct.flush().unwrap();
+        let q = features(3, 256);
+        let want = direct.search(&q).ranked;
+        assert_eq!(want[0].0, 3);
+        for engine in [&mut from_f16, &mut from_f32] {
+            engine.flush().unwrap();
+            assert_eq!(engine.export_references(), direct.export_references());
+            assert_eq!(engine.search(&q).ranked, want);
+        }
     }
 
     #[test]

@@ -49,6 +49,15 @@ fn features(cols: usize, seed: u64) -> FeatureMatrix {
     )
 }
 
+/// Bytes per element of an F16 reference's panels on the active backend.
+fn panel_elem_bytes() -> usize {
+    if texid_linalg::active_backend().f16_panels() {
+        2
+    } else {
+        4
+    }
+}
+
 #[test]
 fn steady_state_search_allocates_no_reference_sized_buffer() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -134,8 +143,9 @@ fn a_sealed_batch_is_resident_once() {
     let (m_ref, batch) = (128usize, 32usize);
     let refs: Vec<FeatureMatrix> = (0..batch as u64).map(|id| features(m_ref, id)).collect();
     // The default engine (F16, fused) and its unfused twin hold the same
-    // single buffer: the batch's f32 panels.
-    let panel_bytes = (batch * m_ref * 128 * 4) as f64;
+    // single buffer: the batch's panels, f16 where the tile widens in
+    // register and f32 on the scalar backend.
+    let panel_bytes = (batch * m_ref * 128 * panel_elem_bytes()) as f64;
     for fused in [true, false] {
         let (engine, heap) = measure(|| {
             let mut engine = Engine::new(EngineConfig {
@@ -166,7 +176,7 @@ fn ingest_packs_in_place_and_a_seal_is_a_move() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (m_ref, batch) = (128usize, 32usize);
     let refs: Vec<FeatureMatrix> = (0..batch as u64).map(|id| features(m_ref, id)).collect();
-    let one_reference_panels = m_ref * 128 * 4;
+    let one_reference_panels = m_ref * 128 * panel_elem_bytes();
     let mut engine = Engine::new(EngineConfig {
         m_ref,
         batch_size: batch + 1, // the 32 stay open until `flush`

@@ -91,7 +91,7 @@ fn parse_features_field(v: &Json, field: &str) -> Result<FeatureMatrix, Response
 
 fn cluster_err(e: ClusterError) -> Response {
     match e {
-        ClusterError::Dimension(_) => err_json(400, &e.to_string()),
+        ClusterError::Dimension(_) | ClusterError::Unstorable(_) => err_json(400, &e.to_string()),
         ClusterError::NotFound(_) => err_json(404, &e.to_string()),
         ClusterError::Unavailable(_) | ClusterError::Timeout(_) => err_json(503, &e.to_string()),
         _ => err_json(500, &e.to_string()),
@@ -299,13 +299,13 @@ fn add_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response>
 
 fn get_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let id = texture_id(call)?;
-    Ok(match cluster.get_texture(id) {
-        Ok(f) => Response::json(
+    Ok(match cluster.get_texture_message(id) {
+        Ok((message, count)) => Response::json(
             200,
             Json::obj([
                 ("id", Json::Num(id as f64)),
-                ("count", Json::Num(f.len() as f64)),
-                ("features", Json::Str(b64::encode(&wire::encode_features(&f)))),
+                ("count", Json::Num(count as f64)),
+                ("features", Json::Str(b64::encode(&message))),
             ])
             .to_string(),
         ),
@@ -795,6 +795,67 @@ mod tests {
         let v = parse(&resp.text()).unwrap();
         assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(false), "{}", resp.text());
         assert_eq!(v.get("comparisons").and_then(Json::as_u64), Some(4), "{}", resp.text());
+    }
+
+    #[test]
+    fn unstorable_descriptors_are_a_400_and_nothing_is_stored() {
+        let cluster = test_cluster();
+        let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let body = format!(r#"{{"id": 0, "features": "{}"}}"#, features_b64(0, 64));
+        assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+        let stored = http_call(addr, "GET", "/textures/0", b"").unwrap().text();
+
+        let s = cluster.config().engine.matching.scale;
+        let with = |bad: f32| {
+            let m = texid_linalg::Mat::from_fn(128, 8, |r, c| if (r, c) == (3, 5) { bad } else { 0.05 });
+            b64::encode(&wire::encode_features(&FeatureMatrix::from_mat(m, true)))
+        };
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 65_505.0 / s] {
+            let payload = with(bad);
+            for (method, path, body) in [
+                ("POST", "/textures", format!(r#"{{"id": 1, "features": "{payload}"}}"#)),
+                ("PUT", "/textures/0", format!(r#"{{"features": "{payload}"}}"#)),
+            ] {
+                let resp = http_call(addr, method, path, body.as_bytes()).unwrap();
+                assert_eq!(resp.status, 400, "{method} {path} ({bad}): {}", resp.text());
+                assert!(resp.text().contains("cannot be stored"), "{}", resp.text());
+            }
+        }
+        assert_eq!(cluster.len(), 1);
+        assert_eq!(http_call(addr, "GET", "/textures/1", b"").unwrap().status, 404);
+        assert_eq!(http_call(addr, "GET", "/textures/0", b"").unwrap().text(), stored);
+
+        // A query is not refused: a non-finite component never counts.
+        let body = format!(r#"{{"features": "{}"}}"#, with(f32::NAN));
+        assert_eq!(http_call(addr, "POST", "/search", body.as_bytes()).unwrap().status, 200);
+    }
+
+    #[test]
+    fn a_texture_reads_back_as_the_stored_f16_message() {
+        let cluster = test_cluster();
+        let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let sent = features_b64(3, 64);
+        let body = format!(r#"{{"id": 3, "features": "{sent}"}}"#);
+        assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+
+        let v = parse(&http_call(addr, "GET", "/textures/3", b"").unwrap().text()).unwrap();
+        let got = b64::decode(v.get("features").and_then(Json::as_str).unwrap()).unwrap();
+        assert_eq!(Some(&got), cluster.store().get("tex:00000000000000000003").as_ref(), "as stored");
+        let stored = wire::decode_block(&got).unwrap();
+        let original = wire::decode_features(&b64::decode(&sent).unwrap()).unwrap();
+        let s = cluster.config().engine.matching.scale;
+        match &stored.block {
+            texid_knn::FeatureBlock::F16 { mat, scale } => {
+                assert_eq!((mat, *scale), (&original.mat.to_f16_scaled(s), s));
+            }
+            other => panic!("stored {:?}, not f16", other.precision()),
+        }
+        assert_eq!(v.get("count").and_then(Json::as_u64), Some(original.len() as u64));
+        assert_eq!(stored.keypoints, original.keypoints);
+        // Half the f32 payload, give or take the framing.
+        assert!(got.len() < b64::decode(&sent).unwrap().len() * 6 / 10);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use super::{Cluster, ClusterError, ShardHealth};
 use crate::faults::{FaultKind, FaultOp};
 use crate::wire;
 use std::time::Instant;
+use texid_core::EncodedReference;
 use texid_obs::{global_ring, TraceContext};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_store::ReplayStats;
@@ -120,16 +121,19 @@ impl Cluster {
                 // (verified bytes that fail to decode, or decode to descriptors
                 // of the wrong dimension, are corruption too).
                 let outcome = match self.store_get(&Self::key(id))? {
-                    StoreRead::Value(bytes) => match wire::decode_features(&bytes) {
-                        Ok(features) if features.dim() == DESCRIPTOR_DIM => Ok(features),
+                    StoreRead::Value(bytes) => match wire::decode_block(&bytes) {
+                        Ok(stored) if stored.block.rows() == DESCRIPTOR_DIM => Ok(stored.block),
                         _ => Err(QuarantineReason::Corrupt),
                     },
                     StoreRead::Missing => Err(QuarantineReason::Missing),
                     StoreRead::Corrupt => Err(QuarantineReason::Corrupt),
                 };
                 match outcome {
-                    Ok(features) => {
-                        engine.add_reference(id, &features)?;
+                    Ok(block) => {
+                        // The stored block goes into the panels as it is:
+                        // no widen, no second narrow.
+                        let reference = EncodedReference::from_block(&self.cfg.engine, block);
+                        engine.add_encoded(id, &reference)?;
                         report.restored += 1;
                     }
                     Err(reason) => {

@@ -284,6 +284,10 @@ pub enum ClusterError {
     /// The descriptors offered are not [`DESCRIPTOR_DIM`]-dimensional
     /// (carries the dimension they have).
     Dimension(usize),
+    /// A descriptor component the storage precision cannot hold: NaN or
+    /// `±∞`, or under F16 one whose `|x · scale|` exceeds 65 504 (carries
+    /// the first such component).
+    Unstorable(f32),
     /// A required resource cannot be reached right now.
     Unavailable(String),
     /// Bounded retries were exhausted on transient failures.
@@ -305,6 +309,11 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Dimension(d) => {
                 write!(f, "descriptors are {d}-dimensional, expected {DESCRIPTOR_DIM}")
             }
+            ClusterError::Unstorable(x) => write!(
+                f,
+                "descriptor component {x} cannot be stored: components must be finite, \
+                 and within ±65504 once scaled for f16"
+            ),
             ClusterError::Unavailable(what) => write!(f, "{what} unavailable"),
             ClusterError::Timeout(op) => write!(f, "retries exhausted: {op}"),
         }

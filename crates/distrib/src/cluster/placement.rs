@@ -6,7 +6,7 @@ use crate::faults::{FaultKind, FaultOp, FaultPlan};
 use crate::wire;
 use parking_lot::RwLockWriteGuard;
 use std::sync::atomic::Ordering;
-use texid_core::Engine;
+use texid_core::{EncodedReference, Engine};
 use texid_knn::geometry::{verify_matches, RansacParams};
 use texid_knn::{score_pair, FeatureBlock};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
@@ -157,23 +157,37 @@ impl Cluster {
     /// search sweeps the shard before or after, and finds exactly one
     /// version either way — and leaves the shard's batches as they were.
     ///
+    /// The features are narrowed to storage precision once, here
+    /// ([`EncodedReference::new`]), and that block is what the store keeps
+    /// ([`wire::encode_block`]) and the engine indexes.
+    ///
     /// # Errors
-    /// `Dimension` (nothing stored, nothing indexed) unless the descriptors
-    /// are [`DESCRIPTOR_DIM`]-dimensional: a shard cannot batch, and the
-    /// kernel cannot multiply, columns of two lengths. Propagates shard
-    /// cache exhaustion; `Unavailable` if the feature store rejects the
-    /// write past the retry budget.
+    /// `Dimension` unless the descriptors are [`DESCRIPTOR_DIM`]-dimensional
+    /// (a shard cannot batch, and the kernel cannot multiply, columns of two
+    /// lengths); `Unstorable` for a component the storage precision cannot
+    /// hold ([`FeatureBlock::unstorable`]: non-finite, or an f16 overflow
+    /// that a search would score as a match to everything). Either way
+    /// nothing is stored or indexed. Propagates shard cache exhaustion;
+    /// `Unavailable` if the feature store rejects the write past the retry
+    /// budget.
     pub fn add_texture(&self, id: u64, features: &FeatureMatrix) -> Result<(), ClusterError> {
         if features.dim() != DESCRIPTOR_DIM {
             return Err(ClusterError::Dimension(features.dim()));
         }
+        let engine_cfg = &self.cfg.engine;
+        let (precision, scale) = (engine_cfg.matching.precision, engine_cfg.matching.scale);
+        if let Some(x) = FeatureBlock::unstorable(features.mat.as_slice(), precision, scale) {
+            return Err(ClusterError::Unstorable(x));
+        }
+        let reference = EncodedReference::new(engine_cfg, features);
         // Persist first (the paper's Redis holds the authoritative copy).
-        self.store_set(&Self::key(id), wire::encode_features(features))?;
+        let message = wire::encode_block(reference.block(), &features.keypoints, features.rootsift);
+        self.store_set(&Self::key(id), message)?;
         let (mut engine, live) = self.lock_owner(id, true).expect("an unowned id is placed");
         // Only a live id has a version to overwrite: enrolling a new one
-        // must not pay `replace_reference`'s walk over the shard's ids.
-        if !(live && engine.replace_reference(id, features)) {
-            engine.add_reference(id, features)?;
+        // must not pay `replace_encoded`'s walk over the shard's ids.
+        if !(live && engine.replace_encoded(id, &reference)) {
+            engine.add_encoded(id, &reference)?;
         }
         Ok(())
     }
@@ -202,17 +216,34 @@ impl Cluster {
         self.add_texture(id, features)
     }
 
-    /// Fetch the stored features for a texture.
+    /// The checksum-verified stored message for `id`.
+    fn stored(&self, id: u64) -> Result<Vec<u8>, ClusterError> {
+        match self.store_get(&Self::key(id))? {
+            StoreRead::Value(bytes) => Ok(bytes),
+            StoreRead::Missing => Err(ClusterError::NotFound(id)),
+            StoreRead::Corrupt => Err(ClusterError::Corrupt(id)),
+        }
+    }
+
+    /// Fetch the stored features for a texture: the stored block widened
+    /// (and, for F16, unscaled) — what was enrolled, as storage precision
+    /// kept it.
     ///
     /// # Errors
     /// `NotFound` / `Corrupt` / `Timeout`.
     pub fn get_texture(&self, id: u64) -> Result<FeatureMatrix, ClusterError> {
-        let bytes = match self.store_get(&Self::key(id))? {
-            StoreRead::Value(bytes) => bytes,
-            StoreRead::Missing => return Err(ClusterError::NotFound(id)),
-            StoreRead::Corrupt => return Err(ClusterError::Corrupt(id)),
-        };
-        wire::decode_features(&bytes).map_err(|_| ClusterError::Corrupt(id))
+        wire::decode_features(&self.stored(id)?).map_err(|_| ClusterError::Corrupt(id))
+    }
+
+    /// The stored message for a texture, as it was written (f16 bits and
+    /// their scale under F16), and its feature count.
+    ///
+    /// # Errors
+    /// `NotFound` / `Corrupt` / `Timeout`.
+    pub fn get_texture_message(&self, id: u64) -> Result<(Vec<u8>, usize), ClusterError> {
+        let message = self.stored(id)?;
+        let stored = wire::decode_block(&message).map_err(|_| ClusterError::Corrupt(id))?;
+        Ok((message, stored.block.cols()))
     }
 
     /// Number of live textures.
@@ -239,13 +270,16 @@ impl Cluster {
         min_matches: usize,
         min_inliers: usize,
     ) -> Result<VerifyReport, ClusterError> {
-        let reference = self.get_texture(claimed_id)?;
+        let stored = self.stored(claimed_id)?;
+        let reference = wire::decode_block(&stored).map_err(|_| ClusterError::Corrupt(claimed_id))?;
         let matching = &self.cfg.engine.matching;
-        let encode = |f: &FeatureMatrix| {
-            let m = &f.mat;
-            FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), matching.precision, matching.scale)
-        };
-        let outcome = score_pair(matching, &encode(&reference), &encode(query));
+        let (precision, scale) = (matching.precision, matching.scale);
+        // The stored block is already in storage precision (narrowed once at
+        // enroll; an older f32-form value is narrowed here, once).
+        let r = reference.block.into_precision(precision, scale);
+        let m = &query.mat;
+        let q = FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), precision, scale);
+        let outcome = score_pair(matching, &r, &q);
         let geo = verify_matches(
             &outcome.matches,
             &reference.keypoints,

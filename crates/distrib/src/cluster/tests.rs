@@ -428,12 +428,81 @@ fn racing_writers_of_one_id_leave_it_indexed_at_most_once() {
 
 #[test]
 fn stored_features_roundtrip() {
+    // The store keeps the block the engine indexes: every column, narrowed
+    // once; `get_texture` widens it back and undoes the scale.
     let cluster = small_cluster(1);
     let f = features(7, 100);
     cluster.add_texture(7, &f).unwrap();
     let back = cluster.get_texture(7).unwrap();
-    assert_eq!(back.mat, f.mat);
+    let s = cluster.config().engine.matching.scale;
+    assert_eq!(back.mat, f.mat.to_f16_scaled(s).to_f32_unscaled(s));
+    assert_eq!(back.keypoints, f.keypoints);
     assert!(cluster.get_texture(8).is_err());
+}
+
+/// `d × cols` unit-free descriptors, deterministic and storable.
+fn synthetic(cols: usize, seed: u64) -> FeatureMatrix {
+    let m = texid_linalg::Mat::from_fn(DESCRIPTOR_DIM, cols, |r, c| {
+        ((seed as usize * 131 + r * 31 + c * 7) % 97) as f32 / 97.0
+    });
+    FeatureMatrix::from_mat(m, true)
+}
+
+#[test]
+fn an_f16_reference_rests_at_two_bytes_per_element() {
+    // One reference at the serving shape (m_ref 384 × 128-d): the store and
+    // its WAL hold the f16 block plus keypoints (98 304 B + 13 440 B), the
+    // engine its panels — f16 where the tile widens in register, f32 on the
+    // scalar backend.
+    let engine = EngineConfig { m_ref: 384, batch_size: 8, streams: 1, ..EngineConfig::default() };
+    let cluster = Cluster::new(ClusterConfig { containers: 1, engine, ..ClusterConfig::default() });
+    let n = 8u64;
+    for id in 0..n {
+        cluster.add_texture(id, &synthetic(384, id)).unwrap();
+    }
+    let per_ref = |bytes: u64| bytes / n;
+    let kv = per_ref(cluster.store().used_bytes());
+    let wal = per_ref(cluster.stats().wal.expect("journaled").wal_bytes);
+    assert!(kv <= 115_000, "KvStore holds {kv} B per reference");
+    assert!(wal <= 115_000, "the WAL holds {wal} B per reference");
+    let panels = per_ref(cluster.shards[0].engine.read().panel_bytes() as u64);
+    let f16 = cluster.config().engine.matching.kernel_backend().f16_panels();
+    assert_eq!(panels, if f16 { 98_304 } else { 196_608 });
+}
+
+#[test]
+fn unstorable_descriptors_are_refused_at_ingest() {
+    let cluster = small_cluster(1);
+    cluster.add_texture(0, &features(0, 64)).unwrap();
+    let kept = cluster.get_texture(0).unwrap();
+    let s = cluster.config().engine.matching.scale;
+    // Non-finite, and past the largest finite half once scaled.
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 65_505.0 / s, -1e9] {
+        let mut f = features(1, 64);
+        f.mat.set(5, 3, bad);
+        let refused = |r: Result<(), ClusterError>| {
+            matches!(r, Err(ClusterError::Unstorable(x)) if x.to_bits() == bad.to_bits())
+        };
+        assert!(refused(cluster.add_texture(1, &f)), "{bad}");
+        assert!(refused(cluster.update_texture(0, &f)), "{bad}");
+    }
+    assert!(!cluster.store().exists(&Cluster::key(1)));
+    assert_eq!((cluster.len(), indexed(&cluster)), (1, 1));
+    assert_eq!(cluster.get_texture(0).unwrap().mat, kept.mat, "a refused update changed nothing");
+    // The largest finite half, scaled, is storable.
+    let mut edge = features(1, 64);
+    edge.mat.set(0, 0, 65_504.0 / s);
+    cluster.add_texture(1, &edge).unwrap();
+
+    // Under F32 only NaN and ±∞ are refused.
+    let mut cfg = small_config(1);
+    cfg.engine.matching.precision = texid_gpu::Precision::F32;
+    let cluster = Cluster::new(cfg);
+    let mut big = features(1, 64);
+    big.mat.set(2, 2, 1e30);
+    cluster.add_texture(1, &big).unwrap();
+    big.mat.set(2, 2, f32::INFINITY);
+    assert_eq!(cluster.add_texture(2, &big), Err(ClusterError::Unstorable(f32::INFINITY)));
 }
 
 #[test]

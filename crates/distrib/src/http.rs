@@ -452,19 +452,22 @@ impl HttpServer {
                     Ok(()) => {}
                     Err(TrySendError::Full(mut stream)) => {
                         // Queue full: shed load right here rather than
-                        // letting the backlog grow without bound.
+                        // letting the backlog grow without bound. The 503
+                        // goes out before a byte of the request is read, and
+                        // the accept thread then gives the peer at most
+                        // `drain`'s bound: a slow or endless request costs it
+                        // `DRAIN_TIME`, not `IO_TIMEOUT` per byte.
                         depth_gauge.set(depth.fetch_sub(1, Ordering::Relaxed) as f64 - 1.0);
-                        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                        // Drain the request before answering: closing a
-                        // socket with unread bytes in its receive buffer
-                        // makes the kernel send RST, which can destroy the
-                        // in-flight 503 before the client reads it.
-                        let _ = read_request(&mut stream);
+                        let _ = stream.set_write_timeout(Some(DRAIN_TIME));
                         let resp =
                             Response::json(503, r#"{"error":"server overloaded"}"#.to_string())
                                 .with_header("Retry-After", "1");
                         let _ = write_response(&mut stream, &resp);
+                        let _ = stream.flush();
+                        // Closing a socket with unread bytes in its receive
+                        // buffer makes the kernel send RST, which can destroy
+                        // the in-flight 503 before the client reads it.
+                        drain(&mut stream);
                     }
                     Err(TrySendError::Disconnected(_)) => break,
                 }
@@ -710,6 +713,120 @@ mod tests {
             admitted += 1;
         }
         assert!(admitted >= 1, "at least the worker-held connection succeeds");
+    }
+
+    /// A one-worker, one-slot server whose worker is parked in its handler
+    /// and whose queue slot is taken, so every further connection is shed.
+    /// Dropped, it opens the gate first (a parked worker would deadlock the
+    /// server's join), then stops the server.
+    struct Saturated {
+        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
+        _held: [TcpStream; 2],
+        server: HttpServer,
+    }
+
+    impl Saturated {
+        fn new() -> Saturated {
+            let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+            let (entered, parked) = std::sync::mpsc::channel();
+            let handler_gate = gate.clone();
+            let server = HttpServer::spawn_pooled(
+                "127.0.0.1:0",
+                Arc::new(move |_req: &Request| {
+                    let _ = entered.send(());
+                    let (lock, cv) = &*handler_gate;
+                    let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    while !*open {
+                        open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
+                    }
+                    Response::json(200, "{}".to_string())
+                }),
+                PoolConfig { workers: 1, queue_depth: 1 },
+            )
+            .unwrap();
+            let request = |path: &str| {
+                let mut s = TcpStream::connect(server.addr()).unwrap();
+                s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+                s
+            };
+            // The worker takes the first; the second waits in the queue,
+            // and the accept loop handles connections in arrival order.
+            let first = request("/worker");
+            parked.recv_timeout(Duration::from_secs(10)).expect("the worker parks");
+            let second = request("/queued");
+            Saturated { gate, _held: [first, second], server }
+        }
+    }
+
+    impl Drop for Saturated {
+        fn drop(&mut self) {
+            let (lock, cv) = &*self.gate;
+            *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+            cv.notify_all();
+        }
+    }
+
+    #[test]
+    fn a_shed_peer_always_reads_its_503() {
+        // The pool is full, so the accept thread answers. A client that sends
+        // its whole request — a head declaring 100 MB and 4 MiB of it —
+        // before it reads the reply must get to read the 503, every time.
+        let saturated = Saturated::new();
+        let head = "POST /search HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n";
+        for rep in 0..50 {
+            let mut stream = TcpStream::connect(saturated.server.addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+            let chunk = [b'a'; 64 * 1024];
+            let pushed = stream
+                .write_all(head.as_bytes())
+                .and_then(|()| (0..64).try_for_each(|_| stream.write_all(&chunk)))
+                .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
+            let mut status_line = String::new();
+            let read = BufReader::new(&stream).read_line(&mut status_line);
+            assert!(
+                pushed.is_ok() && read.is_ok() && status_line.contains("503"),
+                "repetition {rep}: push {pushed:?}, read {read:?} {status_line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_slow_drip_holds_the_accept_thread_no_longer_than_the_drain() {
+        // A shed peer declares a 100 MB body and then drips its head a byte
+        // at a time, never ending it. It reads its 503 at once, and the
+        // accept thread is free to shed the next connection after at most
+        // `DRAIN_TIME` (not `IO_TIMEOUT` per byte, for as long as it drips).
+        let saturated = Saturated::new();
+        let addr = saturated.server.addr();
+        let started = std::time::Instant::now();
+        let mut drip = TcpStream::connect(addr).unwrap();
+        drip.write_all(b"POST /search HTTP/1.1\r\nContent-Length: 100000000\r\nX-Drip: ").unwrap();
+        let mut writer = drip.try_clone().unwrap();
+        let dripping = std::thread::spawn(move || {
+            let until = std::time::Instant::now() + Duration::from_secs(6);
+            while std::time::Instant::now() < until && writer.write_all(b"a").is_ok() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        drip.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        let mut status_line = String::new();
+        let read = BufReader::new(&drip).read_line(&mut status_line);
+        assert!(read.is_ok() && status_line.contains("503"), "{read:?} {status_line:?}");
+
+        let mut next = TcpStream::connect(addr).unwrap();
+        next.write_all(b"GET /next HTTP/1.1\r\n\r\n").unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut status_line = String::new();
+        let read = BufReader::new(&next).read_line(&mut status_line);
+        let held = started.elapsed();
+        assert!(read.is_ok() && status_line.contains("503"), "{read:?} {status_line:?}");
+        assert!(
+            held < DRAIN_TIME + Duration::from_millis(1500),
+            "the next shed answered {held:?} after the drip began"
+        );
+        drop(drip);
+        dripping.join().unwrap();
     }
 
     #[test]

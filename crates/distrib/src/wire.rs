@@ -15,8 +15,19 @@
 //! | rootsift flag | 3 | varint (0/1) |
 //! | matrix data | 4 | length-delimited packed f32 LE (column-major) |
 //! | keypoints | 5 | length-delimited, 8 × f32 LE + 1 varint each |
+//! | f16 matrix data | 6 | length-delimited packed binary16 LE (column-major), values `x · scale` |
+//! | f16 scale | 7 | varint (the f32 bit pattern; positive and finite) |
+//!
+//! A message carries its matrix in one form: f32 in field 4, or f16 in
+//! field 6 with its scale in field 7 — never both, and never a scale without
+//! the f16 matrix ([`WireError::Malformed`] otherwise). A client sends
+//! either; the feature store keeps the form the engine indexes
+//! ([`encode_block`]), so an F16 reference rests at two bytes per element.
+//! [`encode_features`] writes the f32 form, byte for byte what it always
+//! wrote; [`decode_features`] reads both, widening the f16 form.
 
-use texid_linalg::Mat;
+use texid_knn::FeatureBlock;
+use texid_linalg::{Mat, MatF16, F16};
 use texid_sift::{FeatureMatrix, Keypoint};
 
 /// Decoding failure.
@@ -150,23 +161,58 @@ fn decode_keypoint(bytes: &[u8]) -> Result<Keypoint, WireError> {
     })
 }
 
-/// Serialize a feature matrix.
-pub fn encode_features(fm: &FeatureMatrix) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(fm.mat.len() * 4 + fm.keypoints.len() * 36 + 32);
+/// A decoded `FeatureMatrix` message in the form it was written: the
+/// descriptors as a [`FeatureBlock`] (`F32` from field 4, `F16` with its
+/// scale from fields 6–7) and one keypoint per column.
+#[derive(Clone, Debug)]
+pub struct WireFeatures {
+    /// `dim × count` descriptors, in the message's form.
+    pub block: FeatureBlock,
+    /// One per descriptor column.
+    pub keypoints: Vec<Keypoint>,
+    /// Whether the descriptors were RootSIFT-transformed.
+    pub rootsift: bool,
+}
+
+/// The matrix of a message about to be written, in one form.
+enum Matrix<'a> {
+    F32(&'a [f32]),
+    F16(&'a [F16], f32),
+}
+
+fn encode_message(
+    (dim, count, rootsift): (usize, usize, bool),
+    matrix: Matrix<'_>,
+    keypoints: &[Keypoint],
+) -> Vec<u8> {
+    let data_bytes = match matrix {
+        Matrix::F32(v) => v.len() * 4,
+        Matrix::F16(v, _) => v.len() * 2,
+    };
+    let mut buf = Vec::with_capacity(data_bytes + keypoints.len() * 36 + 40);
     put_key(&mut buf, 1, WT_VARINT);
-    put_varint(&mut buf, fm.dim() as u64);
+    put_varint(&mut buf, dim as u64);
     put_key(&mut buf, 2, WT_VARINT);
-    put_varint(&mut buf, fm.len() as u64);
+    put_varint(&mut buf, count as u64);
     put_key(&mut buf, 3, WT_VARINT);
-    put_varint(&mut buf, fm.rootsift as u64);
+    put_varint(&mut buf, rootsift as u64);
 
-    let mut data = Vec::with_capacity(fm.mat.len() * 4);
-    for &v in fm.mat.as_slice() {
-        data.extend_from_slice(&v.to_le_bytes());
+    match matrix {
+        Matrix::F32(values) => {
+            put_key(&mut buf, 4, WT_LEN);
+            put_varint(&mut buf, data_bytes as u64);
+            values.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+        }
+        Matrix::F16(values, scale) => {
+            put_key(&mut buf, 6, WT_LEN);
+            put_varint(&mut buf, data_bytes as u64);
+            values.iter().for_each(|v| buf.extend_from_slice(&v.to_bits().to_le_bytes()));
+            put_key(&mut buf, 7, WT_VARINT);
+            put_varint(&mut buf, scale.to_bits() as u64);
+        }
     }
-    put_len_delimited(&mut buf, 4, &data);
 
-    for kp in &fm.keypoints {
+    for kp in keypoints {
         let mut kb = Vec::with_capacity(36);
         encode_keypoint(&mut kb, kp);
         put_len_delimited(&mut buf, 5, &kb);
@@ -174,13 +220,43 @@ pub fn encode_features(fm: &FeatureMatrix) -> Vec<u8> {
     buf
 }
 
-/// Deserialize a feature matrix.
+/// Serialize a feature matrix (the f32 form).
+pub fn encode_features(fm: &FeatureMatrix) -> Vec<u8> {
+    let shape = (fm.dim(), fm.len(), fm.rootsift);
+    encode_message(shape, Matrix::F32(fm.mat.as_slice()), &fm.keypoints)
+}
+
+/// Serialize descriptors in the form `block` holds them — f16 bits and
+/// their scale for an `F16` block, exactly [`encode_features`] for an `F32`
+/// one — with their keypoints (one per column).
+pub fn encode_block(block: &FeatureBlock, keypoints: &[Keypoint], rootsift: bool) -> Vec<u8> {
+    let shape = (block.rows(), block.cols(), rootsift);
+    let matrix = match block {
+        FeatureBlock::F32(mat) => Matrix::F32(mat.as_slice()),
+        FeatureBlock::F16 { mat, scale } => Matrix::F16(mat.as_slice(), *scale),
+    };
+    encode_message(shape, matrix, keypoints)
+}
+
+/// Deserialize a feature matrix, widening (and unscaling) the f16 form.
 pub fn decode_features(buf: &[u8]) -> Result<FeatureMatrix, WireError> {
+    let WireFeatures { block, keypoints, rootsift } = decode_block(buf)?;
+    let mat = match block {
+        FeatureBlock::F32(mat) => mat,
+        f16 => f16.to_f32(),
+    };
+    Ok(FeatureMatrix { keypoints, mat, rootsift })
+}
+
+/// Deserialize a message in the form it was written.
+pub fn decode_block(buf: &[u8]) -> Result<WireFeatures, WireError> {
     let mut pos = 0usize;
     let mut dim = None;
     let mut count = None;
     let mut rootsift = false;
-    let mut data: Option<Vec<f32>> = None;
+    let mut wide: Option<Vec<f32>> = None;
+    let mut half: Option<Vec<F16>> = None;
+    let mut scale = None;
     let mut keypoints = Vec::new();
 
     while pos < buf.len() {
@@ -194,7 +270,7 @@ pub fn decode_features(buf: &[u8]) -> Result<FeatureMatrix, WireError> {
                 if raw.len() % 4 != 0 {
                     return Err(WireError::Malformed("matrix bytes not a multiple of 4"));
                 }
-                data = Some(
+                wide = Some(
                     raw.chunks_exact(4)
                         .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
                         .collect(),
@@ -204,25 +280,54 @@ pub fn decode_features(buf: &[u8]) -> Result<FeatureMatrix, WireError> {
                 let raw = get_slice(buf, &mut pos)?;
                 keypoints.push(decode_keypoint(raw)?);
             }
+            (6, WT_LEN) => {
+                let raw = get_slice(buf, &mut pos)?;
+                if raw.len() % 2 != 0 {
+                    return Err(WireError::Malformed("f16 matrix bytes not a multiple of 2"));
+                }
+                half = Some(
+                    raw.chunks_exact(2)
+                        .map(|c| F16::from_bits(u16::from_le_bytes([c[0], c[1]])))
+                        .collect(),
+                );
+            }
+            (7, WT_VARINT) => scale = Some(get_varint(buf, &mut pos)?),
             (_, wt) => skip_field(buf, &mut pos, wt)?, // forward compatibility
         }
     }
 
     let dim = dim.ok_or(WireError::Malformed("missing dim"))?;
     let count = count.ok_or(WireError::Malformed("missing count"))?;
-    let data = data.ok_or(WireError::Malformed("missing matrix"))?;
     // Both factors are payload varints: their product may not fit.
-    if dim.checked_mul(count) != Some(data.len()) {
-        return Err(WireError::Malformed("matrix size mismatch"));
-    }
+    let sized = |len: usize| {
+        if dim.checked_mul(count) == Some(len) {
+            Ok(())
+        } else {
+            Err(WireError::Malformed("matrix size mismatch"))
+        }
+    };
+    let block = match (wide, half, scale) {
+        (Some(_), Some(_), _) => return Err(WireError::Malformed("both matrix forms")),
+        (Some(_), None, Some(_)) => return Err(WireError::Malformed("scale without f16 matrix")),
+        (Some(data), None, None) => {
+            sized(data.len())?;
+            FeatureBlock::F32(Mat::from_col_major(dim, count, data))
+        }
+        (None, Some(_), None) => return Err(WireError::Malformed("missing f16 scale")),
+        (None, Some(data), Some(bits)) => {
+            sized(data.len())?;
+            let scale = u32::try_from(bits).map(f32::from_bits).unwrap_or(f32::NAN);
+            if !(scale > 0.0 && scale.is_finite()) {
+                return Err(WireError::Malformed("f16 scale not positive and finite"));
+            }
+            FeatureBlock::F16 { mat: MatF16::from_col_major(dim, count, data), scale }
+        }
+        (None, None, _) => return Err(WireError::Malformed("missing matrix")),
+    };
     if keypoints.len() != count {
         return Err(WireError::Malformed("keypoint count mismatch"));
     }
-    Ok(FeatureMatrix {
-        keypoints,
-        mat: Mat::from_col_major(dim, count, data),
-        rootsift,
-    })
+    Ok(WireFeatures { block, keypoints, rootsift })
 }
 
 #[cfg(test)]
@@ -324,6 +429,21 @@ mod tests {
                 "dim {dim} count {count}"
             );
         }
+    }
+
+    #[test]
+    fn encode_features_writes_the_bytes_it_always_wrote() {
+        // The f32 form is what every client and the benchmark send: pinned
+        // as a length and a CRC32C of one fixed message.
+        let mat = Mat::from_fn(128, 24, |r, c| ((r * 31 + c * 7) % 97) as f32 / 97.0 - 0.25);
+        let mut fm = FeatureMatrix::from_mat(mat, true);
+        for (i, kp) in fm.keypoints.iter_mut().enumerate() {
+            kp.x = i as f32 * 1.5;
+            kp.y = 300.0 - i as f32;
+            kp.octave = i % 4;
+        }
+        let bytes = encode_features(&fm);
+        assert_eq!((bytes.len(), texid_store::crc32c(&bytes)), (13_138, 0x2ea2_0e7c));
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! its length — one exactly-sized buffer each, on valid and on rejected
 //! input alike, never a doubling `Vec`.
 //!
-//! And hostile bytes: `wire::decode_features` and `wal::scan` parse bytes
-//! this process did not write (a request body, media after a crash). A
-//! valid encoding with one structural lie — a length prefix that claims
-//! something else, a truncation, appended bytes, a field or record twice —
-//! is refused or decodes to something well-formed, never panics, and never
-//! allocates by what a prefix *claims*: peak heap is bounded by a multiple
-//! of the input's real length.
+//! And hostile bytes: `wire::decode_features` (and `decode_block`, the form
+//! the feature store reads back) and `wal::scan` parse bytes this process
+//! did not write (a request body, media after a crash). A valid encoding,
+//! of either matrix form, with one structural lie — a length prefix that
+//! claims something else, a truncation, appended bytes, a field or record
+//! twice — is refused or decodes to something well-formed, never panics,
+//! and never allocates by what a prefix *claims*: peak heap is bounded by a
+//! multiple of the input's real length. The lies only the f16 form can tell
+//! (an odd byte count, both forms at once, a scale that is missing, zero or
+//! not finite) are refused as `Malformed`.
 //!
 //! A request body is hostile text: a valid JSON document or base64
 //! payload with one structural lie — cut short, a bracket, quote or
@@ -38,7 +41,11 @@ use proptest::prelude::*;
 use texid_distrib::b64;
 use texid_distrib::http::{read_request, RequestError, MAX_BODY_BYTES};
 use texid_distrib::json::{parse, Json, MAX_DEPTH};
-use texid_distrib::wire::{decode_features, encode_features, get_varint, put_varint};
+use texid_distrib::wire::{
+    decode_block, decode_features, encode_block, encode_features, get_varint, put_varint, WireError,
+};
+use texid_gpu::Precision;
+use texid_knn::FeatureBlock;
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 use texid_store::wal::{self, Record};
@@ -250,11 +257,26 @@ proptest! {
     fn mutated_feature_encodings_are_refused_or_well_formed(
         dim in 1usize..10,
         count in 0usize..8,
+        half in any::<bool>(),
         lie in lie(),
         junk in prop::collection::vec(any::<u8>(), 1..48),
     ) {
         let mat = Mat::from_fn(dim, count, |r, c| (r * 7 + c) as f32 * 0.25);
-        let valid = encode_features(&FeatureMatrix::from_mat(mat, true));
+        let fm = FeatureMatrix::from_mat(mat.clone(), true);
+        let valid = if half {
+            // Both forms round-trip: the f16 one to its block, and widened.
+            let block = FeatureBlock::from_mat(mat.clone(), Precision::F16, 0.25);
+            let valid = encode_block(&block, &fm.keypoints, true);
+            let back = decode_block(&valid).map_err(|e| e.to_string())?;
+            prop_assert_eq!(back.block.to_f32(), block.to_f32());
+            prop_assert_eq!(back.block.precision(), Precision::F16);
+            prop_assert_eq!(decode_features(&valid).map_err(|e| e.to_string())?.mat, mat);
+            valid
+        } else {
+            let valid = encode_features(&fm);
+            prop_assert_eq!(decode_features(&valid).map_err(|e| e.to_string())?.mat, mat);
+            valid
+        };
         let hostile = mutate(&valid, &wire_fields(&valid), lie, &junk, |buf, at, claim| {
             let mut after = at;
             let truth = get_varint(buf, &mut after).expect("valid varint");
@@ -268,11 +290,23 @@ proptest! {
             prop_assert_eq!(fm.dim().checked_mul(fm.len()), Some(fm.mat.len()));
             prop_assert_eq!(fm.keypoints.len(), fm.len());
         }
-        // The matrix (≤ the input) plus a doubling `Vec` of 40-byte
-        // keypoints that each took ≥ 35 input bytes.
+        // The matrix (≤ the input; an f16 one widened, ≤ twice more) plus a
+        // doubling `Vec` of 40-byte keypoints that each took ≥ 35 input
+        // bytes.
         prop_assert!(
             heap.peak <= 4 * hostile.len() + 1024,
             "{} hostile bytes ({lie:?}), peak {}", hostile.len(), heap.peak
+        );
+        let (stored, heap) = measure(|| decode_block(&hostile));
+        prop_assert_eq!(stored.is_ok(), decoded.is_ok());
+        if let Ok(stored) = &stored {
+            let elements = stored.block.to_f32().len();
+            prop_assert_eq!(stored.block.rows().checked_mul(stored.block.cols()), Some(elements));
+            prop_assert_eq!(stored.keypoints.len(), stored.block.cols());
+        }
+        prop_assert!(
+            heap.peak <= 4 * hostile.len() + 1024,
+            "{} hostile bytes ({lie:?}), block peak {}", hostile.len(), heap.peak
         );
     }
 
@@ -369,6 +403,76 @@ proptest! {
             prop_assert_eq!(b64::encode(&bytes).len(), hostile.len());
         }
     }
+}
+
+/// One wire field: a varint, or a length-delimited run of bytes.
+enum Field {
+    Varint(u64),
+    Bytes(Vec<u8>),
+}
+
+/// A `FeatureMatrix` message of `dim × count` with `fields` after the
+/// header (tag, value) and no keypoints.
+fn message(dim: u64, count: u64, fields: &[(u64, Field)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let header = [(1, Field::Varint(dim)), (2, Field::Varint(count)), (3, Field::Varint(1))];
+    for (tag, field) in header.iter().chain(fields) {
+        match field {
+            Field::Varint(v) => {
+                put_varint(&mut buf, tag << 3);
+                put_varint(&mut buf, *v);
+            }
+            Field::Bytes(b) => {
+                put_varint(&mut buf, tag << 3 | 2);
+                put_varint(&mut buf, b.len() as u64);
+                buf.extend_from_slice(b);
+            }
+        }
+    }
+    buf
+}
+
+#[test]
+fn the_f16_form_refuses_its_own_lies() {
+    let malformed = |why: &'static str| Err(WireError::Malformed(why));
+    let halves = |n: usize| Field::Bytes(vec![0x3c; 2 * n]);
+    let scale = |s: f32| Field::Varint(u64::from(s.to_bits()));
+    let cases = [
+        // An odd byte count, and a length that claims past the message.
+        (message(2, 0, &[(6, Field::Bytes(vec![0; 3])), (7, scale(0.5))]),
+         malformed("f16 matrix bytes not a multiple of 2")),
+        ([message(2, 0, &[(7, scale(0.5))]), vec![6 << 3 | 2, 9, 0, 0]].concat(),
+         Err(WireError::Truncated)),
+        // Both forms in one message, and a scale without the f16 form.
+        (message(1, 0, &[(4, Field::Bytes(vec![])), (6, halves(0)), (7, scale(0.5))]),
+         malformed("both matrix forms")),
+        (message(1, 0, &[(4, Field::Bytes(vec![])), (7, scale(0.5))]),
+         malformed("scale without f16 matrix")),
+        // A scale that is missing, zero, negative, not finite or not 32 bits.
+        (message(1, 0, &[(6, halves(0))]), malformed("missing f16 scale")),
+        (message(1, 0, &[(6, halves(0)), (7, scale(0.0))]),
+         malformed("f16 scale not positive and finite")),
+        (message(1, 0, &[(6, halves(0)), (7, scale(-0.5))]),
+         malformed("f16 scale not positive and finite")),
+        (message(1, 0, &[(6, halves(0)), (7, scale(f32::INFINITY))]),
+         malformed("f16 scale not positive and finite")),
+        (message(1, 0, &[(6, halves(0)), (7, scale(f32::NAN))]),
+         malformed("f16 scale not positive and finite")),
+        (message(1, 0, &[(6, halves(0)), (7, Field::Varint(1 << 32))]),
+         malformed("f16 scale not positive and finite")),
+        // `dim × count` that overflows (and would wrap to the empty matrix).
+        (message(1 << 63, 2, &[(6, halves(0)), (7, scale(0.5))]), malformed("matrix size mismatch")),
+        (message(3, 2, &[(6, halves(5)), (7, scale(0.5))]), malformed("matrix size mismatch")),
+    ];
+    for (i, (bytes, want)) in cases.iter().enumerate() {
+        let (got, heap) = measure(|| decode_block(bytes));
+        assert_eq!(got.map(|_| ()), *want, "case {i}");
+        assert_eq!(decode_features(bytes).map(|_| ()), *want, "case {i}");
+        assert!(heap.peak <= 4 * bytes.len() + 1024, "case {i}: peak {}", heap.peak);
+    }
+    // The same shape told the truth decodes.
+    let valid = message(3, 0, &[(6, halves(0)), (7, scale(0.5))]);
+    assert!(decode_block(&valid).is_ok());
 }
 
 /// A valid request: the request line, `headers`, a `Content-Length` that

@@ -4,15 +4,17 @@
 //! concatenation of several) in whatever precision the engine is configured
 //! for. FP16 blocks remember the scale factor applied before narrowing
 //! (§4.2) so matching can undo `scale²` after the GEMM. It is the form
-//! features travel in — a pair to verify, one reference or one query on its
-//! way to the packer. What a matcher multiplies, and all the engine keeps of
+//! features travel and rest in — a pair to verify, one reference or one
+//! query on its way to the packer, a stored reference (narrowed once, at
+//! ingest). What a matcher multiplies, and all the engine keeps of
 //! a batch, is the [`PackedBlock`] made from it: a reference is scattered
 //! into its batch's panels as it arrives ([`PackedBlock::append_cols`]) and
 //! overwritten there when its id is rewritten ([`PackedBlock::write_cols`]).
 
+use std::borrow::Cow;
 use texid_gpu::Precision;
 use texid_linalg::kernel::{PackedA, PackedB};
-use texid_linalg::{Backend, Mat, MatF16};
+use texid_linalg::{Backend, Mat, MatF16, F16};
 
 /// A feature matrix in storage precision.
 #[derive(Clone, Debug)]
@@ -29,11 +31,12 @@ pub enum FeatureBlock {
 }
 
 /// A [`FeatureBlock`] packed into the kernel's k-major panels ([`PackedA`]
-/// for references, [`PackedB`] for a query), widened once and bound to a
-/// kernel backend — the form every matcher's GEMM takes its operands in.
-/// Remembers the block's precision and FP16 scale, the two facts that
-/// cannot be read back from the f32 panels, so mismatched operands are
-/// rejected in one place (`batched::scale_sq`).
+/// for references, f16 where the backend's tiles widen in register;
+/// [`PackedB`] for a query, widened once) and bound to a kernel backend —
+/// the form every matcher's GEMM takes its operands in. Remembers the
+/// block's precision and FP16 scale, the two facts that cannot be read back
+/// from the panels, so mismatched operands are rejected in one place
+/// (`batched::scale_sq`).
 pub struct PackedBlock<P> {
     pub(crate) panels: P,
     pub(crate) precision: Precision,
@@ -72,6 +75,11 @@ impl PackedBlock<PackedA> {
         assert_eq!(block.precision(), self.precision, "mixed precisions in a batch");
         assert_eq!(block.scale(), self.scale, "mixed scales in a batch");
         block
+    }
+
+    /// Bytes the panels hold ([`PackedA::panel_bytes`]).
+    pub fn panel_bytes(&self) -> usize {
+        self.panels.panel_bytes()
     }
 
     /// Delete the `count` reference columns starting at `start` — one
@@ -134,6 +142,66 @@ impl FeatureBlock {
                 FeatureBlock::F16 { mat: MatF16::narrowed_scaled(d, cols, data, scale), scale }
             }
         }
+    }
+
+    /// This block in `precision` (at `scale` for F16): itself if it already
+    /// is; otherwise widened from f16 and unscaled, then narrowed if
+    /// `precision` is F16 — each conversion once.
+    pub fn into_precision(self, precision: Precision, scale: f32) -> FeatureBlock {
+        match self {
+            FeatureBlock::F32(mat) if precision == Precision::F32 => FeatureBlock::F32(mat),
+            FeatureBlock::F16 { scale: s, .. } if precision == Precision::F16 && s == scale => self,
+            FeatureBlock::F32(mat) => {
+                FeatureBlock::encode(mat.rows(), mat.cols(), mat.as_slice(), precision, scale)
+            }
+            FeatureBlock::F16 { .. } => FeatureBlock::from_mat(self.to_f32(), precision, scale),
+        }
+    }
+
+    /// The block dequantized: the f32 matrix itself, or the f16 one widened
+    /// with the scale undone ([`MatF16::to_f32_unscaled`]).
+    pub fn to_f32(&self) -> Mat {
+        match self {
+            FeatureBlock::F32(m) => m.clone(),
+            FeatureBlock::F16 { mat, scale } => mat.to_f32_unscaled(*scale),
+        }
+    }
+
+    /// The first `m` columns, zero columns appended where the block has
+    /// fewer: borrowed when it has exactly `m`. Zero narrows to zero, so
+    /// this is the block of the fitted f32 matrix.
+    pub fn fit_cols(&self, m: usize) -> Cow<'_, FeatureBlock> {
+        let (d, cols) = (self.rows(), self.cols());
+        if cols == m {
+            return Cow::Borrowed(self);
+        }
+        fn fit<T: Copy>(data: &[T], keep: usize, len: usize, zero: T) -> Vec<T> {
+            let mut out = data[..keep].to_vec();
+            out.resize(len, zero);
+            out
+        }
+        let (keep, len) = (d * m.min(cols), d * m);
+        Cow::Owned(match self {
+            FeatureBlock::F32(mat) => {
+                FeatureBlock::F32(Mat::from_col_major(d, m, fit(mat.as_slice(), keep, len, 0.0)))
+            }
+            FeatureBlock::F16 { mat, scale } => FeatureBlock::F16 {
+                mat: MatF16::from_col_major(d, m, fit(mat.as_slice(), keep, len, F16::ZERO)),
+                scale: *scale,
+            },
+        })
+    }
+
+    /// The first descriptor component of `data` that `precision` cannot
+    /// hold: NaN or `±∞`, and under F16 also any `x` with `|x · scale|`
+    /// above the largest finite half, 65 504 (it would narrow to `±∞` or
+    /// round down to the maximum). `None` when every component is storable.
+    pub fn unstorable(data: &[f32], precision: Precision, scale: f32) -> Option<f32> {
+        let (limit, scale) = match precision {
+            Precision::F32 => (f32::MAX, 1.0),
+            Precision::F16 => (F16::MAX.to_f32(), scale),
+        };
+        data.iter().copied().find(|&x| x.is_nan() || (x * scale).abs() > limit)
     }
 
     /// Pack as the reference (A) operand of the kernel on `be`.

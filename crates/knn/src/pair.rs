@@ -190,13 +190,6 @@ impl PairOutcome {
 /// sqrt epilogue) + two keypoint indices (u32).
 pub const D2H_BYTES_PER_QUERY_FEATURE: u64 = 2 * (4 + 4);
 
-fn dequantized(block: &FeatureBlock) -> Mat {
-    match block {
-        FeatureBlock::F32(m) => m.clone(),
-        FeatureBlock::F16 { mat, scale } => mat.to_f32_unscaled(*scale),
-    }
-}
-
 /// Match one reference feature block against one query block, charging the
 /// simulated device `sim` on `stream`.
 ///
@@ -299,8 +292,8 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
         Algorithm::OpenCvCuda => {
             // Brute-force exact Euclidean distances, then a 2-selection —
             // numerically the reference answer.
-            let rm = dequantized(r);
-            let qm = dequantized(q);
+            let rm = r.to_f32();
+            let qm = q.to_f32();
             let m = rm.cols();
             let n = qm.cols();
             let mut dist = Mat::zeros(m, n);
@@ -316,8 +309,8 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
         }
         Algorithm::CublasFullSort | Algorithm::CublasTop2 => {
             // Algorithm 1: ρ² = N_R + N_Q − 2·RᵀQ.
-            let n_r = col_sq_norms(&dequantized(r));
-            let n_q = col_sq_norms(&dequantized(q));
+            let n_r = col_sq_norms(&r.to_f32());
+            let n_q = col_sq_norms(&q.to_f32());
             let be = cfg.kernel_backend();
             let (rp, qp) = (r.pack_refs(be), q.pack_query(be));
 
@@ -539,8 +532,8 @@ mod tests {
         let st = s.default_stream();
         let out = match_pair(
             &MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
-            &FeatureBlock::from_mat(dequantized(&r), Precision::F16, 0.0078125),
-            &FeatureBlock::from_mat(dequantized(&q), Precision::F16, 0.0078125),
+            &FeatureBlock::from_mat(r.to_f32(), Precision::F16, 0.0078125),
+            &FeatureBlock::from_mat(q.to_f32(), Precision::F16, 0.0078125),
             &mut s,
             st,
         );
@@ -601,7 +594,7 @@ mod tests {
     #[should_panic(expected = "share a precision")]
     fn mixed_precision_rejected() {
         let (r, q) = f32_blocks(8, 8);
-        let q16 = FeatureBlock::from_mat(dequantized(&q), Precision::F16, 1.0);
+        let q16 = FeatureBlock::from_mat(q.to_f32(), Precision::F16, 1.0);
         let mut s = sim();
         let st = s.default_stream();
         let _ = match_pair(&cfg(Algorithm::RootSiftTop2, Precision::F16), &r, &q16, &mut s, st);

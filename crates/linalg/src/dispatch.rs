@@ -131,6 +131,15 @@ impl Backend {
         }
     }
 
+    /// Whether a half-precision reference pack keeps its f16 bits in the
+    /// panels, which the tile widens in register as it loads them (2 bytes
+    /// per element), rather than f32 widened at pack time (4). The SIMD
+    /// tiles widen for one extra µop per 8 or 24 FMAs; the scalar tile would
+    /// pay a conversion per multiply-add, so it keeps f32 panels.
+    pub fn f16_panels(self) -> bool {
+        self != Backend::Scalar
+    }
+
     /// Query (B) columns per register tile — columns of the output tile.
     pub fn nr(self) -> usize {
         match self {

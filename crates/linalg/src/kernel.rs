@@ -16,17 +16,22 @@
 //!
 //! 1. **Packing.** A (the reference operand) is packed into panels of
 //!    [`MR`] columns, interleaved k-major: panel `p` stores
-//!    `a[p][k·MR + r] = A[k, p·MR + r]`, zero-padded past `m`. FP16
-//!    operands are **widened during packing**, so each element is converted
-//!    exactly once — `O(m·d)` conversions instead of the `O(m·n·d)` a
-//!    per-output-column widening costs. B is packed the same way
-//!    ([`PackedB`], panels of [`NR`] columns). Both packs are values the
-//!    caller owns: pack a reference block once for as long as it lives and
-//!    a query once per search, and no GEMM or scan packs anything again.
+//!    `a[p][k·MR + r] = A[k, p·MR + r]`, zero-padded past `m`. An
+//!    FP16 reference keeps **two bytes per element** in the panels on the
+//!    SIMD backends ([`Backend::f16_panels`]): the tile widens each A load
+//!    in register (`vcvtph2ps`), one extra µop per 8 or 24 FMAs, and
+//!    widening is exact, so every product is the f32 pack's. The scalar
+//!    backend widens during packing instead (4 bytes per element, each
+//!    converted once). B, the per-search query, is always widened during
+//!    packing ([`PackedB`], panels of [`NR`] columns). Both packs are values
+//!    the caller owns: pack a reference block once for as long as it lives
+//!    and a query once per search, and no GEMM or scan packs anything again.
 //!    A [`PackedA`] is also edited where it lies, whole columns at a time,
 //!    and stays the pack of the edited matrix: [`PackedA::append_cols`],
 //!    [`PackedA::write_cols`], [`PackedA::swap_remove_cols`]; one scatter,
-//!    `pack_panels`, is behind the first two and both `pack`s.
+//!    `pack_panels`, is behind the first two and both `pack`s. That scatter,
+//!    `read_cols`, `swap_remove_cols` and the tiles are all that know a
+//!    panel's element type (`Panel`).
 //! 2. **Blocking.** Output columns are processed in chunks of `NC`, one
 //!    after another on the calling thread (nothing is parallel inside a
 //!    shard leg) — the chunk's slice of the packed B, ≤ `NC·d` floats,
@@ -147,7 +152,7 @@
 use crate::dispatch::{Backend, MAX_TILE};
 use crate::f16::F16;
 use crate::mat::{Mat, MatF16, Operand, Widen};
-use crate::simd::PROBE_CHAINS;
+use crate::simd::{LoadA, PROBE_CHAINS};
 use crate::top2::Top2;
 
 /// Reference (A) columns per **scalar** register tile — rows of the output
@@ -165,11 +170,56 @@ const MC_ROWS: usize = 128;
 /// scan keeps selection state for one chunk at a time.
 pub const NC: usize = 96;
 
-/// A pre-packed, pre-widened reference operand.
+/// A packed-A element: f32, or f16 bits that the SIMD tiles widen as they
+/// load them. Both read back as the f32 the kernel multiplies ([`Widen`]).
+pub(crate) trait Panel: Widen + LoadA + PartialEq + core::fmt::Debug {
+    /// Padding past the last column.
+    const ZERO: Self;
+    /// One source column in this element type, into `dst` (`src.len()`
+    /// long): widened into f32 panels, copied into f16 ones.
+    ///
+    /// # Panics
+    /// Panics on an f32 column for f16 panels (narrowing is not packing).
+    fn take<S: Widen>(be: Backend, src: &[S], dst: &mut [Self]);
+}
+
+impl Panel for f32 {
+    const ZERO: f32 = 0.0;
+    fn take<S: Widen>(be: Backend, src: &[S], dst: &mut [f32]) {
+        S::widen_into(be, src, dst);
+    }
+}
+
+impl Panel for F16 {
+    const ZERO: F16 = F16::ZERO;
+    fn take<S: Widen>(_be: Backend, src: &[S], dst: &mut [F16]) {
+        dst.copy_from_slice(S::halves(src).expect("f16 panels take f16 columns"));
+    }
+}
+
+/// A [`PackedA`]'s panel buffer, in its element type.
+#[derive(Debug, PartialEq)]
+enum Panels {
+    F32(Vec<f32>),
+    F16(Vec<F16>),
+}
+
+/// Run `$body` with `$v` bound to the panel buffer as a `Vec` of its own
+/// element type (`$panels` is `&x` or `&mut x`).
+macro_rules! on_panels {
+    ($panels:expr, $v:ident => $body:expr) => {
+        match $panels {
+            Panels::F32($v) => $body,
+            Panels::F16($v) => $body,
+        }
+    };
+}
+
+/// A pre-packed reference operand.
 ///
-/// Pack once, multiply many times: the packing (and, for FP16, the
-/// widening) cost is paid a single time per reference matrix regardless of
-/// how many GEMMs or fused scans consume it.
+/// Pack once, multiply many times: the packing (and, for FP16 on the scalar
+/// backend, the widening) cost is paid a single time per reference matrix
+/// regardless of how many GEMMs or fused scans consume it.
 pub struct PackedA {
     m: usize,
     d: usize,
@@ -180,22 +230,29 @@ pub struct PackedA {
     /// A scalar pack on an x86-64 CPU with FMA: its tiles run
     /// `microkernel_scalar_fma` rather than call libm (same bits either way).
     fma_tile: bool,
-    /// `ceil(m / mr)` panels of `d · mr` floats, k-major within a panel.
-    data: Vec<f32>,
+    /// `ceil(m / mr)` panels of `d · mr` elements, k-major within a panel:
+    /// f16 for a half-precision source on a backend whose tiles widen in
+    /// register ([`Backend::f16_panels`]), f32 otherwise.
+    panels: Panels,
 }
 
 impl PackedA {
     /// Pack a reference matrix for `be` (an unavailable backend degrades to
-    /// scalar), widening half-precision elements once on the way
-    /// (vectorized on SIMD backends).
+    /// scalar). Half-precision elements keep their bits where the backend's
+    /// tiles widen in register, and are widened once here otherwise.
     pub fn pack<T: Operand>(be: Backend, a: &T) -> PackedA {
         let (cols, d, m) = a.parts();
         let backend = if be.is_available() { be } else { Backend::Scalar };
         let mr = backend.mr();
         let fma_tile = backend == Backend::Scalar && scalar_tile_has_fma();
-        let mut data = vec![0.0f32; m.div_ceil(mr) * d * mr];
-        pack_panels(&mut data, cols, d, 0, mr, backend);
-        PackedA { m, d, backend, mr, fma_tile, data }
+        let len = m.div_ceil(mr) * d * mr;
+        let mut panels = if T::Elem::HALF && backend.f16_panels() {
+            Panels::F16(vec![F16::ZERO; len])
+        } else {
+            Panels::F32(vec![0.0; len])
+        };
+        on_panels!(&mut panels, data => pack_panels(data, cols, d, 0, mr, backend));
+        PackedA { m, d, backend, mr, fma_tile, panels }
     }
 
     /// Append `a`'s columns in place: the result is the pack of the two
@@ -203,12 +260,14 @@ impl PackedA {
     /// built one block at a time copies each element amortized O(1) times.
     ///
     /// # Panics
-    /// Panics if `a`'s depth is not the pack's.
+    /// Panics if `a`'s depth is not the pack's, or on f32 columns for an
+    /// f16 pack.
     pub fn append_cols<T: Operand>(&mut self, a: &T) {
         let (_, _, count) = a.parts();
         let start = self.m;
         self.m += count;
-        self.data.resize(self.m.div_ceil(self.mr) * self.d * self.mr, 0.0);
+        let len = self.m.div_ceil(self.mr) * self.d * self.mr;
+        on_panels!(&mut self.panels, data => data.resize(len, Panel::ZERO));
         self.write_cols(start, a);
     }
 
@@ -216,13 +275,14 @@ impl PackedA {
     /// [`Self::read_cols`]: the pack of the matrix with them replaced.
     ///
     /// # Panics
-    /// Panics if `a`'s depth is not the pack's or the columns run past
-    /// [`Self::cols`].
+    /// Panics if `a`'s depth is not the pack's, the columns run past
+    /// [`Self::cols`], or on f32 columns for an f16 pack.
     pub fn write_cols<T: Operand>(&mut self, start: usize, a: &T) {
         let (cols, d, count) = a.parts();
         assert_eq!(d, self.d, "columns of another depth than the pack's");
         assert!(start + count <= self.m, "columns past the end of the pack");
-        pack_panels(&mut self.data, cols, d, start, self.mr, self.backend);
+        let (mr, be) = (self.mr, self.backend);
+        on_panels!(&mut self.panels, data => pack_panels(data, cols, d, start, mr, be));
     }
 
     /// [`Self::pack`] of a half-precision matrix (the name `benchmarks/`
@@ -247,6 +307,12 @@ impl PackedA {
         self.backend
     }
 
+    /// Bytes the panels hold, zero padding included: 2 per element for f16
+    /// panels, 4 for f32.
+    pub fn panel_bytes(&self) -> usize {
+        on_panels!(&self.panels, data => std::mem::size_of_val(data.as_slice()))
+    }
+
     /// The `count` columns starting at `start`, read back out of the panels
     /// as a column-major `d × count` matrix: the values the kernel
     /// multiplies, a half-precision source's elements exactly widened.
@@ -257,10 +323,12 @@ impl PackedA {
         assert!(start + count <= self.m, "columns past the end of the pack");
         let mut out = Mat::zeros(self.d, count);
         for j in 0..count {
-            let src = self.col_offset(start + j);
-            for (k, v) in out.col_mut(j).iter_mut().enumerate() {
-                *v = self.data[src + k * self.mr];
-            }
+            let src = col_offset(start + j, self.d, self.mr);
+            on_panels!(&self.panels, data => {
+                for (k, v) in out.col_mut(j).iter_mut().enumerate() {
+                    *v = data[src + k * self.mr].widen();
+                }
+            });
         }
         out
     }
@@ -279,40 +347,37 @@ impl PackedA {
         let (d, mr) = (self.d, self.mr);
         let tail = self.m.checked_sub(count).expect("more columns than the pack holds");
         assert!(start == tail || start + count <= tail, "hole overlaps the tail block");
-        if [start, count, tail].iter().all(|v| v % mr == 0) {
-            self.data.copy_within(tail * d.., start * d);
-        } else {
-            for j in 0..count {
-                let (src, dst) = (self.col_offset(tail + j), self.col_offset(start + j));
-                for k in 0..d {
-                    self.data[dst + k * mr] = self.data[src + k * mr];
+        let at = |c: usize| col_offset(c, d, mr);
+        on_panels!(&mut self.panels, data => {
+            if [start, count, tail].iter().all(|v| v % mr == 0) {
+                data.copy_within(tail * d.., start * d);
+            } else {
+                for j in 0..count {
+                    let (src, dst) = (at(tail + j), at(start + j));
+                    for k in 0..d {
+                        data[dst + k * mr] = data[src + k * mr];
+                    }
                 }
             }
-        }
-        for c in tail..tail.next_multiple_of(mr) {
-            let pad = self.col_offset(c);
-            for k in 0..d {
-                self.data[pad + k * mr] = 0.0;
+            for c in tail..tail.next_multiple_of(mr) {
+                for k in 0..d {
+                    data[at(c) + k * mr] = Panel::ZERO;
+                }
             }
-        }
-        self.data.truncate(tail.div_ceil(mr) * d * mr);
+            data.truncate(tail.div_ceil(mr) * d * mr);
+        });
         self.m = tail;
-    }
-
-    /// Where column `c`'s first element lies in `data`; its `d` elements
-    /// follow at stride `mr`.
-    fn col_offset(&self, c: usize) -> usize {
-        c / self.mr * self.d * self.mr + c % self.mr
     }
 
     fn panel_count(&self) -> usize {
         self.m.div_ceil(self.mr)
     }
+}
 
-    #[inline]
-    fn panel(&self, p: usize) -> &[f32] {
-        &self.data[p * self.d * self.mr..(p + 1) * self.d * self.mr]
-    }
+/// Where column `c`'s first element lies in `d`-deep, `mr`-wide panels; its
+/// `d` elements follow at stride `mr`.
+fn col_offset(c: usize, d: usize, mr: usize) -> usize {
+    c / mr * d * mr + c % mr
 }
 
 /// A pre-packed, pre-widened query operand: the same k-major panel layout
@@ -373,24 +438,25 @@ impl PackedB {
 /// `width`-column panels, k-major within a panel (`panel[k · width + c]`),
 /// the first of them at column `start`. What it does not touch — the zero
 /// padding past the last column of a fresh or grown buffer — stays.
-/// Sources are widened once on the way (a whole column at a time, 8-lane
-/// F16C on SIMD backends; f32 is copied), then scattered.
-fn pack_panels<T: Widen>(
-    data: &mut [f32],
-    cols: &[T],
+/// Each column is converted to the panel element once ([`Panel::take`]: a
+/// whole column at a time, 8-lane F16C widening on SIMD backends, a copy
+/// where the types agree), then scattered.
+fn pack_panels<S: Widen, D: Panel>(
+    data: &mut [D],
+    cols: &[S],
     d: usize,
     start: usize,
     width: usize,
     be: Backend,
 ) {
-    let mut wide = vec![0.0f32; d];
+    let mut conv = vec![D::ZERO; d];
     // Where the next column goes: its panel's offset, its lane in the panel
     // (stepped, not divided out per column: `width` is a runtime value).
     let (mut panel, mut lane) = (start / width * d * width, start % width);
     for col in cols.chunks_exact(d.max(1)) {
-        T::widen_into(be, col, &mut wide);
+        D::take(be, col, &mut conv);
         let slots = &mut data[panel + lane..panel + d * width];
-        for (k, &v) in wide.iter().enumerate() {
+        for (k, &v) in conv.iter().enumerate() {
             slots[k * width] = v;
         }
         lane += 1;
@@ -404,14 +470,15 @@ fn pack_panels<T: Widen>(
 /// full depth, one `f32::mul_add` per step. `acc[c · MR + r]` is the (r, c)
 /// output (column-major tile). `#[inline(always)]` so that
 /// [`microkernel_scalar_fma`] is this body compiled again (module docs,
-/// "The scalar tile on x86-64").
+/// "The scalar tile on x86-64"). A scalar pack has f32 panels; the element
+/// type is generic only so that one `run_tile` serves both.
 #[inline(always)]
-fn microkernel_scalar(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
+fn microkernel_scalar<A: Panel>(d: usize, ap: &[A], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
     let mut t = [0.0f32; MR * NR];
     for (av, bv) in ap[..d * MR].chunks_exact(MR).zip(bp[..d * NR].chunks_exact(NR)) {
         for (&b, acc_col) in bv.iter().zip(t.chunks_exact_mut(MR)) {
             for (&a, slot) in av.iter().zip(acc_col.iter_mut()) {
-                *slot = a.mul_add(b, *slot);
+                *slot = a.widen().mul_add(b, *slot);
             }
         }
     }
@@ -424,7 +491,12 @@ fn microkernel_scalar(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE
 /// Requires FMA (`PackedA::pack` probes it).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn microkernel_scalar_fma(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
+unsafe fn microkernel_scalar_fma<A: Panel>(
+    d: usize,
+    ap: &[A],
+    bp: &[f32],
+    acc: &mut [f32; MAX_TILE],
+) {
     microkernel_scalar(d, ap, bp, acc);
 }
 
@@ -436,10 +508,10 @@ fn scalar_tile_has_fma() -> bool {
     false
 }
 
-/// Run one register tile of `a`'s backend, filling the first `mr · nr`
-/// slots of `acc` column-major (`acc[c · mr + r]`).
+/// Run one register tile of `a`'s backend on its A panel `ap`, filling the
+/// first `mr · nr` slots of `acc` column-major (`acc[c · mr + r]`).
 #[inline(always)]
-fn run_tile(a: &PackedA, ap: &[f32], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
+fn run_tile<A: Panel>(a: &PackedA, ap: &[A], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
     let d = a.d;
     match a.backend {
         Backend::Scalar if a.fma_tile => {
@@ -483,7 +555,7 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
     let nr = b.nr;
     for (ci, chunk) in c.as_mut_slice().chunks_mut(m * NC).enumerate() {
         let w = chunk.len() / m;
-        for_each_tile(a, b.chunk(ci * NC, w), w, d, |p, jr, acc| {
+        let emit = |p: usize, jr: usize, acc: &mut [f32]| {
             let rows = mr.min(m - p * mr);
             let cols = nr.min(w - jr * nr);
             for cc in 0..cols {
@@ -492,13 +564,14 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
                     *slot = alpha * acc[cc * mr + r];
                 }
             }
-        });
+        };
+        on_panels!(&a.panels, ap => for_each_tile(a, ap, b.chunk(ci * NC, w), w, d, emit));
     }
     c
 }
 
-/// Walk every (A-panel, B-panel) register tile of one N-chunk in the blocked
-/// order (`MC_ROWS / mr` A panels per block, B panels swept inside each
+/// Walk every (A-panel, B-panel) register tile of one N-chunk (`a`'s
+/// panels `ap`, in their element type) in the blocked order (`MC_ROWS / mr` A panels per block, B panels swept inside each
 /// block), handing each finished tile — the first `mr · nr` slots of the
 /// scratch, column-major, the callee's to overwrite — to
 /// `emit(panel, jr, acc)`.
@@ -508,8 +581,9 @@ pub fn gemm_packed(alpha: f32, a: &PackedA, b: &PackedB) -> Mat {
 /// This holds for every backend tile geometry (the fused walkers in
 /// `crate::simd` visit tiles in this same order).
 #[inline]
-fn for_each_tile(
+fn for_each_tile<A: Panel>(
     a: &PackedA,
+    ap: &[A],
     bp: &[f32],
     w: usize,
     d: usize,
@@ -525,7 +599,7 @@ fn for_each_tile(
         for jr in 0..b_panels {
             let bpanel = &bp[jr * d * nr..(jr + 1) * d * nr];
             for p in ic0..ic_end {
-                run_tile(a, a.panel(p), bpanel, &mut acc);
+                run_tile(a, &ap[p * d * mr..(p + 1) * d * mr], bpanel, &mut acc);
                 emit(p, jr, &mut acc[..mr * nr]);
             }
         }
@@ -715,28 +789,27 @@ fn top2_chunk(
             batch: blocks.batch,
             mc_panels: MC_ROWS / a.mr,
         };
-        let a_panels = (&a.data[..], a.m, a.d);
         let spill = |p, jr, t: &mut [f32], state: &mut [Top2]| {
             epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state)
         };
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so a SIMD
-        // pack only exists where its target features were detected; `a.data`
-        // holds `ceil(m / mr)` panels of `d · mr` floats and `bp`
-        // `ceil(w / nr)` of `d · nr` (both zero past their last column),
-        // `w ≤ NC`, and `gemm_top2_ex` checked the bias length and sized
-        // `state` to `w · batch`.
-        unsafe {
+        // pack only exists where its target features were detected; the
+        // panels hold `ceil(m / mr)` panels of `d · mr` elements and `bp`
+        // `ceil(w / nr)` of `d · nr` floats (both zero past their last
+        // column), `w ≤ NC`, and `gemm_top2_ex` checked the bias length and
+        // sized `state` to `w · batch`.
+        on_panels!(&a.panels, ap => unsafe {
+            let a_panels = (&ap[..], a.m, a.d);
             match a.backend {
                 Backend::Avx512 => fused_top2_chunk_16x24(&tile, a_panels, (bp, w), state, spill),
                 Backend::Avx2 => fused_top2_chunk_8x8(&tile, a_panels, (bp, w), state, spill),
                 Backend::Scalar => unreachable!("the scalar backend has no walker"),
             }
-        }
+        });
         return;
     }
-    for_each_tile(a, bp, w, a.d, |p, jr, t| {
-        epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state);
-    });
+    let emit = |p, jr, t: &mut [f32]| epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state);
+    on_panels!(&a.panels, ap => for_each_tile(a, ap, bp, w, a.d, emit));
 }
 
 /// Register-only roofline probe for `be`: `rounds` rounds of ten
@@ -1084,6 +1157,31 @@ mod tests {
     }
 
     #[test]
+    fn an_f16_source_keeps_two_bytes_per_element_where_the_tile_widens() {
+        // 384 columns: whole panels on every backend, so no padding.
+        let a = mat_rand(128, 384, 3);
+        for be in crate::dispatch::available_backends() {
+            let half = if be.f16_panels() { 2 } else { 4 };
+            let pa = PackedA::pack(be, &a.to_f16_scaled(0.25));
+            assert_eq!(pa.panel_bytes(), 128 * 384 * half, "{be}: f16 source");
+            assert_eq!(PackedA::pack(be, &a).panel_bytes(), 128 * 384 * 4, "{be}: f32 source");
+        }
+    }
+
+    #[test]
+    fn an_f16_pack_refuses_f32_columns() {
+        // Narrowing is not packing: f32 columns cannot join f16 panels.
+        for be in crate::dispatch::available_backends().into_iter().filter(|be| be.f16_panels()) {
+            let mut pa = PackedA::pack(be, &mat_rand(8, 16, 1).to_f16_scaled(0.25));
+            let wide = mat_rand(8, 16, 2);
+            let appended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pa.append_cols(&wide);
+            }));
+            assert!(appended.is_err(), "{be}");
+        }
+    }
+
+    #[test]
     fn pack_records_active_backend() {
         let p = PackedA::pack(active_backend(), &mat_rand(8, 8, 2));
         assert_eq!(p.backend(), active_backend());
@@ -1100,8 +1198,8 @@ mod tests {
                 a.swap_remove_cols(start, count);
                 let fresh = PackedA::pack(be, a);
                 assert_eq!(
-                    (pa.cols(), &pa.data),
-                    (fresh.cols(), &fresh.data),
+                    (pa.cols(), &pa.panels),
+                    (fresh.cols(), &fresh.panels),
                     "{be:?}: {count} at {start}"
                 );
             };
@@ -1152,14 +1250,18 @@ mod tests {
             grown.append_cols(&narrow(block));
         }
         let fresh = PackedA::pack(be, &cat(blocks));
-        assert_eq!((grown.cols(), &grown.data), (fresh.cols(), &fresh.data), "{be:?}: append");
+        assert_eq!((grown.cols(), &grown.panels), (fresh.cols(), &fresh.panels), "{be:?}: append");
 
         let (i, new) = replacement;
         grown.write_cols(i * m, &narrow(new));
         let mut replaced = blocks.to_vec();
         replaced[i] = new.clone();
         let fresh = PackedA::pack(be, &cat(&replaced));
-        assert_eq!((grown.cols(), &grown.data), (fresh.cols(), &fresh.data), "{be:?}: overwrite");
+        assert_eq!(
+            (grown.cols(), &grown.panels),
+            (fresh.cols(), &fresh.panels),
+            "{be:?}: overwrite"
+        );
         assert_eq!(grown.read_cols(i * m, m), fresh.read_cols(i * m, m), "{be:?}: read back");
     }
 

@@ -18,6 +18,8 @@ pub trait Widen: Copy + Send + Sync {
     fn widen(self) -> f32;
     /// Widen a whole column on `be`.
     fn widen_into(be: Backend, src: &[Self], dst: &mut [f32]);
+    /// The column as f16 bits, if that is what it holds.
+    fn halves(src: &[Self]) -> Option<&[F16]>;
 }
 
 impl Widen for f32 {
@@ -29,6 +31,9 @@ impl Widen for f32 {
     fn widen_into(_be: Backend, src: &[f32], dst: &mut [f32]) {
         dst.copy_from_slice(src);
     }
+    fn halves(_src: &[f32]) -> Option<&[F16]> {
+        None
+    }
 }
 
 impl Widen for F16 {
@@ -39,6 +44,9 @@ impl Widen for F16 {
     }
     fn widen_into(be: Backend, src: &[F16], dst: &mut [f32]) {
         crate::f16::widen_slice_on(be, src, dst);
+    }
+    fn halves(src: &[F16]) -> Option<&[F16]> {
+        Some(src)
     }
 }
 

@@ -17,6 +17,10 @@
 //!   merge — a branch-free vector reduction per width — picks exactly what
 //!   an ascending-row scan keeps ("The fused epilogue's two routes" in
 //!   [`crate::kernel`]).
+//! - The tiles read packed A through [`LoadA`]: f32 panels as they are,
+//!   f16 panels widened in register (`vcvtph2ps ymm, m128` /
+//!   `vcvtph2ps zmm, m256`, one extra µop per 8 or 24 FMAs). Widening is
+//!   exact, so each element's chain of fused steps is the f32 pack's.
 //! - The converters use F16C (`vcvtph2ps`/`vcvtps2ph` with explicit
 //!   round-to-nearest-even) on both SIMD backends; its rounding, gradual
 //!   underflow and overflow behaviour match [`crate::f16::F16`] exactly; the
@@ -30,6 +34,17 @@
 /// two ports.
 pub(crate) const PROBE_CHAINS: usize = 10;
 
+/// A packed-A element the SIMD tiles load. Off x86-64 there are no SIMD
+/// tiles, and nothing to load.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) trait LoadA {}
+#[cfg(not(target_arch = "x86_64"))]
+impl LoadA for f32 {}
+#[cfg(not(target_arch = "x86_64"))]
+impl LoadA for crate::f16::F16 {}
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::LoadA;
+
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::PROBE_CHAINS;
@@ -38,6 +53,55 @@ pub(crate) mod x86 {
     use crate::top2::Top2;
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
+
+    /// A packed-A element as the tiles load it: `W` consecutive elements
+    /// of a panel into one vector of f32 lanes. f32 panels load as they
+    /// are; f16 panels are widened on the way (`vcvtph2ps`), which is exact,
+    /// so the lanes hold the values an f32 pack of the same source holds.
+    pub(crate) trait LoadA: Copy {
+        /// Eight elements into a `ymm`.
+        ///
+        /// # Safety
+        /// Requires AVX2 + F16C; `p` valid for reads of 8 elements.
+        unsafe fn ymm(p: *const Self) -> __m256;
+        /// Sixteen elements into a `zmm`.
+        ///
+        /// # Safety
+        /// Requires AVX-512F; `p` valid for reads of 16 elements.
+        unsafe fn zmm(p: *const Self) -> __m512;
+    }
+
+    impl LoadA for f32 {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn ymm(p: *const f32) -> __m256 {
+            // SAFETY: the caller vouches for 8 readable floats at `p`.
+            _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn zmm(p: *const f32) -> __m512 {
+            // SAFETY: the caller vouches for 16 readable floats at `p`.
+            _mm512_loadu_ps(p)
+        }
+    }
+
+    impl LoadA for F16 {
+        #[inline]
+        #[target_feature(enable = "avx2,f16c")]
+        unsafe fn ymm(p: *const F16) -> __m256 {
+            // SAFETY: the caller vouches for 8 readable halves (16 bytes,
+            // one unaligned `m128`) at `p`.
+            _mm256_cvtph_ps(_mm_loadu_si128(p.cast()))
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn zmm(p: *const F16) -> __m512 {
+            // SAFETY: the caller vouches for 16 readable halves (32 bytes,
+            // one unaligned `m256`) at `p`.
+            _mm512_cvtph_ps(_mm256_loadu_si256(p.cast()))
+        }
+    }
 
     /// AVX2 8×8 register tile: 8 `ymm` accumulators, one output row per
     /// lane, each summing its dot product in ascending-`k` order.
@@ -50,16 +114,16 @@ pub(crate) mod x86 {
     /// never leave registers.
     ///
     /// # Safety
-    /// Requires AVX2 + FMA; `a_ptr` and `b_ptr` must each be valid for reads
-    /// of `d · 8` floats.
+    /// Requires AVX2 + FMA + F16C; `a_ptr` must be valid for reads of `d · 8`
+    /// elements and `b_ptr` of `d · 8` floats.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile_8x8(d: usize, a_ptr: *const f32, b_ptr: *const f32) -> [__m256; 8] {
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn tile_8x8<A: LoadA>(d: usize, a_ptr: *const A, b_ptr: *const f32) -> [__m256; 8] {
         let mut c = [_mm256_setzero_ps(); 8];
         for k in 0..d {
             // SAFETY: `k < d`, so both offsets stay inside the `d · 8`
-            // floats the caller vouched for.
-            let a = _mm256_loadu_ps(a_ptr.add(k * 8));
+            // elements the caller vouched for.
+            let a = A::ymm(a_ptr.add(k * 8));
             let bk = b_ptr.add(k * 8);
             // The compiler fully unrolls this and keeps `c` in registers.
             for (j, cj) in c.iter_mut().enumerate() {
@@ -76,16 +140,16 @@ pub(crate) mod x86 {
     /// load and the broadcasts in flight.
     ///
     /// # Safety
-    /// Requires AVX-512F; `a_ptr` must be valid for reads of `d · 16` floats
-    /// and `b_ptr` of `d · 24`.
+    /// Requires AVX-512F; `a_ptr` must be valid for reads of `d · 16`
+    /// elements and `b_ptr` of `d · 24` floats.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile_16x24(d: usize, a_ptr: *const f32, b_ptr: *const f32) -> [__m512; 24] {
+    unsafe fn tile_16x24<A: LoadA>(d: usize, a_ptr: *const A, b_ptr: *const f32) -> [__m512; 24] {
         let mut c = [_mm512_setzero_ps(); 24];
         for k in 0..d {
             // SAFETY: `k < d`, so the offsets stay inside the `d · 16` and
-            // `d · 24` floats the caller vouched for.
-            let a = _mm512_loadu_ps(a_ptr.add(k * 16));
+            // `d · 24` elements the caller vouched for.
+            let a = A::zmm(a_ptr.add(k * 16));
             let bk = b_ptr.add(k * 24);
             for (j, cj) in c.iter_mut().enumerate() {
                 *cj = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(j)), *cj);
@@ -378,7 +442,7 @@ pub(crate) mod x86 {
             /// `Backend::is_available`); `ap.len() >= d · W`,
             /// `bp.len() >= d · NR`, `acc.len() >= W · NR`.
             #[target_feature(enable = $features)]
-            pub unsafe fn $microkernel(d: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
+            pub unsafe fn $microkernel<A: LoadA>(d: usize, ap: &[A], bp: &[f32], acc: &mut [f32]) {
                 debug_assert!(ap.len() >= d * $w && bp.len() >= d * $nr);
                 debug_assert!(acc.len() >= $w * $nr);
                 // SAFETY: the slice lengths asserted above are the pointer
@@ -393,14 +457,14 @@ pub(crate) mod x86 {
             ///
             /// # Safety
             /// Requires the backend's target features. `a` holds
-            /// `ceil(m / W)` panels of `d · W` floats, `bp` holds
+            /// `ceil(m / W)` panels of `d · W` elements, `bp` holds
             /// `ceil(w / NR)` of `d · NR`; `w <= NC`;
             /// `state.len() == w · batch` with `m == batch · m_per_ref`; a
             /// bias slice is `m` long.
             #[target_feature(enable = $features)]
-            pub(crate) unsafe fn $walker(
+            pub(crate) unsafe fn $walker<A: LoadA>(
                 t: &FusedTile<'_>,
-                (a, m, d): (&[f32], usize, usize),
+                (a, m, d): (&[A], usize, usize),
                 (bp, w): (&[f32], usize),
                 state: &mut [Top2],
                 mut spill: impl FnMut(usize, usize, &mut [f32], &mut [Top2]),
@@ -425,7 +489,7 @@ pub(crate) mod x86 {
                         for p in ic0..ic_end {
                             let apanel = &a[p * d * W..(p + 1) * d * W];
                             // SAFETY: the panels were just sliced to `d · W`
-                            // and `d · NR` floats.
+                            // and `d · NR` elements.
                             let c = $tile(d, apanel.as_ptr(), bpanel.as_ptr());
                             let row0 = p * W;
                             let blk = row0 / t.m_per_ref;

@@ -64,15 +64,19 @@ fn cluster_matches_single_engine_results() {
 #[test]
 fn features_survive_store_serialization() {
     // What goes through the Redis substrate + wire codec must reproduce
-    // identical search behaviour.
+    // identical search behaviour: the store keeps the block the engine
+    // indexes (f16 at the matching scale), and reads back as that block
+    // widened and unscaled.
     let cluster = Cluster::new(ClusterConfig { containers: 2, engine: engine_config(), ..ClusterConfig::default() });
     for id in 0..4u64 {
         cluster.add_texture(id, &reference_features(id)).unwrap();
     }
+    let s = engine_config().matching.scale;
     for id in 0..4u64 {
         let restored = cluster.get_texture(id).unwrap();
         let original = reference_features(id);
-        assert_eq!(restored.mat, original.mat, "texture {id} matrix drifted");
+        let indexed = original.mat.to_f16_scaled(s).to_f32_unscaled(s);
+        assert_eq!(restored.mat, indexed, "texture {id} matrix drifted");
         assert_eq!(restored.keypoints.len(), original.keypoints.len());
     }
 }
