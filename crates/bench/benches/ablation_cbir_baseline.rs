@@ -15,7 +15,7 @@ use texid_bench::{heading, row};
 use texid_core::eval::{build_dataset, top1_accuracy, EvalConfig, Severity, MIN_MATCHES};
 use texid_gpu::Precision;
 use texid_knn::pooled::PooledIndex;
-use texid_knn::{ExecMode, MatchConfig};
+use texid_knn::MatchConfig;
 
 fn main() {
     let cfg = EvalConfig {
@@ -64,7 +64,7 @@ fn main() {
     // --- the paper's per-image matching ---
     let acc_per_image = top1_accuracy(
         &ds,
-        &MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() },
+        &MatchConfig { precision: Precision::F32, ..MatchConfig::default() },
     );
 
     heading("Ablation: pooled CBIR search vs per-image matching (fine-grained siblings)");

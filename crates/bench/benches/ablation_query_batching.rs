@@ -8,29 +8,20 @@
 //! paper alludes to.
 
 use texid_bench::{heading, row, thousands};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig};
 
 /// Throughput/latency of matching `qbatch` queries against one reference
 /// batch of 256 (m = 384): the query matrices concatenate into a single
 /// operand of n·qbatch columns.
 fn run(qbatch: usize) -> (f64, f64) {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        precision: Precision::F16,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
+    let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
     let batch = 256;
     let m = 384;
     let n = 768;
-    let r = FeatureBlock::from_mat(Mat::zeros(128, m * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, n * qbatch), Precision::F16, cfg.scale);
-    let out = match_batch(&cfg, &r, batch, m, &q, &mut sim, st);
+    let steps = BatchWork::new(&cfg, batch, m, n * qbatch, 128).price(&DeviceSpec::tesla_p100());
     // Comparisons performed: batch references × qbatch queries.
-    let total_us = out.steps.total_us();
+    let total_us = steps.total_us();
     let comparisons_per_s = (batch * qbatch) as f64 / total_us * 1e6;
     // A query's result is only complete when the whole fused launch ends.
     let latency_ms = total_us / 1e3;

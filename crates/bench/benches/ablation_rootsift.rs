@@ -13,22 +13,12 @@
 
 use texid_bench::{heading, row, thousands};
 use texid_core::eval::{build_dataset, top1_accuracy, EvalConfig, Severity};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_pair, Algorithm, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{Algorithm, BatchWork, MatchConfig};
 
 fn pair_time(algorithm: Algorithm) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        algorithm,
-        precision: Precision::F16,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    match_pair(&cfg, &r, &q, &mut sim, st).steps.total_us()
+    let cfg = MatchConfig { algorithm, precision: Precision::F16, ..MatchConfig::default() };
+    BatchWork::new(&cfg, 1, 768, 768, 128).price(&DeviceSpec::tesla_p100()).total_us()
 }
 
 fn main() {
@@ -54,7 +44,6 @@ fn main() {
         &MatchConfig {
             algorithm: Algorithm::CublasTop2, // Algorithm 1 (norm vectors)
             precision: Precision::F32,
-            exec: ExecMode::Full,
             ..MatchConfig::default()
         },
     );
@@ -63,7 +52,6 @@ fn main() {
         &MatchConfig {
             algorithm: Algorithm::RootSiftTop2, // Algorithm 2
             precision: Precision::F32,
-            exec: ExecMode::Full,
             ..MatchConfig::default()
         },
     );

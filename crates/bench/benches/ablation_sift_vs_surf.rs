@@ -10,10 +10,9 @@
 use rand::SeedableRng;
 use texid_bench::{heading, row, thousands};
 use texid_core::capacity::{bytes_per_reference, hybrid_capacity};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
+use texid_gpu::{DeviceSpec, Precision};
 use texid_image::{CaptureCondition, TextureGenerator};
-use texid_knn::{match_batch, match_pair, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_knn::{score_pair, BatchWork, FeatureBlock, MatchConfig};
 use texid_knn::hamming::{score_binary, HammingConfig};
 use texid_sift::orb::{extract_orb, BinaryFeatures, OrbConfig};
 use texid_sift::{extract, extract_surf, FeatureMatrix, SiftConfig, SurfConfig};
@@ -22,28 +21,20 @@ const N_REFS: usize = 20;
 const N_QUERIES: usize = 16;
 
 fn model_speed(d: usize) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig { precision: Precision::F16, exec: ExecMode::TimingOnly, ..MatchConfig::default() };
+    let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
     let batch = 256;
-    let r = FeatureBlock::from_mat(Mat::zeros(d, 384 * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(d, 768), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, batch, 384, &q, &mut sim, st).images_per_second()
+    1e6 / BatchWork::new(&cfg, batch, 384, 768, d).price(&DeviceSpec::tesla_p100()).per_image_us(batch)
 }
 
 fn accuracy(refs: &[FeatureMatrix], queries: &[(FeatureMatrix, u64)]) -> f64 {
-    let matching = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
+    let matching = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let correct: usize = queries
         .iter()
         .map(|(q, true_id)| {
             let qb = FeatureBlock::F32(q.mat.clone());
             let mut best = (0u64, 0usize);
             for (id, r) in refs.iter().enumerate() {
-                let score =
-                    match_pair(&matching, &FeatureBlock::F32(r.mat.clone()), &qb, &mut sim, st)
-                        .score();
+                let score = score_pair(&matching, &FeatureBlock::F32(r.mat.clone()), &qb).score();
                 if score > best.1 {
                     best = (id as u64, score);
                 }

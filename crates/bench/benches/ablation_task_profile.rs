@@ -14,10 +14,9 @@
 
 use std::time::Instant;
 use texid_bench::{heading, row, thousands};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
+use texid_gpu::{DeviceSpec, Precision};
 use texid_image::TextureGenerator;
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_knn::{BatchWork, MatchConfig};
 use texid_sift::{extract, SiftConfig};
 
 fn main() {
@@ -36,16 +35,9 @@ fn main() {
     let extract_us = times[times.len() / 2];
 
     // Simulated per-image matching cost at the production configuration.
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let mcfg = MatchConfig {
-        precision: Precision::F16,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 384 * 256), Precision::F16, mcfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, mcfg.scale);
-    let match_us = match_batch(&mcfg, &r, 256, 384, &q, &mut sim, st).per_image_us();
+    let mcfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
+    let match_us =
+        BatchWork::new(&mcfg, 256, 384, 768, 128).price(&DeviceSpec::tesla_p100()).per_image_us(256);
 
     heading("Task profile (Sec. 3.3): extraction vs matching, per query");
     row(&[

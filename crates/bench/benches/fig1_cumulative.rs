@@ -13,30 +13,20 @@
 
 use texid_bench::{heading, row, thousands};
 use texid_core::capacity::{bytes_per_reference, device_capacity, hybrid_capacity};
-use texid_gpu::{streams, DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, match_pair, Algorithm, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{streams, DeviceSpec, Precision};
+use texid_knn::{Algorithm, BatchWork, MatchConfig};
 
 const HOST_BYTES: u64 = 64 << 30;
 
 fn pair_speed(alg: Algorithm, precision: Precision) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig { algorithm: alg, precision, exec: ExecMode::TimingOnly, ..MatchConfig::default() };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768), precision, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), precision, cfg.scale);
-    match_pair(&cfg, &r, &q, &mut sim, st).steps.images_per_second()
+    let cfg = MatchConfig { algorithm: alg, precision, ..MatchConfig::default() };
+    BatchWork::new(&cfg, 1, 768, 768, 128).price(&DeviceSpec::tesla_p100()).images_per_second()
 }
 
 fn batched_speed(m: usize, batch: usize, hybrid: bool, n_streams: usize) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let spec = sim.spec().clone();
-    let st = sim.default_stream();
-    let cfg = MatchConfig { precision: Precision::F16, exec: ExecMode::TimingOnly, ..MatchConfig::default() };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, m * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    let out = match_batch(&cfg, &r, batch, m, &q, &mut sim, st);
-    let mut per_img = out.per_image_us();
+    let spec = DeviceSpec::tesla_p100();
+    let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
+    let mut per_img = BatchWork::new(&cfg, batch, m, 768, 128).price(&spec).per_image_us(batch);
     if hybrid {
         // Every reference streams over PCIe (pinned), overlapped by streams.
         let h2d = texid_gpu::cost::h2d_duration_us(

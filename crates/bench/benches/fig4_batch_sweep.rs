@@ -6,22 +6,12 @@
 //! past batch 256.
 
 use texid_bench::{heading, row, thousands};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig};
 
 fn speed(spec: &DeviceSpec, batch: usize, tensor_core: bool) -> f64 {
-    let mut sim = GpuSim::new(spec.clone());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        precision: Precision::F16,
-        tensor_core,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768 * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, batch, 768, &q, &mut sim, st).images_per_second()
+    let cfg = MatchConfig { precision: Precision::F16, tensor_core, ..MatchConfig::default() };
+    1e6 / BatchWork::new(&cfg, batch, 768, 768, 128).price(spec).per_image_us(batch)
 }
 
 fn main() {

@@ -10,7 +10,7 @@ use texid_cache::CacheConfig;
 use texid_core::capacity::{bytes_per_reference, hybrid_capacity};
 use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, Precision};
-use texid_knn::{ExecMode, MatchConfig};
+use texid_knn::MatchConfig;
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -21,7 +21,6 @@ fn container_engine() -> Engine {
         device: DeviceSpec::tesla_p100(),
         matching: MatchConfig {
             precision: Precision::F16,
-            exec: ExecMode::TimingOnly,
             ..MatchConfig::default()
         },
         m_ref: 384,

@@ -4,9 +4,8 @@
 
 use texid_bench::{heading, row, srow, thousands};
 use texid_core::capacity::bytes_per_reference;
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_pair, Algorithm, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{Algorithm, BatchWork, MatchConfig, StepTimes};
 
 struct Column {
     algorithm: Algorithm,
@@ -101,22 +100,16 @@ fn main() {
     heading("Table 1: cuBLAS 2-NN implementations, m=n=768, d=128, Tesla P100 (ours [paper], µs)");
     srow(&["step", "CUDA(OpenCV)", "cuBLAS [9]", "cuBLAS(ours)", "cuBLAS+FP16"]);
 
-    let mut outputs = Vec::new();
-    for col in &columns {
-        let mut sim = GpuSim::new(spec.clone());
-        let st = sim.default_stream();
-        let cfg = MatchConfig {
-            algorithm: col.algorithm,
-            precision: col.precision,
-            exec: ExecMode::TimingOnly,
-            ..MatchConfig::default()
-        };
-        let r = FeatureBlock::from_mat(Mat::zeros(128, 768), col.precision, cfg.scale);
-        let q = FeatureBlock::from_mat(Mat::zeros(128, 768), col.precision, cfg.scale);
-        outputs.push(match_pair(&cfg, &r, &q, &mut sim, st));
-    }
+    let outputs: Vec<StepTimes> = columns
+        .iter()
+        .map(|col| {
+            let cfg =
+                MatchConfig { algorithm: col.algorithm, precision: col.precision, ..MatchConfig::default() };
+            BatchWork::new(&cfg, 1, 768, 768, 128).price(&spec)
+        })
+        .collect();
 
-    type StepRow = (&'static str, fn(&texid_knn::StepTimes) -> f64, fn(&PaperColumn) -> Option<f64>);
+    type StepRow = (&'static str, fn(&StepTimes) -> f64, fn(&PaperColumn) -> Option<f64>);
     let steps: [StepRow; 6] = [
         ("GEMM", |s| s.gemm_us, |p| p.gemm),
         ("Add N_R", |s| s.add_nr_us, |p| p.add_nr),
@@ -133,12 +126,12 @@ fn main() {
             if col.algorithm == Algorithm::OpenCvCuda && name != "D2H copy" && name != "Post (CPU)"
             {
                 if name == "GEMM" {
-                    cells.push(format!("{:.2} [-]", ours_of(&out.steps)));
+                    cells.push(format!("{:.2} [-]", ours_of(out)));
                 } else {
                     cells.push("-".to_string());
                 }
             } else {
-                cells.push(fmt(ours_of(&out.steps), paper_of(&col.paper)));
+                cells.push(fmt(ours_of(out), paper_of(&col.paper)));
             }
         }
         row(&cells);
@@ -148,11 +141,11 @@ fn main() {
     let mut speeds = vec!["Speed (img/s)".to_string()];
     let mut mems = vec!["GPU mem (MB)".to_string()];
     for (col, out) in columns.iter().zip(&outputs) {
-        let total = out.steps.total_us();
+        let total = out.total_us();
         totals.push(fmt(total, Some(col.paper.total)));
         speeds.push(format!(
             "{} [{}]",
-            thousands(out.steps.images_per_second()),
+            thousands(out.images_per_second()),
             thousands(col.paper.speed)
         ));
         // 10,000 references (+ N_R vectors for the Algorithm-1 variants)
@@ -168,10 +161,10 @@ fn main() {
 
     println!(
         "\nKey claims reproduced: top-2 scan cuts the sort step by {:.1}% (paper: 81.9%);",
-        (1.0 - outputs[2].steps.sort_us / outputs[1].steps.sort_us) * 100.0
+        (1.0 - outputs[2].sort_us / outputs[1].sort_us) * 100.0
     );
     println!(
         "our cuBLAS implementation is {:.2}x the OpenCV baseline (paper: 3.35x).",
-        outputs[2].steps.images_per_second() / outputs[0].steps.images_per_second()
+        outputs[2].images_per_second() / outputs[0].images_per_second()
     );
 }

@@ -17,7 +17,7 @@
 use texid_bench::{heading, row};
 use texid_core::eval::{build_dataset, compression_error, top1_accuracy, EvalConfig, Severity};
 use texid_gpu::Precision;
-use texid_knn::{ExecMode, MatchConfig};
+use texid_knn::MatchConfig;
 use texid_linalg::gemm::gemm_at_b_f16acc;
 
 /// OpenCV stores SIFT descriptors in a 0..~512 integer range.
@@ -42,7 +42,7 @@ fn main() {
     let ds = build_dataset(&cfg);
 
     // Full-precision baseline accuracy.
-    let f32_cfg = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let f32_cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let base_acc = top1_accuracy(&ds, &f32_cfg);
 
     heading("Table 2: FP16 compression error & accuracy vs scale factor (paper values in [])");
@@ -94,7 +94,6 @@ fn main() {
         let f16_cfg = MatchConfig {
             precision: Precision::F16,
             scale: eff_scale,
-            exec: ExecMode::Full,
             ..MatchConfig::default()
         };
         let acc = top1_accuracy(&ds, &f16_cfg);

@@ -3,21 +3,12 @@
 //! image.
 
 use texid_bench::{heading, row, thousands};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig, StepTimes};
 
-fn run(batch: usize) -> texid_knn::BatchOutcome {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        precision: Precision::F16,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768 * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, batch, 768, &q, &mut sim, st)
+fn run(batch: usize) -> StepTimes {
+    let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
+    BatchWork::new(&cfg, batch, 768, 768, 128).price(&DeviceSpec::tesla_p100())
 }
 
 fn main() {
@@ -34,13 +25,14 @@ fn main() {
     let paper_b1 = [26.11, 70.69, 60.15, 16.85];
     let paper_b1024 = [11.58, 3.82, 2.72, 3.85];
     let names = ["HGEMM", "Sort+Sqrt", "D2H copy", "Post (CPU)"];
-    let ours_b1 = [b1.steps.gemm_us, b1.steps.sort_us, b1.steps.d2h_us, b1.steps.post_us];
+    let ours_b1 = [b1.gemm_us, b1.sort_us, b1.d2h_us, b1.post_us];
     let ours_b1024 = [
-        b1024.steps.gemm_us / 1024.0,
-        b1024.steps.sort_us / 1024.0,
-        b1024.steps.d2h_us / 1024.0,
-        b1024.steps.post_us / 1024.0,
+        b1024.gemm_us / 1024.0,
+        b1024.sort_us / 1024.0,
+        b1024.d2h_us / 1024.0,
+        b1024.post_us / 1024.0,
     ];
+    let speed = |steps: &StepTimes, batch| 1e6 / steps.per_image_us(batch);
     for i in 0..4 {
         row(&[
             names[i].to_string(),
@@ -50,18 +42,18 @@ fn main() {
     }
     row(&[
         "Total (µs)".to_string(),
-        format!("{:.1} [173.8]", b1.per_image_us()),
-        format!("{:.2} [21.96]", b1024.per_image_us()),
+        format!("{:.1} [173.8]", b1.per_image_us(1)),
+        format!("{:.2} [21.96]", b1024.per_image_us(1024)),
     ]);
     row(&[
         "Speed (img/s)".to_string(),
-        format!("{} [5,753]", thousands(b1.images_per_second())),
-        format!("{} [45,539]", thousands(b1024.images_per_second())),
+        format!("{} [5,753]", thousands(speed(&b1, 1))),
+        format!("{} [45,539]", thousands(speed(&b1024, 1024))),
     ]);
 
     println!(
         "\nBatching speedup: {:.1}x (paper: 7.9x). Sort time cut by {:.1}% (paper: 94.5%).",
-        b1024.images_per_second() / b1.images_per_second(),
+        speed(&b1024, 1024) / speed(&b1, 1),
         (1.0 - ours_b1024[1] / ours_b1[1]) * 100.0
     );
 }

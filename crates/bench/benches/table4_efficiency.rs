@@ -2,22 +2,12 @@
 
 use texid_bench::{heading, row, thousands};
 use texid_core::metrics::{achieved_tflops, gpu_efficiency};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig};
 
 fn speed(spec: &DeviceSpec, tensor_core: bool) -> f64 {
-    let mut sim = GpuSim::new(spec.clone());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        precision: Precision::F16,
-        tensor_core,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768 * 1024), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, 1024, 768, &q, &mut sim, st).images_per_second()
+    let cfg = MatchConfig { precision: Precision::F16, tensor_core, ..MatchConfig::default() };
+    1e6 / BatchWork::new(&cfg, 1024, 768, 768, 128).price(spec).per_image_us(1024)
 }
 
 fn main() {

@@ -11,7 +11,7 @@ use texid_bench::{heading, row, thousands};
 use texid_cache::CacheConfig;
 use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, Precision};
-use texid_knn::{ExecMode, MatchConfig};
+use texid_knn::MatchConfig;
 use texid_sift::FeatureMatrix;
 use texid_linalg::Mat;
 
@@ -20,7 +20,6 @@ fn engine(device_resident: bool, pinned: bool) -> Engine {
         device: DeviceSpec::tesla_p100(),
         matching: MatchConfig {
             precision: Precision::F16,
-            exec: ExecMode::TimingOnly,
             ..MatchConfig::default()
         },
         m_ref: 768,

@@ -6,7 +6,7 @@ use texid_bench::{heading, row, thousands};
 use texid_cache::CacheConfig;
 use texid_core::{Engine, EngineConfig};
 use texid_gpu::{streams, DeviceSpec, Precision};
-use texid_knn::{ExecMode, MatchConfig};
+use texid_knn::MatchConfig;
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -15,7 +15,6 @@ fn speed(batch: usize, n_streams: usize) -> f64 {
         device: DeviceSpec::tesla_p100(),
         matching: MatchConfig {
             precision: Precision::F16,
-            exec: ExecMode::TimingOnly,
             ..MatchConfig::default()
         },
         m_ref: 768,

@@ -8,22 +8,13 @@
 
 use texid_bench::{heading, row, thousands};
 use texid_core::eval::{build_dataset, top1_accuracy, Dataset, EvalConfig, Severity};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig};
 
 fn model_speed(m: usize, n: usize) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = MatchConfig {
-        precision: Precision::F16,
-        exec: ExecMode::TimingOnly,
-        ..MatchConfig::default()
-    };
+    let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
     let batch = 256;
-    let r = FeatureBlock::from_mat(Mat::zeros(128, m * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, n), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, batch, m, &q, &mut sim, st).images_per_second()
+    1e6 / BatchWork::new(&cfg, batch, m, n, 128).price(&DeviceSpec::tesla_p100()).per_image_us(batch)
 }
 
 fn truncated_dataset(ds: &Dataset, m: usize, n: usize) -> Dataset {
@@ -54,7 +45,6 @@ fn main() {
     let matching = MatchConfig {
         precision: Precision::F16,
         scale: 2.0_f32.powi(-7),
-        exec: ExecMode::Full,
         ..MatchConfig::default()
     };
 

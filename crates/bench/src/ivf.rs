@@ -11,7 +11,7 @@
 //!   `total_us`, so skipping batches shows up as throughput (the quantity
 //!   pruning buys).
 //!
-//! Runs use `ExecMode::Full` real matching (recall needs real rankings) on
+//! Runs use real references and matching (recall needs real rankings) on
 //! `batch_size = 1` engines so the probe prunes at single-reference
 //! granularity. All engines share one seeded dataset from
 //! [`texid_core::eval`]; throughput is computed in the simulated-time
@@ -21,7 +21,7 @@
 
 use texid_core::eval::{build_dataset, Dataset, EvalConfig, Severity};
 use texid_core::{Engine, EngineConfig};
-use texid_knn::pair::{ExecMode, IvfParams, MatchConfig};
+use texid_knn::pair::{IvfParams, MatchConfig};
 
 /// Schema tag stamped into every report; bump on any layout change.
 pub const SCHEMA: &str = "texid-ivf-bench/v1";
@@ -167,7 +167,7 @@ pub fn check_guard(report: &IvfReport, min_recall: f64, min_speedup: f64) -> Res
 /// Build one engine over the dataset's references. `batch_size = 1` puts
 /// every reference in its own cache batch so the probe prunes per image.
 fn build_engine(ds: &Dataset, m_ref: usize, n_query: usize, ivf: IvfParams) -> Engine {
-    let matching = MatchConfig { exec: ExecMode::Full, ivf, ..MatchConfig::default() };
+    let matching = MatchConfig { ivf, ..MatchConfig::default() };
     let mut engine = Engine::new(EngineConfig {
         matching,
         m_ref,

@@ -15,8 +15,8 @@
 //! wave's group fills to exactly the client count. Throughput is computed
 //! in the simulated-time domain (`Σ images / Σ SearchReport::total_us`),
 //! so the report is bit-stable run to run; host wall time is recorded per
-//! cell for information only. Timings use phantom (shape-only) references
-//! and `ExecMode::TimingOnly`, so a full run takes milliseconds.
+//! cell for information only. Timings use phantom (shape-only) references,
+//! which are priced but never scored, so a full run takes milliseconds.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -25,7 +25,7 @@ use parking_lot::RwLock;
 use texid_cache::CacheConfig;
 use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport};
 use texid_gpu::DeviceSpec;
-use texid_knn::pair::{ExecMode, MatchConfig};
+use texid_knn::pair::MatchConfig;
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -192,7 +192,7 @@ fn query_features(n: usize, seed: u64) -> FeatureMatrix {
 /// every sweep pays their H2D.
 fn build_shard(refs: usize, batch_size: usize, m_ref: usize, n_query: usize) -> Engine {
     let device = DeviceSpec::tesla_p100();
-    let matching = MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() };
+    let matching = MatchConfig { ..MatchConfig::default() };
     let batch_bytes =
         (batch_size * m_ref * 128 * matching.precision.bytes()) as u64;
     let budget = device.mem_bytes - device.context_overhead_bytes;

@@ -205,15 +205,15 @@ mod tests {
     use std::sync::Barrier;
     use texid_cache::CacheConfig;
     use texid_gpu::DeviceSpec;
-    use texid_knn::pair::{ExecMode, MatchConfig};
+    use texid_knn::pair::MatchConfig;
     use texid_linalg::Mat;
 
-    /// Timing-only engine whose device holds a single reference batch:
+    /// Phantom engine whose device holds a single reference batch:
     /// three of the four batches are host-resident, so H2D dominates and
     /// amortization is visible in the reports.
     fn cramped_engine() -> Engine {
         let device = DeviceSpec::tesla_p100();
-        let matching = MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() };
+        let matching = MatchConfig::default();
         let batch_bytes = (64 * 384 * 128 * matching.precision.bytes()) as u64;
         let budget = device.mem_bytes - device.context_overhead_bytes;
         let mut engine = Engine::new(EngineConfig {

@@ -12,8 +12,8 @@
 //! A batch, open or sealed, is resident once, as the kernel's panels: a
 //! reference is scattered into them by [`Engine::add_reference`] and never
 //! copied again (a seal is a move), export reads columns back out of them,
-//! and `MatchConfig::fused` / `exec` decide how (and whether) a search
-//! scores them, never how they are laid out.
+//! and `MatchConfig::fused` decides how a search scores them, never how they
+//! are laid out.
 //!
 //! The cache is not append-only: [`Engine::remove_reference`] deletes a
 //! reference where it lies and [`Engine::replace_reference`] overwrites one
@@ -24,9 +24,9 @@
 //! batch order, accumulating each query's [`SearchReport`] and ranking in
 //! place; the query arrives as an [`EncodedQuery`], narrowed and packed once
 //! by whoever starts the search. Per batch the pass prices the device work
-//! ([`texid_knn::BatchWork`]) through the analytic cost model and, numerics
-//! on, scores the batch on the host: no simulated device is driven, so
-//! `&self` searches share only atomics.
+//! ([`texid_knn::BatchWork`]) through the analytic cost model and, if the
+//! batch has panels, scores it on the host: no simulated device is driven,
+//! so `&self` searches share only atomics.
 //!
 //! Two kinds of reference, one ingest path (a batch holds one kind):
 //! * [`Engine::add_reference`] — real features (accuracy experiments,
@@ -34,7 +34,8 @@
 //! * [`Engine::add_reference_shape`] — shape-only phantom entries for
 //!   paper-scale *timing* experiments (a million 384×128 FP16 matrices
 //!   would not fit in test-host RAM, and their values do not affect the
-//!   cost model): the same batch without panels.
+//!   cost model): the same batch without panels, priced exactly as a real
+//!   one and never scored. A timing-only engine is one fed phantoms.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -42,7 +43,7 @@ use std::collections::BTreeSet;
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
 use texid_knn::ivf::{pool_column_slice, IvfIndex};
-use texid_knn::{score_batch_packed, BatchWork, ExecMode, FeatureBlock, MatchConfig, PackedBlock};
+use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::kernel::{PackedA, PackedB};
 use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
@@ -241,8 +242,8 @@ impl Payload for RefBatch {
 /// Ranked search output.
 #[derive(Clone, Debug)]
 pub struct SearchResult {
-    /// `(image id, good-match score)`, best first. Empty in timing-only
-    /// searches.
+    /// `(image id, good-match score)`, best first. Phantom references
+    /// never rank.
     pub ranked: Vec<(u64, usize)>,
     /// Performance accounting for this search.
     pub report: SearchReport,
@@ -490,7 +491,12 @@ pub struct Engine {
 
 impl Engine {
     /// Bring up a device and an empty index.
+    ///
+    /// # Panics
+    /// Panics unless the configuration batches Algorithm 2 (the only one
+    /// that batches) with at least one reference and one stream.
     pub fn new(cfg: EngineConfig) -> Engine {
+        assert_eq!(cfg.matching.algorithm, Algorithm::RootSiftTop2, "the engine runs Algorithm 2");
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.streams >= 1, "need at least one stream");
         let sim = GpuSim::new(cfg.device.clone());
@@ -749,16 +755,18 @@ impl Engine {
         self.ivf.as_ref()
     }
 
-    /// Export every *real* indexed reference as `(id, dequantized d×m
-    /// feature matrix)` pairs — a device-independent snapshot that
-    /// [`Engine::import_references`] (on any engine configuration) can
-    /// rebuild an index from. Zero-padded columns from short references are
-    /// exported as-is (they are semantically inert).
+    /// Export every *real* indexed reference, sealed or still pending in
+    /// the open batch, as `(id, dequantized d×m feature matrix)` pairs — a
+    /// device-independent snapshot that [`Engine::import_references`] (on
+    /// any engine configuration) can rebuild an index from. Zero-padded
+    /// columns from short references are exported as-is (they are
+    /// semantically inert).
     ///
     /// Phantom (timing-only) references are skipped.
     pub fn export_references(&self) -> Vec<(u64, texid_linalg::Mat)> {
         let mut out = Vec::with_capacity(self.references);
-        for (_, batch, _) in self.cache.iter() {
+        let cached = self.cache.iter().map(|(_, batch, _)| batch);
+        for batch in cached.chain([&self.open]) {
             let Some(panels) = &batch.panels else { continue };
             let m = batch.m_per_ref;
             let refs = batch.ids.iter().enumerate();
@@ -813,8 +821,8 @@ impl Engine {
 
     /// One query against one batch it sweeps: add the batch to the query's
     /// report — its H2D share if it streamed from the host, and the kernel
-    /// work, which is never amortized — and, numerics on, score the batch's
-    /// references into the query's ranking.
+    /// work, which is never amortized — and, if the batch has panels (is not
+    /// phantom), score its references into the query's ranking.
     fn sweep_batch(
         &self,
         batch: &RefBatch,
@@ -840,7 +848,7 @@ impl Engine {
         report.d2h_us += steps.d2h_us;
         report.post_us += steps.post_us;
 
-        if let (ExecMode::Full, Some(panels)) = (matching.exec, &batch.panels) {
+        if let Some(panels) = &batch.panels {
             let scored = score_batch_packed(matching, panels, bsize, m_per, &q.packed);
             out.ranked.extend(batch.ids.iter().copied().zip(scored.scores));
         }
@@ -1052,7 +1060,6 @@ mod tests {
     #[test]
     fn phantom_mode_reports_timing_without_matches() {
         let mut engine = Engine::new(EngineConfig {
-            matching: MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
             m_ref: 384,
             n_query: 768,
             batch_size: 256,
@@ -1080,7 +1087,7 @@ mod tests {
         let mk = |dev: DeviceSpec| {
             Engine::new(EngineConfig {
                 device: dev,
-                matching: MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
+                matching: MatchConfig::default(),
                 m_ref: 384,
                 n_query: 768,
                 batch_size: 128,
@@ -1112,7 +1119,6 @@ mod tests {
     fn more_streams_faster_search() {
         let build = |streams: usize| {
             let mut e = Engine::new(EngineConfig {
-                matching: MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
                 streams,
                 ..EngineConfig::default()
             });
@@ -1176,6 +1182,67 @@ mod tests {
         before_sorted.sort();
         after.sort();
         assert_eq!(before_sorted, after, "snapshot changed search results");
+    }
+
+    /// References added since the last flush are part of the snapshot:
+    /// `len` counts them, so an import of the export must not lose them.
+    #[test]
+    fn export_includes_the_open_batch() {
+        let mut engine = tiny_engine(3, 1);
+        for id in 0..5u64 {
+            engine.add_reference(id, &features(id, 128)).unwrap();
+        }
+        assert!(engine.has_pending());
+        let snapshot = engine.export_references();
+        assert_eq!(snapshot.len(), engine.len());
+        assert_eq!(snapshot.len(), 5);
+        let mut restored = tiny_engine(3, 1);
+        restored.import_references(snapshot).unwrap();
+        assert_eq!(restored.len(), 5);
+        let mut ids: Vec<u64> = restored.export_references().iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+    }
+
+    /// A phantom engine is priced exactly as a real one with the same batch
+    /// layout — every report field to the bit, device and host tiers alike —
+    /// and ranks nothing: what lets phantom references stand in for real
+    /// ones in every timing experiment.
+    #[test]
+    fn phantom_engine_reports_like_a_real_one() {
+        for precision in [Precision::F16, Precision::F32] {
+            // Room on the device for about two of the five batches.
+            let batch_bytes = (4 * 128 * DESCRIPTOR_DIM * precision.bytes()) as u64;
+            let device = DeviceSpec::tesla_p100();
+            let budget = device.mem_bytes - device.context_overhead_bytes;
+            let build = || {
+                Engine::new(EngineConfig {
+                    device: device.clone(),
+                    matching: MatchConfig { precision, ..MatchConfig::default() },
+                    m_ref: 128,
+                    n_query: 256,
+                    batch_size: 4,
+                    streams: 2,
+                    cache: CacheConfig {
+                        device_reserve_bytes: budget - 2 * batch_bytes - batch_bytes / 2,
+                        ..CacheConfig::default()
+                    },
+                })
+            };
+            let (mut real, mut phantom) = (build(), build());
+            for id in 0..18u64 {
+                real.add_reference(id, &features(id, 128)).unwrap();
+                phantom.add_reference_shape(id).unwrap();
+            }
+            real.flush().unwrap();
+            phantom.flush().unwrap();
+            let q = features(7, 256);
+            let (r, p) = (real.search(&q), phantom.search(&q));
+            assert_eq!(r.ranked.len(), 18, "{precision:?}: the real engine ranks");
+            assert!(p.ranked.is_empty(), "{precision:?}: a phantom never ranks");
+            assert!(r.report.host_batches > 0 && r.report.device_batches > 0, "{precision:?}");
+            assert_reports_identical(&r.report, &p.report);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use texid_image::{CaptureCondition, TextureGenerator};
-use texid_knn::{match_pair, FeatureBlock, MatchConfig};
+use texid_knn::{score_pair, FeatureBlock, MatchConfig};
 use texid_linalg::kernel::gemm_at_b;
 use texid_linalg::norms::col_sq_norms;
 use texid_linalg::Mat;
@@ -145,9 +145,6 @@ pub fn top1_accuracy(dataset: &Dataset, matching: &MatchConfig) -> f64 {
         .map(|f| FeatureBlock::from_mat(f.mat.clone(), matching.precision, matching.scale))
         .collect();
 
-    // One scratch sim for every pair: only the functional path matters here.
-    let mut sim = texid_gpu::GpuSim::new(texid_gpu::DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
     let correct: usize = dataset
         .queries
         .iter()
@@ -155,7 +152,7 @@ pub fn top1_accuracy(dataset: &Dataset, matching: &MatchConfig) -> f64 {
             let qb = FeatureBlock::from_mat(qf.mat.clone(), matching.precision, matching.scale);
             let mut best = (0u64, 0usize);
             for (id, rb) in blocks.iter().enumerate() {
-                let score = match_pair(matching, rb, &qb, &mut sim, st).score();
+                let score = score_pair(matching, rb, &qb).score();
                 if score > best.1 {
                     best = (id as u64, score);
                 }
@@ -250,7 +247,6 @@ pub fn overflows(dataset: &Dataset, scale: f32) -> bool {
 mod tests {
     use super::*;
     use texid_gpu::Precision;
-    use texid_knn::ExecMode;
 
     fn small_cfg() -> EvalConfig {
         EvalConfig {
@@ -267,7 +263,7 @@ mod tests {
     }
 
     fn matching_f32() -> MatchConfig {
-        MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() }
+        MatchConfig { precision: Precision::F32, ..MatchConfig::default() }
     }
 
     #[test]
@@ -299,7 +295,6 @@ mod tests {
         let f16 = MatchConfig {
             precision: Precision::F16,
             scale: 2.0_f32.powi(-7),
-            exec: ExecMode::Full,
             ..MatchConfig::default()
         };
         assert!((top1_accuracy(&ds, &f16) - top1_accuracy(&ds, &matching_f32())).abs() < 0.01);

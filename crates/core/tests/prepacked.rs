@@ -4,9 +4,9 @@
 //! pre-packed operands equals `match_batch` on the unpacked blocks —
 //! rankings against a `match_batch` replay of the engine's batching, every
 //! `SearchReport` f64 bit against an unfused engine (same panels,
-//! GEMM-then-scan) — through partial-batch flushes, re-added
-//! ids (the cluster's update = delete + re-add leaves the old entry in the
-//! sweep) and an export → import rebuild.
+//! GEMM-then-scan) — through partial-batch flushes, ids added twice (the
+//! engine keeps both entries; the cluster's update instead overwrites an id
+//! in its slot, `Engine::replace_encoded`) and an export → import rebuild.
 
 use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, GpuSim, Precision};
@@ -153,8 +153,8 @@ fn prepacked_search_equals_match_batch_on_unpacked_blocks() {
         t.flush(); // seals a partial batch of one
         t.assert_equivalent("after partial-batch flush");
 
-        // Update = delete + re-add: the new version lands in a later
-        // batch, the old one stays in the sweep (the cluster masks it).
+        // An id added twice: the engine does not dedupe, so the second
+        // entry lands in a later batch and the first stays in the sweep.
         t.add(2, &unit_features(M_REF, 1002));
         t.add(5, &unit_features(M_REF, 1005));
         t.flush();

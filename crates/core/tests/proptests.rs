@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use texid_cache::CacheConfig;
 use texid_core::{Engine, EngineConfig, SearchResult};
 use texid_gpu::{DeviceSpec, Precision};
-use texid_knn::{ExecMode, IvfParams, MatchConfig};
+use texid_knn::{IvfParams, MatchConfig};
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -28,7 +28,7 @@ fn unit_features(d: usize, cols: usize, seed: u64) -> FeatureMatrix {
 
 fn engine(batch: usize, m_ref: usize, precision: Precision) -> Engine {
     Engine::new(EngineConfig {
-        matching: MatchConfig { precision, exec: ExecMode::Full, ..MatchConfig::default() },
+        matching: MatchConfig { precision, ..MatchConfig::default() },
         m_ref,
         n_query: 64,
         batch_size: batch,
@@ -279,7 +279,7 @@ proptest! {
 
         let run = |ivf: IvfParams| -> SearchResult {
             let mut e = Engine::new(EngineConfig {
-                matching: MatchConfig { exec: ExecMode::Full, ivf, ..MatchConfig::default() },
+                matching: MatchConfig { ivf, ..MatchConfig::default() },
                 m_ref: 24,
                 n_query: 64,
                 batch_size: batch,
@@ -351,7 +351,7 @@ fn capacity_exhaustion_surfaces_as_error() {
     small.context_overhead_bytes = 0;
     let mut e = Engine::new(EngineConfig {
         device: small,
-        matching: MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
+        matching: MatchConfig::default(),
         m_ref: 384,
         n_query: 768,
         batch_size: 1,

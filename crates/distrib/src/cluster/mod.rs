@@ -47,7 +47,7 @@
 //!
 //! # Durability & replay-based heal (DESIGN.md §12)
 //!
-//! The feature store is durable ([`StoreConfig`]): every write
+//! The feature store is durable ([`ClusterConfig::store`]): every write
 //! is journaled to a CRC32C-checksummed write-ahead log and periodically
 //! compacted into a checksummed snapshot (`texid-store`). When `heal()`
 //! finds unhealthy shards it first **replays** the store strictly from
@@ -205,33 +205,17 @@ impl Telemetry {
     }
 }
 
-/// Degraded-mode and retry tuning.
+/// Degraded-mode tuning. Transient faults are retried on the fixed
+/// [`Backoff`] schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
     /// Consecutive failures before a shard's breaker trips to `Down`.
     pub trip_threshold: u32,
-    /// Bounded deterministic exponential backoff for transient faults.
-    pub backoff: Backoff,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig { trip_threshold: 3, backoff: Backoff::default() }
-    }
-}
-
-/// Feature-store durability tuning (DESIGN.md §12). Every write is
-/// journaled to an in-memory WAL + snapshot pair, so `heal()` replays the
-/// media instead of trusting whatever survived in the map.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreConfig {
-    /// Writes between snapshot compactions (0 = never compact).
-    pub snapshot_every: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig { snapshot_every: 256 }
+        ResilienceConfig { trip_threshold: 3 }
     }
 }
 
@@ -247,8 +231,11 @@ pub struct ClusterConfig {
     /// Per-shard query coalescing (continuous batching of concurrent
     /// searches into one multi-query cache sweep).
     pub coalesce: CoalesceConfig,
-    /// Feature-store durability.
-    pub store: StoreConfig,
+    /// Feature-store durability (DESIGN.md §12): every write is journaled
+    /// to an in-memory WAL + snapshot pair compacted every
+    /// `snapshot_every` writes, so `heal()` replays the media instead of
+    /// trusting whatever survived in the map.
+    pub store: LogConfig,
     /// Serving objectives tracked by the SLO engine (burn rates exposed
     /// as `texid_slo_*` metrics and `GET /slo`).
     pub slos: Vec<SloSpec>,
@@ -261,7 +248,7 @@ impl Default for ClusterConfig {
             engine: EngineConfig::default(),
             resilience: ResilienceConfig::default(),
             coalesce: CoalesceConfig::default(),
-            store: StoreConfig::default(),
+            store: LogConfig::default(),
             slos: vec![
                 // 99% of searches under 100 ms simulated makespan.
                 SloSpec::latency("search-latency", 100_000.0, 0.99),
@@ -407,10 +394,7 @@ impl Cluster {
         let telemetry = Telemetry::register(registry);
         let drift = DriftSentry::register(registry);
         let slo = SloEngine::register(cfg.slos.clone(), registry);
-        let store = KvStore::durable(DurableLog::new(
-            Volume::in_memory(),
-            LogConfig { snapshot_every: cfg.store.snapshot_every },
-        ));
+        let store = KvStore::durable(DurableLog::new(Volume::in_memory(), cfg.store));
         Cluster {
             cfg,
             shards,
@@ -455,7 +439,7 @@ impl Cluster {
         leg: Option<(TraceContext, usize)>,
     ) -> (Option<FaultKind>, u32) {
         let Some(plan) = &self.fault_plan else { return (None, 0) };
-        let budget = self.cfg.resilience.backoff.max_retries;
+        let budget = Backoff::MAX_RETRIES;
         let mut retries = 0;
         loop {
             let fault = plan.decide(FaultOp { attempt: retries, ..op });

@@ -2,7 +2,7 @@
 //! own thread, then accounted and merged by [`Cluster::search_traced`].
 
 use super::Cluster;
-use crate::faults::{FaultKind, FaultOp, Stage};
+use crate::faults::{Backoff, FaultKind, FaultOp, Stage};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -189,7 +189,7 @@ impl Cluster {
             Some(FaultKind::StageStall { stage, factor }) => (false, None, Some((stage, factor))),
             _ => (false, None, None),
         };
-        let backoff_us = self.cfg.resilience.backoff.total_us(retries);
+        let backoff_us = Backoff::total_us(retries);
         let outcome = match catch_unwind(AssertUnwindSafe(|| owner.run_leg(ctx, crash, query))) {
             // The unperturbed report *is* the analytic Eq. 3/4 prediction
             // for this exact query shape; the drift sentry compares it with

@@ -666,10 +666,7 @@ fn degraded_scatter_gather_under_concurrent_load() {
     let cfg = ClusterConfig {
         // Keep the breaker out of the picture: every leg fails, none
         // gets skipped.
-        resilience: ResilienceConfig {
-            trip_threshold: 1000,
-            ..ResilienceConfig::default()
-        },
+        resilience: ResilienceConfig { trip_threshold: 1000 },
         ..small_config(2)
     };
     let cluster = Cluster::with_faults(cfg, Some(plan));

@@ -438,30 +438,23 @@ impl FaultPlan {
 /// Deterministic exponential backoff schedule for bounded retries.
 ///
 /// Delays are *simulated* microseconds (they are accounted, not slept):
-/// `base_us * 2^attempt`, attempt 0-indexed.
-#[derive(Clone, Copy, Debug)]
-pub struct Backoff {
-    /// First-retry delay, µs.
-    pub base_us: f64,
-    /// Maximum retry attempts after the initial try.
-    pub max_retries: u32,
-}
-
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff { base_us: 100.0, max_retries: 3 }
-    }
-}
+/// `BASE_US * 2^attempt`, attempt 0-indexed.
+pub struct Backoff;
 
 impl Backoff {
+    /// First-retry delay, µs.
+    pub const BASE_US: f64 = 100.0;
+    /// Maximum retry attempts after the initial try.
+    pub const MAX_RETRIES: u32 = 3;
+
     /// Simulated delay before retry `attempt` (0-indexed).
-    pub fn delay_us(&self, attempt: u32) -> f64 {
-        self.base_us * (1u64 << attempt.min(20)) as f64
+    pub fn delay_us(attempt: u32) -> f64 {
+        Self::BASE_US * (1u64 << attempt.min(20)) as f64
     }
 
     /// Total simulated delay for `attempts` retries.
-    pub fn total_us(&self, attempts: u32) -> f64 {
-        (0..attempts).map(|a| self.delay_us(a)).sum()
+    pub fn total_us(attempts: u32) -> f64 {
+        (0..attempts).map(Self::delay_us).sum()
     }
 }
 
@@ -643,11 +636,10 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_bounded() {
-        let b = Backoff { base_us: 100.0, max_retries: 3 };
-        assert_eq!(b.delay_us(0), 100.0);
-        assert_eq!(b.delay_us(1), 200.0);
-        assert_eq!(b.delay_us(2), 400.0);
-        assert_eq!(b.total_us(3), 700.0);
-        assert_eq!(b.total_us(0), 0.0);
+        assert_eq!(Backoff::delay_us(0), 100.0);
+        assert_eq!(Backoff::delay_us(1), 200.0);
+        assert_eq!(Backoff::delay_us(2), 400.0);
+        assert_eq!(Backoff::total_us(3), 700.0);
+        assert_eq!(Backoff::total_us(0), 0.0);
     }
 }

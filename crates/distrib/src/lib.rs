@@ -42,7 +42,7 @@ pub mod wire;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterError, ClusterSearchResult, ClusterStats, HealReport,
     Quarantine, QuarantineReason, RecoveryReport, ResilienceConfig, ShardHealth, ShardReplay,
-    ShardStatus, StoreConfig,
+    ShardStatus,
 };
 pub use faults::{Backoff, FaultKind, FaultOp, FaultPlan, FaultProbs, OpClass, Stage};
 pub use kv::KvStore;

@@ -8,18 +8,19 @@
 //! separately, so the scan must not mix rows across block boundaries.
 //!
 //! Two halves, each written once: [`BatchWork`] states what one query costs
-//! the device against one batch — launched on a [`GpuSim`] here (the Table
-//! 1/3 path), priced analytically by the engine — and [`score_batch_packed`]
-//! is the numerics, which need no device and take both operands as the
-//! kernel's panels; `cfg.fused` chooses, on those same panels, between the
-//! fused tile scan and GEMM-then-scan. [`score_batch`] is pack-then-call and
-//! [`match_batch`] is "charge + score". A single pair is a batch of one:
-//! `score_pair` under `RootSiftTop2` is `score_batch(cfg, r, 1, r.cols(),
-//! q)` and `match_pair` charges `BatchWork::new(cfg, 1, m, n, d)`, so
-//! Algorithm 2 is written here and nowhere else.
+//! the device against one batch, for every [`Algorithm`] — launched on a
+//! [`GpuSim`] by the matchers, priced from shapes alone by the engine and
+//! the paper benches — and [`score_batch_packed`] is the numerics, which
+//! need no device and take both operands as the kernel's panels;
+//! `cfg.fused` chooses, on those same panels, between the fused tile scan
+//! and GEMM-then-scan. [`score_batch`] is pack-then-call and [`match_batch`]
+//! is "charge + score". A single pair is a batch of one: `score_pair` under
+//! `RootSiftTop2` is `score_batch(cfg, r, 1, r.cols(), q)` and `match_pair`
+//! charges `BatchWork::new(cfg, 1, m, n, d)`, so Algorithm 2 is written here
+//! and nowhere else, and so is every matcher's price.
 
 use crate::block::{FeatureBlock, PackedBlock};
-use crate::pair::{Algorithm, ExecMode, MatchConfig, StepTimes, D2H_BYTES_PER_QUERY_FEATURE};
+use crate::pair::{Algorithm, MatchConfig, StepTimes};
 use crate::ratio::{count_good_matches, RATIO_THRESHOLD};
 use texid_gpu::{cost, DeviceSpec, GpuSim, Kernel, Precision, StreamId};
 use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
@@ -29,70 +30,72 @@ use texid_linalg::top2::{top2_min_per_column, Top2};
 /// Result of matching a batched reference block against one query.
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
-    /// `scores[b]` = good-match count of reference `b` (empty in
-    /// `TimingOnly` mode).
+    /// `scores[b]` = good-match count of reference `b`.
     pub scores: Vec<usize>,
-    /// Per-(reference, query-feature) top-2, `top2[b * n + j]`
-    /// (empty in `TimingOnly` mode).
+    /// Per-(reference, query-feature) top-2, `top2[b * n + j]`.
     pub top2: Vec<Top2>,
     /// Per-step simulated durations for the whole batch (zero from the
-    /// scoring half alone).
+    /// scoring half alone; [`StepTimes::per_image_us`] divides them).
     pub steps: StepTimes,
-    /// Batch size the timing covers.
-    pub batch: usize,
 }
 
 impl BatchOutcome {
     /// Every reference scores zero against a query with no features.
     fn degenerate(batch: usize) -> BatchOutcome {
-        BatchOutcome {
-            scores: vec![0; batch],
-            top2: Vec::new(),
-            steps: StepTimes::default(),
-            batch,
-        }
-    }
-
-    /// Simulated per-image time, µs.
-    pub fn per_image_us(&self) -> f64 {
-        self.steps.total_us() / self.batch as f64
-    }
-
-    /// Simulated throughput, images/s.
-    pub fn images_per_second(&self) -> f64 {
-        1e6 / self.per_image_us()
+        BatchOutcome { scores: vec![0; batch], top2: Vec::new(), steps: StepTimes::default() }
     }
 }
 
-/// The device work one query costs against one batch (Table 3's rows) — the
-/// one place these shapes are written down.
+/// Result bytes moved D2H per query feature: two distances (f32 after the
+/// sqrt epilogue) + two keypoint indices (u32).
+const D2H_BYTES_PER_QUERY_FEATURE: u64 = 2 * (4 + 4);
+
+/// The device work one query costs against one batch — the rows of Tables 1
+/// and 3, and the one place these shapes are written down for every
+/// [`Algorithm`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchWork {
-    gemm: Kernel,
-    scan: Kernel,
+    /// The GEMM, add-`N_R`, sort and add-`N_Q`+√ kernels in launch order,
+    /// `None` where the algorithm has no such step.
+    kernels: [Option<Kernel>; 4],
     d2h_bytes: u64,
     post_images: usize,
 }
 
 impl BatchWork {
     /// `batch` references × `m_per_ref` features against `n` query features
-    /// of dimension `d`, in `cfg`'s precision.
+    /// of dimension `d`, as `cfg`'s algorithm runs them in its precision.
+    ///
+    /// # Panics
+    /// Panics if `batch > 1` under any algorithm but
+    /// [`Algorithm::RootSiftTop2`] — exactly the variant the paper batches.
     pub fn new(cfg: &MatchConfig, batch: usize, m_per_ref: usize, n: usize, d: usize) -> BatchWork {
+        assert!(
+            batch == 1 || cfg.algorithm == Algorithm::RootSiftTop2,
+            "only the RootSIFT pipeline is batched (as in the paper)"
+        );
+        let (m, precision) = (batch * m_per_ref, cfg.precision);
+        let gemm =
+            Kernel::Gemm { m_rows: m, n_cols: n, k_depth: d, precision, tensor_core: cfg.tensor_core };
+        // One scan thread per (reference, query-feature) pair: batch × n
+        // columns of m_per_ref rows — the ~0.8 M sorting tasks of §5.3.
+        let top2 = Kernel::Top2Scan { m_rows: m_per_ref, n_cols: batch * n, precision };
+        // Algorithm 1: ρ² = N_R + N_Q − 2·RᵀQ, sorted, then √ of the top 2.
+        let algorithm1 = |sort| {
+            let add_nr = Kernel::AddNorms { m_rows: m, n_cols: n };
+            [Some(gemm), Some(add_nr), Some(sort), Some(Kernel::EpilogueSqrt { elems: 2 * n })]
+        };
+        let kernels = match cfg.algorithm {
+            // One monolithic distance + k-select kernel.
+            Algorithm::OpenCvCuda => [Some(Kernel::OpenCvBruteKnn { m, n, d }), None, None, None],
+            Algorithm::CublasFullSort => algorithm1(Kernel::FullColumnSort { m_rows: m, n_cols: n }),
+            Algorithm::CublasTop2 => algorithm1(top2),
+            // Algorithm 2: no norms, and the √(2+A) epilogue fuses into the
+            // sort (§5.1).
+            Algorithm::RootSiftTop2 => [Some(gemm), None, Some(top2), None],
+        };
         BatchWork {
-            gemm: Kernel::Gemm {
-                m_rows: batch * m_per_ref,
-                n_cols: n,
-                k_depth: d,
-                precision: cfg.precision,
-                tensor_core: cfg.tensor_core,
-            },
-            // One scan thread per (reference, query-feature) pair: batch × n
-            // columns of m_per_ref rows — the ~0.8 M sorting tasks of §5.3.
-            scan: Kernel::Top2Scan {
-                m_rows: m_per_ref,
-                n_cols: batch * n,
-                precision: cfg.precision,
-            },
+            kernels,
             d2h_bytes: (batch * n) as u64 * D2H_BYTES_PER_QUERY_FEATURE,
             post_images: batch,
         }
@@ -100,31 +103,34 @@ impl BatchWork {
 
     /// The analytic price of this work on `spec`, no device involved.
     pub fn price(&self, spec: &DeviceSpec) -> StepTimes {
+        let [gemm_us, add_nr_us, sort_us, epilogue_us] =
+            self.kernels.map(|k| k.map_or(0.0, |k| cost::kernel_duration_us(spec, &k)));
         StepTimes {
-            gemm_us: cost::kernel_duration_us(spec, &self.gemm),
-            sort_us: cost::kernel_duration_us(spec, &self.scan),
+            gemm_us,
+            add_nr_us,
+            sort_us,
+            epilogue_us,
             d2h_us: cost::d2h_duration_us(spec, self.d2h_bytes),
             post_us: cost::cpu_post_us(spec, self.post_images),
-            ..StepTimes::default()
         }
     }
 
-    /// Run this work on `sim`'s `stream`, advancing its clocks.
+    /// Enqueue this work on `sim`'s `stream`, advancing its clocks by exactly
+    /// the durations [`BatchWork::price`] states, and return that price.
     pub(crate) fn launch(&self, sim: &mut GpuSim, stream: StreamId) -> StepTimes {
-        let post_us = cost::cpu_post_us(sim.spec(), self.post_images);
-        StepTimes {
-            gemm_us: sim.launch(stream, self.gemm).duration_us(),
-            sort_us: sim.launch(stream, self.scan).duration_us(),
-            d2h_us: sim.d2h(stream, self.d2h_bytes).duration_us(),
-            post_us: sim.host_work(stream, post_us).duration_us(),
-            ..StepTimes::default()
+        let price = self.price(sim.spec());
+        for kernel in self.kernels.into_iter().flatten() {
+            sim.launch(stream, kernel);
         }
+        sim.d2h(stream, self.d2h_bytes);
+        sim.host_work(stream, price.post_us);
+        price
     }
 }
 
 /// Match a pre-concatenated reference block (`batch` references of
-/// `m_per_ref` features each) against a query block: charge the batch's
-/// [`BatchWork`] to `sim`, then (numerics on) [`score_batch`].
+/// `m_per_ref` features each) against a query block: [`score_batch`], and
+/// the batch's [`BatchWork`] charged to `sim`.
 ///
 /// Only [`Algorithm::RootSiftTop2`] batches — exactly the variant the paper
 /// batches (Algorithm 2's fused sort+sqrt makes "the batching process more
@@ -142,32 +148,23 @@ pub fn match_batch(
     sim: &mut GpuSim,
     stream: StreamId,
 ) -> BatchOutcome {
-    check_blocks(r_cat, batch, m_per_ref, q);
     assert_eq!(
         cfg.algorithm,
         Algorithm::RootSiftTop2,
         "only the RootSIFT pipeline is batched (as in the paper)"
     );
-    let n = q.cols();
-    if n == 0 {
+    let scored = score_batch(cfg, r_cat, batch, m_per_ref, q);
+    if q.cols() == 0 {
         // No features survived extraction: no device work worth charging.
-        return BatchOutcome::degenerate(batch);
+        return scored;
     }
-    let steps = BatchWork::new(cfg, batch, m_per_ref, n, q.rows()).launch(sim, stream);
-    if cfg.exec == ExecMode::TimingOnly {
-        return BatchOutcome { scores: Vec::new(), top2: Vec::new(), steps, batch };
-    }
-    BatchOutcome { steps, ..score_batch(cfg, r_cat, batch, m_per_ref, q) }
-}
-
-fn check_blocks(r_cat: &FeatureBlock, batch: usize, m_per_ref: usize, q: &FeatureBlock) {
-    assert_eq!(r_cat.cols(), batch * m_per_ref, "batched block column mismatch");
-    assert_eq!(r_cat.rows(), q.rows(), "descriptor dimension mismatch");
+    let steps = BatchWork::new(cfg, batch, m_per_ref, q.cols(), q.rows()).launch(sim, stream);
+    BatchOutcome { steps, ..scored }
 }
 
 /// The numerics of [`match_batch`] alone: Algorithm 2 over the batch and the
-/// per-reference ratio test, no device and no charge (`cfg.algorithm` and
-/// `cfg.exec` are not consulted).
+/// per-reference ratio test, no device and no charge (`cfg.algorithm` is not
+/// consulted).
 ///
 /// Packs both blocks for `cfg`'s backend and calls [`score_batch_packed`] —
 /// callers that match the same references or the same query more than once
@@ -272,7 +269,7 @@ fn finish(raw: &[Top2], s2: f32, batch: usize, n: usize) -> BatchOutcome {
     let scores = (0..batch)
         .map(|b| count_good_matches(&top2[b * n..(b + 1) * n], RATIO_THRESHOLD))
         .collect();
-    BatchOutcome { scores, top2, steps: StepTimes::default(), batch }
+    BatchOutcome { scores, top2, steps: StepTimes::default() }
 }
 
 #[cfg(test)]
@@ -352,48 +349,57 @@ mod tests {
     #[test]
     fn batching_amortizes_fixed_costs() {
         // Table 3: per-image time collapses from ~174 µs to ~22 µs.
-        let cfg = MatchConfig {
-            precision: Precision::F16,
-            exec: ExecMode::TimingOnly,
-            ..MatchConfig::default()
-        };
-        let mut s = sim();
-        let st = s.default_stream();
-        let q = FeatureBlock::from_mat(unit_features(128, 768, 1), Precision::F16, cfg.scale);
-        // Timing-only: build a cheap zero block with the right shape.
-        let single = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-        let b1 = match_batch(&cfg, &single, 1, 768, &q, &mut s, st);
-        let big = FeatureBlock::from_mat(Mat::zeros(128, 768 * 256), Precision::F16, cfg.scale);
-        let b256 = match_batch(&cfg, &big, 256, 768, &q, &mut s, st);
-        assert!(
-            b256.per_image_us() * 5.0 < b1.per_image_us(),
-            "batching speedup too small: {} vs {}",
-            b1.per_image_us(),
-            b256.per_image_us()
-        );
+        let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
+        let per_image =
+            |batch| BatchWork::new(&cfg, batch, 768, 768, 128).price(sim().spec()).per_image_us(batch);
+        let (b1, b256) = (per_image(1), per_image(256));
+        assert!(b256 * 5.0 < b1, "batching speedup too small: {b1} vs {b256}");
     }
 
     #[test]
     fn table3_batched_breakdown() {
         // Table 3, batch 1024 (per image): HGEMM 11.58, sort+sqrt 3.82,
         // D2H 2.72, post 3.85 ⇒ 21.96 µs ⇒ 45,539 img/s.
-        let cfg = MatchConfig {
-            precision: Precision::F16,
-            exec: ExecMode::TimingOnly,
-            ..MatchConfig::default()
-        };
-        let mut s = sim();
-        let st = s.default_stream();
-        let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-        let big = FeatureBlock::from_mat(Mat::zeros(128, 768 * 1024), Precision::F16, cfg.scale);
-        let out = match_batch(&cfg, &big, 1024, 768, &q, &mut s, st);
+        let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
+        let steps = BatchWork::new(&cfg, 1024, 768, 768, 128).price(sim().spec());
         let b = 1024.0;
-        assert!((out.steps.gemm_us / b - 11.58).abs() / 11.58 < 0.10, "gemm {}", out.steps.gemm_us / b);
-        assert!((out.steps.sort_us / b - 3.82).abs() / 3.82 < 0.10, "sort {}", out.steps.sort_us / b);
-        assert!((out.steps.d2h_us / b - 2.72).abs() / 2.72 < 0.10, "d2h {}", out.steps.d2h_us / b);
-        assert!((out.steps.post_us / b - 3.85).abs() / 3.85 < 0.05, "post {}", out.steps.post_us / b);
-        let speed = out.images_per_second();
+        assert!((steps.gemm_us / b - 11.58).abs() / 11.58 < 0.10, "gemm {}", steps.gemm_us / b);
+        assert!((steps.sort_us / b - 3.82).abs() / 3.82 < 0.10, "sort {}", steps.sort_us / b);
+        assert!((steps.d2h_us / b - 2.72).abs() / 2.72 < 0.10, "d2h {}", steps.d2h_us / b);
+        assert!((steps.post_us / b - 3.85).abs() / 3.85 < 0.05, "post {}", steps.post_us / b);
+        let speed = 1e6 / steps.per_image_us(1024);
         assert!((speed - 45_539.0).abs() / 45_539.0 < 0.10, "speed {speed}");
+    }
+
+    /// `match_batch` charges exactly `BatchWork::price`, to the bit, at batch
+    /// 1 and 32, in both precisions and on tensor cores, on a fresh device
+    /// and on one whose clocks have moved.
+    #[test]
+    fn match_batch_charges_exactly_the_batch_work_price() {
+        let bits = |t: &StepTimes| {
+            [t.gemm_us, t.add_nr_us, t.sort_us, t.epilogue_us, t.d2h_us, t.post_us].map(f64::to_bits)
+        };
+        let scale = 2.0_f32.powi(-7);
+        let q = unit_features(128, 9, 5);
+        let cases = [
+            (Precision::F32, false, DeviceSpec::tesla_p100()),
+            (Precision::F16, false, DeviceSpec::tesla_p100()),
+            (Precision::F16, true, DeviceSpec::tesla_v100()),
+        ];
+        for (precision, tensor_core, spec) in cases {
+            let cfg = MatchConfig { precision, scale, tensor_core, ..MatchConfig::default() };
+            let qb = FeatureBlock::from_mat(q.clone(), precision, scale);
+            for batch in [1, 32] {
+                let r = FeatureBlock::from_mat(unit_features(128, batch * 6, 6), precision, scale);
+                let price = bits(&BatchWork::new(&cfg, batch, 6, 9, 128).price(&spec));
+                let mut s = GpuSim::new(spec.clone());
+                let st = s.default_stream();
+                for run in ["fresh", "busy"] {
+                    let steps = match_batch(&cfg, &r, batch, 6, &qb, &mut s, st).steps;
+                    assert_eq!(bits(&steps), price, "{precision:?}/tc={tensor_core}/b{batch}, {run}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -524,5 +530,12 @@ mod tests {
         let r = FeatureBlock::F32(Mat::zeros(8, 4));
         let q = FeatureBlock::F32(Mat::zeros(8, 2));
         let _ = match_batch(&cfg, &r, 2, 2, &q, &mut s, st);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the RootSIFT pipeline")]
+    fn non_rootsift_batch_work_rejected() {
+        let cfg = MatchConfig { algorithm: Algorithm::CublasFullSort, ..MatchConfig::default() };
+        let _ = BatchWork::new(&cfg, 2, 768, 768, 128);
     }
 }

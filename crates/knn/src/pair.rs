@@ -1,10 +1,11 @@
 //! Single-pair 2-nearest-neighbors matching — Algorithms 1 and 2, plus the
-//! two baselines, with per-step simulated timing (the rows of Table 1).
+//! two baselines, with per-step simulated timing (the rows of Table 1, priced
+//! by [`BatchWork`]).
 
 use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm, BatchWork};
 use crate::block::FeatureBlock;
 use crate::ratio::{good_matches, FeatureMatch, RATIO_THRESHOLD};
-use texid_gpu::{cost, GpuSim, Kernel, Precision, StreamId};
+use texid_gpu::{GpuSim, Precision, StreamId};
 use texid_linalg::dispatch::{active_backend, Backend};
 use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue};
 use texid_linalg::mat::Mat;
@@ -23,19 +24,6 @@ pub enum Algorithm {
     CublasTop2,
     /// Algorithm 2: RootSIFT shortcut, no norm vectors (§5.1).
     RootSiftTop2,
-}
-
-/// Whether to run the numerics or only the timing model.
-///
-/// `TimingOnly` lets the benchmark harness sweep paper-scale workloads
-/// (millions of simulated images) without hours of host compute; every
-/// accuracy experiment uses `Full`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Execute kernels functionally and produce real matches.
-    Full,
-    /// Charge simulated time only; outcome carries no matches.
-    TimingOnly,
 }
 
 /// IVF coarse-quantizer configuration (Johnson et al., billion-scale
@@ -87,8 +75,6 @@ pub struct MatchConfig {
     pub scale: f32,
     /// Use tensor cores where available.
     pub tensor_core: bool,
-    /// Numerics on or off.
-    pub exec: ExecMode,
     /// Run the top-2 scan inside the GEMM epilogue (never materializing the
     /// `m × n` similarity matrix). Bit-identical results to the unfused
     /// pipeline; applies to the top-2 algorithms only — the full-sort
@@ -127,7 +113,6 @@ impl Default for MatchConfig {
             precision: Precision::F16,
             scale: 2.0_f32.powi(-7),
             tensor_core: false,
-            exec: ExecMode::Full,
             fused: true,
             ivf: IvfParams::default(),
             backend: None,
@@ -160,7 +145,12 @@ impl StepTimes {
         self.gemm_us + self.add_nr_us + self.sort_us + self.epilogue_us + self.d2h_us + self.post_us
     }
 
-    /// Throughput implied by the serial total, images/s.
+    /// Serial time per image when these steps cover `batch` references.
+    pub fn per_image_us(&self, batch: usize) -> f64 {
+        self.total_us() / batch as f64
+    }
+
+    /// Throughput implied by the serial total of one pair, images/s.
     pub fn images_per_second(&self) -> f64 {
         1e6 / self.total_us()
     }
@@ -170,9 +160,8 @@ impl StepTimes {
 #[derive(Clone, Debug)]
 pub struct PairOutcome {
     /// Per-query-feature two nearest neighbours (Euclidean distances).
-    /// Empty in `TimingOnly` mode.
     pub top2: Vec<Top2>,
-    /// Good matches surviving the ratio test. Empty in `TimingOnly` mode.
+    /// Good matches surviving the ratio test.
     pub matches: Vec<FeatureMatch>,
     /// Per-step simulated durations (zero when only the scoring half ran).
     pub steps: StepTimes,
@@ -186,12 +175,10 @@ impl PairOutcome {
     }
 }
 
-/// Result bytes moved D2H per query feature: two distances (f32 after the
-/// sqrt epilogue) + two keypoint indices (u32).
-pub const D2H_BYTES_PER_QUERY_FEATURE: u64 = 2 * (4 + 4);
-
-/// Match one reference feature block against one query block, charging the
-/// simulated device `sim` on `stream`.
+/// Match one reference feature block against one query block: the pair's
+/// [`BatchWork`] — a batch of one — charged to the simulated device `sim` on
+/// `stream`, and [`score_pair`]. A caller that wants only the timing prices
+/// the shapes with [`BatchWork::price`] instead.
 ///
 /// ```
 /// use texid_gpu::{DeviceSpec, GpuSim, Precision};
@@ -219,63 +206,14 @@ pub fn match_pair(
     sim: &mut GpuSim,
     stream: StreamId,
 ) -> PairOutcome {
-    assert_eq!(r.rows(), q.rows(), "descriptor dimension mismatch");
-    let m = r.cols();
-    let n = q.cols();
-    let d = r.rows();
-
-    // ---- timing (always charged) ----
-    let mut steps = StepTimes::default();
-    match cfg.algorithm {
-        // Sort and the √(2+A) epilogue are fused (Algorithm 2, §5.1), and a
-        // pair is charged as what it is: a batch of one.
-        Algorithm::RootSiftTop2 => steps = BatchWork::new(cfg, 1, m, n, d).launch(sim, stream),
-        Algorithm::OpenCvCuda => {
-            steps.gemm_us = sim.launch(stream, Kernel::OpenCvBruteKnn { m, n, d }).duration_us();
-        }
-        Algorithm::CublasFullSort | Algorithm::CublasTop2 => {
-            steps.gemm_us = sim
-                .launch(stream, Kernel::Gemm {
-                    m_rows: m,
-                    n_cols: n,
-                    k_depth: d,
-                    precision: cfg.precision,
-                    tensor_core: cfg.tensor_core,
-                })
-                .duration_us();
-            steps.add_nr_us = sim
-                .launch(stream, Kernel::AddNorms { m_rows: m, n_cols: n })
-                .duration_us();
-            let sort = if cfg.algorithm == Algorithm::CublasFullSort {
-                Kernel::FullColumnSort { m_rows: m, n_cols: n }
-            } else {
-                Kernel::Top2Scan { m_rows: m, n_cols: n, precision: cfg.precision }
-            };
-            steps.sort_us = sim.launch(stream, sort).duration_us();
-            steps.epilogue_us = sim
-                .launch(stream, Kernel::EpilogueSqrt { elems: 2 * n })
-                .duration_us();
-        }
-    }
-    if cfg.algorithm != Algorithm::RootSiftTop2 {
-        steps.d2h_us = sim
-            .d2h(stream, n as u64 * D2H_BYTES_PER_QUERY_FEATURE)
-            .duration_us();
-        steps.post_us = sim
-            .host_work(stream, cost::cpu_post_us(sim.spec(), 1))
-            .duration_us();
-    }
-
-    // ---- numerics ----
-    if cfg.exec == ExecMode::TimingOnly {
-        return PairOutcome { top2: Vec::new(), matches: Vec::new(), steps };
-    }
-    PairOutcome { steps, ..score_pair(cfg, r, q) }
+    let scored = score_pair(cfg, r, q);
+    let steps = BatchWork::new(cfg, 1, r.cols(), q.cols(), r.rows()).launch(sim, stream);
+    PairOutcome { steps, ..scored }
 }
 
 /// The numerics of [`match_pair`] alone — the configured algorithm's top-2
-/// and the ratio test, no device and no charge (`cfg.exec` is not
-/// consulted): what one-to-one verification runs.
+/// and the ratio test, no device and no charge: what one-to-one
+/// verification runs.
 ///
 /// # Panics
 /// Panics if the blocks disagree in precision or descriptor dimension.
@@ -488,17 +426,8 @@ mod tests {
     fn step_times_reproduce_table1_ours_f32() {
         // Table 1, cuBLAS (ours): GEMM 35.22, add N_R 8.94, top-2 40.20,
         // epilogue 4.71, D2H 47.32, post 12.6 ⇒ total 148.5 ⇒ 6,734 img/s.
-        let (r, q) = f32_blocks(768, 768);
-        let mut s = sim();
-        let st = s.default_stream();
-        let out = match_pair(
-            &MatchConfig { exec: ExecMode::TimingOnly, ..cfg(Algorithm::CublasTop2, Precision::F32) },
-            &r,
-            &q,
-            &mut s,
-            st,
-        );
-        let t = out.steps;
+        let t = BatchWork::new(&cfg(Algorithm::CublasTop2, Precision::F32), 1, 768, 768, 128)
+            .price(sim().spec());
         assert!((t.gemm_us - 35.22).abs() / 35.22 < 0.10, "gemm {}", t.gemm_us);
         assert!((t.add_nr_us - 8.94).abs() / 8.94 < 0.10, "add_nr {}", t.add_nr_us);
         assert!((t.sort_us - 40.2).abs() / 40.2 < 0.10, "sort {}", t.sort_us);
@@ -511,35 +440,47 @@ mod tests {
     #[test]
     fn full_sort_baseline_dominated_by_sorting() {
         // Table 1 [9]: sorting is 67% of the 330 µs total.
-        let (r, q) = f32_blocks(768, 768);
-        let mut s = sim();
-        let st = s.default_stream();
-        let out = match_pair(
-            &MatchConfig { exec: ExecMode::TimingOnly, ..cfg(Algorithm::CublasFullSort, Precision::F32) },
-            &r,
-            &q,
-            &mut s,
-            st,
-        );
-        let frac = out.steps.sort_us / out.steps.total_us();
+        let steps = BatchWork::new(&cfg(Algorithm::CublasFullSort, Precision::F32), 1, 768, 768, 128)
+            .price(sim().spec());
+        let frac = steps.sort_us / steps.total_us();
         assert!((frac - 0.67).abs() < 0.08, "sort fraction {frac}");
     }
 
+    /// `match_pair` charges exactly what `BatchWork::price` states, to the
+    /// bit, for every algorithm in both precisions (and `RootSiftTop2` on
+    /// tensor cores), on a fresh device and on one whose clocks have moved:
+    /// the price is a function of the shapes alone.
     #[test]
-    fn timing_only_returns_no_matches() {
-        let (r, q) = f32_blocks(16, 8);
-        let mut s = sim();
-        let st = s.default_stream();
-        let out = match_pair(
-            &MatchConfig { exec: ExecMode::TimingOnly, ..MatchConfig::default() },
-            &FeatureBlock::from_mat(r.to_f32(), Precision::F16, 0.0078125),
-            &FeatureBlock::from_mat(q.to_f32(), Precision::F16, 0.0078125),
-            &mut s,
-            st,
-        );
-        assert!(out.top2.is_empty());
-        assert!(out.matches.is_empty());
-        assert!(out.steps.total_us() > 0.0);
+    fn match_pair_charges_exactly_the_batch_work_price() {
+        let bits = |t: &StepTimes| {
+            [t.gemm_us, t.add_nr_us, t.sort_us, t.epilogue_us, t.d2h_us, t.post_us].map(f64::to_bits)
+        };
+        let scale = 2.0_f32.powi(-7);
+        let (rm, qm) = (unit_features(128, 24, 3), unit_features(128, 10, 4));
+        let algorithms = [
+            Algorithm::OpenCvCuda,
+            Algorithm::CublasFullSort,
+            Algorithm::CublasTop2,
+            Algorithm::RootSiftTop2,
+        ];
+        let mut cases: Vec<(MatchConfig, DeviceSpec)> = algorithms
+            .iter()
+            .flat_map(|&alg| [Precision::F32, Precision::F16].map(|p| (alg, p)))
+            .map(|(alg, p)| (MatchConfig { scale, ..cfg(alg, p) }, DeviceSpec::tesla_p100()))
+            .collect();
+        let tc = MatchConfig { scale, tensor_core: true, ..cfg(Algorithm::RootSiftTop2, Precision::F16) };
+        cases.push((tc, DeviceSpec::tesla_v100()));
+        for (c, spec) in cases {
+            let r = FeatureBlock::from_mat(rm.clone(), c.precision, scale);
+            let q = FeatureBlock::from_mat(qm.clone(), c.precision, scale);
+            let price = bits(&BatchWork::new(&c, 1, 24, 10, 128).price(&spec));
+            let mut s = GpuSim::new(spec);
+            let st = s.default_stream();
+            for run in ["fresh", "busy"] {
+                let steps = match_pair(&c, &r, &q, &mut s, st).steps;
+                assert_eq!(bits(&steps), price, "{:?}/{:?}, {run} device", c.algorithm, c.precision);
+            }
+        }
     }
 
     #[test]

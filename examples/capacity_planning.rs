@@ -10,23 +10,17 @@
 //! ```
 
 use texid_core::capacity::{bytes_per_reference, device_capacity, hybrid_capacity};
-use texid_gpu::{DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, ExecMode, FeatureBlock, MatchConfig};
-use texid_linalg::Mat;
+use texid_gpu::{DeviceSpec, Precision};
+use texid_knn::{BatchWork, MatchConfig};
 
 const HOST_BYTES: u64 = 64 << 30;
 const RESERVE: u64 = 4 << 30;
 
 fn speed(m: usize, precision: Precision, hybrid: bool, streams: usize) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let spec = sim.spec().clone();
-    let st = sim.default_stream();
-    let cfg = MatchConfig { precision, exec: ExecMode::TimingOnly, ..MatchConfig::default() };
+    let spec = DeviceSpec::tesla_p100();
+    let cfg = MatchConfig { precision, ..MatchConfig::default() };
     let batch = 256;
-    let r = FeatureBlock::from_mat(Mat::zeros(128, m * batch), precision, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), precision, cfg.scale);
-    let out = match_batch(&cfg, &r, batch, m, &q, &mut sim, st);
-    let mut per_img = out.per_image_us();
+    let mut per_img = BatchWork::new(&cfg, batch, m, 768, 128).price(&spec).per_image_us(batch);
     if hybrid {
         let bytes = (batch * m * 128 * precision.bytes()) as u64;
         let h2d = texid_gpu::cost::h2d_duration_us(&spec, bytes, true) / batch as f64;

@@ -20,7 +20,7 @@ use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, GpuSim};
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_knn::geometry::{verify_matches, RansacParams};
-use texid_knn::{match_pair, ExecMode, FeatureBlock, MatchConfig};
+use texid_knn::{match_pair, FeatureBlock, MatchConfig};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 const GENUINE: u64 = 30; // enrolled bricks
@@ -45,7 +45,7 @@ fn main() {
 
     // --- one-to-one verification ---
     println!("\n== one-to-one verification ==");
-    let matching = MatchConfig { exec: ExecMode::Full, ..MatchConfig::default() };
+    let matching = MatchConfig { ..MatchConfig::default() };
     let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
     let stream = sim.default_stream();
 

@@ -15,7 +15,7 @@ use texid_gpu::{DeviceSpec, GpuSim, Precision};
 use texid_image::io::write_pgm;
 use texid_image::{CaptureCondition, GrayImage, TextureGenerator};
 use texid_knn::geometry::{verify_matches, RansacParams};
-use texid_knn::{match_pair, ExecMode, FeatureBlock, MatchConfig};
+use texid_knn::{match_pair, FeatureBlock, MatchConfig};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 /// Draw a small cross at (x, y).
@@ -91,7 +91,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // Stage 3: matching + geometric verification.
-    let cfg = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
     let st = sim.default_stream();
     let out = match_pair(

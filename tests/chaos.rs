@@ -18,13 +18,13 @@ use texid_core::EngineConfig;
 use texid_distrib::api;
 use texid_distrib::cluster::{
     Cluster, ClusterConfig, Quarantine, QuarantineReason, ResilienceConfig, ShardHealth,
-    StoreConfig,
 };
-use texid_distrib::faults::{FaultPlan, FaultProbs};
+use texid_distrib::faults::{Backoff, FaultPlan, FaultProbs};
 use texid_distrib::http::http_call;
 use texid_distrib::json::parse;
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
+use texid_store::LogConfig;
 
 fn chaos_config(containers: usize) -> ClusterConfig {
     ClusterConfig {
@@ -131,13 +131,13 @@ fn heal_restores_prefault_results() {
     }
 }
 
-/// Pack-once across the cluster's write paths: shards pack their batches
-/// for the fused kernel at seal. Against a twin whose unfused configuration
-/// never packs, results and every shard report must agree bit for bit after
-/// `update_texture` (the old version's panels are swap-removed from its
-/// pack, the new version sealed beside it) and after `heal()` rebuilt a
-/// crashed shard — and its packs — from the store, while the other shards
-/// keep the batches their rewrites shrank in place.
+/// Pack-once across the cluster's write paths: shards pack each reference
+/// into its batch's panels as it arrives. Against a twin whose unfused
+/// configuration scans the same panels after a materialized GEMM, results
+/// and every shard report must agree bit for bit after `update_texture`
+/// (the new version overwrites the old one's columns in its slot) and after
+/// `heal()` rebuilt a crashed shard — and its panels — from the store,
+/// while the other shards keep the batches their rewrites edited in place.
 #[test]
 fn prepacked_shards_match_unfused_twin_through_update_and_heal() {
     let unfused_config = || {
@@ -313,7 +313,7 @@ fn acceptance_torn_wal_tail_heals_to_control_cluster() {
 #[test]
 fn corrupt_snapshot_is_reported_and_wal_tail_survives() {
     let config = ClusterConfig {
-        store: StoreConfig { snapshot_every: 4 },
+        store: LogConfig { snapshot_every: 4 },
         ..chaos_config(3)
     };
     // The 4th append triggers compaction; the snapshot write is bit-flipped
@@ -409,7 +409,7 @@ fn fault_events_are_recorded_exactly_once() {
     // More transients than the budget: retries stop at max_retries, the
     // leg fails once, and the search degrades once.
     let reg = Registry::new();
-    let budget = chaos_config(2).resilience.backoff.max_retries as u64;
+    let budget = Backoff::MAX_RETRIES as u64;
     let plan = FaultPlan::new(3).transient_search(0, 10);
     let cluster = Cluster::with_faults_in_registry(chaos_config(2), Some(plan), &reg);
     populate(&cluster, 4);
@@ -501,10 +501,7 @@ fn concurrent_chaos_reproduces_the_serial_run() {
     // i-th by client i % clients.
     let run = |clients: usize| -> (Vec<u64>, u64) {
         let config = ClusterConfig {
-            resilience: ResilienceConfig {
-                trip_threshold: SEARCHES as u32,
-                ..ResilienceConfig::default()
-            },
+            resilience: ResilienceConfig { trip_threshold: SEARCHES as u32 },
             ..chaos_config(SHARDS)
         };
         let reg = Registry::new();

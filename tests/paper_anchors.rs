@@ -6,8 +6,8 @@ use texid_cache::CacheConfig;
 use texid_core::capacity::{bytes_per_reference, device_capacity, hybrid_capacity};
 use texid_core::metrics::gpu_efficiency;
 use texid_core::{Engine, EngineConfig};
-use texid_gpu::{streams, DeviceSpec, GpuSim, Precision};
-use texid_knn::{match_batch, match_pair, Algorithm, ExecMode, FeatureBlock, MatchConfig};
+use texid_gpu::{streams, DeviceSpec, Precision};
+use texid_knn::{Algorithm, BatchWork, MatchConfig};
 use texid_linalg::Mat;
 use texid_sift::FeatureMatrix;
 
@@ -15,26 +15,23 @@ fn within(ours: f64, paper: f64, tol: f64) -> bool {
     (ours - paper).abs() <= paper * tol
 }
 
-fn timing_cfg(algorithm: Algorithm, precision: Precision) -> MatchConfig {
-    MatchConfig { algorithm, precision, exec: ExecMode::TimingOnly, ..MatchConfig::default() }
+fn config(algorithm: Algorithm, precision: Precision) -> MatchConfig {
+    MatchConfig { algorithm, precision, ..MatchConfig::default() }
 }
 
 fn pair_speed(algorithm: Algorithm, precision: Precision) -> f64 {
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let cfg = timing_cfg(algorithm, precision);
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768), precision, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), precision, cfg.scale);
-    match_pair(&cfg, &r, &q, &mut sim, st).steps.images_per_second()
+    let work = BatchWork::new(&config(algorithm, precision), 1, 768, 768, 128);
+    work.price(&DeviceSpec::tesla_p100()).images_per_second()
+}
+
+/// Images/s of one query against `batch` references of `m` features.
+fn batch_speed(spec: &DeviceSpec, cfg: &MatchConfig, batch: usize, m: usize, n: usize) -> f64 {
+    1e6 / BatchWork::new(cfg, batch, m, n, 128).price(spec).per_image_us(batch)
 }
 
 fn batched_speed(spec: &DeviceSpec, batch: usize, tensor_core: bool) -> f64 {
-    let mut sim = GpuSim::new(spec.clone());
-    let st = sim.default_stream();
-    let cfg = MatchConfig { tensor_core, ..timing_cfg(Algorithm::RootSiftTop2, Precision::F16) };
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 768 * batch), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    match_batch(&cfg, &r, batch, 768, &q, &mut sim, st).images_per_second()
+    let cfg = MatchConfig { tensor_core, ..config(Algorithm::RootSiftTop2, Precision::F16) };
+    batch_speed(spec, &cfg, batch, 768, 768)
 }
 
 #[test]
@@ -87,7 +84,7 @@ fn table4_efficiencies() {
 fn hybrid_engine(pinned: bool, streams_n: usize, batch: usize) -> Engine {
     Engine::new(EngineConfig {
         device: DeviceSpec::tesla_p100(),
-        matching: timing_cfg(Algorithm::RootSiftTop2, Precision::F16),
+        matching: config(Algorithm::RootSiftTop2, Precision::F16),
         m_ref: 768,
         n_query: 768,
         batch_size: batch,
@@ -134,14 +131,8 @@ fn table6_stream_scaling() {
 #[test]
 fn table7_asymmetric_speedup() {
     // m=384/n=768 at batch 256 is ~34.6% faster than symmetric 768/768.
-    let speed = |m: usize, n: usize| {
-        let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-        let st = sim.default_stream();
-        let cfg = timing_cfg(Algorithm::RootSiftTop2, Precision::F16);
-        let r = FeatureBlock::from_mat(Mat::zeros(128, m * 256), Precision::F16, cfg.scale);
-        let q = FeatureBlock::from_mat(Mat::zeros(128, n), Precision::F16, cfg.scale);
-        match_batch(&cfg, &r, 256, m, &q, &mut sim, st).images_per_second()
-    };
+    let cfg = config(Algorithm::RootSiftTop2, Precision::F16);
+    let speed = |m: usize, n: usize| batch_speed(&DeviceSpec::tesla_p100(), &cfg, 256, m, n);
     let sym = speed(768, 768);
     let asym = speed(384, 768);
     assert!(within(sym, 46_323.0, 0.10), "{sym}");
@@ -159,15 +150,11 @@ fn fig1_headline_factors() {
     // Speed: baseline 2,012 img/s -> optimized m=384 batch-256 hybrid
     // multi-stream pipeline ~31x.
     let baseline = pair_speed(Algorithm::OpenCvCuda, Precision::F32);
-    let mut sim = GpuSim::new(spec.clone());
-    let st = sim.default_stream();
-    let cfg = timing_cfg(Algorithm::RootSiftTop2, Precision::F16);
-    let r = FeatureBlock::from_mat(Mat::zeros(128, 384 * 256), Precision::F16, cfg.scale);
-    let q = FeatureBlock::from_mat(Mat::zeros(128, 768), Precision::F16, cfg.scale);
-    let out = match_batch(&cfg, &r, 256, 384, &q, &mut sim, st);
+    let cfg = config(Algorithm::RootSiftTop2, Precision::F16);
+    let per_image_us = BatchWork::new(&cfg, 256, 384, 768, 128).price(&spec).per_image_us(256);
     let h2d = texid_gpu::cost::h2d_duration_us(&spec, (256 * 384 * 128 * 2) as u64, true) / 256.0;
     let optimized = 1e6
-        / ((out.per_image_us() + h2d) * streams::stream_time_factor(&spec, 8));
+        / ((per_image_us + h2d) * streams::stream_time_factor(&spec, 8));
     let speed_factor = optimized / baseline;
     assert!((25.0..40.0).contains(&speed_factor), "speed factor {speed_factor} vs paper 31x");
 

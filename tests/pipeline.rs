@@ -7,7 +7,7 @@ use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, GpuSim, Precision};
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_knn::geometry::{verify_matches, verify_matches_homography, RansacParams};
-use texid_knn::{match_pair, Algorithm, ExecMode, FeatureBlock, MatchConfig};
+use texid_knn::{match_pair, Algorithm, FeatureBlock, MatchConfig};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 fn factory() -> TextureGenerator {
@@ -55,7 +55,7 @@ fn engine_identifies_recaptured_textures() {
 fn fp16_and_fp32_engines_agree() {
     let build = |precision| {
         let mut e = Engine::new(EngineConfig {
-            matching: MatchConfig { precision, exec: ExecMode::Full, ..MatchConfig::default() },
+            matching: MatchConfig { precision, ..MatchConfig::default() },
             m_ref: 256,
             n_query: 512,
             batch_size: 4,
@@ -98,7 +98,6 @@ fn all_matcher_algorithms_agree_on_identification() {
         let cfg = MatchConfig {
             algorithm: alg,
             precision: Precision::F32,
-            exec: ExecMode::Full,
             ..MatchConfig::default()
         };
         let rb = FeatureBlock::F32(r.mat.clone());
@@ -121,7 +120,7 @@ fn geometric_verification_recovers_capture_transform() {
     let img = cond.apply(&factory().generate(11), 0);
     let query = extract(&img, &SiftConfig::query(512));
 
-    let cfg = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
     let st = sim.default_stream();
     let out = match_pair(
@@ -164,7 +163,7 @@ fn homography_verification_handles_tilted_captures() {
     let img = cond.apply(&factory().generate(8), 0);
     let query = extract(&img, &SiftConfig::query(512));
 
-    let cfg = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
     let st = sim.default_stream();
     let out = match_pair(
@@ -205,7 +204,7 @@ fn asymmetric_reference_reduction_is_safe() {
     let full_r = extract(&factory().generate(2), &SiftConfig::reference(512));
     let q_full = query_features(2, 3);
 
-    let cfg = MatchConfig { precision: Precision::F32, exec: ExecMode::Full, ..MatchConfig::default() };
+    let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
     let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
     let st = sim.default_stream();
     let score = |r: &FeatureMatrix, q: &FeatureMatrix, sim: &mut GpuSim| {
