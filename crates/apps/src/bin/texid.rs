@@ -21,9 +21,11 @@
 //! 8-bit binary PGM.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use texid_core::{Engine, EngineConfig};
@@ -64,12 +66,23 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.get_parsed(key, default)
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_parsed(key, default)
+    }
+
+    /// An absent flag is `default`; a present one must parse.
+    fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|e| format!("invalid value {v:?} for --{key}: {e}")),
+        }
     }
 
     fn has(&self, key: &str) -> bool {
@@ -132,9 +145,9 @@ const USAGE: &str = "usage:
   texid obs diff --baseline FILE.json --current FILE.json [--threshold 1.5] [--check]";
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
-    let count = args.get_usize("count", 12);
-    let size = args.get_usize("size", 256);
-    let seed = args.get_usize("seed", 0x7ea) as u64;
+    let count = args.get_usize("count", 12)?;
+    let size = args.get_usize("size", 256)?;
+    let seed = args.get_usize("seed", 0x7ea)? as u64;
     let out = PathBuf::from(args.require("out")?);
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
     let generator = TextureGenerator { dataset_seed: seed, ..TextureGenerator::with_size(size) };
@@ -154,7 +167,7 @@ fn load_features(image_path: &Path, max_features: usize) -> Result<FeatureMatrix
 fn cmd_extract(args: &Args) -> Result<(), String> {
     let image = PathBuf::from(args.require("image")?);
     let out = PathBuf::from(args.require("out")?);
-    let max = args.get_usize("max", 768);
+    let max = args.get_usize("max", 768)?;
     let features = load_features(&image, max)?;
     std::fs::write(&out, wire::encode_features(&features)).map_err(|e| e.to_string())?;
     println!(
@@ -171,9 +184,9 @@ fn cmd_extract(args: &Args) -> Result<(), String> {
 fn cmd_search(args: &Args) -> Result<(), String> {
     let refs_dir = PathBuf::from(args.require("refs")?);
     let query_path = PathBuf::from(args.require("query")?);
-    let top = args.get_usize("top", 5);
-    let max_ref = args.get_usize("max-ref", 384);
-    let max_query = args.get_usize("max-query", 768);
+    let top = args.get_usize("top", 5)?;
+    let max_ref = args.get_usize("max-ref", 384)?;
+    let max_query = args.get_usize("max-query", 768)?;
 
     let mut engine = Engine::new(EngineConfig {
         m_ref: max_ref,
@@ -219,8 +232,8 @@ fn cmd_search(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let port = args.get_usize("port", 0);
-    let containers = args.get_usize("containers", 4);
+    let port = args.get_usize("port", 0)?;
+    let containers = args.get_usize("containers", 4)?;
     let cluster = Arc::new(Cluster::new(ClusterConfig {
         containers,
         engine: EngineConfig::default(),
@@ -273,9 +286,9 @@ fn cmd_capacity() -> Result<(), String> {
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
     use texid_gpu::{pipeline, DeviceSpec, Precision};
-    let streams = args.get_usize("streams", 4);
-    let chunks = args.get_usize("chunks", 16);
-    let batch = args.get_usize("batch", 64);
+    let streams = args.get_usize("streams", 4)?;
+    let chunks = args.get_usize("chunks", 16)?;
+    let batch = args.get_usize("batch", 64)?;
     let out = PathBuf::from(args.get("out").unwrap_or("pipeline.trace.json"));
     if streams == 0 || chunks == 0 || batch == 0 {
         return Err("--streams, --chunks, and --batch must be positive".to_string());
@@ -498,9 +511,9 @@ fn cmd_events(action: Option<&str>, args: &Args) -> Result<(), String> {
     }
     let addr = parse_addr(args.require("addr")?)?;
     let follow = args.has("follow");
-    let limit = args.get_usize("limit", 20);
-    let interval = std::time::Duration::from_millis(args.get_usize("interval-ms", 1000) as u64);
-    let max_polls = args.get_usize("max-polls", usize::MAX);
+    let limit = args.get_usize("limit", 20)?;
+    let interval = std::time::Duration::from_millis(args.get_usize("interval-ms", 1000)? as u64);
+    let max_polls = args.get_usize("max-polls", usize::MAX)?;
 
     // The flight recorder is a bounded ring, so tailing is client-side:
     // each poll refetches the whole window and prints only records whose
@@ -626,8 +639,8 @@ fn sample_by_label(samples: &[Sample], name: &str, label: &str) -> Vec<(String, 
 
 fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = parse_addr(args.require("addr")?)?;
-    let interval = std::time::Duration::from_millis(args.get_usize("interval-ms", 2000) as u64);
-    let iterations = args.get_usize("iterations", usize::MAX);
+    let interval = std::time::Duration::from_millis(args.get_usize("interval-ms", 2000)? as u64);
+    let iterations = args.get_usize("iterations", usize::MAX)?;
     let clear = !args.has("no-clear");
 
     for i in 0.. {
@@ -739,7 +752,7 @@ fn cmd_obs(action: Option<&str>, args: &Args) -> Result<(), String> {
     }
     let baseline_path = PathBuf::from(args.require("baseline")?);
     let current_path = PathBuf::from(args.require("current")?);
-    let threshold = args.get_f64("threshold", 1.5);
+    let threshold = args.get_f64("threshold", 1.5)?;
     if threshold <= 1.0 {
         return Err("--threshold must be > 1.0".to_string());
     }

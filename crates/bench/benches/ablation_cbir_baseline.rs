@@ -11,10 +11,10 @@
 //! 2. pooled 1-NN voting without a ratio test (BoW-style),
 //! 3. the paper's per-image 2-NN matching (our engine).
 
+use texid_bench::eval::{build_dataset, top1_accuracy, EvalConfig, Severity, MIN_MATCHES};
+use texid_bench::pooled::PooledIndex;
 use texid_bench::{heading, row};
-use texid_core::eval::{build_dataset, top1_accuracy, EvalConfig, Severity, MIN_MATCHES};
 use texid_gpu::Precision;
-use texid_knn::pooled::PooledIndex;
 use texid_knn::MatchConfig;
 
 fn main() {

@@ -11,8 +11,8 @@
 //!   kernels vs Algorithm 2's two-kernel pipeline (batch 1, where the fixed
 //!   steps are not yet amortized).
 
+use texid_bench::eval::{build_dataset, top1_accuracy, EvalConfig, Severity};
 use texid_bench::{heading, row, thousands};
-use texid_core::eval::{build_dataset, top1_accuracy, EvalConfig, Severity};
 use texid_gpu::{DeviceSpec, Precision};
 use texid_knn::{Algorithm, BatchWork, MatchConfig};
 

@@ -8,14 +8,15 @@
 //! and per-reference memory.
 
 use rand::SeedableRng;
+use texid_bench::hamming::{score_binary, HammingConfig};
+use texid_bench::orb::{extract_orb, BinaryFeatures, OrbConfig};
+use texid_bench::surf::{extract_surf, SurfConfig};
 use texid_bench::{heading, row, thousands};
 use texid_core::capacity::{bytes_per_reference, hybrid_capacity};
 use texid_gpu::{DeviceSpec, Precision};
 use texid_image::{CaptureCondition, TextureGenerator};
 use texid_knn::{score_pair, BatchWork, FeatureBlock, MatchConfig};
-use texid_knn::hamming::{score_binary, HammingConfig};
-use texid_sift::orb::{extract_orb, BinaryFeatures, OrbConfig};
-use texid_sift::{extract, extract_surf, FeatureMatrix, SiftConfig, SurfConfig};
+use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 const N_REFS: usize = 20;
 const N_QUERIES: usize = 16;

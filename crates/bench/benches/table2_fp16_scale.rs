@@ -14,8 +14,8 @@
 //!   so absolute accuracy differs; the *flatness* across 2⁻² … 2⁻¹² and the
 //!   degradation beyond are the reproduced shape).
 
+use texid_bench::eval::{build_dataset, compression_error, top1_accuracy, EvalConfig, Severity};
 use texid_bench::{heading, row};
-use texid_core::eval::{build_dataset, compression_error, top1_accuracy, EvalConfig, Severity};
 use texid_gpu::Precision;
 use texid_knn::MatchConfig;
 use texid_linalg::gemm::gemm_at_b_f16acc;

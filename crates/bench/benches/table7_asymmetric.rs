@@ -6,8 +6,8 @@
 //! legitimate because the detector sorts by response). Speed comes from the
 //! calibrated timing model at batch 256.
 
+use texid_bench::eval::{build_dataset, top1_accuracy, Dataset, EvalConfig, Severity};
 use texid_bench::{heading, row, thousands};
-use texid_core::eval::{build_dataset, top1_accuracy, Dataset, EvalConfig, Severity};
 use texid_gpu::{DeviceSpec, Precision};
 use texid_knn::{BatchWork, MatchConfig};
 

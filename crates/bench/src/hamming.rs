@@ -12,7 +12,7 @@
 //! co-optimizations of §4–§6.
 
 use texid_linalg::Top2;
-use texid_sift::orb::{hamming, BinaryFeatures, ORB_WORDS};
+use crate::orb::{hamming, BinaryFeatures, ORB_WORDS};
 
 /// Hamming matching configuration.
 #[derive(Clone, Copy, Debug)]
@@ -86,7 +86,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use texid_image::{CaptureCondition, TextureGenerator};
-    use texid_sift::orb::{extract_orb, OrbConfig};
+    use crate::orb::{extract_orb, OrbConfig};
     use texid_sift::Keypoint;
 
     fn kp() -> Keypoint {

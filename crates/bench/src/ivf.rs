@@ -14,12 +14,12 @@
 //! Runs use real references and matching (recall needs real rankings) on
 //! `batch_size = 1` engines so the probe prunes at single-reference
 //! granularity. All engines share one seeded dataset from
-//! [`texid_core::eval`]; throughput is computed in the simulated-time
+//! [`crate::eval`]; throughput is computed in the simulated-time
 //! domain, so the numbers are bit-stable run to run. The `nprobe = nlist`
 //! cells double as a live check of the bit-exactness contract: they must
 //! report recall 1.0 and zero pruned batches.
 
-use texid_core::eval::{build_dataset, Dataset, EvalConfig, Severity};
+use crate::eval::{build_dataset, Dataset, EvalConfig, Severity};
 use texid_core::{Engine, EngineConfig};
 use texid_knn::pair::{IvfParams, MatchConfig};
 

@@ -13,9 +13,21 @@
 //! `texid bench throughput`. [`ivf`] sweeps the coarse quantizer's
 //! `(nlist, nprobe)` grid for recall@1 vs effective throughput and emits
 //! `BENCH_ivf.json`; see `texid bench ivf`.
+//!
+//! The rest is code that only the ablations and accuracy tables run, kept
+//! out of the serving crates: [`eval`] is the dataset/accuracy harness of
+//! Tables 2 and 7; [`surf`] (on [`integral`] images) and [`orb`] with its
+//! [`hamming`] matcher are the descriptor alternatives of §3.1; [`pooled`]
+//! is the CBIR-style pooled search the paper argues against (§2).
 
+pub mod eval;
+pub mod hamming;
+pub mod integral;
 pub mod ivf;
 pub mod kernels;
+pub mod orb;
+pub mod pooled;
+pub mod surf;
 pub mod throughput;
 
 /// Structural validation of an emitted `BENCH_*.json` report, on the value

@@ -7,12 +7,12 @@
 //! orientation, packed into 32 bytes.
 //!
 //! ORB descriptors are *binary*: matching uses Hamming distance
-//! (`texid_knn::hamming`), not the paper's GEMM pipeline — which is exactly
+//! (`crate::hamming`), not the paper's GEMM pipeline — which is exactly
 //! why the paper stays with float descriptors: binary matching cannot ride
 //! cuBLAS/tensor cores. The `ablation_sift_vs_surf` bench quantifies the
 //! accuracy side of that trade.
 
-use crate::keypoint::Keypoint;
+use texid_sift::Keypoint;
 use texid_image::filter::resize_bilinear;
 use texid_image::GrayImage;
 

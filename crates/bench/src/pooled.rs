@@ -11,8 +11,8 @@
 //! This module implements that pooled baseline faithfully so the claim can
 //! be measured (`benches/ablation_cbir_baseline.rs`) instead of assumed.
 
-use crate::batched::rootsift_distances;
-use crate::ratio::good_matches;
+use texid_knn::batched::rootsift_distances;
+use texid_knn::good_matches;
 use texid_linalg::kernel::{gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::{active_backend, Mat};
 

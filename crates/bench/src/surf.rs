@@ -9,7 +9,7 @@
 //! to RootSIFT.
 
 use crate::integral::IntegralImage;
-use crate::keypoint::Keypoint;
+use texid_sift::Keypoint;
 use texid_image::GrayImage;
 use texid_linalg::Mat;
 
@@ -260,7 +260,7 @@ fn descriptor(ii: &IntegralImage, kp_x: f64, kp_y: f64, scale: f64, angle: f32) 
 
 /// Run SURF on `image`, keeping the strongest `cfg.max_features` features.
 /// Returns a `64 × m` feature matrix with unit-norm columns.
-pub fn extract_surf(image: &GrayImage, cfg: &SurfConfig) -> crate::FeatureMatrix {
+pub fn extract_surf(image: &GrayImage, cfg: &SurfConfig) -> texid_sift::FeatureMatrix {
     let upscaled;
     let (work, coord_scale) = if cfg.upscale {
         upscaled = texid_image::filter::resize_bilinear(image, image.width() * 2, image.height() * 2);
@@ -309,7 +309,7 @@ pub fn extract_surf(image: &GrayImage, cfg: &SurfConfig) -> crate::FeatureMatrix
         keypoints.push(kp);
         data.extend_from_slice(&d);
     }
-    crate::FeatureMatrix {
+    texid_sift::FeatureMatrix {
         keypoints,
         mat: Mat::from_col_major(SURF_DIM, m, data),
         rootsift: false, // L2-normalized, but not a Hellinger embedding
@@ -404,7 +404,7 @@ mod tests {
         let q = extract_surf(&q_img, &SurfConfig { max_features: 768, ..Default::default() });
         assert!(q.len() > 200);
 
-        let score = |r: &crate::FeatureMatrix| {
+        let score = |r: &texid_sift::FeatureMatrix| {
             let a = gemm_at_b(texid_linalg::active_backend(), -2.0, &r.mat, &q.mat);
             top2_min_per_column(&a, 1, a.rows())
                 .iter()

@@ -15,19 +15,18 @@
 //!
 //! [`Engine`] is the single-node search engine (one GPU card);
 //! `texid-distrib` builds the 14-card distributed system of §8 on top of it.
-//! [`eval`] provides the dataset/accuracy harness used for the paper's
-//! Table 2 and Table 7 experiments; [`metrics`] implements Eq. 3 (GPU
-//! efficiency) and Eq. 4 (schedule efficiency); [`capacity`] the feature
-//! cache capacity model behind Fig. 1 and §8.
+//! [`Coalescer`] groups concurrent queries into one batched sweep;
+//! [`metrics`] implements Eq. 3 (GPU efficiency) and Eq. 4 (schedule
+//! efficiency); [`capacity`] the feature cache capacity model behind Fig. 1
+//! and §8. The dataset/accuracy harness behind Tables 2 and 7 lives in
+//! `texid-bench`.
 
 pub mod capacity;
 pub mod coalesce;
 pub mod engine;
-pub mod eval;
 pub mod metrics;
 
 pub use coalesce::{CoalesceConfig, Coalescer};
 pub use engine::{
     EncodedQuery, EncodedReference, Engine, EngineConfig, SearchReport, SearchResult,
 };
-pub use eval::{build_dataset, compression_error, top1_accuracy, Dataset, EvalConfig};

@@ -165,11 +165,6 @@ impl GpuSim {
         self.mem.free_bytes()
     }
 
-    /// Peak bytes ever in use.
-    pub fn mem_peak(&self) -> u64 {
-        self.mem.peak()
-    }
-
     // ---- timed operations ----
 
     fn stream_ready(&self, stream: StreamId) -> f64 {

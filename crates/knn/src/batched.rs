@@ -252,7 +252,7 @@ pub(crate) fn scan_product(a: &Mat, precision: Precision, batch: usize, m_per_re
 
 /// The `ρ = √(2 + A/s²)` epilogue of Algorithm 2 (unit-norm RootSIFT
 /// columns), applied to the two survivors of each scan.
-pub(crate) fn rootsift_distances(raw: &[Top2], s2: f32) -> Vec<Top2> {
+pub fn rootsift_distances(raw: &[Top2], s2: f32) -> Vec<Top2> {
     let inv = 1.0 / s2;
     raw.iter()
         .map(|t| Top2 {

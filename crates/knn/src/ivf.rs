@@ -215,7 +215,6 @@ pub struct IvfIndex {
     norms: Vec<f32>,
     postings: Vec<Vec<u64>>,
     indexed: BTreeSet<u64>,
-    iterations: usize,
 }
 
 impl IvfIndex {
@@ -235,7 +234,6 @@ impl IvfIndex {
             norms,
             postings: vec![Vec::new(); nlist],
             indexed: BTreeSet::new(),
-            iterations: km.iterations,
         }
     }
 
@@ -247,11 +245,6 @@ impl IvfIndex {
     /// Descriptor dimensionality the quantizer was trained on.
     pub fn dim(&self) -> usize {
         self.centroids.rows()
-    }
-
-    /// Lloyd iterations the training run used.
-    pub fn train_iterations(&self) -> usize {
-        self.iterations
     }
 
     /// The trained centroid matrix (`d × nlist`).

@@ -19,14 +19,15 @@
 //! Post-matching: [`ratio`] (ratio test + match scoring) and [`geometry`]
 //! (RANSAC similarity verification — the pipeline stage the paper describes
 //! in Fig. 2 but excludes from its speed runs).
+//!
+//! The ablation-only matchers — Hamming 2-NN for binary ORB descriptors and
+//! CBIR-style pooled search — live in `texid-bench`.
 
 pub mod batched;
 pub mod block;
 pub mod geometry;
-pub mod hamming;
 pub mod ivf;
 pub mod pair;
-pub mod pooled;
 pub mod ratio;
 
 pub use batched::{match_batch, score_batch, score_batch_packed, BatchOutcome, BatchWork};

@@ -174,11 +174,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume into the underlying storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Horizontally concatenate matrices with identical row counts
     /// (the paper's reference-matrix *batching*: `[R₁ R₂ … R_B]`).
     ///

@@ -6,10 +6,14 @@
 //! `measured / predicted` — where "predicted" is the unperturbed model
 //! output for the exact query shape just served and "measured" is what
 //! the shard actually took (including any straggle, stall, or backoff).
-//! A healthy deployment sits at 1.0 on every stage; a kernel regression,
-//! a miscalibrated `BENCH_kernels.json` baseline, or injected faults push
-//! individual stages away from 1.0, which `texid_model_drift_ratio{stage}`
-//! gauges surface without anyone re-running benches.
+//! A healthy deployment sits at 1.0 on every stage. Both sides of the
+//! ratio are sim-clock: "measured" is the shard report after the fault
+//! layer has perturbed it (`SearchReport::perturbed`). So only injected
+//! stage stalls, stragglers and retry backoff move
+//! `texid_model_drift_ratio{stage}` away from 1.0; a kernel regression or a
+//! miscalibrated `BENCH_kernels.json` baseline leaves it at 1.0. ROADMAP
+//! item 5 (a host cost model fitted from `texid bench kernels`, against
+//! measured wall time) is what would make the ratio host-meaningful.
 
 use std::sync::Mutex;
 

@@ -16,19 +16,18 @@
 //!   more (n = 768), halving reference memory with negligible accuracy loss;
 //! * **Edge-feature removal**: keypoints whose descriptor window leaves the
 //!   image are discarded (the paper's post-processing step).
+//!
+//! Serving extracts SIFT/RootSIFT only. The SURF and ORB extractors the
+//! paper's §3.1 also admits live in `texid-bench`, beside the
+//! `ablation_sift_vs_surf` bench that runs them.
 
 pub mod descriptor;
 pub mod detect;
 pub mod features;
-pub mod integral;
 pub mod keypoint;
-pub mod orb;
 pub mod orientation;
 pub mod pyramid;
 pub mod rootsift;
-pub mod surf;
 
 pub use features::{extract, FeatureMatrix, SiftConfig};
 pub use keypoint::Keypoint;
-pub use orb::{extract_orb, OrbConfig};
-pub use surf::{extract_surf, SurfConfig};

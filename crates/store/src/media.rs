@@ -182,13 +182,6 @@ impl Volume {
             snapshot: Arc::new(FileMedia::open(dir.join("store.snap"))?),
         })
     }
-
-    /// A volume over caller-supplied media — the chaos suite uses this to
-    /// keep a concrete [`MemMedia`] handle it can tear and bit-flip while
-    /// the store writes through the trait object.
-    pub fn from_media(wal: Arc<dyn Media>, snapshot: Arc<dyn Media>) -> Volume {
-        Volume { wal, snapshot }
-    }
 }
 
 #[cfg(test)]
