@@ -20,6 +20,8 @@
 //! [`hamming`] matcher are the descriptor alternatives of §3.1; [`pooled`]
 //! is the CBIR-style pooled search the paper argues against (§2).
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod hamming;
 pub mod integral;

@@ -195,7 +195,7 @@ fn build_shard(refs: usize, batch_size: usize, m_ref: usize, n_query: usize) -> 
     let matching = MatchConfig { ..MatchConfig::default() };
     let batch_bytes =
         (batch_size * m_ref * 128 * matching.precision.bytes()) as u64;
-    let budget = device.mem_bytes - device.context_overhead_bytes;
+    let budget = device.cache_budget(0);
     let cache = CacheConfig {
         // Leave room for ~1.5 batches on the device: the newest batch stays
         // resident, everything older is swapped to (pinned) host memory.

@@ -10,13 +10,16 @@
 //!
 //! The cache is generic over the payload so it does not depend on any
 //! particular matrix type; `texid-core` instantiates it with reference
-//! feature blocks. Device residency is charged against the [`GpuSim`]
-//! memory budget for real, so a search engine cannot oversubscribe the
-//! simulated card.
+//! feature blocks. Each tier keeps a byte ledger: device residency is
+//! held to [`DeviceSpec::cache_budget`], host residency to
+//! [`CacheConfig::host_capacity_bytes`], so a search engine cannot
+//! oversubscribe the simulated card.
+
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use texid_gpu::{BufferId, GpuSim};
+use texid_gpu::{cost, DeviceSpec};
 use texid_obs::Counter;
 
 /// Cached telemetry handles (one global family per event; all caches in a
@@ -168,13 +171,7 @@ impl StatCells {
     }
 }
 
-struct DeviceEntry<T> {
-    id: u64,
-    payload: T,
-    buffer: BufferId,
-}
-
-struct HostEntry<T> {
+struct Entry<T> {
     id: u64,
     payload: T,
 }
@@ -183,7 +180,7 @@ struct HostEntry<T> {
 ///
 /// ```
 /// use texid_cache::{CacheConfig, HybridCache, Payload, Tier};
-/// use texid_gpu::{DeviceSpec, GpuSim};
+/// use texid_gpu::DeviceSpec;
 ///
 /// struct Blob(u64);
 /// impl Payload for Blob {
@@ -194,34 +191,36 @@ struct HostEntry<T> {
 /// let mut spec = DeviceSpec::tesla_p100();
 /// spec.mem_bytes = 1 << 30;
 /// spec.context_overhead_bytes = 0;
-/// let mut sim = GpuSim::new(spec);
-/// let mut cache = HybridCache::new(CacheConfig {
-///     host_capacity_bytes: 64 << 30,
-///     device_reserve_bytes: 0,
-///     pinned: true,
-/// });
+/// let mut cache = HybridCache::new(
+///     CacheConfig { host_capacity_bytes: 64 << 30, device_reserve_bytes: 0, pinned: true },
+///     &spec,
+/// );
 /// for id in 0..11u64 {
-///     cache.insert(id, Blob(100 << 20), &mut sim).unwrap();
+///     cache.insert(id, Blob(100 << 20)).unwrap();
 /// }
 /// assert_eq!(cache.tier_of(0), Some(Tier::Host));   // oldest swapped out
 /// assert_eq!(cache.tier_of(10), Some(Tier::Device)); // newest on device
 /// ```
 pub struct HybridCache<T: Payload> {
     cfg: CacheConfig,
-    device: VecDeque<DeviceEntry<T>>,
-    host: VecDeque<HostEntry<T>>,
+    spec: DeviceSpec,
+    device: VecDeque<Entry<T>>,
+    host: VecDeque<Entry<T>>,
+    device_used: u64,
     host_used: u64,
     stats: StatCells,
     telemetry: Telemetry,
 }
 
 impl<T: Payload> HybridCache<T> {
-    /// Create an empty cache.
-    pub fn new(cfg: CacheConfig) -> HybridCache<T> {
+    /// Create an empty cache in front of the card `spec` describes.
+    pub fn new(cfg: CacheConfig, spec: &DeviceSpec) -> HybridCache<T> {
         HybridCache {
             cfg,
+            spec: spec.clone(),
             device: VecDeque::new(),
             host: VecDeque::new(),
+            device_used: 0,
             host_used: 0,
             stats: StatCells::default(),
             telemetry: Telemetry::register(),
@@ -236,30 +235,23 @@ impl<T: Payload> HybridCache<T> {
     /// Insert a new batch: enqueue into device memory, swapping the oldest
     /// device batches to host until the new one fits (§6.1's FIFO).
     ///
-    /// Swap-outs charge a D2H copy on `sim`'s default stream.
-    pub fn insert(&mut self, id: u64, payload: T, sim: &mut GpuSim) -> Result<(), CacheError> {
+    /// Each swap-out is charged the D2H copy of the batch it moves.
+    pub fn insert(&mut self, id: u64, payload: T) -> Result<(), CacheError> {
         let bytes = payload.size_bytes();
-        let device_budget = sim
-            .spec()
-            .mem_bytes
-            .saturating_sub(sim.spec().context_overhead_bytes)
-            .saturating_sub(self.cfg.device_reserve_bytes);
+        let reserve = self.cfg.device_reserve_bytes;
+        let device_budget = self.spec.cache_budget(reserve);
         if bytes > device_budget {
             return Err(CacheError::PayloadTooLarge { requested: bytes, device_budget });
         }
 
         loop {
             // Keep the engine's reserve free on the device.
-            if sim.mem_free() >= bytes + self.cfg.device_reserve_bytes {
-                match sim.alloc(bytes) {
-                    Ok(buffer) => {
-                        self.device.push_back(DeviceEntry { id, payload, buffer });
-                        self.stats.inserted.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.inserts.inc();
-                        return Ok(());
-                    }
-                    Err(_) => { /* fall through to swap */ }
-                }
+            if self.spec.cache_budget(0) - self.device_used >= bytes + reserve {
+                self.device_used += bytes;
+                self.device.push_back(Entry { id, payload });
+                self.stats.inserted.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.inserts.inc();
+                return Ok(());
             }
             // Swap the oldest device batch to host.
             let Some(oldest) = self.device.pop_front() else {
@@ -271,25 +263,23 @@ impl<T: Payload> HybridCache<T> {
                 self.device.push_front(oldest);
                 return Err(CacheError::CapacityExhausted { requested: bytes });
             }
-            sim.free(oldest.buffer);
-            let stream = sim.default_stream();
-            let rec = sim.d2h(stream, ob);
             let us = f64::from_bits(self.stats.swap_copy_us_bits.load(Ordering::Relaxed))
-                + rec.duration_us();
+                + cost::d2h_duration_us(&self.spec, ob);
             self.stats.swap_copy_us_bits.store(us.to_bits(), Ordering::Relaxed);
             self.stats.swaps.fetch_add(1, Ordering::Relaxed);
             self.telemetry.evictions.inc();
+            self.device_used -= ob;
             self.host_used += ob;
-            self.host.push_back(HostEntry { id: oldest.id, payload: oldest.payload });
+            self.host.push_back(oldest);
         }
     }
 
-    /// Drop a batch from whichever tier holds it, giving its device buffer
-    /// or host bytes back. The other entries keep their order.
-    pub fn remove(&mut self, id: u64, sim: &mut GpuSim) -> Option<T> {
+    /// Drop a batch from whichever tier holds it, giving its bytes back to
+    /// that tier. The other entries keep their order.
+    pub fn remove(&mut self, id: u64) -> Option<T> {
         if let Some(at) = self.device.iter().position(|e| e.id == id) {
             let entry = self.device.remove(at)?;
-            sim.free(entry.buffer);
+            self.device_used -= entry.payload.size_bytes();
             return Some(entry.payload);
         }
         let at = self.host.iter().position(|e| e.id == id)?;
@@ -300,30 +290,24 @@ impl<T: Payload> HybridCache<T> {
 
     /// Let `change` edit a cached payload in place (shrink it, or overwrite
     /// it at the same size), then account for its new `size_bytes()` where
-    /// it sits — same FIFO slot, same tier; on the device tier the buffer
-    /// is traded for one of the new size. Returns `false` (and never calls
-    /// `change`) for an unknown id. A payload that `change` would leave
-    /// empty is the caller's to [`Self::remove`].
-    pub fn edit(&mut self, id: u64, sim: &mut GpuSim, change: impl FnOnce(&mut T)) -> bool {
-        if let Some(entry) = self.device.iter_mut().find(|e| e.id == id) {
-            change(&mut entry.payload);
-            debug_assert!(
-                entry.payload.size_bytes() > 0,
-                "an emptied batch is removed, not edited"
-            );
-            sim.free(entry.buffer);
-            entry.buffer = sim
-                .alloc(entry.payload.size_bytes())
-                .expect("an edited batch fits in the buffer it just gave back");
-            true
-        } else if let Some(entry) = self.host.iter_mut().find(|e| e.id == id) {
-            let before = entry.payload.size_bytes();
-            change(&mut entry.payload);
-            self.host_used = self.host_used - before + entry.payload.size_bytes();
-            true
+    /// it sits — same FIFO slot, same tier, same ledger. Returns `false`
+    /// (and never calls `change`) for an unknown id. A payload that `change`
+    /// would leave empty is the caller's to [`Self::remove`].
+    pub fn edit(&mut self, id: u64, change: impl FnOnce(&mut T)) -> bool {
+        let (entry, used) = if let Some(e) = self.device.iter_mut().find(|e| e.id == id) {
+            (e, &mut self.device_used)
+        } else if let Some(e) = self.host.iter_mut().find(|e| e.id == id) {
+            (e, &mut self.host_used)
         } else {
-            false
-        }
+            return false;
+        };
+        let before = entry.payload.size_bytes();
+        change(&mut entry.payload);
+        let after = entry.payload.size_bytes();
+        debug_assert!(after > 0, "an emptied batch is removed, not edited");
+        debug_assert!(after <= before, "an edit shrinks or overwrites a batch, never grows it");
+        *used = *used - before + after;
+        true
     }
 
     /// Every cached batch in search order (device-resident first — they
@@ -382,6 +366,12 @@ impl<T: Payload> HybridCache<T> {
         self.host.len()
     }
 
+    /// Device bytes in use (the context overhead and the reserve are not
+    /// the cache's, so an empty cache reads 0).
+    pub fn device_used_bytes(&self) -> u64 {
+        self.device_used
+    }
+
     /// Host bytes in use.
     pub fn host_used_bytes(&self) -> u64 {
         self.host_used
@@ -390,17 +380,6 @@ impl<T: Payload> HybridCache<T> {
     /// Statistics so far (a point-in-time snapshot of the atomic cells).
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// Total cache capacity in bytes (device budget + host), given the
-    /// simulated card. This is Fig. 1's "capacity" axis denominator.
-    pub fn total_capacity_bytes(&self, sim: &GpuSim) -> u64 {
-        let device_budget = sim
-            .spec()
-            .mem_bytes
-            .saturating_sub(sim.spec().context_overhead_bytes)
-            .saturating_sub(self.cfg.device_reserve_bytes);
-        device_budget + self.cfg.host_capacity_bytes
     }
 }
 
@@ -418,12 +397,12 @@ mod tests {
         }
     }
 
-    fn small_device_sim() -> GpuSim {
+    fn small_device() -> DeviceSpec {
         // Shrink the card so tests exercise swapping quickly.
         let mut spec = DeviceSpec::tesla_p100();
         spec.mem_bytes = 1 << 30; // 1 GiB
         spec.context_overhead_bytes = 0;
-        GpuSim::new(spec)
+        spec
     }
 
     fn cfg(host_gb: u64, reserve_mb: u64) -> CacheConfig {
@@ -438,23 +417,21 @@ mod tests {
 
     #[test]
     fn inserts_go_to_device_first() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
-        cache.insert(0, Blob(100 * MB), &mut sim).unwrap();
-        cache.insert(1, Blob(100 * MB), &mut sim).unwrap();
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        cache.insert(0, Blob(100 * MB)).unwrap();
+        cache.insert(1, Blob(100 * MB)).unwrap();
         assert_eq!(cache.device_len(), 2);
         assert_eq!(cache.host_len(), 0);
         assert_eq!(cache.tier_of(0), Some(Tier::Device));
-        assert_eq!(sim.mem_used(), 200 * MB);
+        assert_eq!(cache.device_used_bytes(), 200 * MB);
     }
 
     #[test]
     fn fifo_swap_to_host_when_device_full() {
-        let mut sim = small_device_sim(); // 1 GiB device
-        let mut cache = HybridCache::new(cfg(1, 0));
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
         // 11 × 100 MB: the 11th forces the oldest (id 0) to host.
         for id in 0..11u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         assert_eq!(cache.device_len(), 10);
         assert_eq!(cache.host_len(), 1);
@@ -466,52 +443,49 @@ mod tests {
 
     #[test]
     fn device_reserve_respected() {
-        let mut sim = small_device_sim();
         // Reserve 512 MB of the 1 GiB: only ~512 MB usable by the cache.
-        let mut cache = HybridCache::new(cfg(1, 512));
+        let mut cache = HybridCache::new(cfg(1, 512), &small_device());
         for id in 0..6u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         assert_eq!(cache.device_len(), 5);
         assert_eq!(cache.host_len(), 1);
-        assert!(sim.mem_free() >= 512 * MB);
+        assert!(small_device().mem_bytes - cache.device_used_bytes() >= 512 * MB);
     }
 
     #[test]
     fn capacity_exhausted_when_host_full() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(CacheConfig {
-            host_capacity_bytes: 150 * MB,
-            device_reserve_bytes: 0,
-            pinned: true,
-        });
+        let mut cache = HybridCache::new(
+            CacheConfig { host_capacity_bytes: 150 * MB, device_reserve_bytes: 0, pinned: true },
+            &small_device(),
+        );
         for id in 0..10u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         // Device (10×100 MB) full; host fits one swap; second insert after
         // that must fail.
-        cache.insert(10, Blob(100 * MB), &mut sim).unwrap(); // swap id 0
-        let err = cache.insert(11, Blob(100 * MB), &mut sim).unwrap_err();
+        cache.insert(10, Blob(100 * MB)).unwrap(); // swap id 0
+        let (device, host) = (cache.device_used_bytes(), cache.host_used_bytes());
+        let err = cache.insert(11, Blob(100 * MB)).unwrap_err();
         assert_eq!(err, CacheError::CapacityExhausted { requested: 100 * MB });
-        // State stays consistent.
+        // State stays consistent: the refusal moved no bytes on either ledger.
         assert_eq!(cache.len(), 11);
         assert_eq!(cache.host_len(), 1);
+        assert_eq!((cache.device_used_bytes(), cache.host_used_bytes()), (device, host));
     }
 
     #[test]
     fn oversized_payload_rejected_up_front() {
-        let mut sim = small_device_sim();
-        let mut cache: HybridCache<Blob> = HybridCache::new(cfg(64, 0));
-        let err = cache.insert(0, Blob(2 << 30), &mut sim).unwrap_err();
+        let mut cache: HybridCache<Blob> = HybridCache::new(cfg(64, 0), &small_device());
+        let err = cache.insert(0, Blob(2 << 30)).unwrap_err();
         assert!(matches!(err, CacheError::PayloadTooLarge { .. }));
     }
 
     #[test]
     fn search_order_device_then_host_fifo() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
         for id in 0..12u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         // ids 0,1 swapped to host; device holds 2..=11.
         let order: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
@@ -533,10 +507,9 @@ mod tests {
 
     #[test]
     fn multiple_swaps_preserve_fifo_order_on_host() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
         for id in 0..15u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         let host_ids: Vec<u64> = cache
             .iter()
@@ -548,13 +521,12 @@ mod tests {
 
     #[test]
     fn big_payload_evicts_several_small_ones() {
-        let mut sim = small_device_sim();
-        let mut cache = HybridCache::new(cfg(1, 0));
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
         for id in 0..10u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         // 300 MB needs three swap-outs.
-        cache.insert(100, Blob(300 * MB), &mut sim).unwrap();
+        cache.insert(100, Blob(300 * MB)).unwrap();
         assert_eq!(cache.stats().swaps, 3);
         assert_eq!(cache.host_len(), 3);
         assert_eq!(cache.tier_of(100), Some(Tier::Device));
@@ -562,63 +534,61 @@ mod tests {
 
     #[test]
     fn shrink_and_remove_account_in_place_on_both_tiers() {
-        let mut sim = small_device_sim();
-        let empty = sim.mem_used();
-        let mut cache = HybridCache::new(cfg(1, 0));
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
         for id in 0..12u64 {
-            cache.insert(id, Blob(100 * MB), &mut sim).unwrap();
+            cache.insert(id, Blob(100 * MB)).unwrap();
         }
         let order = |c: &HybridCache<Blob>| c.iter().map(|(id, _, t)| (id, t)).collect::<Vec<_>>();
         let before = order(&cache); // device 2..=11, then host 0, 1
 
         // One on each tier shrinks where it sits: slot and tier stay.
-        assert!(cache.edit(5, &mut sim, |b| b.0 = 40 * MB));
-        assert!(cache.edit(1, &mut sim, |b| b.0 = 30 * MB));
-        assert!(!cache.edit(99, &mut sim, |_| panic!("unknown id must not be edited")));
+        assert!(cache.edit(5, |b| b.0 = 40 * MB));
+        assert!(cache.edit(1, |b| b.0 = 30 * MB));
+        assert!(!cache.edit(99, |_| panic!("unknown id must not be edited")));
         assert_eq!(order(&cache), before);
-        assert_eq!(sim.mem_used() - empty, 940 * MB);
+        assert_eq!(cache.device_used_bytes(), 940 * MB);
         assert_eq!(cache.host_used_bytes(), 130 * MB);
         // The room is real: the next insert fits without a swap-out.
-        cache.insert(12, Blob(60 * MB), &mut sim).unwrap();
+        cache.insert(12, Blob(60 * MB)).unwrap();
         assert_eq!(cache.stats().swaps, 2);
 
-        assert_eq!(cache.remove(5, &mut sim).map(|b| b.0), Some(40 * MB));
-        assert_eq!(cache.remove(0, &mut sim).map(|b| b.0), Some(100 * MB));
-        assert!(cache.remove(5, &mut sim).is_none());
+        assert_eq!(cache.remove(5).map(|b| b.0), Some(40 * MB));
+        assert_eq!(cache.remove(0).map(|b| b.0), Some(100 * MB));
+        assert!(cache.remove(5).is_none());
         assert_eq!(cache.tier_of(5).or(cache.tier_of(0)), None);
-        assert_eq!(sim.mem_used() - empty, 960 * MB);
+        assert_eq!(cache.device_used_bytes(), 960 * MB);
         assert_eq!(cache.host_used_bytes(), 30 * MB);
 
         // Removing everything returns both tiers to their empty values.
         for id in 0..13u64 {
-            cache.remove(id, &mut sim);
+            cache.remove(id);
         }
         assert!(cache.is_empty());
-        assert_eq!((sim.mem_used(), cache.host_used_bytes()), (empty, 0));
+        assert_eq!((cache.device_used_bytes(), cache.host_used_bytes()), (0, 0));
     }
 
     #[test]
-    fn total_capacity_combines_tiers() {
-        let sim = small_device_sim();
-        let cache: HybridCache<Blob> = HybridCache::new(cfg(4, 0));
-        // 1 GiB device + 4 GiB host.
-        assert_eq!(cache.total_capacity_bytes(&sim), 5 << 30);
-    }
+    fn device_ledger_fills_to_the_exact_budget() {
+        // A card with a context overhead and an engine reserve: a payload
+        // of exactly the budget lands on the device; one byte more never
+        // fits, however much host room there is.
+        let mut spec = DeviceSpec::tesla_p100();
+        spec.mem_bytes = 1 << 30;
+        spec.context_overhead_bytes = 100 * MB;
+        let reserve = 200 * MB;
+        let budget = spec.cache_budget(reserve);
+        assert_eq!(budget, 724 * MB);
+        let config =
+            CacheConfig { host_capacity_bytes: 64 << 30, device_reserve_bytes: reserve, pinned: true };
 
-    #[test]
-    fn paper_5x_capacity_claim() {
-        // §6.1: 16 GB GPU + 64 GB host ⇒ 5× the GPU-only capacity.
-        let spec = DeviceSpec::tesla_p100();
-        let sim = GpuSim::new(spec);
-        let no_reserve = CacheConfig {
-            host_capacity_bytes: 64 * (1 << 30),
-            device_reserve_bytes: 0,
-            pinned: true,
-        };
-        let cache: HybridCache<Blob> = HybridCache::new(no_reserve);
-        let total = cache.total_capacity_bytes(&sim) as f64;
-        let gpu_only = (sim.spec().mem_bytes - sim.spec().context_overhead_bytes) as f64;
-        let factor = total / gpu_only;
-        assert!((factor - 5.0).abs() < 0.15, "hybrid/device capacity = {factor}");
+        let mut cache = HybridCache::new(config, &spec);
+        cache.insert(0, Blob(budget)).unwrap();
+        assert_eq!((cache.tier_of(0), cache.stats().swaps), (Some(Tier::Device), 0));
+        assert_eq!(cache.device_used_bytes(), budget);
+
+        let mut cache = HybridCache::new(config, &spec);
+        let err = cache.insert(0, Blob(budget + 1)).unwrap_err();
+        assert_eq!(err, CacheError::PayloadTooLarge { requested: budget + 1, device_budget: budget });
+        assert!(cache.is_empty());
     }
 }

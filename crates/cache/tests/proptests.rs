@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use texid_cache::{CacheConfig, HybridCache, Payload, Tier};
-use texid_gpu::{DeviceSpec, GpuSim};
+use texid_gpu::DeviceSpec;
 
 #[derive(Clone, Copy)]
 struct Blob(u64);
@@ -14,11 +14,11 @@ impl Payload for Blob {
     }
 }
 
-fn small_sim(mem_mb: u64) -> GpuSim {
+fn small_device(mem_mb: u64) -> DeviceSpec {
     let mut spec = DeviceSpec::tesla_p100();
     spec.mem_bytes = mem_mb << 20;
     spec.context_overhead_bytes = 0;
-    GpuSim::new(spec)
+    spec
 }
 
 proptest! {
@@ -30,21 +30,21 @@ proptest! {
         host_mb in 1u64..512,
         reserve_mb in 0u64..64,
     ) {
-        let mut sim = small_sim(256);
+        let device = small_device(256);
         let cfg = CacheConfig {
             host_capacity_bytes: host_mb << 20,
             device_reserve_bytes: reserve_mb << 20,
             pinned: true,
         };
-        let mut cache = HybridCache::new(cfg);
+        let mut cache = HybridCache::new(cfg, &device);
         let mut accepted = 0usize;
         for (id, &bytes) in sizes.iter().enumerate() {
-            if cache.insert(id as u64, Blob(bytes), &mut sim).is_ok() {
+            if cache.insert(id as u64, Blob(bytes)).is_ok() {
                 accepted += 1;
             }
             // Invariants hold after every operation, success or failure.
             prop_assert!(cache.host_used_bytes() <= cfg.host_capacity_bytes);
-            prop_assert!(sim.mem_used() <= sim.spec().mem_bytes);
+            prop_assert!(cache.device_used_bytes() <= device.cache_budget(cfg.device_reserve_bytes));
             prop_assert_eq!(cache.len(), cache.device_len() + cache.host_len());
         }
         prop_assert_eq!(cache.stats().inserted as usize, accepted);
@@ -55,14 +55,12 @@ proptest! {
         n in 2usize..30,
         blob_mb in 1u64..24,
     ) {
-        let mut sim = small_sim(64);
-        let mut cache = HybridCache::new(CacheConfig {
-            host_capacity_bytes: 1 << 30,
-            device_reserve_bytes: 0,
-            pinned: true,
-        });
+        let mut cache = HybridCache::new(
+            CacheConfig { host_capacity_bytes: 1 << 30, device_reserve_bytes: 0, pinned: true },
+            &small_device(64),
+        );
         for id in 0..n as u64 {
-            cache.insert(id, Blob(blob_mb << 20), &mut sim).expect("host is large");
+            cache.insert(id, Blob(blob_mb << 20)).expect("host is large");
         }
         // Search order: device entries (newest k) then host entries (oldest
         // first) — ids must be a rotation of insertion order.
@@ -82,14 +80,12 @@ proptest! {
     fn tier_lookup_consistent_with_iteration(
         sizes in prop::collection::vec(1u64..(16 << 20), 1..25),
     ) {
-        let mut sim = small_sim(64);
-        let mut cache = HybridCache::new(CacheConfig {
-            host_capacity_bytes: 1 << 30,
-            device_reserve_bytes: 0,
-            pinned: true,
-        });
+        let mut cache = HybridCache::new(
+            CacheConfig { host_capacity_bytes: 1 << 30, device_reserve_bytes: 0, pinned: true },
+            &small_device(64),
+        );
         for (id, &b) in sizes.iter().enumerate() {
-            let _ = cache.insert(id as u64, Blob(b), &mut sim);
+            let _ = cache.insert(id as u64, Blob(b));
         }
         let from_iter: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
         for (id, tier) in from_iter {
@@ -106,45 +102,42 @@ proptest! {
     fn shrink_and_remove_account_for_exactly_what_is_left(
         ops in prop::collection::vec((0u8..3, 0u64..12, 1u64..(24 << 20)), 1..60),
     ) {
-        let mut sim = small_sim(64);
-        let empty = sim.mem_used();
-        let mut cache: HybridCache<Blob> = HybridCache::new(CacheConfig {
-            host_capacity_bytes: 2 << 30,
-            device_reserve_bytes: 0,
-            pinned: true,
-        });
+        let mut cache: HybridCache<Blob> = HybridCache::new(
+            CacheConfig { host_capacity_bytes: 2 << 30, device_reserve_bytes: 0, pinned: true },
+            &small_device(64),
+        );
         let mut next = 0u64;
         for &(op, pick, bytes) in &ops {
             let before: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
             let target = before.get(pick as usize % before.len().max(1)).map(|(id, _)| *id);
             match (op, target) {
                 (1, Some(id)) => {
-                    prop_assert!(cache.edit(id, &mut sim, |b| b.0 = (b.0 / 2).max(1)));
+                    prop_assert!(cache.edit(id, |b| b.0 = (b.0 / 2).max(1)));
                     let after: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
                     prop_assert_eq!(after, before);
                 }
                 (2, Some(id)) => {
-                    prop_assert!(cache.remove(id, &mut sim).is_some());
+                    prop_assert!(cache.remove(id).is_some());
                     let after: Vec<(u64, Tier)> = cache.iter().map(|(id, _, t)| (id, t)).collect();
                     let expect: Vec<(u64, Tier)> =
                         before.into_iter().filter(|(b, _)| *b != id).collect();
                     prop_assert_eq!(after, expect);
                 }
                 _ => {
-                    cache.insert(next, Blob(bytes), &mut sim).expect("host is large");
+                    cache.insert(next, Blob(bytes)).expect("host is large");
                     next += 1;
                 }
             }
             let held = |tier| -> u64 {
                 cache.iter().filter(|(_, _, t)| *t == tier).map(|(_, b, _)| b.0).sum()
             };
-            prop_assert_eq!(sim.mem_used() - empty, held(Tier::Device));
+            prop_assert_eq!(cache.device_used_bytes(), held(Tier::Device));
             prop_assert_eq!(cache.host_used_bytes(), held(Tier::Host));
         }
         for id in 0..next {
-            cache.remove(id, &mut sim);
+            cache.remove(id);
         }
         prop_assert!(cache.is_empty());
-        prop_assert_eq!((sim.mem_used(), cache.host_used_bytes()), (empty, 0));
+        prop_assert_eq!((cache.device_used_bytes(), cache.host_used_bytes()), (0, 0));
     }
 }

@@ -29,11 +29,7 @@ pub fn images_in(budget_bytes: u64, bytes_per_ref: u64) -> u64 {
 /// Device-only capacity of a card (minus the context overhead and an
 /// engine reserve).
 pub fn device_capacity(spec: &DeviceSpec, reserve_bytes: u64, bytes_per_ref: u64) -> u64 {
-    let budget = spec
-        .mem_bytes
-        .saturating_sub(spec.context_overhead_bytes)
-        .saturating_sub(reserve_bytes);
-    images_in(budget, bytes_per_ref)
+    images_in(spec.cache_budget(reserve_bytes), bytes_per_ref)
 }
 
 /// Hybrid (device + host) capacity.
@@ -43,11 +39,7 @@ pub fn hybrid_capacity(
     host_bytes: u64,
     bytes_per_ref: u64,
 ) -> u64 {
-    let device_budget = spec
-        .mem_bytes
-        .saturating_sub(spec.context_overhead_bytes)
-        .saturating_sub(reserve_bytes);
-    images_in(device_budget + host_bytes, bytes_per_ref)
+    images_in(spec.cache_budget(reserve_bytes) + host_bytes, bytes_per_ref)
 }
 
 #[cfg(test)]
@@ -87,6 +79,16 @@ mod tests {
         let full = bytes_per_reference(768, 128, Precision::F16, false);
         let asym = bytes_per_reference(384, 128, Precision::F16, false);
         assert_eq!(full, 2 * asym);
+    }
+
+    #[test]
+    fn paper_5x_capacity_claim() {
+        // §6.1: 16 GB GPU + 64 GB host ⇒ 5× the GPU-only capacity.
+        let spec = DeviceSpec::tesla_p100();
+        let gpu_only = device_capacity(&spec, 0, 1) as f64;
+        let hybrid = hybrid_capacity(&spec, 0, 64 * (1 << 30), 1) as f64;
+        let factor = hybrid / gpu_only;
+        assert!((factor - 5.0).abs() < 0.15, "hybrid/device capacity = {factor}");
     }
 
     #[test]

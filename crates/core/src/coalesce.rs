@@ -215,7 +215,7 @@ mod tests {
         let device = DeviceSpec::tesla_p100();
         let matching = MatchConfig::default();
         let batch_bytes = (64 * 384 * 128 * matching.precision.bytes()) as u64;
-        let budget = device.mem_bytes - device.context_overhead_bytes;
+        let budget = device.cache_budget(0);
         let mut engine = Engine::new(EngineConfig {
             device,
             matching,

@@ -41,7 +41,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
-use texid_gpu::{cost, streams, DeviceSpec, GpuSim, Precision};
+use texid_gpu::{cost, streams, DeviceSpec, Precision};
 use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::kernel::{PackedA, PackedB};
@@ -476,7 +476,6 @@ impl EncodedReference {
 /// ```
 pub struct Engine {
     cfg: EngineConfig,
-    sim: GpuSim,
     cache: HybridCache<RefBatch>,
     /// The batch references are added to; sealed into `cache` when full or
     /// flushed. No search sees it.
@@ -499,12 +498,10 @@ impl Engine {
         assert_eq!(cfg.matching.algorithm, Algorithm::RootSiftTop2, "the engine runs Algorithm 2");
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.streams >= 1, "need at least one stream");
-        let sim = GpuSim::new(cfg.device.clone());
-        let cache = HybridCache::new(cfg.cache);
+        let cache = HybridCache::new(cfg.cache, &cfg.device);
         Engine {
             open: RefBatch::empty(&cfg),
             cfg,
-            sim,
             cache,
             next_batch: 0,
             references: 0,
@@ -541,9 +538,9 @@ impl Engine {
         self.open.panels.iter().chain(cached).map(PackedBlock::panel_bytes).sum()
     }
 
-    /// The simulated device (for memory inspection).
-    pub fn sim(&self) -> &GpuSim {
-        &self.sim
+    /// Device bytes the cache holds (0 for an engine with nothing sealed).
+    pub fn device_bytes(&self) -> u64 {
+        self.cache.device_used_bytes()
     }
 
     /// The one ingest path: add a reference — real or phantom (`None`) — to
@@ -628,7 +625,7 @@ impl Engine {
     fn edit(&mut self, batch: Option<u64>, edit: impl FnOnce(&mut RefBatch)) {
         match batch {
             None => edit(&mut self.open),
-            Some(id) => assert!(self.cache.edit(id, &mut self.sim, edit), "batch {id} is cached"),
+            Some(id) => assert!(self.cache.edit(id, edit), "batch {id} is cached"),
         }
     }
 
@@ -649,7 +646,7 @@ impl Engine {
         };
         match batch {
             Some(emptied) if len == 1 => {
-                self.cache.remove(emptied, &mut self.sim);
+                self.cache.remove(emptied);
                 if let Some(ivf) = &mut self.ivf {
                     ivf.remove_batch(emptied);
                 }
@@ -709,7 +706,7 @@ impl Engine {
         let (pooled, count) = (batch.pooled(), batch.ids.len());
         let id = self.next_batch;
         self.next_batch += 1;
-        if let Err(refused) = self.cache.insert(id, batch, &mut self.sim) {
+        if let Err(refused) = self.cache.insert(id, batch) {
             self.references -= count;
             return Err(refused);
         }
@@ -842,7 +839,7 @@ impl Engine {
             report.device_batches += 1;
         }
         let steps = BatchWork::new(matching, bsize, m_per, q.packed.cols(), q.packed.rows())
-            .price(self.sim.spec());
+            .price(&self.cfg.device);
         report.gemm_us += steps.gemm_us;
         report.sort_us += steps.sort_us;
         report.d2h_us += steps.d2h_us;
@@ -901,7 +898,7 @@ impl Engine {
                 SearchResult { ranked: Vec::new(), report }
             })
             .collect();
-        let spec = self.sim.spec();
+        let spec = &self.cfg.device;
 
         for (id, batch, tier) in self.cache.iter() {
             // A query sweeps this batch unless its probe pruned it: every
@@ -1214,7 +1211,7 @@ mod tests {
             // Room on the device for about two of the five batches.
             let batch_bytes = (4 * 128 * DESCRIPTOR_DIM * precision.bytes()) as u64;
             let device = DeviceSpec::tesla_p100();
-            let budget = device.mem_bytes - device.context_overhead_bytes;
+            let budget = device.cache_budget(0);
             let build = || {
                 Engine::new(EngineConfig {
                     device: device.clone(),

@@ -21,6 +21,8 @@
 //! and §8. The dataset/accuracy harness behind Tables 2 and 7 lives in
 //! `texid-bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod coalesce;
 pub mod engine;

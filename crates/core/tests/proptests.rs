@@ -147,7 +147,7 @@ proptest! {
                 prop_assert!(e.remove_reference(*id));
             }
             prop_assert!(e.is_empty() && !e.remove_reference(0));
-            prop_assert_eq!(e.sim().mem_used(), build().sim().mem_used());
+            prop_assert_eq!(e.device_bytes(), build().device_bytes());
             prop_assert_eq!(e.search(&unit_features(d, 40, seed)).report.images, 0);
         }
     }

@@ -236,9 +236,18 @@ pub struct ClusterConfig {
     /// `snapshot_every` writes, so `heal()` replays the media instead of
     /// trusting whatever survived in the map.
     pub store: LogConfig,
-    /// Serving objectives tracked by the SLO engine (burn rates exposed
-    /// as `texid_slo_*` metrics and `GET /slo`).
-    pub slos: Vec<SloSpec>,
+}
+
+/// The serving objectives every cluster tracks (burn rates exposed as
+/// `texid_slo_*` metrics and `GET /slo`). A search's latency is its
+/// simulated makespan, the slowest shard's `total_us`.
+fn objectives() -> Vec<SloSpec> {
+    vec![
+        // 99% of searches under 100 ms simulated makespan.
+        SloSpec::latency("search-latency", 100_000.0, 0.99),
+        // 99.9% of searches reach at least one shard.
+        SloSpec::availability("search-availability", 0.999),
+    ]
 }
 
 impl Default for ClusterConfig {
@@ -249,12 +258,6 @@ impl Default for ClusterConfig {
             resilience: ResilienceConfig::default(),
             coalesce: CoalesceConfig::default(),
             store: LogConfig::default(),
-            slos: vec![
-                // 99% of searches under 100 ms simulated makespan.
-                SloSpec::latency("search-latency", 100_000.0, 0.99),
-                // 99.9% of searches reach at least one shard.
-                SloSpec::availability("search-availability", 0.999),
-            ],
         }
     }
 }
@@ -393,7 +396,7 @@ impl Cluster {
         let shards = (0..cfg.containers).map(|i| Shard::new(i, &cfg, registry)).collect();
         let telemetry = Telemetry::register(registry);
         let drift = DriftSentry::register(registry);
-        let slo = SloEngine::register(cfg.slos.clone(), registry);
+        let slo = SloEngine::register(objectives(), registry);
         let store = KvStore::durable(DurableLog::new(Volume::in_memory(), cfg.store));
         Cluster {
             cfg,

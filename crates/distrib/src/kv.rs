@@ -1,5 +1,5 @@
 //! Redis substrate: a thread-safe key/value store with per-value
-//! checksums and an optional durability log.
+//! checksums and a durability log.
 //!
 //! The paper's deployment keeps serialized reference feature matrices in a
 //! Redis container so GPU containers can (re)load their shard on startup.
@@ -17,9 +17,6 @@
 //!   `Cluster::heal()` uses to recover crashed shards. Records the fault
 //!   plan tore or lost simply never come back, which is exactly the signal
 //!   recovery quarantines on.
-//!
-//! [`KvStore::new`] stays a plain in-memory store (no log, no durability)
-//! so unit tests and ephemeral tooling pay nothing.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -39,12 +36,11 @@ impl Stored {
     }
 }
 
-/// A thread-safe KV store (Redis stand-in) with per-value CRC32C and an
-/// optional write-ahead log.
-#[derive(Default)]
+/// A thread-safe KV store (Redis stand-in) with per-value CRC32C and a
+/// write-ahead log.
 pub struct KvStore {
     map: RwLock<BTreeMap<String, Stored>>,
-    log: Option<DurableLog>,
+    log: DurableLog,
     /// Append failures from a file-backed log (memory media never fail);
     /// surfaced through [`KvStore::wal_io_errors`] rather than poisoning
     /// the write path.
@@ -52,14 +48,9 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// Create an empty, ephemeral store (no durability log).
-    pub fn new() -> KvStore {
-        KvStore::default()
-    }
-
     /// Create an empty store journaling through `log`.
     pub fn durable(log: DurableLog) -> KvStore {
-        KvStore { log: Some(log), ..KvStore::default() }
+        KvStore { map: RwLock::default(), log, wal_io_errors: AtomicU64::new(0) }
     }
 
     /// Set `key` to `value`, returning the previous value if any.
@@ -72,11 +63,9 @@ impl KvStore {
     /// happens regardless — the writer believes the write succeeded, and
     /// only replay reveals what the media really kept).
     pub fn set_faulted(&self, key: &str, value: Vec<u8>, fault: WriteFault) -> Option<Vec<u8>> {
-        if let Some(log) = &self.log {
-            let rec = Record::Set { key: key.to_string(), value: value.clone() };
-            if log.append(&rec, fault).is_err() {
-                self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let rec = Record::Set { key: key.to_string(), value: value.clone() };
+        if self.log.append(&rec, fault).is_err() {
+            self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
         }
         self.map.write().insert(key.to_string(), Stored::seal(value)).map(|s| s.bytes)
     }
@@ -100,11 +89,9 @@ impl KvStore {
 
     /// [`KvStore::del`] with an explicit durability fault on the WAL append.
     pub fn del_faulted(&self, key: &str, fault: WriteFault) -> bool {
-        if let Some(log) = &self.log {
-            let rec = Record::Del { key: key.to_string() };
-            if log.append(&rec, fault).is_err() {
-                self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let rec = Record::Del { key: key.to_string() };
+        if self.log.append(&rec, fault).is_err() {
+            self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
         }
         self.map.write().remove(key).is_some()
     }
@@ -130,18 +117,17 @@ impl KvStore {
     }
 
     /// True when the log's snapshot schedule says it is time to
-    /// [`KvStore::compact`]. Always false for ephemeral stores.
+    /// [`KvStore::compact`].
     pub fn snapshot_due(&self) -> bool {
-        self.log.as_ref().is_some_and(|l| l.snapshot_due())
+        self.log.snapshot_due()
     }
 
     /// Write the current map as a checksummed snapshot and truncate the
-    /// WAL behind it. Returns false for ephemeral stores.
+    /// WAL behind it. Returns false on a media error.
     pub fn compact(&self, fault: SnapshotFault) -> bool {
-        let Some(log) = &self.log else { return false };
         let entries: BTreeMap<String, Vec<u8>> =
             self.map.read().iter().map(|(k, s)| (k.clone(), s.bytes.clone())).collect();
-        if log.write_snapshot(&entries, fault).is_err() {
+        if self.log.write_snapshot(&entries, fault).is_err() {
             self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -150,11 +136,10 @@ impl KvStore {
 
     /// Discard the in-memory map and rebuild it strictly from the durable
     /// media (verified snapshot + complete WAL records). Torn, lost, and
-    /// bit-flipped records simply do not come back. `None` for ephemeral
-    /// stores — there is nothing to replay from.
+    /// bit-flipped records simply do not come back. `None` on a media
+    /// error.
     pub fn replay(&self) -> Option<ReplayStats> {
-        let log = self.log.as_ref()?;
-        let (entries, stats) = match log.replay() {
+        let (entries, stats) = match self.log.replay() {
             Ok(ok) => ok,
             Err(_) => {
                 self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
@@ -169,9 +154,10 @@ impl KvStore {
         Some(stats)
     }
 
-    /// WAL counters and blob sizes, if durable.
+    /// WAL counters and blob sizes. Always `Some` since every store is
+    /// journaled; an `Option` because `benchmarks/` reads it as one.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.log.as_ref().map(|l| l.stats())
+        Some(self.log.stats())
     }
 
     /// Append failures from the underlying media (always 0 for in-memory
@@ -189,7 +175,7 @@ mod tests {
 
     #[test]
     fn set_get_del_cycle() {
-        let kv = KvStore::new();
+        let kv = KvStore::durable(DurableLog::in_memory());
         assert!(kv.set("a", vec![1, 2, 3]).is_none());
         assert_eq!(kv.get("a"), Some(vec![1, 2, 3]));
         assert_eq!(kv.set("a", vec![9]), Some(vec![1, 2, 3]));
@@ -200,7 +186,7 @@ mod tests {
 
     #[test]
     fn accounting() {
-        let kv = KvStore::new();
+        let kv = KvStore::durable(DurableLog::in_memory());
         kv.set("a", vec![0; 100]);
         kv.set("b", vec![0; 50]);
         assert_eq!(kv.len(), 2);
@@ -211,7 +197,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_do_not_lose_updates() {
-        let kv = Arc::new(KvStore::new());
+        let kv = Arc::new(KvStore::durable(DurableLog::in_memory()));
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let kv = kv.clone();
@@ -230,22 +216,12 @@ mod tests {
 
     #[test]
     fn per_value_crc_detects_mangling() {
-        let kv = KvStore::new();
+        let kv = KvStore::durable(DurableLog::in_memory());
         kv.set("k", vec![7; 32]);
         let (mut bytes, crc) = kv.get_with_crc("k").unwrap();
         assert_eq!(texid_store::crc32c(&bytes), crc);
         bytes[3] ^= 0x40;
         assert_ne!(texid_store::crc32c(&bytes), crc);
-    }
-
-    #[test]
-    fn ephemeral_store_has_no_durability() {
-        let kv = KvStore::new();
-        kv.set("k", vec![1]);
-        assert!(!kv.snapshot_due());
-        assert!(!kv.compact(SnapshotFault::Clean));
-        assert!(kv.replay().is_none());
-        assert!(kv.wal_stats().is_none());
     }
 
     #[test]

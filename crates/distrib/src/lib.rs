@@ -28,6 +28,7 @@
 //!   sim-clock engine stages — is served at `GET /trace/{id}` and indexed
 //!   at `GET /traces`. See OBSERVABILITY.md, "Tracing".
 
+#![forbid(unsafe_code)]
 #![warn(clippy::too_many_lines)]
 
 pub mod api;

@@ -9,8 +9,8 @@
 //!
 //! * **Device specs** ([`DeviceSpec`]): peak FLOPS per precision, tensor
 //!   cores, memory capacity/bandwidth, PCIe bandwidth (pinned vs pageable).
-//! * **Memory accounting** ([`memory`]): allocations against the 16 GB
-//!   device budget, out-of-memory behaviour, context overhead.
+//!   [`DeviceSpec::cache_budget`] is the one rule for the device bytes a
+//!   reference cache may fill (16 GB less context overhead and reserve).
 //! * **Engine timelines** ([`sim`]): H2D copy, D2H copy and compute engines
 //!   with CUDA-stream ordering semantics; ops on different streams overlap
 //!   when their engines are free — the mechanism behind the paper's §6.2.
@@ -22,14 +22,14 @@
 //!
 //! All simulated times are in microseconds (`f64`).
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
-pub mod memory;
 pub mod pipeline;
 pub mod sim;
 pub mod spec;
 pub mod streams;
 
 pub use cost::Kernel;
-pub use memory::{BufferId, MemError};
 pub use sim::{GpuSim, OpKind, OpRecord, StreamId};
 pub use spec::{DeviceSpec, Precision};

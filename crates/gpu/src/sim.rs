@@ -1,4 +1,4 @@
-//! The simulated device: memory + engines + CUDA-stream semantics.
+//! The simulated device: engines + CUDA-stream semantics.
 //!
 //! A [`GpuSim`] owns three hardware engines — H2D copy, D2H copy, compute —
 //! each a serial timeline (one op at a time, like the DMA engines and the SM
@@ -11,7 +11,6 @@
 //! lanes, modelling the paper's one-CPU-thread-per-stream design.
 
 use crate::cost::{self, Kernel};
-use crate::memory::{BufferId, MemError, MemTracker};
 use crate::spec::DeviceSpec;
 use std::collections::HashMap;
 
@@ -90,7 +89,6 @@ impl Engine {
 /// ```
 pub struct GpuSim {
     spec: DeviceSpec,
-    mem: MemTracker,
     h2d: Engine,
     d2h: Engine,
     compute: Engine,
@@ -104,12 +102,10 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Bring up a device; the CUDA context overhead is charged immediately.
+    /// Bring up a device with idle engines and its default stream.
     pub fn new(spec: DeviceSpec) -> GpuSim {
-        let mem = MemTracker::new(spec.mem_bytes, spec.context_overhead_bytes);
         let mut sim = GpuSim {
             spec,
-            mem,
             h2d: Engine::default(),
             d2h: Engine::default(),
             compute: Engine::default(),
@@ -141,28 +137,6 @@ impl GpuSim {
         self.streams.insert(id, 0.0);
         self.host_lanes.insert(id, Engine::default());
         id
-    }
-
-    // ---- memory ----
-
-    /// Allocate device memory.
-    pub fn alloc(&mut self, bytes: u64) -> Result<BufferId, MemError> {
-        self.mem.alloc(bytes)
-    }
-
-    /// Free device memory.
-    pub fn free(&mut self, id: BufferId) -> u64 {
-        self.mem.free(id)
-    }
-
-    /// Bytes in use (incl. context overhead).
-    pub fn mem_used(&self) -> u64 {
-        self.mem.used()
-    }
-
-    /// Bytes free.
-    pub fn mem_free(&self) -> u64 {
-        self.mem.free_bytes()
     }
 
     // ---- timed operations ----
@@ -246,7 +220,7 @@ mod tests {
     use super::*;
     use crate::spec::Precision;
 
-    fn sim() -> GpuSim {
+    fn p100() -> GpuSim {
         GpuSim::new(DeviceSpec::tesla_p100())
     }
 
@@ -261,14 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn context_overhead_charged_at_startup() {
-        let s = sim();
-        assert_eq!(s.mem_used(), s.spec().context_overhead_bytes);
-    }
-
-    #[test]
     fn same_stream_serializes() {
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let a = s.launch(st, gemm(1));
         let b = s.launch(st, gemm(1));
@@ -278,7 +246,7 @@ mod tests {
     #[test]
     fn different_streams_overlap_on_different_engines() {
         // Copy on stream A overlaps compute on stream B.
-        let mut s = sim();
+        let mut s = p100();
         let sa = s.create_stream();
         let sb = s.create_stream();
         let copy = s.h2d(sa, 200 * 1024 * 1024, true);
@@ -288,7 +256,7 @@ mod tests {
 
     #[test]
     fn same_engine_serializes_across_streams() {
-        let mut s = sim();
+        let mut s = p100();
         let sa = s.create_stream();
         let sb = s.create_stream();
         let a = s.launch(sa, gemm(8));
@@ -300,7 +268,7 @@ mod tests {
     fn stream_dependency_chains_engines() {
         // h2d → kernel → d2h on one stream must be strictly ordered even
         // though they run on three different engines.
-        let mut s = sim();
+        let mut s = p100();
         let st = s.create_stream();
         let c = s.h2d(st, 1 << 20, true);
         let k = s.launch(st, gemm(4));
@@ -312,7 +280,7 @@ mod tests {
 
     #[test]
     fn host_work_ordered_after_device_ops() {
-        let mut s = sim();
+        let mut s = p100();
         let st = s.create_stream();
         let d = s.d2h(st, 1 << 20);
         let h = s.host_work(st, 100.0);
@@ -323,7 +291,7 @@ mod tests {
     #[test]
     fn host_lanes_are_per_stream() {
         // CPU work on two streams runs concurrently (separate CPU threads).
-        let mut s = sim();
+        let mut s = p100();
         let sa = s.create_stream();
         let sb = s.create_stream();
         let a = s.host_work(sa, 50.0);
@@ -334,7 +302,7 @@ mod tests {
 
     #[test]
     fn device_sync_covers_all_streams() {
-        let mut s = sim();
+        let mut s = p100();
         let sa = s.create_stream();
         let sb = s.create_stream();
         s.launch(sa, gemm(4));
@@ -344,7 +312,7 @@ mod tests {
 
     #[test]
     fn engine_busy_accounting() {
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let k = s.launch(st, gemm(1));
         let (h2d, d2h, comp) = s.engine_busy_us();
@@ -355,27 +323,11 @@ mod tests {
 
     #[test]
     fn driver_sections_serialize_globally() {
-        let mut s = sim();
+        let mut s = p100();
         let sa = s.create_stream();
         let sb = s.create_stream();
         let a = s.driver_section(sa, 10.0);
         let b = s.driver_section(sb, 10.0);
         assert!(b.start_us >= a.end_us, "driver sections must not overlap");
-    }
-
-    #[test]
-    fn memory_lifecycle_through_sim() {
-        let mut s = sim();
-        let before = s.mem_used();
-        let id = s.alloc(1 << 30).unwrap();
-        assert_eq!(s.mem_used(), before + (1 << 30));
-        s.free(id);
-        assert_eq!(s.mem_used(), before);
-    }
-
-    #[test]
-    fn oom_on_oversubscription() {
-        let mut s = sim();
-        assert!(s.alloc(17 * (1 << 30)).is_err());
     }
 }

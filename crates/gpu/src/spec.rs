@@ -109,9 +109,10 @@ pub struct DeviceSpec {
     pub mem_bw_gbps: f64,
     /// Streaming multiprocessor count.
     pub sm_count: u32,
-    /// CUDA context + cuBLAS workspace overhead charged at startup, bytes.
-    /// Makes Table 1's memory rows (4271/4307/2307 MB for 10 k references)
-    /// come out of pure payload + overhead.
+    /// CUDA context + cuBLAS workspace overhead, bytes; subtracted by
+    /// [`DeviceSpec::cache_budget`]. Makes Table 1's memory rows
+    /// (4271/4307/2307 MB for 10 k references) come out of pure payload +
+    /// overhead.
     pub context_overhead_bytes: u64,
     /// Cost-model calibration.
     pub calib: CostCalib,
@@ -207,6 +208,16 @@ impl DeviceSpec {
             (Precision::F16, false) => self.fp16_tflops,
             (Precision::F32, _) => self.fp32_tflops,
         }
+    }
+
+    /// Device bytes a reference cache may fill: the card less the context
+    /// overhead and `reserve_bytes` kept free for the search engine's
+    /// intermediates (§8 reserves 4 GB), saturating at 0. The one rule for
+    /// what fits on the device.
+    pub fn cache_budget(&self, reserve_bytes: u64) -> u64 {
+        self.mem_bytes
+            .saturating_sub(self.context_overhead_bytes)
+            .saturating_sub(reserve_bytes)
     }
 }
 

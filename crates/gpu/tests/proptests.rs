@@ -110,29 +110,4 @@ proptest! {
             prop_assert!(busy <= sync + 1e-9, "engine busier than the clock: {busy} vs {sync}");
         }
     }
-
-    #[test]
-    fn memory_tracker_never_oversubscribes(
-        sizes in prop::collection::vec(1u64..(1 << 28), 1..64),
-        free_mask in prop::collection::vec(any::<bool>(), 1..64),
-    ) {
-        let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-        let cap = sim.mem_free() + sim.mem_used();
-        let mut live = Vec::new();
-        for (i, &bytes) in sizes.iter().enumerate() {
-            if let Ok(id) = sim.alloc(bytes) {
-                live.push(id);
-            }
-            prop_assert!(sim.mem_used() <= cap, "oversubscribed");
-            if *free_mask.get(i).unwrap_or(&false) {
-                if let Some(id) = live.pop() {
-                    sim.free(id);
-                }
-            }
-        }
-        for id in live {
-            sim.free(id);
-        }
-        prop_assert_eq!(sim.mem_used(), sim.spec().context_overhead_bytes);
-    }
 }

@@ -14,6 +14,8 @@
 //! needs: separable Gaussian filtering, bilinear resampling, and affine
 //! warping.
 
+#![forbid(unsafe_code)]
+
 pub mod augment;
 pub mod filter;
 pub mod gray;

@@ -293,7 +293,7 @@ mod tests {
         m
     }
 
-    fn sim() -> GpuSim {
+    fn p100() -> GpuSim {
         GpuSim::new(DeviceSpec::tesla_p100())
     }
 
@@ -302,7 +302,7 @@ mod tests {
         let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
         let refs: Vec<Mat> = (0..4).map(|i| unit_features(64, 10, 100 + i)).collect();
         let q = unit_features(64, 8, 999);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
 
         let blocks: Vec<FeatureBlock> = refs.iter().map(|m| FeatureBlock::F32(m.clone())).collect();
@@ -328,7 +328,7 @@ mod tests {
         let cfg = MatchConfig { precision: Precision::F16, scale, ..MatchConfig::default() };
         let refs: Vec<Mat> = (0..3).map(|i| unit_features(64, 12, 200 + i)).collect();
         let q = unit_features(64, 6, 555);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
 
         let blocks: Vec<FeatureBlock> = refs
@@ -351,7 +351,7 @@ mod tests {
         // Table 3: per-image time collapses from ~174 µs to ~22 µs.
         let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
         let per_image =
-            |batch| BatchWork::new(&cfg, batch, 768, 768, 128).price(sim().spec()).per_image_us(batch);
+            |batch| BatchWork::new(&cfg, batch, 768, 768, 128).price(&DeviceSpec::tesla_p100()).per_image_us(batch);
         let (b1, b256) = (per_image(1), per_image(256));
         assert!(b256 * 5.0 < b1, "batching speedup too small: {b1} vs {b256}");
     }
@@ -361,7 +361,7 @@ mod tests {
         // Table 3, batch 1024 (per image): HGEMM 11.58, sort+sqrt 3.82,
         // D2H 2.72, post 3.85 ⇒ 21.96 µs ⇒ 45,539 img/s.
         let cfg = MatchConfig { precision: Precision::F16, ..MatchConfig::default() };
-        let steps = BatchWork::new(&cfg, 1024, 768, 768, 128).price(sim().spec());
+        let steps = BatchWork::new(&cfg, 1024, 768, 768, 128).price(&DeviceSpec::tesla_p100());
         let b = 1024.0;
         assert!((steps.gemm_us / b - 11.58).abs() / 11.58 < 0.10, "gemm {}", steps.gemm_us / b);
         assert!((steps.sort_us / b - 3.82).abs() / 3.82 < 0.10, "sort {}", steps.sort_us / b);
@@ -407,7 +407,7 @@ mod tests {
         let scale = 2.0_f32.powi(-7);
         let q = unit_features(64, 9, 321);
         let refs: Vec<Mat> = (0..5).map(|i| unit_features(64, 11, 400 + i)).collect();
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         for precision in [Precision::F32, Precision::F16] {
             let blocks: Vec<FeatureBlock> = refs
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn empty_query_scores_zero_everywhere() {
         let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let r = FeatureBlock::F32(unit_features(16, 8, 1));
         let q = FeatureBlock::F32(Mat::zeros(16, 0));
@@ -525,7 +525,7 @@ mod tests {
             precision: Precision::F32,
             ..MatchConfig::default()
         };
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let r = FeatureBlock::F32(Mat::zeros(8, 4));
         let q = FeatureBlock::F32(Mat::zeros(8, 2));

@@ -23,6 +23,8 @@
 //! The ablation-only matchers — Hamming 2-NN for binary ORB descriptors and
 //! CBIR-style pooled search — live in `texid-bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod batched;
 pub mod block;
 pub mod geometry;

@@ -317,7 +317,7 @@ mod tests {
         m
     }
 
-    fn sim() -> GpuSim {
+    fn p100() -> GpuSim {
         GpuSim::new(DeviceSpec::tesla_p100())
     }
 
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn all_f32_algorithms_agree_on_nearest_neighbours() {
         let (r, q) = f32_blocks(40, 24);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let base = match_pair(&cfg(Algorithm::OpenCvCuda, Precision::F32), &r, &q, &mut s, st);
         for alg in [Algorithm::CublasFullSort, Algorithm::CublasTop2, Algorithm::RootSiftTop2] {
@@ -396,7 +396,7 @@ mod tests {
         let scale = 2.0_f32.powi(-7);
         let rm = unit_features(128, 30, 21);
         let qm = unit_features(128, 20, 22);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let f32_out = match_pair(
             &cfg(Algorithm::RootSiftTop2, Precision::F32),
@@ -427,7 +427,7 @@ mod tests {
         // Table 1, cuBLAS (ours): GEMM 35.22, add N_R 8.94, top-2 40.20,
         // epilogue 4.71, D2H 47.32, post 12.6 ⇒ total 148.5 ⇒ 6,734 img/s.
         let t = BatchWork::new(&cfg(Algorithm::CublasTop2, Precision::F32), 1, 768, 768, 128)
-            .price(sim().spec());
+            .price(&DeviceSpec::tesla_p100());
         assert!((t.gemm_us - 35.22).abs() / 35.22 < 0.10, "gemm {}", t.gemm_us);
         assert!((t.add_nr_us - 8.94).abs() / 8.94 < 0.10, "add_nr {}", t.add_nr_us);
         assert!((t.sort_us - 40.2).abs() / 40.2 < 0.10, "sort {}", t.sort_us);
@@ -441,7 +441,7 @@ mod tests {
     fn full_sort_baseline_dominated_by_sorting() {
         // Table 1 [9]: sorting is 67% of the 330 µs total.
         let steps = BatchWork::new(&cfg(Algorithm::CublasFullSort, Precision::F32), 1, 768, 768, 128)
-            .price(sim().spec());
+            .price(&DeviceSpec::tesla_p100());
         let frac = steps.sort_us / steps.total_us();
         assert!((frac - 0.67).abs() < 0.08, "sort fraction {frac}");
     }
@@ -490,7 +490,7 @@ mod tests {
         let m = unit_features(128, 32, 5);
         let r = FeatureBlock::F32(m.clone());
         let q = FeatureBlock::F32(m);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let out = match_pair(&cfg(Algorithm::RootSiftTop2, Precision::F32), &r, &q, &mut s, st);
         for (j, t) in out.top2.iter().enumerate() {
@@ -510,7 +510,7 @@ mod tests {
         let scale = 2.0_f32.powi(-7);
         let rm = unit_features(128, 37, 71);
         let qm = unit_features(128, 29, 72);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         for alg in [Algorithm::CublasTop2, Algorithm::RootSiftTop2] {
             for precision in [Precision::F32, Precision::F16] {
@@ -536,7 +536,7 @@ mod tests {
     fn mixed_precision_rejected() {
         let (r, q) = f32_blocks(8, 8);
         let q16 = FeatureBlock::from_mat(q.to_f32(), Precision::F16, 1.0);
-        let mut s = sim();
+        let mut s = p100();
         let st = s.default_stream();
         let _ = match_pair(&cfg(Algorithm::RootSiftTop2, Precision::F16), &r, &q16, &mut s, st);
     }

@@ -18,6 +18,8 @@
 //! The kernels here are *functional* implementations; the timing of their GPU
 //! counterparts is modelled in `texid-gpu`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod dispatch;
 pub mod f16;
 pub mod gemm;

@@ -774,6 +774,8 @@ pub(crate) mod x86 {
                     // SAFETY: the caller checked the width's features; each
                     // load reads `W` of a column's `off + W <= m_per_ref`.
                     let c = std::array::from_fn(|j| unsafe { load(cols[j][off..].as_ptr()) });
+                    // SAFETY: the caller checked the width's features, and
+                    // the default epilogue has no bias slice to read.
                     unsafe { observe(&c, &t, (off, off), &mut group) };
                 }
                 for (j, (col, lanes)) in cols.iter().zip(&group).enumerate() {
@@ -802,9 +804,13 @@ pub(crate) mod x86 {
         #[test]
         fn vector_merge_equals_the_scalar_oracle_bit_for_bit() {
             if Backend::Avx2.is_available() {
+                // SAFETY: AVX2 is available; `check` hands `load` a pointer
+                // to 8 readable floats.
                 check::<8, 8, __m256>(|p| unsafe { _mm256_loadu_ps(p) }, observe_8x8, merge_8);
             }
             if Backend::Avx512.is_available() {
+                // SAFETY: AVX-512F is available; `check` hands `load` a
+                // pointer to 16 readable floats.
                 check::<16, 24, __m512>(|p| unsafe { _mm512_loadu_ps(p) }, observe_16x24, merge_16);
             }
         }

@@ -11,6 +11,8 @@
 //! `#[global_allocator]` is process-wide, so each such test is its own
 //! integration-test binary).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -46,8 +48,11 @@ fn record(update: impl FnOnce(&mut Window)) {
     });
 }
 
+// SAFETY: every allocation and free is `System`'s, passed the caller's
+// layout unchanged; the bookkeeping around them never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwards the caller's `alloc` contract to `System`.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             record(|w| {
@@ -61,6 +66,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         record(|w| w.live -= layout.size() as isize);
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
+        // this `layout`, as the caller's `dealloc` contract promises.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -49,6 +49,7 @@
 //! assert!(text.contains(r#"demo_cache_hits_total{tier="device"} 3"#));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod chrome;

@@ -10,8 +10,12 @@
 //! canonical 2%-of-monthly-budget-in-an-hour page threshold — sets
 //! [`SloStatus::fast_burn`].
 //!
-//! Everything runs on the host wall clock: SLOs are a serving-side
-//! contract, unlike the simulated device clock the cost model ticks on.
+//! Two clocks meet here. A latency objective judges whatever latency its
+//! caller passes to [`SloEngine::record`]; the cluster passes each
+//! search's simulated makespan (the slowest shard's sim-clock total), so
+//! `search-latency` is a cost-model objective. Only the one-second bucket
+//! windows tick on the host wall clock. A latency objective on wall time
+//! waits for the engine to measure wall phases (ROADMAP item 1).
 
 use std::sync::Mutex;
 
@@ -26,10 +30,10 @@ pub const FAST_BURN_THRESHOLD: f64 = 14.4;
 /// What an objective measures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SloKind {
-    /// Good = the query was served *and* finished within `threshold_us`
-    /// (host wall microseconds).
+    /// Good = the query was served *and* the latency its caller recorded
+    /// is within `threshold_us` (the cluster records sim-clock makespan).
     Latency {
-        /// Latency threshold in wall microseconds.
+        /// Latency threshold, in the microseconds the caller records.
         threshold_us: f64,
     },
     /// Good = the query was served at all (not failed outright).

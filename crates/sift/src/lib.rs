@@ -21,6 +21,8 @@
 //! paper's §3.1 also admits live in `texid-bench`, beside the
 //! `ablation_sift_vs_surf` bench that runs them.
 
+#![forbid(unsafe_code)]
+
 pub mod descriptor;
 pub mod detect;
 pub mod features;

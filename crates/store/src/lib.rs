@@ -25,6 +25,7 @@
 //! Design notes live in DESIGN.md §12; the `texid_wal_*` /
 //! `texid_replay_*` metrics this feeds are cataloged in OBSERVABILITY.md.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod crc;
