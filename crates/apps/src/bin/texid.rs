@@ -307,12 +307,15 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         pipeline::simulate_traced(&spec, &chunk, chunks, streams, spec.calib.stream_serial_fraction);
     std::fs::write(&out, trace.to_json()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
-        "simulated {} chunks x {} refs on {} streams: makespan {:.0} us, {:.0} img/s",
+        "simulated {} chunks x {} refs on {} streams: makespan {:.0} us, {:.0} img/s, \
+         H2D busy {:.0}%, compute busy {:.0}%",
         chunks,
         batch,
         streams,
         stats.makespan_us,
-        stats.images_per_second()
+        stats.images_per_second(),
+        100.0 * stats.h2d_busy_us / stats.makespan_us,
+        100.0 * stats.compute_busy_us / stats.makespan_us
     );
     println!(
         "wrote {} trace events to {} — open it at https://ui.perfetto.dev or chrome://tracing",

@@ -44,93 +44,11 @@ use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tie
 use texid_gpu::{cost, streams, DeviceSpec, Precision};
 use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
+use texid_linalg::active_backend;
 use texid_linalg::kernel::{PackedA, PackedB};
-use texid_obs::{Counter, Gauge, Histogram, Span, Stage, DRIFT_STAGES};
+use texid_obs::{Span, Stage};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
-
-/// Cached telemetry handles, registered once per engine against the global
-/// registry (registration takes a mutex; the handles are lock-free).
-/// Simulated stage durations carry `clock="sim"`.
-struct Telemetry {
-    probe: Histogram,
-    /// Sim-clock series, in [`SearchReport::sim_series`] order.
-    sim: [Histogram; 6],
-    searches: Counter,
-    images: Counter,
-    ivf_cells_probed: Counter,
-    ivf_batches_pruned: Counter,
-    ivf_batches_swept: Counter,
-    ivf_prune_ratio: Gauge,
-}
-
-impl Telemetry {
-    fn register() -> Telemetry {
-        let reg = texid_obs::global();
-        // Constant info gauge: which SIMD kernel backend this process
-        // dispatched to (scalar / avx2 / avx512). Registered from the engine
-        // because `texid-obs` deliberately has no linalg dependency.
-        reg.gauge(
-            "texid_kernel_backend_info",
-            "Active SIMD kernel backend (constant 1; the backend is the label).",
-            &[("backend", texid_linalg::active_backend().name())],
-        )
-        .set(1.0);
-        Telemetry {
-            probe: reg.stage_duration("probe", "sim"),
-            sim: DRIFT_STAGES.map(|stage| reg.stage_duration(stage, "sim")),
-            searches: reg.counter(
-                "texid_engine_searches",
-                "Single-node search passes completed.",
-                &[],
-            ),
-            images: reg.counter(
-                "texid_engine_images_compared",
-                "Reference images compared across all searches.",
-                &[],
-            ),
-            ivf_cells_probed: reg.counter(
-                "texid_ivf_cells_probed",
-                "IVF cells probed across all searches (nprobe per probed search).",
-                &[],
-            ),
-            ivf_batches_pruned: reg.counter(
-                "texid_ivf_batches_pruned",
-                "Reference batches the IVF probe let searches skip entirely.",
-                &[],
-            ),
-            ivf_batches_swept: reg.counter(
-                "texid_ivf_batches_swept",
-                "Reference batches searches actually swept with the exact kernels.",
-                &[],
-            ),
-            ivf_prune_ratio: reg.gauge(
-                "texid_ivf_prune_ratio",
-                "Fraction of cached batches the most recent search pruned \
-                 (0 on exhaustive searches).",
-                &[],
-            ),
-        }
-    }
-
-    /// Record one search's per-stage accounting.
-    fn observe(&self, report: &SearchReport) {
-        self.probe.observe(report.probe_us);
-        for (series, us) in self.sim.iter().zip(report.sim_series()) {
-            series.observe(us);
-        }
-        self.searches.inc();
-        self.images.add(report.images as u64);
-        let swept = (report.device_batches + report.host_batches) as u64;
-        self.ivf_cells_probed.add(report.cells_probed as u64);
-        self.ivf_batches_pruned.add(report.batches_pruned as u64);
-        self.ivf_batches_swept.add(swept);
-        let total_batches = report.batches_pruned as u64 + swept;
-        if total_batches > 0 {
-            self.ivf_prune_ratio.set(report.batches_pruned as f64 / total_batches as f64);
-        }
-    }
-}
 
 /// Engine configuration: the paper's co-optimization levers in one place.
 #[derive(Clone, Debug)]
@@ -328,7 +246,7 @@ impl SearchReport {
     }
 
     /// The sim-clock series every per-stage surface reports, in
-    /// [`DRIFT_STAGES`] order: each [`Stage`]'s µs, then `total_us`.
+    /// [`texid_obs::DRIFT_STAGES`] order: each [`Stage`]'s µs, then `total_us`.
     pub fn sim_series(&self) -> [f64; 6] {
         let [h2d, gemm, top2, d2h, post] = Stage::ALL.map(|stage| self.stage_us(stage));
         [h2d, gemm, top2, d2h, post, self.total_us]
@@ -382,7 +300,7 @@ impl EncodedQuery {
         let packed = {
             let _span = Span::enter("encode");
             FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
-                .pack_query(matching.kernel_backend())
+                .pack_query(active_backend())
         };
         let pooled = matching.ivf.prunes().then(|| pool_column_slice(query.dim(), data));
         EncodedQuery { packed, pooled }
@@ -485,7 +403,6 @@ pub struct Engine {
     /// Trained coarse quantizer (None until enough pooled descriptors have
     /// been ingested with `matching.ivf.enabled`).
     ivf: Option<IvfIndex>,
-    telemetry: Telemetry,
 }
 
 impl Engine {
@@ -506,7 +423,6 @@ impl Engine {
             next_batch: 0,
             references: 0,
             ivf: None,
-            telemetry: Telemetry::register(),
         }
     }
 
@@ -559,7 +475,7 @@ impl Engine {
                 open.rows = block.rows();
                 match &mut open.panels {
                     Some(panels) => panels.append_cols(&block),
-                    None => open.panels = Some(block.pack_refs(self.cfg.matching.kernel_backend())),
+                    None => open.panels = Some(block.pack_refs(active_backend())),
                 }
                 open.pools.extend(reference.pool.iter().flatten());
             }
@@ -798,9 +714,10 @@ impl Engine {
     /// matrix is truncated to `n_query` columns (asymmetric n).
     ///
     /// Takes `&self`: the search path only reads the cache layout and
-    /// config, and hit statistics and telemetry are atomic
-    /// cells. Any number of searches may therefore run concurrently behind
-    /// a shared read lock.
+    /// config, and the cache's hit statistics are atomic cells. Any number
+    /// of searches may therefore run concurrently behind a shared read
+    /// lock. The engine writes no metrics: whoever runs the search projects
+    /// its [`SearchReport`] (a cluster does, once per answered leg).
     ///
     /// A degenerate query (no features) returns every reference with a
     /// zero score rather than panicking — extraction can legitimately come
@@ -942,7 +859,6 @@ impl Engine {
                 Stage::ALL.iter().fold(probe_us, |sum, &stage| sum + report.stage_us(stage));
             report.total_us =
                 report.serial_total_us * streams::stream_time_factor(spec, self.cfg.streams);
-            self.telemetry.observe(report);
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         }
         results
@@ -997,7 +913,7 @@ mod tests {
     fn an_f16_reference_rests_in_two_byte_panels_where_the_tile_widens() {
         // What the forced-backend test runs pin: f16 panels under `avx2` (the
         // `ymm` walker's) and `avx512`, f32 panels under `scalar`.
-        let f16_elem = if MatchConfig::default().kernel_backend().f16_panels() { 2 } else { 4 };
+        let f16_elem = if active_backend().f16_panels() { 2 } else { 4 };
         for (precision, elem) in [(Precision::F16, f16_elem), (Precision::F32, 4)] {
             let mut engine = Engine::new(EngineConfig {
                 matching: MatchConfig { precision, ..MatchConfig::default() },

@@ -88,7 +88,7 @@ use shard::Shard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use texid_cache::CacheError;
-use texid_core::{CoalesceConfig, EngineConfig};
+use texid_core::{CoalesceConfig, EngineConfig, SearchReport};
 use texid_obs::{
     global_ring, Counter, DriftSentry, DriftStatus, Gauge, Histogram, Registry, SloEngine,
     SloSpec, SloStatus, TraceContext, DRIFT_STAGES,
@@ -102,7 +102,7 @@ use texid_store::{DurableLog, LogConfig, Volume, WalStats};
 use {
     crate::faults::Stage,
     crate::wire,
-    texid_core::{Engine, SearchReport},
+    texid_core::Engine,
     texid_obs::global_events,
     texid_sift::FeatureMatrix,
 };
@@ -124,16 +124,32 @@ struct Telemetry {
     wal_appends: Gauge,
     wal_bytes: Gauge,
     wal_snapshots: Gauge,
-    /// The process-wide sim-clock stage histograms the engines observe
-    /// into ([`DRIFT_STAGES`]: each stage, then the total). The cluster
-    /// stamps OpenMetrics exemplars on them with *measured*
-    /// (perturbation-inclusive) per-stage values, so a `/metrics` bucket
-    /// links to the trace of a query that actually landed there.
+    /// The sim-clock stage histograms ([`DRIFT_STAGES`]: each stage, then
+    /// the total), in [`SearchReport::sim_series`] order. Each answered leg
+    /// observes its *measured* (perturbation-inclusive) values once, and a
+    /// traced search stamps the exemplar in the same call, so a `/metrics`
+    /// bucket links to the trace of a query it counted.
     stage_sim: [Histogram; 6],
+    probe: Histogram,
+    engine_searches: Counter,
+    images_compared: Counter,
+    ivf_cells_probed: Counter,
+    ivf_batches_pruned: Counter,
+    ivf_batches_swept: Counter,
+    ivf_prune_ratio: Gauge,
 }
 
 impl Telemetry {
     fn register(reg: &Registry) -> Telemetry {
+        // Constant info gauge: which SIMD kernel backend this process
+        // dispatched to (scalar / avx2 / avx512). Registered here because
+        // `texid-obs` deliberately has no linalg dependency.
+        reg.gauge(
+            "texid_kernel_backend_info",
+            "Active SIMD kernel backend (constant 1; the backend is the label).",
+            &[("backend", texid_linalg::active_backend().name())],
+        )
+        .set(1.0);
         Telemetry {
             searches: reg.counter(
                 "texid_cluster_searches",
@@ -200,7 +216,59 @@ impl Telemetry {
                 "Checksummed snapshots written by feature-store compaction since startup.",
                 &[],
             ),
-            stage_sim: DRIFT_STAGES.map(|stage| texid_obs::global().stage_duration(stage, "sim")),
+            stage_sim: DRIFT_STAGES.map(|stage| reg.stage_duration(stage, "sim")),
+            probe: reg.stage_duration("probe", "sim"),
+            engine_searches: reg.counter(
+                "texid_engine_searches",
+                "Single-node search passes completed.",
+                &[],
+            ),
+            images_compared: reg.counter(
+                "texid_engine_images_compared",
+                "Reference images compared across all searches.",
+                &[],
+            ),
+            ivf_cells_probed: reg.counter(
+                "texid_ivf_cells_probed",
+                "IVF cells probed across all searches (nprobe per probed search).",
+                &[],
+            ),
+            ivf_batches_pruned: reg.counter(
+                "texid_ivf_batches_pruned",
+                "Reference batches the IVF probe let searches skip entirely.",
+                &[],
+            ),
+            ivf_batches_swept: reg.counter(
+                "texid_ivf_batches_swept",
+                "Reference batches searches actually swept with the exact kernels.",
+                &[],
+            ),
+            ivf_prune_ratio: reg.gauge(
+                "texid_ivf_prune_ratio",
+                "Fraction of cached batches the most recent search pruned \
+                 (0 on exhaustive searches).",
+                &[],
+            ),
+        }
+    }
+
+    /// Project one answered leg's measured report into the per-leg series:
+    /// the stage histograms (exemplars stamped under `trace_id`), the probe
+    /// histogram, and the engine and IVF counters.
+    fn observe_leg(&self, measured: &SearchReport, trace_id: Option<u128>) {
+        for (series, us) in self.stage_sim.iter().zip(measured.sim_series()) {
+            series.observe_traced(us, trace_id);
+        }
+        self.probe.observe(measured.probe_us);
+        self.engine_searches.inc();
+        self.images_compared.add(measured.images as u64);
+        let swept = (measured.device_batches + measured.host_batches) as u64;
+        self.ivf_cells_probed.add(measured.cells_probed as u64);
+        self.ivf_batches_pruned.add(measured.batches_pruned as u64);
+        self.ivf_batches_swept.add(swept);
+        let total_batches = measured.batches_pruned as u64 + swept;
+        if total_batches > 0 {
+            self.ivf_prune_ratio.set(measured.batches_pruned as f64 / total_batches as f64);
         }
     }
 }

@@ -205,12 +205,13 @@ impl Cluster {
     }
 
     /// Phase 2: drive the breakers from the outcomes. This is the *single*
-    /// per-leg accounting point — breaker transitions (which publish their
-    /// gauge), shard failure/skip counters, latency observations, and every
-    /// projection of an answered leg's report (drift pairs, exemplars, the
-    /// wide event, trace spans) update here, exactly once per leg per
-    /// search, so the Prometheus counters cannot drift from the breaker
-    /// bookkeeping.
+    /// per-leg accounting point and the only writer of per-leg series —
+    /// breaker transitions (which publish their gauge), shard failure/skip
+    /// counters, latency observations, and every projection of an answered
+    /// leg's measured report (the sim-clock stage and probe histograms with
+    /// their exemplars, the engine and IVF counters, drift pairs, the wide
+    /// event, trace spans) update here, exactly once per leg per search, so
+    /// no two surfaces can disagree about a leg.
     fn account_legs(&self, legs: &[Leg], trace_id: Option<u128>, event: &mut WideEvent) {
         for leg in legs {
             let shard = &self.shards[leg.shard];
@@ -218,17 +219,12 @@ impl Cluster {
             match &leg.outcome {
                 LegOutcome::Answered(LegAnswer { measured, predicted, .. }) => {
                     shard.record_answer(measured.total_us, trace_id);
-                    // Feed the drift sentry the (measured, predicted) pair
-                    // per series, and — for traced searches — stamp
-                    // exemplars with the measured values so `/metrics`
-                    // buckets link to `GET /trace/{id}`.
+                    // The measured report is what every series counts (and,
+                    // traced, what its exemplar carries); the drift sentry
+                    // gets the (measured, predicted) pair per series.
+                    self.telemetry.observe_leg(measured, trace_id);
                     let (m, p) = (measured.sim_series(), predicted.sim_series());
                     self.drift.observe(&std::array::from_fn(|i| (m[i], p[i])));
-                    if let Some(tid) = trace_id {
-                        for (series, us) in self.telemetry.stage_sim.iter().zip(m) {
-                            series.record_exemplar(us, tid);
-                        }
-                    }
                     event.coalesced = event.coalesced.max(measured.coalesced_queries as u32);
                     event.device_batches += measured.device_batches as u64;
                     event.host_batches += measured.host_batches as u64;

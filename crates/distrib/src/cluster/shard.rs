@@ -247,10 +247,7 @@ impl Shard {
     /// `/metrics` bucket links to `GET /trace/{id}`.
     pub(super) fn record_answer(&self, total_us: f64, trace_id: Option<u128>) {
         self.breaker.lock().record_success();
-        self.search_duration.observe(total_us);
-        if let Some(tid) = trace_id {
-            self.search_duration.record_exemplar(total_us, tid);
-        }
+        self.search_duration.observe_traced(total_us, trace_id);
     }
 
     /// The breaker was open and the shard sat this search out.

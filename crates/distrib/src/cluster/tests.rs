@@ -114,6 +114,30 @@ fn stage_stall_flags_drift_on_one_stage_only() {
 }
 
 #[test]
+fn stage_histograms_count_the_measured_report_their_exemplars_carry() {
+    // One writer per leg: under a 4x gemm stall the sim-clock gemm series
+    // counts the measured (stalled) value, in the bucket whose exemplar
+    // links to this search's trace, in the cluster's own registry.
+    let reg = Registry::new();
+    let plan = FaultPlan::new(11).stall_stage(0, Stage::Gemm, 4.0, 1);
+    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    for id in 0..4u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let ctx = TraceContext::root();
+    let out = cluster.search_traced(&query_for(1), 2, Some(&ctx));
+    let gemm_us = out.shard_reports[0].gemm_us;
+    assert!(gemm_us > 0.0);
+
+    let gemm = reg.stage_duration("gemm", "sim");
+    assert_eq!(gemm.count(), 1);
+    assert!((gemm.sum() - gemm_us).abs() < 1e-3, "sum {} vs measured {gemm_us}", gemm.sum());
+    let bucket = gemm.bounds().iter().position(|&b| gemm_us <= b).unwrap_or(gemm.bounds().len());
+    assert_eq!(gemm.bucket_counts()[bucket], 1, "the measured value's bucket counted it");
+    assert_eq!(gemm.exemplar(bucket), Some((ctx.trace_id, gemm_us)));
+}
+
+#[test]
 fn slo_status_tracks_good_and_failed_searches() {
     let reg = Registry::new();
     let plan = FaultPlan::new(3).crash_shard(0);
@@ -466,7 +490,7 @@ fn an_f16_reference_rests_at_two_bytes_per_element() {
     assert!(kv <= 115_000, "KvStore holds {kv} B per reference");
     assert!(wal <= 115_000, "the WAL holds {wal} B per reference");
     let panels = per_ref(cluster.shards[0].engine.read().panel_bytes() as u64);
-    let f16 = cluster.config().engine.matching.kernel_backend().f16_panels();
+    let f16 = texid_linalg::active_backend().f16_panels();
     assert_eq!(panels, if f16 { 98_304 } else { 196_608 });
 }
 

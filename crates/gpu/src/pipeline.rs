@@ -232,30 +232,6 @@ fn run(
     let makespan = sim.device_sync();
     let (h2d_busy, _, compute_busy) = sim.engine_busy_us();
 
-    // Copy/compute overlap telemetry: busy fractions near 1.0 mean that
-    // engine is the pipeline bottleneck (§6.2's overlap story).
-    let reg = texid_obs::global();
-    if makespan > 0.0 {
-        reg.gauge(
-            "texid_pipeline_h2d_busy_ratio",
-            "H2D copy-engine busy time over makespan for the last pipeline simulation.",
-            &[],
-        )
-        .set(h2d_busy / makespan);
-        reg.gauge(
-            "texid_pipeline_compute_busy_ratio",
-            "Compute-engine busy time over makespan for the last pipeline simulation.",
-            &[],
-        )
-        .set(compute_busy / makespan);
-    }
-    reg.counter(
-        "texid_pipeline_chunks",
-        "Chunks issued through the discrete-event pipeline simulator.",
-        &[],
-    )
-    .add(n_chunks as u64);
-
     PipelineStats {
         makespan_us: makespan,
         images: n_chunks * chunk.batch,

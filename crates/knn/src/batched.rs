@@ -23,6 +23,7 @@ use crate::block::{FeatureBlock, PackedBlock};
 use crate::pair::{Algorithm, MatchConfig, StepTimes};
 use crate::ratio::{count_good_matches, RATIO_THRESHOLD};
 use texid_gpu::{cost, DeviceSpec, GpuSim, Kernel, Precision, StreamId};
+use texid_linalg::dispatch::active_backend;
 use texid_linalg::kernel::{gemm_packed, gemm_top2_ex, FusedEpilogue, PackedA, PackedB};
 use texid_linalg::mat::{Mat, MatF16};
 use texid_linalg::top2::{top2_min_per_column, Top2};
@@ -166,9 +167,9 @@ pub fn match_batch(
 /// per-reference ratio test, no device and no charge (`cfg.algorithm` is not
 /// consulted).
 ///
-/// Packs both blocks for `cfg`'s backend and calls [`score_batch_packed`] —
-/// callers that match the same references or the same query more than once
-/// (the engine) pack once and call that directly.
+/// Packs both blocks for the process-wide [`active_backend`] and calls
+/// [`score_batch_packed`] — callers that match the same references or the
+/// same query more than once (the engine) pack once and call that directly.
 ///
 /// # Panics
 /// As [`match_batch`], on mismatched operands.
@@ -179,7 +180,7 @@ pub fn score_batch(
     m_per_ref: usize,
     q: &FeatureBlock,
 ) -> BatchOutcome {
-    let be = cfg.kernel_backend();
+    let be = active_backend();
     score_batch_packed(cfg, &r_cat.pack_refs(be), batch, m_per_ref, &q.pack_query(be))
 }
 
@@ -429,28 +430,23 @@ mod tests {
         }
     }
 
-    /// `MatchConfig::backend` reaches the unfused route too: `score_batch`
-    /// packs both operands for it and the materialized GEMM runs on the
-    /// packs' backend — a query packed for another one is refused, never
-    /// silently repacked for whatever the process dispatches to.
+    /// The unfused route runs the materialized GEMM on the packs' backend:
+    /// every backend gives the same bits, and a query packed for another
+    /// backend is refused, never silently repacked for whatever the process
+    /// dispatches to.
     #[test]
-    fn unfused_gemm_runs_on_the_configured_backend() {
+    fn unfused_gemm_runs_on_the_packs_backend() {
         use texid_linalg::Backend;
         let r = FeatureBlock::F32(unit_features(32, 24, 1));
         let q = FeatureBlock::F32(unit_features(32, 10, 2));
         let f32_cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
         let reference = score_batch(&f32_cfg, &r, 2, 12, &q);
+        let cfg = MatchConfig { fused: false, ..f32_cfg };
         for be in Backend::ALL {
-            let cfg = MatchConfig {
-                precision: Precision::F32,
-                fused: false,
-                backend: Some(be),
-                ..MatchConfig::default()
-            };
-            let packed = r.pack_refs(cfg.kernel_backend());
+            let packed = r.pack_refs(be);
             let effective = if be.is_available() { be } else { Backend::Scalar };
             assert_eq!(packed.panels.backend(), effective, "{be}: references");
-            let unfused = score_batch(&cfg, &r, 2, 12, &q);
+            let unfused = score_batch_packed(&cfg, &packed, 2, 12, &q.pack_query(be));
             assert_eq!(unfused.top2, reference.top2, "{be}: every backend gives the same bits");
 
             for other in Backend::ALL {

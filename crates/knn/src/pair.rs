@@ -2,7 +2,7 @@
 //! two baselines, with per-step simulated timing (the rows of Table 1, priced
 //! by [`BatchWork`]).
 
-use crate::batched::{scale_sq, scan_product, score_batch, similarity_gemm, BatchWork};
+use crate::batched::{scale_sq, scan_product, score_batch_packed, similarity_gemm, BatchWork};
 use crate::block::FeatureBlock;
 use crate::ratio::{good_matches, FeatureMatch, RATIO_THRESHOLD};
 use texid_gpu::{GpuSim, Precision, StreamId};
@@ -89,21 +89,6 @@ pub struct MatchConfig {
     pub fused: bool,
     /// IVF coarse-index settings (candidate pruning before the exact sweep).
     pub ivf: IvfParams,
-    /// Force a specific SIMD kernel backend for this configuration's GEMMs.
-    /// `None` (the default) uses the process-wide dispatch —
-    /// `TEXID_KERNEL_BACKEND` override or runtime CPU detection. A forced
-    /// backend unavailable on this host degrades to scalar. All backends are
-    /// bit-identical, so this knob affects speed only, never results.
-    pub backend: Option<Backend>,
-}
-
-impl MatchConfig {
-    /// The kernel backend this configuration resolves to: the forced
-    /// [`MatchConfig::backend`] if set, else the process-wide
-    /// [`active_backend`].
-    pub fn kernel_backend(&self) -> Backend {
-        self.backend.unwrap_or_else(active_backend)
-    }
 }
 
 impl Default for MatchConfig {
@@ -115,7 +100,6 @@ impl Default for MatchConfig {
             tensor_core: false,
             fused: true,
             ivf: IvfParams::default(),
-            backend: None,
         }
     }
 }
@@ -219,13 +203,18 @@ pub fn match_pair(
 /// Panics if the blocks disagree in precision or descriptor dimension.
 pub fn score_pair(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlock) -> PairOutcome {
     assert_eq!(r.rows(), q.rows(), "descriptor dimension mismatch");
-    let top2 = run_functional(cfg, r, q);
+    let top2 = run_functional(cfg, active_backend(), r, q);
     let matches = good_matches(&top2, RATIO_THRESHOLD);
     PairOutcome { top2, matches, steps: StepTimes::default() }
 }
 
-/// The functional matching paths (shared with the batched engine's tests).
-pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlock) -> Vec<Top2> {
+/// The functional matching paths, packing for kernel backend `be`.
+pub(crate) fn run_functional(
+    cfg: &MatchConfig,
+    be: Backend,
+    r: &FeatureBlock,
+    q: &FeatureBlock,
+) -> Vec<Top2> {
     match cfg.algorithm {
         Algorithm::OpenCvCuda => {
             // Brute-force exact Euclidean distances, then a 2-selection —
@@ -249,7 +238,6 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
             // Algorithm 1: ρ² = N_R + N_Q − 2·RᵀQ.
             let n_r = col_sq_norms(&r.to_f32());
             let n_q = col_sq_norms(&q.to_f32());
-            let be = cfg.kernel_backend();
             let (rp, qp) = (r.pack_refs(be), q.pack_query(be));
 
             let raw = if cfg.fused && cfg.algorithm == Algorithm::CublasTop2 {
@@ -292,7 +280,9 @@ pub(crate) fn run_functional(cfg: &MatchConfig, r: &FeatureBlock, q: &FeatureBlo
         }
         // Algorithm 2, ρ = √(2 − 2·rᵀq) for unit-norm RootSIFT columns: a
         // pair is a batch of one.
-        Algorithm::RootSiftTop2 => score_batch(cfg, r, 1, r.cols(), q).top2,
+        Algorithm::RootSiftTop2 => {
+            score_batch_packed(cfg, &r.pack_refs(be), 1, r.cols(), &q.pack_query(be)).top2
+        }
     }
 }
 
@@ -348,14 +338,9 @@ mod tests {
                 );
                 for fused in [true, false] {
                     let base = MatchConfig { scale, fused, ..cfg(alg, precision) };
-                    let scalar = run_functional(
-                        &MatchConfig { backend: Some(Backend::Scalar), ..base },
-                        &r,
-                        &q,
-                    );
+                    let scalar = run_functional(&base, Backend::Scalar, &r, &q);
                     for be in texid_linalg::available_backends() {
-                        let out =
-                            run_functional(&MatchConfig { backend: Some(be), ..base }, &r, &q);
+                        let out = run_functional(&base, be, &r, &q);
                         for (a, b) in scalar.iter().zip(&out) {
                             assert_eq!(a.idx, b.idx, "{alg:?}/{precision:?}/{be} index");
                             assert_eq!(

@@ -65,7 +65,7 @@ fn is_good(t: &Top2) -> bool {
 /// fused and unfused on every available backend.
 fn outcome(precision: Precision, refs: &Mat, query: &Mat) -> BatchOutcome {
     let run = |be: Backend, fused: bool| {
-        let cfg = MatchConfig { precision, fused, backend: Some(be), ..MatchConfig::default() };
+        let cfg = MatchConfig { precision, fused, ..MatchConfig::default() };
         let r = FeatureBlock::encode(D, refs.cols(), refs.as_slice(), precision, cfg.scale);
         let q = FeatureBlock::encode(D, query.cols(), query.as_slice(), precision, cfg.scale);
         score_batch_packed(&cfg, &r.pack_refs(be), BATCH, M, &q.pack_query(be))

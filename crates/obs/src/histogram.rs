@@ -29,7 +29,7 @@ struct Inner {
     /// (order-preserving for non-negative floats, so `fetch_max` works).
     max_bits: AtomicU64,
     /// Per-bucket exemplar cells: the most recent `(trace_id, value)`
-    /// stamped into that bucket via [`Histogram::record_exemplar`]
+    /// stamped into that bucket by [`Histogram::observe_traced`]
     /// (`trace_id == 0` means unset). One per bucket including overflow.
     exemplars: Vec<Mutex<(u128, f64)>>,
 }
@@ -99,6 +99,17 @@ impl Histogram {
     /// Record one observation. A value exactly on a bound falls into that
     /// bucket (bounds are inclusive upper limits, `le` semantics).
     pub fn observe(&self, v: f64) {
+        self.observe_traced(v, None);
+    }
+
+    /// [`Histogram::observe`] `v`, then — for a traced observation — stamp
+    /// its bucket's exemplar with `(trace_id, v)`, so the bucket links to
+    /// `GET /trace/{id}` and the exemplar is always one of the values the
+    /// bucket counted.
+    ///
+    /// The stamp is best-effort: a contended cell is skipped rather than
+    /// blocking the hot path, and `None` or a zero trace id stamps nothing.
+    pub fn observe_traced(&self, v: f64, trace_id: Option<u128>) {
         let i = self.bucket_of(v);
         self.inner.counts[i].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
@@ -107,21 +118,8 @@ impl Histogram {
         // Non-negative f64 bit patterns order like the floats themselves,
         // so one relaxed fetch_max keeps the running maximum lock-free.
         self.inner.max_bits.fetch_max(v.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// Stamp an exemplar — the trace id of a request whose observation
-    /// landed (or would land) in `v`'s bucket — **without** recounting the
-    /// value. Callers that already fed `v` through [`Histogram::observe`]
-    /// (possibly from another handle to the same series) use this to link
-    /// the bucket to `GET /trace/{id}` with no double counting.
-    ///
-    /// The stamp is best-effort: a contended cell is skipped rather than
-    /// blocking the hot path, and `trace_id == 0` stamps are ignored.
-    pub fn record_exemplar(&self, v: f64, trace_id: u128) {
-        if trace_id == 0 {
-            return;
-        }
-        if let Ok(mut cell) = self.inner.exemplars[self.bucket_of(v)].try_lock() {
+        let Some(trace_id) = trace_id.filter(|&t| t != 0) else { return };
+        if let Ok(mut cell) = self.inner.exemplars[i].try_lock() {
             *cell = (trace_id, v);
         }
     }
@@ -304,19 +302,19 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_stamp_without_recounting() {
+    fn traced_observations_stamp_their_bucket() {
         let h = Histogram::with_bounds(&[10.0, 20.0]);
-        h.observe(15.0);
-        h.record_exemplar(15.0, 0xabc);
-        assert_eq!(h.count(), 1, "record_exemplar must not recount");
+        h.observe_traced(15.0, Some(0xabc));
+        assert_eq!(h.count(), 1);
         assert_eq!(h.exemplar(1), Some((0xabc, 15.0)));
         assert_eq!(h.exemplar(0), None, "untouched bucket has no exemplar");
-        // Most recent stamp wins; zero trace ids are ignored.
-        h.record_exemplar(12.0, 0xdef);
-        h.record_exemplar(13.0, 0);
+        // Most recent stamp wins; zero or absent trace ids stamp nothing.
+        h.observe_traced(12.0, Some(0xdef));
+        h.observe_traced(13.0, Some(0));
+        h.observe_traced(14.0, None);
         assert_eq!(h.exemplar(1), Some((0xdef, 12.0)));
         // Overflow bucket takes exemplars too.
-        h.record_exemplar(999.0, 0x123);
+        h.observe_traced(999.0, Some(0x123));
         assert_eq!(h.exemplar(2), Some((0x123, 999.0)));
     }
 

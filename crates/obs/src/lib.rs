@@ -24,8 +24,8 @@
 //!    series with `_sum` / `_count`, and escaped label values.
 //!
 //! The process-wide registry is [`global`]; every instrumented crate
-//! (`texid-core`, `texid-gpu`, `texid-cache`, `texid-distrib`,
-//! `texid-sift`) registers against it, and `texid-distrib`'s REST API
+//! (`texid-core`, `texid-cache`, `texid-distrib`, `texid-sift`)
+//! registers against it, and `texid-distrib`'s REST API
 //! serves it as `GET /metrics`. The full metric catalog lives in
 //! `OBSERVABILITY.md` at the repository root.
 //!

@@ -147,10 +147,8 @@ mod tests {
     fn histograms_render_max_and_exemplars() {
         let reg = Registry::new();
         let h = reg.histogram_with_bounds("texid_demo_us", "demo", &[], &[10.0, 100.0]);
-        h.observe(5.0);
-        h.observe(250.0);
-        h.record_exemplar(5.0, 0xabc);
-        h.record_exemplar(250.0, 0xdef);
+        h.observe_traced(5.0, Some(0xabc));
+        h.observe_traced(250.0, Some(0xdef));
         let text = reg.render_prometheus();
         assert!(
             text.contains("texid_demo_us_bucket{le=\"10\"} 1 # {trace_id=\"00000000000000000000000000000abc\"} 5"),

@@ -16,10 +16,6 @@
 //! Both tests share one server (the registry is process-global) and a
 //! mutex so the exemplar test's search is the only traced search in this
 //! process — the slowest-bucket exemplar is then deterministic.
-//!
-//! The harness deliberately also runs one stream-pipeline simulation:
-//! `texid_pipeline_*` are the only lazily-registered families, and the
-//! lint must see them live.
 
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
@@ -33,8 +29,6 @@ use texid_distrib::cluster::{Cluster, ClusterConfig};
 use texid_distrib::http::{http_call, http_call_with_headers, HttpServer};
 use texid_distrib::json::{parse, Json};
 use texid_distrib::wire;
-use texid_gpu::pipeline::{simulate, ChunkSpec};
-use texid_gpu::{DeviceSpec, Precision};
 use texid_image::TextureGenerator;
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
@@ -49,20 +43,6 @@ fn harness() -> (&'static Harness, MutexGuard<'static, ()>) {
     static GATE: Mutex<()> = Mutex::new(());
     let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let h = HARNESS.get_or_init(|| {
-        // Touch the lazily-registered pipeline families so the lint sees
-        // the full surface a long-lived server would expose.
-        let spec = DeviceSpec::tesla_p100();
-        let chunk = ChunkSpec {
-            batch: 64,
-            m: 768,
-            n: 768,
-            d: 128,
-            precision: Precision::F16,
-            pinned: true,
-        };
-        let stats = simulate(&spec, &chunk, 4, 2, spec.calib.stream_serial_fraction);
-        assert!(stats.makespan_us > 0.0);
-
         let cluster = Arc::new(Cluster::new(ClusterConfig {
             containers: 2,
             engine: EngineConfig {

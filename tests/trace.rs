@@ -312,12 +312,17 @@ fn texid_trace_subcommand_writes_valid_file() {
     let dir = std::env::temp_dir().join(format!("texid-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("pipeline.trace.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_texid"))
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_texid"))
         .args(["trace", "--streams", "3", "--chunks", "9", "--out"])
         .arg(&out)
-        .status()
+        .output()
         .expect("texid binary runs");
-    assert!(status.success());
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("H2D busy") && stdout.contains("compute busy"),
+        "the summary reports both busy ratios:\n{stdout}"
+    );
     let text = std::fs::read_to_string(&out).unwrap();
     let events = trace_events(&text);
     assert!(
