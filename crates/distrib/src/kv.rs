@@ -1,85 +1,125 @@
 //! Redis substrate: a thread-safe key/value store with per-value
-//! checksums and a durability log.
+//! checksums, kept as a keydir over its own durability log.
 //!
 //! The paper's deployment keeps serialized reference feature matrices in a
 //! Redis container so GPU containers can (re)load their shard on startup.
-//! This is the equivalent, grown two capabilities past the original
-//! in-memory map (DESIGN.md §12):
+//! This is the equivalent, grown past the original in-memory map
+//! (DESIGN.md §12):
 //!
 //! * **Per-value CRC32C** — every `set` seals the value with a checksum,
 //!   and [`KvStore::get_with_crc`] hands both back so the cluster's
 //!   fault-wrapped read path can tell *corrupt* from *missing* instead of
 //!   deserializing garbage.
-//! * **Write-ahead logging** — a store built with [`KvStore::durable`]
-//!   appends every `set`/`del` to a [`texid_store::DurableLog`] before
-//!   mutating the map, can compact into a checksummed snapshot, and can
-//!   [`KvStore::replay`] itself strictly from the media — the primitive
-//!   `Cluster::heal()` uses to recover crashed shards. Records the fault
-//!   plan tore or lost simply never come back, which is exactly the signal
-//!   recovery quarantines on.
+//! * **Write-ahead logging** — every `set`/`del` is appended to a
+//!   [`texid_store::DurableLog`]; the store can compact into a checksummed
+//!   snapshot and [`KvStore::replay`] itself strictly from the media — the
+//!   primitive `Cluster::heal()` uses to recover crashed shards. Records
+//!   the fault plan tore or lost never come back, which is exactly the
+//!   signal recovery quarantines on.
+//! * **One copy of each value** — as in Bitcask's keydir (Sheehy & Smith
+//!   2010), the map holds where a value lies (snapshot or WAL, offset,
+//!   length) and its checksum, not the value: a read goes to the medium.
+//!   A write the fault plan kept off the medium, and every value across a
+//!   compaction whose snapshot it corrupted, is *held* in its entry
+//!   instead, so the writer still reads what it believes it wrote while
+//!   replay shows only what the media kept. Appends, compaction and replay
+//!   take the keydir's write lock, so the log's order is the keydir's.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use texid_store::{crc32c, DurableLog, Record, ReplayStats, SnapshotFault, WalStats, WriteFault};
+use texid_store::snapshot::Encoder;
+use texid_store::{
+    crc32c, Blob, DurableLog, Record, ReplayStats, SnapshotFault, WalStats, WriteFault,
+};
 
-/// A value plus the checksum sealed over it at write time.
-struct Stored {
-    bytes: Vec<u8>,
+/// Where a value's bytes are.
+enum Value {
+    /// On the log's media: this blob, from this offset.
+    At(Blob, u64),
+    /// In memory: the media do not hold what the writer believes it wrote.
+    Held(Vec<u8>),
+}
+
+/// One keydir entry: where the value is, its length, and the checksum
+/// sealed over it at write time.
+struct Slot {
+    value: Value,
+    len: usize,
     crc: u32,
 }
 
-impl Stored {
-    fn seal(bytes: Vec<u8>) -> Stored {
-        let crc = crc32c(&bytes);
-        Stored { bytes, crc }
-    }
-}
-
-/// A thread-safe KV store (Redis stand-in) with per-value CRC32C and a
-/// write-ahead log.
+/// A thread-safe KV store (Redis stand-in) with per-value CRC32C, indexing
+/// its write-ahead log instead of copying it.
 pub struct KvStore {
-    map: RwLock<BTreeMap<String, Stored>>,
+    keydir: RwLock<BTreeMap<String, Slot>>,
     log: DurableLog,
-    /// Append failures from a file-backed log (memory media never fail);
-    /// surfaced through [`KvStore::wal_io_errors`] rather than poisoning
-    /// the write path.
+    /// Append and read failures from a file-backed log (memory media never
+    /// fail); surfaced through [`KvStore::wal_io_errors`] rather than
+    /// poisoning the write path.
     wal_io_errors: AtomicU64,
 }
 
 impl KvStore {
     /// Create an empty store journaling through `log`.
     pub fn durable(log: DurableLog) -> KvStore {
-        KvStore { map: RwLock::default(), log, wal_io_errors: AtomicU64::new(0) }
+        KvStore { keydir: RwLock::default(), log, wal_io_errors: AtomicU64::new(0) }
     }
 
-    /// Set `key` to `value`, returning the previous value if any.
-    pub fn set(&self, key: &str, value: Vec<u8>) -> Option<Vec<u8>> {
+    fn io_error(&self) {
+        self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Set `key` to `value`, returning whether the key already existed.
+    pub fn set(&self, key: &str, value: Vec<u8>) -> bool {
         self.set_faulted(key, value, WriteFault::Clean)
     }
 
     /// [`KvStore::set`] with an explicit durability fault on the WAL
-    /// append (the cluster's fault plan decides it; the map mutation
-    /// happens regardless — the writer believes the write succeeded, and
-    /// only replay reveals what the media really kept).
-    pub fn set_faulted(&self, key: &str, value: Vec<u8>, fault: WriteFault) -> Option<Vec<u8>> {
-        let rec = Record::Set { key: key.to_string(), value: value.clone() };
-        if self.log.append(&rec, fault).is_err() {
-            self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.map.write().insert(key.to_string(), Stored::seal(value)).map(|s| s.bytes)
+    /// append (the cluster's fault plan decides it). The writer believes
+    /// the write succeeded regardless — a lost or torn value is held in
+    /// memory and read back — and only replay reveals what the media
+    /// really kept.
+    pub fn set_faulted(&self, key: &str, value: Vec<u8>, fault: WriteFault) -> bool {
+        let (len, crc) = (value.len(), crc32c(&value));
+        let rec = Record::Set { key: key.to_string(), value };
+        let mut keydir = self.keydir.write();
+        let landed = self.log.append(&rec, fault);
+        let Record::Set { key, value } = rec else { unreachable!("built as a set") };
+        let value = match landed {
+            Ok(Some(at)) => Value::At(Blob::Wal, at),
+            Ok(None) => Value::Held(value),
+            Err(_) => {
+                self.io_error();
+                Value::Held(value)
+            }
+        };
+        keydir.insert(key, Slot { value, len, crc }).is_some()
     }
 
     /// Fetch a copy of the value at `key`.
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.map.read().get(key).map(|s| s.bytes.clone())
+        self.get_with_crc(key).map(|(bytes, _)| bytes)
     }
 
     /// Fetch a copy of the value plus the CRC32C sealed over it at write
     /// time. Callers that pass the bytes through fault injection verify
-    /// them against the checksum to distinguish corrupt from missing.
+    /// them against the checksum to distinguish corrupt from missing. A
+    /// medium that fails the read answers `None`.
     pub fn get_with_crc(&self, key: &str) -> Option<(Vec<u8>, u32)> {
-        self.map.read().get(key).map(|s| (s.bytes.clone(), s.crc))
+        let keydir = self.keydir.read();
+        let slot = keydir.get(key)?;
+        let bytes = match &slot.value {
+            Value::Held(bytes) => bytes.clone(),
+            Value::At(blob, at) => match self.log.read_at(*blob, *at, slot.len) {
+                Ok(bytes) => bytes,
+                Err(_) => {
+                    self.io_error();
+                    return None;
+                }
+            },
+        };
+        Some((bytes, slot.crc))
     }
 
     /// Delete `key`, returning whether it existed.
@@ -90,30 +130,31 @@ impl KvStore {
     /// [`KvStore::del`] with an explicit durability fault on the WAL append.
     pub fn del_faulted(&self, key: &str, fault: WriteFault) -> bool {
         let rec = Record::Del { key: key.to_string() };
+        let mut keydir = self.keydir.write();
         if self.log.append(&rec, fault).is_err() {
-            self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
+            self.io_error();
         }
-        self.map.write().remove(key).is_some()
+        keydir.remove(key).is_some()
     }
 
     /// True if `key` exists.
     pub fn exists(&self, key: &str) -> bool {
-        self.map.read().contains_key(key)
+        self.keydir.read().contains_key(key)
     }
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.keydir.read().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.keydir.read().is_empty()
     }
 
     /// Total payload bytes stored.
     pub fn used_bytes(&self) -> u64 {
-        self.map.read().values().map(|s| s.bytes.len() as u64).sum()
+        self.keydir.read().values().map(|s| s.len as u64).sum()
     }
 
     /// True when the log's snapshot schedule says it is time to
@@ -122,36 +163,83 @@ impl KvStore {
         self.log.snapshot_due()
     }
 
-    /// Write the current map as a checksummed snapshot and truncate the
-    /// WAL behind it. Returns false on a media error.
+    /// Stream every live value into a checksummed snapshot, truncate the
+    /// WAL behind it, and point the keydir at the snapshot. Under
+    /// [`SnapshotFault::Corrupt`] every value is held instead: the writer
+    /// does not know its snapshot is damaged. Returns false on a media
+    /// error.
     pub fn compact(&self, fault: SnapshotFault) -> bool {
-        let entries: BTreeMap<String, Vec<u8>> =
-            self.map.read().iter().map(|(k, s)| (k.clone(), s.bytes.clone())).collect();
-        if self.log.write_snapshot(&entries, fault).is_err() {
-            self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
+        let mut keydir = self.keydir.write();
+        let mut enc = Encoder::with_sizes(keydir.iter().map(|(key, s)| (key.len(), s.len)));
+        let mut offsets = Vec::with_capacity(keydir.len());
+        for (key, slot) in keydir.iter() {
+            let at = match &slot.value {
+                Value::Held(bytes) => enc.push(key, bytes),
+                Value::At(blob, at) => match self.log.read_at(*blob, *at, slot.len) {
+                    Ok(bytes) => enc.push(key, &bytes),
+                    Err(_) => {
+                        self.io_error();
+                        return false;
+                    }
+                },
+            };
+            offsets.push(at);
+        }
+        let blob = enc.finish();
+        let held: Vec<Vec<u8>> = match fault {
+            SnapshotFault::Clean => Vec::new(),
+            SnapshotFault::Corrupt => keydir
+                .values()
+                .zip(&offsets)
+                .map(|(slot, &at)| blob[at as usize..][..slot.len].to_vec())
+                .collect(),
+        };
+        let installed = self.log.install_snapshot(blob, fault, || {
+            let mut held = held.into_iter();
+            for (slot, at) in keydir.values_mut().zip(offsets) {
+                slot.value = match held.next() {
+                    Some(bytes) => Value::Held(bytes),
+                    None => Value::At(Blob::Snapshot, at),
+                };
+            }
+        });
+        if installed.is_err() {
+            self.io_error();
             return false;
         }
         true
     }
 
-    /// Discard the in-memory map and rebuild it strictly from the durable
-    /// media (verified snapshot + complete WAL records). Torn, lost, and
-    /// bit-flipped records simply do not come back. `None` on a media
-    /// error.
+    /// Discard the keydir and rebuild it strictly from the durable media
+    /// (verified snapshot + complete WAL records), copying no value. Torn,
+    /// lost, and bit-flipped records simply do not come back; held values
+    /// are dropped. `None` on a media error, leaving the keydir as it was.
     pub fn replay(&self) -> Option<ReplayStats> {
-        let (entries, stats) = match self.log.replay() {
-            Ok(ok) => ok,
-            Err(_) => {
-                self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
-                return None;
+        let mut keydir = self.keydir.write();
+        let mut rebuilt = BTreeMap::new();
+        let stats = self.log.replay_indexed(|blob, found| match found.value {
+            Some((at, value)) => {
+                let slot = Slot {
+                    value: Value::At(blob, at as u64),
+                    len: value.len(),
+                    crc: crc32c(value),
+                };
+                rebuilt.insert(found.key.to_string(), slot);
             }
-        };
-        let mut map = self.map.write();
-        map.clear();
-        for (k, v) in entries {
-            map.insert(k, Stored::seal(v));
+            None => {
+                rebuilt.remove(found.key);
+            }
+        });
+        match stats {
+            Ok(stats) => {
+                *keydir = rebuilt;
+                Some(stats)
+            }
+            Err(_) => {
+                self.io_error();
+                None
+            }
         }
-        Some(stats)
     }
 
     /// WAL counters and blob sizes. Always `Some` since every store is
@@ -160,25 +248,35 @@ impl KvStore {
         Some(self.log.stats())
     }
 
-    /// Append failures from the underlying media (always 0 for in-memory
-    /// volumes).
+    /// Append and read failures from the underlying media (always 0 for
+    /// in-memory volumes).
     pub fn wal_io_errors(&self) -> u64 {
         self.wal_io_errors.load(Ordering::Relaxed)
+    }
+
+    /// Value bytes held in the keydir rather than on the media.
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
+        let keydir = self.keydir.read();
+        keydir.values().filter(|s| matches!(s.value, Value::Held(_))).map(|s| s.len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use texid_store::{LogConfig, Volume};
+    use parking_lot::Mutex;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+    use texid_store::{LogConfig, Media, MemMedia, Volume};
 
     #[test]
     fn set_get_del_cycle() {
         let kv = KvStore::durable(DurableLog::in_memory());
-        assert!(kv.set("a", vec![1, 2, 3]).is_none());
+        assert!(!kv.set("a", vec![1, 2, 3]));
         assert_eq!(kv.get("a"), Some(vec![1, 2, 3]));
-        assert_eq!(kv.set("a", vec![9]), Some(vec![1, 2, 3]));
+        assert!(kv.set("a", vec![9]));
+        assert_eq!(kv.get("a"), Some(vec![9]));
         assert!(kv.del("a"));
         assert!(!kv.del("a"));
         assert_eq!(kv.get("a"), None);
@@ -284,5 +382,99 @@ mod tests {
         // The snapshot's contents are gone; the WAL tail survives.
         assert!(!kv.exists("pre"));
         assert!(kv.exists("post"));
+    }
+
+    #[test]
+    fn a_value_lives_once_and_a_faulted_one_is_held() {
+        let kv = KvStore::durable(DurableLog::in_memory());
+        kv.set("clean", vec![1; 1000]);
+        kv.set("gone", vec![4; 10]);
+        kv.del("gone");
+        assert_eq!(kv.held_bytes(), 0, "a clean store holds no value bytes of its own");
+        kv.set_faulted("lost", vec![2; 300], WriteFault::Lose);
+        assert_eq!(kv.held_bytes(), 300);
+        kv.set_faulted("torn", vec![3; 70], WriteFault::Tear);
+        assert_eq!(kv.held_bytes(), 370);
+        let expect = [("clean", vec![1; 1000]), ("lost", vec![2; 300]), ("torn", vec![3; 70])];
+        let read_back = |kv: &KvStore| {
+            for (key, value) in &expect {
+                assert_eq!(kv.get_with_crc(key), Some((value.clone(), crc32c(value))), "{key}");
+            }
+        };
+        read_back(&kv);
+        // A clean compaction puts the held values on the media; a corrupt
+        // one holds every value, since its snapshot no longer can.
+        assert!(kv.compact(SnapshotFault::Clean));
+        assert_eq!(kv.held_bytes(), 0);
+        read_back(&kv);
+        assert!(kv.compact(SnapshotFault::Corrupt));
+        assert_eq!(kv.held_bytes(), 1370);
+        read_back(&kv);
+    }
+
+    /// A snapshot medium whose `replace` reports that it has begun, then
+    /// waits to be released.
+    struct ParkingMedia {
+        inner: MemMedia,
+        parked: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Media for ParkingMedia {
+        fn read(&self) -> std::io::Result<Vec<u8>> {
+            self.inner.read()
+        }
+
+        fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+            self.inner.read_at(offset, len)
+        }
+
+        fn append(&self, bytes: &[u8]) -> std::io::Result<u64> {
+            self.inner.append(bytes)
+        }
+
+        fn replace(&self, bytes: Vec<u8>) -> std::io::Result<()> {
+            self.parked.lock().send(()).expect("the test waits for the park");
+            self.release.lock().recv().expect("the test releases the park");
+            self.inner.replace(bytes)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_set_during_compaction_survives_replay() {
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let snapshot = Arc::new(ParkingMedia {
+            inner: MemMedia::new(),
+            parked: Mutex::new(parked_tx),
+            release: Mutex::new(release_rx),
+        });
+        let volume = Volume { wal: Arc::new(MemMedia::new()), snapshot };
+        let kv = &KvStore::durable(DurableLog::new(volume, LogConfig { snapshot_every: 0 }));
+        kv.set("a", vec![1]);
+        std::thread::scope(|s| {
+            let compaction = s.spawn(|| kv.compact(SnapshotFault::Clean));
+            parked.recv().unwrap();
+            let (acked_tx, acked) = mpsc::channel();
+            let writer = s.spawn(move || {
+                kv.set("b", vec![2]);
+                acked_tx.send(()).unwrap();
+            });
+            // Without the keydir lock the set is acknowledged right here,
+            // between the snapshot write and the WAL truncation; with it the
+            // set waits for the compaction, and this wait only bounds how
+            // long it is given.
+            let _ = acked.recv_timeout(Duration::from_millis(500));
+            release.send(()).unwrap();
+            assert!(compaction.join().unwrap());
+            writer.join().unwrap();
+        });
+        kv.replay().unwrap();
+        assert_eq!(kv.get("a"), Some(vec![1]));
+        assert_eq!(kv.get("b"), Some(vec![2]), "an acknowledged set was lost");
     }
 }

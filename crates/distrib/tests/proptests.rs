@@ -1,11 +1,15 @@
-//! Property-based tests for the serialization substrates (wire, JSON, b64).
+//! Property-based tests for the serialization substrates (wire, JSON, b64)
+//! and a model check of the feature store's keydir.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use texid_distrib::b64;
 use texid_distrib::json::{parse, Json};
+use texid_distrib::kv::KvStore;
 use texid_distrib::wire::{decode_features, encode_features, get_varint, put_varint};
 use texid_linalg::Mat;
 use texid_sift::{FeatureMatrix, Keypoint};
+use texid_store::{crc32c, DurableLog, LogConfig, SnapshotFault, Volume, WriteFault};
 
 fn arb_keypoint() -> impl Strategy<Value = Keypoint> {
     (
@@ -62,7 +66,81 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+/// One operation on the store under test.
+#[derive(Clone, Debug)]
+enum KvOp {
+    Set(usize, Vec<u8>, WriteFault),
+    Del(usize, WriteFault),
+    Compact(SnapshotFault),
+    Replay,
+}
+
+const KEYS: [&str; 4] = ["tex:0", "tex:1", "tex:2", ""];
+
+fn arb_kv_ops() -> impl Strategy<Value = Vec<KvOp>> {
+    let write_fault = || {
+        let faults = [WriteFault::Clean, WriteFault::Clean, WriteFault::Lose, WriteFault::Tear];
+        (0..faults.len()).prop_map(move |i| faults[i])
+    };
+    let set = || {
+        (0..KEYS.len(), prop::collection::vec(any::<u8>(), 0..48), write_fault())
+            .prop_map(|(k, v, f)| KvOp::Set(k, v, f))
+    };
+    let op = prop_oneof![
+        set(),
+        set(),
+        (0..KEYS.len(), write_fault()).prop_map(|(k, f)| KvOp::Del(k, f)),
+        prop_oneof![Just(SnapshotFault::Clean), Just(SnapshotFault::Corrupt)].prop_map(KvOp::Compact),
+        Just(KvOp::Replay),
+    ];
+    // A torn write is only ever the last append before a replay: the shape
+    // a crash leaves (DESIGN.md §12).
+    prop::collection::vec(op, 0..40).prop_map(|ops| {
+        ops.into_iter()
+            .flat_map(|op| {
+                let torn = matches!(op, KvOp::Set(_, _, WriteFault::Tear) | KvOp::Del(_, WriteFault::Tear));
+                std::iter::once(op).chain(torn.then_some(KvOp::Replay))
+            })
+            .collect()
+    })
+}
+
 proptest! {
+    /// After every operation the keydir store reads exactly what its writer
+    /// believes it wrote, and after a replay exactly what the copying
+    /// replay of the same volume recovers.
+    #[test]
+    fn keydir_matches_its_model(ops in arb_kv_ops()) {
+        let volume = Volume::in_memory();
+        let kv = KvStore::durable(DurableLog::new(volume.clone(), LogConfig { snapshot_every: 0 }));
+        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        for op in &ops {
+            match op {
+                KvOp::Set(k, value, fault) => {
+                    let existed = kv.set_faulted(KEYS[*k], value.clone(), *fault);
+                    prop_assert_eq!(existed, model.insert(KEYS[*k].to_string(), value.clone()).is_some());
+                }
+                KvOp::Del(k, fault) => {
+                    let existed = kv.del_faulted(KEYS[*k], *fault);
+                    prop_assert_eq!(existed, model.remove(KEYS[*k]).is_some());
+                }
+                KvOp::Compact(fault) => prop_assert!(kv.compact(*fault)),
+                KvOp::Replay => {
+                    let oracle = DurableLog::new(volume.clone(), LogConfig::default());
+                    let (recovered, want) = oracle.replay().expect("memory media");
+                    prop_assert_eq!(kv.replay().expect("memory media"), want);
+                    model = recovered;
+                }
+            }
+            for key in KEYS {
+                let want = model.get(key).map(|v| (v.clone(), crc32c(v)));
+                prop_assert_eq!(kv.get_with_crc(key), want, "{:?} after {:?}", key, op);
+            }
+            prop_assert_eq!(kv.len(), model.len());
+            prop_assert_eq!(kv.used_bytes(), model.values().map(|v| v.len() as u64).sum::<u64>());
+        }
+    }
+
     #[test]
     fn wire_features_roundtrip(fm in arb_features()) {
         let bytes = encode_features(&fm);

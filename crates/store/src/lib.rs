@@ -35,6 +35,6 @@ pub mod snapshot;
 pub mod wal;
 
 pub use crc::crc32c;
-pub use log::{DurableLog, LogConfig, ReplayStats, SnapshotFault, WalStats, WriteFault};
+pub use log::{Blob, DurableLog, LogConfig, ReplayStats, SnapshotFault, WalStats, WriteFault};
 pub use media::{FileMedia, Media, MemMedia, Volume};
-pub use wal::{Record, Scan};
+pub use wal::{Found, Record, Scan};

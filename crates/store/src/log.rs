@@ -1,17 +1,22 @@
 //! [`DurableLog`]: the WAL + snapshot pair behind one feature store.
 //!
 //! Write path: every mutation is framed by [`crate::wal`] and appended to
-//! the WAL medium. Every `snapshot_every` appends the caller is told a
-//! snapshot is due; [`DurableLog::write_snapshot`] then serializes the full
-//! map via [`crate::snapshot`], atomically replaces the snapshot blob, and
+//! the WAL medium; [`DurableLog::append`] says where a set's value landed,
+//! so a caller can index the log instead of copying it, and
+//! [`DurableLog::read_at`] reads the value back. Every `snapshot_every`
+//! appends the caller is told a snapshot is due;
+//! [`DurableLog::install_snapshot`] then atomically replaces the snapshot
+//! blob with one the caller encoded ([`crate::snapshot::Encoder`]) and
 //! truncates the WAL — compaction in the LSM sense, bounded at one level.
 //!
-//! Recovery path ([`DurableLog::replay`]): load the snapshot (tolerating a
-//! truncated or bit-flipped one by starting empty and saying so), then scan
-//! the WAL tail and apply every complete record in order. The returned
-//! [`ReplayStats`] carries exactly what the cluster's `heal()` reports per
-//! shard: records replayed, records quarantined (corrupt-skipped), torn
-//! bytes dropped, and whether the snapshot itself was damaged.
+//! Recovery path ([`DurableLog::replay_indexed`]): walk the snapshot
+//! (tolerating a truncated or bit-flipped one by starting empty and saying
+//! so), then the WAL tail, handing the caller every complete record in
+//! order with where its value lies. [`DurableLog::replay`] is its copying
+//! projection onto a map. The returned [`ReplayStats`] carries exactly
+//! what the cluster's `heal()` reports per shard: records replayed, records
+//! quarantined (corrupt-skipped), torn bytes dropped, and whether the
+//! snapshot itself was damaged.
 //!
 //! Fault injection is mechanism-only here: [`WriteFault`] says *how* an
 //! append goes wrong (lost before fsync, or torn mid-write); *when* it goes
@@ -20,7 +25,7 @@
 
 use crate::media::Volume;
 use crate::snapshot;
-use crate::wal::{self, Record};
+use crate::wal::{self, Found, Record};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
@@ -47,6 +52,15 @@ pub enum SnapshotFault {
     /// A bit flips inside the blob after the checksum is sealed, so replay
     /// must detect it and fall back to the WAL.
     Corrupt,
+}
+
+/// Which of a volume's two blobs a value lies in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Blob {
+    /// The last snapshot.
+    Snapshot,
+    /// The write-ahead log behind it.
+    Wal,
 }
 
 /// Tuning for one [`DurableLog`].
@@ -140,10 +154,13 @@ impl DurableLog {
 
     /// Append one record, subject to `fault`. Lost and torn appends still
     /// count toward the snapshot schedule (the writer believed it wrote).
+    /// Returns the WAL offset where the record's value starts (a del's is
+    /// empty) when the whole frame landed, `None` when the fault kept it
+    /// off the medium.
     ///
     /// # Errors
     /// Media transport errors (never for memory-backed volumes).
-    pub fn append(&self, rec: &Record, fault: WriteFault) -> std::io::Result<()> {
+    pub fn append(&self, rec: &Record, fault: WriteFault) -> std::io::Result<Option<u64>> {
         let framed = wal::encode(rec);
         {
             let mut c = self.counters.lock();
@@ -156,10 +173,30 @@ impl DurableLog {
             }
         }
         match fault {
-            WriteFault::Clean => self.volume.wal.append(&framed),
-            WriteFault::Lose => Ok(()),
-            WriteFault::Tear => self.volume.wal.append(&framed[..framed.len() / 2]),
+            WriteFault::Clean => {
+                let value_len = match rec {
+                    Record::Set { value, .. } => value.len(),
+                    Record::Del { .. } => 0,
+                };
+                let at = self.volume.wal.append(&framed)?;
+                Ok(Some(at + (framed.len() - value_len) as u64))
+            }
+            WriteFault::Lose => Ok(None),
+            WriteFault::Tear => self.volume.wal.append(&framed[..framed.len() / 2]).map(|_| None),
         }
+    }
+
+    /// Read `len` value bytes at `offset` of `blob`, as [`DurableLog::append`]
+    /// or [`DurableLog::replay_indexed`] located them.
+    ///
+    /// # Errors
+    /// A range outside the blob, or a media transport error.
+    pub fn read_at(&self, blob: Blob, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        let medium = match blob {
+            Blob::Snapshot => &self.volume.snapshot,
+            Blob::Wal => &self.volume.wal,
+        };
+        medium.read_at(offset, len)
     }
 
     /// True when the snapshot schedule says it is time to compact.
@@ -168,9 +205,8 @@ impl DurableLog {
             && self.counters.lock().since_snapshot >= self.config.snapshot_every as u64
     }
 
-    /// Serialize `entries` as the new snapshot, then truncate the WAL.
-    /// Under [`SnapshotFault::Corrupt`] one bit of the sealed blob is
-    /// flipped before it lands — replay must catch it by checksum.
+    /// Serialize `entries` as the new snapshot, then truncate the WAL
+    /// ([`DurableLog::install_snapshot`] of [`snapshot::encode`]).
     ///
     /// # Errors
     /// Media transport errors (never for memory-backed volumes).
@@ -179,52 +215,90 @@ impl DurableLog {
         entries: &BTreeMap<String, Vec<u8>>,
         fault: SnapshotFault,
     ) -> std::io::Result<()> {
-        let mut blob = snapshot::encode(entries);
+        self.install_snapshot(snapshot::encode(entries), fault, || {})
+    }
+
+    /// Make `blob` (a sealed [`snapshot::Encoder`] blob) the snapshot, then
+    /// truncate the WAL. `landed` runs once the snapshot is on the medium
+    /// and before the WAL is cut, so a caller indexing values can move them
+    /// to the new blob while both hold them. Under [`SnapshotFault::Corrupt`]
+    /// one bit of the sealed blob is flipped before it lands — replay must
+    /// catch it by checksum.
+    ///
+    /// # Errors
+    /// Media transport errors (never for memory-backed volumes); `landed`
+    /// has run if and only if the snapshot write succeeded.
+    pub fn install_snapshot(
+        &self,
+        mut blob: Vec<u8>,
+        fault: SnapshotFault,
+        landed: impl FnOnce(),
+    ) -> std::io::Result<()> {
         if fault == SnapshotFault::Corrupt {
             let mid = blob.len() / 2;
             blob[mid] ^= 0x01;
         }
-        self.volume.snapshot.replace(&blob)?;
-        self.volume.wal.replace(&[])?;
+        self.volume.snapshot.replace(blob)?;
+        landed();
+        self.volume.wal.replace(Vec::new())?;
         let mut c = self.counters.lock();
         c.snapshots += 1;
         c.since_snapshot = 0;
         Ok(())
     }
 
+    /// Walk the media in replay order — the verified snapshot's entries,
+    /// then every complete WAL record — handing `visit` each one with the
+    /// blob it lies in. Damage is reported, not fatal: an unverifiable
+    /// snapshot contributes no entries. Copies no value.
+    ///
+    /// # Errors
+    /// Media transport errors (never for memory-backed volumes).
+    pub fn replay_indexed(
+        &self,
+        mut visit: impl FnMut(Blob, Found<'_>),
+    ) -> std::io::Result<ReplayStats> {
+        let mut stats = ReplayStats::default();
+        let snap = self.volume.snapshot.read()?;
+        let mut entries = 0;
+        let walked = snapshot::walk(&snap, |found| {
+            entries += 1;
+            visit(Blob::Snapshot, found);
+        });
+        match walked {
+            Ok(()) => stats.snapshot_entries = entries,
+            Err(err) => stats.snapshot_error = Some(err.to_string()),
+        }
+        drop(snap);
+        let log = self.volume.wal.read()?;
+        let mut records = 0;
+        let scan = wal::walk(&log, |found| {
+            records += 1;
+            visit(Blob::Wal, found);
+        });
+        stats.wal_records_applied = records;
+        stats.wal_corrupt_skipped = scan.corrupt_skipped;
+        stats.wal_torn_tail_bytes = scan.torn_tail_bytes;
+        stats.wal_bytes_scanned = scan.scanned_bytes;
+        Ok(stats)
+    }
+
     /// Rebuild the map strictly from the media: verified snapshot first,
-    /// then every complete WAL record in order. Damage is reported, not
-    /// fatal.
+    /// then every complete WAL record in order — the copying projection of
+    /// [`DurableLog::replay_indexed`]. Damage is reported, not fatal.
     ///
     /// # Errors
     /// Media transport errors (never for memory-backed volumes).
     pub fn replay(&self) -> std::io::Result<(BTreeMap<String, Vec<u8>>, ReplayStats)> {
-        let mut stats = ReplayStats::default();
-        let mut map = match snapshot::decode(&self.volume.snapshot.read()?) {
-            Ok(map) => {
-                stats.snapshot_entries = map.len();
-                map
+        let mut map = BTreeMap::new();
+        let stats = self.replay_indexed(|_, found| match found.value {
+            Some((_, value)) => {
+                map.insert(found.key.to_string(), value.to_vec());
             }
-            Err(err) => {
-                stats.snapshot_error = Some(err.to_string());
-                BTreeMap::new()
+            None => {
+                map.remove(found.key);
             }
-        };
-        let scan = wal::scan(&self.volume.wal.read()?);
-        stats.wal_records_applied = scan.records.len();
-        stats.wal_corrupt_skipped = scan.corrupt_skipped;
-        stats.wal_torn_tail_bytes = scan.torn_tail_bytes;
-        stats.wal_bytes_scanned = scan.scanned_bytes;
-        for rec in scan.records {
-            match rec {
-                Record::Set { key, value } => {
-                    map.insert(key, value);
-                }
-                Record::Del { key } => {
-                    map.remove(&key);
-                }
-            }
-        }
+        })?;
         Ok((map, stats))
     }
 

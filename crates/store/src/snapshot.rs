@@ -15,9 +15,14 @@
 //! An empty blob means "no snapshot yet" and decodes to an empty map; any
 //! other damage is a typed [`SnapshotError`], which replay reports and
 //! survives by falling back to whatever the WAL still holds.
+//!
+//! [`Encoder`] builds a blob one entry at a time into a buffer sized once,
+//! and tells where each value landed; [`walk`] verifies a blob and finds
+//! every value in place. [`encode`] and [`decode`] are their copying
+//! projections onto a map.
 
 use crate::crc::crc32c;
-use crate::wal::{get_varint, put_varint};
+use crate::wal::{get_varint, put_varint, varint_len, Found};
 use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 4] = b"TXSN";
@@ -52,33 +57,96 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialize `entries` as a checksummed snapshot blob.
-pub fn encode(entries: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (key, val) in entries {
-        put_varint(&mut out, key.len() as u64);
-        out.extend_from_slice(key.as_bytes());
-        put_varint(&mut out, val.len() as u64);
-        out.extend_from_slice(val);
-    }
-    let crc = crc32c(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Magic, version and `count`: the bytes before the first entry.
+const HEADER_LEN: usize = 16;
+
+/// A snapshot blob built entry by entry into one buffer.
+pub struct Encoder {
+    out: Vec<u8>,
+    count: u64,
 }
 
-/// Verify and load a snapshot blob. An empty blob is an empty map.
+impl Encoder {
+    /// An encoder whose buffer is sized once for entries of these
+    /// `(key_len, value_len)`s, pushed in the same order.
+    pub fn with_sizes(sizes: impl IntoIterator<Item = (usize, usize)>) -> Encoder {
+        let len = |n: usize| varint_len(n as u64) + n;
+        let body: usize = sizes.into_iter().map(|(key, val)| len(key) + len(val)).sum();
+        let mut out = Vec::with_capacity(HEADER_LEN + body + 4);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes()); // `count`, sealed by `finish`
+        Encoder { out, count: 0 }
+    }
+
+    /// Append one entry; returns the offset its value starts at.
+    pub fn push(&mut self, key: &str, value: &[u8]) -> u64 {
+        put_varint(&mut self.out, key.len() as u64);
+        self.out.extend_from_slice(key.as_bytes());
+        put_varint(&mut self.out, value.len() as u64);
+        let at = self.out.len() as u64;
+        self.out.extend_from_slice(value);
+        self.count += 1;
+        at
+    }
+
+    /// Seal the blob: the entry count, then the trailing CRC32C.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.out[8..HEADER_LEN].copy_from_slice(&self.count.to_le_bytes());
+        let crc = crc32c(&self.out);
+        self.out.extend_from_slice(&crc.to_le_bytes());
+        self.out
+    }
+}
+
+/// Serialize `entries` as a checksummed snapshot blob.
+pub fn encode(entries: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+    let mut enc = Encoder::with_sizes(entries.iter().map(|(k, v)| (k.len(), v.len())));
+    for (key, val) in entries {
+        enc.push(key, val);
+    }
+    enc.finish()
+}
+
+/// Visit the `count` entries of a verified `body`; `BadEntry` at the first
+/// one that breaks the grammar (the visitor has seen those before it).
+fn entries<'a>(
+    body: &'a [u8],
+    count: u64,
+    mut visit: impl FnMut(Found<'a>),
+) -> Result<(), SnapshotError> {
+    let mut pos = HEADER_LEN;
+    for _ in 0..count {
+        let key_len = get_varint(body, &mut pos).ok_or(SnapshotError::BadEntry)? as usize;
+        let key_end = pos.checked_add(key_len).ok_or(SnapshotError::BadEntry)?;
+        let key_bytes = body.get(pos..key_end).ok_or(SnapshotError::BadEntry)?;
+        let key = std::str::from_utf8(key_bytes).map_err(|_| SnapshotError::BadEntry)?;
+        pos = key_end;
+        let val_len = get_varint(body, &mut pos).ok_or(SnapshotError::BadEntry)? as usize;
+        let val_end = pos.checked_add(val_len).ok_or(SnapshotError::BadEntry)?;
+        let val = body.get(pos..val_end).ok_or(SnapshotError::BadEntry)?;
+        visit(Found { key, value: Some((pos, val)) });
+        pos = val_end;
+    }
+    if pos != body.len() {
+        return Err(SnapshotError::BadEntry);
+    }
+    Ok(())
+}
+
+/// Verify a snapshot blob, then hand `visit` every entry in order: its
+/// key, and the offset and bytes of its value. The visitor sees nothing
+/// unless the whole blob verifies, so it never has to undo a prefix. An
+/// empty blob has no entries. Copies nothing.
 ///
 /// # Errors
 /// A typed [`SnapshotError`] describing the damage; never panics on
 /// arbitrary input.
-pub fn decode(bytes: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
+pub fn walk<'a>(bytes: &'a [u8], visit: impl FnMut(Found<'a>)) -> Result<(), SnapshotError> {
     if bytes.is_empty() {
-        return Ok(BTreeMap::new());
+        return Ok(());
     }
-    if bytes.len() < MAGIC.len() + 4 + 8 + 4 {
+    if bytes.len() < HEADER_LEN + 4 {
         return Err(SnapshotError::Truncated);
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
@@ -93,24 +161,23 @@ pub fn decode(bytes: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> 
     if crc32c(body) != stored_crc {
         return Err(SnapshotError::BadCrc);
     }
-    let count = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    let mut pos = 16;
+    let count = u64::from_le_bytes(body[8..HEADER_LEN].try_into().unwrap());
+    entries(body, count, |_| {})?;
+    entries(body, count, visit)
+}
+
+/// Verify and load a snapshot blob. An empty blob is an empty map.
+///
+/// # Errors
+/// A typed [`SnapshotError`] describing the damage; never panics on
+/// arbitrary input.
+pub fn decode(bytes: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
     let mut map = BTreeMap::new();
-    for _ in 0..count {
-        let key_len = get_varint(body, &mut pos).ok_or(SnapshotError::BadEntry)? as usize;
-        let key_end = pos.checked_add(key_len).ok_or(SnapshotError::BadEntry)?;
-        let key_bytes = body.get(pos..key_end).ok_or(SnapshotError::BadEntry)?;
-        let key = std::str::from_utf8(key_bytes).map_err(|_| SnapshotError::BadEntry)?.to_string();
-        pos = key_end;
-        let val_len = get_varint(body, &mut pos).ok_or(SnapshotError::BadEntry)? as usize;
-        let val_end = pos.checked_add(val_len).ok_or(SnapshotError::BadEntry)?;
-        let val = body.get(pos..val_end).ok_or(SnapshotError::BadEntry)?.to_vec();
-        pos = val_end;
-        map.insert(key, val);
-    }
-    if pos != body.len() {
-        return Err(SnapshotError::BadEntry);
-    }
+    walk(bytes, |found| {
+        if let Some((_, val)) = found.value {
+            map.insert(found.key.to_string(), val.to_vec());
+        }
+    })?;
     Ok(map)
 }
 
@@ -131,6 +198,20 @@ mod tests {
         let m = sample();
         assert_eq!(decode(&encode(&m)).unwrap(), m);
         assert_eq!(decode(&encode(&BTreeMap::new())).unwrap(), BTreeMap::new());
+    }
+
+    #[test]
+    fn encoder_sizes_the_blob_once_and_places_each_value() {
+        let m = sample();
+        let blob = encode(&m);
+        assert_eq!(blob.capacity(), blob.len());
+        let mut seen = Vec::new();
+        walk(&blob, |f| seen.push(f)).unwrap();
+        assert_eq!(seen.len(), m.len());
+        for (f, (key, val)) in seen.iter().zip(&m) {
+            let (at, bytes) = f.value.unwrap();
+            assert_eq!((f.key, bytes, &blob[at..at + val.len()]), (&key[..], &val[..], &val[..]));
+        }
     }
 
     #[test]

@@ -94,25 +94,28 @@ pub(crate) fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Append the framed encoding of `rec` (header + payload) to `out`.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Append the framed encoding of `rec` (header + payload) to `out`,
+/// growing it once by exactly the frame's length.
 pub fn encode_into(rec: &Record, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    match rec {
-        Record::Set { key, value } => {
-            payload.push(OP_SET);
-            put_varint(&mut payload, key.len() as u64);
-            payload.extend_from_slice(key.as_bytes());
-            payload.extend_from_slice(value);
-        }
-        Record::Del { key } => {
-            payload.push(OP_DEL);
-            put_varint(&mut payload, key.len() as u64);
-            payload.extend_from_slice(key.as_bytes());
-        }
-    }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let (op, key, value): (u8, &str, &[u8]) = match rec {
+        Record::Set { key, value } => (OP_SET, key, value),
+        Record::Del { key } => (OP_DEL, key, &[]),
+    };
+    let len = 1 + varint_len(key.len() as u64) + key.len() + value.len();
+    out.reserve_exact(HEADER_LEN + len);
+    let start = out.len();
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the CRC, sealed below
+    out.push(op);
+    put_varint(out, key.len() as u64);
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(value);
+    let crc = crc32c(&out[start + HEADER_LEN..]);
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The framed encoding of `rec` as a fresh buffer.
@@ -122,18 +125,40 @@ pub fn encode(rec: &Record) -> Vec<u8> {
     out
 }
 
-/// Parse one payload whose CRC already checked out. `None` means the
-/// grammar is violated (bad op byte, overlong key, trailing garbage on a
-/// del) — counted as corrupt by the scanner.
-fn decode_payload(payload: &[u8]) -> Option<Record> {
+/// A record where an indexed walk found it in an image: its key, and for
+/// a set the offset its value starts at and the value's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Found<'a> {
+    /// Store key.
+    pub key: &'a str,
+    /// `Some((offset, value))` for a set, `None` for a del.
+    pub value: Option<(usize, &'a [u8])>,
+}
+
+impl Found<'_> {
+    /// The owned record this one encodes.
+    pub fn to_record(&self) -> Record {
+        let key = self.key.to_string();
+        match self.value {
+            Some((_, value)) => Record::Set { key, value: value.to_vec() },
+            None => Record::Del { key },
+        }
+    }
+}
+
+/// Parse one payload, starting at offset `at` of its image, whose CRC
+/// already checked out. `None` means the grammar is violated (bad op byte,
+/// overlong key, trailing garbage on a del) — counted as corrupt by the
+/// walk.
+fn decode_payload(payload: &[u8], at: usize) -> Option<Found<'_>> {
     let op = *payload.first()?;
     let mut pos = 1;
     let key_len = get_varint(payload, &mut pos)? as usize;
     let key_end = pos.checked_add(key_len)?;
-    let key = std::str::from_utf8(payload.get(pos..key_end)?).ok()?.to_string();
+    let key = std::str::from_utf8(payload.get(pos..key_end)?).ok()?;
     match op {
-        OP_SET => Some(Record::Set { key, value: payload[key_end..].to_vec() }),
-        OP_DEL if key_end == payload.len() => Some(Record::Del { key }),
+        OP_SET => Some(Found { key, value: Some((at + key_end, &payload[key_end..])) }),
+        OP_DEL if key_end == payload.len() => Some(Found { key, value: None }),
         _ => None,
     }
 }
@@ -153,9 +178,11 @@ pub struct Scan {
     pub scanned_bytes: usize,
 }
 
-/// Walk a log image, recovering every complete record and classifying
-/// damage. Never panics on arbitrary input.
-pub fn scan(bytes: &[u8]) -> Scan {
+/// Walk a log image, handing `visit` every complete record in log order
+/// and classifying damage. The returned tallies' `records` stays empty:
+/// the visitor saw them. Copies nothing and never panics on arbitrary
+/// input.
+pub fn walk<'a>(bytes: &'a [u8], mut visit: impl FnMut(Found<'a>)) -> Scan {
     let mut out = Scan { scanned_bytes: bytes.len(), ..Scan::default() };
     let mut pos = 0;
     while pos < bytes.len() {
@@ -171,18 +198,27 @@ pub fn scan(bytes: &[u8]) -> Scan {
             out.torn_tail_bytes = remaining;
             break;
         }
-        let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + len as usize];
-        pos += HEADER_LEN + len as usize;
+        let at = pos + HEADER_LEN;
+        let payload = &bytes[at..at + len as usize];
+        pos = at + len as usize;
         if crc32c(payload) != crc {
             out.corrupt_skipped += 1;
             continue;
         }
-        match decode_payload(payload) {
-            Some(rec) => out.records.push(rec),
+        match decode_payload(payload, at) {
+            Some(found) => visit(found),
             None => out.corrupt_skipped += 1,
         }
     }
     out
+}
+
+/// Walk a log image, recovering every complete record and classifying
+/// damage. Never panics on arbitrary input.
+pub fn scan(bytes: &[u8]) -> Scan {
+    let mut records = Vec::new();
+    let tally = walk(bytes, |found| records.push(found.to_record()));
+    Scan { records, ..tally }
 }
 
 #[cfg(test)]
@@ -213,6 +249,34 @@ mod tests {
         assert_eq!(scan.records, records);
         assert_eq!(scan.corrupt_skipped, 0);
         assert_eq!(scan.torn_tail_bytes, 0);
+    }
+
+    #[test]
+    fn walk_finds_each_value_where_it_lies() {
+        let records = sample();
+        let log = log_of(&records);
+        let mut found = Vec::new();
+        walk(&log, |f| found.push(f));
+        assert_eq!(found.iter().map(Found::to_record).collect::<Vec<_>>(), records);
+        for (f, rec) in found.iter().zip(&records) {
+            if let (Some((at, value)), Record::Set { value: want, .. }) = (f.value, rec) {
+                assert_eq!(&log[at..at + want.len()], &want[..]);
+                assert_eq!(value, &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_sized_exactly() {
+        for rec in sample() {
+            let framed = encode(&rec);
+            assert_eq!(framed.capacity(), framed.len());
+        }
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
     }
 
     #[test]
