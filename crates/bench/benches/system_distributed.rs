@@ -12,6 +12,7 @@ use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, Precision};
 use texid_knn::MatchConfig;
 use texid_linalg::Mat;
+use texid_obs::Stage;
 use texid_sift::FeatureMatrix;
 
 const CONTAINERS: usize = 14;
@@ -99,6 +100,6 @@ fn main() {
          H2D streaming {:.1}% of serial time, overlapped by 8 CUDA streams.",
         report.device_batches,
         report.host_batches,
-        report.h2d_us / report.serial_total_us * 100.0
+        report.stage_us[Stage::H2d] / report.serial_total_us * 100.0
     );
 }

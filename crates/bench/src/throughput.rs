@@ -27,6 +27,7 @@ use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport};
 use texid_gpu::DeviceSpec;
 use texid_knn::pair::MatchConfig;
 use texid_linalg::Mat;
+use texid_obs::Stage;
 use texid_sift::FeatureMatrix;
 
 /// Schema tag stamped into every report; bump on any layout change.
@@ -264,7 +265,7 @@ fn run_cell(
     let searches = reports.len();
     let images: u64 = reports.iter().map(|r| r.images as u64).sum();
     let sim_total_us: f64 = reports.iter().map(|r| r.total_us).sum();
-    let h2d_us: f64 = reports.iter().map(|r| r.h2d_us).sum();
+    let h2d_us: f64 = reports.iter().map(|r| r.stage_us[Stage::H2d]).sum();
     let mean_group =
         reports.iter().map(|r| r.coalesced_queries as f64).sum::<f64>() / searches.max(1) as f64;
     ThroughputEntry {

@@ -207,6 +207,7 @@ mod tests {
     use texid_gpu::DeviceSpec;
     use texid_knn::pair::MatchConfig;
     use texid_linalg::Mat;
+    use texid_obs::Stage;
 
     /// Phantom engine whose device holds a single reference batch:
     /// three of the four batches are host-resident, so H2D dominates and
@@ -256,8 +257,8 @@ mod tests {
 
         // Each of the Q reports carries a 1/Q share; their sum recovers
         // exactly one full H2D pass over the host-resident batches — not Q.
-        let share_sum: f64 = merged.iter().map(|r| r.report.h2d_us).sum();
-        let full = solo.report.h2d_us;
+        let share_sum: f64 = merged.iter().map(|r| r.report.stage_us[Stage::H2d]).sum();
+        let full = solo.report.stage_us[Stage::H2d];
         assert!(
             (share_sum - full).abs() <= full * 1e-12,
             "H2D shares must sum to one copy: {share_sum} vs {full}"
@@ -265,13 +266,13 @@ mod tests {
         for r in &merged {
             assert_eq!(r.report.coalesced_queries, 4);
             assert!(
-                (r.report.h2d_us - full / 4.0).abs() <= full * 1e-12,
+                (r.report.stage_us[Stage::H2d] - full / 4.0).abs() <= full * 1e-12,
                 "each query gets an equal 1/Q share"
             );
             // Kernel work is NOT amortized — every query still pays its own
             // GEMM/scan/D2H/post against every batch.
-            assert_eq!(r.report.gemm_us.to_bits(), solo.report.gemm_us.to_bits());
-            assert_eq!(r.report.sort_us.to_bits(), solo.report.sort_us.to_bits());
+            assert_eq!(r.report.stage_us[Stage::Gemm].to_bits(), solo.report.stage_us[Stage::Gemm].to_bits());
+            assert_eq!(r.report.stage_us[Stage::Top2].to_bits(), solo.report.stage_us[Stage::Top2].to_bits());
         }
     }
 
@@ -283,7 +284,7 @@ mod tests {
             CoalesceConfig { max_batch: 4, window: Duration::from_millis(500) },
             &registry,
         );
-        let solo_h2d = engine.read().search(&query(1)).report.h2d_us;
+        let solo_h2d = engine.read().search(&query(1)).report.stage_us[Stage::H2d];
 
         // Four threads released together: one group of exactly 4 forms and
         // together they pay the H2D bill once.
@@ -305,7 +306,7 @@ mod tests {
         });
 
         assert!(reports.iter().all(|r| r.coalesced_queries == 4), "group of 4 must form");
-        let share_sum: f64 = reports.iter().map(|r| r.h2d_us).sum();
+        let share_sum: f64 = reports.iter().map(|r| r.stage_us[Stage::H2d]).sum();
         assert!(
             (share_sum - solo_h2d).abs() <= solo_h2d * 1e-12,
             "grouped searches must pay one H2D pass total: {share_sum} vs {solo_h2d}"
@@ -323,7 +324,7 @@ mod tests {
         let direct = engine.read().search(&query(9));
         let via = coalescer.search(&engine, &query(9));
         assert_eq!(via.report.coalesced_queries, 1);
-        assert_eq!(via.report.h2d_us.to_bits(), direct.report.h2d_us.to_bits());
+        assert_eq!(via.report.stage_us[Stage::H2d].to_bits(), direct.report.stage_us[Stage::H2d].to_bits());
         assert_eq!(via.report.total_us.to_bits(), direct.report.total_us.to_bits());
     }
 }

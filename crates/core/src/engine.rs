@@ -46,7 +46,7 @@ use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::active_backend;
 use texid_linalg::kernel::{PackedA, PackedB};
-use texid_obs::{Span, Stage};
+use texid_obs::{Span, Stage, StageUs};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -183,23 +183,16 @@ pub struct SearchReport {
     pub device_batches: usize,
     /// Batches streamed from host memory.
     pub host_batches: usize,
-    /// Simulated µs of H2D reference streaming.
-    pub h2d_us: f64,
-    /// Simulated µs of GEMM work.
-    pub gemm_us: f64,
-    /// Simulated µs of top-2 scanning.
-    pub sort_us: f64,
-    /// Simulated µs of D2H result copies.
-    pub d2h_us: f64,
-    /// Simulated µs of CPU post-processing.
-    pub post_us: f64,
+    /// Simulated µs per stage: H2D reference streaming, GEMM work, top-2
+    /// scanning, D2H result copies and CPU post-processing.
+    pub stage_us: StageUs,
     /// Serial (single-stream) simulated total, µs.
     pub serial_total_us: f64,
     /// Wall total after the multi-stream model, µs.
     pub total_us: f64,
     /// Queries that shared this cache traversal (1 = uncoalesced search;
     /// Q > 1 means each host batch's H2D cost was charged once and split
-    /// `1/Q` into each query's `h2d_us`).
+    /// `1/Q` into each query's H2D stage).
     pub coalesced_queries: usize,
     /// Simulated µs of IVF centroid scoring + cell selection (0 on the
     /// exhaustive path, which runs no probe at all).
@@ -227,28 +220,10 @@ impl SearchReport {
         self.total_us / self.images as f64
     }
 
-    /// The field holding `stage`'s simulated µs — the one [`Stage`] ↔ field
-    /// mapping of this record.
-    pub fn stage_us_mut(&mut self, stage: Stage) -> &mut f64 {
-        match stage {
-            Stage::H2d => &mut self.h2d_us,
-            Stage::Gemm => &mut self.gemm_us,
-            Stage::Top2 => &mut self.sort_us,
-            Stage::D2h => &mut self.d2h_us,
-            Stage::Post => &mut self.post_us,
-        }
-    }
-
-    /// `stage`'s simulated µs (read through a copy, so the mapping above
-    /// stays the only one).
-    pub fn stage_us(&self, stage: Stage) -> f64 {
-        *{ *self }.stage_us_mut(stage)
-    }
-
     /// The sim-clock series every per-stage surface reports, in
     /// [`texid_obs::DRIFT_STAGES`] order: each [`Stage`]'s µs, then `total_us`.
     pub fn sim_series(&self) -> [f64; 6] {
-        let [h2d, gemm, top2, d2h, post] = Stage::ALL.map(|stage| self.stage_us(stage));
+        let [h2d, gemm, top2, d2h, post] = Stage::ALL.map(|stage| self.stage_us[stage]);
         [h2d, gemm, top2, d2h, post, self.total_us]
     }
 
@@ -263,7 +238,7 @@ impl SearchReport {
         backoff_us: f64,
     ) -> SearchReport {
         if let Some((stage, factor)) = stage_stall {
-            let slot = self.stage_us_mut(stage);
+            let slot = &mut self.stage_us[stage];
             let delta = *slot * (factor - 1.0);
             *slot *= factor;
             self.serial_total_us += delta;
@@ -751,16 +726,16 @@ impl Engine {
         report.images += bsize;
         if tier == Tier::Host {
             report.host_batches += 1;
-            report.h2d_us += h2d_share_us;
+            report.stage_us[Stage::H2d] += h2d_share_us;
         } else {
             report.device_batches += 1;
         }
         let steps = BatchWork::new(matching, bsize, m_per, q.packed.cols(), q.packed.rows())
             .price(&self.cfg.device);
-        report.gemm_us += steps.gemm_us;
-        report.sort_us += steps.sort_us;
-        report.d2h_us += steps.d2h_us;
-        report.post_us += steps.post_us;
+        report.stage_us[Stage::Gemm] += steps.gemm_us;
+        report.stage_us[Stage::Top2] += steps.sort_us;
+        report.stage_us[Stage::D2h] += steps.d2h_us;
+        report.stage_us[Stage::Post] += steps.post_us;
 
         if let Some(panels) = &batch.panels {
             let scored = score_batch_packed(matching, panels, bsize, m_per, &q.packed);
@@ -856,7 +831,7 @@ impl Engine {
         for SearchResult { ranked, report } in &mut results {
             report.probe_us = probe_us;
             report.serial_total_us =
-                Stage::ALL.iter().fold(probe_us, |sum, &stage| sum + report.stage_us(stage));
+                Stage::ALL.iter().fold(probe_us, |sum, &stage| sum + report.stage_us[stage]);
             report.total_us =
                 report.serial_total_us * streams::stream_time_factor(spec, self.cfg.streams);
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1196,11 +1171,11 @@ mod tests {
         assert_eq!(a.batches_pruned, b.batches_pruned);
         for (name, x, y) in [
             ("probe_us", a.probe_us, b.probe_us),
-            ("h2d_us", a.h2d_us, b.h2d_us),
-            ("gemm_us", a.gemm_us, b.gemm_us),
-            ("sort_us", a.sort_us, b.sort_us),
-            ("d2h_us", a.d2h_us, b.d2h_us),
-            ("post_us", a.post_us, b.post_us),
+            ("h2d_us", a.stage_us[Stage::H2d], b.stage_us[Stage::H2d]),
+            ("gemm_us", a.stage_us[Stage::Gemm], b.stage_us[Stage::Gemm]),
+            ("sort_us", a.stage_us[Stage::Top2], b.stage_us[Stage::Top2]),
+            ("d2h_us", a.stage_us[Stage::D2h], b.stage_us[Stage::D2h]),
+            ("post_us", a.stage_us[Stage::Post], b.stage_us[Stage::Post]),
             ("serial_total_us", a.serial_total_us, b.serial_total_us),
             ("total_us", a.total_us, b.total_us),
         ] {

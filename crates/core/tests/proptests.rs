@@ -9,6 +9,7 @@ use texid_core::{Engine, EngineConfig, SearchResult};
 use texid_gpu::{DeviceSpec, Precision};
 use texid_knn::{IvfParams, MatchConfig};
 use texid_linalg::Mat;
+use texid_obs::Stage;
 use texid_sift::FeatureMatrix;
 
 fn unit_features(d: usize, cols: usize, seed: u64) -> FeatureMatrix {
@@ -308,11 +309,11 @@ proptest! {
             prop_assert_eq!(b.batches_pruned, 0);
             for (name, x, y) in [
                 ("probe_us", a.probe_us, b.probe_us),
-                ("h2d_us", a.h2d_us, b.h2d_us),
-                ("gemm_us", a.gemm_us, b.gemm_us),
-                ("sort_us", a.sort_us, b.sort_us),
-                ("d2h_us", a.d2h_us, b.d2h_us),
-                ("post_us", a.post_us, b.post_us),
+                ("h2d_us", a.stage_us[Stage::H2d], b.stage_us[Stage::H2d]),
+                ("gemm_us", a.stage_us[Stage::Gemm], b.stage_us[Stage::Gemm]),
+                ("sort_us", a.stage_us[Stage::Top2], b.stage_us[Stage::Top2]),
+                ("d2h_us", a.stage_us[Stage::D2h], b.stage_us[Stage::D2h]),
+                ("post_us", a.stage_us[Stage::Post], b.stage_us[Stage::Post]),
                 ("serial_total_us", a.serial_total_us, b.serial_total_us),
                 ("total_us", a.total_us, b.total_us),
             ] {

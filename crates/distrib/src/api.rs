@@ -22,7 +22,9 @@
 //! ([`crate::wire`]), matching the paper's protobuf serialization. Their
 //! descriptors must have the system's one dimension
 //! ([`DESCRIPTOR_DIM`]); any other is a 400 on every route that takes
-//! features.
+//! features. A numeric field (`id`, `top`, `min_matches`, `min_inliers`)
+//! is a whole number from 0 to 2⁵³ − 1 or the request is a 400; an absent
+//! one keeps its default.
 //!
 //! Search responses carry the degraded-mode quorum metadata
 //! (`degraded`, `shards_ok`, `shards_failed`, `shards_skipped`) so clients
@@ -72,6 +74,14 @@ fn json_body(req: &Request) -> Result<Json, Response> {
     parse(text).map_err(|e| err_json(400, &e.to_string()))
 }
 
+/// An optional integer field of a request body: absent is `None`; present,
+/// it must be a whole number `Json::as_u64` takes, or the request is a 400 —
+/// refused, never rounded or defaulted into a value the client did not send.
+fn uint_field(v: &Json, field: &str) -> Result<Option<u64>, Response> {
+    let refuse = || err_json(400, &format!("{field} must be an integer from 0 to 2^53 - 1"));
+    v.get(field).map(|x| x.as_u64().ok_or_else(refuse)).transpose()
+}
+
 /// The one place a route decodes features. What comes out is what the
 /// engines can take: descriptors of any other dimension than the system's
 /// are a client error here, not a panic in a kernel later.
@@ -100,7 +110,7 @@ fn cluster_err(e: ClusterError) -> Response {
 
 /// One wide event as a flat JSON object (one `GET /events` line).
 fn event_json(e: &WideEvent) -> Json {
-    let stages = Stage::ALL.map(|stage| (stage.event_key(), Json::Num(e.stage_us(stage))));
+    let stages = Stage::ALL.map(|stage| (stage.event_key(), Json::Num(e.stage_us[stage])));
     let fields = [
         ("seq", Json::Num(e.seq as f64)),
         (
@@ -286,7 +296,7 @@ fn ok_or_cluster_err(outcome: Result<(), ClusterError>) -> Response {
 
 fn add_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let v = json_body(call.req)?;
-    let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+    let id = uint_field(&v, "id")?.ok_or_else(|| err_json(400, "missing id"))?;
     let features = parse_features_field(&v, "features")?;
     Ok(match cluster.add_texture(id, &features) {
         Ok(()) => Response::json(
@@ -327,7 +337,7 @@ fn delete_texture(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Respon
 fn search(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let v = json_body(call.req)?;
     let features = parse_features_field(&v, "features")?;
-    let top = v.get("top").and_then(Json::as_u64).unwrap_or(5) as usize;
+    let top = uint_field(&v, "top")?.unwrap_or(5) as usize;
     let out = cluster.search_traced(&features, top, Some(call.ctx));
     let results = Json::Arr(
         out.results
@@ -356,10 +366,10 @@ fn search(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
 
 fn verify(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let v = json_body(call.req)?;
-    let id = v.get("id").and_then(Json::as_u64).ok_or_else(|| err_json(400, "missing id"))?;
+    let id = uint_field(&v, "id")?.ok_or_else(|| err_json(400, "missing id"))?;
     let features = parse_features_field(&v, "features")?;
-    let min_matches = v.get("min_matches").and_then(Json::as_u64).unwrap_or(10) as usize;
-    let min_inliers = v.get("min_inliers").and_then(Json::as_u64).unwrap_or(8) as usize;
+    let min_matches = uint_field(&v, "min_matches")?.unwrap_or(10) as usize;
+    let min_inliers = uint_field(&v, "min_inliers")?.unwrap_or(8) as usize;
     Ok(match cluster.verify(id, &features, min_matches, min_inliers) {
         Ok(r) => Response::json(
             200,
@@ -445,24 +455,30 @@ fn events(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     Ok(Response::ndjson(200, body))
 }
 
+/// Every objective's burn-rate status (`/slo`, and `/health`'s `slos`).
+fn slos_json(cluster: &Cluster) -> Json {
+    Json::Arr(
+        cluster
+            .slo_status()
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("name", Json::Str(s.name.clone())),
+                    ("target", Json::Num(s.target)),
+                    ("good", Json::Num(s.good as f64)),
+                    ("bad", Json::Num(s.bad as f64)),
+                    ("short_burn", Json::Num(s.short_burn)),
+                    ("long_burn", Json::Num(s.long_burn)),
+                    ("budget_remaining", Json::Num(s.budget_remaining)),
+                    ("fast_burn", Json::Bool(s.fast_burn)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 fn slo(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
-    let slos: Vec<Json> = cluster
-        .slo_status()
-        .iter()
-        .map(|s| {
-            Json::obj([
-                ("name", Json::Str(s.name.clone())),
-                ("target", Json::Num(s.target)),
-                ("good", Json::Num(s.good as f64)),
-                ("bad", Json::Num(s.bad as f64)),
-                ("short_burn", Json::Num(s.short_burn)),
-                ("long_burn", Json::Num(s.long_burn)),
-                ("budget_remaining", Json::Num(s.budget_remaining)),
-                ("fast_burn", Json::Bool(s.fast_burn)),
-            ])
-        })
-        .collect();
-    Ok(Response::json(200, Json::obj([("slos", Json::Arr(slos))]).to_string()))
+    Ok(Response::json(200, Json::obj([("slos", slos_json(cluster))]).to_string()))
 }
 
 /// One shard's breaker state (one entry of `/health`'s `shards`).
@@ -497,29 +513,14 @@ fn health(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
         ("wal_bytes", Json::Num(w.wal_bytes as f64)),
         ("snapshots", Json::Num(w.snapshots as f64)),
     ]);
-    // SLO burn status rides along too: "are we paging" and "is a
-    // shard down" are the same triage conversation.
-    let slos = Json::Arr(
-        cluster
-            .slo_status()
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("name", Json::Str(s.name.clone())),
-                    ("short_burn", Json::Num(s.short_burn)),
-                    ("long_burn", Json::Num(s.long_burn)),
-                    ("budget_remaining", Json::Num(s.budget_remaining)),
-                    ("fast_burn", Json::Bool(s.fast_burn)),
-                ])
-            })
-            .collect(),
-    );
     Ok(Response::json(
         status,
         Json::obj([
             ("status", Json::Str(verdict.to_string())),
             ("store", store),
-            ("slos", slos),
+            // SLO burn status rides along too: "are we paging" and "is a
+            // shard down" are the same triage conversation.
+            ("slos", slos_json(cluster)),
             ("shards", Json::Arr(shards.iter().map(shard_status_json).collect())),
         ])
         .to_string(),
@@ -761,6 +762,52 @@ mod tests {
         assert_eq!(http_call(addr, "GET", "/textures/abc", b"").unwrap().status, 400);
         assert_eq!(http_call(addr, "POST", "/health", b"").unwrap().status, 405);
         assert_eq!(http_call(addr, "GET", "/heal", b"").unwrap().status, 405);
+    }
+
+    #[test]
+    fn numeric_fields_are_exact_integers_or_refused() {
+        let cluster = test_cluster();
+        let server = serve(cluster, "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        let features = features_b64(0, 128);
+        let textures = || {
+            let stats = http_call(addr, "GET", "/stats", b"").unwrap();
+            parse(&stats.text()).unwrap().get("textures").and_then(Json::as_u64)
+        };
+
+        // 2^53 + 1 parses to the f64 2^53: it would be stored as another id.
+        let body = format!(r#"{{"id": 9007199254740993, "features": "{features}"}}"#);
+        let resp = http_call(addr, "POST", "/textures", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert_eq!(textures(), Some(0), "nothing stored");
+
+        // 2^53 - 1 is exact and round-trips.
+        let body = format!(r#"{{"id": 9007199254740991, "features": "{features}"}}"#);
+        let resp = http_call(addr, "POST", "/textures", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        assert!(resp.text().contains(r#""id":9007199254740991"#), "{}", resp.text());
+        let resp = http_call(addr, "GET", "/textures/9007199254740991", b"").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(textures(), Some(1));
+
+        // A present field that is not such an integer is refused, not
+        // defaulted; an absent one keeps its default.
+        for (path, field, value) in [
+            ("/search", "top", "-1"),
+            ("/search", "top", "1.5"),
+            ("/verify", "id", "-1"),
+            ("/verify", "min_matches", "-1"),
+            ("/verify", "min_inliers", "2.5"),
+        ] {
+            let body =
+                format!(r#"{{"id": 9007199254740991, "features": "{features}", "{field}": {value}}}"#);
+            let resp = http_call(addr, "POST", path, body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 400, "{path} {field}: {value} -> {}", resp.text());
+        }
+        for path in ["/search", "/verify"] {
+            let body = format!(r#"{{"id": 9007199254740991, "features": "{features}"}}"#);
+            assert_eq!(http_call(addr, "POST", path, body.as_bytes()).unwrap().status, 200, "{path}");
+        }
     }
 
     #[test]
@@ -1100,8 +1147,18 @@ mod tests {
         let text = resp.text();
         let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
         assert!(!lines.is_empty(), "search should have filed a wide event");
+        // Exactly 22 keys per line: 17 fields and the five stages.
+        let mut keys = vec![
+            "seq", "trace_id", "start_us", "wall_elapsed_us", "sim_wall_us", "comparisons",
+            "shards_ok", "shards_failed", "shards_skipped", "degraded", "outcome", "coalesced",
+            "device_batches", "host_batches", "cells_probed", "batches_pruned", "retries",
+            "h2d_us", "gemm_us", "top2_us", "d2h_us", "post_us",
+        ];
+        keys.sort_unstable();
         for line in &lines {
             let v = parse(line).expect("each line is standalone JSON");
+            let Json::Obj(fields) = &v else { panic!("not an object: {line}") };
+            assert_eq!(fields.keys().map(String::as_str).collect::<Vec<_>>(), keys, "{line}");
             assert!(v.get("seq").and_then(Json::as_u64).is_some(), "{line}");
             assert!(v.get("outcome").and_then(Json::as_str).is_some(), "{line}");
             assert!(v.get("sim_wall_us").and_then(Json::as_f64).is_some(), "{line}");
@@ -1138,8 +1195,14 @@ mod tests {
         }
         let health = http_call(addr, "GET", "/health", b"").unwrap();
         let v = parse(&health.text()).unwrap();
-        let slos = v.get("slos").expect("health exposes slos").as_arr().unwrap();
-        assert_eq!(slos.len(), 2, "{}", health.text());
+        let health_slos = v.get("slos").expect("health exposes slos").as_arr().unwrap();
+        assert_eq!(health_slos.len(), 2, "{}", health.text());
+        // Each /health entry is the /slo entry of the same name.
+        for entry in health_slos {
+            let name = entry.get("name");
+            let slo = slos.iter().find(|s| s.get("name") == name).expect("same objectives");
+            assert_eq!(entry, slo, "{}", health.text());
+        }
 
         // New routes speak GET/HEAD only, like the other read routes.
         for path in ["/events", "/slo"] {

@@ -26,8 +26,9 @@
 //! of a search — on which the leg plans itself: breaker admission, the
 //! fault decision, the perturbation and the run, ending in one
 //! `LegOutcome`), `account_legs` (the single per-leg accounting point;
-//! every per-stage surface there is a loop over `Stage::ALL` projecting the
-//! leg's `SearchReport`) and `merge_and_publish`. A leg's *measured* report
+//! every per-stage series there is a loop over `Stage::ALL` projecting the
+//! leg's `SearchReport`) and `merge_and_publish`; the search's one wide
+//! event is then projected from the finished result. A leg's *measured* report
 //! is its *predicted* one under its fault's perturbation
 //! ([`SearchReport::perturbed`]).
 //!
@@ -266,10 +267,6 @@ impl Telemetry {
         self.ivf_cells_probed.add(measured.cells_probed as u64);
         self.ivf_batches_pruned.add(measured.batches_pruned as u64);
         self.ivf_batches_swept.add(swept);
-        let total_batches = measured.batches_pruned as u64 + swept;
-        if total_batches > 0 {
-            self.ivf_prune_ratio.set(measured.batches_pruned as f64 / total_batches as f64);
-        }
     }
 }
 

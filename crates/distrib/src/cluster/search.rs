@@ -1,5 +1,6 @@
 //! Scatter-gather search: one [`Leg`] per shard, each planned and run on its
-//! own thread, then accounted and merged by [`Cluster::search_traced`].
+//! own thread, then accounted and merged by [`Cluster::search_traced`],
+//! which files the finished result's wide event.
 
 use super::Cluster;
 use crate::faults::{Backoff, FaultKind, FaultOp, Stage};
@@ -8,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use texid_core::{EncodedQuery, SearchReport};
-use texid_obs::{global_events, global_ring, TraceContext, WideEvent, STAGE_TOTAL};
+use texid_obs::{global_events, global_ring, wall_now_us, TraceContext, WideEvent, STAGE_TOTAL};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -119,11 +120,8 @@ impl Cluster {
     ) -> ClusterSearchResult {
         self.total_searches.fetch_add(1, Ordering::Relaxed);
         self.telemetry.searches.inc();
-        let started = Instant::now();
+        let (start_us, started) = (wall_now_us(), Instant::now());
         let trace_id = parent.map(|p| p.trace_id);
-        // One wide event per search, traced or not; filled in as the
-        // phases complete and recorded into the flight recorder at the end.
-        let mut event = WideEvent::begin(trace_id.unwrap_or(0));
         let cluster_ctx = parent.map(|p| p.child());
         let _cluster_span = cluster_ctx.as_ref().map(|c| {
             global_ring()
@@ -153,8 +151,25 @@ impl Cluster {
                 })
                 .collect()
         });
-        self.account_legs(&legs, trace_id, &mut event);
-        self.merge_and_publish(legs, top_k, trace_id, event, started)
+        let retries = legs.iter().map(|leg| leg.retries).sum();
+        self.account_legs(&legs, trace_id);
+        let out = self.merge_and_publish(legs, top_k, trace_id);
+
+        // One wide event per search, traced or not: the finished result's
+        // projection, plus what only the scatter knows.
+        let event = WideEvent {
+            start_us,
+            wall_elapsed_us: started.elapsed().as_secs_f64() * 1e6,
+            retries,
+            ..wide_event(&out)
+        };
+        // The prune ratio is the search's: all its answered legs together.
+        let (pruned, swept) = (event.batches_pruned, event.device_batches + event.host_batches);
+        if pruned + swept > 0 {
+            self.telemetry.ivf_prune_ratio.set(pruned as f64 / (pruned + swept) as f64);
+        }
+        global_events().record(event);
+        out
     }
 
     /// Phase 1, on the leg's own thread: breaker admission, the fault
@@ -207,15 +222,14 @@ impl Cluster {
     /// Phase 2: drive the breakers from the outcomes. This is the *single*
     /// per-leg accounting point and the only writer of per-leg series —
     /// breaker transitions (which publish their gauge), shard failure/skip
-    /// counters, latency observations, and every projection of an answered
-    /// leg's measured report (the sim-clock stage and probe histograms with
-    /// their exemplars, the engine and IVF counters, drift pairs, the wide
-    /// event, trace spans) update here, exactly once per leg per search, so
+    /// counters, latency observations, and every series projected from an
+    /// answered leg's measured report (the sim-clock stage and probe
+    /// histograms with their exemplars, the engine and IVF counters, drift
+    /// pairs, trace spans) update here, exactly once per leg per search, so
     /// no two surfaces can disagree about a leg.
-    fn account_legs(&self, legs: &[Leg], trace_id: Option<u128>, event: &mut WideEvent) {
+    fn account_legs(&self, legs: &[Leg], trace_id: Option<u128>) {
         for leg in legs {
             let shard = &self.shards[leg.shard];
-            event.retries += leg.retries;
             match &leg.outcome {
                 LegOutcome::Answered(LegAnswer { measured, predicted, .. }) => {
                     shard.record_answer(measured.total_us, trace_id);
@@ -225,14 +239,6 @@ impl Cluster {
                     self.telemetry.observe_leg(measured, trace_id);
                     let (m, p) = (measured.sim_series(), predicted.sim_series());
                     self.drift.observe(&std::array::from_fn(|i| (m[i], p[i])));
-                    event.coalesced = event.coalesced.max(measured.coalesced_queries as u32);
-                    event.device_batches += measured.device_batches as u64;
-                    event.host_batches += measured.host_batches as u64;
-                    event.cells_probed += measured.cells_probed as u64;
-                    event.batches_pruned += measured.batches_pruned as u64;
-                    for stage in Stage::ALL {
-                        *event.stage_us_mut(stage) += measured.stage_us(stage);
-                    }
                     if let Some(ctx) = &leg.ctx {
                         trace_sim_stages(ctx, leg.shard, measured);
                     }
@@ -244,15 +250,13 @@ impl Cluster {
     }
 
     /// Phase 3: merge the answers and publish the finished search — its
-    /// result, the degraded counter, the live paper gauges, the serving
-    /// objectives, and the wide event (one per search, always).
+    /// result, the degraded counter, the live paper gauges and the serving
+    /// objectives.
     fn merge_and_publish(
         &self,
         legs: Vec<Leg>,
         top_k: usize,
         trace_id: Option<u128>,
-        mut event: WideEvent,
-        started: Instant,
     ) -> ClusterSearchResult {
         let shards_skipped = legs.iter().filter(|l| matches!(l.outcome, LegOutcome::Skipped)).count();
         // Every shard answers in external ids, and an id has one version on
@@ -312,23 +316,6 @@ impl Cluster {
         // and its latency is the simulated makespan.
         self.slo.record(wall_us, shards_ok > 0);
 
-        // Seal and file the wide event — one per search, always.
-        event.wall_elapsed_us = started.elapsed().as_secs_f64() * 1e6;
-        event.sim_wall_us = wall_us;
-        event.comparisons = comparisons as u64;
-        event.shards_ok = shards_ok as u32;
-        event.shards_failed = shards_failed as u32;
-        event.shards_skipped = shards_skipped as u32;
-        event.degraded = degraded;
-        event.outcome = if shards_ok == 0 {
-            "failed"
-        } else if degraded {
-            "degraded"
-        } else {
-            "ok"
-        };
-        global_events().record(event);
-
         ClusterSearchResult {
             results,
             shard_reports,
@@ -341,6 +328,40 @@ impl Cluster {
             trace_id,
         }
     }
+}
+
+/// The wide event of a finished search, projected from its result: the
+/// quorum and outcome, and the answered legs' measured reports folded in
+/// leg order. The scatter adds what the result does not carry — the start,
+/// the wall time and the retries.
+fn wide_event(out: &ClusterSearchResult) -> WideEvent {
+    let mut event = WideEvent {
+        trace_id: out.trace_id.unwrap_or(0),
+        sim_wall_us: out.wall_us,
+        comparisons: out.comparisons as u64,
+        shards_ok: out.shards_ok as u32,
+        shards_failed: out.shards_failed as u32,
+        shards_skipped: out.shards_skipped as u32,
+        degraded: out.degraded,
+        outcome: if out.shards_ok == 0 {
+            "failed"
+        } else if out.degraded {
+            "degraded"
+        } else {
+            "ok"
+        },
+        coalesced: 1,
+        ..WideEvent::default()
+    };
+    for r in &out.shard_reports {
+        event.coalesced = event.coalesced.max(r.coalesced_queries as u32);
+        event.device_batches += r.device_batches as u64;
+        event.host_batches += r.host_batches as u64;
+        event.cells_probed += r.cells_probed as u64;
+        event.batches_pruned += r.batches_pruned as u64;
+        event.stage_us += r.stage_us;
+    }
+    event
 }
 
 /// An answered leg's **sim-clock** engine-stage spans, children of its
@@ -359,7 +380,7 @@ fn trace_sim_stages(ctx: &TraceContext, shard: usize, measured: &SearchReport) {
     ring.record_sim(ctx, "device total", 0.0, measured.total_us, tags(STAGE_TOTAL));
     let mut t = 0.0;
     for stage in Stage::ALL {
-        let (name, dur) = (stage.span_name(), measured.stage_us(stage));
+        let (name, dur) = (stage.span_name(), measured.stage_us[stage]);
         ring.record_sim(ctx, name, t, dur, tags(name));
         t += dur;
     }

@@ -126,7 +126,7 @@ fn stage_histograms_count_the_measured_report_their_exemplars_carry() {
     }
     let ctx = TraceContext::root();
     let out = cluster.search_traced(&query_for(1), 2, Some(&ctx));
-    let gemm_us = out.shard_reports[0].gemm_us;
+    let gemm_us = out.shard_reports[0].stage_us[Stage::Gemm];
     assert!(gemm_us > 0.0);
 
     let gemm = reg.stage_duration("gemm", "sim");
@@ -176,13 +176,86 @@ fn every_search_files_a_wide_event() {
     assert_eq!(ev.shards_ok, 2);
     assert!(!ev.degraded);
     assert!(ev.sim_wall_us > 0.0);
-    assert!(ev.gemm_us > 0.0, "per-stage sums populated");
+    assert!(ev.stage_us[Stage::Gemm] > 0.0, "per-stage sums populated");
     assert!(ev.comparisons > 0);
     assert!(ev.coalesced >= 1);
     // Untraced searches still file events (trace_id 0).
     let before = global_events().recorded();
     cluster.search(&query_for(2), 2);
     assert!(global_events().recorded() > before);
+}
+
+#[test]
+fn wide_event_is_the_fold_of_the_answered_reports() {
+    // A stalled leg, a straggling leg that first retries a transient, and a
+    // crashed leg: the filed event is the finished result's projection.
+    let reg = Registry::new();
+    let plan = FaultPlan::new(5)
+        .stall_stage(0, Stage::Gemm, 3.0, 1)
+        .transient_search(1, 1)
+        .straggle_shard(1, 2.0, 1)
+        .crash_shard(2);
+    let cluster = Cluster::with_faults_in_registry(small_config(3), Some(plan), &reg);
+    for id in 0..6u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let root = TraceContext::root();
+    let out = cluster.search_traced(&query_for(4), 3, Some(&root));
+    let ev = global_events()
+        .snapshot()
+        .into_iter()
+        .find(|e| e.trace_id == root.trace_id)
+        .expect("the search filed its event");
+
+    let reports = &out.shard_reports;
+    assert_eq!(reports.len(), 2, "the crashed leg does not answer");
+    for stage in Stage::ALL {
+        let sum = reports.iter().fold(0.0, |sum, r| sum + r.stage_us[stage]);
+        assert_eq!(ev.stage_us[stage].to_bits(), sum.to_bits(), "{stage:?}");
+    }
+    let sum = |f: fn(&SearchReport) -> usize| reports.iter().map(f).sum::<usize>() as u64;
+    assert_eq!(ev.device_batches, sum(|r| r.device_batches));
+    assert_eq!(ev.host_batches, sum(|r| r.host_batches));
+    assert_eq!(ev.cells_probed, sum(|r| r.cells_probed));
+    assert_eq!(ev.batches_pruned, sum(|r| r.batches_pruned));
+    let coalesced = reports.iter().map(|r| r.coalesced_queries).max().unwrap();
+    assert_eq!(ev.coalesced as usize, coalesced);
+    assert_eq!(ev.sim_wall_us.to_bits(), out.wall_us.to_bits());
+    assert_eq!(ev.comparisons, out.comparisons as u64);
+    assert_eq!((ev.shards_ok, ev.shards_failed, ev.shards_skipped), (2, 1, 0));
+    assert!(ev.degraded && out.degraded);
+    assert_eq!(ev.outcome, "degraded");
+    assert_eq!(ev.retries, 1);
+    assert_eq!(cluster.stats().retries, 1);
+}
+
+#[test]
+fn prune_ratio_gauge_reads_the_whole_search() {
+    // Three shards of eight single-reference batches each prune different
+    // shares; the gauge reads the search's share, not the last leg's.
+    let reg = Registry::new();
+    let mut cfg = small_config(3);
+    cfg.engine.batch_size = 1;
+    cfg.engine.matching.ivf =
+        texid_knn::IvfParams { enabled: true, nlist: 4, nprobe: 1, ..Default::default() };
+    let cluster = Cluster::with_faults_in_registry(cfg, None, &reg);
+    for id in 0..24u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let gauge = reg.gauge("texid_ivf_prune_ratio", "", &[]);
+    for seed in [8, 13] {
+        let out = cluster.search(&query_for(seed), 3);
+        let legs: Vec<(usize, usize)> = out
+            .shard_reports
+            .iter()
+            .map(|r| (r.batches_pruned, r.batches_pruned + r.device_batches + r.host_batches))
+            .collect();
+        let (pruned, total) = legs.iter().fold((0, 0), |(p, t), &(lp, lt)| (p + lp, t + lt));
+        assert_eq!(legs.len(), 3);
+        assert!(pruned > 0, "the probe prunes: {legs:?}");
+        let ratio = pruned as f64 / total as f64;
+        assert_eq!(gauge.get(), ratio, "seed {seed}: legs {legs:?}");
+    }
 }
 
 #[test]

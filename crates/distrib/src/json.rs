@@ -7,6 +7,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The largest integer, 2⁵³ − 1, that a JSON number parsed as `f64` is
+/// sure to hold exactly: from 2⁵³ on, neighbouring integers share a value.
+const MAX_SAFE_INTEGER: f64 = 9_007_199_254_740_991.0;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -46,10 +50,14 @@ impl Json {
         }
     }
 
-    /// Integer accessor (rejects non-integral numbers).
+    /// Integer accessor: a whole number in `0..=2⁵³ − 1`. A larger
+    /// literal may have been rounded to another integer by the `f64` parse
+    /// (`9007199254740993` reads as `…992`), so it is refused, not guessed.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
+            Json::Num(v) if (0.0..=MAX_SAFE_INTEGER).contains(v) && v.fract() == 0.0 => {
+                Some(*v as u64)
+            }
             _ => None,
         }
     }

@@ -19,16 +19,16 @@ use std::sync::OnceLock;
 
 use crate::metrics::Counter;
 use crate::ring::Ring;
-use crate::trace::wall_now_us;
-use crate::Stage;
+use crate::StageUs;
 
 /// Default capacity of the global flight-recorder ring.
 pub const DEFAULT_EVENT_RING_CAPACITY: usize = 1024;
 
-/// One per-query wide event. All timings are microseconds; `sim_*` and
+/// One per-query wide event, filed once the search has finished as a
+/// projection of its result. All timings are microseconds; `sim_*` and
 /// per-stage fields tick on the simulated device clock, `wall_elapsed_us`
 /// on the host wall clock (see OBSERVABILITY.md on the two clocks).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WideEvent {
     /// Monotonic sequence number assigned by the ring at record time.
     /// Strictly increasing across the process; gaps indicate drops.
@@ -67,66 +67,8 @@ pub struct WideEvent {
     pub batches_pruned: u64,
     /// Transient-fault retries absorbed while fanning out this query.
     pub retries: u32,
-    /// Summed simulated H2D transfer time across answering shards.
-    pub h2d_us: f64,
-    /// Summed simulated GEMM time across answering shards.
-    pub gemm_us: f64,
-    /// Summed simulated top-2 selection time across answering shards.
-    pub top2_us: f64,
-    /// Summed simulated D2H transfer time across answering shards.
-    pub d2h_us: f64,
-    /// Summed simulated postprocess (ratio-test vote) time.
-    pub post_us: f64,
-}
-
-impl WideEvent {
-    /// A zeroed event with the wall-clock start stamped now. Callers fill
-    /// in the rest as the query progresses, then hand it to
-    /// [`EventRing::record`], which assigns `seq`.
-    pub fn begin(trace_id: u128) -> Self {
-        WideEvent {
-            seq: 0,
-            trace_id,
-            start_us: wall_now_us(),
-            wall_elapsed_us: 0.0,
-            sim_wall_us: 0.0,
-            comparisons: 0,
-            shards_ok: 0,
-            shards_failed: 0,
-            shards_skipped: 0,
-            degraded: false,
-            outcome: "ok",
-            coalesced: 1,
-            device_batches: 0,
-            host_batches: 0,
-            cells_probed: 0,
-            batches_pruned: 0,
-            retries: 0,
-            h2d_us: 0.0,
-            gemm_us: 0.0,
-            top2_us: 0.0,
-            d2h_us: 0.0,
-            post_us: 0.0,
-        }
-    }
-
-    /// The field holding `stage`'s summed µs — the one `Stage` ↔ field
-    /// mapping of this record.
-    pub fn stage_us_mut(&mut self, stage: Stage) -> &mut f64 {
-        match stage {
-            Stage::H2d => &mut self.h2d_us,
-            Stage::Gemm => &mut self.gemm_us,
-            Stage::Top2 => &mut self.top2_us,
-            Stage::D2h => &mut self.d2h_us,
-            Stage::Post => &mut self.post_us,
-        }
-    }
-
-    /// `stage`'s summed µs (read through a copy, so the mapping above
-    /// stays the only one).
-    pub fn stage_us(&self, stage: Stage) -> f64 {
-        *{ *self }.stage_us_mut(stage)
-    }
+    /// Simulated µs per stage, summed across answering shards.
+    pub stage_us: StageUs,
 }
 
 /// Bounded MPMC ring of wide events: never blocks a writer, evicts
@@ -213,7 +155,7 @@ mod tests {
     fn snapshot_is_sorted_and_seq_gaps_reveal_drops() {
         let ring = EventRing::new(3);
         for _ in 0..5 {
-            ring.record(WideEvent::begin(0));
+            ring.record(WideEvent::default());
         }
         let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);

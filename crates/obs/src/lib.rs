@@ -77,6 +77,7 @@ pub use trace::{
     TraceSummary, DEFAULT_TRACE_RING_CAPACITY, TRACE_HEADER,
 };
 
+use std::ops::{AddAssign, Index, IndexMut};
 use std::sync::OnceLock;
 
 /// Name of the unified per-stage latency histogram family. Labels:
@@ -89,6 +90,7 @@ pub const STAGE_DURATION: &str = "texid_stage_duration_us";
 /// only place the stages are listed and their names spelled: every surface
 /// that reports per-stage time — metric and drift labels, `/events` keys,
 /// sim-clock spans, stage-targeted faults — loops over [`Stage::ALL`].
+/// Declared in [`Stage::ALL`] order, which is the slot order of [`StageUs`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Host-to-device reference streaming (host-resident batches only).
@@ -134,6 +136,44 @@ impl Stage {
             Stage::Top2 => "top2_us",
             Stage::D2h => "d2h_us",
             Stage::Post => "post_us",
+        }
+    }
+}
+
+/// Simulated µs per [`Stage`], one slot each in [`Stage::ALL`] order: the one
+/// per-stage layout of every record that carries stage time (the engine's
+/// `SearchReport`, [`WideEvent`]). Indexed by [`Stage`]; `+=` adds slot by
+/// slot.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct StageUs([f64; 5]);
+
+// A stage's discriminant is its slot.
+const _: () = {
+    let mut i = 0;
+    while i < Stage::ALL.len() {
+        assert!(Stage::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
+impl Index<Stage> for StageUs {
+    type Output = f64;
+
+    fn index(&self, stage: Stage) -> &f64 {
+        &self.0[stage as usize]
+    }
+}
+
+impl IndexMut<Stage> for StageUs {
+    fn index_mut(&mut self, stage: Stage) -> &mut f64 {
+        &mut self.0[stage as usize]
+    }
+}
+
+impl AddAssign for StageUs {
+    fn add_assign(&mut self, rhs: StageUs) {
+        for (sum, us) in self.0.iter_mut().zip(rhs.0) {
+            *sum += us;
         }
     }
 }
