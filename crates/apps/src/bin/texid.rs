@@ -6,7 +6,7 @@
 //! texid search   --refs textures/ --query q.pgm [--top 5]  offline search over a directory
 //! texid serve    --port 8080 [--containers 4]              run the REST API
 //! texid capacity                                           print the capacity planner table
-//! texid trace    [--streams 4] [--chunks 16] --out t.trace.json   export a Perfetto timeline
+//! texid trace    --addr HOST:PORT --id TRACE_ID            export a served request to Perfetto
 //! texid bench kernels [--quick] [--check] [--backend B]    per-backend kernel GFLOP/s -> BENCH_kernels.json
 //! texid bench throughput [--quick] [--check]               serving imgs/s -> BENCH_throughput.json
 //! texid bench ivf [--quick] [--check]                      IVF recall/speedup sweep -> BENCH_ivf.json
@@ -134,7 +134,7 @@ const USAGE: &str = "usage:
   texid search   --refs DIR --query FILE.pgm [--top 5] [--max-ref 384] [--max-query 768]
   texid serve    [--port 0] [--containers 4]
   texid capacity
-  texid trace    [--streams 4] [--chunks 16] [--batch 64] [--out pipeline.trace.json]
+  texid trace    --addr HOST:PORT --id TRACE_ID [--out request.trace.json]
   texid bench kernels [--quick] [--check] [--backend scalar|avx2|avx512] [--out BENCH_kernels.json]
   texid bench throughput [--quick] [--check] [--out BENCH_throughput.json]
   texid bench ivf [--quick] [--check] [--out BENCH_ivf.json]
@@ -242,7 +242,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let server =
         api::serve(cluster, &format!("127.0.0.1:{port}")).map_err(|e| e.to_string())?;
     println!(
-        "texture search API on http://{} ({} containers)\nroutes: POST /textures, GET/PUT/DELETE /textures/{{id}}, POST /search, POST /verify, GET /stats, GET /health, POST /heal, GET /metrics, GET /events, GET /slo, GET /traces\nCtrl-C to stop",
+        "texture search API on http://{} ({} containers)\nroutes: POST /textures, GET/PUT/DELETE /textures/{{id}}, POST /search, POST /verify, GET /stats, GET /health, POST /heal, GET /metrics, GET /events, GET /slo, GET /traces, GET /trace/{{id}}\nCtrl-C to stop",
         server.addr(),
         containers
     );
@@ -285,41 +285,25 @@ fn cmd_capacity() -> Result<(), String> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    use texid_gpu::{pipeline, DeviceSpec, Precision};
-    let streams = args.get_usize("streams", 4)?;
-    let chunks = args.get_usize("chunks", 16)?;
-    let batch = args.get_usize("batch", 64)?;
-    let out = PathBuf::from(args.get("out").unwrap_or("pipeline.trace.json"));
-    if streams == 0 || chunks == 0 || batch == 0 {
-        return Err("--streams, --chunks, and --batch must be positive".to_string());
+    let addr = parse_addr(args.require("addr")?)?;
+    let id = args.require("id")?;
+    let out = PathBuf::from(args.get("out").unwrap_or("request.trace.json"));
+    let path = format!("/trace/{id}");
+    let resp = http_call(addr, "GET", &path, b"").map_err(|e| format!("GET {path}: {e}"))?;
+    let text = resp.text();
+    if resp.status != 200 {
+        return Err(format!("GET {path}: HTTP {}: {}", resp.status, text.trim()));
     }
-
-    let spec = DeviceSpec::tesla_p100();
-    let chunk = pipeline::ChunkSpec {
-        batch,
-        m: 768,
-        n: 768,
-        d: 128,
-        precision: Precision::F16,
-        pinned: true,
-    };
-    let (stats, trace) =
-        pipeline::simulate_traced(&spec, &chunk, chunks, streams, spec.calib.stream_serial_fraction);
+    let spans = json_parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|body| api::trace_spans(&body))
+        .map_err(|e| format!("GET {path}: {e}"))?;
+    let mut trace = texid_obs::ChromeTrace::new();
+    trace.add_spans(&spans);
     std::fs::write(&out, trace.to_json()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
-        "simulated {} chunks x {} refs on {} streams: makespan {:.0} us, {:.0} img/s, \
-         H2D busy {:.0}%, compute busy {:.0}%",
-        chunks,
-        batch,
-        streams,
-        stats.makespan_us,
-        stats.images_per_second(),
-        100.0 * stats.h2d_busy_us / stats.makespan_us,
-        100.0 * stats.compute_busy_us / stats.makespan_us
-    );
-    println!(
-        "wrote {} trace events to {} — open it at https://ui.perfetto.dev or chrome://tracing",
-        trace.len(),
+        "wrote {} spans of trace {id} to {} — open it at https://ui.perfetto.dev or chrome://tracing",
+        spans.len(),
         out.display()
     );
     Ok(())

@@ -163,6 +163,85 @@ fn span_node(span: &SpanRecord, by_parent: &HashMap<u64, Vec<&SpanRecord>>) -> J
     ])
 }
 
+/// The `GET /trace/{id}` body: the trace's spans as a forest of
+/// [`span_node`]s. Roots are true roots plus orphans whose parent was
+/// evicted, so a pressured ring still yields a renderable forest.
+fn trace_json(trace_id: u128, spans: &[SpanRecord]) -> Json {
+    let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    let mut by_parent: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+    for s in spans {
+        by_parent.entry(s.parent_id).or_default().push(s);
+    }
+    let roots: Vec<Json> = spans
+        .iter()
+        .filter(|s| s.parent_id == 0 || !ids.contains(&s.parent_id))
+        .map(|s| span_node(s, &by_parent))
+        .collect();
+    Json::obj([
+        ("trace_id", Json::Str(format!("{trace_id:032x}"))),
+        ("span_count", Json::Num(spans.len() as f64)),
+        ("spans", Json::Arr(roots)),
+    ])
+}
+
+/// The inverse of [`trace_json`]: a `GET /trace/{id}` body back into its
+/// [`SpanRecord`]s, flattened parents first, every time the bits the ring
+/// held (tags come back sorted by key). `Err` names the first missing
+/// field, bad hex id or unknown clock.
+pub fn trace_spans(body: &Json) -> Result<Vec<SpanRecord>, String> {
+    let trace_id = body
+        .get("trace_id")
+        .and_then(Json::as_str)
+        .and_then(TraceContext::parse_trace_id)
+        .ok_or("missing or bad trace_id")?;
+    let roots = body.get("spans").and_then(Json::as_arr).ok_or("missing spans")?;
+    let mut stack: Vec<&Json> = roots.iter().rev().collect();
+    let mut out = Vec::new();
+    while let Some(node) = stack.pop() {
+        let text = |key: &str| {
+            node.get(key).and_then(Json::as_str).ok_or_else(|| format!("span without {key}"))
+        };
+        let num = |key: &str| {
+            node.get(key).and_then(Json::as_f64).ok_or_else(|| format!("span without {key}"))
+        };
+        let id = |key: &str| {
+            let hex = text(key)?;
+            if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(format!("bad {key} {hex:?}"));
+            }
+            u64::from_str_radix(hex, 16).map_err(|e| e.to_string())
+        };
+        let clock = match text("clock")? {
+            "wall" => Clock::Wall,
+            "sim" => Clock::Sim,
+            other => return Err(format!("unknown clock {other:?}")),
+        };
+        let Some(Json::Obj(tags)) = node.get("tags") else {
+            return Err("span without tags".to_string());
+        };
+        let tags = tags
+            .iter()
+            .map(|(k, v)| match v {
+                Json::Str(v) => Ok((k.clone(), v.clone())),
+                _ => Err(format!("tag {k:?} is not a string")),
+            })
+            .collect::<Result<_, String>>()?;
+        let children = node.get("children").and_then(Json::as_arr).ok_or("span without children")?;
+        out.push(SpanRecord {
+            trace_id,
+            span_id: id("span_id")?,
+            parent_id: id("parent_id")?,
+            name: text("name")?.to_string(),
+            clock,
+            start_us: num("start_us")?,
+            dur_us: num("dur_us")?,
+            tags,
+        });
+        stack.extend(children.iter().rev());
+    }
+    Ok(out)
+}
+
 /// What a handler is given besides the cluster.
 struct Call<'a> {
     req: &'a Request,
@@ -582,33 +661,13 @@ fn heal(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
 
 fn trace(_: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let trace_id = TraceContext::parse_trace_id(call.id)
-        .ok_or_else(|| err_json(400, "bad trace id (expected up to 32 hex chars)"))?;
+        .ok_or_else(|| err_json(400, "bad trace id (expected 1-32 hex digits, not all zero)"))?;
     let spans = global_ring().snapshot_trace(trace_id);
     if spans.is_empty() {
         let msg = "unknown trace id (never recorded, or evicted from the ring)";
         return Err(err_json(404, msg));
     }
-    let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
-    let mut by_parent: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
-    for s in &spans {
-        by_parent.entry(s.parent_id).or_default().push(s);
-    }
-    // Roots: true roots plus orphans whose parent was evicted —
-    // a pressured ring still yields a renderable forest.
-    let roots: Vec<Json> = spans
-        .iter()
-        .filter(|s| s.parent_id == 0 || !ids.contains(&s.parent_id))
-        .map(|s| span_node(s, &by_parent))
-        .collect();
-    Ok(Response::json(
-        200,
-        Json::obj([
-            ("trace_id", Json::Str(format!("{trace_id:032x}"))),
-            ("span_count", Json::Num(spans.len() as f64)),
-            ("spans", Json::Arr(roots)),
-        ])
-        .to_string(),
-    ))
+    Ok(Response::json(200, trace_json(trace_id, &spans).to_string()))
 }
 
 fn traces(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
@@ -1124,6 +1183,97 @@ mod tests {
             metrics.text().contains("texid_trace_events_dropped_total"),
             "dropped counter must be exported"
         );
+    }
+
+    fn span(ids: (u64, u64), name: &str, clock: Clock, start_us: f64, dur_us: f64) -> SpanRecord {
+        let tag = |k: &str, v: &str| (k.to_string(), v.to_string());
+        SpanRecord {
+            trace_id: 0xfeed_0000_0000_0000_0000_0000_0000_0001,
+            span_id: ids.0,
+            parent_id: ids.1,
+            name: name.to_string(),
+            clock,
+            start_us,
+            dur_us,
+            tags: vec![tag("shard", "1"), tag("track", "t")],
+        }
+    }
+
+    /// `trace_spans` inverts the `/trace` body through text: every id,
+    /// clock and tag, and every time to the bit (`{:?}` prints an `f64`'s
+    /// shortest round-trip digits, so equal text is equal bits).
+    #[test]
+    fn trace_spans_inverts_the_trace_body() {
+        let spans = vec![
+            span((1, 0), "POST /search", Clock::Wall, 12.5, 0.1 + 0.2),
+            span((u64::MAX, 1), "cluster.search", Clock::Wall, 13.0, 1.0 / 3.0),
+            span((3, u64::MAX), "hgemm", Clock::Sim, 0.0, 5e-324),
+            span((4, u64::MAX), "top2", Clock::Sim, 7.25, 1e300),
+            // An orphan (its parent evicted) comes back as a root.
+            span((5, 99), "retry", Clock::Wall, 20.0, 0.0),
+        ];
+        let body = parse(&trace_json(spans[0].trace_id, &spans).to_string()).unwrap();
+        assert_eq!(format!("{:?}", trace_spans(&body)), format!("{:?}", Ok::<_, String>(spans)));
+    }
+
+    #[test]
+    fn trace_spans_refuses_malformed_trees() {
+        let spans = [
+            span((1, 0), "POST /search", Clock::Wall, 1.0, 2.0),
+            span((2, 1), "hgemm", Clock::Sim, 0.0, 3.0),
+        ];
+        let good = trace_json(spans[0].trace_id, &spans).to_string();
+        assert_eq!(trace_spans(&parse(&good).unwrap()).map(|v| v.len()), Ok(2));
+        let child = r#""span_id":"0000000000000002""#;
+        for (from, to, why) in [
+            (r#""trace_id":"feed"#, r#""trace_id":"+eed"#, "missing or bad trace_id"),
+            (r#""clock":"sim""#, r#""clock":"gpu""#, r#"unknown clock "gpu""#),
+            (child, r#""span_id":"00000000000000g2""#, r#"bad span_id "00000000000000g2""#),
+            (child, r#""span_id":"+000000000000002""#, r#"bad span_id "+000000000000002""#),
+            (child, r#""span_id":"02""#, r#"bad span_id "02""#),
+            (child, r#""span_id":2"#, "span without span_id"),
+            (r#""dur_us":3"#, r#""dur_us":"3""#, "span without dur_us"),
+            (r#""name":"hgemm""#, r#""nom":"hgemm""#, "span without name"),
+            (r#""shard":"1""#, r#""shard":1"#, r#"tag "shard" is not a string"#),
+            (r#""spans":["#, r#""spams":["#, "missing spans"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let bad = parse(&good.replacen(from, to, 1)).unwrap();
+            assert_eq!(trace_spans(&bad).map(|v| v.len()), Err(why.to_string()), "{to}");
+        }
+        let no_children = parse(&good.replacen(r#""children":[]"#, r#""kids":[]"#, 1)).unwrap();
+        let why = "span without children".to_string();
+        assert_eq!(trace_spans(&no_children).map(|v| v.len()), Err(why));
+        assert!(trace_spans(&Json::Null).is_err());
+        assert!(trace_spans(&parse(r#"{"trace_id":"1","spans":[1]}"#).unwrap()).is_err());
+    }
+
+    /// The all-zero trace id is no id: the edge mints a fresh root, whose
+    /// id the response echoes and the wide event files.
+    #[test]
+    fn zero_trace_header_gets_a_fresh_id() {
+        use crate::http::http_call_with_headers;
+        let server = serve(test_cluster(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        for id in 0..2u64 {
+            let body = format!(r#"{{"id": {id}, "features": "{}"}}"#, features_b64(id, 128));
+            http_call(addr, "POST", "/textures", body.as_bytes()).unwrap();
+        }
+        let body = format!(r#"{{"features": "{}", "top": 2}}"#, features_b64(0, 256));
+        let resp =
+            http_call_with_headers(addr, "POST", "/search", &[(TRACE_HEADER, "0")], body.as_bytes())
+                .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let tid = resp.header("x-texid-trace-id").unwrap().to_string();
+        assert!(TraceContext::parse_trace_id(&tid).is_some(), "fresh non-zero id, got {tid}");
+        let v = parse(&resp.text()).unwrap();
+        assert_eq!(v.get("trace_id").and_then(Json::as_str), Some(tid.as_str()));
+        let events = http_call(addr, "GET", "/events", b"").unwrap().text();
+        assert!(events.contains(&format!(r#""trace_id":"{tid}""#)), "{events}");
+        for zero in ["0".to_string(), "0".repeat(32)] {
+            let resp = http_call(addr, "GET", &format!("/trace/{zero}"), b"").unwrap();
+            assert_eq!(resp.status, 400, "{}", resp.text());
+        }
     }
 
     #[test]

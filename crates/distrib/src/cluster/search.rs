@@ -367,21 +367,25 @@ fn wide_event(out: &ClusterSearchResult) -> WideEvent {
 /// An answered leg's **sim-clock** engine-stage spans, children of its
 /// wall-clock `shard.leg` span, laid out serially from sim time 0 on a
 /// per-shard `… (sim)` track so the two clocks never share a timeline.
+/// `device total` is the stages' sum scaled by the multi-stream factor, so
+/// at `streams > 1` it ends inside the last stage: it gets a track of its
+/// own, where no slice can partially overlap it.
 fn trace_sim_stages(ctx: &TraceContext, shard: usize, measured: &SearchReport) {
     let ring = global_ring();
-    let track = format!("shard {shard} (sim)");
-    let tags = |stage: &str| {
+    let tags = |stage: &str, track: &str| {
         vec![
             ("shard".to_string(), shard.to_string()),
             ("stage".to_string(), stage.to_string()),
-            ("track".to_string(), track.clone()),
+            ("track".to_string(), track.to_string()),
         ]
     };
-    ring.record_sim(ctx, "device total", 0.0, measured.total_us, tags(STAGE_TOTAL));
+    let total = tags(STAGE_TOTAL, &format!("shard {shard} total (sim)"));
+    ring.record_sim(ctx, "device total", 0.0, measured.total_us, total);
+    let track = format!("shard {shard} (sim)");
     let mut t = 0.0;
     for stage in Stage::ALL {
         let (name, dur) = (stage.span_name(), measured.stage_us[stage]);
-        ring.record_sim(ctx, name, t, dur, tags(name));
+        ring.record_sim(ctx, name, t, dur, tags(name, &track));
         t += dur;
     }
 }

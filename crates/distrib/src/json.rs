@@ -98,12 +98,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // `Display` writes the shortest digits that read back to the
+            // same bits (an integer without a decimal point, `-0` keeping
+            // its sign), and `parse` reads them back exactly.
             Json::Num(v) => {
-                if v.fract() == 0.0 && v.abs() < 9e15 {
-                    let _ = write!(out, "{}", *v as i64);
-                } else {
-                    let _ = write!(out, "{v}");
-                }
+                let _ = write!(out, "{v}");
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -592,6 +591,29 @@ mod tests {
     fn integer_formatting_has_no_decimal_point() {
         assert_eq!(Json::Num(5.0).to_string(), "5");
         assert_eq!(Json::Num(5.25).to_string(), "5.25");
+        assert_eq!(Json::Num(-0.0).to_string(), "-0");
+        assert_eq!(Json::Num(1e15).to_string(), "1000000000000000");
+    }
+
+    fn round_trip_bits(v: f64) -> u64 {
+        parse(&Json::Num(v).to_string()).unwrap().as_f64().unwrap().to_bits()
+    }
+
+    #[test]
+    fn numbers_round_trip_bit_for_bit() {
+        let edges = [0.0, -0.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324, f64::MIN_POSITIVE, f64::MAX, 9e15];
+        for v in edges.into_iter().chain([-f64::MAX, 2f64.powi(60)]) {
+            assert_eq!(round_trip_bits(v), v.to_bits(), "{v:e}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn finite_numbers_round_trip_bit_for_bit(bits in any::<u64>()) {
+            let v = f64::from_bits(bits);
+            prop_assume!(v.is_finite());
+            prop_assert_eq!(round_trip_bits(v), bits);
+        }
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //!   reference cache may fill (16 GB less context overhead and reserve).
 //! * **Engine timelines** ([`sim`]): H2D copy, D2H copy and compute engines
 //!   with CUDA-stream ordering semantics; ops on different streams overlap
-//!   when their engines are free — the mechanism behind the paper's §6.2.
+//!   when their engines are free. `knn::BatchWork::launch` enqueues a priced
+//!   batch on them; nothing on the serving path or in a paper bench does.
 //! * **Cost model** ([`cost`]): per-kernel analytic durations (roofline +
 //!   occupancy saturation + launch/DMA latency) with constants calibrated
 //!   against the paper's measured tables; see `cost.rs` for the anchor map.
 //! * **Multi-stream throughput model** ([`streams`]): the calibrated
-//!   serialization model reproducing Table 6's schedule efficiencies.
+//!   closed-form serialization model reproducing Table 6's schedule
+//!   efficiencies — the one §6.2 price the engine and the benches use.
 //!
 //! All simulated times are in microseconds (`f64`).
 
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod pipeline;
 pub mod sim;
 pub mod spec;
 pub mod streams;

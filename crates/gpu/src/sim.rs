@@ -92,9 +92,6 @@ pub struct GpuSim {
     h2d: Engine,
     d2h: Engine,
     compute: Engine,
-    /// Globally serialized driver/runtime sections (pinned-buffer locks,
-    /// synchronous waits) — one at a time across ALL streams.
-    driver: Engine,
     streams: HashMap<StreamId, f64>, // stream id -> ready time
     host_lanes: HashMap<StreamId, Engine>,
     next_stream: u32,
@@ -109,7 +106,6 @@ impl GpuSim {
             h2d: Engine::default(),
             d2h: Engine::default(),
             compute: Engine::default(),
-            driver: Engine::default(),
             streams: HashMap::new(),
             host_lanes: HashMap::new(),
             next_stream: 0,
@@ -174,15 +170,6 @@ impl GpuSim {
         self.finish(stream, OpKind::Kernel, start, end)
     }
 
-    /// Enqueue a globally serialized driver section (lock acquisition,
-    /// synchronous stream wait): only one such section runs at a time on
-    /// the whole device, regardless of stream — the §6.2 scaling limiter.
-    pub fn driver_section(&mut self, stream: StreamId, dur_us: f64) -> OpRecord {
-        let earliest = self.stream_ready(stream);
-        let (start, end) = self.driver.reserve(earliest, dur_us);
-        self.finish(stream, OpKind::Host, start, end)
-    }
-
     /// Enqueue `dur_us` of host (CPU) work on the stream's host lane; the
     /// work starts only after everything previously enqueued on the stream.
     pub fn host_work(&mut self, stream: StreamId, dur_us: f64) -> OpRecord {
@@ -190,11 +177,6 @@ impl GpuSim {
         let lane = self.host_lanes.get_mut(&stream).expect("unknown stream");
         let (start, end) = lane.reserve(earliest, dur_us);
         self.finish(stream, OpKind::Host, start, end)
-    }
-
-    /// Time at which everything enqueued on `stream` has completed, µs.
-    pub fn stream_sync(&self, stream: StreamId) -> f64 {
-        self.stream_ready(stream)
     }
 
     /// Time at which the whole device (all streams/engines) goes idle, µs.
@@ -275,7 +257,7 @@ mod tests {
         let d = s.d2h(st, 1 << 16);
         assert!(k.start_us >= c.end_us);
         assert!(d.start_us >= k.end_us);
-        assert_eq!(s.stream_sync(st), d.end_us);
+        assert_eq!(s.device_sync(), d.end_us);
     }
 
     #[test]
@@ -319,15 +301,5 @@ mod tests {
         assert_eq!(h2d, 0.0);
         assert_eq!(d2h, 0.0);
         assert!((comp - k.duration_us()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn driver_sections_serialize_globally() {
-        let mut s = p100();
-        let sa = s.create_stream();
-        let sb = s.create_stream();
-        let a = s.driver_section(sa, 10.0);
-        let b = s.driver_section(sb, 10.0);
-        assert!(b.start_us >= a.end_us, "driver sections must not overlap");
     }
 }

@@ -80,7 +80,7 @@ impl ChromeTrace {
     }
 
     /// Name a process (one per clock by convention).
-    pub fn name_process(&mut self, pid: u32, name: &str) {
+    fn name_process(&mut self, pid: u32, name: &str) {
         self.push_meta("process_name", pid, None, name);
     }
 
@@ -152,17 +152,6 @@ impl ChromeTrace {
             }
             self.add_complete((pid, tid), &rec.name, rec.clock.as_str(), rec.start_us, rec.dur_us, &args);
         }
-    }
-
-    /// Number of events buffered (duration + metadata).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events have been added (metadata from [`Self::new`]
-    /// still counts as content, so a fresh trace is *not* empty).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Render the trace as a Chrome trace-event JSON document (the

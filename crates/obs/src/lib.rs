@@ -34,8 +34,8 @@
 //! REST edge through the scatter-gather into every shard leg, finished
 //! spans land in the bounded [`TraceRing`] ([`global_ring`], overflow
 //! counted in `texid_trace_events_dropped_total`), and [`ChromeTrace`]
-//! renders span trees and the discrete-event pipeline simulation as
-//! Perfetto-loadable timelines. Wall-clock and sim-clock events live in
+//! renders a served request's span tree (`texid trace`) as a
+//! Perfetto-loadable timeline. Wall-clock and sim-clock events live in
 //! separate trace processes so the two clocks are never conflated
 //! (OBSERVABILITY.md, "Tracing").
 //!

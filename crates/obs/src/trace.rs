@@ -130,14 +130,16 @@ impl TraceContext {
         format!("{:032x}", self.trace_id)
     }
 
-    /// Parse a hex trace id (1–32 hex chars, case-insensitive). Returns
-    /// `None` for empty, overlong, or non-hex input.
+    /// Parse a hex trace id (1–32 hex digits, case-insensitive). Returns
+    /// `None` for empty, overlong or non-hex input — a sign is not a hex
+    /// digit — and for the all-zero id, which W3C Trace Context forbids
+    /// and which a wide event reads as "untraced".
     pub fn parse_trace_id(s: &str) -> Option<u128> {
         let s = s.trim();
-        if s.is_empty() || s.len() > 32 {
+        if s.is_empty() || s.len() > 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
-        u128::from_str_radix(s, 16).ok()
+        u128::from_str_radix(s, 16).ok().filter(|&id| id != 0)
     }
 }
 
@@ -427,6 +429,14 @@ mod tests {
         assert_eq!(TraceContext::parse_trace_id(""), None);
         assert_eq!(TraceContext::parse_trace_id("xyz"), None);
         assert_eq!(TraceContext::parse_trace_id(&"f".repeat(33)), None);
+    }
+
+    #[test]
+    fn trace_id_parse_refuses_a_sign_and_the_zero_id() {
+        assert_eq!(TraceContext::parse_trace_id("+abc"), None);
+        assert_eq!(TraceContext::parse_trace_id("0"), None);
+        assert_eq!(TraceContext::parse_trace_id(&"0".repeat(32)), None);
+        assert_eq!(TraceContext::parse_trace_id(&format!("{}1", "0".repeat(31))), Some(1));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Visual debugging: dump every pipeline stage as PGM images you can open
 //! with any viewer — the reference texture, the simulated re-capture, and a
-//! side-by-side match visualization with correspondence lines — plus a
-//! Perfetto timeline of the multi-stream GPU pipeline schedule.
+//! side-by-side match visualization with correspondence lines. (A served
+//! request's timeline is `texid trace`'s Perfetto export.)
 //!
 //! ```sh
 //! cargo run --release -p texid-apps --example visualize_pipeline
-//! # → ./texid-viz/*.pgm + ./texid-viz/pipeline.trace.json
-//! # open the .trace.json at https://ui.perfetto.dev or chrome://tracing
+//! # → ./texid-viz/*.pgm
 //! ```
 
 use rand::rngs::SmallRng;
@@ -122,34 +121,6 @@ fn main() -> std::io::Result<()> {
     }
     write_pgm(&canvas, &out_dir.join("04_matches.pgm"))?;
     println!("wrote texid-viz/01..04*.pgm");
-
-    // Stage 5: the schedule itself — a 4-stream, 16-chunk pipeline run as a
-    // Chrome trace-event timeline (streams, DMA/compute engines, and the
-    // driver lock each on their own track, all on the sim clock).
-    let spec = DeviceSpec::tesla_p100();
-    let chunk = texid_gpu::pipeline::ChunkSpec {
-        batch: 64,
-        m: 768,
-        n: 768,
-        d: 128,
-        precision: Precision::F16,
-        pinned: true,
-    };
-    let (stats, trace) = texid_gpu::pipeline::simulate_traced(
-        &spec,
-        &chunk,
-        16,
-        4,
-        spec.calib.stream_serial_fraction,
-    );
-    let trace_path = out_dir.join("pipeline.trace.json");
-    std::fs::write(&trace_path, trace.to_json())?;
-    println!(
-        "wrote {} ({} events, makespan {:.0} us) — open in https://ui.perfetto.dev",
-        trace_path.display(),
-        trace.len(),
-        stats.makespan_us
-    );
 
     assert!(geo.inlier_count() > 20, "visualization ran on a failed match");
     Ok(())

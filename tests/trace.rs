@@ -1,16 +1,18 @@
-//! Tracing acceptance suite: the Perfetto exporter and the distributed
-//! request-trace pipeline, end to end.
+//! Tracing acceptance suite: the Perfetto export of a served request and
+//! the distributed request-trace pipeline, end to end.
 //!
 //! Three layers under test:
 //!
-//! 1. **Exporter structure** — a seeded multi-stream pipeline simulation
-//!    must render to structurally valid Chrome trace-event JSON (parsed
-//!    with the repo's own `texid_distrib::json` parser): an object with a
-//!    `traceEvents` array of `"X"` complete events and `"M"` metadata
-//!    events, every `"X"` carrying `ts`/`dur`/`pid`/`tid`.
-//! 2. **Engine-track physics** — each device engine (H2D, compute, D2H)
-//!    and the driver lock is a serial resource, so its track's events must
-//!    be monotonically ordered and non-overlapping on the sim clock.
+//! 1. **Exporter structure** — `texid trace --addr … --id …` against a live
+//!    2-container server must write structurally valid Chrome trace-event
+//!    JSON (parsed with the repo's own `texid_distrib::json` parser): an
+//!    object with a `traceEvents` array of `"X"` complete events and `"M"`
+//!    metadata events, every `"X"` carrying `ts`/`dur`/`pid`/`tid`, wall
+//!    spans in the wall-clock process and sim stages in the sim-clock one.
+//! 2. **Nesting and bits** — at `streams: 8` no two slices on one track
+//!    partially overlap (Perfetto can only nest), and each stage's sim
+//!    spans, summed over shards, equal that search's `/events` value to the
+//!    bit.
 //! 3. **Distributed propagation** — a trace id sent over real HTTP in
 //!    `X-Texid-Trace-Id` must come back in the search response and
 //!    retrieve the full span tree from `GET /trace/<id>`, with retry spans
@@ -19,6 +21,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 use std::sync::Arc;
 use texid_core::EngineConfig;
 use texid_distrib::api;
@@ -28,9 +32,8 @@ use texid_distrib::http::{http_call, http_call_with_headers};
 use texid_distrib::json::{parse, Json};
 use texid_distrib::wire;
 use texid_distrib::FaultPlan;
-use texid_gpu::pipeline::{simulate_traced, ChunkSpec};
-use texid_gpu::{DeviceSpec, Precision};
 use texid_image::{CaptureCondition, TextureGenerator};
+use texid_obs::{ChromeTrace, Stage};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 fn small_config(containers: usize) -> ClusterConfig {
@@ -59,20 +62,61 @@ fn query_features(id: u64) -> FeatureMatrix {
     extract(&q, &SiftConfig { max_features: 256, ..SiftConfig::default() })
 }
 
-fn seeded_trace_json() -> String {
-    let spec = DeviceSpec::tesla_p100();
-    let chunk = ChunkSpec {
-        batch: 64,
-        m: 768,
-        n: 768,
-        d: 128,
-        precision: Precision::F16,
-        pinned: true,
-    };
-    let (stats, trace) =
-        simulate_traced(&spec, &chunk, 16, 4, spec.calib.stream_serial_fraction);
-    assert!(stats.makespan_us > 0.0);
-    trace.to_json()
+/// Run `texid trace --addr ADDR --id ID --out <tmp>/NAME`; the output and
+/// the file it wrote (if any).
+fn texid_trace(addr: std::net::SocketAddr, id: &str, name: &str) -> (Output, Option<String>) {
+    let dir = std::env::temp_dir().join(format!("texid-trace-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out: PathBuf = dir.join("request.trace.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_texid"))
+        .args(["trace", "--addr", &addr.to_string(), "--id", id, "--out"])
+        .arg(&out)
+        .output()
+        .expect("texid binary runs");
+    let text = std::fs::read_to_string(&out).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    (output, text)
+}
+
+/// One search served by a live 2-container server at `streams: 8` (the
+/// `texid serve` default, where `device total` is shorter than the serial
+/// stage sum), exported with `texid trace`: the Chrome file's events, the
+/// search's `/events` line, and the command's stdout.
+fn served_trace(name: &str) -> (Vec<Json>, Json, String) {
+    let base = small_config(2);
+    let cfg = ClusterConfig { engine: EngineConfig { streams: 8, ..base.engine }, ..base };
+    let server = api::serve(Arc::new(Cluster::new(cfg)), "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    for id in 0..4u64 {
+        let payload = b64::encode(&wire::encode_features(&reference_features(id)));
+        let body = format!(r#"{{"id": {id}, "features": "{payload}"}}"#);
+        assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+    }
+    // The event ring is process-global: other tests' searches share it, so
+    // each caller picks its own id.
+    let tid = format!("{:0>32x}", name.bytes().fold(0x7ace_u128, |h, b| h * 131 + b as u128));
+    let payload = b64::encode(&wire::encode_features(&query_features(2)));
+    let body = format!(r#"{{"features": "{payload}", "top": 2}}"#);
+    let resp = http_call_with_headers(
+        addr,
+        "POST",
+        "/search",
+        &[("X-Texid-Trace-Id", &tid)],
+        body.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+
+    let (output, text) = texid_trace(addr, &tid, name);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let events = http_call(addr, "GET", "/events", b"").unwrap().text();
+    let event = events
+        .lines()
+        .map(|line| parse(line).unwrap())
+        .find(|e| e.get("trace_id").and_then(Json::as_str) == Some(tid.as_str()))
+        .expect("the search filed a wide event under its trace id");
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    (trace_events(&text.expect("texid trace wrote its file")), event, stdout)
 }
 
 /// Parse a trace-event JSON string, returning the events array.
@@ -89,101 +133,144 @@ fn trace_events(text: &str) -> Vec<Json> {
         .to_vec()
 }
 
-/// The exporter's output is structurally valid Chrome trace-event JSON.
+fn str_of<'a>(ev: &'a Json, key: &str) -> Option<&'a str> {
+    ev.get(key).and_then(Json::as_str)
+}
+
+fn num_of(ev: &Json, key: &str) -> f64 {
+    ev.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("event without {key}"))
+}
+
+fn complete_events(events: &[Json]) -> impl Iterator<Item = &Json> {
+    events.iter().filter(|e| str_of(e, "ph") == Some("X"))
+}
+
+/// The exporter's output for a served request is structurally valid
+/// Chrome trace-event JSON, with each clock in its own process.
 #[test]
 fn exporter_emits_valid_trace_event_json() {
-    let events = trace_events(&seeded_trace_json());
-    assert!(events.len() > 16 * 5, "a 16-chunk run should emit many events");
-
-    let mut saw_complete = false;
-    let mut saw_metadata = false;
+    let (events, _, _) = served_trace("structure");
+    let mut processes = Vec::new();
     for ev in &events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("every event has ph");
-        match ph {
+        match str_of(ev, "ph").expect("every event has ph") {
             "X" => {
-                saw_complete = true;
                 for field in ["ts", "dur", "pid", "tid"] {
-                    let n = ev.get(field).and_then(Json::as_f64);
-                    assert!(n.is_some(), "X event missing {field}");
-                    assert!(n.unwrap() >= 0.0, "{field} must be non-negative");
+                    assert!(num_of(ev, field) >= 0.0, "{field} must be non-negative");
                 }
-                assert!(ev.get("name").and_then(Json::as_str).is_some());
+                assert!(str_of(ev, "name").is_some());
+                let want = match str_of(ev, "cat") {
+                    Some("sim") => ChromeTrace::SIM_PID,
+                    Some("wall") => ChromeTrace::WALL_PID,
+                    other => panic!("unexpected category {other:?}"),
+                };
+                assert_eq!(num_of(ev, "pid"), want as f64, "{}", ev.to_string());
             }
             "M" => {
-                saw_metadata = true;
-                let name = ev.get("name").and_then(Json::as_str).unwrap();
-                assert!(
-                    name == "process_name" || name == "thread_name",
-                    "unexpected metadata event: {name}"
-                );
-                assert!(ev.get("args").and_then(|a| a.get("name")).is_some());
+                let name = str_of(ev, "name").unwrap();
+                let label = ev.get("args").and_then(|a| a.get("name")).and_then(Json::as_str);
+                match name {
+                    "process_name" => processes.push(label.unwrap().to_string()),
+                    "thread_name" => assert!(label.is_some()),
+                    other => panic!("unexpected metadata event: {other}"),
+                }
             }
             other => panic!("unexpected phase {other:?}"),
         }
     }
-    assert!(saw_complete && saw_metadata);
+    assert!(processes.iter().any(|p| p.starts_with("sim clock")), "{processes:?}");
+    assert!(processes.iter().any(|p| p.starts_with("wall clock")), "{processes:?}");
 
-    // The pipeline names every stage; all five phases appear.
-    for stage in ["h2d", "hgemm", "top2", "d2h", "post"] {
-        assert!(
-            events.iter().any(|e| e.get("name").and_then(Json::as_str) == Some(stage)),
-            "stage {stage} missing from timeline"
-        );
+    // The request, its scatter, both legs, and every leg's sim stages.
+    let names: Vec<&str> = complete_events(&events).filter_map(|e| str_of(e, "name")).collect();
+    let count = |n: &str| names.iter().filter(|&&m| m == n).count();
+    assert_eq!(count("POST /search"), 1, "{names:?}");
+    assert_eq!(count("cluster.search"), 1, "{names:?}");
+    assert_eq!(count("shard.leg"), 2, "{names:?}");
+    assert_eq!(count("device total"), 2, "{names:?}");
+    for stage in Stage::ALL {
+        assert_eq!(count(stage.span_name()), 2, "{} per shard: {names:?}", stage.span_name());
     }
 }
 
-/// Each engine track (and the driver lock) is a serial resource: its
-/// events must be monotonically ordered and non-overlapping in sim time.
+/// Perfetto nests slices on a track and cannot draw two that partially
+/// overlap. At `streams: 8` the stages' serial sum outlasts `device
+/// total`, so the two must not share a track.
 #[test]
-fn engine_tracks_are_monotone_and_non_overlapping() {
-    let events = trace_events(&seeded_trace_json());
-
-    // Identify serial-resource tracks from thread_name metadata.
-    let mut serial_tids: HashMap<(i64, i64), String> = HashMap::new();
-    for ev in &events {
-        if ev.get("ph").and_then(Json::as_str) != Some("M")
-            || ev.get("name").and_then(Json::as_str) != Some("thread_name")
-        {
-            continue;
-        }
-        let track = ev.get("args").and_then(|a| a.get("name")).and_then(Json::as_str).unwrap();
-        if track.starts_with("engine: ") || track == "driver lock" {
-            let pid = ev.get("pid").and_then(Json::as_f64).unwrap() as i64;
-            let tid = ev.get("tid").and_then(Json::as_f64).unwrap() as i64;
-            serial_tids.insert((pid, tid), track.to_string());
+fn no_track_holds_partially_overlapping_slices() {
+    let (events, _, _) = served_trace("nesting");
+    let mut per_track: HashMap<_, Vec<_>> = HashMap::new();
+    for ev in complete_events(&events) {
+        let (ts, dur) = (num_of(ev, "ts"), num_of(ev, "dur"));
+        let track = (num_of(ev, "pid") as u64, num_of(ev, "tid") as u64);
+        per_track.entry(track).or_default().push((ts, ts + dur, str_of(ev, "name").unwrap()));
+    }
+    assert!(per_track.len() >= 7, "request, cluster, 2 legs, 2 stage + 2 total tracks");
+    for (track, slices) in &per_track {
+        for (i, a) in slices.iter().enumerate() {
+            for b in &slices[i + 1..] {
+                let intersect = a.0 < b.1 && b.0 < a.1;
+                let nested = (a.0 <= b.0 && b.1 <= a.1) || (b.0 <= a.0 && a.1 <= b.1);
+                assert!(!intersect || nested, "track {track:?}: {a:?} and {b:?} partially overlap");
+            }
         }
     }
-    assert_eq!(serial_tids.len(), 4, "H2D, compute, D2H engines + driver lock");
+}
 
-    let mut per_track: HashMap<(i64, i64), Vec<(f64, f64)>> = HashMap::new();
-    for ev in &events {
-        if ev.get("ph").and_then(Json::as_str) != Some("X") {
-            continue;
-        }
-        let pid = ev.get("pid").and_then(Json::as_f64).unwrap() as i64;
-        let tid = ev.get("tid").and_then(Json::as_f64).unwrap() as i64;
-        if !serial_tids.contains_key(&(pid, tid)) {
-            continue;
-        }
-        let ts = ev.get("ts").and_then(Json::as_f64).unwrap();
-        let dur = ev.get("dur").and_then(Json::as_f64).unwrap();
-        per_track.entry((pid, tid)).or_default().push((ts, dur));
+/// The Chrome file and the flight recorder are views of one record: each
+/// stage's sim spans, summed over shards, are the wide event's value.
+#[test]
+fn sim_stage_sums_equal_the_wide_event_to_the_bit() {
+    let (events, event, _) = served_trace("bits");
+    for stage in Stage::ALL {
+        let mut by_shard: Vec<(String, f64)> = complete_events(&events)
+            .filter(|e| str_of(e, "cat") == Some("sim"))
+            .filter(|e| str_of(e, "name") == Some(stage.span_name()))
+            .map(|e| {
+                let shard = e.get("args").and_then(|a| a.get("shard")).and_then(Json::as_str);
+                (shard.expect("stage span names its shard").to_string(), num_of(e, "dur"))
+            })
+            .collect();
+        assert_eq!(by_shard.len(), 2, "{}", stage.span_name());
+        // The event adds the legs in shard order, from zero.
+        by_shard.sort_by(|a, b| a.0.cmp(&b.0));
+        let sum = by_shard.iter().fold(0.0f64, |acc, (_, dur)| acc + dur);
+        let want = num_of(&event, stage.event_key());
+        let key = stage.event_key();
+        assert_eq!(sum.to_bits(), want.to_bits(), "{key}: spans {sum} vs event {want}");
     }
+}
 
-    for (key, mut spans) in per_track {
-        let track = &serial_tids[&key];
-        assert!(!spans.is_empty(), "{track} recorded no events");
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for pair in spans.windows(2) {
-            let (ts0, dur0) = pair[0];
-            let (ts1, _) = pair[1];
-            assert!(
-                ts1 >= ts0 + dur0 - 1e-6,
-                "{track} overlaps: [{ts0}, {}) then {ts1}",
-                ts0 + dur0
-            );
-        }
+/// The `texid trace` subcommand writes a loadable file holding one
+/// complete event per span of the requested trace, and says how many.
+#[test]
+fn texid_trace_subcommand_writes_valid_file() {
+    let (events, event, stdout) = served_trace("subcommand");
+    let tid = str_of(&event, "trace_id").unwrap();
+    let spans: Vec<&Json> = complete_events(&events).collect();
+    assert!(
+        stdout.starts_with(&format!("wrote {} spans of trace {tid} to ", spans.len())),
+        "the summary reports the span count and trace id:\n{stdout}"
+    );
+    for ev in &spans {
+        let arg = ev.get("args").and_then(|a| a.get("trace_id")).and_then(Json::as_str);
+        assert_eq!(arg, Some(tid), "{}", ev.to_string());
     }
+    assert!(
+        spans.iter().any(|e| str_of(e, "name") == Some("hgemm")),
+        "compute events present"
+    );
+}
+
+/// An id the ring never held is the server's 404, and the command fails
+/// with its message.
+#[test]
+fn texid_trace_unknown_id_exits_nonzero_with_the_404() {
+    let server = api::serve(Arc::new(Cluster::new(small_config(1))), "127.0.0.1:0").unwrap();
+    let (output, text) = texid_trace(server.addr(), "0123456789abcdef0123456789abcdef", "unknown");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("HTTP 404") && stderr.contains("unknown trace id"), "{stderr}");
+    assert!(text.is_none(), "no file is written for a failed fetch");
 }
 
 /// Trace-id propagation end to end over real HTTP: the header joins the
@@ -304,30 +391,4 @@ fn retries_appear_exactly_once_per_fault_and_drop_counter_is_exported() {
         metrics.text().contains("texid_trace_events_dropped_total"),
         "trace ring drop counter must be on /metrics"
     );
-}
-
-/// The `texid trace` subcommand writes a loadable trace file.
-#[test]
-fn texid_trace_subcommand_writes_valid_file() {
-    let dir = std::env::temp_dir().join(format!("texid-trace-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("pipeline.trace.json");
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_texid"))
-        .args(["trace", "--streams", "3", "--chunks", "9", "--out"])
-        .arg(&out)
-        .output()
-        .expect("texid binary runs");
-    assert!(output.status.success());
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        stdout.contains("H2D busy") && stdout.contains("compute busy"),
-        "the summary reports both busy ratios:\n{stdout}"
-    );
-    let text = std::fs::read_to_string(&out).unwrap();
-    let events = trace_events(&text);
-    assert!(
-        events.iter().any(|e| e.get("name").and_then(Json::as_str) == Some("hgemm")),
-        "compute events present"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
