@@ -54,6 +54,17 @@ impl Default for CoalesceConfig {
     }
 }
 
+/// `texid_coalesced_batch_size` in `registry`: one observation per sweep,
+/// of the queries it merged (1 = uncoalesced).
+pub fn group_size_histogram(registry: &texid_obs::Registry) -> Histogram {
+    registry.histogram_with_bounds(
+        "texid_coalesced_batch_size",
+        "Queries merged into one coalesced cache sweep (1 = uncoalesced).",
+        &[],
+        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+    )
+}
+
 /// Shared state behind the coalescer's mutex.
 struct Inner {
     /// Monotonic group id; each collecting group gets the next one.
@@ -86,12 +97,6 @@ impl Coalescer {
     /// [`Coalescer::new`] against a caller-supplied registry (tests that
     /// assert exact histogram counts use a private one).
     pub fn with_registry(cfg: CoalesceConfig, registry: &texid_obs::Registry) -> Coalescer {
-        let batch_size = registry.histogram_with_bounds(
-            "texid_coalesced_batch_size",
-            "Queries merged into one coalesced cache sweep (1 = uncoalesced).",
-            &[],
-            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-        );
         Coalescer {
             cfg,
             inner: Mutex::new(Inner {
@@ -101,7 +106,7 @@ impl Coalescer {
                 done: HashMap::new(),
             }),
             cv: Condvar::new(),
-            batch_size,
+            batch_size: group_size_histogram(registry),
         }
     }
 

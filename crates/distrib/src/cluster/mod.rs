@@ -22,15 +22,23 @@
 //! # The search path
 //!
 //! [`Cluster::search_traced`] is orchestration over one `Leg` per shard,
-//! through three phases: `leg` (one thread per shard — the only parallelism
-//! of a search — on which the leg plans itself: breaker admission, the
-//! fault decision, the perturbation and the run, ending in one
-//! `LegOutcome`), `account_legs` (the single per-leg accounting point;
+//! through three phases: `plan_leg` (on the calling thread, in shard
+//! order: breaker admission, the fault decision and the perturbation; a
+//! leg that runs is submitted to the cluster's leg pool), the gather in
+//! shard order, `account_legs` (the single per-leg accounting point;
 //! every per-stage series there is a loop over `Stage::ALL` projecting the
 //! leg's `SearchReport`) and `merge_and_publish`; the search's one wide
-//! event is then projected from the finished result. A leg's *measured* report
-//! is its *predicted* one under its fault's perturbation
+//! event is then projected from the finished result. A leg's *measured*
+//! report is its *predicted* one under its fault's perturbation
 //! ([`SearchReport::perturbed`]).
+//!
+//! The pool (`pool`) is the only parallelism of a search: `min(containers,
+//! available_parallelism())` persistent workers, started with the cluster
+//! and joined when it drops. A worker takes the oldest queued leg and every
+//! other leg queued for the same shard, up to `CoalesceConfig::max_batch`,
+//! and sweeps them as one multi-query pass under one read lock — concurrent
+//! searches coalesce from real backlog, with no window. Nothing runs in
+//! parallel inside a leg.
 //!
 //! # Failure model & degraded mode
 //!
@@ -61,7 +69,9 @@
 //! # Where things live
 //!
 //! * this file — configuration, errors, [`Cluster`] itself and its `/stats`;
-//! * `shard` — one container: engine, coalescer, breaker, per-shard series;
+//! * `shard` — one container: engine, breaker, per-shard series, and how a
+//!   worker runs a group of its legs;
+//! * `pool` — the leg workers and the per-shard queues they sweep;
 //! * `placement` — id → shard ownership, the fault-wrapped store, CRUD, verify;
 //! * `search` — the three phases of [`Cluster::search_traced`];
 //! * `heal` — `recover_container`, `heal` and their reports.
@@ -72,6 +82,7 @@
 
 mod heal;
 mod placement;
+mod pool;
 mod search;
 mod shard;
 #[cfg(test)]
@@ -85,9 +96,11 @@ pub use shard::{ShardHealth, ShardStatus};
 use crate::faults::{Backoff, FaultKind, FaultOp, FaultPlan};
 use crate::kv::KvStore;
 use parking_lot::Mutex;
+use pool::LegPool;
 use shard::Shard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use texid_cache::CacheError;
 use texid_core::{CoalesceConfig, EngineConfig, SearchReport};
 use texid_obs::{
@@ -293,8 +306,9 @@ pub struct ClusterConfig {
     pub engine: EngineConfig,
     /// Failure handling.
     pub resilience: ResilienceConfig,
-    /// Per-shard query coalescing (continuous batching of concurrent
-    /// searches into one multi-query cache sweep).
+    /// Per-shard query coalescing: at most `max_batch` queued legs of one
+    /// shard sweep the cache together (`<= 1`: each alone). The cluster
+    /// forms groups from its queues and does not read `window`.
     pub coalesce: CoalesceConfig,
     /// Feature-store durability (DESIGN.md §12): every write is journaled
     /// to an in-memory WAL + snapshot pair compacted every
@@ -420,7 +434,11 @@ pub struct ClusterStats {
 /// The distributed search system.
 pub struct Cluster {
     cfg: ClusterConfig,
-    shards: Vec<Shard>,
+    /// Shared with the leg pool's workers.
+    shards: Vec<Arc<Shard>>,
+    /// The workers that run every search's shard legs; stopped and joined
+    /// when the cluster drops.
+    pool: LegPool,
     store: KvStore,
     /// Live id -> the shard whose engine indexes it (under that same id).
     /// Changed only under that shard's write lock (`Cluster::lock_owner`),
@@ -458,7 +476,9 @@ impl Cluster {
         registry: &Registry,
     ) -> Cluster {
         assert!(cfg.containers >= 1, "need at least one container");
-        let shards = (0..cfg.containers).map(|i| Shard::new(i, &cfg, registry)).collect();
+        let shards: Vec<_> =
+            (0..cfg.containers).map(|i| Arc::new(Shard::new(i, &cfg, registry))).collect();
+        let pool = LegPool::new(&shards, cfg.coalesce.max_batch);
         let telemetry = Telemetry::register(registry);
         let drift = DriftSentry::register(registry);
         let slo = SloEngine::register(objectives(), registry);
@@ -466,6 +486,7 @@ impl Cluster {
         Cluster {
             cfg,
             shards,
+            pool,
             store,
             shard_of: Mutex::new(HashMap::new()),
             next_rr: AtomicUsize::new(0),
@@ -541,7 +562,7 @@ impl Cluster {
 
     /// Per-shard breaker snapshot (the REST `/health` payload).
     pub fn health(&self) -> Vec<ShardStatus> {
-        self.shards.iter().map(Shard::status).collect()
+        self.shards.iter().map(|shard| shard.status()).collect()
     }
 
     /// The store's WAL counters, published to the `texid_wal_*` gauges on

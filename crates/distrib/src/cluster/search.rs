@@ -1,14 +1,16 @@
-//! Scatter-gather search: one [`Leg`] per shard, each planned and run on its
-//! own thread, then accounted and merged by [`Cluster::search_traced`],
-//! which files the finished result's wide event.
+//! Scatter-gather search: one [`Leg`] per shard, planned on the calling
+//! thread, run on the cluster's leg pool (`pool`), then gathered in shard
+//! order, accounted and merged by [`Cluster::search_traced`], which files
+//! the finished result's wide event.
 
+use super::pool::{LegJob, LegReply};
 use super::Cluster;
 use crate::faults::{Backoff, FaultKind, FaultOp, Stage};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-use texid_core::{EncodedQuery, SearchReport};
+use texid_core::{EncodedQuery, SearchReport, SearchResult};
 use texid_obs::{global_events, global_ring, wall_now_us, TraceContext, WideEvent, STAGE_TOTAL};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
@@ -62,6 +64,27 @@ struct LegAnswer {
     predicted: SearchReport,
 }
 
+/// What the fault decision does to a dispatched leg's report:
+/// [`SearchReport::perturbed`]'s arguments.
+struct Perturbation {
+    stage_stall: Option<(Stage, f64)>,
+    straggle: Option<f64>,
+    backoff_us: f64,
+}
+
+impl Perturbation {
+    /// The leg's answer from its run: the unperturbed report *is* the
+    /// analytic Eq. 3/4 prediction for this exact query shape; the drift
+    /// sentry compares it with the measured copy.
+    fn answer(&self, run: SearchResult) -> LegAnswer {
+        LegAnswer {
+            ranked: run.ranked,
+            measured: run.report.perturbed(self.stage_stall, self.straggle, self.backoff_us),
+            predicted: run.report,
+        }
+    }
+}
+
 /// How one shard's leg of one search ended.
 // One per shard per search, moved once into its `Leg`: the answer stays
 // inline rather than costing every leg an allocation.
@@ -104,7 +127,9 @@ impl Cluster {
     /// passes the request's [`TraceContext`], library callers may pass
     /// their own). When present, the search records a span tree into
     /// [`texid_obs::global_ring`]: a wall-clock `cluster.search` span, one
-    /// wall-clock `shard.leg` span per shard (recorded even when the leg
+    /// wall-clock `shard.leg` span per shard (from the moment a pool worker
+    /// starts the leg, tagged `queued_us` — wall µs since it was submitted —
+    /// and `group` — the legs swept with it; recorded even when the leg
     /// panics, and as a zero-length span for skipped/fail-fast legs, each
     /// tagged with its `outcome`), zero-length `retry` marks — exactly one
     /// per retry attempt, emitted by the same accounting point as the
@@ -131,26 +156,36 @@ impl Cluster {
         });
 
         // Narrowed and packed once; every leg's sweep reads the same panels.
-        let query = &Arc::new(EncodedQuery::new(&self.cfg.engine, query));
-        // Scatter: one thread per shard, each leg planning and running
-        // itself; gather every outcome.
-        let legs: Vec<Leg> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|shard| {
-                    let ctx = cluster_ctx.map(|c| c.child());
-                    (shard, ctx, scope.spawn(move || self.leg(shard, ctx, query)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(shard, ctx, handle)| {
-                    // The run's panics are caught inside the leg; one
-                    // anywhere else in it still fails only this leg.
-                    let (retries, outcome) = handle.join().unwrap_or((0, LegOutcome::Failed));
-                    Leg { shard, ctx, retries, outcome }
-                })
-                .collect()
-        });
+        let query = Arc::new(EncodedQuery::new(&self.cfg.engine, query));
+        // Scatter: plan every leg here, in shard order, handing the ones
+        // that run to the pool; their answers come back over one channel.
+        let (reply, answers) = mpsc::channel();
+        let planned: Vec<_> = (0..self.shards.len())
+            .map(|shard| {
+                let ctx = cluster_ctx.map(|c| c.child());
+                let (retries, plan) = self.plan_leg(shard, ctx, &query, &reply);
+                (ctx, retries, plan)
+            })
+            .collect();
+        drop(reply);
+        // Gather, until every dispatched leg has answered or been dropped.
+        let mut runs: Vec<Option<SearchResult>> = planned.iter().map(|_| None).collect();
+        for (shard, run) in answers {
+            runs[shard] = run;
+        }
+        let legs: Vec<Leg> = planned
+            .into_iter()
+            .zip(runs)
+            .enumerate()
+            .map(|(shard, ((ctx, retries, plan), run))| {
+                let outcome = match (plan, run) {
+                    (Err(outcome), _) => outcome,
+                    (Ok(perturbation), Some(run)) => LegOutcome::Answered(perturbation.answer(run)),
+                    (Ok(_), None) => LegOutcome::Failed,
+                };
+                Leg { shard, ctx, retries, outcome }
+            })
+            .collect();
         let retries = legs.iter().map(|leg| leg.retries).sum();
         self.account_legs(&legs, trace_id);
         let out = self.merge_and_publish(legs, top_k, trace_id);
@@ -172,17 +207,19 @@ impl Cluster {
         out
     }
 
-    /// Phase 1, on the leg's own thread: breaker admission, the fault
-    /// decision (transient retries included), the perturbation and the run.
-    /// Returns the retries taken and the outcome. A leg that never runs
-    /// records its own zero-length `shard.leg` span, tagged with why; a run
-    /// that panics (an injected crash) fails the leg and keeps its retries.
-    fn leg(
+    /// Phase 1, on the calling thread: breaker admission and the fault
+    /// decision (transient retries included). A leg that runs is submitted
+    /// to the pool, to answer on `reply`, and comes back as the
+    /// perturbation its answer takes; one that does not records its own
+    /// zero-length `shard.leg` span, tagged with why, and comes back as its
+    /// outcome. Either way with the retries taken.
+    fn plan_leg(
         &self,
         shard: usize,
         ctx: Option<TraceContext>,
         query: &Arc<EncodedQuery>,
-    ) -> (u32, LegOutcome) {
+        reply: &Sender<LegReply>,
+    ) -> (u32, Result<Perturbation, LegOutcome>) {
         let owner = &self.shards[shard];
         let not_run = |why: &str| {
             if let Some(c) = &ctx {
@@ -191,32 +228,29 @@ impl Cluster {
         };
         if !owner.admit() {
             not_run("skipped (breaker open)");
-            return (0, LegOutcome::Skipped);
+            return (0, Err(LegOutcome::Skipped));
         }
         let (fault, retries) = self.decide(FaultOp::search_shard(shard), ctx.map(|c| (c, shard)));
         let (crash, straggle, stage_stall) = match fault {
             Some(FaultKind::Transient) => {
                 not_run("failed (retries exhausted)");
-                return (retries, LegOutcome::FailedFast);
+                return (retries, Err(LegOutcome::FailedFast));
             }
             Some(FaultKind::ShardCrash) => (true, None, None),
             Some(FaultKind::Straggler { factor }) => (false, Some(factor), None),
             Some(FaultKind::StageStall { stage, factor }) => (false, None, Some((stage, factor))),
             _ => (false, None, None),
         };
-        let backoff_us = Backoff::total_us(retries);
-        let outcome = match catch_unwind(AssertUnwindSafe(|| owner.run_leg(ctx, crash, query))) {
-            // The unperturbed report *is* the analytic Eq. 3/4 prediction
-            // for this exact query shape; the drift sentry compares it with
-            // the measured copy.
-            Ok(Ok(r)) => LegOutcome::Answered(LegAnswer {
-                ranked: r.ranked,
-                measured: r.report.perturbed(stage_stall, straggle, backoff_us),
-                predicted: r.report,
-            }),
-            _ => LegOutcome::Failed,
+        let job = LegJob {
+            ctx,
+            crash,
+            query: Arc::clone(query),
+            reply: reply.clone(),
+            submitted: Instant::now(),
         };
-        (retries, outcome)
+        self.pool.submit(shard, job);
+        let backoff_us = Backoff::total_us(retries);
+        (retries, Ok(Perturbation { stage_stall, straggle, backoff_us }))
     }
 
     /// Phase 2: drive the breakers from the outcomes. This is the *single*

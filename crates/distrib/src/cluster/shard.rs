@@ -1,11 +1,12 @@
 //! One GPU container and everything that is per-shard: its engine, its
-//! query coalescer, its circuit breaker and its metric series.
+//! circuit breaker, its metric series, and [`Shard::run_group`] — how a
+//! pool worker runs a group of this shard's queued legs.
 
+use super::pool::LegJob;
 use super::{ClusterConfig, ClusterError, ResilienceConfig};
 use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
 use std::time::Instant;
-use texid_core::{Coalescer, EncodedQuery, Engine, SearchResult};
+use texid_core::{EncodedQuery, Engine, SearchResult};
 use texid_obs::{global_ring, Counter, Gauge, Histogram, Registry, TraceContext, TraceSpan};
 
 /// Shard health, as driven by the per-shard circuit breaker.
@@ -121,14 +122,15 @@ impl ShardState {
 
 /// One GPU container: its engine behind a read/write lock (searches share
 /// the read side; `add_reference`/`flush`/recovery take the write side),
-/// the shard's query coalescer, its breaker, and the `shard`-labelled
-/// series only this shard moves.
+/// its breaker, and the `shard`-labelled series only this shard moves.
 pub(super) struct Shard {
     index: usize,
     resilience: ResilienceConfig,
     pub(super) engine: RwLock<Engine>,
-    coalescer: Coalescer,
     breaker: Mutex<ShardState>,
+    /// `texid_coalesced_batch_size`, the one unlabelled series every shard
+    /// shares.
+    group_size: Histogram,
     failures: Counter,
     skips: Counter,
     search_duration: Histogram,
@@ -148,7 +150,6 @@ impl Shard {
             index,
             resilience: cfg.resilience,
             engine: RwLock::new(Engine::new(cfg.engine.clone())),
-            coalescer: Coalescer::with_registry(cfg.coalesce, reg),
             breaker: Mutex::new(ShardState::new(
                 index,
                 reg.gauge(
@@ -157,6 +158,7 @@ impl Shard {
                     &labels,
                 ),
             )),
+            group_size: texid_core::coalesce::group_size_histogram(reg),
             failures: reg.counter(
                 "texid_shard_failures",
                 "Search legs that failed on this shard (crash, error, retries exhausted).",
@@ -209,19 +211,25 @@ impl Shard {
             .tag("track", &format!("shard {}", self.index))
     }
 
-    /// One dispatched search leg, on its own thread: seal what is pending,
-    /// then search through the shard's coalescer. `crash` is the injected
-    /// panic.
-    pub(super) fn run_leg(
-        &self,
-        ctx: Option<TraceContext>,
-        crash: bool,
-        query: &Arc<EncodedQuery>,
-    ) -> Result<SearchResult, ClusterError> {
-        // The guard records on drop even if this leg panics below, so
+    /// One group of this shard's queued legs, on a pool worker: each leg's
+    /// `shard.leg` span opens, tagged with how long the leg queued and how
+    /// many legs the group sweeps; any pending partial batch is sealed; and
+    /// the group runs as one multi-query sweep under one read lock, its
+    /// results in group order. A group holding the injected crash holds
+    /// only that leg, and panics.
+    pub(super) fn run_group(&self, group: &[LegJob]) -> Result<Vec<SearchResult>, ClusterError> {
+        let size = group.len().to_string();
+        // The guards record on drop even if the group panics below, so
         // crashed legs stay visible in the span tree.
-        let _leg_span = ctx.as_ref().map(|c| self.leg_span(c));
-        if crash {
+        let _leg_spans: Vec<_> = group
+            .iter()
+            .filter_map(|leg| {
+                let queued_us = leg.submitted.elapsed().as_secs_f64() * 1e6;
+                let span = self.leg_span(leg.ctx.as_ref()?);
+                Some(span.tag("queued_us", &format!("{queued_us:.1}")).tag("group", &size))
+            })
+            .collect();
+        if group.iter().any(|leg| leg.crash) {
             panic!("injected shard crash (fault plan)");
         }
         // Seal any pending partial batch so it is searchable. The steady
@@ -236,10 +244,13 @@ impl Shard {
             wait_us += wait.elapsed().as_secs_f64() * 1e6;
             engine.flush()?;
         }
-        self.lock_wait.observe(wait_us);
-        // Concurrent searches coalesce into one multi-query sweep under a
-        // shared read lock.
-        Ok(self.coalescer.search_encoded(&self.engine, query))
+        // Every leg of the group waited for the same locks.
+        for _ in group {
+            self.lock_wait.observe(wait_us);
+        }
+        self.group_size.observe(group.len() as f64);
+        let queries: Vec<&EncodedQuery> = group.iter().map(|leg| &*leg.query).collect();
+        Ok(self.engine.read().search_encoded(&queries))
     }
 
     /// The leg answered in `total_us` simulated µs: close the breaker and

@@ -751,8 +751,8 @@ fn breaker_trips_skips_then_readmits() {
 #[test]
 fn degraded_scatter_gather_under_concurrent_load() {
     // Shard 0 crashes on every leg while several clients search
-    // concurrently (through the shard RwLocks and the per-shard
-    // coalescer): every response must be flagged degraded, carry only
+    // concurrently (through the shard RwLocks and the leg pool's
+    // per-shard queues): every response must be flagged degraded, carry only
     // the healthy shard's results, and never mix shards up.
     let clients = 4u64;
     let searches_per_client = 2u64;
@@ -1026,4 +1026,159 @@ fn kv_read_timeout_after_retry_budget() {
     cluster.add_texture(0, &features(0, 64)).unwrap();
     let err = cluster.get_texture(0).unwrap_err();
     assert!(matches!(err, ClusterError::Timeout(_)), "{err:?}");
+}
+
+/// Run `work` on a thread of its own and fail, instead of hanging, when it
+/// has not returned within `secs` seconds.
+fn within<T: Send + 'static>(secs: u64, work: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(work());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the work returned without sending"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("did not return within {secs} s: deadlock"),
+    }
+}
+
+/// A worker survives the legs that crash on it: more crashed searches than
+/// the pool can have workers, then a clean search answers on every shard.
+#[test]
+fn pool_workers_survive_more_crashed_legs_than_there_are_workers() {
+    const SHARDS: usize = 4;
+    let crashes = SHARDS + 2;
+    let plan = (0..crashes).fold(FaultPlan::new(17), |plan, _| plan.crash_shard_after(0, 0));
+    let cfg = ClusterConfig {
+        resilience: ResilienceConfig { trip_threshold: 1000 },
+        ..small_config(SHARDS)
+    };
+    let cluster = Cluster::with_faults(cfg, Some(plan));
+    for id in 0..8u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let (outs, clean) = within(120, move || {
+        let q = query_for(3);
+        let outs: Vec<_> = (0..crashes).map(|_| cluster.search(&q, 4)).collect();
+        (outs, cluster.search(&q, 4))
+    });
+    for out in &outs {
+        assert_eq!((out.shards_failed, out.shards_ok), (1, SHARDS - 1));
+    }
+    assert!(!clean.degraded);
+    assert_eq!((clean.shards_ok, clean.comparisons), (SHARDS, 8));
+    assert_eq!(clean.results[0].0, 3);
+}
+
+/// Dropping a cluster stops and joins its leg workers.
+#[test]
+fn dropping_clusters_leaves_no_leg_worker_behind() {
+    let registry = texid_obs::Registry::new();
+    let query = features(1, 32);
+    let handles: Vec<_> = (0..50)
+        .map(|_| {
+            let cluster = Cluster::with_faults_in_registry(small_config(2), None, &registry);
+            // The first search starts the workers.
+            assert_eq!(cluster.search(&query, 1).shards_ok, 2);
+            let live = cluster.pool.liveness();
+            drop(cluster);
+            live
+        })
+        .collect();
+    assert!(handles.iter().all(|live| live.upgrade().is_none()), "a worker outlived its cluster");
+}
+
+/// `report` with the two fields a coalesced sweep changes reset: the
+/// queries it swept with and its share of the H2D copies.
+fn solo_fields(mut report: SearchReport) -> String {
+    report.coalesced_queries = 1;
+    report.stage_us[Stage::H2d] = 0.0;
+    // `{:?}` of an f64 round-trips, so equal strings mean equal bits.
+    format!("{report:?}")
+}
+
+/// Legs that queue behind a write-locked shard are swept together once
+/// it is released, and answer what each query answers alone.
+#[test]
+fn queued_legs_of_one_shard_sweep_together_and_answer_as_alone() {
+    const SEARCHES: usize = 6;
+    let cluster = Arc::new(small_cluster(2));
+    for id in 0..6u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let queries: Arc<Vec<FeatureMatrix>> = Arc::new((0..SEARCHES as u64).map(query_for).collect());
+    let solo: Vec<_> = queries.iter().map(|q| cluster.search(q, 6)).collect();
+    let (shared, qs) = (Arc::clone(&cluster), Arc::clone(&queries));
+    let outs = within(120, move || {
+        let cluster = &shared;
+        // At most two workers (two shards), so at most two groups of
+        // shard 0 can form while it is locked; six legs make one of the
+        // (at most three) groups hold two or more.
+        let locked = cluster.shards[0].engine.write();
+        let before = cluster.pool.submitted();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = qs.iter().map(|q| s.spawn(move || cluster.search(q, 6))).collect();
+            while cluster.pool.submitted() < before + 2 * SEARCHES as u64 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            drop(locked);
+            handles.into_iter().map(|h| h.join().expect("searcher")).collect::<Vec<_>>()
+        })
+    });
+    assert!(
+        outs.iter().any(|out| out.shard_reports[0].coalesced_queries >= 2),
+        "no group formed: {:?}",
+        outs.iter().map(|o| o.shard_reports[0].coalesced_queries).collect::<Vec<_>>()
+    );
+    for (i, (out, alone)) in outs.iter().zip(&solo).enumerate() {
+        assert_eq!(out.results, alone.results, "search {i}");
+        assert_eq!(out.shard_reports.len(), alone.shard_reports.len());
+        for (a, b) in out.shard_reports.iter().zip(&alone.shard_reports) {
+            assert_eq!(solo_fields(*a), solo_fields(*b), "search {i}");
+        }
+    }
+}
+
+/// Searches, rewrites and heal passes racing on one cluster all return.
+#[test]
+fn concurrent_searches_rewrites_and_heals_all_return() {
+    let plan = (0..4).fold(FaultPlan::new(29), |plan, skip| plan.crash_shard_after(1, skip * 2));
+    let cfg = ClusterConfig { resilience: ResilienceConfig { trip_threshold: 1 }, ..small_config(3) };
+    let cluster = Arc::new(Cluster::with_faults(cfg, Some(plan)));
+    for id in 0..6u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let versions = Arc::new([features(9, 128), features(4, 128)]);
+    let shared = Arc::clone(&cluster);
+    let last = within(120, move || {
+        let cluster = &shared;
+        std::thread::scope(|s| {
+            for client in 0..2u64 {
+                s.spawn(move || {
+                    for _ in 0..10 {
+                        cluster.search(&query_for(client + 1), 4);
+                    }
+                });
+            }
+            let versions = &versions;
+            s.spawn(move || {
+                for round in 0..10 {
+                    cluster.update_texture(4, &versions[round % 2]).unwrap();
+                }
+            });
+            s.spawn(move || {
+                for _ in 0..5 {
+                    cluster.heal().unwrap();
+                }
+            });
+        });
+        cluster.heal().unwrap();
+        cluster.search(&query_for(1), 6)
+    });
+    assert!(!last.degraded, "{last:?}");
+    assert_eq!(last.comparisons, 6);
 }

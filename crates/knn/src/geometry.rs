@@ -214,18 +214,19 @@ pub fn verify_matches(
     if matches.len() < 2 {
         return Verification { transform: Similarity::identity(), inliers: Vec::new() };
     }
-    let pts: Vec<((f32, f32), (f32, f32))> = matches
-        .iter()
-        .map(|m| {
-            let r = &ref_kps[m.ref_idx as usize];
-            let q = &query_kps[m.query_idx as usize];
-            ((r.x, r.y), (q.x, q.y))
-        })
-        .collect();
+    let pts = point_pairs(matches, ref_kps, query_kps);
 
     let mut rng = SmallRng::seed_from_u64(params.seed);
-    let mut best: Option<(Similarity, Vec<usize>)> = None;
     let tol2 = params.inlier_tolerance * params.inlier_tolerance;
+    let fits = |model: &Similarity, (p, pp): &Pair| {
+        let (x, y) = model.apply(p.0, p.1);
+        let dx = x - pp.0;
+        let dy = y - pp.1;
+        dx * dx + dy * dy <= tol2
+    };
+    // Count per hypothesis; the first best model wins, and only its inlier
+    // list is ever collected.
+    let mut best: Option<(Similarity, usize)> = None;
 
     for _ in 0..params.iterations {
         let i = rng.gen_range(0..pts.len());
@@ -242,26 +243,42 @@ pub fn verify_matches(
         if !(0.3..3.0).contains(&s) {
             continue;
         }
-        let inliers: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, pp))| {
-                let (x, y) = model.apply(p.0, p.1);
-                let dx = x - pp.0;
-                let dy = y - pp.1;
-                dx * dx + dy * dy <= tol2
-            })
-            .map(|(k, _)| k)
-            .collect();
-        if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
-            best = Some((model, inliers));
+        let count = pts.iter().filter(|pair| fits(&model, pair)).count();
+        if best.is_none_or(|(_, b)| count > b) {
+            best = Some((model, count));
         }
     }
 
     match best {
-        Some((transform, inliers)) => Verification { transform, inliers },
+        Some((transform, _)) => {
+            Verification { transform, inliers: inliers_of(&pts, |pair| fits(&transform, pair)) }
+        }
         None => Verification { transform: Similarity::identity(), inliers: Vec::new() },
     }
+}
+
+/// A match as (reference point, query point).
+type Pair = ((f32, f32), (f32, f32));
+
+/// The matches' point pairs, reference → query.
+fn point_pairs(
+    matches: &[FeatureMatch],
+    ref_kps: &[Keypoint],
+    query_kps: &[Keypoint],
+) -> Vec<Pair> {
+    matches
+        .iter()
+        .map(|m| {
+            let r = &ref_kps[m.ref_idx as usize];
+            let q = &query_kps[m.query_idx as usize];
+            ((r.x, r.y), (q.x, q.y))
+        })
+        .collect()
+}
+
+/// Indices of the pairs `fits` accepts.
+fn inliers_of(pts: &[Pair], fits: impl Fn(&Pair) -> bool) -> Vec<usize> {
+    pts.iter().enumerate().filter(|(_, pair)| fits(pair)).map(|(k, _)| k).collect()
 }
 
 /// RANSAC with the **homography** model (4-point minimal samples). Returns
@@ -275,18 +292,18 @@ pub fn verify_matches_homography(
     if matches.len() < 4 {
         return (Homography::identity(), Vec::new());
     }
-    let pts: Vec<((f32, f32), (f32, f32))> = matches
-        .iter()
-        .map(|m| {
-            let r = &ref_kps[m.ref_idx as usize];
-            let q = &query_kps[m.query_idx as usize];
-            ((r.x, r.y), (q.x, q.y))
-        })
-        .collect();
+    let pts = point_pairs(matches, ref_kps, query_kps);
 
     let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x40_0070);
-    let mut best: Option<(Homography, Vec<usize>)> = None;
     let tol2 = params.inlier_tolerance * params.inlier_tolerance;
+    let fits = |model: &Homography, (p, pp): &Pair| {
+        model.apply(p.0, p.1).is_some_and(|(x, y)| {
+            let dx = x - pp.0;
+            let dy = y - pp.1;
+            dx * dx + dy * dy <= tol2
+        })
+    };
+    let mut best: Option<(Homography, usize)> = None;
 
     for _ in 0..params.iterations {
         // Four distinct sample indices.
@@ -303,28 +320,183 @@ pub fn verify_matches_homography(
         let Some(model) = Homography::from_four_points(src, dst) else {
             continue;
         };
-        let inliers: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, pp))| {
-                model.apply(p.0, p.1).is_some_and(|(x, y)| {
-                    let dx = x - pp.0;
-                    let dy = y - pp.1;
-                    dx * dx + dy * dy <= tol2
-                })
-            })
-            .map(|(k, _)| k)
-            .collect();
-        if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
-            best = Some((model, inliers));
+        let count = pts.iter().filter(|pair| fits(&model, pair)).count();
+        if best.is_none_or(|(_, b)| count > b) {
+            best = Some((model, count));
         }
     }
-    best.unwrap_or((Homography::identity(), Vec::new()))
+    match best {
+        Some((model, _)) => (model, inliers_of(&pts, |pair| fits(&model, pair))),
+        None => (Homography::identity(), Vec::new()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The collecting loop [`verify_matches`] replaced: an inlier `Vec` per
+    /// hypothesis, the first longest kept.
+    fn verify_matches_collecting(
+        matches: &[FeatureMatch],
+        ref_kps: &[Keypoint],
+        query_kps: &[Keypoint],
+        params: &RansacParams,
+    ) -> Verification {
+        if matches.len() < 2 {
+            return Verification { transform: Similarity::identity(), inliers: Vec::new() };
+        }
+        let pts = point_pairs(matches, ref_kps, query_kps);
+        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let mut best: Option<(Similarity, Vec<usize>)> = None;
+        let tol2 = params.inlier_tolerance * params.inlier_tolerance;
+        for _ in 0..params.iterations {
+            let i = rng.gen_range(0..pts.len());
+            let mut j = rng.gen_range(0..pts.len());
+            if i == j {
+                j = (j + 1) % pts.len();
+            }
+            let Some(model) = Similarity::from_two_points(pts[i].0, pts[i].1, pts[j].0, pts[j].1)
+            else {
+                continue;
+            };
+            let s = model.scale();
+            if !(0.3..3.0).contains(&s) {
+                continue;
+            }
+            let inliers: Vec<usize> = pts
+                .iter()
+                .enumerate()
+                .filter(|(_, (p, pp))| {
+                    let (x, y) = model.apply(p.0, p.1);
+                    let dx = x - pp.0;
+                    let dy = y - pp.1;
+                    dx * dx + dy * dy <= tol2
+                })
+                .map(|(k, _)| k)
+                .collect();
+            if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
+                best = Some((model, inliers));
+            }
+        }
+        match best {
+            Some((transform, inliers)) => Verification { transform, inliers },
+            None => Verification { transform: Similarity::identity(), inliers: Vec::new() },
+        }
+    }
+
+    /// The collecting loop [`verify_matches_homography`] replaced.
+    fn verify_matches_homography_collecting(
+        matches: &[FeatureMatch],
+        ref_kps: &[Keypoint],
+        query_kps: &[Keypoint],
+        params: &RansacParams,
+    ) -> (Homography, Vec<usize>) {
+        if matches.len() < 4 {
+            return (Homography::identity(), Vec::new());
+        }
+        let pts = point_pairs(matches, ref_kps, query_kps);
+        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x40_0070);
+        let mut best: Option<(Homography, Vec<usize>)> = None;
+        let tol2 = params.inlier_tolerance * params.inlier_tolerance;
+        for _ in 0..params.iterations {
+            let mut idx = [0usize; 4];
+            for k in 0..4 {
+                let mut candidate = rng.gen_range(0..pts.len());
+                while idx[..k].contains(&candidate) {
+                    candidate = (candidate + 1) % pts.len();
+                }
+                idx[k] = candidate;
+            }
+            let src = [pts[idx[0]].0, pts[idx[1]].0, pts[idx[2]].0, pts[idx[3]].0];
+            let dst = [pts[idx[0]].1, pts[idx[1]].1, pts[idx[2]].1, pts[idx[3]].1];
+            let Some(model) = Homography::from_four_points(src, dst) else {
+                continue;
+            };
+            let inliers: Vec<usize> = pts
+                .iter()
+                .enumerate()
+                .filter(|(_, (p, pp))| {
+                    model.apply(p.0, p.1).is_some_and(|(x, y)| {
+                        let dx = x - pp.0;
+                        let dy = y - pp.1;
+                        dx * dx + dy * dy <= tol2
+                    })
+                })
+                .map(|(k, _)| k)
+                .collect();
+            if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
+                best = Some((model, inliers));
+            }
+        }
+        best.unwrap_or((Homography::identity(), Vec::new()))
+    }
+
+    /// `n` matches from `seed`: the first `inliers` follow a seeded
+    /// similarity up to a pixel of jitter, the rest are random pairs.
+    fn random_matches(
+        n: usize,
+        inliers: usize,
+        seed: u64,
+    ) -> (Vec<FeatureMatch>, Vec<Keypoint>, Vec<Keypoint>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 40) & 0xffff) as f32 / 65535.0
+        };
+        let (angle, scale) = (next() * std::f32::consts::TAU, 0.5 + next() * 1.5);
+        let model = Similarity {
+            a: scale * angle.cos(),
+            b: scale * angle.sin(),
+            tx: next() * 40.0,
+            ty: next() * 40.0,
+        };
+        let (mut ref_kps, mut query_kps, mut matches) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            let (x, y) = (next() * 300.0, next() * 300.0);
+            let (qx, qy) = if i < inliers {
+                let (qx, qy) = model.apply(x, y);
+                (qx + next() - 0.5, qy + next() - 0.5)
+            } else {
+                (next() * 300.0, next() * 300.0)
+            };
+            ref_kps.push(kp(x, y));
+            query_kps.push(kp(qx, qy));
+            matches.push(FeatureMatch { query_idx: i as u32, ref_idx: i as u32, d1: 0.1, d2: 1.0 });
+        }
+        (matches, ref_kps, query_kps)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counting_ransac_matches_the_collecting_loop(
+            n in 0usize..90,
+            inlier_pct in 0usize..101,
+            tolerance in 0.25f32..12.0,
+            iterations in 0usize..240,
+            seed in any::<u64>(),
+        ) {
+            let (matches, rk, qk) = random_matches(n, n * inlier_pct / 100, seed);
+            let params = RansacParams { iterations, inlier_tolerance: tolerance, seed };
+            let (new, old) = (
+                verify_matches(&matches, &rk, &qk, &params),
+                verify_matches_collecting(&matches, &rk, &qk, &params),
+            );
+            let bits = |t: &Similarity| [t.a, t.b, t.tx, t.ty].map(f32::to_bits);
+            prop_assert_eq!(bits(&new.transform), bits(&old.transform));
+            prop_assert_eq!(new.inliers, old.inliers);
+
+            let (new, old) = (
+                verify_matches_homography(&matches, &rk, &qk, &params),
+                verify_matches_homography_collecting(&matches, &rk, &qk, &params),
+            );
+            prop_assert_eq!(new.0.h.map(f32::to_bits), old.0.h.map(f32::to_bits));
+            prop_assert_eq!(new.1, old.1);
+        }
+    }
 
     fn kp(x: f32, y: f32) -> Keypoint {
         Keypoint {

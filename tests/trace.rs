@@ -324,6 +324,13 @@ fn trace_id_propagates_through_rest_search() {
     for leg in legs {
         assert_eq!(leg.get("name").and_then(Json::as_str), Some("shard.leg"));
         assert_eq!(leg.get("clock").and_then(Json::as_str), Some("wall"));
+        // An answered leg tells how long it queued for a worker and how
+        // many legs that worker swept with it.
+        let tag = |key: &str| leg.get("tags").and_then(|t| t.get(key)).and_then(Json::as_str);
+        let queued_us: f64 = tag("queued_us").expect("queued_us tag").parse().unwrap();
+        assert!(queued_us >= 0.0, "{queued_us}");
+        let group: usize = tag("group").expect("group tag").parse().unwrap();
+        assert!(group >= 1, "{group}");
         let stages = leg.get("children").and_then(Json::as_arr).unwrap();
         let sim_names: Vec<&str> = stages
             .iter()
