@@ -416,8 +416,8 @@ fn cmd_bench_throughput(args: &Args) -> Result<(), String> {
     let out = PathBuf::from(args.get("out").unwrap_or("BENCH_throughput.json"));
 
     println!(
-        "running serving throughput benchmark ({} mode) — concurrent clients x query coalescing \
-         on a cramped (host-resident) shard…",
+        "running serving throughput benchmark ({} mode) — client waves x query coalescing on a \
+         cramped (host-resident) shard…",
         if quick { "quick" } else { "full" }
     );
     let report = texid_bench::throughput::run(quick);
@@ -762,12 +762,11 @@ fn cmd_obs(action: Option<&str>, args: &Args) -> Result<(), String> {
     // Each schema names the metric where higher is better and the fields
     // that identify a comparable cell across the two runs.
     let (metric, keys): (&str, &[&str]) = match schema.as_str() {
-        "texid-kernel-bench/v1" => ("gflops", &["kernel", "precision", "m", "batch"]),
-        "texid-kernel-bench/v2" | "texid-kernel-bench/v3" | "texid-kernel-bench/v4" => {
+        texid_bench::kernels::SCHEMA => {
             ("gflops", &["kernel", "precision", "backend", "m", "batch"])
         }
-        "texid-throughput-bench/v1" => ("imgs_per_sec", &["clients", "coalesce"]),
-        "texid-ivf-bench/v1" => ("imgs_per_sec", &["nlist", "nprobe"]),
+        texid_bench::throughput::SCHEMA => ("imgs_per_sec", &["clients", "coalesce"]),
+        texid_bench::ivf::SCHEMA => ("imgs_per_sec", &["nlist", "nprobe"]),
         other => return Err(format!("unknown bench schema {other:?}")),
     };
 

@@ -234,15 +234,6 @@ pub fn compression_error(dataset: &Dataset, scale: f32, max_pairs: usize) -> f64
     total / pairs.len() as f64
 }
 
-/// Does any feature matrix in the dataset overflow under `scale`?
-pub fn overflows(dataset: &Dataset, scale: f32) -> bool {
-    dataset
-        .refs
-        .iter()
-        .chain(dataset.queries.iter().map(|(q, _)| q))
-        .any(|f| f.mat.to_f16_scaled(scale).has_overflow())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +312,9 @@ mod tests {
     fn rootsift_features_never_overflow_at_unit_scale() {
         // RootSIFT components are in [0, 1]: far below the 65504 limit.
         let ds = build_dataset(&small_cfg());
-        assert!(!overflows(&ds, 1.0));
-        assert!(!overflows(&ds, 2.0_f32.powi(-7)));
+        let features = || ds.refs.iter().chain(ds.queries.iter().map(|(q, _)| q));
+        for scale in [1.0, 2.0_f32.powi(-7)] {
+            assert!(!features().any(|f| f.mat.to_f16_scaled(scale).has_overflow()), "{scale}");
+        }
     }
 }

@@ -104,14 +104,6 @@ pub fn thousands(v: f64) -> String {
     }
 }
 
-/// Relative deviation as a percentage string.
-pub fn dev_pct(ours: f64, paper: f64) -> String {
-    if paper == 0.0 {
-        return "n/a".to_string();
-    }
-    format!("{:+.1}%", (ours - paper) / paper * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,13 +114,6 @@ mod tests {
         assert_eq!(thousands(872984.0), "872,984");
         assert_eq!(thousands(12.0), "12");
         assert_eq!(thousands(1234567.0), "1,234,567");
-    }
-
-    #[test]
-    fn deviation_formatting() {
-        assert_eq!(dev_pct(110.0, 100.0), "+10.0%");
-        assert_eq!(dev_pct(95.0, 100.0), "-5.0%");
-        assert_eq!(dev_pct(1.0, 0.0), "n/a");
     }
 
     #[test]

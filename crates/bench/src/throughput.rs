@@ -1,29 +1,26 @@
-//! Concurrent-serving throughput benchmark: simulated images/second at
-//! 1/4/16 concurrent clients against one shard, with query coalescing on
-//! and off (`texid bench throughput`, emitting `BENCH_throughput.json`).
+//! Serving throughput benchmark: simulated images/second for waves of
+//! 1/4/16 client queries against one shard, with query coalescing on and
+//! off (`texid bench throughput`, emitting `BENCH_throughput.json`).
 //!
 //! The shard is configured *cramped*: the simulated device holds only one
 //! reference batch, so every other batch is host-resident and each sweep
 //! is dominated by PCIe H2D streaming (§6.1). That is exactly the regime
-//! the coalescer targets — Q concurrent queries merged into one sweep
-//! charge each host batch's H2D once instead of Q times — and it makes the
-//! speedup a deterministic property of the cost model rather than of this
-//! machine's scheduler.
+//! coalescing targets — Q queries merged into one sweep charge each host
+//! batch's H2D once instead of Q times.
 //!
-//! Clients are real threads driving the real [`Coalescer`] against the
-//! engine's `RwLock`, released in lockstep waves by a barrier so every
-//! wave's group fills to exactly the client count. Throughput is computed
-//! in the simulated-time domain (`Σ images / Σ SearchReport::total_us`),
-//! so the report is bit-stable run to run; host wall time is recorded per
-//! cell for information only. Timings use phantom (shape-only) references,
-//! which are priced but never scored, so a full run takes milliseconds.
+//! A wave is one query per client. Coalesced, the wave is one merged
+//! sweep ([`Engine::search_many`]); uncoalesced, it is one
+//! [`Engine::search`] per client. Throughput is computed in the
+//! simulated-time domain (`Σ images / Σ SearchReport::total_us`), so the
+//! report is bit-stable run to run; host wall time is recorded per cell
+//! for information only. Timings use phantom (shape-only) references,
+//! which are priced but never scored, and every query has one shape, so
+//! all reports of a cell are equal and a full run takes milliseconds.
 
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parking_lot::RwLock;
 use texid_cache::CacheConfig;
-use texid_core::{CoalesceConfig, Coalescer, Engine, EngineConfig, SearchReport};
+use texid_core::{Engine, EngineConfig, SearchReport};
 use texid_gpu::DeviceSpec;
 use texid_knn::pair::MatchConfig;
 use texid_linalg::Mat;
@@ -39,7 +36,7 @@ pub const SEED: u64 = 0x0007_4870_u64;
 /// One measured cell: a client count × coalescing setting.
 #[derive(Clone, Debug)]
 pub struct ThroughputEntry {
-    /// Concurrent client threads.
+    /// Client queries per wave.
     pub clients: usize,
     /// Whether query coalescing was enabled.
     pub coalesce: bool,
@@ -219,47 +216,25 @@ fn build_shard(refs: usize, batch_size: usize, m_ref: usize, n_query: usize) -> 
     engine
 }
 
-/// One cell run: `clients` threads drive `waves` lockstep search waves
-/// through a fresh [`Coalescer`] (its histogram registered on a private
-/// registry so repeated cells do not pollute the global one).
+/// One cell run: `waves` waves of one query per client, each wave one
+/// merged sweep (`coalesce`) or one sweep per query.
 fn run_cell(
-    engine: &RwLock<Engine>,
+    engine: &Engine,
     clients: usize,
     coalesce: bool,
     waves: usize,
     queries: &[FeatureMatrix],
 ) -> ThroughputEntry {
-    let registry = texid_obs::Registry::new();
-    let coalescer = Coalescer::with_registry(
-        CoalesceConfig {
-            max_batch: if coalesce { clients } else { 1 },
-            // Generous: the barrier releases all clients of a wave at once,
-            // so the group fills to `clients` long before this expires; the
-            // window is only a backstop against scheduler stalls.
-            window: Duration::from_millis(500),
-        },
-        &registry,
-    );
-    let barrier = Barrier::new(clients);
+    let wave: Vec<&FeatureMatrix> = queries[..clients].iter().collect();
     let t0 = Instant::now();
-    let reports: Vec<SearchReport> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|ci| {
-                let query = &queries[ci];
-                let coalescer = &coalescer;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(waves);
-                    for _ in 0..waves {
-                        barrier.wait();
-                        out.push(coalescer.search(engine, query).report);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
-    });
+    let mut reports: Vec<SearchReport> = Vec::with_capacity(clients * waves);
+    for _ in 0..waves {
+        if coalesce {
+            reports.extend(engine.search_many(&wave).into_iter().map(|r| r.report));
+        } else {
+            reports.extend(wave.iter().map(|q| engine.search(q).report));
+        }
+    }
     let wall_us = t0.elapsed().as_secs_f64() * 1e6;
 
     let searches = reports.len();
@@ -308,7 +283,7 @@ pub fn run_custom(
     // fat reference batches and lean queries keep the per-query kernel
     // work small next to the per-batch H2D it shares — the serving regime
     // where coalescing pays (h2d >> per-query compute).
-    let engine = RwLock::new(build_shard(refs, batch_size, 768, 64));
+    let engine = build_shard(refs, batch_size, 768, 64);
     let max_clients = clients.iter().copied().max().unwrap_or(1);
     let queries: Vec<FeatureMatrix> =
         (0..max_clients).map(|i| query_features(64, SEED ^ (i as u64) << 8)).collect();
@@ -375,6 +350,28 @@ mod tests {
         let r = tiny_report();
         assert!(check_guard(&r, 1.0).is_ok());
         assert!(check_guard(&r, 4.0).is_err(), "ratio is 3.2, floor 4.0 must fail");
+    }
+
+    #[test]
+    fn full_run_reproduces_the_committed_report() {
+        use texid_distrib::json::{parse, Json};
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let committed = std::fs::read_to_string(path).expect("committed report");
+        // Every field as its `{:.2}` text parses, less the host wall time.
+        let without_wall_us = |json: &str| {
+            let mut report = parse(json).expect("report is JSON");
+            if let Json::Obj(top) = &mut report {
+                if let Some(Json::Arr(cells)) = top.get_mut("entries") {
+                    for cell in cells {
+                        if let Json::Obj(fields) = cell {
+                            assert!(fields.remove("wall_us").is_some(), "cell without wall_us");
+                        }
+                    }
+                }
+            }
+            report
+        };
+        assert_eq!(without_wall_us(&run(false).to_json()), without_wall_us(&committed));
     }
 
     #[test]

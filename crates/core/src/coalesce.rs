@@ -1,4 +1,7 @@
-//! Query coalescing: continuous batching for the serving path.
+//! Windowed query coalescing, which the serving path does not run (a
+//! cluster's leg pool groups each shard's queued legs at dequeue time, with
+//! no window). The socket benchmark's layer ledger times it
+//! (`coalesce.solo_overhead_us`, a lone query through the leader).
 //!
 //! Concurrent searches hitting the same engine within a bounded window are
 //! merged into one multi-query sweep ([`Engine::search_encoded`]): the cache
@@ -110,28 +113,14 @@ impl Coalescer {
         }
     }
 
-    /// Policy in force.
-    pub fn config(&self) -> &CoalesceConfig {
-        &self.cfg
-    }
-
-    /// [`Coalescer::search_encoded`] of a query that still needs encoding
-    /// (for the engine's configuration).
+    /// Search through the coalescer: encode `query` for the engine's
+    /// configuration, then join an open group if one is collecting,
+    /// otherwise lead a new one. Blocks until this query's result is
+    /// available (bounded by the window plus one sweep).
     pub fn search(&self, engine: &RwLock<Engine>, query: &FeatureMatrix) -> SearchResult {
         let query = Arc::new(EncodedQuery::new(engine.read().config(), query));
-        self.search_encoded(engine, &query)
-    }
-
-    /// Search through the coalescer: join an open group if one is
-    /// collecting, otherwise lead a new one. Blocks until this query's
-    /// result is available (bounded by the window plus one sweep).
-    pub fn search_encoded(
-        &self,
-        engine: &RwLock<Engine>,
-        query: &Arc<EncodedQuery>,
-    ) -> SearchResult {
         if self.cfg.max_batch <= 1 {
-            let r = engine.read().search_encoded(&[query]).pop().expect("one query, one result");
+            let r = engine.read().search_encoded(&[&query]).pop().expect("one query, one result");
             self.batch_size.observe(1.0);
             return r;
         }

@@ -15,11 +15,12 @@
 //!
 //! [`Engine`] is the single-node search engine (one GPU card);
 //! `texid-distrib` builds the 14-card distributed system of §8 on top of it.
-//! [`Coalescer`] groups concurrent queries into one batched sweep;
-//! [`metrics`] implements Eq. 3 (GPU efficiency) and Eq. 4 (schedule
-//! efficiency); [`capacity`] the feature cache capacity model behind Fig. 1
-//! and §8. The dataset/accuracy harness behind Tables 2 and 7 lives in
-//! `texid-bench`.
+//! [`Coalescer`] is a windowed leader/follower grouping that only the
+//! socket benchmark's layer ledger still times (a cluster groups legs in
+//! its leg pool). [`metrics`] implements Eq. 3 (GPU efficiency)
+//! and Eq. 4 (schedule efficiency); [`capacity`] the feature cache
+//! capacity model behind Fig. 1 and §8. The dataset/accuracy harness
+//! behind Tables 2 and 7 lives in `texid-bench`.
 
 #![forbid(unsafe_code)]
 

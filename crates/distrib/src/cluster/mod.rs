@@ -33,11 +33,12 @@
 //! ([`SearchReport::perturbed`]).
 //!
 //! The pool (`pool`) is the only parallelism of a search: `min(containers,
-//! available_parallelism())` persistent workers, started with the cluster
-//! and joined when it drops. A worker takes the oldest queued leg and every
-//! other leg queued for the same shard, up to `CoalesceConfig::max_batch`,
-//! and sweeps them as one multi-query pass under one read lock — concurrent
-//! searches coalesce from real backlog, with no window. Nothing runs in
+//! available_parallelism())` persistent workers, started by the cluster's
+//! first search and joined when it drops. A worker takes the oldest queued
+//! leg and every other leg queued for the same shard, up to
+//! `CoalesceConfig::max_batch`, and sweeps them as one multi-query pass
+//! under one read lock — concurrent searches coalesce from real backlog,
+//! with no window. Nothing runs in
 //! parallel inside a leg.
 //!
 //! # Failure model & degraded mode

@@ -232,17 +232,23 @@ impl Shard {
         if group.iter().any(|leg| leg.crash) {
             panic!("injected shard crash (fault plan)");
         }
-        // Seal any pending partial batch so it is searchable. The steady
-        // state takes only the shared read lock; the write lock is acquired
-        // just when references actually arrived since the last flush.
+        // The steady state sweeps under the one read guard it checked for
+        // pending references with. When a partial batch must be sealed
+        // first, the write lock does it, and a fresh read guard sweeps.
+        // Every guard's wait is counted.
         let wait = Instant::now();
-        let needs_flush = self.engine.read().has_pending();
+        let mut engine = self.engine.read();
         let mut wait_us = wait.elapsed().as_secs_f64() * 1e6;
-        if needs_flush {
+        if engine.has_pending() {
+            drop(engine);
             let wait = Instant::now();
-            let mut engine = self.engine.write();
+            let mut writer = self.engine.write();
             wait_us += wait.elapsed().as_secs_f64() * 1e6;
-            engine.flush()?;
+            writer.flush()?;
+            drop(writer);
+            let wait = Instant::now();
+            engine = self.engine.read();
+            wait_us += wait.elapsed().as_secs_f64() * 1e6;
         }
         // Every leg of the group waited for the same locks.
         for _ in group {
@@ -250,7 +256,7 @@ impl Shard {
         }
         self.group_size.observe(group.len() as f64);
         let queries: Vec<&EncodedQuery> = group.iter().map(|leg| &*leg.query).collect();
-        Ok(self.engine.read().search_encoded(&queries))
+        Ok(engine.search_encoded(&queries))
     }
 
     /// The leg answered in `total_us` simulated µs: close the breaker and

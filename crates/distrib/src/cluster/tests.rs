@@ -1182,3 +1182,38 @@ fn concurrent_searches_rewrites_and_heals_all_return() {
     assert!(!last.degraded, "{last:?}");
     assert_eq!(last.comparisons, 6);
 }
+
+/// A leg that waits for its shard's engine lock counts the wait in
+/// `texid_shard_lock_wait_us`: here a writer holds shard 0 for 100 ms
+/// after the leg is queued (a worker slow to take the leg still waits
+/// 30 ms or more).
+#[test]
+fn lock_wait_counts_the_time_a_writer_holds_the_shard() {
+    let reg = Registry::new();
+    let cluster = Arc::new(Cluster::with_faults_in_registry(small_config(1), None, &reg));
+    for id in 0..4u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    cluster.search(&query_for(1), 2);
+    let wait = reg.histogram("texid_shard_lock_wait_us", "", &[("shard", "0")]);
+    let before = wait.count();
+    let shared = Arc::clone(&cluster);
+    let out = within(120, move || {
+        let cluster = &shared;
+        let query = query_for(2);
+        let locked = cluster.shards[0].engine.write();
+        let submitted = cluster.pool.submitted();
+        std::thread::scope(|s| {
+            let search = s.spawn(|| cluster.search(&query, 2));
+            while cluster.pool.submitted() == submitted {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            drop(locked);
+            search.join().expect("searcher")
+        })
+    });
+    assert_eq!(out.shards_ok, 1);
+    assert_eq!(wait.count(), before + 1, "one leg, one observation");
+    assert!(wait.max() >= 30_000.0, "lock wait {} us", wait.max());
+}

@@ -26,12 +26,6 @@ pub fn stream_time_factor(spec: &DeviceSpec, streams: usize) -> f64 {
     phi + (1.0 - phi) / streams as f64
 }
 
-/// Throughput (images/s) at `streams` streams, given the single-stream
-/// per-image time `t1_us`.
-pub fn stream_throughput(spec: &DeviceSpec, t1_us: f64, streams: usize) -> f64 {
-    1e6 / (t1_us * stream_time_factor(spec, streams))
-}
-
 /// The paper's Eq. 4: achieved speed over the PCIe-bound theoretical speed.
 pub fn schedule_efficiency(achieved_img_s: f64, theoretical_img_s: f64) -> f64 {
     achieved_img_s / theoretical_img_s
@@ -120,7 +114,7 @@ mod tests {
         let t1 = 1e6 / 24_984.0;
         let expect = [(1usize, 0.525), (2, 0.619), (4, 0.798), (8, 0.873)];
         for (s, eff_paper) in expect {
-            let speed = stream_throughput(&spec, t1, s);
+            let speed = 1e6 / (t1 * stream_time_factor(&spec, s));
             let eff = schedule_efficiency(speed, theo);
             assert!(
                 (eff - eff_paper).abs() < 0.10,

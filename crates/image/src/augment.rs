@@ -36,8 +36,8 @@ pub struct CaptureCondition {
     pub glare: Option<(usize, u64)>,
     /// Out-of-plane camera tilt: the perspective row `(g, h)` of the
     /// inverse (output→source) mapping, applied about the image centre.
-    /// Magnitudes around 1e-3 give a visible keystone; this is the
-    /// distortion only a homography (not a similarity/affine) can verify.
+    /// Magnitudes around 1e-3 give a visible keystone, a distortion a
+    /// similarity model does not absorb.
     pub perspective: Option<(f32, f32)>,
 }
 
@@ -120,9 +120,9 @@ impl CaptureCondition {
             blur_sigma: rng.gen_range(0.8..1.6),
             occlusion: Some((rng.gen_range(0..150usize), rng.gen_range(0..150usize), w, h)),
             glare: Some((rng.gen_range(10..22), rng.gen())),
-            // Perspective tilt is an explicit, opt-in capture factor (see
-            // the homography verification tests); the preset samplers keep
-            // planar captures so the accuracy experiments stay comparable.
+            // Perspective tilt is an explicit, opt-in capture factor; the
+            // preset samplers keep planar captures so the accuracy
+            // experiments stay comparable.
             perspective: None,
         }
     }

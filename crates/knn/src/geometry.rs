@@ -72,102 +72,6 @@ impl Similarity {
     }
 }
 
-/// A planar homography `p' ~ H·p` (eight degrees of freedom) — the model
-/// for full out-of-plane viewpoint change of a planar texture patch, which
-/// the tea-brick surfaces are.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Homography {
-    /// Row-major 3×3 matrix, normalized to `h[8] = 1`.
-    pub h: [f32; 9],
-}
-
-impl Homography {
-    /// Identity.
-    pub fn identity() -> Homography {
-        Homography { h: [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] }
-    }
-
-    /// Apply with the perspective divide. Returns `None` on a point at
-    /// infinity (denominator ~0).
-    pub fn apply(&self, x: f32, y: f32) -> Option<(f32, f32)> {
-        let w = self.h[6] * x + self.h[7] * y + self.h[8];
-        if w.abs() < 1e-9 {
-            return None;
-        }
-        Some((
-            (self.h[0] * x + self.h[1] * y + self.h[2]) / w,
-            (self.h[3] * x + self.h[4] * y + self.h[5]) / w,
-        ))
-    }
-
-    /// Exact DLT fit from four correspondences (h33 = 1 normalization).
-    /// Returns `None` for degenerate configurations (three collinear
-    /// source points make the 8×8 system singular).
-    pub fn from_four_points(src: [(f32, f32); 4], dst: [(f32, f32); 4]) -> Option<Homography> {
-        // Build the 8×8 system A·h = b for h = (h11..h32), h33 = 1.
-        let mut a = [[0.0f64; 8]; 8];
-        let mut b = [0.0f64; 8];
-        for (k, (&(x, y), &(u, v))) in src.iter().zip(dst.iter()).enumerate() {
-            let (x, y, u, v) = (x as f64, y as f64, u as f64, v as f64);
-            a[2 * k] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y];
-            b[2 * k] = u;
-            a[2 * k + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y];
-            b[2 * k + 1] = v;
-        }
-        let h = solve8(&mut a, &mut b)?;
-        Some(Homography {
-            h: [
-                h[0] as f32,
-                h[1] as f32,
-                h[2] as f32,
-                h[3] as f32,
-                h[4] as f32,
-                h[5] as f32,
-                h[6] as f32,
-                h[7] as f32,
-                1.0,
-            ],
-        })
-    }
-}
-
-/// Gaussian elimination with partial pivoting on an 8×8 system.
-fn solve8(a: &mut [[f64; 8]; 8], b: &mut [f64; 8]) -> Option<[f64; 8]> {
-    for col in 0..8 {
-        // Pivot.
-        let mut pivot = col;
-        for row in col + 1..8 {
-            if a[row][col].abs() > a[pivot][col].abs() {
-                pivot = row;
-            }
-        }
-        if a[pivot][col].abs() < 1e-10 {
-            return None; // singular
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        // Eliminate below.
-        let pivot_row = a[col];
-        for row in col + 1..8 {
-            let f = a[row][col] / pivot_row[col];
-            for (dst, src) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
-                *dst -= f * src;
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    // Back-substitute.
-    let mut x = [0.0f64; 8];
-    for col in (0..8).rev() {
-        let mut s = b[col];
-        for c in col + 1..8 {
-            s -= a[col][c] * x[c];
-        }
-        x[col] = s / a[col][col];
-    }
-    Some(x)
-}
-
 /// RANSAC parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RansacParams {
@@ -281,56 +185,6 @@ fn inliers_of(pts: &[Pair], fits: impl Fn(&Pair) -> bool) -> Vec<usize> {
     pts.iter().enumerate().filter(|(_, pair)| fits(pair)).map(|(k, _)| k).collect()
 }
 
-/// RANSAC with the **homography** model (4-point minimal samples). Returns
-/// the best model and its inlier indices. Needs ≥ 4 matches.
-pub fn verify_matches_homography(
-    matches: &[FeatureMatch],
-    ref_kps: &[Keypoint],
-    query_kps: &[Keypoint],
-    params: &RansacParams,
-) -> (Homography, Vec<usize>) {
-    if matches.len() < 4 {
-        return (Homography::identity(), Vec::new());
-    }
-    let pts = point_pairs(matches, ref_kps, query_kps);
-
-    let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x40_0070);
-    let tol2 = params.inlier_tolerance * params.inlier_tolerance;
-    let fits = |model: &Homography, (p, pp): &Pair| {
-        model.apply(p.0, p.1).is_some_and(|(x, y)| {
-            let dx = x - pp.0;
-            let dy = y - pp.1;
-            dx * dx + dy * dy <= tol2
-        })
-    };
-    let mut best: Option<(Homography, usize)> = None;
-
-    for _ in 0..params.iterations {
-        // Four distinct sample indices.
-        let mut idx = [0usize; 4];
-        for k in 0..4 {
-            let mut candidate = rng.gen_range(0..pts.len());
-            while idx[..k].contains(&candidate) {
-                candidate = (candidate + 1) % pts.len();
-            }
-            idx[k] = candidate;
-        }
-        let src = [pts[idx[0]].0, pts[idx[1]].0, pts[idx[2]].0, pts[idx[3]].0];
-        let dst = [pts[idx[0]].1, pts[idx[1]].1, pts[idx[2]].1, pts[idx[3]].1];
-        let Some(model) = Homography::from_four_points(src, dst) else {
-            continue;
-        };
-        let count = pts.iter().filter(|pair| fits(&model, pair)).count();
-        if best.is_none_or(|(_, b)| count > b) {
-            best = Some((model, count));
-        }
-    }
-    match best {
-        Some((model, _)) => (model, inliers_of(&pts, |pair| fits(&model, pair))),
-        None => (Homography::identity(), Vec::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,53 +238,6 @@ mod tests {
             Some((transform, inliers)) => Verification { transform, inliers },
             None => Verification { transform: Similarity::identity(), inliers: Vec::new() },
         }
-    }
-
-    /// The collecting loop [`verify_matches_homography`] replaced.
-    fn verify_matches_homography_collecting(
-        matches: &[FeatureMatch],
-        ref_kps: &[Keypoint],
-        query_kps: &[Keypoint],
-        params: &RansacParams,
-    ) -> (Homography, Vec<usize>) {
-        if matches.len() < 4 {
-            return (Homography::identity(), Vec::new());
-        }
-        let pts = point_pairs(matches, ref_kps, query_kps);
-        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x40_0070);
-        let mut best: Option<(Homography, Vec<usize>)> = None;
-        let tol2 = params.inlier_tolerance * params.inlier_tolerance;
-        for _ in 0..params.iterations {
-            let mut idx = [0usize; 4];
-            for k in 0..4 {
-                let mut candidate = rng.gen_range(0..pts.len());
-                while idx[..k].contains(&candidate) {
-                    candidate = (candidate + 1) % pts.len();
-                }
-                idx[k] = candidate;
-            }
-            let src = [pts[idx[0]].0, pts[idx[1]].0, pts[idx[2]].0, pts[idx[3]].0];
-            let dst = [pts[idx[0]].1, pts[idx[1]].1, pts[idx[2]].1, pts[idx[3]].1];
-            let Some(model) = Homography::from_four_points(src, dst) else {
-                continue;
-            };
-            let inliers: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, (p, pp))| {
-                    model.apply(p.0, p.1).is_some_and(|(x, y)| {
-                        let dx = x - pp.0;
-                        let dy = y - pp.1;
-                        dx * dx + dy * dy <= tol2
-                    })
-                })
-                .map(|(k, _)| k)
-                .collect();
-            if best.as_ref().is_none_or(|(_, b)| inliers.len() > b.len()) {
-                best = Some((model, inliers));
-            }
-        }
-        best.unwrap_or((Homography::identity(), Vec::new()))
     }
 
     /// `n` matches from `seed`: the first `inliers` follow a seeded
@@ -488,13 +295,6 @@ mod tests {
             let bits = |t: &Similarity| [t.a, t.b, t.tx, t.ty].map(f32::to_bits);
             prop_assert_eq!(bits(&new.transform), bits(&old.transform));
             prop_assert_eq!(new.inliers, old.inliers);
-
-            let (new, old) = (
-                verify_matches_homography(&matches, &rk, &qk, &params),
-                verify_matches_homography_collecting(&matches, &rk, &qk, &params),
-            );
-            prop_assert_eq!(new.0.h.map(f32::to_bits), old.0.h.map(f32::to_bits));
-            prop_assert_eq!(new.1, old.1);
         }
     }
 
@@ -539,73 +339,6 @@ mod tests {
             matches.push(FeatureMatch { query_idx: i as u32, ref_idx: i as u32, d1: 0.1, d2: 1.0 });
         }
         (matches, ref_kps, query_kps)
-    }
-
-    #[test]
-    fn homography_four_point_fit_exact() {
-        // A keystone warp (perspective foreshortening).
-        let truth = Homography { h: [1.0, 0.1, 5.0, 0.05, 0.95, -3.0, 1e-3, 2e-4, 1.0] };
-        let src = [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0)];
-        let dst = src.map(|(x, y)| truth.apply(x, y).unwrap());
-        let fit = Homography::from_four_points(src, dst).unwrap();
-        for (a, b) in fit.h.iter().zip(truth.h.iter()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        // And it reproduces an unseen point.
-        let (x, y) = fit.apply(37.0, 64.0).unwrap();
-        let (tx, ty) = truth.apply(37.0, 64.0).unwrap();
-        assert!((x - tx).abs() < 1e-2 && (y - ty).abs() < 1e-2);
-    }
-
-    #[test]
-    fn homography_rejects_collinear_sources() {
-        let src = [(0.0, 0.0), (10.0, 10.0), (20.0, 20.0), (5.0, 0.0)];
-        let dst = [(0.0, 0.0), (10.0, 10.0), (20.0, 20.0), (5.0, 0.0)];
-        assert!(Homography::from_four_points(src, dst).is_none());
-    }
-
-    #[test]
-    fn homography_ransac_beats_similarity_on_perspective_data() {
-        // Plant a genuinely projective transform: a similarity cannot fit it.
-        let truth = Homography { h: [0.95, 0.05, 10.0, -0.03, 1.02, 4.0, 8e-4, -5e-4, 1.0] };
-        let mut ref_kps = Vec::new();
-        let mut query_kps = Vec::new();
-        let mut matches = Vec::new();
-        let mut state = 99u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 40) & 0xffff) as f32 / 65535.0 * 250.0
-        };
-        for i in 0..70 {
-            let x = next();
-            let y = next();
-            ref_kps.push(kp(x, y));
-            let (qx, qy) = if i < 55 {
-                truth.apply(x, y).unwrap()
-            } else {
-                (next(), next())
-            };
-            query_kps.push(kp(qx, qy));
-            matches.push(FeatureMatch { query_idx: i as u32, ref_idx: i as u32, d1: 0.1, d2: 1.0 });
-        }
-        let tight = RansacParams { inlier_tolerance: 1.5, iterations: 500, ..RansacParams::default() };
-        let (fit, h_inliers) = verify_matches_homography(&matches, &ref_kps, &query_kps, &tight);
-        assert!(h_inliers.len() >= 50, "homography found {} inliers", h_inliers.len());
-        assert!((fit.h[6] - truth.h[6]).abs() < 3e-4, "perspective term {}", fit.h[6]);
-        let s_inliers = verify_matches(&matches, &ref_kps, &query_kps, &tight).inlier_count();
-        assert!(
-            h_inliers.len() > s_inliers,
-            "homography {} vs similarity {s_inliers}",
-            h_inliers.len()
-        );
-    }
-
-    #[test]
-    fn homography_needs_four_matches() {
-        let (matches, rk, qk) = planted(Similarity::identity(), 3, 0);
-        let (fit, inliers) = verify_matches_homography(&matches, &rk, &qk, &RansacParams::default());
-        assert_eq!(fit, Homography::identity());
-        assert!(inliers.is_empty());
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub fn count_good_matches(top2: &[Top2], threshold: f32) -> usize {
     top2.iter().filter(|t| t.d2 > 0.0 && t.d1 / t.d2 < threshold).count()
 }
 
-/// Identification decision: same texture iff the score clears `min_matches`.
-pub fn is_same_texture(score: usize, min_matches: usize) -> bool {
-    score >= min_matches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +83,6 @@ mod tests {
         // pair must not count as distinctive.
         let tops = vec![t(0, 0.0, 0.0)];
         assert_eq!(count_good_matches(&tops, 0.75), 0);
-    }
-
-    #[test]
-    fn decision_threshold() {
-        assert!(is_same_texture(12, 10));
-        assert!(is_same_texture(10, 10));
-        assert!(!is_same_texture(9, 10));
     }
 
     #[test]

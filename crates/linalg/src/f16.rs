@@ -143,14 +143,6 @@ impl F16 {
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7c00) != 0x7c00
     }
-
-    /// Comparison through widening, mirroring the GPU's
-    /// `__half2float`-then-compare intrinsic sequence that the paper blames
-    /// for the FP16 top-2 sort slowdown (§4.2).
-    #[inline]
-    pub fn lt(self, other: F16) -> bool {
-        self.to_f32() < other.to_f32()
-    }
 }
 
 impl From<f32> for F16 {
@@ -273,16 +265,6 @@ pub fn quantize_in_place_on(be: Backend, vals: &mut [f32]) {
     }
 }
 
-/// Quantize a slice through f16 (scale → f16 → widen → unscale), the exact
-/// transformation applied to feature matrices before HGEMM.
-pub fn quantize_roundtrip(values: &[f32], scale: f32) -> Vec<f32> {
-    let inv = 1.0 / scale;
-    values
-        .iter()
-        .map(|&v| F16::from_f32(v * scale).to_f32() * inv)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +360,7 @@ mod tests {
         let vals = [-3.0f32, -0.5, 0.0, 0.25, 1.0, 100.0];
         for &a in &vals {
             for &b in &vals {
-                assert_eq!(F16::from_f32(a).lt(F16::from_f32(b)), a < b);
+                assert_eq!(F16::from_f32(a).to_f32() < F16::from_f32(b).to_f32(), a < b);
             }
         }
     }
@@ -387,8 +369,10 @@ mod tests {
     fn quantize_roundtrip_scale() {
         // RootSIFT values are in [0,1]; a 2^-7 scale keeps them well within range.
         let vals = vec![0.0, 0.1, 0.5, 0.999];
-        let q = quantize_roundtrip(&vals, 2.0_f32.powi(-7));
-        for (a, b) in vals.iter().zip(&q) {
+        let scale = 2.0_f32.powi(-7);
+        for a in vals {
+            // scale → f16 → widen → unscale, as features go into an HGEMM.
+            let b = F16::from_f32(a * scale).to_f32() / scale;
             assert!((a - b).abs() < 2e-3, "{a} vs {b}");
         }
     }

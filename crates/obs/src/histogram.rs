@@ -1,5 +1,6 @@
-//! Fixed-bucket latency histograms with percentile extraction, a running
-//! max, and per-bucket OpenMetrics exemplars.
+//! Fixed-bucket latency histograms with a running max and per-bucket
+//! OpenMetrics exemplars. Quantiles are the reader's job: `/metrics`
+//! exposes the buckets, and `histogram_quantile` interpolates them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,8 +39,6 @@ struct Inner {
 ///
 /// [`Histogram::observe`] is a short linear scan (the default ladder has
 /// 22 buckets) plus three relaxed atomic adds — no locks, no allocation.
-/// Quantiles are extracted by walking the cumulative counts and linearly
-/// interpolating inside the bucket containing the requested rank.
 ///
 /// ```
 /// use texid_obs::Histogram;
@@ -49,7 +48,7 @@ struct Inner {
 ///     h.observe(v);
 /// }
 /// assert_eq!(h.count(), 4);
-/// assert!(h.quantile(0.5) > 10.0 && h.quantile(0.5) <= 20.0);
+/// assert_eq!(h.bucket_counts(), vec![1, 2, 1, 0]);
 /// ```
 #[derive(Clone)]
 pub struct Histogram {
@@ -57,11 +56,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram over [`DEFAULT_LATENCY_BUCKETS_US`].
-    pub fn new_latency() -> Histogram {
-        Histogram::with_bounds(&DEFAULT_LATENCY_BUCKETS_US)
-    }
-
     /// A histogram over the given finite upper bounds (an `+Inf` overflow
     /// bucket is always appended).
     ///
@@ -149,15 +143,6 @@ impl Histogram {
         self.inner.sum_scaled.load(Ordering::Relaxed) as f64 / SUM_SCALE
     }
 
-    /// Mean observed value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum() / n as f64
-    }
-
     /// The finite bucket upper bounds.
     pub fn bounds(&self) -> &[f64] {
         &self.inner.bounds
@@ -166,50 +151,6 @@ impl Histogram {
     /// Per-bucket counts (non-cumulative), overflow bucket last.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.inner.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Estimate the `q`-quantile (`0 < q <= 1`) by cumulative walk with
-    /// linear interpolation inside the target bucket. Returns 0 when the
-    /// histogram is empty; observations in the overflow bucket report the
-    /// last finite bound (a conservative lower estimate, like Prometheus'
-    /// `histogram_quantile`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, c) in self.inner.counts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            cum += n;
-            if cum >= rank {
-                let last = self.inner.bounds.len();
-                if i == last {
-                    return self.inner.bounds[last - 1];
-                }
-                let lower = if i == 0 { 0.0 } else { self.inner.bounds[i - 1] };
-                let upper = self.inner.bounds[i];
-                let into_bucket = (rank - (cum - n)) as f64 / n as f64;
-                return lower + (upper - lower) * into_bucket;
-            }
-        }
-        self.inner.bounds[self.inner.bounds.len() - 1]
-    }
-
-    /// Median (p50).
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 }
 
@@ -243,45 +184,16 @@ mod tests {
         h.observe(2.5);
         h.observe(7.5);
         assert_eq!(h.sum(), 10.0);
-        assert_eq!(h.mean(), 5.0);
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_bucket() {
-        // 100 uniform observations 1..=100 over decade bounds.
-        let bounds: Vec<f64> = (1..=10).map(|i| (i * 10) as f64).collect();
-        let h = Histogram::with_bounds(&bounds);
-        for v in 1..=100 {
-            h.observe(v as f64);
-        }
-        // p50 lands in the (40, 50] bucket, interpolated to its top.
-        let p50 = h.p50();
-        assert!((40.0..=50.0).contains(&p50), "p50 = {p50}");
-        let p95 = h.p95();
-        assert!((90.0..=100.0).contains(&p95), "p95 = {p95}");
-        let p99 = h.p99();
-        assert!(p99 > p95, "p99 {p99} <= p95 {p95}");
-        // Exact interpolation check: rank 50 is the 10th of 10 obs in
-        // (40, 50] => 40 + 10 * (10/10) = 50.
-        assert!((p50 - 50.0).abs() < 1e-9, "p50 = {p50}");
-    }
-
-    #[test]
-    fn overflow_quantile_reports_last_finite_bound() {
-        let h = Histogram::with_bounds(&[10.0, 20.0]);
-        for _ in 0..10 {
-            h.observe(1000.0);
-        }
-        assert_eq!(h.quantile(0.99), 20.0);
+        assert_eq!(h.sum() / h.count() as f64, 5.0);
     }
 
     #[test]
     fn empty_histogram_is_quiet() {
-        let h = Histogram::new_latency();
+        let h = Histogram::with_bounds(&DEFAULT_LATENCY_BUCKETS_US);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
+        assert!(h.bucket_counts().iter().all(|&c| c == 0));
     }
 
     #[test]

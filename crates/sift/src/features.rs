@@ -93,11 +93,6 @@ impl FeatureMatrix {
         self.mat.rows()
     }
 
-    /// Payload bytes at full precision.
-    pub fn size_bytes_f32(&self) -> usize {
-        self.mat.size_bytes()
-    }
-
     /// Keep only the first `k` (strongest) features — the paper's
     /// asymmetric truncation applied after extraction, used to sweep m/n
     /// from a single extraction pass (Table 7).
@@ -258,7 +253,7 @@ mod tests {
     fn size_accounting() {
         let im = texture(36, 128);
         let f = extract(&im, &SiftConfig { max_features: 64, ..Default::default() });
-        assert_eq!(f.size_bytes_f32(), f.len() * 128 * 4);
+        assert_eq!(f.mat.size_bytes(), f.len() * 128 * 4);
     }
 
     #[test]

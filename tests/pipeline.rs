@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use texid_core::{Engine, EngineConfig};
 use texid_gpu::{DeviceSpec, GpuSim, Precision};
 use texid_image::{CaptureCondition, TextureGenerator};
-use texid_knn::geometry::{verify_matches, verify_matches_homography, RansacParams};
+use texid_knn::geometry::{verify_matches, RansacParams};
 use texid_knn::{match_pair, Algorithm, FeatureBlock, MatchConfig};
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
@@ -148,49 +148,6 @@ fn geometric_verification_recovers_capture_transform() {
         "recovered rotation {rec_deg:.1} vs applied {rotation_deg}"
     );
     assert!((geo.transform.scale() - 1.05).abs() < 0.04, "scale {}", geo.transform.scale());
-}
-
-#[test]
-fn homography_verification_handles_tilted_captures() {
-    // An out-of-plane tilt produces keystone distortion that a similarity
-    // model cannot absorb at a tight tolerance; the homography model can.
-    let reference = extract(&factory().generate(8), &SiftConfig::reference(384));
-    let cond = CaptureCondition {
-        rotation_deg: 5.0,
-        perspective: Some((1.2e-3, -8e-4)),
-        ..CaptureCondition::identity()
-    };
-    let img = cond.apply(&factory().generate(8), 0);
-    let query = extract(&img, &SiftConfig::query(512));
-
-    let cfg = MatchConfig { precision: Precision::F32, ..MatchConfig::default() };
-    let mut sim = GpuSim::new(DeviceSpec::tesla_p100());
-    let st = sim.default_stream();
-    let out = match_pair(
-        &cfg,
-        &FeatureBlock::F32(reference.mat.clone()),
-        &FeatureBlock::F32(query.mat.clone()),
-        &mut sim,
-        st,
-    );
-    assert!(out.score() > 40, "too few matches under tilt: {}", out.score());
-
-    let tight = RansacParams { inlier_tolerance: 1.2, iterations: 400, ..RansacParams::default() };
-    let sim_v = verify_matches(&out.matches, &reference.keypoints, &query.keypoints, &tight);
-    let (homog, h_inliers) =
-        verify_matches_homography(&out.matches, &reference.keypoints, &query.keypoints, &tight);
-    assert!(
-        h_inliers.len() > sim_v.inlier_count() + 5,
-        "homography {} vs similarity {} inliers",
-        h_inliers.len(),
-        sim_v.inlier_count()
-    );
-    // The recovered perspective row is nonzero (a genuine tilt was seen).
-    assert!(
-        homog.h[6].abs() + homog.h[7].abs() > 1e-4,
-        "no perspective recovered: {:?}",
-        &homog.h[6..8]
-    );
 }
 
 #[test]
