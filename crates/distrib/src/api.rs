@@ -903,6 +903,34 @@ mod tests {
         assert_eq!(v.get("comparisons").and_then(Json::as_u64), Some(4), "{}", resp.text());
     }
 
+    /// RFC 8259 §7: a raw control character inside a string is malformed
+    /// JSON, refused before the payload reaches a shard. Between tokens the
+    /// same bytes are whitespace.
+    #[test]
+    fn a_raw_control_character_in_a_string_is_a_400_between_tokens_whitespace() {
+        let cluster = test_cluster();
+        let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        for id in 0..2u64 {
+            let body = format!(r#"{{"id": {id}, "features": "{}"}}"#, features_b64(id, 128));
+            assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+        }
+        let features = features_b64(0, 256);
+        let (head, tail) = features.split_at(features.len() / 2);
+        let body = format!("{{\"features\": \"{head}\n{tail}\", \"top\": 2}}");
+        let resp = http_call(addr, "POST", "/search", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        let at = 14 + head.len();
+        let why = format!("JSON error at byte {at}: control character in string");
+        assert!(resp.text().contains(&why), "{}", resp.text());
+        assert_eq!(cluster.stats().total_searches, 0);
+
+        let body = format!("{{\n\t\"features\" :\r\n \"{features}\",\n\"top\": 2\n}}\n");
+        let resp = http_call(addr, "POST", "/search", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(cluster.stats().total_searches, 1);
+    }
+
     #[test]
     fn unstorable_descriptors_are_a_400_and_nothing_is_stored() {
         let cluster = test_cluster();

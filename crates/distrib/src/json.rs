@@ -284,29 +284,38 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-/// Length of the prefix of `b` that holds neither `"` nor `\`: the bytes
-/// a string literal copies verbatim. Scans eight bytes per step with the
+/// A byte that ends a plain run: `"`, `\`, or a control character (RFC
+/// 8259 §7 allows U+0000–U+001F in a string only escaped).
+fn is_stop(c: u8) -> bool {
+    c == b'"' || c == b'\\' || c < 0x20
+}
+
+/// Length of the prefix of `b` that holds no [`is_stop`] byte: the bytes a
+/// string literal copies verbatim. Scans eight bytes per step with the
 /// zero-byte test `(v - 0x01…) & !v & 0x80…` on the word XORed with each
-/// needle; its only false positives sit above a true hit, so the lowest
-/// flagged byte is exact.
+/// needle, and its less-than form `(v - 0x20…) & !v & 0x80…` for the
+/// control characters; the only false positives of either sit above a true
+/// hit (a borrow out of a flagged byte), so the lowest flagged byte is
+/// exact. Bytes ≥ 0x80 never flag: `!v` clears their high bit.
 fn plain_run(b: &[u8]) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
     const QUOTES: u64 = ONES * b'"' as u64;
     const BACKSLASHES: u64 = ONES * b'\\' as u64;
-    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    const SPACES: u64 = ONES * b' ' as u64;
+    let below = |v: u64, n: u64| v.wrapping_sub(n) & !v & HIGHS;
     let mut words = b.chunks_exact(8);
     let mut run = 0;
     for w in &mut words {
         let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
-        let hits = zero_bytes(w ^ QUOTES) | zero_bytes(w ^ BACKSLASHES);
+        let hits = below(w ^ QUOTES, ONES) | below(w ^ BACKSLASHES, ONES) | below(w, SPACES);
         if hits != 0 {
             return run + hits.trailing_zeros() as usize / 8;
         }
         run += 8;
     }
     let tail = words.remainder();
-    run + tail.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(tail.len())
+    run + tail.iter().position(|&c| is_stop(c)).unwrap_or(tail.len())
 }
 
 /// The UTF-16 code unit of a `\uXXXX` escape whose digits start at `at`.
@@ -322,9 +331,9 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
-        // Everything up to the next quote or backslash is copied as one
-        // run. Both are ASCII, so a run never splits a multi-byte
-        // character of the (already valid UTF-8) input.
+        // Everything up to the next quote, backslash or control character
+        // is copied as one run. All three are ASCII, so a run never splits
+        // a multi-byte character of the (already valid UTF-8) input.
         let run = plain_run(&b[*pos..]);
         out.push_str(&s[*pos..*pos + run]);
         *pos += run;
@@ -334,6 +343,9 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
         *pos += 1;
         if c == b'"' {
             return Ok(out);
+        }
+        if c < 0x20 {
+            return Err(JsonError { at: *pos - 1, msg: "control character in string" });
         }
         let Some(&esc) = b.get(*pos) else {
             return Err(JsonError { at: *pos, msg: "unterminated escape" });
@@ -373,7 +385,8 @@ mod tests {
 
     /// The byte-at-a-time string parser this module shipped before the run
     /// copy: the oracle `parse_string` must agree with (value, error and
-    /// end position) on everything but surrogate-pair escapes.
+    /// end position) on everything but surrogate-pair escapes. Since raw
+    /// control characters are refused, it refuses them too.
     fn parse_string_reference(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
         fn utf8_len(first: u8) -> usize {
             match first {
@@ -421,6 +434,9 @@ mod tests {
                         }
                         _ => return Err(JsonError { at: *pos, msg: "unknown escape" }),
                     }
+                }
+                c if c < 0x20 => {
+                    return Err(JsonError { at: *pos - 1, msg: "control character in string" });
                 }
                 c if c < 0x80 => out.push(c as char),
                 _ => {
@@ -498,7 +514,7 @@ mod tests {
                     *b = if quote { b'"' } else { b'\\' };
                 }
             }
-            let expect = bytes.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(bytes.len());
+            let expect = bytes.iter().position(|&c| is_stop(c)).unwrap_or(bytes.len());
             prop_assert_eq!(plain_run(&bytes), expect);
         }
     }
@@ -564,6 +580,18 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_are_refused_inside_strings_only() {
+        let refused = |at| Err(JsonError { at, msg: "control character in string" });
+        assert_eq!(parse("\"a\nb\""), refused(2));
+        assert_eq!(parse("{\"k\u{1f}\": 1}"), refused(3));
+        assert_eq!(parse("[\"\u{0}\"]"), refused(2));
+        // Escaped, the same characters are legal; DEL and U+0080 need no escape.
+        assert_eq!(parse(r#""a\nb\u001f""#), Ok(Json::Str("a\nb\u{1f}".to_string())));
+        assert_eq!(parse("\"\u{7f}\u{80}\""), Ok(Json::Str("\u{7f}\u{80}".to_string())));
+        assert_eq!(parse("\r\n[\t1 ,\n2 ]\n"), parse("[1,2]"));
     }
 
     #[test]
