@@ -1,6 +1,9 @@
 //! Standard base64 (RFC 4648, with padding) for carrying binary feature
 //! payloads inside the JSON API.
 
+use texid_linalg::bytepass::b64_decode_prefix;
+use texid_linalg::{active_backend, Backend};
+
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Marks a byte outside the alphabet in [`REVERSE`]. Sextets are below
@@ -61,11 +64,22 @@ impl std::error::Error for B64Error {}
 
 /// Decode padded base64.
 ///
-/// One table-driven pass, four characters to three bytes, into an output
-/// sized once (never more than `3 * text.len() / 4` bytes). Validity is
-/// the OR of every looked-up sextet, checked once at the end; '=' is legal
-/// only as the last one or two characters of the input.
+/// One pass into an output sized once (never more than `3 * text.len() / 4`
+/// bytes): 32 characters to 24 bytes per step where the kernel backend has
+/// AVX2 ([`b64_decode_prefix`]), then a table loop, four characters to
+/// three bytes, over the rest. Validity is the OR of every looked-up
+/// sextet, checked once at the end; '=' is legal only as the last one or
+/// two characters of the input.
 pub fn decode(text: &str) -> Result<Vec<u8>, B64Error> {
+    // Under 48 characters no 32-character step fits before the output's
+    // last 8 bytes, so a short text does not ask for the backend: the first
+    // ask reads `TEXID_KERNEL_BACKEND`, which allocates.
+    let be = if text.len() < 48 { Backend::Scalar } else { active_backend() };
+    decode_on(be, text)
+}
+
+/// [`decode`] on an explicit kernel backend.
+fn decode_on(be: Backend, text: &str) -> Result<Vec<u8>, B64Error> {
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
         return Err(B64Error);
@@ -89,8 +103,10 @@ pub fn decode(text: &str) -> Result<Vec<u8>, B64Error> {
 
     let mut out = vec![0u8; bytes.len() / 4 * 3 - pad];
     let (head, tail) = out.split_at_mut(body.len() / 4 * 3);
-    let mut seen = 0u8;
-    for (q, t) in body.chunks_exact(4).zip(head.chunks_exact_mut(3)) {
+    let done = b64_decode_prefix(be, body, head);
+    let mut seen = if done.valid { 0 } else { INVALID };
+    let rest = body[done.read..].chunks_exact(4).zip(head[done.written..].chunks_exact_mut(3));
+    for (q, t) in rest {
         let s = sextets(q);
         seen |= s[0] | s[1] | s[2] | s[3];
         t.copy_from_slice(&triple(s));
@@ -112,6 +128,7 @@ pub fn decode(text: &str) -> Result<Vec<u8>, B64Error> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use texid_linalg::available_backends;
 
     /// The byte-at-a-time decoder this module shipped before the table:
     /// the oracle [`decode`] must agree with on every input.
@@ -198,42 +215,71 @@ mod tests {
         assert!(decode("Zm9=Zm9v").is_err()); // one '=' closing a body quad
     }
 
-    /// Every length 0–64 (so every tail of the 4-wide loop and both pad
-    /// counts), and at every position of each encoding one byte replaced
-    /// by each class of character: alphabet, '=', and outside both.
+    /// Every data length 0–256 (every tail of the 4-wide loop, both pad
+    /// counts, the 32-character steps and where the exact-size stop ends
+    /// them), on every backend: the data back, and the oracle's answer with
+    /// 1 to 4 trailing '=' forced onto the text.
     #[test]
-    fn matches_reference_on_every_single_byte_mutation() {
-        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect();
-        for len in 0..=data.len() {
-            let enc = encode(&data[..len]);
-            assert_eq!(decode(&enc), Ok(data[..len].to_vec()), "len {len}");
-            assert_eq!(decode(&enc), decode_reference(&enc), "len {len}");
-            for at in 0..enc.len() {
-                for with in *b"=A/!-\0 \x7f" {
-                    let mut m = enc.clone().into_bytes();
-                    m[at] = with;
-                    let m = String::from_utf8(m).expect("ascii");
-                    assert_eq!(decode(&m), decode_reference(&m), "{m:?}");
+    fn matches_reference_at_every_length_on_every_backend() {
+        let data: Vec<u8> = (0..256u32).map(|i| (i * 37 + 11) as u8).collect();
+        for be in available_backends() {
+            for len in 0..=data.len() {
+                let enc = encode(&data[..len]);
+                assert_eq!(decode_on(be, &enc), Ok(data[..len].to_vec()), "{be} len {len}");
+                for pad in 1..=enc.len().min(4) {
+                    let m = format!("{}{}", &enc[..enc.len() - pad], "=".repeat(pad));
+                    assert_eq!(decode_on(be, &m), decode_reference(&m), "{be} {m:?}");
                 }
             }
-            // 1 to 4 trailing '=' on a whole number of quads.
-            for pad in 1..=enc.len().min(4) {
-                let m = format!("{}{}", &enc[..enc.len() - pad], "=".repeat(pad));
-                assert_eq!(decode(&m), decode_reference(&m), "{m:?}");
+        }
+    }
+
+    /// At every position of each encoding of 0–64 bytes and of the three
+    /// 200-character ones (148–150 bytes: both pad counts and none), on
+    /// every backend, one byte replaced by each class of character:
+    /// alphabet, '=', and outside both — ASCII, and bytes ≥ 0x80 as the two
+    /// bytes of U+0080 and U+00FF.
+    #[test]
+    fn matches_reference_on_every_single_byte_mutation() {
+        let data: Vec<u8> = (0..150u32).map(|i| (i * 37 + 11) as u8).collect();
+        for be in available_backends() {
+            for len in (0..=64).chain(148..=150) {
+                let enc = encode(&data[..len]);
+                for at in 0..enc.len() {
+                    let mut texts: Vec<String> = b"=A/!-\0 \x7f"
+                        .iter()
+                        .map(|&with| {
+                            let mut m = enc.clone().into_bytes();
+                            m[at] = with;
+                            String::from_utf8(m).expect("ascii")
+                        })
+                        .collect();
+                    for wide in ['\u{80}', '\u{ff}'] {
+                        let at = at.min(enc.len() - 2);
+                        texts.push(format!("{}{wide}{}", &enc[..at], &enc[at + 2..]));
+                    }
+                    for m in texts {
+                        assert_eq!(decode_on(be, &m), decode_reference(&m), "{be} {m:?}");
+                    }
+                }
             }
         }
     }
 
     proptest! {
         #[test]
-        fn matches_reference_on_base64_like_text(text in "[A-Za-z0-9+/=!é]{0,64}") {
-            prop_assert_eq!(decode(&text), decode_reference(&text));
+        fn matches_reference_on_base64_like_text(text in "[A-Za-z0-9+/=!é]{0,300}") {
+            for be in available_backends() {
+                prop_assert_eq!(decode_on(be, &text), decode_reference(&text));
+            }
         }
 
         #[test]
-        fn matches_reference_on_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        fn matches_reference_on_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
             let text = String::from_utf8_lossy(&bytes);
-            prop_assert_eq!(decode(&text), decode_reference(&text));
+            for be in available_backends() {
+                prop_assert_eq!(decode_on(be, &text), decode_reference(&text));
+            }
         }
 
         #[test]

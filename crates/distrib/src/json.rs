@@ -6,6 +6,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use texid_linalg::bytepass::json_plain_prefix;
+use texid_linalg::{active_backend, Backend};
 
 /// The largest integer, 2⁵³ − 1, that a JSON number parsed as `f64` is
 /// sure to hold exactly: from 2⁵³ on, neighbouring integers share a value.
@@ -175,9 +177,14 @@ pub const MAX_DEPTH: usize = 64;
 /// Parse a JSON document (must consume all non-whitespace input). Nesting
 /// deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
+    parse_on(active_backend(), input)
+}
+
+/// [`parse`] on an explicit kernel backend, which scans strings.
+fn parse_on(be: Backend, input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(input, &mut pos, 0)?;
+    let v = parse_value(be, input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError { at: pos, msg: "trailing characters" });
@@ -192,7 +199,7 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
 }
 
 /// One value, `depth` arrays and objects deep.
-fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(be: Backend, s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
@@ -203,7 +210,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError
         b'n' => expect_lit(b, pos, "null", Json::Null),
         b't' => expect_lit(b, pos, "true", Json::Bool(true)),
         b'f' => expect_lit(b, pos, "false", Json::Bool(false)),
-        b'"' => Ok(Json::Str(parse_string(s, pos)?)),
+        b'"' => Ok(Json::Str(parse_string(be, s, pos)?)),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -213,7 +220,7 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(s, pos, depth + 1)?);
+                items.push(parse_value(be, s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -235,13 +242,13 @@ fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(s, pos)?;
+                let key = parse_string(be, s, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(JsonError { at: *pos, msg: "expected ':'" });
                 }
                 *pos += 1;
-                let val = parse_value(s, pos, depth + 1)?;
+                let val = parse_value(be, s, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -291,13 +298,21 @@ fn is_stop(c: u8) -> bool {
 }
 
 /// Length of the prefix of `b` that holds no [`is_stop`] byte: the bytes a
-/// string literal copies verbatim. Scans eight bytes per step with the
+/// string literal copies verbatim. The 32-byte scan of
+/// [`json_plain_prefix`] goes first where the kernel backend has AVX2;
+/// from where it stops, this scans eight bytes per step with the
 /// zero-byte test `(v - 0x01…) & !v & 0x80…` on the word XORed with each
 /// needle, and its less-than form `(v - 0x20…) & !v & 0x80…` for the
 /// control characters; the only false positives of either sit above a true
 /// hit (a borrow out of a flagged byte), so the lowest flagged byte is
 /// exact. Bytes ≥ 0x80 never flag: `!v` clears their high bit.
-fn plain_run(b: &[u8]) -> usize {
+fn plain_run(be: Backend, b: &[u8]) -> usize {
+    let run = json_plain_prefix(be, b);
+    run + plain_run_swar(&b[run..])
+}
+
+/// The eight-byte scan of [`plain_run`].
+fn plain_run_swar(b: &[u8]) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
     const QUOTES: u64 = ONES * b'"' as u64;
@@ -323,7 +338,7 @@ fn hex4(s: &str, at: usize) -> Option<u32> {
     u32::from_str_radix(s.get(at..at + 4)?, 16).ok()
 }
 
-fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(be: Backend, s: &str, pos: &mut usize) -> Result<String, JsonError> {
     let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(JsonError { at: *pos, msg: "expected string" });
@@ -334,7 +349,7 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
         // Everything up to the next quote, backslash or control character
         // is copied as one run. All three are ASCII, so a run never splits
         // a multi-byte character of the (already valid UTF-8) input.
-        let run = plain_run(&b[*pos..]);
+        let run = plain_run(be, &b[*pos..]);
         out.push_str(&s[*pos..*pos + run]);
         *pos += run;
         let Some(&c) = b.get(*pos) else {
@@ -382,6 +397,7 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use texid_linalg::available_backends;
 
     /// The byte-at-a-time string parser this module shipped before the run
     /// copy: the oracle `parse_string` must agree with (value, error and
@@ -455,11 +471,47 @@ mod tests {
         }
     }
 
+    /// `parse_string` agrees with the oracle on every backend.
     fn assert_matches_reference(text: &str) {
-        let (mut new_pos, mut old_pos) = (0, 0);
-        let new = parse_string(text, &mut new_pos);
+        let mut old_pos = 0;
         let old = parse_string_reference(text.as_bytes(), &mut old_pos);
-        assert_eq!((new, new_pos), (old, old_pos), "{text:?}");
+        for be in available_backends() {
+            let mut new_pos = 0;
+            let new = parse_string(be, text, &mut new_pos);
+            assert_eq!((new, new_pos), (old.clone(), old_pos), "{be} {text:?}");
+        }
+    }
+
+    /// The first stop byte, as the oracle's loop meets it.
+    fn first_stop(b: &[u8]) -> usize {
+        b.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20).unwrap_or(b.len())
+    }
+
+    /// On every backend, over multi-byte UTF-8 text: each stop byte at
+    /// every offset 0–96 (across the 32-byte steps and into the 8-byte
+    /// tail) is found there, a second one behind it changes nothing, and
+    /// DEL, space and bytes ≥ 0x80 in its place stop nothing.
+    #[test]
+    fn plain_run_finds_every_stop_at_every_offset_on_every_backend() {
+        let text = "aé語🦀".repeat(12).into_bytes();
+        let stops = (0..0x20).chain([b'"', b'\\']);
+        for be in available_backends() {
+            assert_eq!(plain_run(be, &text), text.len(), "{be}");
+            for at in 0..=96 {
+                for stop in stops.clone() {
+                    let mut b = text.clone();
+                    b[at] = stop;
+                    assert_eq!(plain_run(be, &b), at, "{be} {stop:#x} at {at}");
+                    b[at + 5] = b'"';
+                    assert_eq!(plain_run(be, &b), at, "{be} {stop:#x} at {at}, then a quote");
+                }
+                for plain in [b' ', 0x7f, 0x80, 0xbf, 0xff] {
+                    let mut b = text.clone();
+                    b[at] = plain;
+                    assert_eq!(plain_run(be, &b), first_stop(&b), "{be} {plain:#x} at {at}");
+                }
+            }
+        }
     }
 
     /// Plain runs of every length 0–64 (every tail of the 8-wide scan),
@@ -503,19 +555,25 @@ mod tests {
             assert_matches_reference(&format!("\"{}", String::from_utf8_lossy(&bytes)));
         }
 
+        /// Random bytes from a background of non-stop bytes (so runs are
+        /// long enough to cross the 32-byte steps), and random bytes of any
+        /// value, with up to three needles of each stop class.
         #[test]
         fn plain_run_finds_the_first_needle(
-            bytes in prop::collection::vec(any::<u8>(), 0..64),
-            needles in prop::collection::vec((0usize..64, any::<bool>()), 0..3),
+            plain in prop::collection::vec(0x20u8..=0xff, 0..160),
+            noisy in prop::collection::vec(any::<u8>(), 0..160),
+            needles in prop::collection::vec((0usize..=96, 0u8..3), 0..3),
         ) {
-            let mut bytes = bytes;
-            for (at, quote) in needles {
-                if let Some(b) = bytes.get_mut(at) {
-                    *b = if quote { b'"' } else { b'\\' };
+            for mut bytes in [plain, noisy] {
+                for &(at, class) in &needles {
+                    if let Some(b) = bytes.get_mut(at) {
+                        *b = [b'"', b'\\', 0x1f][class as usize];
+                    }
+                }
+                for be in available_backends() {
+                    prop_assert_eq!(plain_run(be, &bytes), first_stop(&bytes));
                 }
             }
-            let expect = bytes.iter().position(|&c| is_stop(c)).unwrap_or(bytes.len());
-            prop_assert_eq!(plain_run(&bytes), expect);
         }
     }
 

@@ -17,9 +17,16 @@
 //!
 //! The kernels here are *functional* implementations; the timing of their GPU
 //! counterparts is modelled in `texid-gpu`.
+//!
+//! One module is not linear algebra: [`bytepass`] holds the AVX2 prefixes
+//! of the serving edge's two byte passes (base64 decode and the JSON string
+//! scan). It lives here because this is the one crate that holds `unsafe`,
+//! under the `// SAFETY:` lint below, and its dispatch is the kernels'
+//! [`active_backend`].
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod bytepass;
 pub mod dispatch;
 pub mod f16;
 pub mod gemm;
