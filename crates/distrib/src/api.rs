@@ -184,7 +184,7 @@ fn trace_json(trace_id: u128, spans: &[SpanRecord]) -> Json {
     ])
 }
 
-/// The inverse of [`trace_json`]: a `GET /trace/{id}` body back into its
+/// The inverse of `trace_json`: a `GET /trace/{id}` body back into its
 /// [`SpanRecord`]s, flattened parents first, every time the bits the ring
 /// held (tags come back sorted by key). `Err` names the first missing
 /// field, bad hex id or unknown clock.

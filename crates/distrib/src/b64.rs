@@ -71,9 +71,9 @@ impl std::error::Error for B64Error {}
 /// sextet, checked once at the end; '=' is legal only as the last one or
 /// two characters of the input.
 pub fn decode(text: &str) -> Result<Vec<u8>, B64Error> {
-    // Under 48 characters no 32-character step fits before the output's
-    // last 8 bytes, so a short text does not ask for the backend: the first
-    // ask reads `TEXID_KERNEL_BACKEND`, which allocates.
+    // Under 48 characters the body decodes to fewer than 32 bytes, too few
+    // for one vector step's store, so a short text does not ask for the
+    // backend: the first ask reads `TEXID_KERNEL_BACKEND`, which allocates.
     let be = if text.len() < 48 { Backend::Scalar } else { active_backend() };
     decode_on(be, text)
 }

@@ -496,12 +496,14 @@ pub(crate) mod x86 {
                             let off = row0 - blk * t.m_per_ref;
                             if row0 + W > m || off + W > t.m_per_ref {
                                 for (j, cj) in c.iter().enumerate() {
+                                    debug_assert!((j + 1) * W <= spilled.len());
                                     // SAFETY: `j < NR`, inside the scratch.
                                     $storeu(spilled.as_mut_ptr().add(j * W), *cj);
                                 }
                                 spill(p, jr, &mut spilled, state);
                                 continue;
                             }
+                            debug_assert!(t.epi.row_bias.is_none_or(|b| row0 + W <= b.len()));
                             // SAFETY: `row0 + W <= m`, the bias length.
                             $observe(&c, t, (row0, off), group);
                             if off + 2 * W > t.m_per_ref {
@@ -771,6 +773,7 @@ pub(crate) mod x86 {
                 let t = FusedTile { alpha: 1.0, epi: &epi, m_per_ref, batch: 1, mc_panels: 1 };
                 let mut group = [LaneTop2::<W>::EMPTY; NR];
                 for off in (head..m_per_ref).step_by(W) {
+                    debug_assert!(cols.iter().all(|col| off + W <= col.len()));
                     // SAFETY: the caller checked the width's features; each
                     // load reads `W` of a column's `off + W <= m_per_ref`.
                     let c = std::array::from_fn(|j| unsafe { load(cols[j][off..].as_ptr()) });
