@@ -105,7 +105,7 @@ fn decode_on(be: Backend, text: &str) -> Result<Vec<u8>, B64Error> {
     let (head, tail) = out.split_at_mut(body.len() / 4 * 3);
     let done = b64_decode_prefix(be, body, head);
     let mut seen = if done.valid { 0 } else { INVALID };
-    let rest = body[done.read..].chunks_exact(4).zip(head[done.written..].chunks_exact_mut(3));
+    let rest = body[done.read..].chunks_exact(4).zip(head[done.read / 4 * 3..].chunks_exact_mut(3));
     for (q, t) in rest {
         let s = sextets(q);
         seen |= s[0] | s[1] | s[2] | s[3];

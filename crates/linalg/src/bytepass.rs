@@ -22,10 +22,9 @@ use crate::dispatch::Backend;
 /// How far [`b64_decode_prefix`] got.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct B64Prefix {
-    /// Input characters decoded: a multiple of 32.
+    /// Input characters decoded, a multiple of 32, into the first
+    /// `read / 4 * 3` bytes of the output.
     pub read: usize,
-    /// Output bytes written: `read / 4 * 3`.
-    pub written: usize,
     /// Every character read is in the standard alphabet (`A–Z a–z 0–9 + /`;
     /// `=` is not).
     pub valid: bool,
@@ -40,7 +39,7 @@ pub struct B64Prefix {
 /// Each step stores 32 bytes for its 24, so the loop also stops while that
 /// store still lands inside `dst`: a `dst` of exactly `src.len() / 4 * 3`
 /// bytes is never written past, and its last 8 or more bytes are left for
-/// the caller's loop. Bytes of `dst` past `written` may hold garbage.
+/// the caller's loop. Bytes of `dst` past `read / 4 * 3` may hold garbage.
 /// Padding is the caller's: `src` should be the quads before the last one.
 pub fn b64_decode_prefix(be: Backend, src: &[u8], dst: &mut [u8]) -> B64Prefix {
     #[cfg(target_arch = "x86_64")]
@@ -50,7 +49,7 @@ pub fn b64_decode_prefix(be: Backend, src: &[u8], dst: &mut [u8]) -> B64Prefix {
         return unsafe { x86::b64_decode(src, dst) };
     }
     let _ = (be, src, dst);
-    B64Prefix { read: 0, written: 0, valid: true }
+    B64Prefix { read: 0, valid: true }
 }
 
 /// Length of the prefix of `b` that the 32-byte scan proves plain inside
@@ -75,7 +74,7 @@ mod x86 {
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
 
-    /// One register of 32 characters to their sextets, in place, and the
+    /// One register of 32 characters to their sextets, and the
     /// validity flags: a lane of the second value is nonzero iff its
     /// character is outside the alphabet.
     ///
@@ -160,7 +159,7 @@ mod x86 {
             read += 32;
             written += 24;
         }
-        B64Prefix { read, written, valid: _mm256_testz_si256(bad, bad) == 1 }
+        B64Prefix { read, valid: _mm256_testz_si256(bad, bad) == 1 }
     }
 
     /// [`super::json_plain_prefix`] on AVX2: per 32 bytes, `cmpeq` against
@@ -213,11 +212,11 @@ mod tests {
                     let mut dst = [0u8; 32];
                     let got = b64_decode_prefix(be, &src, &mut dst);
                     if be == Backend::Scalar {
-                        assert_eq!(got, B64Prefix { read: 0, written: 0, valid: true });
+                        assert_eq!(got, B64Prefix { read: 0, valid: true });
                         continue;
                     }
                     let sextet = ALPHABET.iter().position(|&a| a == c);
-                    assert_eq!(got, B64Prefix { read: 32, written: 24, valid: sextet.is_some() });
+                    assert_eq!(got, B64Prefix { read: 32, valid: sextet.is_some() });
                     if let Some(s) = sextet {
                         let bits = s << (6 * (3 - lane % 4));
                         let want = [(bits >> 16) as u8, (bits >> 8) as u8, bits as u8];
@@ -239,7 +238,6 @@ mod tests {
                 let mut dst = vec![0u8; room + 16];
                 let got = b64_decode_prefix(be, &src, &mut dst[..room]);
                 assert!(dst[room..].iter().all(|&b| b == 0), "{be} room {room}");
-                assert_eq!(got.written, got.read / 4 * 3);
                 if be != Backend::Scalar {
                     let steps = (room.saturating_sub(8) / 24).min(src.len() / 32);
                     assert_eq!(got.read, 32 * steps, "{be} room {room}");
