@@ -40,8 +40,10 @@
 //! [`Cluster::search_traced`], so its span tree (cluster → shard legs →
 //! retries → sim-clock engine stages) is retrievable at `GET /trace/<id>`
 //! the moment the response arrives, and the response body carries the id
-//! as `"trace_id"`. `/metrics`, `/trace/…`, `/traces`, `/events`, and
-//! `/slo` are served untraced so observability polling cannot wash real
+//! as `"trace_id"`. `/verify` threads it through
+//! [`Cluster::verify_traced`]: one `verify.sweep` span under the request's.
+//! `/metrics`, `/trace/…`, `/traces`, `/events`, and `/slo` are served
+//! untraced so observability polling cannot wash real
 //! requests out of the bounded ring ([`texid_obs::global_ring`]).
 //!
 //! `HEAD` is accepted on every GET route (the HTTP layer strips the body
@@ -449,7 +451,7 @@ fn verify(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let features = parse_features_field(&v, "features")?;
     let min_matches = uint_field(&v, "min_matches")?.unwrap_or(10) as usize;
     let min_inliers = uint_field(&v, "min_inliers")?.unwrap_or(8) as usize;
-    Ok(match cluster.verify(id, &features, min_matches, min_inliers) {
+    Ok(match cluster.verify_traced(id, &features, min_matches, min_inliers, Some(call.ctx)) {
         Ok(r) => Response::json(
             200,
             Json::obj([
@@ -797,6 +799,78 @@ mod tests {
         // Unknown claim.
         let body = format!(r#"{{"id": 42, "features": "{}"}}"#, features_b64(0, 128));
         assert_eq!(http_call(addr, "POST", "/verify", body.as_bytes()).unwrap().status, 404);
+    }
+
+    /// One request through [`handle`], in process.
+    fn call(
+        cluster: &Cluster,
+        method: &str,
+        path: &str,
+        tid: Option<&str>,
+        body: String,
+    ) -> Response {
+        let headers = tid.map(|t| (TRACE_HEADER.to_ascii_lowercase(), t.to_string()));
+        let (method, path, body) = (method.to_string(), path.to_string(), body.into_bytes());
+        handle(cluster, &Request { method, path, headers: headers.into_iter().collect(), body })
+    }
+
+    /// A texture stored with 0, 1 or 2 features verifies like any other:
+    /// the stored block is padded to two columns for the ratio test.
+    #[test]
+    fn verify_against_a_texture_of_fewer_than_two_features_answers() {
+        let cluster = test_cluster();
+        let im = TextureGenerator::with_size(128).generate(5);
+        let features = extract(&im, &SiftConfig { max_features: 128, ..SiftConfig::default() });
+        let query = b64::encode(&wire::encode_features(&features));
+        for k in 0..3u64 {
+            let stored = b64::encode(&wire::encode_features(&features.truncated(k as usize)));
+            let body = format!(r#"{{"id": {k}, "features": "{stored}"}}"#);
+            assert_eq!(call(&cluster, "POST", "/textures", None, body).status, 201);
+            let body = format!(r#"{{"id": {k}, "features": "{query}"}}"#);
+            let resp = call(&cluster, "POST", "/verify", None, body);
+            assert_eq!(resp.status, 200, "{k} features: {}", resp.text());
+            let v = parse(&resp.text()).unwrap();
+            let good = v.get("good_matches").and_then(Json::as_f64).unwrap();
+            // The query holds the stored features themselves.
+            assert_eq!(good == 0.0, k == 0, "{k} features: {}", resp.text());
+        }
+    }
+
+    /// A traced `/verify` records one wall-clock `verify.sweep` span under
+    /// its request span, tagged with its chunks and the chunks a pool
+    /// worker ran; `/trace/{id}` serves it and the Perfetto export keeps it.
+    #[test]
+    fn a_traced_verify_records_its_sweep_under_the_request_span() {
+        let cluster = test_cluster();
+        let body = format!(r#"{{"id": 0, "features": "{}"}}"#, features_b64(0, 128));
+        assert_eq!(call(&cluster, "POST", "/textures", None, body).status, 201);
+        let tid = "0000000000000000000000000000ab5e";
+        let body = format!(r#"{{"id": 0, "features": "{}"}}"#, features_b64(0, 256));
+        let resp = call(&cluster, "POST", "/verify", Some(tid), body);
+        assert!(resp.text().contains(r#""accepted":true"#), "{}", resp.text());
+
+        let resp = call(&cluster, "GET", &format!("/trace/{tid}"), None, String::new());
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let v = parse(&resp.text()).unwrap();
+        let name = |node: &Json| node.get("name").and_then(Json::as_str).map(str::to_string);
+        let roots = v.get("spans").and_then(Json::as_arr).unwrap();
+        let root = roots.iter().find(|r| name(r).as_deref() == Some("POST /verify")).expect("root");
+        let kids = root.get("children").and_then(Json::as_arr).unwrap();
+        let sweeps: Vec<_> =
+            kids.iter().filter(|k| name(k).as_deref() == Some("verify.sweep")).collect();
+        assert_eq!(sweeps.len(), 1, "{}", resp.text());
+        assert_eq!(sweeps[0].get("clock").and_then(Json::as_str), Some("wall"));
+        let tag = |key: &str| -> usize {
+            let tags = sweeps[0].get("tags").unwrap();
+            tags.get(key).and_then(Json::as_str).unwrap().parse().unwrap()
+        };
+        let n = wire::decode_features(&b64::decode(&features_b64(0, 256)).unwrap()).unwrap().len();
+        assert_eq!(tag("chunks"), n.div_ceil(texid_linalg::kernel::NC));
+        assert!(tag("helped") <= tag("chunks"));
+
+        let mut chrome = texid_obs::ChromeTrace::new();
+        chrome.add_spans(&trace_spans(&v).unwrap());
+        assert!(chrome.to_json().contains("verify.sweep"));
     }
 
     #[test]

@@ -72,8 +72,10 @@
 //! * this file — configuration, errors, [`Cluster`] itself and its `/stats`;
 //! * `shard` — one container: engine, breaker, per-shard series, and how a
 //!   worker runs a group of its legs;
-//! * `pool` — the leg workers and the per-shard queues they sweep;
-//! * `placement` — id → shard ownership, the fault-wrapped store, CRUD, verify;
+//! * `pool` — the leg workers, the queue they take legs and help jobs from,
+//!   and the chunk handoff a help job runs;
+//! * `placement` — id → shard ownership, the fault-wrapped store, CRUD;
+//! * `verify` — one-to-one verification, its sweep shared on the pool;
 //! * `search` — the three phases of [`Cluster::search_traced`];
 //! * `heal` — `recover_container`, `heal` and their reports.
 //!
@@ -88,11 +90,12 @@ mod search;
 mod shard;
 #[cfg(test)]
 mod tests;
+mod verify;
 
 pub use heal::{HealReport, Quarantine, QuarantineReason, RecoveryReport, ShardReplay};
-pub use placement::VerifyReport;
 pub use search::ClusterSearchResult;
 pub use shard::{ShardHealth, ShardStatus};
+pub use verify::VerifyReport;
 
 use crate::faults::{Backoff, FaultKind, FaultOp, FaultPlan};
 use crate::kv::KvStore;

@@ -1,5 +1,5 @@
 //! Which shard owns an id, the fault-wrapped feature store, and the CRUD
-//! and one-to-one verification built on the two.
+//! built on the two.
 
 use super::{Cluster, ClusterError};
 use crate::faults::{FaultKind, FaultOp, FaultPlan};
@@ -7,27 +7,10 @@ use crate::wire;
 use parking_lot::RwLockWriteGuard;
 use std::sync::atomic::Ordering;
 use texid_core::{EncodedReference, Engine};
-use texid_knn::geometry::{verify_matches, RansacParams};
-use texid_knn::{score_pair, FeatureBlock};
+use texid_knn::FeatureBlock;
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 use texid_store::{crc32c, SnapshotFault, WriteFault};
-
-/// Outcome of a one-to-one verification (the paper's second task: "is
-/// this photo the texture it claims to be?").
-#[derive(Clone, Debug)]
-pub struct VerifyReport {
-    /// Ratio-test survivors.
-    pub good_matches: usize,
-    /// RANSAC-consistent inliers.
-    pub geometric_inliers: usize,
-    /// Recovered similarity scale (≈ capture zoom).
-    pub transform_scale: f32,
-    /// Recovered rotation, radians.
-    pub transform_rotation: f32,
-    /// Final decision at the configured thresholds.
-    pub accepted: bool,
-}
 
 /// Outcome of a fault-wrapped, checksum-verified store read: the caller
 /// learns whether bytes were absent or present-but-mangled, instead of
@@ -217,7 +200,7 @@ impl Cluster {
     }
 
     /// The checksum-verified stored message for `id`.
-    fn stored(&self, id: u64) -> Result<Vec<u8>, ClusterError> {
+    pub(super) fn stored(&self, id: u64) -> Result<Vec<u8>, ClusterError> {
         match self.store_get(&Self::key(id))? {
             StoreRead::Value(bytes) => Ok(bytes),
             StoreRead::Missing => Err(ClusterError::NotFound(id)),
@@ -254,44 +237,5 @@ impl Cluster {
     /// True when no textures are live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// One-to-one verification: match `query` against the *claimed*
-    /// texture only, with ratio test + RANSAC geometric verification
-    /// (Fig. 2's full pipeline). `min_matches` and `min_inliers` are the
-    /// §3.1 decision thresholds.
-    ///
-    /// # Errors
-    /// `NotFound` if the claimed id is unknown; `Corrupt` on bad storage.
-    pub fn verify(
-        &self,
-        claimed_id: u64,
-        query: &FeatureMatrix,
-        min_matches: usize,
-        min_inliers: usize,
-    ) -> Result<VerifyReport, ClusterError> {
-        let stored = self.stored(claimed_id)?;
-        let reference = wire::decode_block(&stored).map_err(|_| ClusterError::Corrupt(claimed_id))?;
-        let matching = &self.cfg.engine.matching;
-        let (precision, scale) = (matching.precision, matching.scale);
-        // The stored block is already in storage precision (narrowed once at
-        // enroll; an older f32-form value is narrowed here, once).
-        let r = reference.block.into_precision(precision, scale);
-        let m = &query.mat;
-        let q = FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), precision, scale);
-        let outcome = score_pair(matching, &r, &q);
-        let geo = verify_matches(
-            &outcome.matches,
-            &reference.keypoints,
-            &query.keypoints,
-            &RansacParams::default(),
-        );
-        Ok(VerifyReport {
-            good_matches: outcome.score(),
-            geometric_inliers: geo.inlier_count(),
-            transform_scale: geo.transform.scale(),
-            transform_rotation: geo.transform.rotation(),
-            accepted: outcome.score() >= min_matches && geo.inlier_count() >= min_inliers,
-        })
     }
 }

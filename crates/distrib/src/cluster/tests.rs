@@ -676,6 +676,109 @@ fn verification_accepts_genuine_rejects_impostor() {
     assert!(matches!(cluster.verify(99, &q, 10, 8), Err(ClusterError::NotFound(99))));
 }
 
+/// The report [`Cluster::verify`] gave before its sweep was chunked: the
+/// stored block and the whole query through one [`texid_knn::score_pair`],
+/// then RANSAC.
+fn serial_verify(cluster: &Cluster, id: u64, query: &FeatureMatrix) -> VerifyReport {
+    use texid_knn::geometry::{verify_matches, RansacParams};
+    use texid_knn::{score_pair, FeatureBlock};
+    let stored = wire::decode_block(&cluster.stored(id).unwrap()).unwrap();
+    let cfg = &cluster.config().engine.matching;
+    let r = stored.block.into_precision(cfg.precision, cfg.scale);
+    let m = &query.mat;
+    let q = FeatureBlock::encode(m.rows(), m.cols(), m.as_slice(), cfg.precision, cfg.scale);
+    let outcome = score_pair(cfg, &r, &q);
+    let geo = verify_matches(
+        &outcome.matches,
+        &stored.keypoints,
+        &query.keypoints,
+        &RansacParams::default(),
+    );
+    VerifyReport {
+        good_matches: outcome.score(),
+        geometric_inliers: geo.inlier_count(),
+        transform_scale: geo.transform.scale(),
+        transform_rotation: geo.transform.rotation(),
+        accepted: outcome.score() >= 10 && geo.inlier_count() >= 8,
+    }
+}
+
+/// `n` query columns: a capture of texture `seed` first (truncated when
+/// `n` is smaller), synthetic columns after it.
+fn query_of_width(seed: u64, n: usize) -> FeatureMatrix {
+    let capture = query_for(seed);
+    if n <= capture.len() {
+        return capture.truncated(n);
+    }
+    let rest = synthetic(n - capture.len(), seed);
+    FeatureMatrix {
+        keypoints: [capture.keypoints, rest.keypoints].concat(),
+        mat: texid_linalg::Mat::hconcat(&[&capture.mat, &rest.mat]),
+        rootsift: true,
+    }
+}
+
+/// Every report of the chunked sweep is the serial composition's, to the
+/// bit, at query widths on, beside and between the kernel's N-chunks, for
+/// genuine and impostor claims.
+#[test]
+fn verify_reports_equal_the_serial_composition() {
+    let cluster = small_cluster(4);
+    for id in 0..4u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    for n in [0, 1, 95, 96, 97, 700, 768, 1000] {
+        let q = query_of_width(2, n);
+        assert_eq!(q.len(), n);
+        for claim in [2, 3] {
+            let chunked = cluster.verify(claim, &q, 10, 8).unwrap();
+            // `{:?}` of an f32 round-trips, so equal strings mean equal bits.
+            let serial = serial_verify(&cluster, claim, &q);
+            assert_eq!(format!("{chunked:?}"), format!("{serial:?}"), "n {n}, claim {claim}");
+        }
+        if n >= 95 {
+            assert!(cluster.verify(2, &q, 10, 8).unwrap().accepted, "genuine at n {n}");
+        }
+    }
+}
+
+/// With every pool worker blocked on a write-locked shard under a queued
+/// search leg, a verify still answers — on its own thread alone, its help
+/// job queued behind the legs — and answers what it answers serially.
+#[test]
+fn a_verify_answers_while_every_pool_worker_is_busy() {
+    const SHARDS: usize = 4;
+    let cluster = Arc::new(small_cluster(SHARDS));
+    for id in 0..SHARDS as u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let q = query_of_width(1, 768);
+    let serial = serial_verify(&cluster, 1, &q);
+    let shared = Arc::clone(&cluster);
+    let (report, sweep) = within(120, move || {
+        let cluster = &shared;
+        let locks: Vec<_> = cluster.shards.iter().map(|s| s.engine.write()).collect();
+        let before = cluster.pool.submitted();
+        std::thread::scope(|s| {
+            let search = s.spawn(|| cluster.search(&q, 4));
+            // A leg per shard, queued ahead of the help job: each worker
+            // takes one and blocks on its shard's lock.
+            while cluster.pool.submitted() < before + SHARDS as u64 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let ctx = TraceContext::root();
+            let report = cluster.verify_traced(1, &q, 10, 8, Some(&ctx)).unwrap();
+            drop(locks);
+            assert_eq!(search.join().expect("searcher").shards_ok, SHARDS);
+            let spans = global_ring().snapshot_trace(ctx.trace_id);
+            (report, spans.into_iter().find(|s| s.name == "verify.sweep").expect("sweep span"))
+        })
+    });
+    assert_eq!(format!("{report:?}"), format!("{serial:?}"));
+    assert_eq!(sweep.tag("chunks"), Some("8"));
+    assert_eq!(sweep.tag("helped"), Some("0"), "the caller waited on a job that claimed nothing");
+}
+
 #[test]
 fn stats_reflect_configuration() {
     let cluster = small_cluster(2);

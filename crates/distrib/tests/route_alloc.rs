@@ -106,19 +106,19 @@ avx512  PUT /textures/{id}         423    1065224     820228
 avx512  GET /textures/{id}          49     925574     654737
 avx512  DELETE /textures/{id}       20        668        506
 avx512  POST /search               390    2227998    1585616
-avx512  POST /verify                81    2447659    1932178
+avx512  POST /verify               137    2469531    1435652
 avx2    POST /textures             429    1164305     820236
 avx2    PUT /textures/{id}         423    1065224     820228
 avx2    GET /textures/{id}          49     925574     654737
 avx2    DELETE /textures/{id}       20        668        506
 avx2    POST /search               390    2228000    1585616
-avx2    POST /verify                81    2447659    1926754
+avx2    POST /verify               137    2469531    1435652
 scalar  POST /textures             429    1262865     820236
 scalar  PUT /textures/{id}         423    1065480     820228
 scalar  GET /textures/{id}          49     925574     654737
 scalar  DELETE /textures/{id}       20        668        506
 scalar  POST /search               390    2228000    1585616
-scalar  POST /verify                81    2546219    2025058
+scalar  POST /verify               137    2568091    1513912
 ";
 
 /// How far a measured cell may sit from its committed value: ±2 %, and

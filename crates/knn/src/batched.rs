@@ -323,6 +323,43 @@ mod tests {
         }
     }
 
+    /// A query packed and scored a range of columns at a time is the query
+    /// scored whole, to the bit: every column's top-2 is its own. Ranges on
+    /// and off the kernel's N-chunk, both precisions, fused and not, every
+    /// backend.
+    #[test]
+    fn a_query_scored_in_column_ranges_is_the_query_scored_whole() {
+        let scale = 2.0_f32.powi(-7);
+        let (rm, qm) = (unit_features(128, 37, 51), unit_features(128, 203, 52));
+        let bits = |t: &[Top2]| {
+            t.iter().map(|t| (t.idx, t.d1.to_bits(), t.d2.to_bits())).collect::<Vec<_>>()
+        };
+        for precision in [Precision::F32, Precision::F16] {
+            let (r, q) = (
+                FeatureBlock::from_mat(rm.clone(), precision, scale),
+                FeatureBlock::from_mat(qm.clone(), precision, scale),
+            );
+            for fused in [true, false] {
+                let cfg = MatchConfig { precision, scale, fused, ..MatchConfig::default() };
+                for be in texid_linalg::available_backends() {
+                    let rp = r.pack_refs(be);
+                    let whole = score_batch_packed(&cfg, &rp, 1, 37, &q.pack_query(be)).top2;
+                    for width in [1, 50, texid_linalg::kernel::NC, 203] {
+                        let parts: Vec<Top2> = (0..q.cols())
+                            .step_by(width)
+                            .flat_map(|j| {
+                                let qp = q.pack_query_cols(be, j..q.cols().min(j + width));
+                                score_batch_packed(&cfg, &rp, 1, 37, &qp).top2
+                            })
+                            .collect();
+                        let case = format!("{precision:?}/fused={fused}/{be}/{width}");
+                        assert_eq!(bits(&parts), bits(&whole), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_equals_sequential_pairs_f16() {
         let scale = 2.0_f32.powi(-7);

@@ -12,8 +12,10 @@
 //! overwritten there when its id is rewritten ([`PackedBlock::write_cols`]).
 
 use std::borrow::Cow;
+use std::ops::Range;
 use texid_gpu::Precision;
 use texid_linalg::kernel::{PackedA, PackedB};
+use texid_linalg::mat::ColRange;
 use texid_linalg::{Backend, Mat, MatF16, F16};
 
 /// A feature matrix in storage precision.
@@ -214,9 +216,18 @@ impl FeatureBlock {
 
     /// Pack as the query (B) operand of the kernel on `be`.
     pub fn pack_query(&self, be: Backend) -> PackedBlock<PackedB> {
+        self.pack_query_cols(be, 0..self.cols())
+    }
+
+    /// Pack columns `cols` as the query (B) operand of the kernel on `be`:
+    /// the pack of a block of those columns alone, straight from this one.
+    ///
+    /// # Panics
+    /// Panics if `cols` runs past the last column.
+    pub fn pack_query_cols(&self, be: Backend, cols: Range<usize>) -> PackedBlock<PackedB> {
         self.packed(match self {
-            FeatureBlock::F32(m) => PackedB::pack(be, m),
-            FeatureBlock::F16 { mat, .. } => PackedB::pack(be, mat),
+            FeatureBlock::F32(m) => PackedB::pack(be, &ColRange::of(m, cols)),
+            FeatureBlock::F16 { mat, .. } => PackedB::pack(be, &ColRange::of(mat, cols)),
         })
     }
 

@@ -513,6 +513,9 @@ fn scalar_tile_has_fma() -> bool {
 #[inline(always)]
 fn run_tile<A: Panel>(a: &PackedA, ap: &[A], bp: &[f32], acc: &mut [f32; MAX_TILE]) {
     let d = a.d;
+    // The SIMD tiles' length obligations: one `d`-deep panel of each operand.
+    debug_assert!(ap.len() >= d * a.mr && bp.len() >= d * a.backend.nr());
+    debug_assert!(a.backend.is_available() && (!a.fma_tile || scalar_tile_has_fma()));
     match a.backend {
         Backend::Scalar if a.fma_tile => {
             #[cfg(target_arch = "x86_64")]
@@ -701,10 +704,13 @@ fn epilogue_tile(
 fn quantize_tile(be: Backend, t: &mut [f32]) {
     match be {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `PackedA::pack` downgrades unavailable backends, so a
-        // SIMD pack only exists where AVX2 + F16C were detected — no
-        // per-tile re-probe.
-        Backend::Avx2 | Backend::Avx512 => unsafe { crate::simd::x86::quantize_in_place(t) },
+        Backend::Avx2 | Backend::Avx512 => {
+            debug_assert!(be.has_f16c());
+            // SAFETY: `PackedA::pack` downgrades unavailable backends, so a
+            // SIMD pack only exists where AVX2 + F16C were detected — no
+            // per-tile re-probe (the line above checks it in debug builds).
+            unsafe { crate::simd::x86::quantize_in_place(t) }
+        }
         _ => {
             for v in t {
                 *v = F16::from_f32(*v).to_f32();
@@ -792,6 +798,12 @@ fn top2_chunk(
         let spill = |p, jr, t: &mut [f32], state: &mut [Top2]| {
             epilogue_tile(a, w, (p, jr), t, alpha, epi, blocks, state)
         };
+        let nr = a.backend.nr();
+        debug_assert!(a.backend.is_available() && w <= NC);
+        debug_assert_eq!(on_panels!(&a.panels, ap => ap.len()), a.panel_count() * a.d * a.mr);
+        debug_assert!(bp.len() >= w.div_ceil(nr) * a.d * nr);
+        debug_assert_eq!(state.len(), w * blocks.batch);
+        debug_assert!(epi.row_bias.is_none_or(|bias| bias.len() == a.m));
         // SAFETY: `PackedA::pack` downgrades unavailable backends, so a SIMD
         // pack only exists where its target features were detected; the
         // panels hold `ceil(m / mr)` panels of `d · mr` elements and `bp`

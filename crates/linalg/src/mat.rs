@@ -6,6 +6,7 @@
 
 use crate::dispatch::Backend;
 use crate::f16::F16;
+use std::ops::Range;
 
 /// A matrix element the kernels read as f32: `f32` itself, or [`F16`]
 /// widened on the way in.
@@ -71,6 +72,32 @@ impl Operand for MatF16 {
     type Elem = F16;
     fn parts(&self) -> (&[F16], usize, usize) {
         (&self.data, self.rows, self.cols)
+    }
+}
+
+/// Some columns of a matrix, borrowed: an [`Operand`] that packs as the
+/// matrix of those columns alone, with nothing copied first.
+pub struct ColRange<'a, E> {
+    data: &'a [E],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a, E> ColRange<'a, E> {
+    /// Columns `cols` of `mat`.
+    ///
+    /// # Panics
+    /// Panics if `cols` runs past the last column.
+    pub fn of<T: Operand<Elem = E>>(mat: &'a T, cols: Range<usize>) -> Self {
+        let (data, rows, _) = mat.parts();
+        ColRange { data: &data[cols.start * rows..cols.end * rows], rows, cols: cols.len() }
+    }
+}
+
+impl<E: Widen> Operand for ColRange<'_, E> {
+    type Elem = E;
+    fn parts(&self) -> (&[E], usize, usize) {
+        (self.data, self.rows, self.cols)
     }
 }
 
