@@ -18,8 +18,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use texid_gpu::{cost, DeviceSpec};
+use texid_gpu::DeviceSpec;
 use texid_obs::Counter;
 
 /// Cached telemetry handles (one global family per event; all caches in a
@@ -130,47 +129,6 @@ impl std::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
-/// Running statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CacheStats {
-    /// Batches inserted.
-    pub inserted: u64,
-    /// Device→host swap-outs performed.
-    pub swaps: u64,
-    /// Device-resident batches search passes swept (no transfer).
-    pub device_hits: u64,
-    /// Host-resident batches search passes swept (PCIe transfer required).
-    pub host_hits: u64,
-    /// Simulated µs spent on swap-out D2H copies.
-    pub swap_copy_us: f64,
-}
-
-/// Interior-mutable statistic cells: the search path is `&self` (many
-/// concurrent readers share one cache behind a read lock), so hit counts
-/// must be atomics rather than plain fields. `swap_copy_us` stores f64
-/// bits; it is only written from `insert` (`&mut self`), so a plain
-/// load-add-store is race-free.
-#[derive(Default)]
-struct StatCells {
-    inserted: AtomicU64,
-    swaps: AtomicU64,
-    device_hits: AtomicU64,
-    host_hits: AtomicU64,
-    swap_copy_us_bits: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            inserted: self.inserted.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            device_hits: self.device_hits.load(Ordering::Relaxed),
-            host_hits: self.host_hits.load(Ordering::Relaxed),
-            swap_copy_us: f64::from_bits(self.swap_copy_us_bits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 struct Entry<T> {
     id: u64,
     payload: T,
@@ -208,7 +166,6 @@ pub struct HybridCache<T: Payload> {
     host: VecDeque<Entry<T>>,
     device_used: u64,
     host_used: u64,
-    stats: StatCells,
     telemetry: Telemetry,
 }
 
@@ -222,7 +179,6 @@ impl<T: Payload> HybridCache<T> {
             host: VecDeque::new(),
             device_used: 0,
             host_used: 0,
-            stats: StatCells::default(),
             telemetry: Telemetry::register(),
         }
     }
@@ -234,8 +190,6 @@ impl<T: Payload> HybridCache<T> {
 
     /// Insert a new batch: enqueue into device memory, swapping the oldest
     /// device batches to host until the new one fits (§6.1's FIFO).
-    ///
-    /// Each swap-out is charged the D2H copy of the batch it moves.
     pub fn insert(&mut self, id: u64, payload: T) -> Result<(), CacheError> {
         let bytes = payload.size_bytes();
         let reserve = self.cfg.device_reserve_bytes;
@@ -249,7 +203,6 @@ impl<T: Payload> HybridCache<T> {
             if self.spec.cache_budget(0) - self.device_used >= bytes + reserve {
                 self.device_used += bytes;
                 self.device.push_back(Entry { id, payload });
-                self.stats.inserted.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.inserts.inc();
                 return Ok(());
             }
@@ -263,10 +216,6 @@ impl<T: Payload> HybridCache<T> {
                 self.device.push_front(oldest);
                 return Err(CacheError::CapacityExhausted { requested: bytes });
             }
-            let us = f64::from_bits(self.stats.swap_copy_us_bits.load(Ordering::Relaxed))
-                + cost::d2h_duration_us(&self.spec, ob);
-            self.stats.swap_copy_us_bits.store(us.to_bits(), Ordering::Relaxed);
-            self.stats.swaps.fetch_add(1, Ordering::Relaxed);
             self.telemetry.evictions.inc();
             self.device_used -= ob;
             self.host_used += ob;
@@ -323,16 +272,14 @@ impl<T: Payload> HybridCache<T> {
     /// batch that at least one of its queries sweeps: a host hit is a batch
     /// that crossed PCIe, which one the IVF probe pruned did not.
     ///
-    /// Takes `&self`: the hit counters are atomic cells, so any number of
-    /// concurrent searches may traverse the cache behind a shared read
-    /// lock while inserts hold the write lock.
+    /// Takes `&self`: the `texid_cache_hits` counters are atomic, so any
+    /// number of concurrent searches may traverse the cache behind a shared
+    /// read lock while inserts hold the write lock.
     pub fn note_hit(&self, tier: Tier) {
-        let (cell, counter) = match tier {
-            Tier::Device => (&self.stats.device_hits, &self.telemetry.device_hits),
-            Tier::Host => (&self.stats.host_hits, &self.telemetry.host_hits),
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-        counter.inc();
+        match tier {
+            Tier::Device => self.telemetry.device_hits.inc(),
+            Tier::Host => self.telemetry.host_hits.inc(),
+        }
     }
 
     /// Locate a batch by id.
@@ -375,11 +322,6 @@ impl<T: Payload> HybridCache<T> {
     /// Host bytes in use.
     pub fn host_used_bytes(&self) -> u64 {
         self.host_used
-    }
-
-    /// Statistics so far (a point-in-time snapshot of the atomic cells).
-    pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
     }
 }
 
@@ -437,8 +379,6 @@ mod tests {
         assert_eq!(cache.host_len(), 1);
         assert_eq!(cache.tier_of(0), Some(Tier::Host), "oldest must swap first");
         assert_eq!(cache.tier_of(10), Some(Tier::Device));
-        assert_eq!(cache.stats().swaps, 1);
-        assert!(cache.stats().swap_copy_us > 0.0);
     }
 
     #[test]
@@ -495,14 +435,16 @@ mod tests {
             .collect();
         assert_eq!(order, expect);
         // Hits are counted by the sweeper, one per batch it sweeps; the
-        // traversal alone counts nothing.
-        assert_eq!((cache.stats().device_hits, cache.stats().host_hits), (0, 0));
+        // traversal alone counts nothing. No other test here notes a hit,
+        // so the process-wide series move by this test's hits alone.
+        let hits = |tier| texid_obs::global().counter("texid_cache_hits", "", &[("tier", tier)]);
+        let (device, host) = (hits("device").get(), hits("host").get());
+        assert_eq!(cache.iter().count(), 12);
+        assert_eq!((hits("device").get(), hits("host").get()), (device, host));
         for (_, tier) in &order {
             cache.note_hit(*tier);
         }
-        let s = cache.stats();
-        assert_eq!(s.device_hits, 10);
-        assert_eq!(s.host_hits, 2);
+        assert_eq!((hits("device").get(), hits("host").get()), (device + 10, host + 2));
     }
 
     #[test]
@@ -527,8 +469,8 @@ mod tests {
         }
         // 300 MB needs three swap-outs.
         cache.insert(100, Blob(300 * MB)).unwrap();
-        assert_eq!(cache.stats().swaps, 3);
         assert_eq!(cache.host_len(), 3);
+        assert!((0..3).all(|id| cache.tier_of(id) == Some(Tier::Host)));
         assert_eq!(cache.tier_of(100), Some(Tier::Device));
     }
 
@@ -550,7 +492,7 @@ mod tests {
         assert_eq!(cache.host_used_bytes(), 130 * MB);
         // The room is real: the next insert fits without a swap-out.
         cache.insert(12, Blob(60 * MB)).unwrap();
-        assert_eq!(cache.stats().swaps, 2);
+        assert_eq!((cache.tier_of(12), cache.host_len()), (Some(Tier::Device), 2));
 
         assert_eq!(cache.remove(5).map(|b| b.0), Some(40 * MB));
         assert_eq!(cache.remove(0).map(|b| b.0), Some(100 * MB));
@@ -583,7 +525,7 @@ mod tests {
 
         let mut cache = HybridCache::new(config, &spec);
         cache.insert(0, Blob(budget)).unwrap();
-        assert_eq!((cache.tier_of(0), cache.stats().swaps), (Some(Tier::Device), 0));
+        assert_eq!((cache.tier_of(0), cache.host_len()), (Some(Tier::Device), 0));
         assert_eq!(cache.device_used_bytes(), budget);
 
         let mut cache = HybridCache::new(config, &spec);

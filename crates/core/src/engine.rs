@@ -40,7 +40,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 
-use texid_cache::{CacheConfig, CacheError, CacheStats, HybridCache, Payload, Tier};
+use texid_cache::{CacheConfig, CacheError, HybridCache, Payload, Tier};
 use texid_gpu::{cost, streams, DeviceSpec, Precision};
 use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
@@ -416,11 +416,6 @@ impl Engine {
         self.references == 0
     }
 
-    /// Cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Host bytes of every reference panel the engine holds, open batch
     /// included: the resident form of its real references (2 bytes per
     /// element for F16 on a SIMD backend, 4 otherwise).
@@ -645,10 +640,10 @@ impl Engine {
 
     /// Export every *real* indexed reference, sealed or still pending in
     /// the open batch, as `(id, dequantized d×m feature matrix)` pairs — a
-    /// device-independent snapshot that [`Engine::import_references`] (on
-    /// any engine configuration) can rebuild an index from. Zero-padded
-    /// columns from short references are exported as-is (they are
-    /// semantically inert).
+    /// device-independent snapshot that `add_reference` of each pair, then
+    /// `flush`, rebuilds an index from on any engine configuration.
+    /// Zero-padded columns from short references are exported as-is (they
+    /// are semantically inert).
     ///
     /// Phantom (timing-only) references are skipped.
     pub fn export_references(&self) -> Vec<(u64, texid_linalg::Mat)> {
@@ -661,20 +656,6 @@ impl Engine {
             out.extend(refs.map(|(i, &id)| (id, panels.read_cols(i * m, m))));
         }
         out
-    }
-
-    /// Rebuild an index from an [`Engine::export_references`] snapshot.
-    ///
-    /// # Errors
-    /// Propagates cache exhaustion.
-    pub fn import_references(
-        &mut self,
-        snapshot: impl IntoIterator<Item = (u64, texid_linalg::Mat)>,
-    ) -> Result<(), CacheError> {
-        for (id, mat) in snapshot {
-            self.add_reference(id, &FeatureMatrix::from_mat(mat, true))?;
-        }
-        self.flush()
     }
 
     /// True when references were added since the last [`Engine::flush`]
@@ -1064,7 +1045,10 @@ mod tests {
         let snapshot = engine.export_references();
         assert_eq!(snapshot.len(), 5);
         let mut restored = tiny_engine(2, 1); // different batch size on purpose
-        restored.import_references(snapshot).unwrap();
+        for (id, mat) in snapshot {
+            restored.add_reference(id, &FeatureMatrix::from_mat(mat, true)).unwrap();
+        }
+        restored.flush().unwrap();
         let mut after = restored.search(&q).ranked;
         let mut before_sorted = before.clone();
         before_sorted.sort();
@@ -1085,7 +1069,10 @@ mod tests {
         assert_eq!(snapshot.len(), engine.len());
         assert_eq!(snapshot.len(), 5);
         let mut restored = tiny_engine(3, 1);
-        restored.import_references(snapshot).unwrap();
+        for (id, mat) in snapshot {
+            restored.add_reference(id, &FeatureMatrix::from_mat(mat, true)).unwrap();
+        }
+        restored.flush().unwrap();
         assert_eq!(restored.len(), 5);
         let mut ids: Vec<u64> = restored.export_references().iter().map(|(id, _)| *id).collect();
         ids.sort_unstable();
@@ -1157,7 +1144,7 @@ mod tests {
         engine.add_reference(0, &features(0, 128)).unwrap();
         engine.flush().unwrap();
         // 64 features × 128 dims × 2 B = 16 KiB in the cache.
-        assert_eq!(engine.cache_stats().inserted, 1);
+        assert_eq!((engine.cache.len(), engine.cache.device_used_bytes()), (1, 16 << 10));
     }
 
     /// Every field of two reports must agree bit-for-bit (f64s compared by
@@ -1271,7 +1258,7 @@ mod tests {
             assert_eq!(a.ranked, b.ranked, "query {seed}");
             assert_reports_identical(&a.report, &b.report);
         }
-        assert_eq!(rewritten.cache_stats().inserted, 3, "rewrites seal nothing");
+        assert_eq!(rewritten.cache.len(), 3, "rewrites seal nothing");
     }
 
     fn ivf_engine(batch: usize, ivf: texid_knn::IvfParams) -> Engine {
@@ -1418,17 +1405,20 @@ mod tests {
             engine.add_reference(id, &features(id, 128)).unwrap();
         }
         engine.flush().unwrap();
-        assert!(engine.cache_stats().swaps > 0, "setup must leave some batches host-resident");
+        assert!(engine.cache.host_len() > 0, "setup must leave some batches host-resident");
+        assert_eq!(engine.cache.tier_of(3), Some(Tier::Host));
 
-        let before = engine.cache_stats();
         // Reference 3 sits on the host tier; its own features probe its cell.
+        // Every batch is swept on its tier or pruned, never both.
         let r = engine.search(&features(3, 128)).report;
         assert!(r.batches_pruned > 0 && r.host_batches > 0, "{r:?}");
-        let after = engine.cache_stats();
-        assert_eq!(after.device_hits - before.device_hits, r.device_batches as u64);
-        assert_eq!(after.host_hits - before.host_hits, r.host_batches as u64);
+        assert_eq!(r.device_batches + r.host_batches + r.batches_pruned, engine.cache.len());
+        assert!(r.device_batches <= engine.cache.device_len(), "{r:?}");
+        assert!(r.host_batches <= engine.cache.host_len(), "{r:?}");
 
+        let tiers = |e: &Engine| e.cache.iter().map(|(id, _, t)| (id, t)).collect::<Vec<_>>();
+        let resident = tiers(&engine);
         assert_eq!(engine.export_references().len(), 12);
-        assert_eq!(engine.cache_stats(), after, "an export is not a search");
+        assert_eq!(tiers(&engine), resident, "an export is not a search");
     }
 }

@@ -168,8 +168,12 @@ fn prepacked_search_equals_match_batch_on_unpacked_blocks() {
             rebuilt.mirror.add(*id, &FeatureMatrix::from_mat(mat.clone(), true));
         }
         rebuilt.mirror.flush();
-        rebuilt.packed.import_references(snapshot.clone()).expect("import");
-        rebuilt.unfused.import_references(snapshot).expect("import");
+        for engine in [&mut rebuilt.packed, &mut rebuilt.unfused] {
+            for (id, mat) in &snapshot {
+                engine.add_reference(*id, &FeatureMatrix::from_mat(mat.clone(), true)).expect("import");
+            }
+            engine.flush().expect("import");
+        }
         rebuilt.assert_equivalent("after export/import");
     }
 }

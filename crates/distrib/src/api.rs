@@ -982,7 +982,9 @@ mod tests {
     /// same bytes are whitespace.
     #[test]
     fn a_raw_control_character_in_a_string_is_a_400_between_tokens_whitespace() {
-        let cluster = test_cluster();
+        // A private registry: `total_searches` is its sample.
+        let registry = texid_obs::Registry::new();
+        let cluster = Arc::new(Cluster::with_faults_in_registry(test_config(), None, &registry));
         let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
         let addr = server.addr();
         for id in 0..2u64 {
@@ -1484,8 +1486,9 @@ mod tests {
             .crash_shard_after(0, 0)
             .crash_shard_after(0, 0)
             .crash_shard_after(0, 0);
-        let cluster = Arc::new(Cluster::with_faults(test_config(), Some(plan)));
-        let server = serve(cluster, "127.0.0.1:0").unwrap();
+        let registry = texid_obs::Registry::new();
+        let cluster = Cluster::with_faults_in_registry(test_config(), Some(plan), &registry);
+        let server = serve(Arc::new(cluster), "127.0.0.1:0").unwrap();
         let addr = server.addr();
 
         for id in 0..4u64 {

@@ -103,7 +103,7 @@ use parking_lot::Mutex;
 use pool::LegPool;
 use shard::Shard;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use texid_cache::CacheError;
 use texid_core::{CoalesceConfig, EngineConfig, SearchReport};
@@ -120,6 +120,7 @@ use texid_store::{DurableLog, LogConfig, Volume, WalStats};
 use {
     crate::faults::Stage,
     crate::wire,
+    std::sync::atomic::Ordering,
     texid_core::Engine,
     texid_obs::global_events,
     texid_sift::FeatureMatrix,
@@ -396,6 +397,12 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Point-in-time cluster statistics.
+///
+/// `total_searches`, `degraded_searches` and `retries` are the samples of
+/// the cluster's registry counters (`texid_cluster_{searches,
+/// degraded_searches, retries}_total`), read, not kept: clusters that share
+/// a registry share these counts. [`Cluster::with_faults_in_registry`]
+/// gives a cluster counts of its own.
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
     /// Container count.
@@ -412,11 +419,12 @@ pub struct ClusterStats {
     pub shards_suspect: usize,
     /// Shards currently `Down`.
     pub shards_down: usize,
-    /// Searches served since startup.
+    /// Searches served (`texid_cluster_searches_total`).
     pub total_searches: u64,
-    /// Searches that returned partial (degraded) results.
+    /// Searches that returned partial (degraded) results
+    /// (`texid_cluster_degraded_searches_total`).
     pub degraded_searches: u64,
-    /// Transient-fault retries performed.
+    /// Transient-fault retries performed (`texid_cluster_retries_total`).
     pub retries: u64,
     /// Faults injected by the active plan (0 without one).
     pub faults_injected: u64,
@@ -450,9 +458,6 @@ pub struct Cluster {
     shard_of: Mutex<HashMap<u64, usize>>,
     next_rr: AtomicUsize,
     fault_plan: Option<FaultPlan>,
-    total_searches: AtomicU64,
-    degraded_searches: AtomicU64,
-    retries: AtomicU64,
     telemetry: Telemetry,
     drift: DriftSentry,
     slo: SloEngine,
@@ -471,9 +476,9 @@ impl Cluster {
     }
 
     /// Like [`Cluster::with_faults`], but reporting into a caller-supplied
-    /// registry. Tests that assert exact event counts use a private
-    /// registry so parallel test binaries sharing the global one cannot
-    /// perturb the numbers.
+    /// registry. [`ClusterStats`]' and [`ShardStatus`]' counts are that
+    /// registry's, so tests that assert exact counts use a private one:
+    /// other clusters in the process cannot perturb the numbers.
     pub fn with_faults_in_registry(
         cfg: ClusterConfig,
         fault_plan: Option<FaultPlan>,
@@ -495,24 +500,20 @@ impl Cluster {
             shard_of: Mutex::new(HashMap::new()),
             next_rr: AtomicUsize::new(0),
             fault_plan,
-            total_searches: AtomicU64::new(0),
-            degraded_searches: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             telemetry,
             drift,
             slo,
         }
     }
 
-    /// The single accounting point for a transient-fault retry: `/stats`
-    /// and the Prometheus counter move in lockstep, exactly once per
-    /// attempt, no matter which operation (store read/write, search leg)
-    /// was retried. When the retry happens inside a traced search, `leg`
-    /// carries the shard leg's context and the same single point also
-    /// records exactly one `retry` span — counter and span tree cannot
-    /// drift.
+    /// The single accounting point for a transient-fault retry: one
+    /// increment of `texid_cluster_retries`, which `/stats` and `/metrics`
+    /// both read, exactly once per attempt, no matter which operation
+    /// (store read/write, search leg) was retried. When the retry happens
+    /// inside a traced search, `leg` carries the shard leg's context and the
+    /// same single point also records exactly one `retry` span — counter
+    /// and span tree cannot drift.
     fn note_retry(&self, leg: Option<(TraceContext, usize)>) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
         self.telemetry.retries.inc();
         if let Some((ctx, shard)) = leg {
             global_ring().mark(&ctx, "retry", vec![("shard".to_string(), shard.to_string())]);
@@ -612,9 +613,9 @@ impl Cluster {
             shards_healthy: healthy,
             shards_suspect: suspect,
             shards_down: down,
-            total_searches: self.total_searches.load(Ordering::Relaxed),
-            degraded_searches: self.degraded_searches.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
+            total_searches: self.telemetry.searches.get(),
+            degraded_searches: self.telemetry.degraded.get(),
+            retries: self.telemetry.retries.get(),
             faults_injected: self.faults_injected(),
             schedule_efficiency: self.telemetry.schedule_efficiency.get(),
             achieved_tflops: self.telemetry.achieved_tflops.get(),

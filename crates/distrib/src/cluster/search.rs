@@ -6,7 +6,6 @@
 use super::pool::{LegJob, LegReply};
 use super::Cluster;
 use crate::faults::{Backoff, FaultKind, FaultOp, Stage};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -143,7 +142,6 @@ impl Cluster {
         top_k: usize,
         parent: Option<&TraceContext>,
     ) -> ClusterSearchResult {
-        self.total_searches.fetch_add(1, Ordering::Relaxed);
         self.telemetry.searches.inc();
         let (start_us, started) = (wall_now_us(), Instant::now());
         let trace_id = parent.map(|p| p.trace_id);
@@ -311,7 +309,6 @@ impl Cluster {
         if degraded {
             // Single accounting point: once per degraded search, never per
             // failed leg.
-            self.degraded_searches.fetch_add(1, Ordering::Relaxed);
             self.telemetry.degraded.inc();
         }
         let wall_us = shard_reports.iter().map(|r| r.total_us).fold(0.0f64, f64::max);

@@ -49,7 +49,8 @@ pub struct ShardStatus {
     pub health: ShardHealth,
     /// Consecutive failures (resets on success).
     pub consecutive_failures: u32,
-    /// Lifetime failures.
+    /// Lifetime failures: the sample of the shard's
+    /// `texid_shard_failures_total` series in the cluster's registry.
     pub total_failures: u64,
     /// Half-open probes attempted.
     pub probes: u64,
@@ -58,33 +59,34 @@ pub struct ShardStatus {
 /// Searches a `Down` shard sits out before a half-open probe.
 const COOLDOWN_SEARCHES: u32 = 2;
 
-/// Breaker bookkeeping for one shard: the [`ShardStatus`] it reports, plus
-/// what only the breaker reads. Both transitions publish
-/// `texid_shard_breaker_state` themselves, so the gauge cannot lag the
-/// state it mirrors.
+/// Breaker bookkeeping for one shard: the breaker's part of the
+/// [`ShardStatus`] it reports, plus what only the breaker reads. Both
+/// transitions publish `texid_shard_breaker_state` themselves, so the gauge
+/// cannot lag the state it mirrors.
 struct ShardState {
-    status: ShardStatus,
+    health: ShardHealth,
+    consecutive_failures: u32,
+    probes: u64,
     /// Searches sat out since the breaker opened.
     skips_while_down: u32,
     gauge: Gauge,
 }
 
 impl ShardState {
-    fn new(shard: usize, gauge: Gauge) -> ShardState {
-        let status = ShardStatus {
-            shard,
+    fn new(gauge: Gauge) -> ShardState {
+        let mut state = ShardState {
             health: ShardHealth::Healthy,
             consecutive_failures: 0,
-            total_failures: 0,
             probes: 0,
+            skips_while_down: 0,
+            gauge,
         };
-        let mut state = ShardState { status, skips_while_down: 0, gauge };
         state.enter(ShardHealth::Healthy);
         state
     }
 
     fn enter(&mut self, health: ShardHealth) {
-        self.status.health = health;
+        self.health = health;
         self.gauge.set(breaker_gauge_value(health));
     }
 
@@ -92,27 +94,26 @@ impl ShardState {
     /// breaker is open — a `Down` shard sits out [`COOLDOWN_SEARCHES`]
     /// searches and is then probed half-open.
     fn admit(&mut self) -> bool {
-        if self.status.health == ShardHealth::Down {
+        if self.health == ShardHealth::Down {
             self.skips_while_down += 1;
             if self.skips_while_down < COOLDOWN_SEARCHES {
                 return false;
             }
-            self.status.probes += 1; // half-open probe
+            self.probes += 1; // half-open probe
         }
         true
     }
 
     fn record_success(&mut self) {
-        self.status.consecutive_failures = 0;
+        self.consecutive_failures = 0;
         self.skips_while_down = 0;
         self.enter(ShardHealth::Healthy);
     }
 
     fn record_failure(&mut self, trip_threshold: u32) {
-        self.status.consecutive_failures += 1;
-        self.status.total_failures += 1;
+        self.consecutive_failures += 1;
         self.skips_while_down = 0;
-        self.enter(if self.status.consecutive_failures >= trip_threshold {
+        self.enter(if self.consecutive_failures >= trip_threshold {
             ShardHealth::Down
         } else {
             ShardHealth::Suspect
@@ -150,14 +151,11 @@ impl Shard {
             index,
             resilience: cfg.resilience,
             engine: RwLock::new(Engine::new(cfg.engine.clone())),
-            breaker: Mutex::new(ShardState::new(
-                index,
-                reg.gauge(
-                    "texid_shard_breaker_state",
-                    "Circuit-breaker state: 0 = healthy, 1 = suspect, 2 = down.",
-                    &labels,
-                ),
-            )),
+            breaker: Mutex::new(ShardState::new(reg.gauge(
+                "texid_shard_breaker_state",
+                "Circuit-breaker state: 0 = healthy, 1 = suspect, 2 = down.",
+                &labels,
+            ))),
             group_size: texid_core::coalesce::group_size_histogram(reg),
             failures: reg.counter(
                 "texid_shard_failures",
@@ -272,9 +270,12 @@ impl Shard {
         self.skips.inc();
     }
 
-    /// The leg was dispatched, or due to be, and did not answer.
+    /// The leg was dispatched, or due to be, and did not answer. The
+    /// failure counter moves under the breaker's lock, so a
+    /// [`Shard::status`] never reads one without the other.
     pub(super) fn record_failure(&self) {
-        self.breaker.lock().record_failure(self.resilience.trip_threshold);
+        let mut breaker = self.breaker.lock();
+        breaker.record_failure(self.resilience.trip_threshold);
         self.failures.inc();
     }
 
@@ -302,6 +303,13 @@ impl Shard {
 
     /// Point-in-time breaker snapshot.
     pub(super) fn status(&self) -> ShardStatus {
-        self.breaker.lock().status.clone()
+        let breaker = self.breaker.lock();
+        ShardStatus {
+            shard: self.index,
+            health: breaker.health,
+            consecutive_failures: breaker.consecutive_failures,
+            total_failures: self.failures.get(),
+            probes: breaker.probes,
+        }
     }
 }

@@ -795,8 +795,10 @@ fn stats_reflect_configuration() {
 
 #[test]
 fn injected_crash_degrades_but_returns() {
+    // A private registry: the stats' counts are its samples.
+    let reg = Registry::new();
     let plan = FaultPlan::new(11).crash_shard(1);
-    let cluster = Cluster::with_faults(small_config(3), Some(plan));
+    let cluster = Cluster::with_faults_in_registry(small_config(3), Some(plan), &reg);
     for id in 0..6u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -823,7 +825,8 @@ fn breaker_trips_skips_then_readmits() {
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0);
-    let cluster = Cluster::with_faults(small_config(2), Some(plan));
+    let reg = Registry::new();
+    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -849,6 +852,68 @@ fn breaker_trips_skips_then_readmits() {
     assert_eq!(health[0].health, ShardHealth::Healthy);
     assert_eq!(health[0].probes, 1);
     assert_eq!(health[0].total_failures, 3);
+}
+
+/// `/stats` and `/health` read the registry's counters, so on a cluster
+/// with a registry of its own they equal that registry's `_total` samples:
+/// one fact per count, whichever surface shows it.
+#[test]
+fn stats_and_health_show_the_registry_counts() {
+    use crate::api::handle;
+    use crate::http::Request;
+    use crate::json::{parse, Json};
+
+    // A transient on shard 1's first leg, and three crashes of shard 0 that
+    // trip its breaker: searches 1–3 degrade on the crash, search 4 skips
+    // shard 0, and search 5 readmits it with a half-open probe.
+    let plan = FaultPlan::new(17)
+        .transient_search(1, 1)
+        .crash_shard_after(0, 0)
+        .crash_shard_after(0, 0)
+        .crash_shard_after(0, 0);
+    let reg = Registry::new();
+    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
+    for id in 0..4u64 {
+        cluster.add_texture(id, &features(id, 128)).unwrap();
+    }
+    let q = query_for(1);
+    let degraded: Vec<bool> = (0..5).map(|_| cluster.search(&q, 2).degraded).collect();
+    assert_eq!(degraded, [true, true, true, true, false]);
+
+    let get = |path: &str| {
+        let req = Request {
+            method: "GET".into(),
+            path: path.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let resp = handle(&cluster, &req);
+        assert_eq!(resp.status, 200, "{path}");
+        parse(std::str::from_utf8(&resp.body).unwrap()).unwrap()
+    };
+    let scrape = reg.render_prometheus();
+    let sample = |series: &str| -> u64 {
+        let line = scrape.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' '));
+        line.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {series} in\n{scrape}"))
+    };
+
+    let stats = get("/stats");
+    let field = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64).unwrap();
+    for (key, series, count) in [
+        ("total_searches", "texid_cluster_searches_total", 5),
+        ("degraded_searches", "texid_cluster_degraded_searches_total", 4),
+        ("retries", "texid_cluster_retries_total", 1),
+    ] {
+        assert_eq!((field(&stats, key), sample(series)), (count, count), "{key}");
+    }
+    let health = get("/health");
+    let shards = health.get("shards").and_then(Json::as_arr).unwrap();
+    assert_eq!(shards.len(), 2);
+    for (shard, count) in [(0, 3), (1, 0)] {
+        let series = format!("texid_shard_failures_total{{shard=\"{shard}\"}}");
+        let failures = field(&shards[shard], "total_failures");
+        assert_eq!((failures, sample(&series)), (count, count), "shard {shard}");
+    }
 }
 
 #[test]
@@ -909,8 +974,9 @@ fn degraded_scatter_gather_under_concurrent_load() {
 #[test]
 fn transient_search_faults_retry_then_exhaust() {
     // Two transient faults: retried within budget, search succeeds.
+    let reg = Registry::new();
     let plan = FaultPlan::new(3).transient_search(0, 2);
-    let cluster = Cluster::with_faults(small_config(1), Some(plan));
+    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
     cluster.add_texture(0, &features(0, 128)).unwrap();
     let out = cluster.search(&query_for(0), 1);
     assert!(!out.degraded, "{out:?}");

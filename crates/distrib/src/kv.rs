@@ -27,7 +27,6 @@
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use texid_store::snapshot::Encoder;
 use texid_store::{
     crc32c, Blob, DurableLog, Record, ReplayStats, SnapshotFault, WalStats, WriteFault,
@@ -50,24 +49,18 @@ struct Slot {
 }
 
 /// A thread-safe KV store (Redis stand-in) with per-value CRC32C, indexing
-/// its write-ahead log instead of copying it.
+/// its write-ahead log instead of copying it. A media error (only a
+/// file-backed log has them) never poisons the write path: a failed append
+/// holds the value in memory, a failed read answers `None`.
 pub struct KvStore {
     keydir: RwLock<BTreeMap<String, Slot>>,
     log: DurableLog,
-    /// Append and read failures from a file-backed log (memory media never
-    /// fail); surfaced through [`KvStore::wal_io_errors`] rather than
-    /// poisoning the write path.
-    wal_io_errors: AtomicU64,
 }
 
 impl KvStore {
     /// Create an empty store journaling through `log`.
     pub fn durable(log: DurableLog) -> KvStore {
-        KvStore { keydir: RwLock::default(), log, wal_io_errors: AtomicU64::new(0) }
-    }
-
-    fn io_error(&self) {
-        self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
+        KvStore { keydir: RwLock::default(), log }
     }
 
     /// Set `key` to `value`, returning whether the key already existed.
@@ -88,11 +81,7 @@ impl KvStore {
         let Record::Set { key, value } = rec else { unreachable!("built as a set") };
         let value = match landed {
             Ok(Some(at)) => Value::At(Blob::Wal, at),
-            Ok(None) => Value::Held(value),
-            Err(_) => {
-                self.io_error();
-                Value::Held(value)
-            }
+            Ok(None) | Err(_) => Value::Held(value),
         };
         keydir.insert(key, Slot { value, len, crc }).is_some()
     }
@@ -111,13 +100,7 @@ impl KvStore {
         let slot = keydir.get(key)?;
         let bytes = match &slot.value {
             Value::Held(bytes) => bytes.clone(),
-            Value::At(blob, at) => match self.log.read_at(*blob, *at, slot.len) {
-                Ok(bytes) => bytes,
-                Err(_) => {
-                    self.io_error();
-                    return None;
-                }
-            },
+            Value::At(blob, at) => self.log.read_at(*blob, *at, slot.len).ok()?,
         };
         Some((bytes, slot.crc))
     }
@@ -131,9 +114,8 @@ impl KvStore {
     pub fn del_faulted(&self, key: &str, fault: WriteFault) -> bool {
         let rec = Record::Del { key: key.to_string() };
         let mut keydir = self.keydir.write();
-        if self.log.append(&rec, fault).is_err() {
-            self.io_error();
-        }
+        // A failed append still deletes: the key is gone from the keydir.
+        let _ = self.log.append(&rec, fault);
         keydir.remove(key).is_some()
     }
 
@@ -177,10 +159,7 @@ impl KvStore {
                 Value::Held(bytes) => enc.push(key, bytes),
                 Value::At(blob, at) => match self.log.read_at(*blob, *at, slot.len) {
                     Ok(bytes) => enc.push(key, &bytes),
-                    Err(_) => {
-                        self.io_error();
-                        return false;
-                    }
+                    Err(_) => return false,
                 },
             };
             offsets.push(at);
@@ -203,11 +182,7 @@ impl KvStore {
                 };
             }
         });
-        if installed.is_err() {
-            self.io_error();
-            return false;
-        }
-        true
+        installed.is_ok()
     }
 
     /// Discard the keydir and rebuild it strictly from the durable media
@@ -235,10 +210,7 @@ impl KvStore {
                 *keydir = rebuilt;
                 Some(stats)
             }
-            Err(_) => {
-                self.io_error();
-                None
-            }
+            Err(_) => None,
         }
     }
 
@@ -246,12 +218,6 @@ impl KvStore {
     /// journaled; an `Option` because `benchmarks/` reads it as one.
     pub fn wal_stats(&self) -> Option<WalStats> {
         Some(self.log.stats())
-    }
-
-    /// Append and read failures from the underlying media (always 0 for
-    /// in-memory volumes).
-    pub fn wal_io_errors(&self) -> u64 {
-        self.wal_io_errors.load(Ordering::Relaxed)
     }
 
     /// Value bytes held in the keydir rather than on the media.

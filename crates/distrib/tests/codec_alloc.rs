@@ -36,7 +36,7 @@
 #[path = "../../linalg/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::{measure, CountingAlloc};
+use counting_alloc::{CountingAlloc, HeapUse};
 use proptest::prelude::*;
 use texid_distrib::b64;
 use texid_distrib::http::{read_request, RequestError, MAX_BODY_BYTES};
@@ -52,6 +52,14 @@ use texid_store::wal::{self, Record};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// [`counting_alloc::measure`] with the kernel backend resolved first:
+/// `b64::decode` and `json::parse` ask for it, and the first ask reads
+/// `TEXID_KERNEL_BACKEND`, which allocates. No window may hold that read.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, HeapUse) {
+    texid_linalg::active_backend();
+    counting_alloc::measure(f)
+}
 
 #[test]
 fn codecs_allocate_one_exactly_sized_buffer() {

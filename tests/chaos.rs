@@ -378,10 +378,10 @@ fn durability_chaos_is_deterministic() {
     );
 }
 
-/// Fault accounting is exactly-once: every retry attempt bumps `/stats`
-/// and the Prometheus counter in lockstep, a degraded search is counted
-/// once no matter how many legs failed, and per-shard failures count one
-/// per failed leg. Private registries keep the numbers exact even when
+/// Fault accounting is exactly-once: every retry attempt bumps the one
+/// retry counter that `/stats` and `/metrics` read, a degraded search is
+/// counted once no matter how many legs failed, and per-shard failures
+/// count one per failed leg. Private registries keep the numbers exact even when
 /// other tests in this process hit the global registry concurrently.
 #[test]
 fn fault_events_are_recorded_exactly_once() {
