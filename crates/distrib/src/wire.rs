@@ -101,12 +101,6 @@ fn get_key(buf: &[u8], pos: &mut usize) -> Result<(u32, u8), WireError> {
     Ok(((k >> 3) as u32, (k & 7) as u8))
 }
 
-fn put_len_delimited(buf: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    put_key(buf, tag, WT_LEN);
-    put_varint(buf, payload.len() as u64);
-    buf.extend_from_slice(payload);
-}
-
 fn get_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], WireError> {
     let len = get_varint(buf, pos)? as usize;
     let end = pos.checked_add(len).ok_or(WireError::Truncated)?;
@@ -180,16 +174,47 @@ enum Matrix<'a> {
     F16(&'a [F16], f32),
 }
 
+/// Bytes the LEB128 varint of `v` takes.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Bytes of a keypoint's payload: eight f32 and the octave's varint.
+fn keypoint_len(kp: &Keypoint) -> usize {
+    32 + varint_len(kp.octave as u64)
+}
+
+/// Write `values` into `buf`'s next `values.len() * N` bytes, one
+/// little-endian `N`-byte word each, in one pass over memory `buf` grows
+/// into once.
+fn put_words<T: Copy, const N: usize>(buf: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; N]) {
+    let at = buf.len();
+    buf.resize(at + values.len() * N, 0);
+    for (out, &v) in buf[at..].chunks_exact_mut(N).zip(values) {
+        out.copy_from_slice(&le(v));
+    }
+}
+
+/// The message, written into one buffer of exactly its length. Every
+/// field key is one byte (tags below 16).
 fn encode_message(
     (dim, count, rootsift): (usize, usize, bool),
     matrix: Matrix<'_>,
     keypoints: &[Keypoint],
 ) -> Vec<u8> {
-    let data_bytes = match matrix {
-        Matrix::F32(v) => v.len() * 4,
-        Matrix::F16(v, _) => v.len() * 2,
+    let varint_field = |v: u64| 1 + varint_len(v);
+    let len_field = |n: usize| 1 + varint_len(n as u64) + n;
+    let (data_bytes, scale_field) = match matrix {
+        Matrix::F32(v) => (v.len() * 4, 0),
+        Matrix::F16(v, scale) => (v.len() * 2, varint_field(scale.to_bits().into())),
     };
-    let mut buf = Vec::with_capacity(data_bytes + keypoints.len() * 36 + 40);
+    let len = varint_field(dim as u64)
+        + varint_field(count as u64)
+        + varint_field(rootsift.into())
+        + len_field(data_bytes)
+        + scale_field
+        + keypoints.iter().map(|kp| len_field(keypoint_len(kp))).sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
     put_key(&mut buf, 1, WT_VARINT);
     put_varint(&mut buf, dim as u64);
     put_key(&mut buf, 2, WT_VARINT);
@@ -201,22 +226,23 @@ fn encode_message(
         Matrix::F32(values) => {
             put_key(&mut buf, 4, WT_LEN);
             put_varint(&mut buf, data_bytes as u64);
-            values.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+            put_words(&mut buf, values, f32::to_le_bytes);
         }
         Matrix::F16(values, scale) => {
             put_key(&mut buf, 6, WT_LEN);
             put_varint(&mut buf, data_bytes as u64);
-            values.iter().for_each(|v| buf.extend_from_slice(&v.to_bits().to_le_bytes()));
+            put_words(&mut buf, values, |v| v.to_bits().to_le_bytes());
             put_key(&mut buf, 7, WT_VARINT);
             put_varint(&mut buf, scale.to_bits() as u64);
         }
     }
 
     for kp in keypoints {
-        let mut kb = Vec::with_capacity(36);
-        encode_keypoint(&mut kb, kp);
-        put_len_delimited(&mut buf, 5, &kb);
+        put_key(&mut buf, 5, WT_LEN);
+        put_varint(&mut buf, keypoint_len(kp) as u64);
+        encode_keypoint(&mut buf, kp);
     }
+    debug_assert_eq!(buf.len(), len, "the message is the length it was sized at");
     buf
 }
 
@@ -333,6 +359,7 @@ pub fn decode_block(buf: &[u8]) -> Result<WireFeatures, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_features(n: usize) -> FeatureMatrix {
         let mat = Mat::from_fn(128, n, |r, c| ((r * 31 + c * 7) % 100) as f32 * 0.01);
@@ -345,6 +372,127 @@ mod tests {
             kp.interval = 1.25;
         }
         fm
+    }
+
+    fn put_len_delimited(buf: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+        put_key(buf, tag, WT_LEN);
+        put_varint(buf, payload.len() as u64);
+        buf.extend_from_slice(payload);
+    }
+
+    /// The per-element encoder this module shipped before: the oracle the
+    /// one-pass `encode_message` must match byte for byte.
+    fn encode_message_reference(
+        (dim, count, rootsift): (usize, usize, bool),
+        matrix: Matrix<'_>,
+        keypoints: &[Keypoint],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_key(&mut buf, 1, WT_VARINT);
+        put_varint(&mut buf, dim as u64);
+        put_key(&mut buf, 2, WT_VARINT);
+        put_varint(&mut buf, count as u64);
+        put_key(&mut buf, 3, WT_VARINT);
+        put_varint(&mut buf, rootsift as u64);
+        match matrix {
+            Matrix::F32(values) => {
+                put_key(&mut buf, 4, WT_LEN);
+                put_varint(&mut buf, values.len() as u64 * 4);
+                values.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+            }
+            Matrix::F16(values, scale) => {
+                put_key(&mut buf, 6, WT_LEN);
+                put_varint(&mut buf, values.len() as u64 * 2);
+                values.iter().for_each(|v| buf.extend_from_slice(&v.to_bits().to_le_bytes()));
+                put_key(&mut buf, 7, WT_VARINT);
+                put_varint(&mut buf, scale.to_bits() as u64);
+            }
+        }
+        for kp in keypoints {
+            let mut kb = Vec::with_capacity(36);
+            encode_keypoint(&mut kb, kp);
+            put_len_delimited(&mut buf, 5, &kb);
+        }
+        buf
+    }
+
+    /// `len` pseudo-random words from `seed` (xorshift64*).
+    fn noise(len: usize, seed: u64) -> Vec<u64> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// F32 and F16 blocks of 0–400 columns, any bit patterns (NaN
+        /// payloads included), keypoints with any octave: the one-pass
+        /// encoder writes the reference encoder's bytes, in a buffer sized
+        /// exactly.
+        #[test]
+        fn one_pass_encoder_writes_the_reference_bytes(
+            cols in 0usize..=400,
+            dim in prop_oneof![Just(128usize), 1usize..20],
+            half in any::<bool>(),
+            rootsift in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let words = noise(dim * cols + 9 * cols + 1, seed);
+            let (elements, rest) = words.split_at(dim * cols);
+            let keypoints: Vec<Keypoint> = rest[1..]
+                .chunks_exact(9)
+                .map(|w| {
+                    let f = |i: usize| f32::from_bits(w[i] as u32);
+                    Keypoint {
+                        x: f(0),
+                        y: f(1),
+                        sigma: f(2),
+                        orientation: f(3),
+                        response: f(4),
+                        interval: f(5),
+                        oct_x: f(6),
+                        oct_y: f(7),
+                        // Small octaves mostly, every varint length sometimes.
+                        octave: (w[8] >> (w[8] % 64)) as usize,
+                    }
+                })
+                .collect();
+            let block = if half {
+                let bits = elements.iter().map(|&w| F16::from_bits(w as u16)).collect();
+                let scale = f32::from_bits(rest[0] as u32 & 0x7f7f_ffff).max(f32::MIN_POSITIVE);
+                FeatureBlock::F16 { mat: MatF16::from_col_major(dim, cols, bits), scale }
+            } else {
+                let values = elements.iter().map(|&w| f32::from_bits(w as u32)).collect();
+                FeatureBlock::F32(Mat::from_col_major(dim, cols, values))
+            };
+            let matrix = match &block {
+                FeatureBlock::F32(mat) => Matrix::F32(mat.as_slice()),
+                FeatureBlock::F16 { mat, scale } => Matrix::F16(mat.as_slice(), *scale),
+            };
+            let want = encode_message_reference((dim, cols, rootsift), matrix, &keypoints);
+            let got = encode_block(&block, &keypoints, rootsift);
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert!(got == want, "bytes differ ({} columns, half {})", cols, half);
+            prop_assert_eq!(got.capacity(), got.len());
+        }
+    }
+
+    #[test]
+    fn varint_len_is_what_put_varint_writes() {
+        for v in
+            (0..64).flat_map(|b| [1u64 << b, (1u64 << b) - 1, (1u64 << b) + 1]).chain([u64::MAX])
+        {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
     }
 
     #[test]

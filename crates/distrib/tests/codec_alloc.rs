@@ -1,7 +1,9 @@
 //! Allocation bounds of the edge codecs: what a request payload makes
 //! `b64::decode`, `b64::encode` and `json::parse` allocate is bounded by
 //! its length — one exactly-sized buffer each, on valid and on rejected
-//! input alike, never a doubling `Vec`.
+//! input alike, never a doubling `Vec`. The wire encoders that write every
+//! stored message (`wire::encode_features`, `wire::encode_block`) make one
+//! allocation of exactly the message's length.
 //!
 //! And hostile bytes: `wire::decode_features` (and `decode_block`, the form
 //! the feature store reads back) and `wal::scan` parse bytes this process
@@ -98,6 +100,33 @@ fn codecs_allocate_one_exactly_sized_buffer() {
     assert_eq!(v.expect("parses").get("features").and_then(Json::as_str), Some(&payload[..]));
     assert_eq!(heap.largest, payload.len());
     assert!(heap.peak <= payload.len() + 1024, "parse: peak {}", heap.peak);
+}
+
+/// The wire encoders write a message into one buffer sized exactly to it:
+/// no per-keypoint `Vec`, no growth, nothing else live beside it.
+#[test]
+fn wire_encoders_allocate_one_exactly_sized_buffer() {
+    for cols in [0, 1, 24, 384] {
+        let mat = Mat::from_fn(128, cols, |r, c| ((r * 31 + c * 7) % 97) as f32 / 97.0 - 0.25);
+        let mut fm = FeatureMatrix::from_mat(mat.clone(), true);
+        for (i, kp) in fm.keypoints.iter_mut().enumerate() {
+            kp.x = i as f32 * 1.5;
+            // Octaves up to 300 take a two-byte varint.
+            kp.octave = i * 7 % 301;
+        }
+        let block = FeatureBlock::from_mat(mat, Precision::F16, 0.25);
+        let encoders: [(&str, &dyn Fn() -> Vec<u8>); 2] = [
+            ("encode_features", &|| encode_features(&fm)),
+            ("encode_block", &|| encode_block(&block, &fm.keypoints, true)),
+        ];
+        for (name, encode) in encoders {
+            let (bytes, heap) = measure(encode);
+            let len = bytes.len();
+            assert_eq!(bytes.capacity(), len, "{name} of {cols} columns");
+            assert_eq!((heap.peak, heap.largest), (len, len), "{name} of {cols} columns");
+            assert_eq!(heap.retained, len as isize, "{name} of {cols} columns");
+        }
+    }
 }
 
 #[test]

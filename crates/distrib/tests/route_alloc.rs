@@ -101,20 +101,20 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Cost) {
 /// -p texid-distrib --test route_alloc` reads the same cells as the dev
 /// profile).
 const TABLE: &str = "\
-avx512  POST /textures             429    1164305     820236
-avx512  PUT /textures/{id}         423    1065224     820228
+avx512  POST /textures              45    1150075     819830
+avx512  PUT /textures/{id}          39    1050994     819822
 avx512  GET /textures/{id}          49     925574     654737
 avx512  DELETE /textures/{id}       20        668        506
 avx512  POST /search               390    2227998    1585616
 avx512  POST /verify               137    2469531    1435652
-avx2    POST /textures             429    1164305     820236
-avx2    PUT /textures/{id}         423    1065224     820228
+avx2    POST /textures              45    1150075     819830
+avx2    PUT /textures/{id}          39    1050994     819822
 avx2    GET /textures/{id}          49     925574     654737
 avx2    DELETE /textures/{id}       20        668        506
 avx2    POST /search               390    2228000    1585616
 avx2    POST /verify               137    2469531    1435652
-scalar  POST /textures             429    1262865     820236
-scalar  PUT /textures/{id}         423    1065480     820228
+scalar  POST /textures              45    1248635     819830
+scalar  PUT /textures/{id}          39    1051250     819822
 scalar  GET /textures/{id}          49     925574     654737
 scalar  DELETE /textures/{id}       20        668        506
 scalar  POST /search               390    2228000    1585616

@@ -18,6 +18,11 @@ use texid_linalg::kernel::{PackedA, PackedB};
 use texid_linalg::mat::ColRange;
 use texid_linalg::{Backend, Mat, MatF16, F16};
 
+/// Components [`FeatureBlock::unstorable`] folds per step: a few vector
+/// registers' worth, so a clean matrix is one compare pass, and a flagged
+/// chunk costs one short scalar search.
+const STORABLE_CHUNK: usize = 64;
+
 /// A feature matrix in storage precision.
 #[derive(Clone, Debug)]
 pub enum FeatureBlock {
@@ -203,7 +208,13 @@ impl FeatureBlock {
             Precision::F32 => (f32::MAX, 1.0),
             Precision::F16 => (F16::MAX.to_f32(), scale),
         };
-        data.iter().copied().find(|&x| x.is_nan() || (x * scale).abs() > limit)
+        let unstorable = |x: f32| x.is_nan() | ((x * scale).abs() > limit);
+        // Each chunk is folded branch-free, which vectorizes where an
+        // early-exit `find` does not; only the first flagged chunk is
+        // searched for its first offender.
+        data.chunks(STORABLE_CHUNK)
+            .find(|chunk| chunk.iter().fold(false, |any, &x| any | unstorable(x)))
+            .and_then(|chunk| chunk.iter().copied().find(|&x| unstorable(x)))
     }
 
     /// Pack as the reference (A) operand of the kernel on `be`.
@@ -315,6 +326,54 @@ mod tests {
 
     fn sample(cols: usize) -> Mat {
         Mat::from_fn(4, cols, |r, c| (r + c) as f32 * 0.1)
+    }
+
+    /// The early-exit scan `unstorable` shipped with: the oracle the
+    /// chunked fold must answer exactly as.
+    fn unstorable_reference(data: &[f32], precision: Precision, scale: f32) -> Option<f32> {
+        let (limit, scale) = match precision {
+            Precision::F32 => (f32::MAX, 1.0),
+            Precision::F16 => (F16::MAX.to_f32(), scale),
+        };
+        data.iter().copied().find(|&x| x.is_nan() || (x * scale).abs() > limit)
+    }
+
+    /// One offender of each kind at every position 0–600 (across many
+    /// chunk boundaries, and in the ragged last chunk), with a later one of
+    /// another kind behind it: the first is the answer, as the `find` form
+    /// gives it, and clean data of every length gives `None`.
+    #[test]
+    fn unstorable_finds_the_first_offender_as_the_scan_does() {
+        let scale = 0.5;
+        // `x · scale` past the largest finite half, either sign; and the
+        // largest that still fits, which is storable.
+        let overflow = 65_520.0 / scale;
+        let fits = F16::MAX.to_f32() / scale;
+        let kinds = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, overflow, -overflow];
+        let clean: Vec<f32> =
+            (0..601).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.01).chain([fits, -fits]).collect();
+        let same = |a: Option<f32>, b: Option<f32>| a.map(f32::to_bits) == b.map(f32::to_bits);
+        for precision in [Precision::F32, Precision::F16] {
+            for len in 0..=clean.len() {
+                assert_eq!(FeatureBlock::unstorable(&clean[..len], precision, scale), None);
+            }
+            for at in 0..=600 {
+                for (k, &bad) in kinds.iter().enumerate() {
+                    let mut data = clean.clone();
+                    data[at] = bad;
+                    let later = at + 1 + at * 7 % 70;
+                    if let Some(x) = data.get_mut(later) {
+                        *x = kinds[(k + 1) % kinds.len()];
+                    }
+                    let got = FeatureBlock::unstorable(&data, precision, scale);
+                    let want = unstorable_reference(&data, precision, scale);
+                    assert!(same(got, want), "{precision:?} {bad} at {at}: {got:?} vs {want:?}");
+                    if precision == Precision::F16 || !bad.is_finite() {
+                        assert!(same(got, Some(bad)), "{precision:?} {bad} at {at}: {got:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

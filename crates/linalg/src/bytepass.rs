@@ -6,7 +6,8 @@
 //! `texid_distrib::{b64, json}` own both passes and keep their scalar loops;
 //! each calls its prefix here first and lets the scalar loop finish the
 //! tail. The prefixes live in this crate because it is the one that holds
-//! `unsafe` (the serving crates are `forbid(unsafe_code)`), under the same
+//! `unsafe` (the other serving crates are `forbid(unsafe_code)`; only
+//! `texid-store` allows one call, its CRC32C dispatch), under the same
 //! `// SAFETY:` lint as the GEMM tiles.
 //!
 //! Dispatch follows the kernel backend: [`Backend::Avx2`] and

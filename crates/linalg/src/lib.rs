@@ -20,9 +20,12 @@
 //!
 //! One module is not linear algebra: [`bytepass`] holds the AVX2 prefixes
 //! of the serving edge's two byte passes (base64 decode and the JSON string
-//! scan). It lives here because this is the one crate that holds `unsafe`,
+//! scan). It lives here because this is the crate that holds `unsafe`,
 //! under the `// SAFETY:` lint below, and its dispatch is the kernels'
-//! [`active_backend`].
+//! [`active_backend`]. The one exception is `texid-store`'s CRC32C: its
+//! single `unsafe` call dispatches to the SSE4.2 `crc32` instruction,
+//! because the store depends on `parking_lot` alone and an edge to this
+//! crate would change what every dependent of the store builds.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 

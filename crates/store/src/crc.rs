@@ -1,13 +1,16 @@
 //! CRC32C (Castagnoli), the checksum guarding every WAL record and
 //! snapshot blob.
 //!
-//! Software slice-by-8 over the iSCSI polynomial `0x1EDC6F41` (reflected
-//! `0x82F63B78`) — the same function hardware `crc32` instructions
-//! compute. Every stored value is summed on `set`, again when its WAL
-//! record is framed, and again on replay and on a healing read, so the
-//! pass over a ~200 KB feature matrix is on the request path: eight table
-//! lookups per 8-byte word instead of one dependent lookup per byte. The
-//! checksum itself is unchanged, and with it the on-media format.
+//! The iSCSI polynomial `0x1EDC6F41` (reflected `0x82F63B78`) — the
+//! function the SSE4.2 `crc32` instruction computes. Every stored value is
+//! summed on `set`, again when its WAL record is framed, and again on
+//! replay and on a healing read, so the pass over a ~100 KB stored message
+//! is on the request path. On x86-64 with SSE4.2 it runs on the
+//! instruction, eight bytes per step (≈ 6 GB/s); elsewhere on a software
+//! slice-by-8 loop, eight table lookups per 8-byte word (≈ 1.1 GB/s),
+//! which the tests also hold the instruction to. Both carry the same state
+//! with the same initial and final inversion, so the checksum, and with it
+//! the on-media format, is one function.
 
 /// Reflected CRC32C polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -68,24 +71,8 @@ impl Crc32c {
 
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = TABLES[7][(lo & 0xff) as usize]
-                ^ TABLES[6][(lo >> 8 & 0xff) as usize]
-                ^ TABLES[5][(lo >> 16 & 0xff) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xff) as usize]
-                ^ TABLES[2][(hi >> 8 & 0xff) as usize]
-                ^ TABLES[1][(hi >> 16 & 0xff) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in words.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
-        }
-        self.state = crc;
+        self.state =
+            update_hw(self.state, bytes).unwrap_or_else(|| update_table(self.state, bytes));
     }
 
     /// Final checksum (the hasher may keep absorbing afterwards;
@@ -95,36 +82,128 @@ impl Crc32c {
     }
 }
 
+/// Fold `bytes` into the raw (inverted) state `crc` on the `crc32`
+/// instruction, or `None` where the CPU lacks it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn update_hw(crc: u32, bytes: &[u8]) -> Option<u32> {
+    if !std::arch::is_x86_feature_detected!("sse4.2") {
+        return None;
+    }
+    // SAFETY: `update_sse42` needs only SSE4.2, which the check above found.
+    Some(unsafe { update_sse42(crc, bytes) })
+}
+
+/// No `crc32` instruction off x86-64: the table loop runs.
+#[cfg(not(target_arch = "x86_64"))]
+fn update_hw(_crc: u32, _bytes: &[u8]) -> Option<u32> {
+    None
+}
+
+/// One dependent `crc32` per 8-byte word, then one per tail byte. A
+/// single stream: at ≈ 6 GB/s it is no longer the write path's cost.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn update_sse42(crc: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = bytes.chunks_exact(8);
+    let mut wide = u64::from(crc);
+    for w in &mut words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    // The instruction leaves the 32-bit state zero-extended.
+    let mut crc = wide as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
+/// Fold `bytes` into the raw (inverted) state `crc`, slice-by-8: the path
+/// on CPUs without the instruction, and the tests' oracle for it.
+fn update_table(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xff) as usize]
+            ^ TABLES[6][(lo >> 8 & 0xff) as usize]
+            ^ TABLES[5][(lo >> 16 & 0xff) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xff) as usize]
+            ^ TABLES[2][(hi >> 8 & 0xff) as usize]
+            ^ TABLES[1][(hi >> 16 & 0xff) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn known_vectors() {
-        // RFC 3720 / iSCSI test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xffu8; 32]), 0x62A8_AB43);
-        let ascending: Vec<u8> = (0..32).collect();
-        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+    /// A fold over the raw (inverted) state.
+    type Fold = fn(u32, &[u8]) -> u32;
+
+    /// The fold paths this CPU can run, by name: the table always, the
+    /// instruction where it is detected.
+    fn paths() -> Vec<(&'static str, Fold)> {
+        let mut paths: Vec<(&'static str, Fold)> = vec![("table", update_table)];
+        if update_hw(!0, &[]).is_some() {
+            paths.push(("crc32", |crc, bytes| update_hw(crc, bytes).expect("detected")));
+        }
+        paths
     }
 
-    /// The slice-by-one loop this module shipped before: the oracle the
-    /// word-at-a-time `update` must match bit for bit.
+    #[test]
+    fn known_vectors() {
+        // RFC 3720 / iSCSI test vectors, through the dispatch and through
+        // each path alone.
+        let ascending: Vec<u8> = (0..32).collect();
+        let vectors: [(&[u8], u32); 5] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xffu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+        ];
+        for (bytes, want) in vectors {
+            assert_eq!(crc32c(bytes), want, "{bytes:?}");
+            for (name, fold) in paths() {
+                assert_eq!(!fold(!0, bytes), want, "{name} {bytes:?}");
+            }
+        }
+    }
+
+    /// The dispatch takes the instruction wherever the CPU has it.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn dispatch_takes_the_instruction_on_sse42() {
+        let detected = std::arch::is_x86_feature_detected!("sse4.2");
+        assert_eq!(update_hw(!0, b"123456789").is_some(), detected);
+        if detected {
+            assert_eq!(paths().len(), 2);
+        }
+    }
+
+    /// The slice-by-one loop this module shipped first: the oracle the
+    /// word-at-a-time paths must match bit for bit.
     fn crc32c_reference(bytes: &[u8]) -> u32 {
         !bytes
             .iter()
             .fold(!0u32, |crc, &b| (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize])
     }
 
-    /// Every length 0–40 (all eight tails of the word loop, several words
-    /// deep) and every two-way split of `update`, which starts the word
-    /// loop at every alignment.
+    /// Every length 0–256 (all eight tails of the word loops, many words
+    /// deep) and every two-way split, which starts the word loop at every
+    /// alignment: each path, and the dispatching `update`, equal the oracle.
     #[test]
     fn matches_reference_at_every_length_and_split() {
-        let data: Vec<u8> = (0..40u32).map(|i| (i * 167 + 13) as u8).collect();
+        let data: Vec<u8> = (0..256u32).map(|i| (i * 167 + 13) as u8).collect();
         for len in 0..=data.len() {
             let expect = crc32c_reference(&data[..len]);
             assert_eq!(crc32c(&data[..len]), expect, "len {len}");
@@ -133,8 +212,25 @@ mod tests {
                 h.update(&data[..split]);
                 h.update(&data[split..len]);
                 assert_eq!(h.finish(), expect, "len {len} split {split}");
+                for (name, fold) in paths() {
+                    let got = !fold(fold(!0, &data[..split]), &data[split..len]);
+                    assert_eq!(got, expect, "{name} len {len} split {split}");
+                }
             }
         }
+    }
+
+    /// `len` pseudo-random bytes from `seed` (xorshift64*).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
     }
 
     proptest! {
@@ -148,6 +244,27 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             prop_assert_eq!(h.finish(), crc32c_reference(&data));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Buffers up to 300 KB, a stored message's size and more: the
+        /// instruction equals the table.
+        #[test]
+        fn instruction_matches_table_on_large_buffers(
+            len in 0usize..300_000,
+            seed in any::<u64>(),
+            split in any::<usize>(),
+        ) {
+            let data = noise(len, seed);
+            let split = split % (len + 1);
+            let expect = update_table(update_table(!0, &data[..split]), &data[split..]);
+            for (name, fold) in paths() {
+                prop_assert_eq!(fold(fold(!0, &data[..split]), &data[split..]), expect, "{}", name);
+            }
+            prop_assert_eq!(crc32c(&data), !expect);
         }
     }
 

@@ -10,7 +10,10 @@
 //! Module map:
 //!
 //! * [`crc`] — CRC32C (Castagnoli), the checksum under every record and
-//!   snapshot.
+//!   snapshot, on the SSE4.2 `crc32` instruction where the CPU has it.
+//!   Its dispatching call is the crate's one `unsafe` block (hence
+//!   `deny`, not `forbid`, below): the store depends on `parking_lot`
+//!   alone, so it does not borrow `texid-linalg`'s dispatch.
 //! * [`media`] — where bytes live: [`media::MemMedia`] for in-process
 //!   clusters and chaos tests, [`media::FileMedia`] for the `texid` CLI.
 //! * [`wal`] — the length-prefixed record codec and the damage-classifying
@@ -25,8 +28,9 @@
 //! Design notes live in DESIGN.md §12; the `texid_wal_*` /
 //! `texid_replay_*` metrics this feeds are cataloged in OBSERVABILITY.md.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod crc;
 pub mod log;
