@@ -118,17 +118,6 @@ impl BenchReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// The entry for `(kernel, precision)` at the largest `(batch·m)` shape
-    /// it was measured at, over any backend (ties go to the last entry
-    /// pushed: backends are measured in the order given, best first for
-    /// [`available_backends`], so that is the least preferred one).
-    pub fn largest(&self, kernel: &str, precision: &str) -> Option<&BenchEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.kernel == kernel && e.precision == precision)
-            .max_by_key(|e| (e.batch * e.m, e.n))
-    }
 }
 
 /// Structural validation of an emitted report: well-formed JSON, the exact
@@ -507,12 +496,5 @@ mod tests {
         r.entries.truncate(r.entries.len() - 2);
         r.entries.push(entry("fused_top2", "f32", "avx2", 1, 9.0));
         assert!(check_epilogue_guard(&r, 0.85).is_err(), "fused row without its packed twin");
-    }
-
-    #[test]
-    fn largest_picks_biggest_batch_times_m() {
-        let mut r = tiny_report();
-        r.entries.push(entry("packed", "f32", "scalar", 4, 3.0));
-        assert_eq!(r.largest("packed", "f32").expect("present").batch, 4);
     }
 }

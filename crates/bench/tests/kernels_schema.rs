@@ -37,10 +37,3 @@ fn forced_scalar_run_has_only_scalar_rows() {
     assert!(report.entries.iter().all(|e| e.backend == "scalar"));
     check_simd_guard(&report, 1.0).expect("vacuously true without SIMD rows");
 }
-
-#[test]
-fn largest_shape_selection_prefers_big_batches() {
-    let report = run_custom(&[4], &[1, 3], 8, 4, 1, true, &available_backends());
-    let e = report.largest("packed", "f32").expect("packed f32 measured");
-    assert_eq!((e.batch, e.m), (3, 4));
-}

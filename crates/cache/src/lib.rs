@@ -16,13 +16,17 @@
 //! oversubscribe the simulated card.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::collections::VecDeque;
 use texid_gpu::DeviceSpec;
-use texid_obs::Counter;
+use texid_obs::{Counter, Registry};
 
-/// Cached telemetry handles (one global family per event; all caches in a
-/// process share the series, mirroring how every engine shares one card).
+/// Cached telemetry handles (one family per event; the caches of one
+/// cluster's shards share its registry's series).
 struct Telemetry {
     inserts: Counter,
     evictions: Counter,
@@ -31,8 +35,7 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn register() -> Telemetry {
-        let reg = texid_obs::global();
+    fn register(reg: &Registry) -> Telemetry {
         Telemetry {
             inserts: reg.counter(
                 "texid_cache_inserts",
@@ -139,6 +142,7 @@ struct Entry<T> {
 /// ```
 /// use texid_cache::{CacheConfig, HybridCache, Payload, Tier};
 /// use texid_gpu::DeviceSpec;
+/// use texid_obs::Registry;
 ///
 /// struct Blob(u64);
 /// impl Payload for Blob {
@@ -152,6 +156,7 @@ struct Entry<T> {
 /// let mut cache = HybridCache::new(
 ///     CacheConfig { host_capacity_bytes: 64 << 30, device_reserve_bytes: 0, pinned: true },
 ///     &spec,
+///     &Registry::new(),
 /// );
 /// for id in 0..11u64 {
 ///     cache.insert(id, Blob(100 << 20)).unwrap();
@@ -170,8 +175,9 @@ pub struct HybridCache<T: Payload> {
 }
 
 impl<T: Payload> HybridCache<T> {
-    /// Create an empty cache in front of the card `spec` describes.
-    pub fn new(cfg: CacheConfig, spec: &DeviceSpec) -> HybridCache<T> {
+    /// Create an empty cache in front of the card `spec` describes,
+    /// counting into `reg`.
+    pub fn new(cfg: CacheConfig, spec: &DeviceSpec, reg: &Registry) -> HybridCache<T> {
         HybridCache {
             cfg,
             spec: spec.clone(),
@@ -179,7 +185,7 @@ impl<T: Payload> HybridCache<T> {
             host: VecDeque::new(),
             device_used: 0,
             host_used: 0,
-            telemetry: Telemetry::register(),
+            telemetry: Telemetry::register(reg),
         }
     }
 
@@ -359,7 +365,7 @@ mod tests {
 
     #[test]
     fn inserts_go_to_device_first() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &Registry::new());
         cache.insert(0, Blob(100 * MB)).unwrap();
         cache.insert(1, Blob(100 * MB)).unwrap();
         assert_eq!(cache.device_len(), 2);
@@ -370,7 +376,7 @@ mod tests {
 
     #[test]
     fn fifo_swap_to_host_when_device_full() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &Registry::new());
         // 11 × 100 MB: the 11th forces the oldest (id 0) to host.
         for id in 0..11u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
@@ -384,7 +390,7 @@ mod tests {
     #[test]
     fn device_reserve_respected() {
         // Reserve 512 MB of the 1 GiB: only ~512 MB usable by the cache.
-        let mut cache = HybridCache::new(cfg(1, 512), &small_device());
+        let mut cache = HybridCache::new(cfg(1, 512), &small_device(), &Registry::new());
         for id in 0..6u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
         }
@@ -398,6 +404,7 @@ mod tests {
         let mut cache = HybridCache::new(
             CacheConfig { host_capacity_bytes: 150 * MB, device_reserve_bytes: 0, pinned: true },
             &small_device(),
+            &Registry::new(),
         );
         for id in 0..10u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
@@ -416,14 +423,16 @@ mod tests {
 
     #[test]
     fn oversized_payload_rejected_up_front() {
-        let mut cache: HybridCache<Blob> = HybridCache::new(cfg(64, 0), &small_device());
+        let mut cache: HybridCache<Blob> =
+            HybridCache::new(cfg(64, 0), &small_device(), &Registry::new());
         let err = cache.insert(0, Blob(2 << 30)).unwrap_err();
         assert!(matches!(err, CacheError::PayloadTooLarge { .. }));
     }
 
     #[test]
     fn search_order_device_then_host_fifo() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let reg = Registry::new();
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &reg);
         for id in 0..12u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
         }
@@ -435,21 +444,22 @@ mod tests {
             .collect();
         assert_eq!(order, expect);
         // Hits are counted by the sweeper, one per batch it sweeps; the
-        // traversal alone counts nothing. No other test here notes a hit,
-        // so the process-wide series move by this test's hits alone.
-        let hits = |tier| texid_obs::global().counter("texid_cache_hits", "", &[("tier", tier)]);
-        let (device, host) = (hits("device").get(), hits("host").get());
+        // traversal alone counts nothing.
+        let hits = || {
+            let tier = |tier| reg.counter("texid_cache_hits", "", &[("tier", tier)]).get();
+            (tier("device"), tier("host"))
+        };
         assert_eq!(cache.iter().count(), 12);
-        assert_eq!((hits("device").get(), hits("host").get()), (device, host));
+        assert_eq!(hits(), (0, 0));
         for (_, tier) in &order {
             cache.note_hit(*tier);
         }
-        assert_eq!((hits("device").get(), hits("host").get()), (device + 10, host + 2));
+        assert_eq!(hits(), (10, 2));
     }
 
     #[test]
     fn multiple_swaps_preserve_fifo_order_on_host() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &Registry::new());
         for id in 0..15u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
         }
@@ -463,7 +473,7 @@ mod tests {
 
     #[test]
     fn big_payload_evicts_several_small_ones() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &Registry::new());
         for id in 0..10u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
         }
@@ -476,7 +486,8 @@ mod tests {
 
     #[test]
     fn shrink_and_remove_account_in_place_on_both_tiers() {
-        let mut cache = HybridCache::new(cfg(1, 0), &small_device());
+        let reg = Registry::new();
+        let mut cache = HybridCache::new(cfg(1, 0), &small_device(), &reg);
         for id in 0..12u64 {
             cache.insert(id, Blob(100 * MB)).unwrap();
         }
@@ -523,12 +534,12 @@ mod tests {
         let config =
             CacheConfig { host_capacity_bytes: 64 << 30, device_reserve_bytes: reserve, pinned: true };
 
-        let mut cache = HybridCache::new(config, &spec);
+        let mut cache = HybridCache::new(config, &spec, &Registry::new());
         cache.insert(0, Blob(budget)).unwrap();
         assert_eq!((cache.tier_of(0), cache.host_len()), (Some(Tier::Device), 0));
         assert_eq!(cache.device_used_bytes(), budget);
 
-        let mut cache = HybridCache::new(config, &spec);
+        let mut cache = HybridCache::new(config, &spec, &Registry::new());
         let err = cache.insert(0, Blob(budget + 1)).unwrap_err();
         assert_eq!(err, CacheError::PayloadTooLarge { requested: budget + 1, device_budget: budget });
         assert!(cache.is_empty());

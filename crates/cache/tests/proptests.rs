@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use texid_cache::{CacheConfig, HybridCache, Payload, Tier};
 use texid_gpu::DeviceSpec;
+use texid_obs::Registry;
 
 #[derive(Clone, Copy)]
 struct Blob(u64);
@@ -36,7 +37,7 @@ proptest! {
             device_reserve_bytes: reserve_mb << 20,
             pinned: true,
         };
-        let mut cache = HybridCache::new(cfg, &device);
+        let mut cache = HybridCache::new(cfg, &device, &Registry::new());
         let mut accepted = 0usize;
         for (id, &bytes) in sizes.iter().enumerate() {
             if cache.insert(id as u64, Blob(bytes)).is_ok() {
@@ -58,6 +59,7 @@ proptest! {
         let mut cache = HybridCache::new(
             CacheConfig { host_capacity_bytes: 1 << 30, device_reserve_bytes: 0, pinned: true },
             &small_device(64),
+            &Registry::new(),
         );
         for id in 0..n as u64 {
             cache.insert(id, Blob(blob_mb << 20)).expect("host is large");
@@ -83,6 +85,7 @@ proptest! {
         let mut cache = HybridCache::new(
             CacheConfig { host_capacity_bytes: 1 << 30, device_reserve_bytes: 0, pinned: true },
             &small_device(64),
+            &Registry::new(),
         );
         for (id, &b) in sizes.iter().enumerate() {
             let _ = cache.insert(id as u64, Blob(b));
@@ -105,6 +108,7 @@ proptest! {
         let mut cache: HybridCache<Blob> = HybridCache::new(
             CacheConfig { host_capacity_bytes: 2 << 30, device_reserve_bytes: 0, pinned: true },
             &small_device(64),
+            &Registry::new(),
         );
         let mut next = 0u64;
         for &(op, pick, bytes) in &ops {

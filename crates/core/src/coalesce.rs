@@ -91,14 +91,13 @@ pub struct Coalescer {
 }
 
 impl Coalescer {
-    /// Build a coalescer and register its `texid_coalesced_batch_size`
-    /// histogram against the global metric registry.
+    /// Build a coalescer whose `texid_coalesced_batch_size` histogram
+    /// registers in a registry of its own, which nothing renders.
     pub fn new(cfg: CoalesceConfig) -> Coalescer {
-        Coalescer::with_registry(cfg, texid_obs::global())
+        Coalescer::with_registry(cfg, &texid_obs::Registry::new())
     }
 
-    /// [`Coalescer::new`] against a caller-supplied registry (tests that
-    /// assert exact histogram counts use a private one).
+    /// [`Coalescer::new`] registering its histogram in `registry`.
     pub fn with_registry(cfg: CoalesceConfig, registry: &texid_obs::Registry) -> Coalescer {
         Coalescer {
             cfg,

@@ -46,7 +46,7 @@ use texid_knn::ivf::{pool_column_slice, IvfIndex};
 use texid_knn::{score_batch_packed, Algorithm, BatchWork, FeatureBlock, MatchConfig, PackedBlock};
 use texid_linalg::active_backend;
 use texid_linalg::kernel::{PackedA, PackedB};
-use texid_obs::{Span, Stage, StageUs};
+use texid_obs::{Registry, Stage, StageUs};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -266,17 +266,14 @@ pub struct EncodedQuery {
 }
 
 impl EncodedQuery {
-    /// Encode `query` for engines configured by `cfg`. The narrow + pack is
-    /// the `encode` wall-clock stage, observed once per call.
+    /// Encode `query` for engines configured by `cfg`: narrowed, packed
+    /// and, when `cfg` prunes, pooled.
     pub fn new(cfg: &EngineConfig, query: &FeatureMatrix) -> EncodedQuery {
         let matching = &cfg.matching;
         let n = cfg.n_query.min(query.len());
         let data = &query.mat.as_slice()[..query.dim() * n];
-        let packed = {
-            let _span = Span::enter("encode");
-            FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
-                .pack_query(active_backend())
-        };
+        let packed = FeatureBlock::encode(query.dim(), n, data, matching.precision, matching.scale)
+            .pack_query(active_backend());
         let pooled = matching.ivf.prunes().then(|| pool_column_slice(query.dim(), data));
         EncodedQuery { packed, pooled }
     }
@@ -381,16 +378,25 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Bring up a device and an empty index.
+    /// Bring up a device and an empty index, its cache counting into a
+    /// registry of its own, which nothing renders.
+    ///
+    /// # Panics
+    /// As [`Engine::with_registry`].
+    pub fn new(cfg: EngineConfig) -> Engine {
+        Engine::with_registry(cfg, &Registry::new())
+    }
+
+    /// Bring up a device and an empty index, its cache counting into `reg`.
     ///
     /// # Panics
     /// Panics unless the configuration batches Algorithm 2 (the only one
     /// that batches) with at least one reference and one stream.
-    pub fn new(cfg: EngineConfig) -> Engine {
+    pub fn with_registry(cfg: EngineConfig, reg: &Registry) -> Engine {
         assert_eq!(cfg.matching.algorithm, Algorithm::RootSiftTop2, "the engine runs Algorithm 2");
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.streams >= 1, "need at least one stream");
-        let cache = HybridCache::new(cfg.cache, &cfg.device);
+        let cache = HybridCache::new(cfg.cache, &cfg.device, reg);
         Engine {
             open: RefBatch::empty(&cfg),
             cfg,

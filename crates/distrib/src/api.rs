@@ -44,7 +44,9 @@
 //! [`Cluster::verify_traced`]: one `verify.sweep` span under the request's.
 //! `/metrics`, `/trace/…`, `/traces`, `/events`, and `/slo` are served
 //! untraced so observability polling cannot wash real
-//! requests out of the bounded ring ([`texid_obs::global_ring`]).
+//! requests out of the cluster's bounded ring ([`Cluster::trace_ring`]).
+//! Every surface reads the served cluster's own telemetry: `/metrics`
+//! renders its registry, `/events` its flight recorder.
 //!
 //! `HEAD` is accepted on every GET route (the HTTP layer strips the body
 //! but keeps `Content-Length`); unsupported methods on known routes get
@@ -52,14 +54,12 @@
 
 use crate::b64;
 use crate::cluster::{Cluster, ClusterError, ShardHealth, ShardStatus};
-use crate::http::{HttpServer, Request, Response};
+use crate::http::{HttpServer, PoolConfig, Request, Response};
 use crate::json::{parse, Json};
 use crate::wire;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use texid_obs::{
-    global_events, global_ring, Clock, SpanRecord, Stage, TraceContext, WideEvent, TRACE_HEADER,
-};
+use texid_obs::{Clock, SpanRecord, Stage, TraceContext, WideEvent, TRACE_HEADER};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -345,7 +345,7 @@ pub fn handle(cluster: &Cluster, req: &Request) -> Response {
         }
     };
     if traced {
-        global_ring().record(SpanRecord {
+        cluster.trace_ring().record(SpanRecord {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_id: 0,
@@ -521,15 +521,15 @@ fn stats(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
 fn metrics(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     // The gauges that mirror state kept elsewhere are brought up to
     // date by the scrape that reads them.
-    texid_obs::touch_process_metrics();
+    texid_obs::touch_process_metrics(cluster.registry());
     cluster.refresh_gauges();
-    Ok(Response::prometheus(200, texid_obs::global().render_prometheus()))
+    Ok(Response::prometheus(200, cluster.registry().render_prometheus()))
 }
 
-fn events(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+fn events(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     // JSON Lines, oldest first: tail-friendly, grep-friendly.
     let mut body = String::new();
-    for e in global_events().snapshot() {
+    for e in cluster.events().snapshot() {
         body.push_str(&event_json(&e).to_string());
         body.push('\n');
     }
@@ -661,10 +661,10 @@ fn heal(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     ))
 }
 
-fn trace(_: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
+fn trace(cluster: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     let trace_id = TraceContext::parse_trace_id(call.id)
         .ok_or_else(|| err_json(400, "bad trace id (expected 1-32 hex digits, not all zero)"))?;
-    let spans = global_ring().snapshot_trace(trace_id);
+    let spans = cluster.trace_ring().snapshot_trace(trace_id);
     if spans.is_empty() {
         let msg = "unknown trace id (never recorded, or evicted from the ring)";
         return Err(err_json(404, msg));
@@ -672,8 +672,8 @@ fn trace(_: &Cluster, call: &Call<'_>) -> Result<Response, Response> {
     Ok(Response::json(200, trace_json(trace_id, &spans).to_string()))
 }
 
-fn traces(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
-    let ring = global_ring();
+fn traces(cluster: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
+    let ring = cluster.trace_ring();
     let traces: Vec<Json> = ring
         .recent_traces(50)
         .iter()
@@ -698,16 +698,13 @@ fn traces(_: &Cluster, _: &Call<'_>) -> Result<Response, Response> {
     ))
 }
 
-/// Spawn the REST service bound to `addr` (use `127.0.0.1:0` in tests).
+/// Spawn the REST service bound to `addr` (use `127.0.0.1:0` in tests),
+/// with the default worker pool, its queue-depth gauge in the cluster's
+/// registry.
 pub fn serve(cluster: Arc<Cluster>, addr: &str) -> std::io::Result<HttpServer> {
-    // Touch the global ring, flight recorder, and process-identity gauges
-    // now so `texid_trace_events_dropped_total`, `texid_events_*`,
-    // `texid_build_info`, and `texid_uptime_seconds` all exist on the very
-    // first /metrics scrape, searches or not.
-    let _ = global_ring();
-    let _ = global_events();
-    texid_obs::touch_process_metrics();
-    HttpServer::spawn(addr, Arc::new(move |req: &Request| handle(&cluster, req)))
+    let registry = cluster.registry().clone();
+    let handler = Arc::new(move |req: &Request| handle(&cluster, req));
+    HttpServer::spawn(addr, handler, PoolConfig::default(), &registry)
 }
 
 #[cfg(test)]
@@ -982,9 +979,7 @@ mod tests {
     /// same bytes are whitespace.
     #[test]
     fn a_raw_control_character_in_a_string_is_a_400_between_tokens_whitespace() {
-        // A private registry: `total_searches` is its sample.
-        let registry = texid_obs::Registry::new();
-        let cluster = Arc::new(Cluster::with_faults_in_registry(test_config(), None, &registry));
+        let cluster = Arc::new(Cluster::new(test_config()));
         let server = serve(cluster.clone(), "127.0.0.1:0").unwrap();
         let addr = server.addr();
         for id in 0..2u64 {
@@ -1392,15 +1387,14 @@ mod tests {
         let body = format!(r#"{{"features": "{}", "top": 2}}"#, features_b64(0, 256));
         assert_eq!(http_call(addr, "POST", "/search", body.as_bytes()).unwrap().status, 200);
 
-        // /events streams the flight recorder as JSON Lines. The ring is
-        // process-global, so other tests' searches may appear too — assert
-        // on shape, not count.
+        // /events streams the cluster's flight recorder as JSON Lines: its
+        // one search filed one wide event.
         let resp = http_call(addr, "GET", "/events", b"").unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("content-type"), Some("application/x-ndjson"));
         let text = resp.text();
         let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-        assert!(!lines.is_empty(), "search should have filed a wide event");
+        assert_eq!(lines.len(), 1, "{text}");
         // Exactly 22 keys per line: 17 fields and the five stages.
         let mut keys = vec![
             "seq", "trace_id", "start_us", "wall_elapsed_us", "sim_wall_us", "comparisons",
@@ -1486,8 +1480,7 @@ mod tests {
             .crash_shard_after(0, 0)
             .crash_shard_after(0, 0)
             .crash_shard_after(0, 0);
-        let registry = texid_obs::Registry::new();
-        let cluster = Cluster::with_faults_in_registry(test_config(), Some(plan), &registry);
+        let cluster = Cluster::with_faults(test_config(), Some(plan));
         let server = serve(Arc::new(cluster), "127.0.0.1:0").unwrap();
         let addr = server.addr();
 

@@ -8,7 +8,7 @@ use crate::faults::{FaultKind, FaultOp};
 use crate::wire;
 use std::time::Instant;
 use texid_core::EncodedReference;
-use texid_obs::{global_ring, TraceContext};
+use texid_obs::TraceContext;
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_store::ReplayStats;
 
@@ -113,7 +113,7 @@ impl Cluster {
     pub fn recover_container(&self, shard: usize) -> Result<RecoveryReport, ClusterError> {
         assert!(shard < self.shards.len(), "no such container");
         let mut report = RecoveryReport::default();
-        self.shards[shard].rebuild(|engine| {
+        self.shards[shard].rebuild(&self.registry, |engine| {
             // This shard's live textures, in id order, so a scripted read
             // rule ("corrupt the next read") lands on the same id every run.
             for id in self.members_of(shard) {
@@ -177,7 +177,7 @@ impl Cluster {
             return Ok(report);
         }
         self.telemetry.heal_passes.inc();
-        let ring = global_ring();
+        let ring = &self.ring;
         // Replay the shared durable store once, before any shard rebuild:
         // from here on, reads see only what the media actually kept.
         let mut span = ctx.map(|c| ring.span(c, "store.replay"));

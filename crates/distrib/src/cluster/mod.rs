@@ -108,8 +108,9 @@ use std::sync::Arc;
 use texid_cache::CacheError;
 use texid_core::{CoalesceConfig, EngineConfig, SearchReport};
 use texid_obs::{
-    global_ring, Counter, DriftSentry, DriftStatus, Gauge, Histogram, Registry, SloEngine,
-    SloSpec, SloStatus, TraceContext, DRIFT_STAGES,
+    Counter, DriftSentry, DriftStatus, EventRing, Gauge, Histogram, Registry, SloEngine, SloSpec,
+    SloStatus, TraceContext, TraceRing, DEFAULT_EVENT_RING_CAPACITY, DEFAULT_TRACE_RING_CAPACITY,
+    DRIFT_STAGES,
 };
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_store::{DurableLog, LogConfig, Volume, WalStats};
@@ -122,7 +123,6 @@ use {
     crate::wire,
     std::sync::atomic::Ordering,
     texid_core::Engine,
-    texid_obs::global_events,
     texid_sift::FeatureMatrix,
 };
 
@@ -150,6 +150,9 @@ struct Telemetry {
     /// bucket links to the trace of a query it counted.
     stage_sim: [Histogram; 6],
     probe: Histogram,
+    /// The wall-clock `encode` stage: one observation per search, around
+    /// its one `EncodedQuery::new`.
+    encode: Histogram,
     engine_searches: Counter,
     images_compared: Counter,
     ivf_cells_probed: Counter,
@@ -169,6 +172,7 @@ impl Telemetry {
             &[("backend", texid_linalg::active_backend().name())],
         )
         .set(1.0);
+        texid_obs::touch_process_metrics(reg);
         Telemetry {
             searches: reg.counter(
                 "texid_cluster_searches",
@@ -237,6 +241,7 @@ impl Telemetry {
             ),
             stage_sim: DRIFT_STAGES.map(|stage| reg.stage_duration(stage, "sim")),
             probe: reg.stage_duration("probe", "sim"),
+            encode: reg.stage_duration("encode", "wall"),
             engine_searches: reg.counter(
                 "texid_engine_searches",
                 "Single-node search passes completed.",
@@ -400,9 +405,8 @@ impl std::error::Error for ClusterError {}
 ///
 /// `total_searches`, `degraded_searches` and `retries` are the samples of
 /// the cluster's registry counters (`texid_cluster_{searches,
-/// degraded_searches, retries}_total`), read, not kept: clusters that share
-/// a registry share these counts. [`Cluster::with_faults_in_registry`]
-/// gives a cluster counts of its own.
+/// degraded_searches, retries}_total`), read, not kept. Every cluster owns
+/// its registry ([`Cluster::registry`]), so these counts are its own.
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
     /// Container count.
@@ -458,6 +462,13 @@ pub struct Cluster {
     shard_of: Mutex<HashMap<u64, usize>>,
     next_rr: AtomicUsize,
     fault_plan: Option<FaultPlan>,
+    /// Where the cluster, its shards' engines and caches, and the HTTP
+    /// server that serves it count; `/metrics` renders it.
+    registry: Registry,
+    /// Every span of the cluster's requests; shared with its shards.
+    ring: Arc<TraceRing>,
+    /// One wide event per search (`/events`).
+    events: EventRing,
     telemetry: Telemetry,
     drift: DriftSentry,
     slo: SloEngine,
@@ -469,28 +480,22 @@ impl Cluster {
         Cluster::with_faults(cfg, None)
     }
 
-    /// Bring up the cluster with an optional seeded fault plan, reporting
-    /// telemetry into the process-wide [`texid_obs::global`] registry.
+    /// Bring up the cluster with an optional seeded fault plan. The
+    /// cluster owns its telemetry — a [`Registry`], a trace ring and an
+    /// event ring — so what [`ClusterStats`], [`ShardStatus`] and the REST
+    /// surfaces report is this cluster's alone, whatever else the process
+    /// runs.
     pub fn with_faults(cfg: ClusterConfig, fault_plan: Option<FaultPlan>) -> Cluster {
-        Cluster::with_faults_in_registry(cfg, fault_plan, texid_obs::global())
-    }
-
-    /// Like [`Cluster::with_faults`], but reporting into a caller-supplied
-    /// registry. [`ClusterStats`]' and [`ShardStatus`]' counts are that
-    /// registry's, so tests that assert exact counts use a private one:
-    /// other clusters in the process cannot perturb the numbers.
-    pub fn with_faults_in_registry(
-        cfg: ClusterConfig,
-        fault_plan: Option<FaultPlan>,
-        registry: &Registry,
-    ) -> Cluster {
         assert!(cfg.containers >= 1, "need at least one container");
+        let registry = Registry::new();
+        let ring = Arc::new(TraceRing::new(DEFAULT_TRACE_RING_CAPACITY, &registry));
+        let events = EventRing::new(DEFAULT_EVENT_RING_CAPACITY, &registry);
         let shards: Vec<_> =
-            (0..cfg.containers).map(|i| Arc::new(Shard::new(i, &cfg, registry))).collect();
+            (0..cfg.containers).map(|i| Arc::new(Shard::new(i, &cfg, &registry, &ring))).collect();
         let pool = LegPool::new(&shards, cfg.coalesce.max_batch);
-        let telemetry = Telemetry::register(registry);
-        let drift = DriftSentry::register(registry);
-        let slo = SloEngine::register(objectives(), registry);
+        let telemetry = Telemetry::register(&registry);
+        let drift = DriftSentry::register(&registry);
+        let slo = SloEngine::register(objectives(), &registry);
         let store = KvStore::durable(DurableLog::new(Volume::in_memory(), cfg.store));
         Cluster {
             cfg,
@@ -500,6 +505,9 @@ impl Cluster {
             shard_of: Mutex::new(HashMap::new()),
             next_rr: AtomicUsize::new(0),
             fault_plan,
+            registry,
+            ring,
+            events,
             telemetry,
             drift,
             slo,
@@ -516,7 +524,7 @@ impl Cluster {
     fn note_retry(&self, leg: Option<(TraceContext, usize)>) {
         self.telemetry.retries.inc();
         if let Some((ctx, shard)) = leg {
-            global_ring().mark(&ctx, "retry", vec![("shard".to_string(), shard.to_string())]);
+            self.ring.mark(&ctx, "retry", vec![("shard".to_string(), shard.to_string())]);
         }
     }
 
@@ -553,6 +561,21 @@ impl Cluster {
     /// Configuration in force.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
+    }
+
+    /// The registry the cluster and everything it runs count into.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// The ring holding the spans of the cluster's traced requests.
+    pub fn trace_ring(&self) -> &TraceRing {
+        &self.ring
+    }
+
+    /// The flight recorder: one wide event per search.
+    pub fn events(&self) -> &EventRing {
+        &self.events
     }
 
     /// The feature store (exposed for persistence-style tests).

@@ -10,7 +10,7 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use texid_core::{EncodedQuery, SearchReport, SearchResult};
-use texid_obs::{global_events, global_ring, wall_now_us, TraceContext, WideEvent, STAGE_TOTAL};
+use texid_obs::{wall_now_us, Span, TraceContext, TraceRing, WideEvent, STAGE_TOTAL};
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -36,7 +36,7 @@ pub struct ClusterSearchResult {
     /// Trace id of the span tree this search recorded (`None` when the
     /// search ran untraced). Hex form via
     /// `texid_obs::TraceContext::with_trace_id(id).trace_id_hex()`; the
-    /// tree is retrievable from `texid_obs::global_ring()` or
+    /// tree is retrievable from the cluster's [`Cluster::trace_ring`] or
     /// `GET /trace/<id>`.
     pub trace_id: Option<u128>,
 }
@@ -125,7 +125,7 @@ impl Cluster {
     /// [`Cluster::search`] under an optional trace context (the REST edge
     /// passes the request's [`TraceContext`], library callers may pass
     /// their own). When present, the search records a span tree into
-    /// [`texid_obs::global_ring`]: a wall-clock `cluster.search` span, one
+    /// [`Cluster::trace_ring`]: a wall-clock `cluster.search` span, one
     /// wall-clock `shard.leg` span per shard (from the moment a pool worker
     /// starts the leg, tagged `queued_us` — wall µs since it was submitted —
     /// and `group` — the legs swept with it; recorded even when the leg
@@ -147,14 +147,18 @@ impl Cluster {
         let trace_id = parent.map(|p| p.trace_id);
         let cluster_ctx = parent.map(|p| p.child());
         let _cluster_span = cluster_ctx.as_ref().map(|c| {
-            global_ring()
+            self.ring
                 .span(c, "cluster.search")
                 .tag("track", "cluster")
                 .tag("top_k", &top_k.to_string())
         });
 
-        // Narrowed and packed once; every leg's sweep reads the same panels.
-        let query = Arc::new(EncodedQuery::new(&self.cfg.engine, query));
+        // Narrowed and packed once, timed as the `encode` stage; every leg's
+        // sweep reads the same panels.
+        let query = {
+            let _encode = Span::with(self.telemetry.encode.clone());
+            Arc::new(EncodedQuery::new(&self.cfg.engine, query))
+        };
         // Scatter: plan every leg here, in shard order, handing the ones
         // that run to the pool; their answers come back over one channel.
         let (reply, answers) = mpsc::channel();
@@ -201,7 +205,7 @@ impl Cluster {
         if pruned + swept > 0 {
             self.telemetry.ivf_prune_ratio.set(pruned as f64 / (pruned + swept) as f64);
         }
-        global_events().record(event);
+        self.events.record(event);
         out
     }
 
@@ -272,7 +276,7 @@ impl Cluster {
                     let (m, p) = (measured.sim_series(), predicted.sim_series());
                     self.drift.observe(&std::array::from_fn(|i| (m[i], p[i])));
                     if let Some(ctx) = &leg.ctx {
-                        trace_sim_stages(ctx, leg.shard, measured);
+                        trace_sim_stages(&self.ring, ctx, leg.shard, measured);
                     }
                 }
                 LegOutcome::Skipped => shard.record_skip(),
@@ -401,8 +405,7 @@ fn wide_event(out: &ClusterSearchResult) -> WideEvent {
 /// `device total` is the stages' sum scaled by the multi-stream factor, so
 /// at `streams > 1` it ends inside the last stage: it gets a track of its
 /// own, where no slice can partially overlap it.
-fn trace_sim_stages(ctx: &TraceContext, shard: usize, measured: &SearchReport) {
-    let ring = global_ring();
+fn trace_sim_stages(ring: &TraceRing, ctx: &TraceContext, shard: usize, measured: &SearchReport) {
     let tags = |stage: &str, track: &str| {
         vec![
             ("shard".to_string(), shard.to_string()),

@@ -5,9 +5,10 @@
 use super::pool::LegJob;
 use super::{ClusterConfig, ClusterError, ResilienceConfig};
 use parking_lot::{Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 use texid_core::{EncodedQuery, Engine, SearchResult};
-use texid_obs::{global_ring, Counter, Gauge, Histogram, Registry, TraceContext, TraceSpan};
+use texid_obs::{Counter, Gauge, Histogram, Registry, TraceContext, TraceRing, TraceSpan};
 
 /// Shard health, as driven by the per-shard circuit breaker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,6 +130,8 @@ pub(super) struct Shard {
     resilience: ResilienceConfig,
     pub(super) engine: RwLock<Engine>,
     breaker: Mutex<ShardState>,
+    /// The cluster's trace ring, which this shard's leg spans go to.
+    ring: Arc<TraceRing>,
     /// `texid_coalesced_batch_size`, the one unlabelled series every shard
     /// shares.
     group_size: Histogram,
@@ -143,19 +146,25 @@ pub(super) struct Shard {
 
 impl Shard {
     /// Bring up container `index` with an empty engine, registering its
-    /// series in `reg`.
-    pub(super) fn new(index: usize, cfg: &ClusterConfig, reg: &Registry) -> Shard {
+    /// series (and its engine's) in `reg` and tracing into `ring`.
+    pub(super) fn new(
+        index: usize,
+        cfg: &ClusterConfig,
+        reg: &Registry,
+        ring: &Arc<TraceRing>,
+    ) -> Shard {
         let shard = index.to_string();
         let labels = [("shard", shard.as_str())];
         Shard {
             index,
             resilience: cfg.resilience,
-            engine: RwLock::new(Engine::new(cfg.engine.clone())),
+            engine: RwLock::new(Engine::with_registry(cfg.engine.clone(), reg)),
             breaker: Mutex::new(ShardState::new(reg.gauge(
                 "texid_shard_breaker_state",
                 "Circuit-breaker state: 0 = healthy, 1 = suspect, 2 = down.",
                 &labels,
             ))),
+            ring: Arc::clone(ring),
             group_size: texid_core::coalesce::group_size_histogram(reg),
             failures: reg.counter(
                 "texid_shard_failures",
@@ -202,8 +211,8 @@ impl Shard {
 
     /// The wall-clock `shard.leg` span of a leg of this shard traced as
     /// `ctx`; it records when dropped.
-    pub(super) fn leg_span(&self, ctx: &TraceContext) -> TraceSpan<'static> {
-        global_ring()
+    pub(super) fn leg_span(&self, ctx: &TraceContext) -> TraceSpan<'_> {
+        self.ring
             .span(ctx, "shard.leg")
             .tag("shard", &self.index.to_string())
             .tag("track", &format!("shard {}", self.index))
@@ -279,14 +288,15 @@ impl Shard {
         self.failures.inc();
     }
 
-    /// Replace the engine with a fresh one that `fill` loaded, sealed, and
-    /// re-admit the shard. The old engine serves until the swap; an error
-    /// leaves it, and the breaker, as they were.
+    /// Replace the engine with a fresh one, counting into `reg`, that
+    /// `fill` loaded, sealed, and re-admit the shard. The old engine serves
+    /// until the swap; an error leaves it, and the breaker, as they were.
     pub(super) fn rebuild(
         &self,
+        reg: &Registry,
         fill: impl FnOnce(&mut Engine) -> Result<(), ClusterError>,
     ) -> Result<(), ClusterError> {
-        let mut engine = Engine::new(self.engine.read().config().clone());
+        let mut engine = Engine::with_registry(self.engine.read().config().clone(), reg);
         fill(&mut engine)?;
         engine.flush()?;
         *self.engine.write() = engine;

@@ -67,7 +67,7 @@ fn traced_search_records_span_tree() {
     // Untraced searches stay untraced.
     assert_eq!(cluster.search(&query_for(4), 3).trace_id, None);
 
-    let spans = global_ring().snapshot_trace(root.trace_id);
+    let spans = cluster.trace_ring().snapshot_trace(root.trace_id);
     let cluster_span = spans.iter().find(|s| s.name == "cluster.search").unwrap();
     assert_eq!(cluster_span.parent_id, root.span_id);
     assert_eq!(cluster_span.clock, texid_obs::Clock::Wall);
@@ -92,9 +92,9 @@ fn stage_stall_flags_drift_on_one_stage_only() {
     // Acceptance: a 2x slowdown injected into ONE stage must push
     // texid_model_drift_ratio{stage="gemm"} past 1.5 while every
     // unperturbed stage stays within +-10% of 1.0.
-    let reg = Registry::new();
     let plan = FaultPlan::new(7).stall_stage(0, Stage::Gemm, 2.0, 100);
-    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(1), Some(plan));
+    let reg = cluster.registry();
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -118,9 +118,9 @@ fn stage_histograms_count_the_measured_report_their_exemplars_carry() {
     // One writer per leg: under a 4x gemm stall the sim-clock gemm series
     // counts the measured (stalled) value, in the bucket whose exemplar
     // links to this search's trace, in the cluster's own registry.
-    let reg = Registry::new();
     let plan = FaultPlan::new(11).stall_stage(0, Stage::Gemm, 4.0, 1);
-    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(1), Some(plan));
+    let reg = cluster.registry();
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -139,9 +139,9 @@ fn stage_histograms_count_the_measured_report_their_exemplars_carry() {
 
 #[test]
 fn slo_status_tracks_good_and_failed_searches() {
-    let reg = Registry::new();
     let plan = FaultPlan::new(3).crash_shard(0);
-    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(1), Some(plan));
+    let reg = cluster.registry();
     for id in 0..2u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -167,11 +167,10 @@ fn every_search_files_a_wide_event() {
     }
     let root = TraceContext::root();
     cluster.search_traced(&query_for(2), 2, Some(&root));
-    let ev = global_events()
-        .snapshot()
-        .into_iter()
-        .find(|e| e.trace_id == root.trace_id)
-        .expect("traced search filed a wide event carrying its trace id");
+    let events = cluster.events().snapshot();
+    assert_eq!(events.len(), 1, "one search, one event");
+    let ev = events[0];
+    assert_eq!(ev.trace_id, root.trace_id, "the traced search's event carries its trace id");
     assert_eq!(ev.outcome, "ok");
     assert_eq!(ev.shards_ok, 2);
     assert!(!ev.degraded);
@@ -180,32 +179,30 @@ fn every_search_files_a_wide_event() {
     assert!(ev.comparisons > 0);
     assert!(ev.coalesced >= 1);
     // Untraced searches still file events (trace_id 0).
-    let before = global_events().recorded();
     cluster.search(&query_for(2), 2);
-    assert!(global_events().recorded() > before);
+    assert_eq!(cluster.events().recorded(), 2);
+    assert_eq!(cluster.events().snapshot()[1].trace_id, 0);
 }
 
 #[test]
 fn wide_event_is_the_fold_of_the_answered_reports() {
     // A stalled leg, a straggling leg that first retries a transient, and a
     // crashed leg: the filed event is the finished result's projection.
-    let reg = Registry::new();
     let plan = FaultPlan::new(5)
         .stall_stage(0, Stage::Gemm, 3.0, 1)
         .transient_search(1, 1)
         .straggle_shard(1, 2.0, 1)
         .crash_shard(2);
-    let cluster = Cluster::with_faults_in_registry(small_config(3), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(3), Some(plan));
     for id in 0..6u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
     let root = TraceContext::root();
     let out = cluster.search_traced(&query_for(4), 3, Some(&root));
-    let ev = global_events()
-        .snapshot()
-        .into_iter()
-        .find(|e| e.trace_id == root.trace_id)
-        .expect("the search filed its event");
+    let events = cluster.events().snapshot();
+    assert_eq!(events.len(), 1, "one search, one event");
+    let ev = events[0];
+    assert_eq!(ev.trace_id, root.trace_id);
 
     let reports = &out.shard_reports;
     assert_eq!(reports.len(), 2, "the crashed leg does not answer");
@@ -233,12 +230,12 @@ fn wide_event_is_the_fold_of_the_answered_reports() {
 fn prune_ratio_gauge_reads_the_whole_search() {
     // Three shards of eight single-reference batches each prune different
     // shares; the gauge reads the search's share, not the last leg's.
-    let reg = Registry::new();
     let mut cfg = small_config(3);
     cfg.engine.batch_size = 1;
     cfg.engine.matching.ivf =
         texid_knn::IvfParams { enabled: true, nlist: 4, nprobe: 1, ..Default::default() };
-    let cluster = Cluster::with_faults_in_registry(cfg, None, &reg);
+    let cluster = Cluster::with_faults(cfg, None);
+    let reg = cluster.registry();
     for id in 0..24u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -269,7 +266,7 @@ fn traced_search_marks_retries_and_failed_legs() {
     let out = cluster.search_traced(&query_for(1), 2, Some(&root));
     assert_eq!(out.shards_ok, 2, "transients are retried through");
 
-    let spans = global_ring().snapshot_trace(root.trace_id);
+    let spans = cluster.trace_ring().snapshot_trace(root.trace_id);
     let retries: Vec<_> = spans.iter().filter(|s| s.name == "retry").collect();
     assert_eq!(retries.len(), 2, "exactly one span per note_retry");
     assert!(retries.iter().all(|s| s.tag("shard") == Some("0")));
@@ -286,9 +283,8 @@ fn traced_search_marks_retries_and_failed_legs() {
 /// the leg's thread, after the fault decision counted them.
 #[test]
 fn a_crashed_leg_still_reports_its_retries() {
-    let reg = Registry::new();
     let plan = FaultPlan::new(5).transient_search(0, 2).crash_shard(0);
-    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(2), Some(plan));
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -296,12 +292,9 @@ fn a_crashed_leg_still_reports_its_retries() {
     let out = cluster.search_traced(&query_for(1), 2, Some(&root));
     assert_eq!((out.shards_failed, out.shards_ok), (1, 1));
     assert_eq!(cluster.stats().retries, 2);
-    let event = global_events()
-        .snapshot()
-        .into_iter()
-        .find(|e| e.trace_id == root.trace_id)
-        .expect("the search filed its wide event");
-    assert_eq!(event.retries, 2);
+    let events = cluster.events().snapshot();
+    assert_eq!(events.len(), 1, "one search, one event");
+    assert_eq!((events[0].trace_id, events[0].retries), (root.trace_id, 2));
 }
 
 #[test]
@@ -314,7 +307,7 @@ fn traced_search_keeps_crashed_legs_visible() {
     let root = TraceContext::root();
     let out = cluster.search_traced(&query_for(1), 2, Some(&root));
     assert_eq!(out.shards_failed, 1);
-    let spans = global_ring().snapshot_trace(root.trace_id);
+    let spans = cluster.trace_ring().snapshot_trace(root.trace_id);
     let legs: Vec<_> = spans.iter().filter(|s| s.name == "shard.leg").collect();
     assert_eq!(legs.len(), 2, "the crashed leg still records its span");
 }
@@ -770,7 +763,7 @@ fn a_verify_answers_while_every_pool_worker_is_busy() {
             let report = cluster.verify_traced(1, &q, 10, 8, Some(&ctx)).unwrap();
             drop(locks);
             assert_eq!(search.join().expect("searcher").shards_ok, SHARDS);
-            let spans = global_ring().snapshot_trace(ctx.trace_id);
+            let spans = cluster.trace_ring().snapshot_trace(ctx.trace_id);
             (report, spans.into_iter().find(|s| s.name == "verify.sweep").expect("sweep span"))
         })
     });
@@ -795,10 +788,8 @@ fn stats_reflect_configuration() {
 
 #[test]
 fn injected_crash_degrades_but_returns() {
-    // A private registry: the stats' counts are its samples.
-    let reg = Registry::new();
     let plan = FaultPlan::new(11).crash_shard(1);
-    let cluster = Cluster::with_faults_in_registry(small_config(3), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(3), Some(plan));
     for id in 0..6u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -825,8 +816,7 @@ fn breaker_trips_skips_then_readmits() {
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0);
-    let reg = Registry::new();
-    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(2), Some(plan));
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -854,9 +844,9 @@ fn breaker_trips_skips_then_readmits() {
     assert_eq!(health[0].total_failures, 3);
 }
 
-/// `/stats` and `/health` read the registry's counters, so on a cluster
-/// with a registry of its own they equal that registry's `_total` samples:
-/// one fact per count, whichever surface shows it.
+/// `/stats` and `/health` read the cluster's registry counters, so they
+/// equal that registry's `_total` samples: one fact per count, whichever
+/// surface shows it.
 #[test]
 fn stats_and_health_show_the_registry_counts() {
     use crate::api::handle;
@@ -871,8 +861,8 @@ fn stats_and_health_show_the_registry_counts() {
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0)
         .crash_shard_after(0, 0);
-    let reg = Registry::new();
-    let cluster = Cluster::with_faults_in_registry(small_config(2), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(2), Some(plan));
+    let reg = cluster.registry();
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }
@@ -974,9 +964,8 @@ fn degraded_scatter_gather_under_concurrent_load() {
 #[test]
 fn transient_search_faults_retry_then_exhaust() {
     // Two transient faults: retried within budget, search succeeds.
-    let reg = Registry::new();
     let plan = FaultPlan::new(3).transient_search(0, 2);
-    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(1), Some(plan));
     cluster.add_texture(0, &features(0, 128)).unwrap();
     let out = cluster.search(&query_for(0), 1);
     assert!(!out.degraded, "{out:?}");
@@ -1155,9 +1144,9 @@ fn replay_stall_is_accounted_into_shard_wall_time() {
 /// `/metrics` as on `/stats`.
 #[test]
 fn faults_injected_gauge_counts_faults_outside_searches() {
-    let reg = Registry::new();
     let plan = FaultPlan::new(23).lose_kv_reads(1);
-    let cluster = Cluster::with_faults_in_registry(small_config(1), Some(plan), &reg);
+    let cluster = Cluster::with_faults(small_config(1), Some(plan));
+    let reg = cluster.registry();
     cluster.add_texture(0, &features(0, 64)).unwrap();
     assert_eq!(cluster.get_texture(0).unwrap_err(), ClusterError::NotFound(0));
     cluster.refresh_gauges(); // what the `/metrics` scrape runs
@@ -1246,11 +1235,10 @@ fn pool_workers_survive_more_crashed_legs_than_there_are_workers() {
 /// Dropping a cluster stops and joins its leg workers.
 #[test]
 fn dropping_clusters_leaves_no_leg_worker_behind() {
-    let registry = texid_obs::Registry::new();
     let query = features(1, 32);
     let handles: Vec<_> = (0..50)
         .map(|_| {
-            let cluster = Cluster::with_faults_in_registry(small_config(2), None, &registry);
+            let cluster = Cluster::new(small_config(2));
             // The first search starts the workers.
             assert_eq!(cluster.search(&query, 1).shards_ok, 2);
             let live = cluster.pool.liveness();
@@ -1358,8 +1346,8 @@ fn concurrent_searches_rewrites_and_heals_all_return() {
 /// 30 ms or more).
 #[test]
 fn lock_wait_counts_the_time_a_writer_holds_the_shard() {
-    let reg = Registry::new();
-    let cluster = Arc::new(Cluster::with_faults_in_registry(small_config(1), None, &reg));
+    let cluster = Arc::new(Cluster::new(small_config(1)));
+    let reg = cluster.registry();
     for id in 0..4u64 {
         cluster.add_texture(id, &features(id, 128)).unwrap();
     }

@@ -8,7 +8,7 @@ use texid_knn::geometry::{verify_matches, RansacParams};
 use texid_knn::{good_matches, score_batch_packed, FeatureBlock, MatchConfig, RATIO_THRESHOLD};
 use texid_linalg::kernel::NC;
 use texid_linalg::{active_backend, Top2};
-use texid_obs::{global_ring, TraceContext};
+use texid_obs::TraceContext;
 use texid_sift::descriptor::DESCRIPTOR_DIM;
 use texid_sift::FeatureMatrix;
 
@@ -109,7 +109,7 @@ impl Cluster {
         parent: Option<&TraceContext>,
     ) -> Vec<Top2> {
         let span =
-            parent.map(|p| global_ring().span(&p.child(), "verify.sweep").tag("track", "cluster"));
+            parent.map(|p| self.ring.span(&p.child(), "verify.sweep").tag("track", "cluster"));
         let (cfg, be) = (*cfg, active_backend());
         let r = reference.into_precision(cfg.precision, cfg.scale);
         let (rp, m) = (r.fit_cols(r.cols().max(2)).pack_refs(be), r.cols().max(2));

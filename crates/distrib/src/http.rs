@@ -18,7 +18,8 @@
 //! clients beyond [`PoolConfig::workers`] waits in a queue of at most
 //! [`PoolConfig::queue_depth`] connections, beyond which the server sheds
 //! load with an immediate 503 instead of spawning unbounded threads. Queue
-//! occupancy is exported as the `texid_search_queue_depth` gauge.
+//! occupancy is exported as the `texid_search_queue_depth` gauge, in the
+//! registry the server is spawned with.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use texid_obs::Registry;
 
 /// Largest accepted request body. A full 384-feature matrix is ~200 KiB on
 /// the wire (~270 KiB base64 inside JSON), so 64 MiB leaves two orders of
@@ -388,26 +390,20 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and serve `handler`
-    /// with the default worker pool ([`PoolConfig::default`]).
-    pub fn spawn(
-        addr: &str,
-        handler: Arc<dyn Fn(&Request) -> Response + Send + Sync>,
-    ) -> std::io::Result<HttpServer> {
-        HttpServer::spawn_pooled(addr, handler, PoolConfig::default())
-    }
-
-    /// [`HttpServer::spawn`] with explicit pool sizing: a background accept
-    /// loop feeds a bounded queue drained by `pool.workers` handler
-    /// threads. A connection arriving with the queue full is answered 503
-    /// from the accept thread instead of waiting unboundedly.
+    /// Bind `addr` (use port 0 for an ephemeral port) and serve `handler`:
+    /// a background accept loop feeds a bounded queue drained by
+    /// `pool.workers` handler threads. A connection arriving with the queue
+    /// full is answered 503 from the accept thread instead of waiting
+    /// unboundedly. The queue's depth is the `texid_search_queue_depth`
+    /// gauge in `reg`.
     ///
     /// # Panics
     /// Panics if `pool.workers` is zero.
-    pub fn spawn_pooled(
+    pub fn spawn(
         addr: &str,
         handler: Arc<dyn Fn(&Request) -> Response + Send + Sync>,
         pool: PoolConfig,
+        reg: &Registry,
     ) -> std::io::Result<HttpServer> {
         assert!(pool.workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(addr)?;
@@ -418,7 +414,7 @@ impl HttpServer {
         let (tx, rx) = sync_channel::<TcpStream>(pool.queue_depth.max(1));
         let rx: Arc<Mutex<Receiver<TcpStream>>> = Arc::new(Mutex::new(rx));
         let depth = Arc::new(AtomicUsize::new(0));
-        let depth_gauge = texid_obs::global().gauge(
+        let depth_gauge = reg.gauge(
             "texid_search_queue_depth",
             "Accepted connections queued for a free HTTP worker thread.",
             &[],
@@ -596,6 +592,8 @@ mod tests {
                     ),
                 )
             }),
+            PoolConfig::default(),
+            &Registry::new(),
         )
         .unwrap()
     }
@@ -644,7 +642,7 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
         let server = {
             let gate = gate.clone();
-            HttpServer::spawn_pooled(
+            HttpServer::spawn(
                 "127.0.0.1:0",
                 Arc::new(move |_req: &Request| {
                     let (lock, cv) = &*gate;
@@ -655,6 +653,7 @@ mod tests {
                     Response::json(200, "{}".to_string())
                 }),
                 PoolConfig { workers: 1, queue_depth: 1 },
+                &Registry::new(),
             )
             .unwrap()
         };
@@ -730,7 +729,7 @@ mod tests {
             let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
             let (entered, parked) = std::sync::mpsc::channel();
             let handler_gate = gate.clone();
-            let server = HttpServer::spawn_pooled(
+            let server = HttpServer::spawn(
                 "127.0.0.1:0",
                 Arc::new(move |_req: &Request| {
                     let _ = entered.send(());
@@ -742,6 +741,7 @@ mod tests {
                     Response::json(200, "{}".to_string())
                 }),
                 PoolConfig { workers: 1, queue_depth: 1 },
+                &Registry::new(),
             )
             .unwrap();
             let request = |path: &str| {
@@ -831,13 +831,14 @@ mod tests {
 
     #[test]
     fn a_panicking_handler_costs_a_500_not_a_worker() {
-        let server = HttpServer::spawn_pooled(
+        let server = HttpServer::spawn(
             "127.0.0.1:0",
             Arc::new(|req: &Request| {
                 assert_ne!(req.path, "/boom", "a handler bug");
                 Response::json(200, "{}".to_string())
             }),
             PoolConfig { workers: 2, queue_depth: 4 },
+            &Registry::new(),
         )
         .unwrap();
         // One more panic than there are workers, each answered; then an
@@ -972,6 +973,8 @@ mod tests {
                 let echoed = req.header("x-texid-trace-id").unwrap_or("none").to_string();
                 Response::json(200, "{}".to_string()).with_header("X-Texid-Trace-Id", &echoed)
             }),
+            PoolConfig::default(),
+            &Registry::new(),
         )
         .unwrap();
         let resp = http_call_with_headers(
@@ -994,6 +997,8 @@ mod tests {
                 Response::json(405, r#"{"error":"method not allowed"}"#.to_string())
                     .with_header("Allow", "GET, HEAD")
             }),
+            PoolConfig::default(),
+            &Registry::new(),
         )
         .unwrap();
         let resp = http_call(server.addr(), "PATCH", "/x", b"").unwrap();

@@ -105,19 +105,19 @@ avx512  POST /textures              45    1150075     819830
 avx512  PUT /textures/{id}          39    1050994     819822
 avx512  GET /textures/{id}          49     925574     654737
 avx512  DELETE /textures/{id}       20        668        506
-avx512  POST /search               390    2227998    1585616
+avx512  POST /search               384    2227861    1585616
 avx512  POST /verify               137    2469531    1435652
 avx2    POST /textures              45    1150075     819830
 avx2    PUT /textures/{id}          39    1050994     819822
 avx2    GET /textures/{id}          49     925574     654737
 avx2    DELETE /textures/{id}       20        668        506
-avx2    POST /search               390    2228000    1585616
+avx2    POST /search               384    2227859    1585616
 avx2    POST /verify               137    2469531    1435652
 scalar  POST /textures              45    1248635     819830
 scalar  PUT /textures/{id}          39    1051250     819822
 scalar  GET /textures/{id}          49     925574     654737
 scalar  DELETE /textures/{id}       20        668        506
-scalar  POST /search               390    2228000    1585616
+scalar  POST /search               384    2227862    1585616
 scalar  POST /verify               137    2568091    1513912
 ";
 

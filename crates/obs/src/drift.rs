@@ -15,7 +15,7 @@
 //! item 5 (a host cost model fitted from `texid bench kernels`, against
 //! measured wall time) is what would make the ratio host-meaningful.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::metrics::{Counter, Gauge};
 use crate::{Registry, Stage, STAGE_TOTAL};
@@ -96,7 +96,7 @@ impl DriftSentry {
                 continue;
             }
             let r = measured / predicted;
-            let mut state = slot.state.lock().unwrap();
+            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
             if state.1 {
                 state.0 += DRIFT_EWMA_ALPHA * (r - state.0);
             } else {
@@ -113,7 +113,7 @@ impl DriftSentry {
             .iter()
             .map(|s| DriftStatus {
                 stage: s.stage.to_string(),
-                ratio: s.state.lock().unwrap().0,
+                ratio: s.state.lock().unwrap_or_else(PoisonError::into_inner).0,
                 samples: s.samples.get(),
             })
             .collect()

@@ -15,13 +15,11 @@
 //! complement to metrics (aggregates, no context) and traces (context,
 //! but sampled by id).
 
-use std::sync::OnceLock;
-
 use crate::metrics::Counter;
 use crate::ring::Ring;
 use crate::StageUs;
 
-/// Default capacity of the global flight-recorder ring.
+/// Capacity of a cluster's flight-recorder ring.
 pub const DEFAULT_EVENT_RING_CAPACITY: usize = 1024;
 
 /// One per-query wide event, filed once the search has finished as a
@@ -31,7 +29,8 @@ pub const DEFAULT_EVENT_RING_CAPACITY: usize = 1024;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WideEvent {
     /// Monotonic sequence number assigned by the ring at record time.
-    /// Strictly increasing across the process; gaps indicate drops.
+    /// Strictly increasing within its ring (one per cluster); gaps
+    /// indicate drops.
     pub seq: u64,
     /// Trace id of the query (0 when the query was not traced).
     pub trace_id: u128,
@@ -82,16 +81,10 @@ pub struct EventRing {
 }
 
 impl EventRing {
-    /// A ring holding at most `capacity` events, with unregistered
-    /// (free-standing) drop/record counters.
-    pub fn new(capacity: usize) -> Self {
-        EventRing { ring: Ring::new(capacity, Counter::default()), recorded: Counter::default() }
-    }
-
-    /// Same, but drop/record counters registered as
-    /// `texid_events_dropped_total` / `texid_events_recorded_total` in
-    /// `reg`.
-    pub fn with_registry(capacity: usize, reg: &crate::Registry) -> Self {
+    /// A ring holding at most `capacity` events, its drop/record counters
+    /// registered as `texid_events_dropped_total` /
+    /// `texid_events_recorded_total` in `reg`.
+    pub fn new(capacity: usize, reg: &crate::Registry) -> Self {
         let dropped = reg.counter(
             "texid_events_dropped",
             "Wide events lost to flight-recorder ring overwrite or slot contention.",
@@ -103,11 +96,6 @@ impl EventRing {
             &[],
         );
         EventRing { ring: Ring::new(capacity, dropped), recorded }
-    }
-
-    /// Number of slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 
     /// Total records lost so far.
@@ -140,20 +128,13 @@ impl EventRing {
     }
 }
 
-/// Process-wide flight recorder backing `GET /events`, with its counters
-/// registered in [`crate::global()`].
-pub fn global_events() -> &'static EventRing {
-    static GLOBAL: OnceLock<EventRing> = OnceLock::new();
-    GLOBAL.get_or_init(|| EventRing::with_registry(DEFAULT_EVENT_RING_CAPACITY, crate::global()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_is_sorted_and_seq_gaps_reveal_drops() {
-        let ring = EventRing::new(3);
+        let ring = EventRing::new(3, &crate::Registry::new());
         for _ in 0..5 {
             ring.record(WideEvent::default());
         }

@@ -23,19 +23,20 @@
 //!    `_total`-suffixed counters, cumulative `_bucket{le=...}` histogram
 //!    series with `_sum` / `_count`, and escaped label values.
 //!
-//! The process-wide registry is [`global`]; every instrumented crate
-//! (`texid-core`, `texid-cache`, `texid-distrib`, `texid-sift`)
-//! registers against it, and `texid-distrib`'s REST API
-//! serves it as `GET /metrics`. The full metric catalog lives in
-//! `OBSERVABILITY.md` at the repository root.
+//! There is no process-wide registry.
+//! `texid-distrib`'s `Cluster` builds a [`Registry`], a [`TraceRing`] and an
+//! [`EventRing`] per cluster; its shards, their engines and caches report
+//! into them, and its REST API serves them as `GET /metrics`, `/traces` and
+//! `/events`. The full metric catalog lives in `OBSERVABILITY.md` at the
+//! repository root.
 //!
 //! Metrics answer *what regressed*; the tracing layer answers *where the
 //! time went*: [`TraceContext`] propagates a 128-bit trace id from the
 //! REST edge through the scatter-gather into every shard leg, finished
-//! spans land in the bounded [`TraceRing`] ([`global_ring`], overflow
-//! counted in `texid_trace_events_dropped_total`), and [`ChromeTrace`]
-//! renders a served request's span tree (`texid trace`) as a
-//! Perfetto-loadable timeline. Wall-clock and sim-clock events live in
+//! spans land in the bounded [`TraceRing`] (overflow counted in
+//! `texid_trace_events_dropped_total`), and [`ChromeTrace`] renders a
+//! served request's span tree (`texid trace`) as a Perfetto-loadable
+//! timeline. Wall-clock and sim-clock events live in
 //! separate trace processes so the two clocks are never conflated
 //! (OBSERVABILITY.md, "Tracing").
 //!
@@ -51,6 +52,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 mod chrome;
 mod drift;
@@ -66,22 +71,22 @@ mod trace;
 
 pub use chrome::ChromeTrace;
 pub use drift::{DriftSentry, DriftStatus, DRIFT_EWMA_ALPHA, DRIFT_STAGES};
-pub use events::{global_events, EventRing, WideEvent, DEFAULT_EVENT_RING_CAPACITY};
+pub use events::{EventRing, WideEvent, DEFAULT_EVENT_RING_CAPACITY};
 pub use histogram::{Histogram, DEFAULT_LATENCY_BUCKETS_US};
 pub use metrics::{Counter, Gauge};
 pub use registry::{MetricKind, Registry};
 pub use slo::{SloEngine, SloKind, SloSpec, SloStatus, FAST_BURN_THRESHOLD};
 pub use span::Span;
 pub use trace::{
-    global_ring, wall_now_us, Clock, SpanRecord, TraceContext, TraceRing, TraceSpan,
-    TraceSummary, DEFAULT_TRACE_RING_CAPACITY, TRACE_HEADER,
+    wall_now_us, Clock, SpanRecord, TraceContext, TraceRing, TraceSpan, TraceSummary,
+    DEFAULT_TRACE_RING_CAPACITY, TRACE_HEADER,
 };
 
 use std::ops::{AddAssign, Index, IndexMut};
 use std::sync::OnceLock;
 
 /// Name of the unified per-stage latency histogram family. Labels:
-/// `stage` (e.g. `extract`, `encode`, `gemm`, `top2`, `h2d`, `d2h`,
+/// `stage` (e.g. `encode`, `gemm`, `top2`, `h2d`, `d2h`,
 /// `post`, `total`) and `clock` (`wall` for measured host time, `sim` for
 /// simulated device time). Units: microseconds.
 pub const STAGE_DURATION: &str = "texid_stage_duration_us";
@@ -181,15 +186,6 @@ impl AddAssign for StageUs {
 /// The `stage` label of the whole-search series beside the per-stage ones.
 pub const STAGE_TOTAL: &str = "total";
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry every instrumented crate reports into and
-/// `GET /metrics` renders. Handles are cheap clones of `Arc`s, so cache
-/// them at construction time rather than re-looking them up per event.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
 /// Wall-clock microsecond timestamp of the first call — the process
 /// start, as far as uptime accounting is concerned.
 fn process_start_us() -> f64 {
@@ -198,12 +194,10 @@ fn process_start_us() -> f64 {
 }
 
 /// Register (idempotently) and refresh the process-identity metrics in
-/// [`global`]: `texid_build_info{version,git_sha}` — a constant-1
-/// info-style gauge whose labels say what is running — and
-/// `texid_uptime_seconds`. Call before rendering a scrape so uptime is
-/// current.
-pub fn touch_process_metrics() {
-    let reg = global();
+/// `reg`: `texid_build_info{version,git_sha}` — a constant-1 info-style
+/// gauge whose labels say what is running — and `texid_uptime_seconds`.
+/// Call before rendering a scrape so uptime is current.
+pub fn touch_process_metrics(reg: &Registry) {
     reg.gauge(
         "texid_build_info",
         "Constant 1; the version and git_sha labels identify the running build.",

@@ -1,6 +1,7 @@
 //! Prometheus text-format (version 0.0.4) exposition.
 
 use std::fmt::Write as _;
+use std::sync::PoisonError;
 
 use crate::registry::{Instrument, Registry};
 use crate::MetricKind;
@@ -63,7 +64,7 @@ impl Registry {
     /// Output order is deterministic (sorted by family name, then label
     /// set), so scrapes diff cleanly.
     pub fn render_prometheus(&self) -> String {
-        let families = self.inner.families.lock().unwrap();
+        let families = self.inner.families.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for (name, family) in families.iter() {
             let kind = match family.kind {

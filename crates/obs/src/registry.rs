@@ -1,7 +1,7 @@
-//! Metric registration and the process-wide family map.
+//! Metric registration and the family map one registry holds.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge};
@@ -44,9 +44,10 @@ pub(crate) struct Inner {
 ///
 /// Registration (`counter` / `gauge` / `histogram`) takes a mutex and may
 /// allocate — do it once at construction time and cache the returned
-/// handles; the handles themselves are lock-free on the hot path. Most
-/// code uses the process-wide [`crate::global`] registry; tests that need
-/// exact-count isolation construct a private one.
+/// handles; the handles themselves are lock-free on the hot path. There
+/// is no process-wide instance: each served cluster owns one, and its
+/// shards, engines, caches and HTTP server register there, so two clusters
+/// in one process never share a count.
 #[derive(Clone)]
 pub struct Registry {
     pub(crate) inner: Arc<Inner>,
@@ -89,6 +90,7 @@ impl Registry {
         });
         match inst {
             Instrument::Counter(c) => c,
+            #[expect(clippy::unreachable, reason = "register() asserts the family is a counter")]
             _ => unreachable!("kind checked in register()"),
         }
     }
@@ -104,6 +106,7 @@ impl Registry {
         });
         match inst {
             Instrument::Gauge(g) => g,
+            #[expect(clippy::unreachable, reason = "register() asserts the family is a gauge")]
             _ => unreachable!("kind checked in register()"),
         }
     }
@@ -135,6 +138,7 @@ impl Registry {
         });
         match inst {
             Instrument::Histogram(h) => h,
+            #[expect(clippy::unreachable, reason = "register() asserts the family is a histogram")]
             _ => unreachable!("kind checked in register()"),
         }
     }
@@ -164,7 +168,7 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         key.sort();
-        let mut families = self.inner.families.lock().unwrap();
+        let mut families = self.inner.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,

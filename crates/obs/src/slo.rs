@@ -17,7 +17,7 @@
 //! windows tick on the host wall clock. A latency objective on wall time
 //! waits for the engine to measure wall phases (ROADMAP item 1).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::metrics::{Counter, Gauge};
 use crate::trace::wall_now_us;
@@ -188,7 +188,7 @@ impl SloEngine {
                 SloKind::Availability => available,
             };
             {
-                let mut buckets = slo.buckets.lock().unwrap();
+                let mut buckets = slo.buckets.lock().unwrap_or_else(PoisonError::into_inner);
                 let cap = buckets.len() as u64;
                 let b = &mut buckets[(sec % cap) as usize];
                 if b.0 != sec {
@@ -244,7 +244,7 @@ impl TrackedSlo {
     /// as of second `sec`.
     fn burn_at(&self, sec: u64) -> (f64, f64, f64, (u64, u64)) {
         let allowed = 1.0 - self.spec.target;
-        let buckets = self.buckets.lock().unwrap();
+        let buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
         let window = |span: u64| -> (u64, u64) {
             let oldest = sec.saturating_sub(span.saturating_sub(1));
             buckets

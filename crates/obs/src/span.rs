@@ -13,18 +13,19 @@ use crate::histogram::Histogram;
 /// overhead: two clock reads plus one relaxed histogram observe per span.
 ///
 /// ```
-/// use texid_obs::Span;
+/// use texid_obs::{Registry, Span};
 ///
+/// let registry = Registry::new();
+/// let encode = registry.stage_duration("encode", "wall");
 /// {
-///     let _span = Span::enter("encode");
+///     let _span = Span::with(encode.clone());
 ///     // ... do the work being timed ...
 /// } // histogram updated here
-/// assert!(texid_obs::global().stage_duration("encode", "wall").count() >= 1);
+/// assert_eq!(encode.count(), 1);
 /// ```
 ///
-/// Hot loops that cannot afford the global-registry lookup in
-/// [`Span::enter`] should cache the histogram handle at construction and
-/// use [`Span::with`] instead.
+/// The histogram handle is registered once, at construction, by whoever
+/// owns the registry; timing a span takes no lock.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span {
     hist: Histogram,
@@ -32,15 +33,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// Start timing `stage` against the [`crate::global`] registry.
-    /// Registration is idempotent, but it does take the registry mutex —
-    /// fine at request granularity, not per-descriptor.
-    pub fn enter(stage: &str) -> Span {
-        Span::with(crate::global().stage_duration(stage, "wall"))
-    }
-
     /// Start timing against an already-registered histogram handle
-    /// (lock-free; use this from hot paths).
+    /// (lock-free).
     pub fn with(hist: Histogram) -> Span {
         Span {
             hist,

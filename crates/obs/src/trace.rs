@@ -29,7 +29,7 @@ use crate::Registry;
 /// echoes it on every response.
 pub const TRACE_HEADER: &str = "X-Texid-Trace-Id";
 
-/// Default capacity of the process-wide [`global_ring`]. A traced
+/// Capacity of a cluster's trace ring. A traced
 /// 14-shard search records ~100 spans (request, cluster, one leg plus six
 /// engine stages per shard, retries), so 4096 slots hold the last ~40
 /// searches before overwrites begin.
@@ -379,16 +379,6 @@ impl Drop for TraceSpan<'_> {
             tags: std::mem::take(&mut self.tags),
         });
     }
-}
-
-static GLOBAL_RING: OnceLock<TraceRing> = OnceLock::new();
-
-/// The process-wide trace ring every instrumented crate records into and
-/// the REST `/trace` routes read. Its dropped counter registers in
-/// [`crate::global`] on first use, so `/metrics` always exports
-/// `texid_trace_events_dropped_total` once tracing is active.
-pub fn global_ring() -> &'static TraceRing {
-    GLOBAL_RING.get_or_init(|| TraceRing::new(DEFAULT_TRACE_RING_CAPACITY, crate::global()))
 }
 
 #[cfg(test)]

@@ -130,7 +130,6 @@ impl FeatureMatrix {
 /// Run the full SIFT pipeline on `image` and keep the strongest
 /// `config.max_features` features.
 pub fn extract(image: &GrayImage, config: &SiftConfig) -> FeatureMatrix {
-    let _span = texid_obs::Span::enter("extract");
     let pyr = if config.upscale {
         Pyramid::build_upscaled(
             image,

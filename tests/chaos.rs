@@ -381,8 +381,8 @@ fn durability_chaos_is_deterministic() {
 /// Fault accounting is exactly-once: every retry attempt bumps the one
 /// retry counter that `/stats` and `/metrics` read, a degraded search is
 /// counted once no matter how many legs failed, and per-shard failures
-/// count one per failed leg. Private registries keep the numbers exact even when
-/// other tests in this process hit the global registry concurrently.
+/// count one per failed leg. Each cluster counts into its own registry, so
+/// the numbers are exact whatever else this process runs.
 #[test]
 fn fault_events_are_recorded_exactly_once() {
     use texid_obs::Registry;
@@ -394,51 +394,51 @@ fn fault_events_are_recorded_exactly_once() {
 
     // Two transient faults inside the retry budget: exactly two retries,
     // zero degraded searches, zero leg failures.
-    let reg = Registry::new();
     let plan = FaultPlan::new(3).transient_search(0, 2);
-    let cluster = Cluster::with_faults_in_registry(chaos_config(2), Some(plan), &reg);
+    let cluster = Cluster::with_faults(chaos_config(2), Some(plan));
+    let reg = cluster.registry();
     populate(&cluster, 4);
     let out = cluster.search(&query_features(0), 2);
     assert!(!out.degraded);
     let stats = cluster.stats();
     assert_eq!(stats.retries, 2);
-    assert_eq!(counter(&reg, "texid_cluster_retries", &[]), 2);
-    assert_eq!(counter(&reg, "texid_cluster_degraded_searches", &[]), 0);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "0")]), 0);
+    assert_eq!(counter(reg, "texid_cluster_retries", &[]), 2);
+    assert_eq!(counter(reg, "texid_cluster_degraded_searches", &[]), 0);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "0")]), 0);
 
     // More transients than the budget: retries stop at max_retries, the
     // leg fails once, and the search degrades once.
-    let reg = Registry::new();
     let budget = Backoff::MAX_RETRIES as u64;
     let plan = FaultPlan::new(3).transient_search(0, 10);
-    let cluster = Cluster::with_faults_in_registry(chaos_config(2), Some(plan), &reg);
+    let cluster = Cluster::with_faults(chaos_config(2), Some(plan));
+    let reg = cluster.registry();
     populate(&cluster, 4);
     let out = cluster.search(&query_features(0), 2);
     assert!(out.degraded);
     assert_eq!(out.shards_failed, 1);
     let stats = cluster.stats();
     assert_eq!(stats.retries, budget);
-    assert_eq!(counter(&reg, "texid_cluster_retries", &[]), budget);
-    assert_eq!(counter(&reg, "texid_cluster_degraded_searches", &[]), 1);
+    assert_eq!(counter(reg, "texid_cluster_retries", &[]), budget);
+    assert_eq!(counter(reg, "texid_cluster_degraded_searches", &[]), 1);
     assert_eq!(stats.degraded_searches, 1);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "0")]), 1);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "1")]), 0);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "0")]), 1);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "1")]), 0);
 
     // Two shards crash in one search: two leg failures, but still exactly
     // one degraded-search event.
-    let reg = Registry::new();
     let plan = FaultPlan::new(9).crash_shard(0).crash_shard(1);
-    let cluster = Cluster::with_faults_in_registry(chaos_config(3), Some(plan), &reg);
+    let cluster = Cluster::with_faults(chaos_config(3), Some(plan));
+    let reg = cluster.registry();
     populate(&cluster, 6);
     let out = cluster.search(&query_features(2), 3);
     assert!(out.degraded);
     assert_eq!(out.shards_failed, 2);
-    assert_eq!(counter(&reg, "texid_cluster_degraded_searches", &[]), 1);
+    assert_eq!(counter(reg, "texid_cluster_degraded_searches", &[]), 1);
     assert_eq!(cluster.stats().degraded_searches, 1);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "0")]), 1);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "1")]), 1);
-    assert_eq!(counter(&reg, "texid_shard_failures", &[("shard", "2")]), 0);
-    assert_eq!(counter(&reg, "texid_cluster_retries", &[]), 0);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "0")]), 1);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "1")]), 1);
+    assert_eq!(counter(reg, "texid_shard_failures", &[("shard", "2")]), 0);
+    assert_eq!(counter(reg, "texid_cluster_retries", &[]), 0);
 }
 
 /// Same seed => same failure sequence, observable end to end.
@@ -484,7 +484,6 @@ fn fault_injection_is_deterministic() {
 #[test]
 fn concurrent_chaos_reproduces_the_serial_run() {
     use std::sync::Barrier;
-    use texid_obs::Registry;
     const SHARDS: usize = 4;
     const CLIENTS: usize = 4;
     const SEARCHES: usize = 12;
@@ -504,9 +503,9 @@ fn concurrent_chaos_reproduces_the_serial_run() {
             resilience: ResilienceConfig { trip_threshold: SEARCHES as u32 },
             ..chaos_config(SHARDS)
         };
-        let reg = Registry::new();
         let plan = FaultPlan::chaos(0xc0c0, probs);
-        let cluster = Cluster::with_faults_in_registry(config, Some(plan), &reg);
+        let cluster = Cluster::with_faults(config, Some(plan));
+        let reg = cluster.registry();
         for (id, features) in refs.iter().enumerate() {
             // Enrolment is serial in every run, so a write the plan refuses
             // (transients past the retry budget) is refused in all of them.

@@ -13,14 +13,11 @@
 //!    `GET /trace/{id}` (the span tree) and the matching flight-recorder
 //!    record on `GET /events`.
 //!
-//! Both tests share one server (the registry is process-global) and a
-//! mutex so the exemplar test's search is the only traced search in this
-//! process — the slowest-bucket exemplar is then deterministic.
+//! Each test serves a cluster of its own, and a cluster's surfaces read
+//! only its own registry and rings: the exemplar test's search is the only
+//! search its cluster runs, so the slowest-bucket exemplar is deterministic.
 
 use std::collections::BTreeSet;
-use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 use std::sync::Arc;
 use texid_core::EngineConfig;
 use texid_distrib::api;
@@ -32,38 +29,28 @@ use texid_distrib::wire;
 use texid_image::TextureGenerator;
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
-struct Harness {
-    addr: SocketAddr,
-    _server: HttpServer,
-}
-
-/// One server for the whole binary; no traced searches happen here.
-fn harness() -> (&'static Harness, MutexGuard<'static, ()>) {
-    static HARNESS: OnceLock<Harness> = OnceLock::new();
-    static GATE: Mutex<()> = Mutex::new(());
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let h = HARNESS.get_or_init(|| {
-        let cluster = Arc::new(Cluster::new(ClusterConfig {
-            containers: 2,
-            engine: EngineConfig {
-                m_ref: 128,
-                n_query: 256,
-                batch_size: 2,
-                streams: 1,
-                ..EngineConfig::default()
-            },
-            ..ClusterConfig::default()
-        }));
-        let server = api::serve(cluster, "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        for id in 0..4u64 {
-            let payload = b64::encode(&wire::encode_features(&features(id, 128)));
-            let body = format!(r#"{{"id": {id}, "features": "{payload}"}}"#);
-            assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
-        }
-        Harness { addr, _server: server }
-    });
-    (h, guard)
+/// A 2-container cluster with four enrolled textures, served; no search
+/// has run.
+fn served() -> HttpServer {
+    let cluster = Arc::new(Cluster::new(ClusterConfig {
+        containers: 2,
+        engine: EngineConfig {
+            m_ref: 128,
+            n_query: 256,
+            batch_size: 2,
+            streams: 1,
+            ..EngineConfig::default()
+        },
+        ..ClusterConfig::default()
+    }));
+    let server = api::serve(cluster, "127.0.0.1:0").unwrap();
+    for id in 0..4u64 {
+        let payload = b64::encode(&wire::encode_features(&features(id, 128)));
+        let body = format!(r#"{{"id": {id}, "features": "{payload}"}}"#);
+        let resp = http_call(server.addr(), "POST", "/textures", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201);
+    }
+    server
 }
 
 fn features(seed: u64, n: usize) -> FeatureMatrix {
@@ -77,8 +64,8 @@ fn features(seed: u64, n: usize) -> FeatureMatrix {
 /// cell of catalog table rows are the ground truth for "documented".
 #[test]
 fn metrics_catalog_matches_live_registry_both_ways() {
-    let (h, _guard) = harness();
-    let resp = http_call(h.addr, "GET", "/metrics", b"").unwrap();
+    let server = served();
+    let resp = http_call(server.addr(), "GET", "/metrics", b"").unwrap();
     assert_eq!(resp.status, 200);
     let exposed: BTreeSet<String> = resp
         .text()
@@ -118,12 +105,13 @@ fn metrics_catalog_matches_live_registry_both_ways() {
 /// retrieves the span tree → the flight recorder holds the wide event.
 #[test]
 fn slow_bucket_exemplar_links_scrape_to_trace_and_event() {
-    let (h, _guard) = harness();
+    let server = served();
+    let addr = server.addr();
     let tid = "00000000000000000000000000facade";
     let payload = b64::encode(&wire::encode_features(&features(1, 256)));
     let body = format!(r#"{{"features": "{payload}", "top": 2}}"#);
     let resp = http_call_with_headers(
-        h.addr,
+        addr,
         "POST",
         "/search",
         &[("X-Texid-Trace-Id", tid)],
@@ -133,9 +121,9 @@ fn slow_bucket_exemplar_links_scrape_to_trace_and_event() {
     assert_eq!(resp.status, 200, "{}", resp.text());
 
     // Scrape and find the largest exemplar on the stage-latency buckets —
-    // the slowest thing any search did. This binary runs exactly one
-    // traced search, so it must be ours, on the stage="total" track.
-    let metrics = http_call(h.addr, "GET", "/metrics", b"").unwrap().text();
+    // the slowest thing any search did. This cluster ran exactly one
+    // search, so it must be ours, on the stage="total" track.
+    let metrics = http_call(addr, "GET", "/metrics", b"").unwrap().text();
     let mut slowest: Option<(f64, String, String)> = None;
     for line in metrics.lines() {
         if !line.starts_with("texid_stage_duration_us_bucket{") {
@@ -158,7 +146,7 @@ fn slow_bucket_exemplar_links_scrape_to_trace_and_event() {
     assert!(line.contains(r#"stage="total""#), "slowest stage is the end-to-end total: {line}");
 
     // The exemplar's id retrieves the span tree for that very search.
-    let resp = http_call(h.addr, "GET", &format!("/trace/{exemplar_tid}"), b"").unwrap();
+    let resp = http_call(addr, "GET", &format!("/trace/{exemplar_tid}"), b"").unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
     let v = parse(&resp.text()).unwrap();
     assert_eq!(v.get("trace_id").and_then(Json::as_str), Some(tid));
@@ -176,13 +164,11 @@ fn slow_bucket_exemplar_links_scrape_to_trace_and_event() {
     assert_eq!(legs.len(), 2, "one leg per shard");
 
     // And the flight recorder holds the same search as a wide event.
-    let events = http_call(h.addr, "GET", "/events", b"").unwrap().text();
-    let record = events
-        .lines()
-        .filter(|l| !l.is_empty())
-        .map(|l| parse(l).unwrap())
-        .find(|v| v.get("trace_id").and_then(Json::as_str) == Some(tid))
-        .expect("traced search filed a wide event");
+    let events = http_call(addr, "GET", "/events", b"").unwrap().text();
+    let lines: Vec<&str> = events.lines().collect();
+    assert_eq!(lines.len(), 1, "{events}");
+    let record = parse(lines[0]).unwrap();
+    assert_eq!(record.get("trace_id").and_then(Json::as_str), Some(tid));
     assert_eq!(record.get("outcome").and_then(Json::as_str), Some("ok"));
     assert_eq!(record.get("shards_ok").and_then(Json::as_u64), Some(2));
     assert!(record.get("sim_wall_us").and_then(Json::as_f64).unwrap() > 0.0);

@@ -8,11 +8,9 @@
 //! hit/miss counters, per-shard breaker gauges, retry/degraded counters,
 //! and the live Eq. 3 / Eq. 4 efficiency gauges.
 //!
-//! Counters here are asserted as *presence* or `>= n`, never exact counts:
-//! every cluster in this process reports into the shared
-//! [`texid_obs::global`] registry, so parallel tests may also bump them.
-//! Exact-count accounting is covered by `tests/chaos.rs` using private
-//! registries.
+//! Every cluster owns its registry, trace ring and event ring, and the
+//! server that serves it reads those: counts here are exact, and two
+//! clusters served side by side in one process never see each other's.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,11 +19,11 @@ use texid_core::EngineConfig;
 use texid_distrib::api;
 use texid_distrib::b64;
 use texid_distrib::cluster::{Cluster, ClusterConfig};
-use texid_distrib::http::http_call;
-use texid_distrib::json::parse;
+use texid_distrib::faults::FaultPlan;
+use texid_distrib::http::{http_call, http_call_with_headers};
+use texid_distrib::json::{parse, Json};
 use texid_distrib::wire;
 use texid_image::{CaptureCondition, TextureGenerator};
-use texid_obs::Registry;
 use texid_sift::{extract, FeatureMatrix, SiftConfig};
 
 fn small_config(containers: usize) -> ClusterConfig {
@@ -113,6 +111,13 @@ fn assert_present(samples: &[Sample], parts: &[&str]) {
     );
 }
 
+/// The one series matching `parts` reads `value`.
+fn assert_value(samples: &[Sample], parts: &[&str], value: f64) {
+    let found = series_with(samples, parts);
+    assert_eq!(found.len(), 1, "{parts:?} should match one series");
+    assert_eq!(found[0].value, value, "{}", found[0].series);
+}
+
 /// The acceptance criterion: `/metrics` returns valid Prometheus text
 /// carrying stage histograms, cache counters, breaker gauges,
 /// retry/degraded counters, and the Eq. 3 / Eq. 4 gauges.
@@ -145,19 +150,20 @@ fn metrics_endpoint_serves_complete_prometheus_text() {
     let samples = parse_exposition(&body);
     assert!(!samples.is_empty(), "empty scrape");
 
-    // Stage latency histograms: measured wall-clock stages and the
-    // simulated GPU stages each expose cumulative buckets, sum, count.
-    for stage in ["extract", "encode"] {
-        let key = format!("stage=\"{stage}\"");
-        assert_present(&samples, &["texid_stage_duration_us_bucket{", "clock=\"wall\"", &key]);
-        let count = series_with(&samples, &["texid_stage_duration_us_count{", &key]);
-        assert!(count[0].value >= 1.0, "{stage} never observed");
-    }
-    for stage in ["h2d", "gemm", "top2", "d2h", "post", "total"] {
-        let key = format!("stage=\"{stage}\"");
-        assert_present(&samples, &["texid_stage_duration_us_bucket{", "clock=\"sim\"", &key]);
-        let count = series_with(&samples, &["texid_stage_duration_us_count{", &key]);
-        assert!(count[0].value >= 1.0, "{stage} never observed");
+    // Stage latency histograms: the measured wall-clock stage (one encode
+    // per search) and the simulated GPU stages (one per shard leg) each
+    // expose cumulative buckets, sum, count.
+    for (clock, stages, count) in [
+        ("wall", &["encode"][..], 1.0),
+        ("sim", &["h2d", "gemm", "top2", "d2h", "post", "total"][..], 2.0),
+    ] {
+        let clock = format!("clock=\"{clock}\"");
+        for stage in stages {
+            let key = format!("stage=\"{stage}\"");
+            assert_present(&samples, &["texid_stage_duration_us_bucket{", &clock, &key]);
+            let counted = series_with(&samples, &["texid_stage_duration_us_count{", &clock, &key]);
+            assert_eq!(counted[0].value, count, "{stage}");
+        }
     }
     // Histogram buckets are cumulative: +Inf bucket equals _count.
     let inf = series_with(
@@ -167,31 +173,27 @@ fn metrics_endpoint_serves_complete_prometheus_text() {
     let count = series_with(&samples, &["texid_stage_duration_us_count{", "stage=\"gemm\""]);
     assert_eq!(inf[0].value, count[0].value);
 
-    // Cache tier counters.
-    assert_present(&samples, &["texid_cache_hits_total{", "tier=\"device\""]);
-    assert_present(&samples, &["texid_cache_hits_total{", "tier=\"host\""]);
-    assert_present(&samples, &["texid_cache_inserts_total"]);
-    assert_present(&samples, &["texid_cache_evictions_total"]);
+    // Cache tier counters: each shard sealed its two references into one
+    // device batch, which the search swept once.
+    assert_value(&samples, &["texid_cache_hits_total{", "tier=\"device\""], 2.0);
+    assert_value(&samples, &["texid_cache_hits_total{", "tier=\"host\""], 0.0);
+    assert_value(&samples, &["texid_cache_inserts_total"], 2.0);
+    assert_value(&samples, &["texid_cache_evictions_total"], 0.0);
 
-    // Per-shard breaker gauges and failure/skip counters for both shards.
+    // Per-shard breaker gauges (healthy) and failure/skip counters for
+    // both shards.
     for shard in ["0", "1"] {
         let key = format!("shard=\"{shard}\"");
-        assert_present(&samples, &["texid_shard_breaker_state{", &key]);
-        assert_present(&samples, &["texid_shard_failures_total{", &key]);
-        assert_present(&samples, &["texid_shard_skips_total{", &key]);
-        assert_present(&samples, &["texid_shard_search_duration_us_bucket{", &key]);
+        assert_value(&samples, &["texid_shard_breaker_state{", &key], 0.0);
+        assert_value(&samples, &["texid_shard_failures_total{", &key], 0.0);
+        assert_value(&samples, &["texid_shard_skips_total{", &key], 0.0);
+        assert_value(&samples, &["texid_shard_search_duration_us_count{", &key], 1.0);
     }
-    let healthy = series_with(&samples, &["texid_shard_breaker_state{", "shard=\"0\""]);
-    assert!(
-        (0.0..=2.0).contains(&healthy[0].value),
-        "breaker gauge out of range: {}",
-        healthy[0].value
-    );
 
     // Cluster-level counters and the paper's efficiency gauges.
-    assert_present(&samples, &["texid_cluster_searches_total"]);
-    assert_present(&samples, &["texid_cluster_retries_total"]);
-    assert_present(&samples, &["texid_cluster_degraded_searches_total"]);
+    assert_value(&samples, &["texid_cluster_searches_total"], 1.0);
+    assert_value(&samples, &["texid_cluster_retries_total"], 0.0);
+    assert_value(&samples, &["texid_cluster_degraded_searches_total"], 0.0);
     for gauge in ["texid_schedule_efficiency", "texid_achieved_tflops", "texid_gpu_efficiency"] {
         let found = series_with(&samples, &[gauge]);
         assert!(!found.is_empty(), "{gauge} missing");
@@ -240,8 +242,7 @@ fn stats_folds_in_efficiency_summary() {
 /// search. Uses a private registry so values are this cluster's alone.
 #[test]
 fn efficiency_gauges_track_the_paper_equations() {
-    let reg = Registry::new();
-    let cluster = Cluster::with_faults_in_registry(small_config(2), None, &reg);
+    let cluster = Cluster::new(small_config(2));
     for id in 0..4u64 {
         cluster.add_texture(id, &reference_features(id)).unwrap();
     }
@@ -265,8 +266,117 @@ fn efficiency_gauges_track_the_paper_equations() {
     );
 
     // The same values are what the registry scrape reports.
-    let body = reg.render_prometheus();
+    let body = cluster.registry().render_prometheus();
     let samples = parse_exposition(&body);
     let sched = series_with(&samples, &["texid_schedule_efficiency"]);
     assert!((sched[0].value - stats.schedule_efficiency).abs() < 1e-12);
+}
+
+/// The sample of the series spelled exactly `series` (name and labels).
+fn sample(samples: &[Sample], series: &str) -> f64 {
+    let found: Vec<_> = samples.iter().filter(|s| s.series == series).collect();
+    assert_eq!(found.len(), 1, "{series} should be one series in the scrape");
+    found[0].value
+}
+
+/// Two clusters served side by side in one process, each surface of each
+/// server reading its own cluster: `a` takes two clean searches, the first
+/// traced; `b` takes one traced search under a fault plan (one transient
+/// retry on shard 0, a crash on shard 1). Every count, event and trace id
+/// either server shows belongs to its own cluster.
+#[test]
+fn two_served_clusters_each_report_only_their_own_traffic() {
+    const TRACE_A: &str = "a0000000000000000000000000000001";
+    const TRACE_B: &str = "b0000000000000000000000000000002";
+    let a = Arc::new(Cluster::new(small_config(2)));
+    let plan = FaultPlan::new(0x2c).transient_search(0, 1).crash_shard(1);
+    let b = Arc::new(Cluster::with_faults(small_config(2), Some(plan)));
+    let (server_a, server_b) =
+        (api::serve(a, "127.0.0.1:0").unwrap(), api::serve(b, "127.0.0.1:0").unwrap());
+    let (addr_a, addr_b) = (server_a.addr(), server_b.addr());
+
+    let enrol = |addr, ids: std::ops::Range<u64>| {
+        for id in ids {
+            let payload = b64::encode(&wire::encode_features(&reference_features(id)));
+            let body = format!(r#"{{"id": {id}, "features": "{payload}"}}"#);
+            assert_eq!(http_call(addr, "POST", "/textures", body.as_bytes()).unwrap().status, 201);
+        }
+    };
+    let search = |addr, query: u64, trace: Option<&str>| {
+        let payload = b64::encode(&wire::encode_features(&query_features(query)));
+        let body = format!(r#"{{"features": "{payload}", "top": 2}}"#);
+        let headers: Vec<(&str, &str)> =
+            trace.map(|t| ("X-Texid-Trace-Id", t)).into_iter().collect();
+        let resp =
+            http_call_with_headers(addr, "POST", "/search", &headers, body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    };
+    enrol(addr_a, 0..4);
+    enrol(addr_b, 4..6);
+    search(addr_a, 2, Some(TRACE_A));
+    search(addr_b, 5, Some(TRACE_B));
+    search(addr_a, 1, None);
+
+    let get = |addr, path: &str| {
+        let resp = http_call(addr, "GET", path, b"").unwrap();
+        (resp.status, resp.text())
+    };
+    let json = |addr, path: &str| {
+        let (status, text) = get(addr, path);
+        assert_eq!(status, 200, "{path}: {text}");
+        parse(&text).unwrap()
+    };
+    let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64).unwrap();
+
+    // (server, searches, retries, degraded, shard 1 failures, answered legs,
+    //  this server's trace, the other's)
+    for (addr, searches, retries, degraded, failed, legs, own, other) in [
+        (addr_a, 2.0, 0.0, 0.0, 0.0, 4.0, TRACE_A, TRACE_B),
+        (addr_b, 1.0, 1.0, 1.0, 1.0, 1.0, TRACE_B, TRACE_A),
+    ] {
+        let samples = parse_exposition(&get(addr, "/metrics").1);
+        let stats = json(addr, "/stats");
+        // `/metrics` and `/stats` are one fact per count.
+        assert_eq!(sample(&samples, "texid_cluster_searches_total"), searches);
+        assert_eq!(num(&stats, "total_searches"), searches);
+        assert_eq!(sample(&samples, "texid_cluster_retries_total"), retries);
+        assert_eq!(num(&stats, "retries"), retries);
+        assert_eq!(sample(&samples, "texid_cluster_degraded_searches_total"), degraded);
+        assert_eq!(num(&stats, "degraded_searches"), degraded);
+        assert_eq!(sample(&samples, r#"texid_shard_failures_total{shard="1"}"#), failed);
+        assert_eq!(sample(&samples, "texid_engine_searches_total"), legs);
+        let encode = r#"texid_stage_duration_us_count{clock="wall",stage="encode"}"#;
+        assert_eq!(sample(&samples, encode), searches, "one encode per search");
+        assert_eq!(sample(&samples, "texid_events_recorded_total"), searches);
+        assert_eq!(sample(&samples, "texid_search_queue_depth"), 0.0);
+        assert_eq!(sample(&samples, "texid_trace_events_dropped_total"), 0.0);
+
+        let health = json(addr, "/health");
+        let shards = health.get("shards").and_then(Json::as_arr).unwrap();
+        assert_eq!(num(&shards[1], "total_failures"), failed);
+
+        // The flight recorder holds this cluster's searches, in order.
+        let events: Vec<Json> =
+            get(addr, "/events").1.lines().map(|line| parse(line).unwrap()).collect();
+        assert_eq!(events.len() as f64, searches);
+        assert_eq!(events[0].get("trace_id").and_then(Json::as_str), Some(own));
+        assert_eq!(num(&events[0], "retries"), retries);
+        let seqs: Vec<f64> = events.iter().map(|e| num(e, "seq")).collect();
+        assert_eq!(seqs, (0..events.len()).map(|i| i as f64).collect::<Vec<_>>());
+
+        // The trace ring holds this cluster's requests only.
+        let traces = json(addr, "/traces");
+        let ids: Vec<&str> = traces
+            .get("traces")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|t| t.get("trace_id").and_then(Json::as_str))
+            .collect();
+        assert!(ids.contains(&own) && !ids.contains(&other), "{ids:?}");
+        assert_eq!(get(addr, &format!("/trace/{own}")).0, 200);
+        assert_eq!(get(addr, &format!("/trace/{other}")).0, 404);
+    }
+    let events_b = get(addr_b, "/events").1;
+    assert!(events_b.contains(r#""outcome":"degraded""#), "{events_b}");
 }
